@@ -11,8 +11,16 @@ coefficients.  Four discrete invariants are computed here:
 - ``k_orbit_invariant`` and ``r_orbit_invariant``: the stratum and splitting
   invariants of the symmetrized loops attached to a form.
 
-All arithmetic is exact; ranks are taken over the rationals through a
-fraction-free integer echelon, never floating point.
+All arithmetic is exact and runs on Python integers: a Gaussian rational is
+a normalized integer triple (a, b, d) meaning (a + b*i)/d, and ranks are
+taken over the rationals through a fraction-free integer echelon, never
+floating point.
+
+Every public entry point computes the determinant of the loop it is given
+once and rejects a non-unit one with ValidationError.  Along a call chain the
+unit monomial (e, c) of det(g) = c*t^e is then passed on: ``mat_inverse``
+accepts it, and the determinants of derived loops (inverse, symmetrized and
+real-symmetrized loops) follow from it by monomial algebra.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd
 
 from .errors import TheoremViolationError, ValidationError
@@ -31,65 +39,107 @@ from .rootdata import Coweight, IntMatrix
 
 
 class Gaussian:
-    """An element of Q(i), stored as an exact (re, im) pair of Fractions."""
+    """An element of Q(i), stored as normalized integers ``(a, b, d)`` that
+    mean (a + b*i)/d, with d > 0 and gcd(a, b, d) = 1.
 
-    __slots__ = ("re", "im")
+    Normalization makes the fields unique, so equality compares them
+    directly; the hash is that of the ``(re, im)`` pair of Fractions.
+    ``re`` and ``im`` are returned as Fractions for callers outside the
+    arithmetic; code in the package reads the integer fields.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            q, s = re.denominator, im.denominator
+            d = q * s // gcd(q, s)  # lcm; both parts are in lowest terms, so gcd(a, b, d) = 1
+            a, b = re.numerator * (d // q), im.numerator * (d // s)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, *_):
         raise AttributeError("Gaussian values are immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self.a != 0 or self.b != 0
 
     def __eq__(self, other):
         if not isinstance(other, Gaussian):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __add__(self, other):
-        return _gauss(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _norm(self.a + other.a, self.b + other.b, d)
+        return _norm(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     def __sub__(self, other):
-        return _gauss(self.re - other.re, self.im - other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _norm(self.a - other.a, self.b - other.b, d)
+        return _norm(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __neg__(self):
-        return _gauss(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        return _gauss(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _norm(a * c - b * e, a * e + b * c, self.d * other.d)
 
     def __truediv__(self, other):
-        norm = other.re * other.re + other.im * other.im
+        c, e = other.a, other.b
+        norm = c * c + e * e
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return _gauss(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        # (a + bi)/d divided by (c + ei)/f is f(a + bi)(c - ei) / (d(c^2 + e^2))
+        a, b, f = self.a, self.b, other.d
+        return _norm(f * (a * c + b * e), f * (b * c - a * e), self.d * norm)
 
     def conjugate(self) -> "Gaussian":
-        return _gauss(self.re, -self.im)
+        return _make(self.a, -self.b, self.d)
 
     def __repr__(self):
         return f"Gaussian({self.re}, {self.im})"
 
 
-def _gauss(re: Fraction, im: Fraction) -> Gaussian:
-    # internal constructor for operands that are already Fractions
+_set_a = Gaussian.a.__set__
+_set_b = Gaussian.b.__set__
+_set_d = Gaussian.d.__set__
+
+
+def _make(a: int, b: int, d: int) -> Gaussian:
+    # internal constructor for fields that are already normalized
     g = object.__new__(Gaussian)
-    object.__setattr__(g, "re", re)
-    object.__setattr__(g, "im", im)
+    _set_a(g, a)
+    _set_b(g, b)
+    _set_d(g, d)
     return g
+
+
+def _norm(a: int, b: int, d: int) -> Gaussian:
+    # normalizing constructor for any d > 0; skips the gcd when d == 1
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _make(a, b, d)
 
 
 G_ZERO = Gaussian(0)
@@ -115,7 +165,7 @@ class LaurentPoly:
             for e, c in coeffs.items():
                 if c:
                     clean[int(e)] = c
-        object.__setattr__(self, "_c", clean)
+        _set_c(self, clean)
 
     def __setattr__(self, *_):
         raise AttributeError("LaurentPoly values are immutable")
@@ -124,7 +174,7 @@ class LaurentPoly:
     def _raw(clean: dict) -> "LaurentPoly":
         # internal constructor for maps already free of zero coefficients
         p = object.__new__(LaurentPoly)
-        object.__setattr__(p, "_c", clean)
+        _set_c(p, clean)
         return p
 
     # constructors
@@ -193,12 +243,9 @@ class LaurentPoly:
         for e1, c1 in self._c.items():
             for e2, c2 in other._c.items():
                 e = e1 + e2
-                s = out.get(e, G_ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentPoly._raw(out)
+                s = out.get(e)
+                out[e] = c1 * c2 if s is None else s + c1 * c2
+        return LaurentPoly._raw({e: c for e, c in out.items() if c})
 
     def scale(self, factor: Gaussian) -> "LaurentPoly":
         if not factor:
@@ -238,6 +285,7 @@ class LaurentPoly:
         return " + ".join(term(e, c) for e, c in sorted(self._c.items()))
 
 
+_set_c = LaurentPoly._c.__set__
 LP_ZERO = LaurentPoly.zero()
 LP_ONE = LaurentPoly.one()
 
@@ -246,15 +294,27 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
     """Long division in Q(i)[t]; both arguments must have valuation >= 0."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
+    db = b.degree()
+    inv_lead = G_ONE / b._c[db]
+    lower = [(e - db, c) for e, c in b._c.items() if e != db]
     q: dict[int, Gaussian] = {}
-    r = a
-    db, lb = b.degree(), b.coeff(b.degree())
-    while not r.is_zero() and r.degree() >= db:
-        e = r.degree() - db
-        c = r.coeff(r.degree()) / lb
-        q[e] = q.get(e, G_ZERO) + c
-        r = r - b.shift(e).scale(c)
-    return LaurentPoly(q), r
+    r = dict(a._c)
+    while r:
+        top = max(r)
+        if top < db:
+            break
+        # cancel the leading term exactly and subtract c * t^shift * (b - lead)
+        shift = top - db
+        c = r.pop(top) * inv_lead
+        q[shift] = c
+        for e, cb in lower:
+            e += top
+            s = r.get(e, G_ZERO) - c * cb
+            if s:
+                r[e] = s
+            else:
+                r.pop(e, None)
+    return LaurentPoly._raw(q), LaurentPoly._raw(r)
 
 
 # ---------------------------------------------------------------------------
@@ -329,26 +389,31 @@ def apply_conjugation(g: LaurentMatrix) -> LaurentMatrix:
     return lm_from_rows(g.form, [[p.conjugate() for p in row] for row in g.entries])
 
 
+def _det(rows) -> LaurentPoly:
+    """Determinant of a square list of rows: closed forms up to 2x2, cofactor
+    expansion along the first row above that; fine at desk scale."""
+    m = len(rows)
+    if m == 1:
+        return rows[0][0]
+    if m == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    acc = LP_ZERO
+    for j in range(m):
+        if rows[0][j].is_zero():
+            continue
+        term = rows[0][j] * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
 def determinant(g: LaurentMatrix) -> LaurentPoly:
-    """Cofactor expansion; fine at desk scale."""
-
-    def det(rows):
-        m = len(rows)
-        if m == 1:
-            return rows[0][0]
-        acc = LP_ZERO
-        for j in range(m):
-            if rows[0][j].is_zero():
-                continue
-            minor = [[row[k] for k in range(m) if k != j] for row in rows[1:]]
-            term = rows[0][j] * det(minor)
-            acc = acc + term if j % 2 == 0 else acc - term
-        return acc
-
-    return det([list(r) for r in g.entries])
+    return _det(g.entries)
 
 
-def _unit_monomial(g: LaurentMatrix) -> tuple[int, Gaussian]:
+Monomial = tuple[int, Gaussian]  # (e, c) standing for c * t^e
+
+
+def _unit_monomial(g: LaurentMatrix) -> Monomial:
     """Exponent and coefficient of the determinant, which must be a monomial."""
     mono = determinant(g).monomial()
     if mono is None:
@@ -356,27 +421,29 @@ def _unit_monomial(g: LaurentMatrix) -> tuple[int, Gaussian]:
     return mono
 
 
-def mat_inverse(g: LaurentMatrix) -> LaurentMatrix:
-    """Adjugate over the unit determinant; errors on non-unit determinants."""
-    e, c = _unit_monomial(g)
-    inv_det = LaurentPoly.t_power(-e, G_ONE / c)
+def mat_inverse(g: LaurentMatrix, det: Monomial | None = None) -> LaurentMatrix:
+    """Adjugate over the unit determinant; errors on non-unit determinants.
+
+    ``det`` is the unit monomial of g when the caller already knows it;
+    otherwise it is computed and checked here.  The adjugate's entries are
+    the (n-1)x(n-1) minors, in closed form for n <= 3.
+    """
+    e, c = _unit_monomial(g) if det is None else det
+    inv_c = G_ONE / c
     n = g.n
     if n == 1:
-        return lm_from_rows(g.form, [[inv_det]])
-    rows = []
+        return lm_from_rows(g.form, [[LaurentPoly.t_power(-e, inv_c)]])
+    rows = g.entries
+    neg_inv_c = -inv_c
+    adjugate = []
     for i in range(n):
         row = []
         for j in range(n):
-            minor = [
-                [g.entries[r][k] for k in range(n) if k != i]
-                for r in range(n)
-                if r != j
-            ]
-            d = determinant(lm_from_rows(g.form, minor)) if n > 1 else LP_ONE
-            sign = 1 if (i + j) % 2 == 0 else -1
-            row.append(d.scale(G_ONE if sign == 1 else -G_ONE) * inv_det)
-        rows.append(row)
-    return lm_from_rows(g.form, rows)
+            # cofactor (j, i): delete row j and column i
+            minor = _det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+            row.append(minor.shift(-e).scale(inv_c if (i + j) % 2 == 0 else neg_inv_c))
+        adjugate.append(row)
+    return lm_from_rows(g.form, adjugate)
 
 
 def min_valuation(g: LaurentMatrix) -> int:
@@ -445,23 +512,41 @@ class FormAction:
         j = self._j()
         return mat_mul(mat_mul(j, g), j)
 
-    # anti-involutions
-    def real_antiinvolution(self, g: LaurentMatrix) -> LaurentMatrix:
+    # anti-involutions; ``det`` is the unit monomial of g when already known
+    def real_antiinvolution(self, g: LaurentMatrix, det: Monomial | None = None) -> LaurentMatrix:
         """Invert, reverse time, apply the real conjugation."""
         if self.family == "split":
-            return apply_conjugation(apply_tau(mat_inverse(g)))
+            return apply_conjugation(apply_tau(mat_inverse(g, det)))
         j = self._j()
         return mat_mul(mat_mul(j, transpose(apply_conjugation(apply_tau(g)))), j)
 
-    def symmetric_antiinvolution(self, g: LaurentMatrix) -> LaurentMatrix:
+    def symmetric_antiinvolution(self, g: LaurentMatrix, det: Monomial | None = None) -> LaurentMatrix:
         if self.family == "split":
             return transpose(g)
         j = self._j()
-        return mat_mul(mat_mul(j, mat_inverse(g)), j)
+        return mat_mul(mat_mul(j, mat_inverse(g, det)), j)
 
-    def symmetrize(self, g: LaurentMatrix) -> LaurentMatrix:
+    def symmetrize(self, g: LaurentMatrix, det: Monomial | None = None) -> LaurentMatrix:
         """The loop-to-symmetric-space projection applied to g."""
-        return mat_mul(self.symmetric_antiinvolution(g), g)
+        return mat_mul(self.symmetric_antiinvolution(g, det), g)
+
+    # determinants of the derived loops, by monomial algebra from det(g) = c t^e
+    def symmetrized_det(self, det: Monomial) -> Monomial:
+        """Unit monomial of ``symmetrize(g)``: det(g^T g) = c^2 t^2e for split
+        forms, det(J g^-1 J g) = det(J)^2 = 1 for unitary ones."""
+        e, c = det
+        if self.family == "split":
+            return 2 * e, c * c
+        return 0, G_ONE
+
+    def real_symmetrized_det(self, det: Monomial) -> Monomial:
+        """Unit monomial of ``real_antiinvolution(g) * g``.  Split forms:
+        conj(tau(g^-1)) has determinant t^e / conj(c).  Unitary forms:
+        J conj(tau(g))^T J has determinant conj(c) t^-e."""
+        e, c = det
+        if self.family == "split":
+            return 2 * e, c / c.conjugate()
+        return 0, c * c.conjugate()
 
     # lattice shadow
     def lattice_involution(self) -> IntMatrix:
@@ -480,12 +565,14 @@ class FormAction:
     def is_symmetric_subgroup_loop(self, g: LaurentMatrix) -> bool:
         return loops_equal(self.symmetric_involution(g), g)
 
-    def validate(self, g: LaurentMatrix) -> None:
+    def validate(self, g: LaurentMatrix) -> Monomial:
+        """Check the size and the unit determinant of g; returns det(g) as (e, c)."""
         if g.n != self.n:
             raise ValidationError(f"form {self.name} expects size {self.n}, got {g.n}")
         e, c = _unit_monomial(g)
         if self.special and (e != 0 or c != G_ONE):
             raise ValidationError(f"form {self.name} requires determinant 1")
+        return e, c
 
 
 @lru_cache(maxsize=None)
@@ -578,47 +665,57 @@ def _poly_diagonalize(rows) -> list[LaurentPoly]:
 def stratum_invariant(g: LaurentMatrix) -> Coweight:
     """Dominant coweight of the power-series double coset: orders of vanishing
     at t = 0 of the elementary divisors, shifted back and sorted decreasingly."""
-    _unit_monomial(g)
+    return _stratum(g, _unit_monomial(g))
+
+
+def _stratum(g: LaurentMatrix, det: Monomial) -> Coweight:
     rows, shift = _poly_entries_nonneg(g)
     diag = _poly_diagonalize(rows)
     vals = sorted(p.valuation() for p in diag)
-    return tuple(v - shift for v in reversed(vals))
+    lam = tuple(v - shift for v in reversed(vals))
+    if sum(lam) != det[0]:
+        raise TheoremViolationError(
+            f"elementary divisors {lam} do not sum to the determinant exponent {det[0]}"
+        )
+    return lam
 
 
 # ---------------------------------------------------------------------------
 # splitting type: section-count jump pattern
 
 
-def _gcd_all(xs) -> int:
-    return reduce(gcd, xs, 0)
-
-
 class _IntegerEchelon:
-    """Incremental fraction-free row echelon over the integers: exact rank."""
+    """Incremental fraction-free row echelon over the integers: exact rank.
 
-    def __init__(self, width: int):
-        self.width = width
+    A pivot row is stored from its leading column on; the columns before it
+    are zero, so reductions touch only the remaining tail."""
+
+    def __init__(self):
         self.pivots: dict[int, list[int]] = {}
         self.rank = 0
 
     def add_row(self, row: list[int]) -> None:
+        lead = 0
         while True:
-            lead = next((i for i, x in enumerate(row) if x), None)
-            if lead is None:
+            skip = next((i for i, x in enumerate(row) if x), None)
+            if skip is None:
                 return
+            if skip:
+                row = row[skip:]
+                lead += skip
             piv = self.pivots.get(lead)
             if piv is None:
-                g = _gcd_all(row)
+                g = gcd(*row)
                 if g > 1:
                     row = [x // g for x in row]
-                if row[lead] < 0:
+                if row[0] < 0:
                     row = [-x for x in row]
                 self.pivots[lead] = row
                 self.rank += 1
                 return
-            a, b = piv[lead], row[lead]
+            a, b = piv[0], row[0]
             row = [a * x - b * y for x, y in zip(row, piv)]
-            g = _gcd_all(row)
+            g = gcd(*row)
             if g > 1:
                 row = [x // g for x in row]
 
@@ -631,55 +728,63 @@ def splitting_type(g: LaurentMatrix) -> Coweight:
     where (a_i) is the splitting multiset; the multiset is recovered from the
     jumps of that dimension over a provably sufficient window.  Ranks are
     exact: complex systems are realified and reduced by integer echelon.
+    A window that fails to recover the multiset raises TheoremViolationError.
     """
-    det_exp, _ = _unit_monomial(g)
+    return _splitting(g, _unit_monomial(g))
+
+
+def _splitting(g: LaurentMatrix, det: Monomial) -> Coweight:
+    det_exp = det[0]
     n = g.n
-    ginv = mat_inverse(g)
+    ginv = mat_inverse(g, det)
     k_lo = min_valuation(g)  # no section below the minimal valuation
     k_hi = -min_valuation(ginv)  # dual bound through the inverse
     if k_hi < k_lo:
-        raise RuntimeError("internal error: splitting window is empty")
+        raise TheoremViolationError(f"splitting window [{k_lo}, {k_hi}] is empty")
     cap = max(0, k_hi + max_degree(ginv))  # deg v <= k + deg(g^-1) <= cap
     unknowns = n * (cap + 1)
     top = max_degree(g) + cap
 
-    echelon = _IntegerEchelon(2 * unknowns)
+    echelon = _IntegerEchelon()
     exponent = top
     dims: dict[int, int] = {}
+    # per output coordinate i and each j: (column of the constant term of v_j, terms of g_ij)
+    terms = [[(j * (cap + 1), p._c.items()) for j, p in enumerate(row)] for row in g.entries]
 
     def add_constraints_at(e: int) -> None:
-        # coefficient of t^e in (g @ v), one complex row per output coordinate
-        for i in range(n):
-            complex_row = []
-            for j in range(n):
-                poly = g.entries[i][j]
-                for d in range(cap + 1):
-                    complex_row.append(poly.coeff(e - d))
+        # coefficient of t^e in (g @ v), one complex row per output coordinate,
+        # realified over the common denominator of its Gaussian coefficients;
+        # the term c*t^f of g_ij meets the t^(e-f) coefficient of v_j
+        for row_terms in terms:
+            hits = [
+                (col + e - f, c) for col, items in row_terms for f, c in items if 0 <= e - f <= cap
+            ]
+            if not hits:
+                continue
             denom = 1
-            for c in complex_row:
-                denom = denom * c.re.denominator // gcd(denom, c.re.denominator)
-                denom = denom * c.im.denominator // gcd(denom, c.im.denominator)
-            re_row = []
-            im_row = []
-            for c in complex_row:
-                x = int(c.re * denom)
-                y = int(c.im * denom)
-                re_row.extend((x, -y))
-                im_row.extend((y, x))
-            if any(re_row):
-                echelon.add_row(re_row)
-            if any(im_row):
-                echelon.add_row(im_row)
+            for _, c in hits:
+                if denom % c.d:
+                    denom = denom * c.d // gcd(denom, c.d)
+            re_row = [0] * (2 * unknowns)
+            im_row = [0] * (2 * unknowns)
+            for col, c in hits:
+                m = denom // c.d
+                x, y = c.a * m, c.b * m
+                re_row[2 * col], re_row[2 * col + 1] = x, -y
+                im_row[2 * col], im_row[2 * col + 1] = y, x
+            echelon.add_row(re_row)
+            echelon.add_row(im_row)
 
     for k in range(k_hi, k_lo - 2, -1):
         while exponent > k:
             add_constraints_at(exponent)
             exponent -= 1
-        assert echelon.rank % 2 == 0
+        if echelon.rank % 2:
+            raise TheoremViolationError(f"realified constraint rank {echelon.rank} is odd")
         dims[k] = unknowns - echelon.rank // 2
 
     if dims[k_lo - 1] != 0:
-        raise RuntimeError("internal error: splitting window exhausted below the lower bound")
+        raise TheoremViolationError("splitting window exhausted below the lower bound")
     exponents: list[int] = []
     prev_count = 0
     for k in range(k_lo, k_hi + 1):
@@ -687,7 +792,7 @@ def splitting_type(g: LaurentMatrix) -> Coweight:
         exponents.extend([k] * (count - prev_count))
         prev_count = count
     if prev_count != n or sum(exponents) != det_exp:
-        raise RuntimeError("internal error: splitting window exhausted before recovery")
+        raise TheoremViolationError("splitting window exhausted before recovery")
     return tuple(sorted(exponents, reverse=True))
 
 
@@ -699,8 +804,8 @@ def k_orbit_invariant(g: LaurentMatrix) -> Coweight:
     """Stratum invariant of the symmetrized loop; guaranteed to be fixed by the
     form's lattice involution, and checked."""
     form = form_action(g.form)
-    form.validate(g)
-    lam = stratum_invariant(form.symmetrize(g))
+    det = form.validate(g)
+    lam = _stratum(form.symmetrize(g, det), form.symmetrized_det(det))
     if not form.lattice_fixed(lam):
         raise TheoremViolationError(
             f"k-orbit invariant {lam} is not fixed by the lattice involution of {form.name}; "
@@ -713,8 +818,8 @@ def r_orbit_invariant(g: LaurentMatrix) -> Coweight:
     """Splitting type of the real-symmetrized loop; guaranteed to be a dominant
     real coweight, and checked."""
     form = form_action(g.form)
-    form.validate(g)
-    lam = splitting_type(mat_mul(form.real_antiinvolution(g), g))
+    det = form.validate(g)
+    lam = _splitting(mat_mul(form.real_antiinvolution(g, det), g), form.real_symmetrized_det(det))
     if not form.lattice_fixed(lam):
         raise TheoremViolationError(
             f"r-orbit invariant {lam} is not fixed by the lattice involution of {form.name}; "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError, ValidationError
 from .loopmatrix import Gaussian, LaurentMatrix, LaurentPoly, form_action, lm_from_rows
@@ -203,12 +204,17 @@ def parse_matrix(text: str) -> LaurentMatrix:
     return g
 
 
+def _ratio(num: int, den: int) -> str:
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
 def format_matrix(g: LaurentMatrix) -> str:
     lines = [f"form: {g.form}", f"size: {g.n}"]
     for i in range(g.n):
         for j in range(g.n):
             terms = " ".join(
-                f"({e}, {c.re.numerator}/{c.re.denominator}, {c.im.numerator}/{c.im.denominator})"
+                f"({e}, {_ratio(c.a, c.d)}, {_ratio(c.b, c.d)})"
                 for e, c in sorted(g.entries[i][j].items())
             )
             lines.append(f"entry {i + 1} {j + 1}: {terms}".rstrip())

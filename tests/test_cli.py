@@ -194,6 +194,17 @@ def test_theorem_violation_exit_code(capsys, tmp_path, monkeypatch):
     assert "theorem violation" in err
 
 
+def test_splitting_failure_exits_two_without_traceback(capsys, tmp_path, monkeypatch):
+    import matsuki.loopmatrix as loopmatrix
+
+    monkeypatch.setattr(loopmatrix, "min_valuation", lambda g: 10**6)  # empty splitting window
+    path = tmp_path / "id.matrix"
+    path.write_text(IDENTITY_FILE)
+    rc, _, err = run(capsys, ["invariant", str(path)])
+    assert rc == 2
+    assert err.startswith("theorem violation: splitting window") and "Traceback" not in err
+
+
 def test_check_single_entry(capsys):
     rc, out, _ = run(capsys, ["check", "sl2_compact"])
     assert rc == 0

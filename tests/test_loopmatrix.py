@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -55,6 +56,69 @@ def test_gaussian_field_ops():
     assert not Gaussian(0, 0)
     with pytest.raises(ZeroDivisionError):
         a / Gaussian(0)
+
+
+def _gaussian_reference_pairs():
+    from hypothesis import strategies as st
+
+    part = st.fractions(min_value=-40, max_value=40, max_denominator=36)
+    return st.tuples(part, part)
+
+
+def _assert_normalized(g):
+    assert g.d > 0 and gcd(g.a, g.b, g.d) == 1
+    assert type(g.re) is Fraction and type(g.im) is Fraction
+
+
+def test_gaussian_matches_fraction_pair_reference():
+    """Integer-triple arithmetic against (re, im) pairs of Fractions."""
+    from hypothesis import given, settings
+
+    def ref_mul(p, q):
+        return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+    def ref_div(p, q):
+        norm = q[0] * q[0] + q[1] * q[1]
+        return (p[0] * q[0] + p[1] * q[1]) / norm, (p[1] * q[0] - p[0] * q[1]) / norm
+
+    @settings(max_examples=300, deadline=None)
+    @given(_gaussian_reference_pairs(), _gaussian_reference_pairs())
+    def agree(p, q):
+        x, y = Gaussian(*p), Gaussian(*q)
+        results = [
+            (x, p),
+            (x + y, (p[0] + q[0], p[1] + q[1])),
+            (x - y, (p[0] - q[0], p[1] - q[1])),
+            (-x, (-p[0], -p[1])),
+            (x * y, ref_mul(p, q)),
+            (x.conjugate(), (p[0], -p[1])),
+        ]
+        if any(q):
+            results.append((x / y, ref_div(p, q)))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        for got, want in results:
+            _assert_normalized(got)
+            assert (got.re, got.im) == want
+            assert hash(got) == hash(want)
+            assert bool(got) == any(want)
+        assert (x == y) == (p == q)
+
+    agree()
+
+
+def test_gaussian_normalization():
+    half = Gaussian(Fraction(2, 4))
+    assert half == Gaussian(Fraction(1, 2)) and hash(half) == hash(Gaussian(Fraction(1, 2)))
+    assert (half.a, half.b, half.d) == (1, 0, 2)
+    assert (Gaussian(0).a, Gaussian(0).b, Gaussian(0).d) == (0, 0, 1)
+    mixed = Gaussian(Fraction(1, 6), Fraction(-3, 4))  # (2 - 9i)/12
+    assert (mixed.a, mixed.b, mixed.d) == (2, -9, 12)
+    assert mixed.re == Fraction(1, 6) and mixed.im == Fraction(-3, 4)
+    assert half + half == Gaussian(1) and (half + half).d == 1
+    with pytest.raises(AttributeError):
+        half.a = 2
 
 
 def test_poly_ring_ops():
@@ -114,6 +178,46 @@ def test_inverse_of_non_unit_determinant_fails():
     bad = lm_from_rows("gl2_split", [[ONE + t_pow(1), ZERO], [ZERO, ONE]])
     with pytest.raises(ValidationError, match="determinant"):
         mat_inverse(bad)
+
+
+def _seeded_unit_loops(form):
+    """Seeded loops of a form; off the special forms they carry a determinant
+    (2 + i) t, so that the monomial algebra sees a non-trivial coefficient."""
+    n = form.n
+    if form.special:
+        twist = identity_loop(form.name, n)
+    else:
+        rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+        rows[0][0] = t_pow(1, 2, 1)
+        twist = lm_from_rows(form.name, rows)
+    for seed in range(5):
+        g = mat_mul(random_real_loop(form, seed), random_k_loop(form, seed + 1))
+        yield mat_mul(mat_mul(g, twist), random_polynomial_loop(form, seed + 2))
+
+
+@pytest.mark.parametrize("name", form_names())
+def test_known_determinant_pass_through(name):
+    form = form_action(name)
+    identity = identity_loop(name, form.n)
+    for g in _seeded_unit_loops(form):
+        det = form.validate(g)
+        assert det == determinant(g).monomial()
+        inv = mat_inverse(g, det)
+        assert loops_equal(inv, mat_inverse(g))
+        assert loops_equal(mat_mul(g, inv), identity)
+        assert loops_equal(mat_mul(inv, g), identity)
+        assert determinant(form.symmetrize(g, det)).monomial() == form.symmetrized_det(det)
+        real_sym = mat_mul(form.real_antiinvolution(g, det), g)
+        assert determinant(real_sym).monomial() == form.real_symmetrized_det(det)
+
+
+@pytest.mark.parametrize(
+    "invariant", [stratum_invariant, splitting_type, k_orbit_invariant, r_orbit_invariant]
+)
+def test_invariants_reject_non_unit_determinant(invariant):
+    bad = lm_from_rows("gl2_split", [[ONE + t_pow(1), ZERO], [ZERO, ONE]])  # det = 1 + t
+    with pytest.raises(ValidationError, match="determinant"):
+        invariant(bad)
 
 
 def test_tau_is_an_involution():
@@ -218,6 +322,14 @@ def test_splitting_examples():
     shear = lm_from_rows("gl2_split", [[t_pow(1), ONE], [ZERO, t_pow(-1)]])
     assert splitting_type(shear) == (0, 0)
     assert stratum_invariant(shear) == (1, -1)
+
+
+def test_splitting_empty_window_is_a_theorem_violation(monkeypatch):
+    import matsuki.loopmatrix as loopmatrix
+
+    monkeypatch.setattr(loopmatrix, "min_valuation", lambda g: 10**6)
+    with pytest.raises(TheoremViolationError, match="window"):
+        splitting_type(identity_loop("gl2_split", 2))
 
 
 def test_splitting_invariance_two_sided():
