@@ -18,11 +18,11 @@ from .realform import InvolutionSpec, real_coweight_basis
 from .rootdata import (
     Coweight,
     FiniteAbelianGroup,
+    dot,
     is_dominant,
     pi1_of_group,
     positive_coroots,
     quotient_group,
-    solve_rational,
     vec_add,
 )
 
@@ -55,15 +55,15 @@ def restricted_coroot_generators(spec: InvolutionSpec) -> tuple[Coweight, ...]:
 
 def real_coweight_coordinates(spec: InvolutionSpec, coweight: Coweight) -> tuple[int, ...]:
     """Coordinates of a theta-fixed coweight in the fixed-sublattice basis."""
-    basis = real_coweight_basis(spec)
-    if not basis:
+    den, rows, consistency = spec.fixed_solver
+    if not rows:
         if any(x != 0 for x in coweight):
             raise ValidationError(f"{coweight} is not theta-fixed (fixed sublattice is zero)")
         return ()
-    coeffs = solve_rational(basis, coweight)
-    if coeffs is None or any(c.denominator != 1 for c in coeffs):
+    scaled = tuple(dot(row, coweight) for row in rows)
+    if any(dot(row, coweight) for row in consistency) or any(c % den for c in scaled):
         raise ValidationError(f"{coweight} is not in the theta-fixed sublattice")
-    return tuple(int(c) for c in coeffs)
+    return tuple(c // den for c in scaled)
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +129,6 @@ def in_image_semigroup(spec: InvolutionSpec, coweight: Coweight) -> bool:
     return _in_image_class(spec, coweight)
 
 
-@lru_cache(maxsize=None)
 def _in_image_class(spec: InvolutionSpec, coweight: Coweight) -> bool:
     coords = real_coweight_coordinates(spec, coweight)
     return all(c == 0 for c in _membership_group(spec).image(coords))

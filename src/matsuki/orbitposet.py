@@ -13,17 +13,23 @@ from functools import lru_cache
 from itertools import product as iter_product
 
 from .errors import ValidationError
-from .fundgroup import in_image_semigroup, restricted_coroot_generators
+from .fundgroup import _in_image_class, in_image_semigroup, restricted_coroot_generators
 from .realform import InvolutionSpec, real_coweight_basis
 from .rootdata import (
     Coweight,
     dominance_leq,
     dot,
     height,
+    identity_matrix,
     is_dominant,
+    mat_vec,
+    pi1_of_group,
     positive_root_indices,
     simple_coroots,
+    simple_roots,
+    two_rho,
     vec_add,
+    vec_neg,
     vec_scale,
     vec_sub,
 )
@@ -57,7 +63,7 @@ def is_orbit_index(spec: InvolutionSpec, coweight: Coweight) -> bool:
         return False
     if not spec.is_real(coweight):
         return False
-    return in_image_semigroup(spec, coweight)
+    return _in_image_class(spec, coweight)
 
 
 def require_orbit_index(spec: InvolutionSpec, coweight: Coweight) -> None:
@@ -79,40 +85,48 @@ def enumerate_orbits(spec: InvolutionSpec, height_bound: int) -> tuple[Coweight,
     central directions, so enumeration additionally restricts every lattice
     coordinate to [-H, H]; for semisimple data that box never cuts anything the
     height bound allows.  Always contains zero.
+
+    Candidates are combinations of the theta-fixed basis, so they are real by
+    construction.  All coefficients but the last run over the box they can
+    take, |c_j| <= H times the l1 norm of row j of the solve matrix.  Each
+    constraint is affine in the last coefficient c, of the form a + s*c >= 0:
+    both bounds of the box in every coordinate, dominance at every simple
+    root, and 0 <= height <= H.  Their intersection is the range of c; every
+    vector in it is a dominant real candidate, and only its loop class is
+    tested.
     """
     if height_bound < 0:
         raise ValidationError("height bound must be non-negative")
+    datum = spec.datum
     basis = real_coweight_basis(spec)
     if not basis:
-        return ((0,) * spec.datum.rank,)
-    # coefficient ranges: coordinates boxed by H force |c_i| <= H * l1-norm of
-    # the i-th row of the rational solve matrix for the basis
-    from math import ceil
-
-    from .rootdata import linear_solver
-
-    solve_rows, _ = linear_solver(basis)
+        return ((0,) * datum.rank,)
+    den, rows, _ = spec.fixed_solver
+    limits = [-(-height_bound * sum(abs(x) for x in row) // den) for row in rows]
+    *lead, last = basis
+    unit, rho2 = identity_matrix(datum.rank), two_rho(datum)
+    # (f, offset): the constraint f(v) + offset >= 0
+    constraints = [(f, 0) for f in (*simple_roots(datum), rho2)] + [(e, height_bound) for e in unit]
+    constraints += [(vec_neg(f), height_bound) for f in (*unit, rho2)]
+    constraints = [(f, offset, dot(f, last)) for f, offset in constraints]
     found = []
-    bound = height_bound
-    ranges = []
-    for row in solve_rows:
-        norm = sum(abs(x) for x in row)
-        limit = ceil(bound * norm)
-        ranges.append(range(-limit, limit + 1))
-    for coeffs in iter_product(*ranges):
-        vec = (0,) * spec.datum.rank
-        for c, b in zip(coeffs, basis):
-            if c:
-                vec = vec_add(vec, vec_scale(c, b))
-        if any(abs(x) > bound for x in vec):
-            continue
-        if not is_dominant(spec.datum, vec):
-            continue
-        h = height(spec.datum, vec)
-        if h < 0 or h > bound:
-            continue
-        if in_image_semigroup(spec, vec):
-            found.append(vec)
+    for coeffs in iter_product(*(range(-m, m + 1) for m in limits[:-1])):
+        base = (0,) * datum.rank
+        for c, b in zip(coeffs, lead):
+            base = vec_add(base, vec_scale(c, b))
+        lo, hi = -limits[-1], limits[-1]
+        for f, offset, slope in constraints:
+            a = dot(f, base) + offset
+            if slope > 0:
+                lo = max(lo, -(a // slope))
+            elif slope < 0:
+                hi = min(hi, a // -slope)
+            elif a < 0:
+                hi = lo - 1
+        for c in range(lo, hi + 1):
+            vec = vec_add(base, vec_scale(c, last))
+            if _in_image_class(spec, vec):
+                found.append(vec)
     return tuple(sorted(found))
 
 
@@ -137,8 +151,7 @@ def core_data(spec: InvolutionSpec, coweight: Coweight) -> CoreData:
 
 def matsuki_dual(spec: InvolutionSpec, coweight: Coweight) -> tuple[Coweight, CoreData]:
     """The dual orbit carries the same index; the meeting locus is the core.
-    Order reversal is built into k_leq/r_leq."""
-    require_orbit_index(spec, coweight)
+    Order reversal is built into k_leq/r_leq; core_data validates the index."""
     return coweight, core_data(spec, coweight)
 
 
@@ -181,22 +194,18 @@ def real_step_leq(spec: InvolutionSpec, lower: Coweight, upper: Coweight) -> boo
     return _real_step_diff(spec, vec_sub(upper, lower))
 
 
-def _interval_has_strictly_between(spec: InvolutionSpec, lower: Coweight, upper: Coweight) -> bool:
+def _interval_has_strictly_between(spec: InvolutionSpec, lower: Coweight, steps: tuple[int, ...]) -> bool:
     """Exhaustive betweenness test against the full sub-semigroup: candidates
-    live in the simple-coroot coefficient box of upper - lower."""
-    from .rootdata import coroot_coordinates
-
-    coords = coroot_coordinates(spec.datum, vec_sub(upper, lower))
-    assert coords is not None and all(c.denominator == 1 and c >= 0 for c in coords)
+    are lower plus the simple-coroot combinations in the box of steps, the
+    coordinates of upper - lower."""
     simples = simple_coroots(spec.datum)
-    boxes = [range(int(c) + 1) for c in coords]
-    for cs in iter_product(*boxes):
+    for cs in iter_product(*(range(c + 1) for c in steps)):
+        if cs == steps or not any(cs):
+            continue
         vec = lower
         for c, b in zip(cs, simples):
             if c:
                 vec = vec_add(vec, vec_scale(c, b))
-        if vec == lower or vec == upper:
-            continue
         if is_orbit_index(spec, vec):
             return True
     return False
@@ -207,37 +216,64 @@ def primitive_relations(
 ) -> tuple[tuple[Coweight, Coweight], ...]:
     """Hasse edges of the dominance order on the given orbit indices.
 
-    Primitivity is decided against the unbounded sub-semigroup, not just the
-    supplied slice, so edges near the height boundary are still correct.
+    Each element's scaled simple-coroot coordinates are computed once, so a
+    comparison is componentwise.  Primitivity is decided against the
+    unbounded sub-semigroup, not just the supplied slice, so edges near the
+    height boundary are still correct.
     """
+    for e in elements:
+        if len(e) != spec.datum.rank:
+            raise ValidationError(f"{e} does not have length rank={spec.datum.rank}")
+    den, rows, consistency = spec.datum.coroot_solver
+    keys = {e: (mat_vec(consistency, e), mat_vec(rows, e)) for e in elements}
     edges = []
-    elems = tuple(elements)
-    for a in elems:
-        for b in elems:
-            if a == b or not k_leq(spec, a, b):
+    for a in elements:
+        off_span, coords = keys[a]
+        for b in elements:
+            if a == b or keys[b][0] != off_span:
                 continue
-            if not _interval_has_strictly_between(spec, a, b):
+            steps = tuple(y - x for x, y in zip(coords, keys[b][1]))
+            if any(c < 0 or c % den for c in steps):
+                continue
+            if not _interval_has_strictly_between(spec, a, tuple(c // den for c in steps)):
                 edges.append((a, b))
     return tuple(sorted(edges))
 
 
+def _comparability_components(spec: InvolutionSpec, elements) -> int:
+    """Components of the comparability graph, by search over all pairs."""
+    todo, count = set(elements), 0
+    while todo:
+        count += 1
+        stack = [todo.pop()]
+        while stack:
+            a = stack.pop()
+            linked = {b for b in todo if k_leq(spec, a, b) or k_leq(spec, b, a)}
+            todo -= linked
+            stack.extend(linked)
+    return count
+
+
 def component_count(spec: InvolutionSpec, elements: tuple[Coweight, ...]) -> int:
-    """Connected components of the comparability graph on the given indices."""
-    parent = {e: e for e in elements}
+    """Connected components of the comparability graph on the given indices.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, a in enumerate(elements):
-        for b in elements[i + 1:]:
-            if k_leq(spec, a, b) or k_leq(spec, b, a):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-    return len({find(e) for e in elements})
+    Comparable coweights differ by coroots, so they share their class in the
+    fundamental group of the group.  A class whose element of least height
+    lies below all its members is one component; only a class without such
+    an element is resolved pair by pair.
+    """
+    group = pi1_of_group(spec.datum)
+    classes: dict[tuple[int, ...], list[Coweight]] = {}
+    for e in elements:
+        classes.setdefault(group.image(e), []).append(e)
+    count = 0
+    for members in classes.values():
+        least = min(members, key=lambda e: height(spec.datum, e))
+        if all(k_leq(spec, least, e) for e in members):
+            count += 1
+        else:
+            count += _comparability_components(spec, members)
+    return count
 
 
 def build_poset_slice(spec: InvolutionSpec, height_bound: int, order: str = "K") -> PosetSlice:

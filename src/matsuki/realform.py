@@ -10,7 +10,7 @@ between the library, the CLI and the matrix model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ValidationError
 from .rootdata import (
@@ -21,6 +21,7 @@ from .rootdata import (
     dot,
     gl_datum,
     identity_matrix,
+    integer_solver,
     is_dominant,
     kernel_basis,
     mat_mul,
@@ -48,7 +49,23 @@ class InvolutionSpec:
         return mat_vec(self.theta, coweight)
 
     def is_real(self, coweight: Coweight) -> bool:
-        return self.apply(coweight) == coweight
+        if len(coweight) != self.datum.rank:
+            return False
+        for row in self.moving_rows:
+            if dot(row, coweight):
+                return False
+        return True
+
+    @cached_property
+    def moving_rows(self) -> IntMatrix:
+        """The nonzero rows of theta - 1; there are none when theta is the identity."""
+        rows = (tuple(x - int(i == j) for j, x in enumerate(row)) for i, row in enumerate(self.theta))
+        return tuple(row for row in rows if any(row))
+
+    @cached_property
+    def fixed_solver(self) -> tuple[int, IntMatrix, IntMatrix]:
+        """``integer_solver`` of the theta-fixed basis, built on first use."""
+        return integer_solver(real_coweight_basis(self), dim=self.datum.rank)
 
 
 def validate_involution(spec: InvolutionSpec) -> list[str]:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
+from operator import add, mul, sub
 
 from .errors import ValidationError
 
@@ -25,11 +27,11 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def vec_add(u: Coweight, v: Coweight) -> Coweight:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vec_sub(u: Coweight, v: Coweight) -> Coweight:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vec_neg(u: Coweight) -> Coweight:
@@ -41,7 +43,7 @@ def vec_scale(c: int, u: Coweight) -> Coweight:
 
 
 def dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def identity_matrix(n: int) -> IntMatrix:
@@ -130,6 +132,14 @@ class RootDatum:
             tuple((1 if i == j else 0) - avee[i] * alpha[j] for j in range(self.rank))
             for i in range(self.rank)
         )
+
+    @cached_property
+    def coroot_solver(self) -> tuple[int, IntMatrix, IntMatrix]:
+        """``integer_solver`` of the simple coroots, built on first use."""
+        try:
+            return integer_solver(simple_coroots(self), dim=self.rank)
+        except ValidationError:
+            raise ValidationError("simple coroots are linearly dependent")
 
 
 @lru_cache(maxsize=None)
@@ -290,35 +300,33 @@ def linear_solver(columns: tuple[Coweight, ...], dim: int | None = None):
     return solve_rows, consistency
 
 
-@lru_cache(maxsize=None)
-def _coroot_coordinate_solver(datum: RootDatum):
-    try:
-        return linear_solver(simple_coroots(datum), dim=datum.rank)
-    except ValidationError:
-        raise ValidationError("simple coroots are linearly dependent")
+def integer_solver(columns: tuple[Coweight, ...], dim: int | None = None) -> tuple[int, IntMatrix, IntMatrix]:
+    """``linear_solver`` scaled to integers: (den, rows, consistency).
 
-
-def coroot_coordinates(datum: RootDatum, vector: Coweight) -> tuple[Fraction, ...] | None:
-    """Coordinates of a vector in the simple-coroot basis, or None if outside the span."""
-    solve_rows, consistency = _coroot_coordinate_solver(datum)
-    for row in consistency:
-        if dot(row, vector) != 0:
-            return None
-    return tuple(sum(r * v for r, v in zip(row, vector)) for row in solve_rows)
-
-
-@lru_cache(maxsize=None)
-def _dominance_diff(datum: RootDatum, diff: Coweight) -> bool:
-    coords = coroot_coordinates(datum, diff)
-    if coords is None:
-        return False
-    return all(c.denominator == 1 and c >= 0 for c in coords)
+    A vector v is in the span of the columns iff every consistency row pairs
+    to 0 with it; its coordinates are then rows @ v divided by den.
+    """
+    solve_rows, consistency = linear_solver(columns, dim)
+    den = lcm(*(x.denominator for row in solve_rows for x in row))
+    rows = tuple(tuple(int(x * den) for x in row) for row in solve_rows)
+    return den, rows, tuple(tuple(int(x * lcm(*(y.denominator for y in row))) for x in row) for row in consistency)
 
 
 def dominance_leq(datum: RootDatum, lower: Coweight, upper: Coweight) -> bool:
     """Coroot dominance order: lower <= upper iff the difference is a
     non-negative integer combination of simple coroots."""
-    return _dominance_diff(datum, vec_sub(upper, lower))
+    if len(lower) != datum.rank or len(upper) != datum.rank:
+        raise ValidationError(f"{lower} and {upper} must both have length rank={datum.rank}")
+    den, rows, consistency = datum.coroot_solver
+    diff = vec_sub(upper, lower)
+    for row in consistency:
+        if dot(row, diff):
+            return False
+    for row in rows:
+        c = dot(row, diff)
+        if c < 0 or c % den:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -525,17 +533,6 @@ def quotient_group(ambient_rank: int, sublattice_generators: tuple[Coweight, ...
 def pi1_of_group(datum: RootDatum) -> FiniteAbelianGroup:
     """Fundamental group of the reductive group: cocharacters modulo all coroots."""
     return quotient_group(datum.rank, tuple(dict.fromkeys(datum.coroots)))
-
-
-def sublattice_membership(generators: tuple[Coweight, ...], vector: Coweight, rank: int) -> bool:
-    """Whether the vector is an integer combination of the generators."""
-    group = quotient_group(rank, generators)
-    return all(c == 0 for c in group.image(vector))
-
-
-def sublattice_index(ambient_basis_rank: int, generators: tuple[Coweight, ...]) -> int | None:
-    """Index of the generated sublattice in Z^rank; None when infinite."""
-    return quotient_group(ambient_basis_rank, generators).order()
 
 
 # ---------------------------------------------------------------------------

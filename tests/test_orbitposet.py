@@ -7,6 +7,7 @@ import pytest
 from matsuki.errors import ValidationError
 from matsuki.orbitposet import (
     build_poset_slice,
+    component_count,
     core_data,
     enumerate_orbits,
     is_orbit_index,
@@ -16,10 +17,17 @@ from matsuki.orbitposet import (
     r_leq,
     real_step_leq,
 )
-from matsuki.realform import catalog, catalog_names
-from matsuki.rootdata import dominance_leq, height, is_dominant
+from matsuki.fundgroup import in_image_semigroup
+from matsuki.realform import InvolutionSpec, catalog, catalog_names
+from matsuki.rootdata import RootDatum, dominance_leq, height, is_dominant
 
 ALL_NAMES = list(catalog_names())
+
+
+def skewed_torus_spec():
+    """Rootless rank-2 torus whose fixed lattice has the skewed basis (2, 1)."""
+    datum = RootDatum(rank=2, roots=(), coroots=(), simple_indices=(), name="torus2")
+    return InvolutionSpec(datum=datum, theta=((1, 0), (1, -1)), name="skewed")
 
 
 def real_dominant_up_to(spec, bound):
@@ -58,16 +66,11 @@ def test_enumerate_always_contains_zero():
 
 
 def test_enumerate_matches_direct_filter():
-    for name in ALL_NAMES:
-        spec = catalog(name).spec
-        if spec.datum.rank > 2:
-            continue
-        from matsuki.fundgroup import in_image_semigroup
-
+    for spec in [catalog(name).spec for name in ALL_NAMES] + [skewed_torus_spec()]:
         expected = sorted(
             lam for lam in real_dominant_up_to(spec, 9) if in_image_semigroup(spec, lam)
         )
-        assert list(enumerate_orbits(spec, 9)) == expected, name
+        assert list(enumerate_orbits(spec, 9)) == expected, spec.name
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +104,14 @@ def test_zero_is_minimal_in_its_component():
         for a in enumerate_orbits(spec, 10):
             if a != zero:
                 assert not k_leq(spec, a, zero), (name, a)
+
+
+def test_orders_reject_wrong_length():
+    spec = catalog("gl2_split").spec
+    with pytest.raises(ValidationError, match="length"):
+        k_leq(spec, (0, 0, 5), (1, -1))
+    with pytest.raises(ValidationError, match="length"):
+        r_leq(spec, (1, -1), (0, 0, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +284,40 @@ def test_gl1_slice_is_discrete():
     assert s.component_count == 5
 
 
+def comparability_components(spec, elements):
+    """All-pairs union-find over the comparability graph: the oracle for
+    component_count."""
+    parent = list(range(len(elements)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, a in enumerate(elements):
+        for j in range(i + 1, len(elements)):
+            if k_leq(spec, a, elements[j]) or k_leq(spec, elements[j], a):
+                parent[find(i)] = find(j)
+    return len({find(i) for i in range(len(elements))})
+
+
+def test_component_count_matches_union_find_oracle():
+    for name in ALL_NAMES:
+        spec = catalog(name).spec
+        for bound in (0, 3, 8, 13, 20):
+            elements = enumerate_orbits(spec, bound)
+            assert component_count(spec, elements) == comparability_components(spec, elements), (name, bound)
+
+
+def test_component_count_of_a_class_without_least_element():
+    spec = catalog("gl3_split").spec
+    pair = ((2, 1, -3), (3, -1, -2))  # same class, incomparable, equal height
+    assert component_count(spec, pair) == 2
+    assert component_count(spec, pair + ((0, 0, 0),)) == 1
+    assert component_count(spec, pair + ((0, 0, 0), (2, 0, 0))) == 2  # another class
+
+
 def test_slice_rejects_bad_order():
     with pytest.raises(ValidationError):
         build_poset_slice(catalog("sl2_split").spec, 4, "Q")
@@ -282,10 +327,8 @@ def test_enumeration_over_skewed_fixed_basis():
     # rootless rank-2 torus with a non-diagonal involution: the fixed lattice
     # has the skewed basis (2,1), so coefficient bounds must come from the
     # solve matrix, not from coordinate sizes
-    from matsuki.realform import InvolutionSpec, real_coweight_basis
-    from matsuki.rootdata import RootDatum
+    from matsuki.realform import real_coweight_basis
 
-    datum = RootDatum(rank=2, roots=(), coroots=(), simple_indices=(), name="torus2")
-    spec = InvolutionSpec(datum=datum, theta=((1, 0), (1, -1)), name="skewed")
+    spec = skewed_torus_spec()
     assert real_coweight_basis(spec) == ((2, 1),)
     assert enumerate_orbits(spec, 4) == ((-4, -2), (-2, -1), (0, 0), (2, 1), (4, 2))

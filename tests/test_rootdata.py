@@ -28,6 +28,7 @@ from matsuki.rootdata import (
     sl2xsl2_datum,
     sl3_datum,
     smith_normal_form,
+    solve_rational,
     two_rho,
     validate_root_datum,
     vec_add,
@@ -36,6 +37,7 @@ from matsuki.rootdata import (
 )
 
 ALL_DATA = [sl2_datum(), pgl2_datum(), sl3_datum(), sl2xsl2_datum(), gl_datum(2), gl_datum(3)]
+SKEWED_TORUS = RootDatum(rank=2, roots=(), coroots=(), simple_indices=(), name="torus2")
 
 
 def weyl_orbit(datum, coweight):
@@ -182,6 +184,42 @@ def brute_force_dominance(datum, lower, upper, bound=12):
 def test_dominance_agrees_with_brute_force_rank2(a, b, c, d):
     for datum in (sl3_datum(), sl2xsl2_datum(), gl_datum(2)):
         assert dominance_leq(datum, (a, b), (c, d)) == brute_force_dominance(datum, (a, b), (c, d))
+
+
+def coroot_coordinates(datum, vector):
+    """Fraction coordinates of a vector in the simple-coroot basis, or None
+    outside their span: the oracle for the integer dominance rows."""
+    return solve_rational(simple_coroots(datum), vector)
+
+
+def catalog_data():
+    from matsuki.realform import catalog, catalog_names
+
+    return [catalog(name).datum for name in catalog_names()]
+
+
+def test_integer_rows_cover_denominators_and_consistency():
+    assert pgl2_datum().coroot_solver[0] == 2
+    assert gl_datum(3).coroot_solver[2] != ()
+    assert SKEWED_TORUS.coroot_solver == (1, (), ((1, 0), (0, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_dominance_agrees_with_fraction_coordinates(data):
+    datum = data.draw(st.sampled_from(catalog_data() + [SKEWED_TORUS]))
+    vec = st.tuples(*[st.integers(-6, 6)] * datum.rank)
+    lower, upper = data.draw(vec), data.draw(vec)
+    coords = coroot_coordinates(datum, vec_sub(upper, lower))
+    expected = coords is not None and all(c.denominator == 1 and c >= 0 for c in coords)
+    assert dominance_leq(datum, lower, upper) == expected
+
+
+def test_dominance_rejects_wrong_length():
+    with pytest.raises(ValidationError, match="length"):
+        dominance_leq(gl_datum(2), (0, 0, 5), (1, -1))
+    with pytest.raises(ValidationError, match="length"):
+        dominance_leq(gl_datum(2), (1, -1), (0,))
 
 
 @settings(max_examples=40, deadline=None)

@@ -36,3 +36,63 @@ def test_no_float_calls(path):
     for node in ast.walk(_parse(path)):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             assert node.func.id != "float", f"{path.name}:{node.lineno} calls float()"
+
+
+# Unbounded caches allowed in the package.  Each is keyed by structure: a root
+# datum, an involution, a catalog table or an orbit slice request, so its size
+# is bounded by the structures in use, never by the coweights compared.
+STRUCTURE_CACHES = {
+    "fundgroup._image_lattice_data": "involution",
+    "fundgroup._membership_group": "involution",
+    "fundgroup.pi1_model": "involution",
+    "fundgroup.pi1_of_symmetric_space": "involution",
+    "fundgroup.restricted_coroot_generators": "involution",
+    "loopmatrix._form_table": "catalog table",
+    "orbitposet.enumerate_orbits": "involution and height bound",
+    # keyed per difference; ROADMAP item 5 redefines the step order and drops it
+    "orbitposet._real_step_diff": "ROADMAP item 5",
+    "orbitposet._real_step_diff.search": "ROADMAP item 5 (local to one call)",
+    "realform._catalog": "catalog table",
+    "realform.levi_longest_element": "involution",
+    "realform.real_coweight_basis": "involution",
+    "rootdata._parabolic_positive_coroots": "root datum and simple-root subset",
+    "rootdata.positive_coroots": "root datum",
+    "rootdata.positive_root_indices": "root datum",
+    "rootdata.simple_coroots": "root datum",
+    "rootdata.simple_roots": "root datum",
+    "rootdata.two_rho": "root datum",
+}
+
+
+def _is_unbounded_cache(decorator):
+    if isinstance(decorator, (ast.Name, ast.Attribute)):  # functools.cache
+        return getattr(decorator, "id", getattr(decorator, "attr", None)) == "cache"
+    if not isinstance(decorator, ast.Call):
+        return False
+    func = decorator.func
+    if getattr(func, "id", getattr(func, "attr", None)) != "lru_cache":
+        return False
+    return any(
+        kw.arg == "maxsize" and isinstance(kw.value, ast.Constant) and kw.value.value is None
+        for kw in decorator.keywords
+    ) or any(isinstance(arg, ast.Constant) and arg.value is None for arg in decorator.args)
+
+
+def _unbounded_caches(node, prefix):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            if any(_is_unbounded_cache(d) for d in child.decorator_list):
+                yield name
+            yield from _unbounded_caches(child, name + ".")
+        else:
+            yield from _unbounded_caches(child, prefix)
+
+
+def test_unbounded_caches_are_keyed_by_structure():
+    found = {
+        name
+        for path in SOURCES
+        for name in _unbounded_caches(_parse(path), path.stem + ".")
+    }
+    assert found == set(STRUCTURE_CACHES)
