@@ -4,16 +4,16 @@ Loops are square matrices of Laurent polynomials with Gaussian-rational
 coefficients.  Four discrete invariants are computed here:
 
 - ``stratum_invariant``: the dominant coweight of the power-series double
-  coset, read off from elementary divisors at t = 0;
-- ``splitting_type``: the dominant coweight of the two-sided polynomial
-  double coset, i.e. the splitting type of the glued bundle on the projective
-  line, recovered from a section-count jump pattern;
+  coset, read off from the determinantal divisors (least t-valuations of the
+  k x k minors);
+- ``splitting_type``: the dominant coweight of the two-sided polynomial double
+  coset, i.e. the splitting type of the glued bundle on the projective line,
+  read off as the column degrees of a column-reduced polynomial matrix;
 - ``k_orbit_invariant`` and ``r_orbit_invariant``: the stratum and splitting
   invariants of the symmetrized loops attached to a form.
 
 All arithmetic is exact and runs on Python integers: a Gaussian rational is
-a normalized integer triple (a, b, d) meaning (a + b*i)/d, and ranks are
-taken over the rationals through a fraction-free integer echelon, never
+a normalized integer triple (a, b, d) meaning (a + b*i)/d; nothing is ever
 floating point.
 
 Every public entry point computes the determinant of the loop it is given
@@ -29,6 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd
 
 from .errors import TheoremViolationError, ValidationError
@@ -288,33 +289,6 @@ class LaurentPoly:
 _set_c = LaurentPoly._c.__set__
 LP_ZERO = LaurentPoly.zero()
 LP_ONE = LaurentPoly.one()
-
-
-def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Long division in Q(i)[t]; both arguments must have valuation >= 0."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    db = b.degree()
-    inv_lead = G_ONE / b._c[db]
-    lower = [(e - db, c) for e, c in b._c.items() if e != db]
-    q: dict[int, Gaussian] = {}
-    r = dict(a._c)
-    while r:
-        top = max(r)
-        if top < db:
-            break
-        # cancel the leading term exactly and subtract c * t^shift * (b - lead)
-        shift = top - db
-        c = r.pop(top) * inv_lead
-        q[shift] = c
-        for e, cb in lower:
-            e += top
-            s = r.get(e, G_ZERO) - c * cb
-            if s:
-                r[e] = s
-            else:
-                r.pop(e, None)
-    return LaurentPoly._raw(q), LaurentPoly._raw(r)
 
 
 # ---------------------------------------------------------------------------
@@ -601,199 +575,110 @@ def form_action(name: str) -> FormAction:
 
 
 # ---------------------------------------------------------------------------
-# stratum invariant: elementary divisors at t = 0
-
-
-def _poly_entries_nonneg(g: LaurentMatrix) -> tuple[list[list[LaurentPoly]], int]:
-    """Clear denominators in t: return t^N * g as a polynomial matrix and N."""
-    shift = max(0, -min_valuation(g))
-    rows = [[p.shift(shift) for p in row] for row in g.entries]
-    return rows, shift
-
-
-def _min_degree_pivot(rows, start):
-    best = None
-    where = None
-    m = len(rows)
-    for i in range(start, m):
-        for j in range(start, m):
-            p = rows[i][j]
-            if p.is_zero():
-                continue
-            d = p.degree()
-            if best is None or d < best:
-                best, where = d, (i, j)
-    return where
-
-
-def _poly_diagonalize(rows) -> list[LaurentPoly]:
-    """Diagonalize a square polynomial matrix by unimodular row/column
-    operations over Q(i)[t]; returns the diagonal (no divisibility chain, the
-    valuations carry all the information used downstream)."""
-    m = len(rows)
-    for t in range(m):
-        while True:
-            where = _min_degree_pivot(rows, t)
-            if where is None:
-                break
-            i, j = where
-            rows[t], rows[i] = rows[i], rows[t]
-            for row in rows:
-                row[t], row[j] = row[j], row[t]
-            pivot = rows[t][t]
-            dirty = False
-            for r in range(t + 1, m):
-                if rows[r][t].is_zero():
-                    continue
-                q, _ = poly_divmod(rows[r][t], pivot)
-                rows[r] = [a - q * b for a, b in zip(rows[r], rows[t])]
-                if not rows[r][t].is_zero():
-                    dirty = True
-            for c in range(t + 1, m):
-                if rows[t][c].is_zero():
-                    continue
-                q, _ = poly_divmod(rows[t][c], pivot)
-                for row in rows:
-                    row[c] = row[c] - q * row[t]
-                if not rows[t][c].is_zero():
-                    dirty = True
-            if not dirty:
-                break
-    return [rows[i][i] for i in range(m)]
+# stratum invariant: determinantal divisors
 
 
 def stratum_invariant(g: LaurentMatrix) -> Coweight:
-    """Dominant coweight of the power-series double coset: orders of vanishing
-    at t = 0 of the elementary divisors, shifted back and sorted decreasingly."""
+    """Dominant coweight of the power-series double coset g in G(O) t^lam G(O).
+
+    The k-th determinantal divisor d_k is the least t-valuation of a k x k
+    minor of g, with d_0 = 0 and d_n the determinant's exponent; the
+    elementary divisors at t = 0 are t^(d_k - d_(k-1)), and lam lists their
+    exponents decreasingly.
+    """
     return _stratum(g, _unit_monomial(g))
 
 
 def _stratum(g: LaurentMatrix, det: Monomial) -> Coweight:
-    rows, shift = _poly_entries_nonneg(g)
-    diag = _poly_diagonalize(rows)
-    vals = sorted(p.valuation() for p in diag)
-    lam = tuple(v - shift for v in reversed(vals))
-    if sum(lam) != det[0]:
+    n = g.n
+    divisors = [0]
+    for k in range(1, n):
+        divisors.append(min(
+            minor.valuation()
+            for rows in combinations(g.entries, k)
+            for cols in combinations(range(n), k)
+            if not (minor := _det([[row[j] for j in cols] for row in rows])).is_zero()
+        ))
+    divisors.append(det[0])
+    steps = [b - a for a, b in zip(divisors, divisors[1:])]
+    # the elementary divisors divide one another, so the steps cannot decrease
+    if steps != sorted(steps):
         raise TheoremViolationError(
-            f"elementary divisors {lam} do not sum to the determinant exponent {det[0]}"
+            f"determinantal divisors {tuple(divisors)} do not form a divisibility chain"
         )
-    return lam
+    return tuple(reversed(steps))
 
 
 # ---------------------------------------------------------------------------
-# splitting type: section-count jump pattern
-
-
-class _IntegerEchelon:
-    """Incremental fraction-free row echelon over the integers: exact rank.
-
-    A pivot row is stored from its leading column on; the columns before it
-    are zero, so reductions touch only the remaining tail."""
-
-    def __init__(self):
-        self.pivots: dict[int, list[int]] = {}
-        self.rank = 0
-
-    def add_row(self, row: list[int]) -> None:
-        lead = 0
-        while True:
-            skip = next((i for i, x in enumerate(row) if x), None)
-            if skip is None:
-                return
-            if skip:
-                row = row[skip:]
-                lead += skip
-            piv = self.pivots.get(lead)
-            if piv is None:
-                g = gcd(*row)
-                if g > 1:
-                    row = [x // g for x in row]
-                if row[0] < 0:
-                    row = [-x for x in row]
-                self.pivots[lead] = row
-                self.rank += 1
-                return
-            a, b = piv[0], row[0]
-            row = [a * x - b * y for x, y in zip(row, piv)]
-            g = gcd(*row)
-            if g > 1:
-                row = [x // g for x in row]
+# splitting type: column reduction
 
 
 def splitting_type(g: LaurentMatrix) -> Coweight:
-    """Dominant coweight of the two-sided polynomial double coset.
+    """Dominant coweight of the two-sided polynomial double coset
+    g in G[1/t] t^lam G[t]: the splitting type of the glued bundle.
 
-    For each twist k the space of polynomial vectors v with all powers of g*v
-    bounded by k is finite-dimensional, of dimension sum_i max(0, k - a_i + 1)
-    where (a_i) is the splitting multiset; the multiset is recovered from the
-    jumps of that dimension over a provably sufficient window.  Ranks are
-    exact: complex systems are realified and reduced by integer echelon.
-    A window that fails to recover the multiset raises TheoremViolationError.
+    Column reduction (Wolovich, Linear Multivariable Systems, 1974): t^N g is
+    a polynomial matrix, and unimodular column operations over Q(i)[t] make
+    its matrix of leading column coefficients nonsingular.  The column
+    degrees minus N are then the partial indices (Gohberg, Kaashoek and
+    Spitkovsky, 2003), i.e. the splitting type.  Each step lowers the sum of
+    the column degrees, which ends at det exponent + n*N, so the loop is
+    bounded; a run past that bound raises TheoremViolationError.
     """
     return _splitting(g, _unit_monomial(g))
 
 
+def _column_degree(col: list[LaurentPoly]) -> int:
+    return max(p.degree() for p in col if not p.is_zero())
+
+
+def _kernel_vector(m: list[list[Gaussian]]) -> list[Gaussian] | None:
+    """A nonzero v with m v = 0 for a square matrix m over Q(i), or None when
+    m is nonsingular (Gauss-Jordan elimination up to the first free column)."""
+    n = len(m)
+    rows = [list(r) for r in m]
+    for col in range(n):
+        p = next((i for i in range(col, n) if rows[i][col]), None)
+        if p is None:
+            # columns before col are pivots with unit entries on the diagonal
+            return [-rows[i][col] for i in range(col)] + [G_ONE] + [G_ZERO] * (n - col - 1)
+        rows[col], rows[p] = rows[p], rows[col]
+        inv = G_ONE / rows[col][col]
+        pivot = rows[col] = [x * inv for x in rows[col]]
+        for i in range(n):
+            f = rows[i][col]
+            if i != col and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], pivot)]
+    return None
+
+
 def _splitting(g: LaurentMatrix, det: Monomial) -> Coweight:
-    det_exp = det[0]
     n = g.n
-    ginv = mat_inverse(g, det)
-    k_lo = min_valuation(g)  # no section below the minimal valuation
-    k_hi = -min_valuation(ginv)  # dual bound through the inverse
-    if k_hi < k_lo:
-        raise TheoremViolationError(f"splitting window [{k_lo}, {k_hi}] is empty")
-    cap = max(0, k_hi + max_degree(ginv))  # deg v <= k + deg(g^-1) <= cap
-    unknowns = n * (cap + 1)
-    top = max_degree(g) + cap
-
-    echelon = _IntegerEchelon()
-    exponent = top
-    dims: dict[int, int] = {}
-    # per output coordinate i and each j: (column of the constant term of v_j, terms of g_ij)
-    terms = [[(j * (cap + 1), p._c.items()) for j, p in enumerate(row)] for row in g.entries]
-
-    def add_constraints_at(e: int) -> None:
-        # coefficient of t^e in (g @ v), one complex row per output coordinate,
-        # realified over the common denominator of its Gaussian coefficients;
-        # the term c*t^f of g_ij meets the t^(e-f) coefficient of v_j
-        for row_terms in terms:
-            hits = [
-                (col + e - f, c) for col, items in row_terms for f, c in items if 0 <= e - f <= cap
-            ]
-            if not hits:
-                continue
-            denom = 1
-            for _, c in hits:
-                if denom % c.d:
-                    denom = denom * c.d // gcd(denom, c.d)
-            re_row = [0] * (2 * unknowns)
-            im_row = [0] * (2 * unknowns)
-            for col, c in hits:
-                m = denom // c.d
-                x, y = c.a * m, c.b * m
-                re_row[2 * col], re_row[2 * col + 1] = x, -y
-                im_row[2 * col], im_row[2 * col + 1] = y, x
-            echelon.add_row(re_row)
-            echelon.add_row(im_row)
-
-    for k in range(k_hi, k_lo - 2, -1):
-        while exponent > k:
-            add_constraints_at(exponent)
-            exponent -= 1
-        if echelon.rank % 2:
-            raise TheoremViolationError(f"realified constraint rank {echelon.rank} is odd")
-        dims[k] = unknowns - echelon.rank // 2
-
-    if dims[k_lo - 1] != 0:
-        raise TheoremViolationError("splitting window exhausted below the lower bound")
-    exponents: list[int] = []
-    prev_count = 0
-    for k in range(k_lo, k_hi + 1):
-        count = dims[k] - dims[k - 1]
-        exponents.extend([k] * (count - prev_count))
-        prev_count = count
-    if prev_count != n or sum(exponents) != det_exp:
-        raise TheoremViolationError("splitting window exhausted before recovery")
-    return tuple(sorted(exponents, reverse=True))
+    shift = max(0, -min_valuation(g))
+    cols = [[p.shift(shift) for p in col] for col in zip(*g.entries)]
+    degs = [_column_degree(col) for col in cols]
+    # each step lowers sum(degs), which ends at the degree of det(t^N g)
+    steps_left = sum(degs) - det[0] - n * shift
+    while True:
+        v = _kernel_vector([[col[i].coeff(d) for col, d in zip(cols, degs)] for i in range(n)])
+        if v is None:
+            break
+        if steps_left <= 0:
+            raise TheoremViolationError(
+                f"column reduction ran past its step bound at column degrees {tuple(degs)}"
+            )
+        steps_left -= 1
+        # t^(top - d_j) * col_j over the support of v cancels the top column's lead
+        top = max((j for j in range(n) if v[j]), key=degs.__getitem__)
+        terms = [(degs[top] - degs[j], v[j], cols[j]) for j in range(n) if v[j]]
+        cols[top] = [sum((col[i].shift(k).scale(c) for k, c, col in terms), LP_ZERO) for i in range(n)]
+        degs[top] = _column_degree(cols[top])
+    lam = tuple(sorted((d - shift for d in degs), reverse=True))
+    if sum(lam) != det[0]:
+        raise TheoremViolationError(
+            f"partial indices {lam} do not sum to the determinant exponent {det[0]}"
+        )
+    return lam
 
 
 # ---------------------------------------------------------------------------

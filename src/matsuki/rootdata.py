@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 from operator import add, mul, sub
 
-from .errors import ValidationError
+from .errors import TheoremViolationError, ValidationError
 
 Coweight = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -337,7 +337,8 @@ def _parabolic_positive_coroots(datum: RootDatum, subset: tuple[int, ...]) -> tu
     simples = simple_roots(datum)
     for idx in positive_root_indices(datum):
         coeffs = solve_rational(simples, datum.roots[idx])
-        assert coeffs is not None
+        if coeffs is None:
+            raise TheoremViolationError(f"root {datum.roots[idx]} is not in the span of the simple roots")
         support = {j for j, c in enumerate(coeffs) if c != 0}
         if support <= set(sub_simple_positions):
             chosen.append(datum.coroots[idx])

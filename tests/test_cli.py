@@ -3,6 +3,7 @@
 
 from matsuki.cli import main
 from matsuki.errors import TheoremViolationError
+from matsuki.loopmatrix import Gaussian
 
 IDENTITY_FILE = "form: gl2_split\nsize: 2\nentry 1 1: (0, 1/1, 0/1)\nentry 2 2: (0, 1/1, 0/1)\n"
 SHEAR_FILE = (
@@ -197,12 +198,13 @@ def test_theorem_violation_exit_code(capsys, tmp_path, monkeypatch):
 def test_splitting_failure_exits_two_without_traceback(capsys, tmp_path, monkeypatch):
     import matsuki.loopmatrix as loopmatrix
 
-    monkeypatch.setattr(loopmatrix, "min_valuation", lambda g: 10**6)  # empty splitting window
+    # a kernel step that never lowers a column degree exhausts the step bound
+    monkeypatch.setattr(loopmatrix, "_kernel_vector", lambda m: [Gaussian(1)] + [Gaussian(0)] * (len(m) - 1))
     path = tmp_path / "id.matrix"
     path.write_text(IDENTITY_FILE)
     rc, _, err = run(capsys, ["invariant", str(path)])
     assert rc == 2
-    assert err.startswith("theorem violation: splitting window") and "Traceback" not in err
+    assert err.startswith("theorem violation: column reduction") and "Traceback" not in err
 
 
 def test_check_single_entry(capsys):

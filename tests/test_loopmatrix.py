@@ -23,6 +23,7 @@ from matsuki.loopmatrix import (
     loops_equal,
     mat_inverse,
     mat_mul,
+    max_degree,
     min_valuation,
     r_orbit_invariant,
     random_k_loop,
@@ -324,12 +325,191 @@ def test_splitting_examples():
     assert stratum_invariant(shear) == (1, -1)
 
 
-def test_splitting_empty_window_is_a_theorem_violation(monkeypatch):
+def _no_progress_kernel(m):
+    """A stand-in for the kernel step that never lowers a column degree."""
+    return [Gaussian(1)] + [Gaussian(0)] * (len(m) - 1)
+
+
+def test_splitting_past_step_bound_is_a_theorem_violation(monkeypatch):
     import matsuki.loopmatrix as loopmatrix
 
-    monkeypatch.setattr(loopmatrix, "min_valuation", lambda g: 10**6)
-    with pytest.raises(TheoremViolationError, match="window"):
-        splitting_type(identity_loop("gl2_split", 2))
+    monkeypatch.setattr(loopmatrix, "_kernel_vector", _no_progress_kernel)
+    shear = lm_from_rows("gl2_split", [[t_pow(1), ONE], [ZERO, t_pow(-1)]])
+    for g in (identity_loop("gl2_split", 2), shear):  # step bounds 0 and 1
+        with pytest.raises(TheoremViolationError, match="step bound"):
+            splitting_type(g)
+
+
+class _IntegerEchelon:
+    """Incremental fraction-free row echelon over the integers: exact rank.
+
+    A pivot row is stored from its leading column on; the columns before it
+    are zero, so reductions touch only the remaining tail."""
+
+    def __init__(self):
+        self.pivots: dict[int, list[int]] = {}
+        self.rank = 0
+
+    def add_row(self, row: list[int]) -> None:
+        lead = 0
+        while True:
+            skip = next((i for i, x in enumerate(row) if x), None)
+            if skip is None:
+                return
+            if skip:
+                row = row[skip:]
+                lead += skip
+            piv = self.pivots.get(lead)
+            if piv is None:
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+                if row[0] < 0:
+                    row = [-x for x in row]
+                self.pivots[lead] = row
+                self.rank += 1
+                return
+            a, b = piv[0], row[0]
+            row = [a * x - b * y for x, y in zip(row, piv)]
+            g = gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+
+
+def section_count_splitting(g):
+    """Reference splitting type from section counts, independent of column reduction.
+
+    For each twist k the space of polynomial vectors v with all powers of g*v
+    bounded by k has dimension sum_i max(0, k - a_i + 1) for the splitting
+    multiset (a_i); the multiset is read off the jumps of that dimension over
+    a window of twists.  Ranks are exact: the complex system is realified and
+    reduced by integer echelon.
+    """
+    det_exp = determinant(g).monomial()[0]
+    n = g.n
+    ginv = mat_inverse(g)
+    k_lo = min_valuation(g)  # no section below the minimal valuation
+    k_hi = -min_valuation(ginv)  # dual bound through the inverse
+    if k_hi < k_lo:
+        raise TheoremViolationError(f"splitting window [{k_lo}, {k_hi}] is empty")
+    cap = max(0, k_hi + max_degree(ginv))  # deg v <= k + deg(g^-1) <= cap
+    unknowns = n * (cap + 1)
+    top = max_degree(g) + cap
+
+    echelon = _IntegerEchelon()
+    exponent = top
+    dims: dict[int, int] = {}
+    # per output coordinate i and each j: (column of the constant term of v_j, terms of g_ij)
+    terms = [[(j * (cap + 1), p.items()) for j, p in enumerate(row)] for row in g.entries]
+
+    def add_constraints_at(e: int) -> None:
+        # coefficient of t^e in (g @ v), one complex row per output coordinate,
+        # realified over the common denominator of its Gaussian coefficients;
+        # the term c*t^f of g_ij meets the t^(e-f) coefficient of v_j
+        for row_terms in terms:
+            hits = [
+                (col + e - f, c) for col, items in row_terms for f, c in items if 0 <= e - f <= cap
+            ]
+            if not hits:
+                continue
+            denom = 1
+            for _, c in hits:
+                if denom % c.d:
+                    denom = denom * c.d // gcd(denom, c.d)
+            re_row = [0] * (2 * unknowns)
+            im_row = [0] * (2 * unknowns)
+            for col, c in hits:
+                m = denom // c.d
+                x, y = c.a * m, c.b * m
+                re_row[2 * col], re_row[2 * col + 1] = x, -y
+                im_row[2 * col], im_row[2 * col + 1] = y, x
+            echelon.add_row(re_row)
+            echelon.add_row(im_row)
+
+    for k in range(k_hi, k_lo - 2, -1):
+        while exponent > k:
+            add_constraints_at(exponent)
+            exponent -= 1
+        if echelon.rank % 2:
+            raise TheoremViolationError(f"realified constraint rank {echelon.rank} is odd")
+        dims[k] = unknowns - echelon.rank // 2
+
+    if dims[k_lo - 1] != 0:
+        raise TheoremViolationError("splitting window exhausted below the lower bound")
+    exponents: list[int] = []
+    prev_count = 0
+    for k in range(k_lo, k_hi + 1):
+        count = dims[k] - dims[k - 1]
+        exponents.extend([k] * (count - prev_count))
+        prev_count = count
+    if prev_count != n or sum(exponents) != det_exp:
+        raise TheoremViolationError("splitting window exhausted before recovery")
+    return tuple(sorted(exponents, reverse=True))
+
+
+def _raw_and_symmetrized(form, seed):
+    """m * real * k * b for seeded factors, with its symmetrized and
+    real-symmetrized loops."""
+    g = mat_mul(
+        mat_mul(random_polynomial_loop(form, seed, negative=True), random_real_loop(form, seed + 1)),
+        mat_mul(random_k_loop(form, seed + 2), random_polynomial_loop(form, seed + 3)),
+    )
+    det = form.validate(g)
+    return g, form.symmetrize(g, det), mat_mul(form.real_antiinvolution(g, det), g)
+
+
+@pytest.mark.parametrize("name", form_names())
+def test_splitting_matches_section_count_oracle(name):
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    form = form_action(name)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**6))
+    def agree(seed):
+        for g in _raw_and_symmetrized(form, seed):
+            assert splitting_type(g) == section_count_splitting(g)
+
+    agree()
+
+
+def _known_answer_coweights(form):
+    """Desk-scale coweights of the form's size, plus entries up to +-300 in
+    gl2 and gl3; special forms get coordinate sum zero."""
+    n = form.n
+    lams = [tuple((3 * s + 2 * i) % 7 - 3 for i in range(n)) for s in range(6)]
+    if form.name in ("gl2_split", "gl3_split"):
+        lams += [(300, -300) + (0,) * (n - 2), (-300,) + (0,) * (n - 2) + (300,), (-299,) + (300,) * (n - 1)]
+    if form.special:
+        lams = [lam[:-1] + (-sum(lam[:-1]),) for lam in lams]
+    return lams
+
+
+@pytest.mark.parametrize("name", form_names())
+def test_stratum_known_answers(name):
+    form = form_action(name)
+    for seed, lam in enumerate(_known_answer_coweights(form)):
+        a = random_polynomial_loop(form, seed)
+        b = random_polynomial_loop(form, seed + 100)
+        g = mat_mul(mat_mul(a, diagonal_loop(name, lam)), b)
+        assert stratum_invariant(g) == tuple(sorted(lam, reverse=True)), (name, seed, lam)
+
+
+@pytest.mark.parametrize("name", form_names())
+def test_splitting_known_answers(name):
+    form = form_action(name)
+    for seed, lam in enumerate(_known_answer_coweights(form)):
+        m = random_polynomial_loop(form, seed, negative=True)
+        b = random_polynomial_loop(form, seed + 100)
+        g = mat_mul(mat_mul(m, diagonal_loop(name, lam)), b)
+        assert splitting_type(g) == tuple(sorted(lam, reverse=True)), (name, seed, lam)
+
+
+def test_section_count_oracle_examples():
+    assert section_count_splitting(diagonal_loop("gl3_split", (-1, 2, 0))) == (2, 0, -1)
+    shear = lm_from_rows("gl2_split", [[t_pow(1), ONE], [ZERO, t_pow(-1)]])
+    assert section_count_splitting(shear) == (0, 0)
 
 
 def test_splitting_invariance_two_sided():
@@ -466,8 +646,6 @@ def test_random_loop_postconditions(name):
         p = random_polynomial_loop(form, seed)
         assert min_valuation(p) >= 0 or loops_equal(p, identity_loop(name, form.n))
         m = random_polynomial_loop(form, seed, negative=True)
-        from matsuki.loopmatrix import max_degree
-
         assert max_degree(m) <= 0
 
 

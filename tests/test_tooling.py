@@ -1,4 +1,5 @@
-"""Source guards: the runtime imports only the standard library and stays exact."""
+"""Source guards: the runtime imports only the standard library, stays exact
+and keeps its checks under ``python -O``."""
 
 import ast
 import sys
@@ -36,6 +37,13 @@ def test_no_float_calls(path):
     for node in ast.walk(_parse(path)):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             assert node.func.id != "float", f"{path.name}:{node.lineno} calls float()"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips assert statements; internal checks raise typed errors instead
+    for node in ast.walk(_parse(path)):
+        assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno} uses assert"
 
 
 # Unbounded caches allowed in the package.  Each is keyed by structure: a root
