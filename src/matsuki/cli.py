@@ -15,7 +15,9 @@ import sys
 from .errors import TheoremViolationError, ValidationError
 from .fundgroup import pi1_model, restricted_coroot_generators
 from .loopmatrix import (
+    FormAction,
     form_action,
+    form_names,
     geodesic_representative,
     k_orbit_invariant,
     mat_mul,
@@ -40,18 +42,6 @@ from .orbitposet import (
 from .realform import InvolutionSpec, catalog, catalog_names, is_catalog_spec
 from .rootdata import dominance_leq, gl_datum, height, is_dominant, vec_add
 from .textio import format_involution, parse_involution, parse_matrix
-
-# catalog entries that admit a concrete matrix model, and the form that models them
-MATRIX_FORMS = {
-    "sl2_split": "sl2_split",
-    "sl3_split": "sl3_split",
-    "gl1_split": "gl1_split",
-    "gl2_split": "gl2_split",
-    "gl3_split": "gl3_split",
-    "su11": "u11",
-    "su21": "u21",
-}
-
 
 def fmt_coweight(vec) -> str:
     return "(" + ",".join(str(x) for x in vec) + ")"
@@ -320,8 +310,7 @@ def _suite_chain(spec) -> str | None:
     return None
 
 
-def _suite_matrix(form_name: str, seed: int, loops: int = 12) -> str | None:
-    form = form_action(form_name)
+def _suite_matrix(form: FormAction, seed: int, loops: int = 12) -> str | None:
     datum = gl_datum(form.n)
     for i in range(loops):
         g = mat_mul(
@@ -357,6 +346,7 @@ def _suite_matrix(form_name: str, seed: int, loops: int = 12) -> str | None:
 
 
 def _run_suites(names, seed: int) -> int:
+    matrix_forms = {form.entry: form for form in map(form_action, form_names())}
     failures = 0
     for entry_name in names:
         spec = catalog(entry_name).spec
@@ -368,9 +358,9 @@ def _run_suites(names, seed: int) -> int:
         ]
         if entry_name == "pgl2_so21":
             suites.append(("chain-structure", lambda s=spec: _suite_chain(s)))
-        if entry_name in MATRIX_FORMS:
+        if entry_name in matrix_forms:
             suites.append(
-                ("matrix-invariance", lambda f=MATRIX_FORMS[entry_name]: _suite_matrix(f, seed))
+                ("matrix-invariance", lambda f=matrix_forms[entry_name]: _suite_matrix(f, seed))
             )
         for suite_name, runner in suites:
             try:

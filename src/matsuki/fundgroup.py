@@ -10,11 +10,11 @@ dominant theta-fixed coweights whose class lies in that image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ValidationError
 from .realform import InvolutionSpec, real_coweight_basis
+from .record import Record
 from .rootdata import (
     Coweight,
     FiniteAbelianGroup,
@@ -27,8 +27,7 @@ from .rootdata import (
 )
 
 
-@dataclass(frozen=True)
-class PiOneModel:
+class PiOneModel(Record):
     """Fundamental groups of the ambient group and symmetric space, the
     generators of the loop image, and the index of the parameterizing
     sub-semigroup inside the full cone of real dominant coweights."""

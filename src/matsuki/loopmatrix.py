@@ -26,13 +26,13 @@ real-symmetrized loops) follow from it by monomial algebra.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
 from .errors import TheoremViolationError, ValidationError
+from .record import Record
 from .rootdata import Coweight, IntMatrix
 
 # ---------------------------------------------------------------------------
@@ -295,8 +295,7 @@ LP_ONE = LaurentPoly.one()
 # Laurent matrices
 
 
-@dataclass(frozen=True)
-class LaurentMatrix:
+class LaurentMatrix(Record):
     """A square matrix of Laurent polynomials tagged with its ambient form."""
 
     n: int
@@ -446,8 +445,7 @@ def _reversal(n: int) -> IntMatrix:
     return tuple(tuple(1 if i + j == n - 1 else 0 for j in range(n)) for i in range(n))
 
 
-@dataclass(frozen=True)
-class FormAction:
+class FormAction(Record):
     """The involution package of one supported matrix form.
 
     Split forms: the real conjugation is coefficient conjugation, the
@@ -462,6 +460,7 @@ class FormAction:
     family: str  # "split" or "unitary"
     special: bool  # determinant pinned to 1
     signature: tuple[int, int] | None = None
+    entry: str = ""  # the catalog entry this form models
 
     def _j(self) -> LaurentMatrix:
         rows = [
@@ -552,13 +551,13 @@ class FormAction:
 @lru_cache(maxsize=None)
 def _form_table() -> dict[str, FormAction]:
     forms = [
-        FormAction(name="gl1_split", n=1, family="split", special=False),
-        FormAction(name="gl2_split", n=2, family="split", special=False),
-        FormAction(name="gl3_split", n=3, family="split", special=False),
-        FormAction(name="sl2_split", n=2, family="split", special=True),
-        FormAction(name="sl3_split", n=3, family="split", special=True),
-        FormAction(name="u11", n=2, family="unitary", special=False, signature=(1, 1)),
-        FormAction(name="u21", n=3, family="unitary", special=False, signature=(2, 1)),
+        FormAction(name="gl1_split", n=1, family="split", special=False, entry="gl1_split"),
+        FormAction(name="gl2_split", n=2, family="split", special=False, entry="gl2_split"),
+        FormAction(name="gl3_split", n=3, family="split", special=False, entry="gl3_split"),
+        FormAction(name="sl2_split", n=2, family="split", special=True, entry="sl2_split"),
+        FormAction(name="sl3_split", n=3, family="split", special=True, entry="sl3_split"),
+        FormAction(name="u11", n=2, family="unitary", special=False, signature=(1, 1), entry="su11"),
+        FormAction(name="u21", n=3, family="unitary", special=False, signature=(2, 1), entry="su21"),
     ]
     return {f.name: f for f in forms}
 

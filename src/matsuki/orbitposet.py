@@ -8,13 +8,13 @@ finite-dimensional flag variety described by ``CoreData``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
 
 from .errors import ValidationError
 from .fundgroup import _in_image_class, in_image_semigroup, restricted_coroot_generators
 from .realform import InvolutionSpec, real_coweight_basis
+from .record import Record
 from .rootdata import (
     Coweight,
     dominance_leq,
@@ -35,8 +35,7 @@ from .rootdata import (
 )
 
 
-@dataclass(frozen=True)
-class CoreData:
+class CoreData(Record):
     """Flag-variety data of the locus where dual orbits meet."""
 
     coweight: Coweight
@@ -44,8 +43,7 @@ class CoreData:
     flag_dimension: int
 
 
-@dataclass(frozen=True)
-class PosetSlice:
+class PosetSlice(Record):
     """A height-bounded slice of one of the two orbit posets."""
 
     spec_name: str

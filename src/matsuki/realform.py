@@ -9,10 +9,10 @@ between the library, the CLI and the matrix model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import ValidationError
+from .record import Record
 from .rootdata import (
     Coweight,
     IntMatrix,
@@ -37,8 +37,7 @@ from .rootdata import (
 )
 
 
-@dataclass(frozen=True)
-class InvolutionSpec:
+class InvolutionSpec(Record):
     """An integer involution of the cocharacter lattice encoding a real form."""
 
     datum: RootDatum
@@ -164,8 +163,7 @@ def real_criterion(spec: InvolutionSpec, coweight: Coweight) -> bool:
 # catalog
 
 
-@dataclass(frozen=True)
-class RealFormCatalogEntry:
+class RealFormCatalogEntry(Record):
     name: str
     spec: InvolutionSpec
     expected_k_connected: bool

@@ -10,13 +10,13 @@ lattice, except where an explicit reflection word is part of a result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 from operator import add, mul, sub
 
 from .errors import TheoremViolationError, ValidationError
+from .record import Record
 
 Coweight = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -101,8 +101,7 @@ def solve_rational(columns: tuple[Coweight, ...], target) -> tuple[Fraction, ...
 # root data
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(Record):
     """A reductive root datum with cocharacter lattice Z^rank.
 
     roots[i] pairs with coroots[i]; simple_indices select the simple system.
@@ -469,8 +468,7 @@ def kernel_basis(matrix) -> tuple[Coweight, ...]:
     return tuple(sorted(basis))
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Record):
     """A finitely generated abelian group in invariant-factor normal form.
 
     invariant_factors lists the nontrivial factors (each >= 2, divisibility

@@ -1,13 +1,19 @@
-"""Source guards: the runtime imports only the standard library, stays exact
-and keeps its checks under ``python -O``."""
+"""Source guards: the runtime imports only the standard library, stays exact,
+keeps its checks under ``python -O`` and starts up without ``dataclasses``;
+the README example runs."""
 
 import ast
+import doctest
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "matsuki").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "matsuki").glob("*.py"))
 
 
 def _parse(path):
@@ -18,9 +24,8 @@ def test_sources_found():
     assert any(p.name == "loopmatrix.py" for p in SOURCES)
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_imports_are_stdlib_or_matsuki(path):
-    allowed = set(sys.stdlib_module_names) | {"matsuki"}
+def _absolute_imports(path):
+    """(line, module) for every absolute import in the file."""
     for node in ast.walk(_parse(path)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -29,7 +34,39 @@ def test_imports_are_stdlib_or_matsuki(path):
         else:
             continue
         for name in names:
-            assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"
+            yield node.lineno, name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_stdlib_or_matsuki(path):
+    allowed = set(sys.stdlib_module_names) | {"matsuki"}
+    for lineno, name in _absolute_imports(path):
+        assert name.split(".")[0] in allowed, f"{path.name}:{lineno} imports {name}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses_import(path):
+    # importing dataclasses pulls in inspect, ast, dis and tokenize at every CLI start-up
+    for lineno, name in _absolute_imports(path):
+        assert name.split(".")[0] != "dataclasses", f"{path.name}:{lineno} imports {name}"
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    code = "import sys, matsuki.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-B", "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def test_readme_example_runs():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(>>> .*?)```", text, re.DOTALL).group(1)
+    test = doctest.DocTestParser().get_doctest(block, {}, "README.md", "README.md", 0)
+    assert test.examples[0].source == "from matsuki import catalog, enumerate_orbits, matsuki_dual\n"
+    result = doctest.DocTestRunner().run(test)
+    assert result.failed == 0 and result.attempted == len(test.examples) == 4
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
