@@ -227,32 +227,16 @@ def _suite_generation(spec) -> str | None:
 
     from .rootdata import simple_coroots, vec_scale
 
-    gens = restricted_coroot_generators(spec)
     simples = simple_coroots(spec.datum)
-    bound = 10
+    zero, bound = (0,) * spec.datum.rank, 10
     heights = [height(spec.datum, b) for b in simples]
-
-    def decomposes(target, pool):
-        if all(x == 0 for x in target):
-            return True
-        if not pool:
-            return False
-        g, rest = pool[0], pool[1:]
-        gh = height(spec.datum, g)
-        cur = target
-        for _ in range(height(spec.datum, target) // gh + 1):
-            if decomposes(cur, rest):
-                return True
-            cur = tuple(a - b for a, b in zip(cur, g))
-        return False
-
     for coeffs in iproduct(*[range(bound // h + 1) for h in heights]):
-        vec = (0,) * spec.datum.rank
+        vec = zero
         for c, b in zip(coeffs, simples):
             vec = vec_add(vec, vec_scale(c, b))
         if height(spec.datum, vec) > bound or not spec.is_real(vec):
             continue
-        if not decomposes(vec, gens):
+        if not real_step_leq(spec, zero, vec):
             return f"{fmt_coweight(vec)} does not decompose into restricted generators"
     return None
 

@@ -12,13 +12,17 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import ValidationError
+from .errors import TheoremViolationError, ValidationError
 from .realform import InvolutionSpec, real_coweight_basis
 from .record import Record
 from .rootdata import (
     Coweight,
     FiniteAbelianGroup,
     dot,
+    free_monoid_leq,
+    height,
+    identity_matrix,
+    integer_solver,
     is_dominant,
     pi1_of_group,
     positive_coroots,
@@ -52,13 +56,39 @@ def restricted_coroot_generators(spec: InvolutionSpec) -> tuple[Coweight, ...]:
     return tuple(sorted(gens))
 
 
+@lru_cache(maxsize=None)
+def step_basis(spec: InvolutionSpec) -> tuple[Coweight, ...]:
+    """The indecomposable restricted coroot generators, in order of height.
+
+    A generator is kept unless the monoid of the ones kept before it already
+    contains it; those have smaller height, so the kept ones are exactly the
+    indecomposables.  They lie along the simple coroots of the restricted root
+    system (Araki 1962; Helgason, ch. X), so they must be linearly
+    independent: the monoid is free, and ``spec.step_solver`` decides
+    membership in it by one scaled integer solve.
+    """
+    datum = spec.datum
+    gens = sorted(restricted_coroot_generators(spec), key=lambda g: height(datum, g))
+    if gens and height(datum, gens[0]) <= 0:
+        raise ValidationError("restricted coroot generator with non-positive height")
+    zero, basis = (0,) * datum.rank, ()
+    solver = integer_solver(basis, dim=datum.rank)
+    for g in gens:
+        if free_monoid_leq(solver, zero, g):
+            continue
+        basis += (g,)
+        try:
+            solver = integer_solver(basis)
+        except ValidationError:
+            raise TheoremViolationError(
+                f"restricted generator {g} is rationally dependent on {basis[:-1]}; the step monoid is not free"
+            )
+    return basis
+
+
 def real_coweight_coordinates(spec: InvolutionSpec, coweight: Coweight) -> tuple[int, ...]:
     """Coordinates of a theta-fixed coweight in the fixed-sublattice basis."""
     den, rows, consistency = spec.fixed_solver
-    if not rows:
-        if any(x != 0 for x in coweight):
-            raise ValidationError(f"{coweight} is not theta-fixed (fixed sublattice is zero)")
-        return ()
     scaled = tuple(dot(row, coweight) for row in rows)
     if any(dot(row, coweight) for row in consistency) or any(c % den for c in scaled):
         raise ValidationError(f"{coweight} is not in the theta-fixed sublattice")
@@ -75,31 +105,24 @@ def pi1_of_symmetric_space(spec: InvolutionSpec) -> FiniteAbelianGroup:
 
 
 @lru_cache(maxsize=None)
-def _image_lattice_data(spec: InvolutionSpec):
-    """Generators (in fixed-basis coordinates) of the preimage sublattice of the
-    loop image: restricted coroot generators plus lambda + theta(lambda) over a
-    lattice basis."""
-    datum = spec.datum
-    image_gens: list[Coweight] = []
-    seen: set[Coweight] = set()
-    for i in range(datum.rank):
-        e = tuple(1 if j == i else 0 for j in range(datum.rank))
-        total = vec_add(e, spec.apply(e))
-        if any(x != 0 for x in total) and total not in seen:
-            seen.add(total)
-            image_gens.append(total)
+def _image_lattice(spec: InvolutionSpec) -> tuple[tuple[Coweight, ...], FiniteAbelianGroup]:
+    """The generators lambda + theta(lambda) of the loop image over a lattice
+    basis, and the quotient of the fixed sublattice by the preimage of that
+    image, which the restricted coroot generators and those sums generate
+    (in fixed-basis coordinates)."""
+    sums = (vec_add(e, spec.apply(e)) for e in identity_matrix(spec.datum.rank))
+    image_gens = tuple(dict.fromkeys(v for v in sums if any(v)))
     lattice_gens = tuple(
         real_coweight_coordinates(spec, g)
         for g in (*restricted_coroot_generators(spec), *image_gens)
     )
-    return tuple(image_gens), lattice_gens
+    return image_gens, quotient_group(len(real_coweight_basis(spec)), lattice_gens)
 
 
 @lru_cache(maxsize=None)
 def pi1_model(spec: InvolutionSpec) -> PiOneModel:
-    basis = real_coweight_basis(spec)
-    image_gens, lattice_gens = _image_lattice_data(spec)
-    index = quotient_group(len(basis), lattice_gens).order()
+    image_gens, group = _image_lattice(spec)
+    index = group.order()
     if index is None:
         # cannot happen: 2*lambda is always in the image lattice
         raise ValidationError("loop image has infinite index in the fixed sublattice")
@@ -109,13 +132,6 @@ def pi1_model(spec: InvolutionSpec) -> PiOneModel:
         image_generators=image_gens,
         image_index=index,
     )
-
-
-@lru_cache(maxsize=None)
-def _membership_group(spec: InvolutionSpec) -> FiniteAbelianGroup:
-    basis = real_coweight_basis(spec)
-    _, lattice_gens = _image_lattice_data(spec)
-    return quotient_group(len(basis), lattice_gens)
 
 
 def in_image_semigroup(spec: InvolutionSpec, coweight: Coweight) -> bool:
@@ -130,4 +146,4 @@ def in_image_semigroup(spec: InvolutionSpec, coweight: Coweight) -> bool:
 
 def _in_image_class(spec: InvolutionSpec, coweight: Coweight) -> bool:
     coords = real_coweight_coordinates(spec, coweight)
-    return all(c == 0 for c in _membership_group(spec).image(coords))
+    return all(c == 0 for c in _image_lattice(spec)[1].image(coords))

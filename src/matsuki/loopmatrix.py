@@ -66,6 +66,9 @@ class Gaussian:
     def __setattr__(self, *_):
         raise AttributeError("Gaussian values are immutable")
 
+    def __reduce__(self):
+        return _make, (self.a, self.b, self.d)
+
     @property
     def re(self) -> Fraction:
         return Fraction(self.a, self.d)
@@ -170,6 +173,9 @@ class LaurentPoly:
 
     def __setattr__(self, *_):
         raise AttributeError("LaurentPoly values are immutable")
+
+    def __reduce__(self):
+        return LaurentPoly._raw, (self._c,)
 
     @staticmethod
     def _raw(clean: dict) -> "LaurentPoly":
@@ -475,9 +481,6 @@ class FormAction(Record):
             return apply_conjugation(g)
         j = self._j()
         return mat_mul(mat_mul(j, mat_inverse(transpose(apply_conjugation(g)))), j)
-
-    def time_reversal(self, g: LaurentMatrix) -> LaurentMatrix:
-        return apply_tau(g)
 
     def symmetric_involution(self, g: LaurentMatrix) -> LaurentMatrix:
         if self.family == "split":

@@ -2,8 +2,9 @@
 
 Orbit indices are dominant theta-fixed coweights whose loop class lies in the
 image sub-semigroup.  The symmetric-subgroup order is coroot dominance; the
-real order is its reverse; dual orbits share the same index and meet along a
-finite-dimensional flag variety described by ``CoreData``.
+real order is the reversed step order of the restricted coroot generators,
+which reverses dominance on orbit indices; dual orbits share the same index
+and meet along a finite-dimensional flag variety described by ``CoreData``.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ from functools import lru_cache
 from itertools import product as iter_product
 
 from .errors import ValidationError
-from .fundgroup import _in_image_class, in_image_semigroup, restricted_coroot_generators
+from .fundgroup import _in_image_class, in_image_semigroup
 from .realform import InvolutionSpec, real_coweight_basis
 from .record import Record
 from .rootdata import (
     Coweight,
     dominance_leq,
     dot,
+    free_monoid_leq,
     height,
     identity_matrix,
     is_dominant,
@@ -31,7 +33,6 @@ from .rootdata import (
     vec_add,
     vec_neg,
     vec_scale,
-    vec_sub,
 )
 
 
@@ -67,10 +68,6 @@ def is_orbit_index(spec: InvolutionSpec, coweight: Coweight) -> bool:
 def require_orbit_index(spec: InvolutionSpec, coweight: Coweight) -> None:
     if len(coweight) != spec.datum.rank:
         raise ValidationError(f"{coweight} does not have length rank={spec.datum.rank}")
-    if not is_dominant(spec.datum, coweight):
-        raise ValidationError(f"{coweight} is not dominant")
-    if not spec.is_real(coweight):
-        raise ValidationError(f"{coweight} is not theta-fixed")
     if not in_image_semigroup(spec, coweight):
         raise ValidationError(f"{coweight} is not in the image sub-semigroup")
 
@@ -134,8 +131,13 @@ def k_leq(spec: InvolutionSpec, lower: Coweight, upper: Coweight) -> bool:
 
 
 def r_leq(spec: InvolutionSpec, lower: Coweight, upper: Coweight) -> bool:
-    """Order of the real orbit poset: reversed dominance."""
-    return k_leq(spec, upper, lower)
+    """Order of the real orbit poset: the reversed step order, lower - upper a
+    non-negative integer combination of the indecomposable restricted coroot
+    generators.  It agrees with reversed dominance on orbit indices, which is
+    the order-reversal law, not its definition."""
+    if len(lower) != spec.datum.rank or len(upper) != spec.datum.rank:
+        raise ValidationError(f"{lower} and {upper} must both have length rank={spec.datum.rank}")
+    return free_monoid_leq(spec.step_solver, upper, lower)
 
 
 def core_data(spec: InvolutionSpec, coweight: Coweight) -> CoreData:
@@ -149,47 +151,19 @@ def core_data(spec: InvolutionSpec, coweight: Coweight) -> CoreData:
 
 def matsuki_dual(spec: InvolutionSpec, coweight: Coweight) -> tuple[Coweight, CoreData]:
     """The dual orbit carries the same index; the meeting locus is the core.
-    Order reversal is built into k_leq/r_leq; core_data validates the index."""
+    Order reversal is the law relating k_leq and r_leq; core_data validates
+    the index."""
     return coweight, core_data(spec, coweight)
-
-
-@lru_cache(maxsize=None)
-def _real_step_diff(spec: InvolutionSpec, diff: Coweight) -> bool:
-    """Decide membership of diff in the non-negative span of the restricted
-    coroot generators by bounded search, memoized on the difference."""
-    gens = restricted_coroot_generators(spec)
-    heights = tuple(height(spec.datum, g) for g in gens)
-    if any(h <= 0 for h in heights):
-        raise ValidationError("restricted coroot generator with non-positive height")
-    target_h = height(spec.datum, diff)
-    if target_h < 0:
-        return False
-
-    @lru_cache(maxsize=None)
-    def search(rest: Coweight, idx: int) -> bool:
-        if all(x == 0 for x in rest):
-            return True
-        if idx == len(gens):
-            return False
-        g, gh = gens[idx], heights[idx]
-        rest_h = height(spec.datum, rest)
-        cur = rest
-        for c in range(rest_h // gh + 1):
-            if search(cur, idx + 1):
-                return True
-            cur = vec_sub(cur, g)
-        return False
-
-    return search(diff, 0)
 
 
 def real_step_leq(spec: InvolutionSpec, lower: Coweight, upper: Coweight) -> bool:
     """True when upper - lower is a non-negative integer combination of the
-    restricted coroot generators; both arguments must be real coweights."""
+    restricted coroot generators, decided by one solve over their
+    indecomposables; both arguments must be real coweights."""
     for v in (lower, upper):
         if not spec.is_real(v):
             raise ValidationError(f"{v} is not theta-fixed")
-    return _real_step_diff(spec, vec_sub(upper, lower))
+    return free_monoid_leq(spec.step_solver, lower, upper)
 
 
 def _interval_has_strictly_between(spec: InvolutionSpec, lower: Coweight, steps: tuple[int, ...]) -> bool:

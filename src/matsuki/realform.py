@@ -66,6 +66,13 @@ class InvolutionSpec(Record):
         """``integer_solver`` of the theta-fixed basis, built on first use."""
         return integer_solver(real_coweight_basis(self), dim=self.datum.rank)
 
+    @cached_property
+    def step_solver(self) -> tuple[int, IntMatrix, IntMatrix]:
+        """``integer_solver`` of ``fundgroup.step_basis``, built on first use."""
+        from .fundgroup import step_basis  # fundgroup imports this module
+
+        return integer_solver(step_basis(self), dim=self.datum.rank)
+
 
 def validate_involution(spec: InvolutionSpec) -> list[str]:
     """Return violated invariants of the involution; empty means valid."""

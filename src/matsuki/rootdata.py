@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 from operator import add, mul, sub
 
-from .errors import TheoremViolationError, ValidationError
+from .errors import ValidationError
 from .record import Record
 
 Coweight = tuple[int, ...]
@@ -70,31 +70,10 @@ def solve_rational(columns: tuple[Coweight, ...], target) -> tuple[Fraction, ...
     Columns must be linearly independent; dependent input raises, since every
     caller in this package feeds a basis.
     """
-    if not columns:
-        return () if all(x == 0 for x in target) else None
-    m = len(columns[0])
-    k = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(m)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(k):
-        sel = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if sel is None:
-            raise ValidationError("dependent columns passed to solve_rational")
-        aug[row], aug[sel] = aug[sel], aug[row]
-        piv = aug[row][col]
-        aug[row] = [x / piv for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(row)
-        row += 1
-    # consistency: rows below the pivot block must have zero rhs
-    for r in range(row, m):
-        if aug[r][k] != 0:
-            return None
-    return tuple(aug[pivots[j]][k] for j in range(k))
+    rows, consistency = linear_solver(columns, len(target))
+    if any(dot(row, target) for row in consistency):
+        return None
+    return tuple(dot(row, target) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -311,21 +290,29 @@ def integer_solver(columns: tuple[Coweight, ...], dim: int | None = None) -> tup
     return den, rows, tuple(tuple(int(x * lcm(*(y.denominator for y in row))) for x in row) for row in consistency)
 
 
+def free_monoid_leq(solver: tuple[int, IntMatrix, IntMatrix], lower: Coweight, upper: Coweight) -> bool:
+    """The order of the free monoid on the columns of an ``integer_solver``:
+    upper - lower pairs to 0 with every consistency row and to a non-negative
+    multiple of den with every solve row."""
+    den, rows, consistency = solver
+    # vec_sub and dot inlined: every order comparison in the package runs here
+    diff = tuple(map(sub, upper, lower))
+    for row in consistency:
+        if sum(map(mul, row, diff)):
+            return False
+    for row in rows:
+        c = sum(map(mul, row, diff))
+        if c < 0 or c % den:
+            return False
+    return True
+
+
 def dominance_leq(datum: RootDatum, lower: Coweight, upper: Coweight) -> bool:
     """Coroot dominance order: lower <= upper iff the difference is a
     non-negative integer combination of simple coroots."""
     if len(lower) != datum.rank or len(upper) != datum.rank:
         raise ValidationError(f"{lower} and {upper} must both have length rank={datum.rank}")
-    den, rows, consistency = datum.coroot_solver
-    diff = vec_sub(upper, lower)
-    for row in consistency:
-        if dot(row, diff):
-            return False
-    for row in rows:
-        c = dot(row, diff)
-        if c < 0 or c % den:
-            return False
-    return True
+    return free_monoid_leq(datum.coroot_solver, lower, upper)
 
 
 @lru_cache(maxsize=None)
@@ -336,8 +323,6 @@ def _parabolic_positive_coroots(datum: RootDatum, subset: tuple[int, ...]) -> tu
     simples = simple_roots(datum)
     for idx in positive_root_indices(datum):
         coeffs = solve_rational(simples, datum.roots[idx])
-        if coeffs is None:
-            raise TheoremViolationError(f"root {datum.roots[idx]} is not in the span of the simple roots")
         support = {j for j, c in enumerate(coeffs) if c != 0}
         if support <= set(sub_simple_positions):
             chosen.append(datum.coroots[idx])
@@ -483,9 +468,6 @@ class FiniteAbelianGroup(Record):
     def image(self, vector) -> tuple[int, ...]:
         coords = tuple(dot(row, vector) for row in self.projection)
         return tuple(c % f if f else c for c, f in zip(coords, self.invariant_factors))
-
-    def same_class(self, u, v) -> bool:
-        return self.image(u) == self.image(v)
 
     def order(self) -> int | None:
         if any(f == 0 for f in self.invariant_factors):

@@ -3,17 +3,23 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matsuki.errors import ValidationError
+from matsuki import fundgroup
+from matsuki.cli import main
+from matsuki.errors import TheoremViolationError, ValidationError
 from matsuki.fundgroup import (
     in_image_semigroup,
     pi1_model,
     pi1_of_symmetric_space,
     real_coweight_coordinates,
     restricted_coroot_generators,
+    step_basis,
 )
-from matsuki.realform import catalog, catalog_names
-from matsuki.rootdata import height, is_dominant, simple_coroots, vec_add, vec_scale
+from matsuki.orbitposet import r_leq, real_step_leq
+from matsuki.realform import catalog, catalog_names, real_coweight_basis
+from matsuki.rootdata import height, is_dominant, simple_coroots, vec_add, vec_scale, vec_sub
 
 ALL_NAMES = list(catalog_names())
 
@@ -76,6 +82,84 @@ def test_generators_are_theta_fixed_and_nonzero():
             assert spec.is_real(g)
             assert any(x != 0 for x in g)
             assert height(spec.datum, g) > 0
+
+
+# ---------------------------------------------------------------------------
+# the step monoid: indecomposable generators and one solve
+
+
+def test_step_basis_examples():
+    assert set(step_basis(catalog("sl3_split").spec)) == {(0, 1), (1, 0)}
+    assert set(step_basis(catalog("gl3_split").spec)) == {(0, 1, -1), (1, -1, 0)}
+    assert step_basis(catalog("su21").spec) == ((1, 1),)
+    assert step_basis(catalog("pgl2_so21").spec) == ((2,),)
+    assert step_basis(catalog("sl2_compact").spec) == ()
+
+
+def test_step_basis_generates_the_same_monoid():
+    for name in ALL_NAMES:
+        spec = catalog(name).spec
+        basis = step_basis(spec)
+        for g in restricted_coroot_generators(spec):
+            assert decomposes_over(basis, g, spec.datum), (name, g)
+        for i, b in enumerate(basis):
+            assert not decomposes_over(basis[:i] + basis[i + 1:], b, spec.datum), (name, b)
+
+
+def combination(spec, generators, coeffs):
+    vec = (0,) * spec.datum.rank
+    for c, g in zip(coeffs, generators):
+        vec = vec_add(vec, vec_scale(c, g))
+    return vec
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_step_order_agrees_with_bounded_search(data):
+    # real pairs on every entry, dominant or not; half of them differ by a
+    # known combination of the generators
+    for name in ALL_NAMES:
+        spec = catalog(name).spec
+        basis, gens = real_coweight_basis(spec), restricted_coroot_generators(spec)
+        lower = combination(spec, basis, data.draw(st.tuples(*[st.integers(-4, 4)] * len(basis))))
+        if data.draw(st.booleans()):
+            upper = combination(spec, basis, data.draw(st.tuples(*[st.integers(-4, 4)] * len(basis))))
+        else:
+            steps = data.draw(st.tuples(*[st.integers(0, 3)] * len(gens)))
+            upper = vec_add(lower, combination(spec, gens, steps))
+        expected = decomposes_over(gens, vec_sub(upper, lower), spec.datum)
+        assert real_step_leq(spec, lower, upper) == expected, (name, lower, upper)
+        assert r_leq(spec, upper, lower) == expected, (name, lower, upper)
+
+
+@pytest.fixture
+def cleared_caches(package_caches):
+    """Run with every package cache empty, and empty them again afterwards so
+    values computed under a monkeypatch do not leak into other tests."""
+    for cache in package_caches:
+        cache.cache_clear()
+    yield
+    for cache in package_caches:
+        cache.cache_clear()
+
+
+def test_non_free_generators_raise(monkeypatch, cleared_caches):
+    monkeypatch.setattr(fundgroup, "restricted_coroot_generators", lambda spec: ((2,), (3,)))
+    spec = catalog("pgl2_so21").spec
+    with pytest.raises(TheoremViolationError, match="not free"):
+        step_basis(spec)
+    with pytest.raises(TheoremViolationError, match="not free"):
+        real_step_leq(spec, (0,), (2,))
+
+
+def test_non_free_generators_fail_the_check(monkeypatch, cleared_caches, capsys):
+    monkeypatch.setattr(fundgroup, "restricted_coroot_generators", lambda spec: ((2,), (3,)))
+    assert main(["check", "pgl2_so21"]) == 2
+    captured = capsys.readouterr()
+    for suite in ("generation", "duality", "step-order"):
+        assert f"suite pgl2_so21/{suite}: FAIL (restricted generator (3,)" in captured.out
+    assert "check: " in captured.out and "suite(s) failed" in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Exact Laurent-matrix arithmetic and the four double-coset invariants."""
 
+import copy
+import pickle
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -32,6 +34,7 @@ from matsuki.loopmatrix import (
     splitting_type,
     stratum_invariant,
 )
+from matsuki.textio import format_matrix
 
 ONE = LaurentPoly.one()
 ZERO = LaurentPoly.zero()
@@ -663,3 +666,12 @@ def test_zero_factor_seed_gives_identity():
         s for s in range(40) if loops_equal(random_real_loop(form, s), identity_loop("gl2_split", 2))
     ]
     assert hits, "no zero-factor seed in range"
+
+
+@pytest.mark.parametrize("name", form_names())
+def test_loops_copy_and_pickle(name):
+    form = form_action(name)
+    g = mat_mul(mat_mul(random_real_loop(form, 3), random_k_loop(form, 3)), random_polynomial_loop(form, 3))
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and loops_equal(twin, g)
+        assert format_matrix(twin) == format_matrix(g)

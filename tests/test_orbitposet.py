@@ -1,5 +1,6 @@
 """Orbit enumeration, the two orders, duality, Hasse edges and cores."""
 
+import random
 from itertools import product
 
 import pytest
@@ -104,6 +105,22 @@ def test_zero_is_minimal_in_its_component():
         for a in enumerate_orbits(spec, 10):
             if a != zero:
                 assert not k_leq(spec, a, zero), (name, a)
+
+
+def test_order_comparisons_leave_the_caches_unchanged(package_caches):
+    # the orders are solves over per-structure data: comparing coweights must
+    # not grow any cache, however many pairs are compared
+    spec = catalog("gl3_split").spec
+    reals = list(product(range(-3, 4), repeat=3))
+    pairs = random.Random(0).sample(list(product(reals, reals)), 10_000)
+    orders = (k_leq, r_leq, real_step_leq)
+    for leq in orders:
+        leq(spec, *pairs[0])
+    before = sum(cache.cache_info().currsize for cache in package_caches)
+    for a, b in pairs:
+        for leq in orders:
+            leq(spec, a, b)
+    assert sum(cache.cache_info().currsize for cache in package_caches) == before
 
 
 def test_orders_reject_wrong_length():

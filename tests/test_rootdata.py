@@ -1,5 +1,6 @@
 """Root-datum arithmetic: axioms, dominance, Weyl elements, Smith normal form."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -28,7 +29,6 @@ from matsuki.rootdata import (
     sl2xsl2_datum,
     sl3_datum,
     smith_normal_form,
-    solve_rational,
     two_rho,
     validate_root_datum,
     vec_add,
@@ -186,10 +186,40 @@ def test_dominance_agrees_with_brute_force_rank2(a, b, c, d):
         assert dominance_leq(datum, (a, b), (c, d)) == brute_force_dominance(datum, (a, b), (c, d))
 
 
+def gauss_jordan_solve(columns, target):
+    """Solve sum_j c_j * columns[j] = target over the rationals by Gauss-Jordan
+    elimination on [A | target]; None when target is outside the span of the
+    (independent) columns.  Kept apart from ``linear_solver`` so the dominance
+    oracle below does not check the package against itself."""
+    if not columns:
+        return () if all(x == 0 for x in target) else None
+    m = len(columns[0])
+    k = len(columns)
+    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(m)]
+    pivots: list[int] = []
+    row = 0
+    for col in range(k):
+        sel = next(r for r in range(row, m) if aug[r][col] != 0)
+        aug[row], aug[sel] = aug[sel], aug[row]
+        piv = aug[row][col]
+        aug[row] = [x / piv for x in aug[row]]
+        for r in range(m):
+            if r != row and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
+        pivots.append(row)
+        row += 1
+    # consistency: rows below the pivot block must have zero rhs
+    for r in range(row, m):
+        if aug[r][k] != 0:
+            return None
+    return tuple(aug[pivots[j]][k] for j in range(k))
+
+
 def coroot_coordinates(datum, vector):
     """Fraction coordinates of a vector in the simple-coroot basis, or None
     outside their span: the oracle for the integer dominance rows."""
-    return solve_rational(simple_coroots(datum), vector)
+    return gauss_jordan_solve(simple_coroots(datum), vector)
 
 
 def catalog_data():
@@ -347,6 +377,16 @@ def test_height_functional():
     assert two_rho(pgl2_datum()) == (1,)
     assert two_rho(sl3_datum()) == (2, 2)
     assert two_rho(gl_datum(3)) == (2, 0, -2)
+
+
+def test_solve_rational_agrees_with_elimination():
+    from matsuki.rootdata import simple_roots, solve_rational
+
+    for datum in ALL_DATA + [SKEWED_TORUS]:
+        targets = (*datum.roots, *datum.coroots, (1,) * datum.rank, (3,) + (-1,) * (datum.rank - 1))
+        for target in targets:
+            expected = gauss_jordan_solve(simple_roots(datum), target)
+            assert solve_rational(simple_roots(datum), target) == expected, (datum.name, target)
 
 
 def test_solve_rational_rejects_dependent_columns():

@@ -87,16 +87,13 @@ def test_no_assert_statements(path):
 # datum, an involution, a catalog table or an orbit slice request, so its size
 # is bounded by the structures in use, never by the coweights compared.
 STRUCTURE_CACHES = {
-    "fundgroup._image_lattice_data": "involution",
-    "fundgroup._membership_group": "involution",
+    "fundgroup._image_lattice": "involution",
     "fundgroup.pi1_model": "involution",
     "fundgroup.pi1_of_symmetric_space": "involution",
     "fundgroup.restricted_coroot_generators": "involution",
+    "fundgroup.step_basis": "involution",
     "loopmatrix._form_table": "catalog table",
     "orbitposet.enumerate_orbits": "involution and height bound",
-    # keyed per difference; ROADMAP item 5 redefines the step order and drops it
-    "orbitposet._real_step_diff": "ROADMAP item 5",
-    "orbitposet._real_step_diff.search": "ROADMAP item 5 (local to one call)",
     "realform._catalog": "catalog table",
     "realform.levi_longest_element": "involution",
     "realform.real_coweight_basis": "involution",
