@@ -13,8 +13,9 @@ coefficients.  Four discrete invariants are computed here:
   invariants of the symmetrized loops attached to a form.
 
 All arithmetic is exact and runs on Python integers: a Gaussian rational is
-a normalized integer triple (a, b, d) meaning (a + b*i)/d; nothing is ever
-floating point.
+a normalized integer triple (a, b, d) meaning (a + b*i)/d, and a Laurent
+polynomial packs its Gaussian-integer numerators over one common denominator;
+nothing is ever floating point.
 
 Every public entry point computes the determinant of the loop it is given
 once and rejects a non-unit one with ValidationError.  Along a call chain the
@@ -29,7 +30,8 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
+from operator import index, mul
 
 from .errors import TheoremViolationError, ValidationError
 from .record import Record
@@ -158,31 +160,30 @@ HALF_OVER_I = Gaussian(0, Fraction(-1, 2))  # 1/(2i)
 
 
 class LaurentPoly:
-    """A Laurent polynomial over Q(i): a finite exponent -> coefficient map
-    with no stored zeros."""
+    """A Laurent polynomial over Q(i): ``_c`` maps each exponent to a nonzero
+    Gaussian-integer numerator pair ``(a, b)`` meaning (a + b*i)/d, over the
+    least common denominator ``_d`` (d > 0, coprime to the numerators, 1 for
+    zero).  The form is unique, so equality compares the fields.  Arithmetic
+    runs on the ints and normalizes once per result; ``items``, ``coeff`` and
+    ``monomial`` build ``Gaussian`` values on demand."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("_c", "_d")
 
     def __init__(self, coeffs=None):
-        clean = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if c:
-                    clean[int(e)] = c
-        _set_c(self, clean)
+        try:
+            terms = {index(e): c for e, c in (coeffs or {}).items()}
+        except TypeError:
+            raise ValidationError(f"exponents must be integers, got {list(coeffs)}") from None
+        # each coefficient is in lowest terms, so the lcm leaves no common factor
+        d = lcm(*(c.d for c in terms.values()))
+        _set_c(self, {e: (c.a * (d // c.d), c.b * (d // c.d)) for e, c in terms.items() if c})
+        _set_den(self, d)
 
     def __setattr__(self, *_):
         raise AttributeError("LaurentPoly values are immutable")
 
     def __reduce__(self):
-        return LaurentPoly._raw, (self._c,)
-
-    @staticmethod
-    def _raw(clean: dict) -> "LaurentPoly":
-        # internal constructor for maps already free of zero coefficients
-        p = object.__new__(LaurentPoly)
-        _set_c(p, clean)
-        return p
+        return _raw, (self._c, self._d)
 
     # constructors
     @classmethod
@@ -202,11 +203,13 @@ class LaurentPoly:
         return cls({0: value if isinstance(value, Gaussian) else Gaussian(value)})
 
     # queries
-    def items(self):
-        return self._c.items()
+    def items(self) -> list[tuple[int, Gaussian]]:
+        d = self._d
+        return [(e, _norm(a, b, d)) for e, (a, b) in self._c.items()]
 
     def coeff(self, e: int) -> Gaussian:
-        return self._c.get(e, G_ZERO)
+        pair = self._c.get(e)
+        return G_ZERO if pair is None else _norm(*pair, self._d)
 
     def is_zero(self) -> bool:
         return not self._c
@@ -225,58 +228,77 @@ class LaurentPoly:
         """(exponent, coefficient) when the polynomial has a single term."""
         if len(self._c) != 1:
             return None
-        (e, c), = self._c.items()
-        return e, c
+        (e, (a, b)), = self._c.items()
+        return e, _norm(a, b, self._d)
 
     # arithmetic
-    def __add__(self, other):
-        out = dict(self._c)
-        for e, c in other._c.items():
-            s = out.get(e, G_ZERO) + c
-            if s:
-                out[e] = s
+    def _combine(self, other, sign: int) -> "LaurentPoly":
+        """self + sign * other over the least common denominator."""
+        if not other._c:
+            return self
+        if not self._c:
+            return other if sign > 0 else -other
+        d, f = self._d, other._d
+        g = gcd(d, f)
+        m, n, d = f // g, sign * d // g, d // g * f
+        out = dict(self._c) if m == 1 else {e: (a * m, b * m) for e, (a, b) in self._c.items()}
+        for e, (a, b) in other._c.items():
+            s = out.get(e)
+            if s is None:
+                out[e] = (a * n, b * n)
             else:
-                out.pop(e, None)
-        return LaurentPoly._raw(out)
+                x, y = s[0] + a * n, s[1] + b * n
+                if x or y:
+                    out[e] = (x, y)
+                else:
+                    del out[e]
+        return _packed(out, d)
 
-    def __neg__(self):
-        return LaurentPoly._raw({e: -c for e, c in self._c.items()})
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return _raw({e: (-a, -b) for e, (a, b) in self._c.items()}, self._d)
 
     def __mul__(self, other):
-        out: dict[int, Gaussian] = {}
-        for e1, c1 in self._c.items():
-            for e2, c2 in other._c.items():
+        if not self._c or not other._c:
+            return LP_ZERO
+        out: dict[int, tuple[int, int]] = {}
+        for e1, (a1, b1) in self._c.items():
+            for e2, (a2, b2) in other._c.items():
                 e = e1 + e2
+                x, y = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
                 s = out.get(e)
-                out[e] = c1 * c2 if s is None else s + c1 * c2
-        return LaurentPoly._raw({e: c for e, c in out.items() if c})
+                out[e] = (x, y) if s is None else (s[0] + x, s[1] + y)
+        return _packed({e: s for e, s in out.items() if s[0] or s[1]}, self._d * other._d)
 
     def scale(self, factor: Gaussian) -> "LaurentPoly":
         if not factor:
             return LP_ZERO
-        return LaurentPoly._raw({e: c * factor for e, c in self._c.items()})
+        p, q = factor.a, factor.b
+        return _packed({e: (a * p - b * q, a * q + b * p) for e, (a, b) in self._c.items()}, self._d * factor.d)
 
     def shift(self, k: int) -> "LaurentPoly":
-        return LaurentPoly._raw({e + k: c for e, c in self._c.items()})
+        return _raw({e + k: pair for e, pair in self._c.items()}, self._d)
 
     def tau(self) -> "LaurentPoly":
         """Substitute t -> 1/t."""
-        return LaurentPoly._raw({-e: c for e, c in self._c.items()})
+        return _raw({-e: pair for e, pair in self._c.items()}, self._d)
 
     def conjugate(self) -> "LaurentPoly":
         """Conjugate the coefficients; t stays t."""
-        return LaurentPoly._raw({e: c.conjugate() for e, c in self._c.items()})
+        return _raw({e: (a, -b) for e, (a, b) in self._c.items()}, self._d)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._c == other._c
+        return self._d == other._d and self._c == other._c
 
     def __hash__(self):
-        return hash(frozenset(self._c.items()))
+        return hash(frozenset(self.items()))
 
     def __repr__(self):
         if not self._c:
@@ -289,10 +311,34 @@ class LaurentPoly:
             power = "t" if e == 1 else f"t^{e}"
             return f"{coeff}*{power}"
 
-        return " + ".join(term(e, c) for e, c in sorted(self._c.items()))
+        return " + ".join(term(e, c) for e, c in sorted(self.items()))
 
 
 _set_c = LaurentPoly._c.__set__
+_set_den = LaurentPoly._d.__set__
+
+
+def _raw(c: dict, d: int) -> LaurentPoly:
+    # internal constructor for fields that are already normalized
+    p = object.__new__(LaurentPoly)
+    _set_c(p, c)
+    _set_den(p, d)
+    return p
+
+
+def _packed(c: dict, d: int) -> LaurentPoly:
+    # normalizing constructor for numerator pairs without zero pairs, any d > 0
+    if d != 1:
+        g = d
+        for a, b in c.values():
+            g = gcd(g, a, b)
+            if g == 1:
+                break
+        else:
+            c, d = {e: (a // g, b // g) for e, (a, b) in c.items()}, d // g
+    return _raw(c, d)
+
+
 LP_ZERO = LaurentPoly.zero()
 LP_ONE = LaurentPoly.one()
 
@@ -340,18 +386,8 @@ def diagonal_loop(form: str, exponents) -> LaurentMatrix:
 def mat_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     if a.n != b.n:
         raise ValidationError("size mismatch in matrix product")
-    n = a.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = LP_ZERO
-            for k in range(n):
-                if not a.entries[i][k].is_zero() and not b.entries[k][j].is_zero():
-                    acc = acc + a.entries[i][k] * b.entries[k][j]
-            row.append(acc)
-        rows.append(row)
-    return lm_from_rows(a.form, rows)
+    cols = tuple(zip(*b.entries))
+    return lm_from_rows(a.form, [[sum(map(mul, row, col), LP_ZERO) for col in cols] for row in a.entries])
 
 
 def transpose(g: LaurentMatrix) -> LaurentMatrix:

@@ -187,7 +187,6 @@ class RealFormCatalogEntry(Record):
 
 def _entry(name, datum, theta, connected, notes) -> RealFormCatalogEntry:
     spec = InvolutionSpec(datum=datum, theta=theta, name=name)
-    require_valid_involution(spec)
     return RealFormCatalogEntry(name=name, spec=spec, expected_k_connected=connected, notes=notes)
 
 
@@ -259,13 +258,14 @@ def catalog_names() -> tuple[str, ...]:
     return tuple(_catalog())
 
 
+@lru_cache(maxsize=None)
 def catalog(name: str) -> RealFormCatalogEntry:
-    """Look up a shipped real form; unknown names raise with the available list."""
+    """Look up a shipped real form, validated on its first lookup; unknown
+    names raise with the available list."""
     table = _catalog()
     if name not in table:
-        raise ValidationError(
-            f"unknown catalog entry {name!r}; available: {', '.join(table)}"
-        )
+        raise ValidationError(f"unknown catalog entry {name!r}; available: {', '.join(table)}")
+    require_valid_involution(table[name].spec)
     return table[name]
 
 

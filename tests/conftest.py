@@ -15,3 +15,14 @@ def package_caches():
                 if hasattr(value, "cache_info"):
                     found[id(value)] = value
     return list(found.values())
+
+
+@pytest.fixture
+def cleared_caches(package_caches):
+    """Run with every package cache empty, and empty them again afterwards so
+    values computed under a monkeypatch do not leak into other tests."""
+    for cache in package_caches:
+        cache.cache_clear()
+    yield
+    for cache in package_caches:
+        cache.cache_clear()

@@ -132,17 +132,6 @@ def test_step_order_agrees_with_bounded_search(data):
         assert r_leq(spec, upper, lower) == expected, (name, lower, upper)
 
 
-@pytest.fixture
-def cleared_caches(package_caches):
-    """Run with every package cache empty, and empty them again afterwards so
-    values computed under a monkeypatch do not leak into other tests."""
-    for cache in package_caches:
-        cache.cache_clear()
-    yield
-    for cache in package_caches:
-        cache.cache_clear()
-
-
 def test_non_free_generators_raise(monkeypatch, cleared_caches):
     monkeypatch.setattr(fundgroup, "restricted_coroot_generators", lambda spec: ((2,), (3,)))
     spec = catalog("pgl2_so21").spec

@@ -5,6 +5,7 @@ import pickle
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -675,3 +676,35 @@ def test_loops_copy_and_pickle(name):
     for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
         assert twin == g and loops_equal(twin, g)
         assert format_matrix(twin) == format_matrix(g)
+
+
+# ---------------------------------------------------------------------------
+# golden output
+
+GOLDEN_LOOPS = Path(__file__).resolve().parent / "golden" / "loops_forms_seed0-2.txt"
+
+
+def loops_forms_report() -> str:
+    """For each form and seeds 0-2, g = real*k*poly printed with ``format_matrix``,
+    then its symmetrized and real-symmetrized loops, then its stratum,
+    splitting, K-orbit and R-orbit invariants."""
+    parts = []
+    for name in form_names():
+        form = form_action(name)
+        for seed in range(3):
+            g = mat_mul(mat_mul(random_real_loop(form, seed), random_k_loop(form, seed)), random_polynomial_loop(form, seed))
+            det = form.validate(g)
+            parts += [
+                f"# {name} seed {seed}: g, symmetrize(g), real_antiinvolution(g)*g\n",
+                format_matrix(g),
+                format_matrix(form.symmetrize(g, det)),
+                format_matrix(mat_mul(form.real_antiinvolution(g, det), g)),
+                f"invariants: {stratum_invariant(g)} {splitting_type(g)} "
+                f"{k_orbit_invariant(g)} {r_orbit_invariant(g)}\n",
+            ]
+    return "".join(parts)
+
+
+def test_golden_loops_forms_output():
+    # pins the printed coefficients of derived loops, not only their invariants
+    assert loops_forms_report() == GOLDEN_LOOPS.read_text(encoding="utf-8")

@@ -4,6 +4,8 @@ from itertools import product
 
 import pytest
 
+from matsuki import realform
+from matsuki.cli import main
 from matsuki.errors import ValidationError
 from matsuki.realform import (
     InvolutionSpec,
@@ -67,6 +69,29 @@ def test_catalog_entries_all_validate():
 def test_unknown_catalog_name():
     with pytest.raises(ValidationError, match="unknown catalog entry"):
         catalog("no_such_form")
+
+
+def test_catalog_validates_an_entry_once_on_first_lookup(monkeypatch, cleared_caches):
+    checked = []
+
+    def counting(spec):
+        checked.append(spec.name)
+        return validate_involution(spec)
+
+    monkeypatch.setattr(realform, "validate_involution", counting)
+    entry = catalog("sl2_split")
+    assert catalog("sl2_split") is entry and entry.name == "sl2_split"
+    assert checked == ["sl2_split"]
+
+
+def test_failing_catalog_validation_still_raises(monkeypatch, cleared_caches, capsys):
+    monkeypatch.setattr(realform, "validate_involution", lambda spec: ["injected failure"])
+    with pytest.raises(ValidationError, match="injected failure"):
+        catalog("sl2_split")
+    assert main(["pi1", "sl2_split"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid involution 'sl2_split': injected failure")
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -84,8 +84,9 @@ def test_no_assert_statements(path):
 
 
 # Unbounded caches allowed in the package.  Each is keyed by structure: a root
-# datum, an involution, a catalog table or an orbit slice request, so its size
-# is bounded by the structures in use, never by the coweights compared.
+# datum, an involution, a catalog table or entry name, or an orbit slice
+# request, so its size is bounded by the structures in use, never by the
+# coweights compared or the loops classified.
 STRUCTURE_CACHES = {
     "fundgroup._image_lattice": "involution",
     "fundgroup.pi1_model": "involution",
@@ -95,6 +96,7 @@ STRUCTURE_CACHES = {
     "loopmatrix._form_table": "catalog table",
     "orbitposet.enumerate_orbits": "involution and height bound",
     "realform._catalog": "catalog table",
+    "realform.catalog": "catalog entry name",
     "realform.levi_longest_element": "involution",
     "realform.real_coweight_basis": "involution",
     "rootdata._parabolic_positive_coroots": "root datum and simple-root subset",
