@@ -8,14 +8,16 @@ coefficients.  Four discrete invariants are computed here:
   k x k minors);
 - ``splitting_type``: the dominant coweight of the two-sided polynomial double
   coset, i.e. the splitting type of the glued bundle on the projective line,
-  read off as the column degrees of a column-reduced polynomial matrix;
+  read off as the column degrees of a column-reduced polynomial matrix, with
+  fraction-free kernel solves on Gaussian-integer columns;
 - ``k_orbit_invariant`` and ``r_orbit_invariant``: the stratum and splitting
   invariants of the symmetrized loops attached to a form.
 
 All arithmetic is exact and runs on Python integers: a Gaussian rational is
 a normalized integer triple (a, b, d) meaning (a + b*i)/d, and a Laurent
 polynomial packs its Gaussian-integer numerators over one common denominator;
-nothing is ever floating point.
+nothing is ever floating point.  The unitary forms conjugate by the
+anti-diagonal J, and J X J is X turned by 180 degrees, never a product.
 
 Every public entry point computes the determinant of the loop it is given
 once and rejects a non-unit one with ValidationError.  Along a call chain the
@@ -282,6 +284,10 @@ class LaurentPoly:
         return _packed({e: (a * p - b * q, a * q + b * p) for e, (a, b) in self._c.items()}, self._d * factor.d)
 
     def shift(self, k: int) -> "LaurentPoly":
+        try:
+            k = index(k)
+        except TypeError:
+            raise ValidationError(f"shift must be an integer, got {k!r}") from None
         return _raw({e + k: pair for e, pair in self._c.items()}, self._d)
 
     def tau(self) -> "LaurentPoly":
@@ -483,8 +489,14 @@ def loops_equal(a: LaurentMatrix, b: LaurentMatrix) -> bool:
 # forms and their involutions
 
 
-def _reversal(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i + j == n - 1 else 0 for j in range(n)) for i in range(n))
+def _turn(g: LaurentMatrix) -> LaurentMatrix:
+    """J g J for the anti-diagonal J: g with its rows and columns reversed."""
+    return lm_from_rows(g.form, [row[::-1] for row in reversed(g.entries)])
+
+
+def _bar(p: LaurentPoly) -> LaurentPoly:
+    """Substitute t -> 1/t and conjugate the coefficients, in one pass."""
+    return _raw({-e: (a, -b) for e, (a, b) in p._c.items()}, p._d)
 
 
 class FormAction(Record):
@@ -504,43 +516,38 @@ class FormAction(Record):
     signature: tuple[int, int] | None = None
     entry: str = ""  # the catalog entry this form models
 
-    def _j(self) -> LaurentMatrix:
-        rows = [
-            [LP_ONE if i + j == self.n - 1 else LP_ZERO for j in range(self.n)]
-            for i in range(self.n)
-        ]
-        return lm_from_rows(self.name, rows)
-
-    # involutions of the loop group
+    # involutions of the loop group; J X J is X turned by 180 degrees
     def conjugation(self, g: LaurentMatrix) -> LaurentMatrix:
         if self.family == "split":
             return apply_conjugation(g)
-        j = self._j()
-        return mat_mul(mat_mul(j, mat_inverse(transpose(apply_conjugation(g)))), j)
+        return _turn(mat_inverse(transpose(apply_conjugation(g))))
 
     def symmetric_involution(self, g: LaurentMatrix) -> LaurentMatrix:
         if self.family == "split":
             return mat_inverse(transpose(g))
-        j = self._j()
-        return mat_mul(mat_mul(j, g), j)
+        return _turn(g)
 
     # anti-involutions; ``det`` is the unit monomial of g when already known
     def real_antiinvolution(self, g: LaurentMatrix, det: Monomial | None = None) -> LaurentMatrix:
         """Invert, reverse time, apply the real conjugation."""
         if self.family == "split":
-            return apply_conjugation(apply_tau(mat_inverse(g, det)))
-        j = self._j()
-        return mat_mul(mat_mul(j, transpose(apply_conjugation(apply_tau(g)))), j)
+            return lm_from_rows(g.form, [[_bar(p) for p in row] for row in mat_inverse(g, det).entries])
+        # J bar(g)^T J: entry (i, j) is bar(g) at (n-1-j, n-1-i)
+        return lm_from_rows(g.form, [[_bar(p) for p in col[::-1]] for col in reversed(tuple(zip(*g.entries)))])
 
     def symmetric_antiinvolution(self, g: LaurentMatrix, det: Monomial | None = None) -> LaurentMatrix:
         if self.family == "split":
             return transpose(g)
-        j = self._j()
-        return mat_mul(mat_mul(j, mat_inverse(g, det)), j)
+        return _turn(mat_inverse(g, det))
 
     def symmetrize(self, g: LaurentMatrix, det: Monomial | None = None) -> LaurentMatrix:
         """The loop-to-symmetric-space projection applied to g."""
-        return mat_mul(self.symmetric_antiinvolution(g, det), g)
+        if self.family != "split":
+            return mat_mul(self.symmetric_antiinvolution(g, det), g)
+        # g^T g is symmetric: compute the upper triangle and mirror it
+        cols, n = tuple(zip(*g.entries)), g.n
+        upper = {(i, j): sum(map(mul, cols[i], cols[j]), LP_ZERO) for i in range(n) for j in range(i, n)}
+        return lm_from_rows(g.form, [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
 
     # determinants of the derived loops, by monomial algebra from det(g) = c t^e
     def symmetrized_det(self, det: Monomial) -> Monomial:
@@ -564,7 +571,7 @@ class FormAction(Record):
     def lattice_involution(self) -> IntMatrix:
         if self.family == "split":
             return tuple(tuple(1 if i == j else 0 for j in range(self.n)) for i in range(self.n))
-        return tuple(tuple(-x for x in row) for row in _reversal(self.n))
+        return tuple(tuple(-1 if i + j == self.n - 1 else 0 for j in range(self.n)) for i in range(self.n))
 
     def lattice_fixed(self, lam: Coweight) -> bool:
         theta = self.lattice_involution()
@@ -666,52 +673,76 @@ def splitting_type(g: LaurentMatrix) -> Coweight:
     return _splitting(g, _unit_monomial(g))
 
 
-def _column_degree(col: list[LaurentPoly]) -> int:
-    return max(p.degree() for p in col if not p.is_zero())
+Pair = tuple[int, int]  # (a, b) standing for the Gaussian integer a + b*i
 
 
-def _kernel_vector(m: list[list[Gaussian]]) -> list[Gaussian] | None:
-    """A nonzero v with m v = 0 for a square matrix m over Q(i), or None when
-    m is nonsingular (Gauss-Jordan elimination up to the first free column)."""
+def _kernel_vector(m: list[list[Pair]]) -> list[Pair] | None:
+    """A nonzero v with m v = 0 for a square matrix m of Gaussian integers, or
+    None when m is nonsingular.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) up
+    to the first free column: row_i <- p*row_i - f*pivot.  The pivot rows
+    before that column read d_i v_i + r_i v_col = 0, solved with v_col the
+    lcm of the norms |d_i|^2; v is returned divided by the gcd of its parts.
+    """
     n = len(m)
-    rows = [list(r) for r in m]
+    rows = list(m)
     for col in range(n):
-        p = next((i for i in range(col, n) if rows[i][col]), None)
+        p = next((i for i in range(col, n) if rows[i][col] != (0, 0)), None)
         if p is None:
-            # columns before col are pivots with unit entries on the diagonal
-            return [-rows[i][col] for i in range(col)] + [G_ONE] + [G_ZERO] * (n - col - 1)
+            common = lcm(*(a * a + b * b for a, b in (rows[i][i] for i in range(col))))
+            v = []
+            for (da, db), (ra, rb) in ((rows[i][i], rows[i][col]) for i in range(col)):
+                k = common // (da * da + db * db)
+                v.append((-k * (ra * da + rb * db), k * (ra * db - rb * da)))  # -k*r*conj(d)
+            v += [(common, 0)] + [(0, 0)] * (n - col - 1)
+            g = gcd(*(x for pair in v for x in pair))
+            return [(a // g, b // g) for a, b in v]
         rows[col], rows[p] = rows[p], rows[col]
-        inv = G_ONE / rows[col][col]
-        pivot = rows[col] = [x * inv for x in rows[col]]
+        pivot = rows[col]
+        pa, pb = pivot[col]
         for i in range(n):
-            f = rows[i][col]
-            if i != col and f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], pivot)]
+            fa, fb = rows[i][col]
+            if i != col and (fa or fb):
+                rows[i] = [(pa * xa - pb * xb - fa * ya + fb * yb, pa * xb + pb * xa - fa * yb - fb * ya)
+                           for (xa, xb), (ya, yb) in zip(rows[i], pivot)]
     return None
 
 
 def _splitting(g: LaurentMatrix, det: Monomial) -> Coweight:
+    # t^N g has g's column degrees plus N, so the reduction runs on g.  Scaling a
+    # column by the lcm of its denominators is unimodular, so it runs on Z[i]
+    # numerators (Beelen, van den Hurk and Praagman, Syst. Control Lett. 11, 1988).
     n = g.n
-    shift = max(0, -min_valuation(g))
-    cols = [[p.shift(shift) for p in col] for col in zip(*g.entries)]
-    degs = [_column_degree(col) for col in cols]
-    # each step lowers sum(degs), which ends at the degree of det(t^N g)
-    steps_left = sum(degs) - det[0] - n * shift
-    while True:
-        v = _kernel_vector([[col[i].coeff(d) for col, d in zip(cols, degs)] for i in range(n)])
-        if v is None:
-            break
+    cols = []
+    for col in zip(*g.entries):
+        s = lcm(*(p._d for p in col))
+        cols.append([p._c if p._d == s else {e: (a * (s // p._d), b * (s // p._d)) for e, (a, b) in p._c.items()}
+                     for p in col])
+    degs = [max(max(p) for p in col if p) for col in cols]
+    # each step lowers sum(degs), which ends at the determinant's exponent
+    steps_left = sum(degs) - det[0]
+    while (v := _kernel_vector([[col[i].get(d, (0, 0)) for col, d in zip(cols, degs)] for i in range(n)])) is not None:
         if steps_left <= 0:
             raise TheoremViolationError(
                 f"column reduction ran past its step bound at column degrees {tuple(degs)}"
             )
         steps_left -= 1
-        # t^(top - d_j) * col_j over the support of v cancels the top column's lead
-        top = max((j for j in range(n) if v[j]), key=degs.__getitem__)
-        terms = [(degs[top] - degs[j], v[j], cols[j]) for j in range(n) if v[j]]
-        cols[top] = [sum((col[i].shift(k).scale(c) for k, c, col in terms), LP_ZERO) for i in range(n)]
-        degs[top] = _column_degree(cols[top])
-    lam = tuple(sorted((d - shift for d in degs), reverse=True))
+        # the sum of v_j * t^(top - d_j) * col_j over the support of v cancels the top column's lead
+        support = [j for j in range(n) if v[j] != (0, 0)]
+        top = max(support, key=degs.__getitem__)
+        new = []
+        for i in range(n):
+            acc: dict[int, Pair] = {}
+            for j in support:
+                (p, q), k = v[j], degs[top] - degs[j]
+                for e, (a, b) in cols[j][i].items():
+                    x, y, old = a * p - b * q, a * q + b * p, acc.get(e + k)
+                    acc[e + k] = (x, y) if old is None else (old[0] + x, old[1] + y)
+            new.append({e: pair for e, pair in acc.items() if pair != (0, 0)})
+        cols[top] = new
+        degs[top] = max(max(p) for p in new if p)
+    lam = tuple(sorted(degs, reverse=True))
     if sum(lam) != det[0]:
         raise TheoremViolationError(
             f"partial indices {lam} do not sum to the determinant exponent {det[0]}"
@@ -817,25 +848,26 @@ def geodesic_representative(form: FormAction | str, lam: Coweight) -> LaurentMat
 def _exp_nilpotent(form_name: str, n: int, entries) -> LaurentMatrix:
     """exp of a strictly triangular Laurent matrix, exact since X^n = 0."""
     x = lm_from_rows(form_name, entries)
-    total = identity_loop(form_name, n)
-    power = identity_loop(form_name, n)
+    total = power = identity_loop(form_name, n)
     fact = 1
     for k in range(1, n):
-        power = mat_mul(power, x)
-        fact *= k
-        scaled = lm_from_rows(
-            form_name,
-            [[p.scale(Gaussian(Fraction(1, fact))) for p in row] for row in power.entries],
-        )
+        power, fact = mat_mul(power, x), fact * k
+        c = Gaussian(Fraction(1, fact))
         total = lm_from_rows(
-            form_name,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(total.entries, scaled.entries)],
+            form_name, [[a + b.scale(c) for a, b in zip(r, s)] for r, s in zip(total.entries, power.entries)]
         )
     return total
 
 
 def _zero_rows(n):
     return [[LP_ZERO for _ in range(n)] for _ in range(n)]
+
+
+def _constant_diagonal(form_name: str, values) -> LaurentMatrix:
+    rows = _zero_rows(len(values))
+    for i, x in enumerate(values):
+        rows[i][i] = LaurentPoly.constant(x)
+    return lm_from_rows(form_name, rows)
 
 
 def _strict_positions(n, rng, upper=True):
@@ -871,10 +903,7 @@ def random_real_loop(form: FormAction | str, seed: int) -> LaurentMatrix:
                 signs = [rng.choice([1, -1]) for _ in range(n)]
                 if form.special and len([s for s in signs if s < 0]) % 2:
                     signs[0] = -signs[0]
-                rows = _zero_rows(n)
-                for i, s in enumerate(signs):
-                    rows[i][i] = LaurentPoly.constant(s)
-                g = mat_mul(g, lm_from_rows(form.name, rows))
+                g = mat_mul(g, _constant_diagonal(form.name, signs))
         else:
             if kind < 0.6 and n > 1:
                 # exp(N t^k - J conj(N)^T J t^-k), strictly upper hence nilpotent
@@ -890,28 +919,16 @@ def random_real_loop(form: FormAction | str, seed: int) -> LaurentMatrix:
                 rows[ri][rj] = rows[ri][rj] + mirrored
                 g = mat_mul(g, _exp_nilpotent(form.name, n, rows))
             elif kind < 0.8:
-                g = mat_mul(g, form._j())
+                g = lm_from_rows(form.name, [row[::-1] for row in g.entries])  # g J
             else:
                 units = [G_I, -G_I, G_ONE, -G_ONE]
                 d = [rng.choice(units) for _ in range(n)]
                 for i in range(n):  # anti-diagonal pairing: conj(d_i) d_{n-1-i} = 1
                     d[n - 1 - i] = G_ONE / d[i].conjugate()
-                rows = _zero_rows(n)
-                for i in range(n):
-                    rows[i][i] = LaurentPoly.constant(d[i])
-                g = mat_mul(g, lm_from_rows(form.name, rows))
+                g = mat_mul(g, _constant_diagonal(form.name, d))
     if not form.is_real_loop(g):
         raise TheoremViolationError("generated loop failed its real symmetry postcondition")
     return g
-
-
-def _rotation_block_entries(k: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """cos/sin pair (t^k + t^-k)/2 and (t^k - t^-k)/(2i); orthogonal and based."""
-    if k == 0:
-        return LP_ONE, LP_ZERO
-    c = LaurentPoly({k: HALF, -k: HALF})
-    s = LaurentPoly({k: HALF_OVER_I, -k: -HALF_OVER_I})
-    return c, s
 
 
 def random_k_loop(form: FormAction | str, seed: int) -> LaurentMatrix:
@@ -925,12 +942,11 @@ def random_k_loop(form: FormAction | str, seed: int) -> LaurentMatrix:
         kind = rng.random()
         if form.family == "split":
             if n == 1:
-                rows = [[LaurentPoly.constant(rng.choice([1, -1]))]]
-                g = mat_mul(g, lm_from_rows(form.name, rows))
+                g = mat_mul(g, _constant_diagonal(form.name, [rng.choice([1, -1])]))
                 continue
             i, j = _strict_positions(n, rng, upper=True)
-            if kind < 0.5:
-                c, s = _rotation_block_entries(1)
+            if kind < 0.5:  # cos/sin pair (t + 1/t)/2 and (t - 1/t)/(2i), orthogonal and based
+                c, s = LaurentPoly({1: HALF, -1: HALF}), LaurentPoly({1: HALF_OVER_I, -1: -HALF_OVER_I})
             else:
                 c = LaurentPoly.constant(Fraction(3, 5))
                 s = LaurentPoly.constant(Fraction(4, 5))
@@ -939,10 +955,7 @@ def random_k_loop(form: FormAction | str, seed: int) -> LaurentMatrix:
             rows[j][i], rows[j][j] = -s, c
             g = mat_mul(g, lm_from_rows(form.name, rows))
             if kind > 0.85 and not form.special:
-                refl = _zero_rows(n)
-                for a in range(n):
-                    refl[a][a] = LaurentPoly.constant(-1 if a == i else 1)
-                g = mat_mul(g, lm_from_rows(form.name, refl))
+                g = mat_mul(g, _constant_diagonal(form.name, [-1 if a == i else 1 for a in range(n)]))
         else:
             # loops commuting with the anti-diagonal J: a*I + b*J patterns
             e1, e2 = rng.choice([0, 1]), rng.choice([0, -1, 1])
@@ -978,10 +991,7 @@ def random_polynomial_loop(form: FormAction | str, seed: int, negative: bool = F
             g = mat_mul(g, lm_from_rows(form.name, rows))
         else:
             units = [G_ONE, -G_ONE, G_I] if not form.special else [G_ONE]
-            rows = _zero_rows(n)
-            for i in range(n):
-                rows[i][i] = LaurentPoly.constant(rng.choice(units))
-            g = mat_mul(g, lm_from_rows(form.name, rows))
+            g = mat_mul(g, _constant_diagonal(form.name, [rng.choice(units) for _ in range(n)]))
     if negative:
         g = apply_tau(g)
         if max_degree(g) > 0:

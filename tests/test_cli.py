@@ -3,7 +3,6 @@
 
 from matsuki.cli import main
 from matsuki.errors import TheoremViolationError
-from matsuki.loopmatrix import Gaussian
 
 IDENTITY_FILE = "form: gl2_split\nsize: 2\nentry 1 1: (0, 1/1, 0/1)\nentry 2 2: (0, 1/1, 0/1)\n"
 SHEAR_FILE = (
@@ -199,7 +198,7 @@ def test_splitting_failure_exits_two_without_traceback(capsys, tmp_path, monkeyp
     import matsuki.loopmatrix as loopmatrix
 
     # a kernel step that never lowers a column degree exhausts the step bound
-    monkeypatch.setattr(loopmatrix, "_kernel_vector", lambda m: [Gaussian(1)] + [Gaussian(0)] * (len(m) - 1))
+    monkeypatch.setattr(loopmatrix, "_kernel_vector", lambda m: [(1, 0)] + [(0, 0)] * (len(m) - 1))
     path = tmp_path / "id.matrix"
     path.write_text(IDENTITY_FILE)
     rc, _, err = run(capsys, ["invariant", str(path)])

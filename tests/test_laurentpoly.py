@@ -210,6 +210,14 @@ def test_common_denominator_reduces():
     assert (half_t * LaurentPoly.zero()) is loopmatrix.LP_ZERO
 
 
+@pytest.mark.parametrize("k", [0.5, Fraction(3, 2), "1"], ids=["float", "Fraction", "str"])
+def test_non_integral_shift_is_rejected(k):
+    # t.shift(0.5) stored the exponent 1.5, and degree() returned it
+    with pytest.raises(ValidationError, match="integer"):
+        LaurentPoly.t_power(1).shift(k)
+    assert LaurentPoly.t_power(1).shift(True).degree() == 2  # any operator.index value is an integer
+
+
 @pytest.mark.parametrize("exponent", [1.9, Fraction(3, 2)], ids=["float", "Fraction"])
 def test_non_integral_exponents_are_rejected(exponent):
     # they were truncated: {1: 2, 1.9: 3} became 3t, with the coefficient 2 lost

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -34,6 +35,7 @@ from matsuki.loopmatrix import (
     random_real_loop,
     splitting_type,
     stratum_invariant,
+    transpose,
 )
 from matsuki.textio import format_matrix
 
@@ -256,6 +258,49 @@ def test_involutions_square_to_identity_on_generated_loops(name):
         )
 
 
+def _j(form):
+    n = form.n
+    return lm_from_rows(form.name, [[ONE if i + j == n - 1 else ZERO for j in range(n)] for i in range(n)])
+
+
+def involution_formulas(form, g):
+    """The involutions of a form written as products: split forms by their
+    definitions, unitary forms with two products by the anti-diagonal J."""
+    if form.family == "split":
+        return {
+            "conjugation": apply_conjugation(g),
+            "symmetric_involution": mat_inverse(transpose(g)),
+            "real_antiinvolution": apply_conjugation(apply_tau(mat_inverse(g))),
+            "symmetric_antiinvolution": transpose(g),
+            "symmetrize": mat_mul(transpose(g), g),
+        }
+    j = _j(form)
+    symmetric_anti = mat_mul(mat_mul(j, mat_inverse(g)), j)
+    return {
+        "conjugation": mat_mul(mat_mul(j, mat_inverse(transpose(apply_conjugation(g)))), j),
+        "symmetric_involution": mat_mul(mat_mul(j, g), j),
+        "real_antiinvolution": mat_mul(mat_mul(j, transpose(apply_conjugation(apply_tau(g)))), j),
+        "symmetric_antiinvolution": symmetric_anti,
+        "symmetrize": mat_mul(symmetric_anti, g),
+    }
+
+
+@pytest.mark.parametrize("name", form_names())
+def test_involutions_match_j_product_formulas(name):
+    form = form_action(name)
+    for seed in range(20):
+        g = mat_mul(
+            mat_mul(random_real_loop(form, seed), random_k_loop(form, seed + 1)), random_polynomial_loop(form, seed + 2)
+        )
+        det = form.validate(g)
+        for method, want in involution_formulas(form, g).items():
+            # the anti-involutions and symmetrize also take the known determinant
+            takes_det = method not in ("conjugation", "symmetric_involution")
+            for args in [(g,), (g, det)] if takes_det else [(g,)]:
+                got = getattr(form, method)(*args)
+                assert got.form == want.form and loops_equal(got, want), (name, seed, method, len(args))
+
+
 def test_real_and_symmetric_antiinvolutions_agree_on_based_loops():
     # on based unitary-symmetric loops the two anti-involutions coincide
     for name in ("gl2_split", "gl3_split"):
@@ -331,7 +376,7 @@ def test_splitting_examples():
 
 def _no_progress_kernel(m):
     """A stand-in for the kernel step that never lowers a column degree."""
-    return [Gaussian(1)] + [Gaussian(0)] * (len(m) - 1)
+    return [(1, 0)] + [(0, 0)] * (len(m) - 1)
 
 
 def test_splitting_past_step_bound_is_a_theorem_violation(monkeypatch):
@@ -342,6 +387,114 @@ def test_splitting_past_step_bound_is_a_theorem_violation(monkeypatch):
     for g in (identity_loop("gl2_split", 2), shear):  # step bounds 0 and 1
         with pytest.raises(TheoremViolationError, match="step bound"):
             splitting_type(g)
+
+
+def gaussian_kernel_vector(m):
+    """A nonzero v with m v = 0 for a square matrix m over Q(i), or None when
+    m is nonsingular (Gauss-Jordan elimination up to the first free column)."""
+    zero, one = Gaussian(0), Gaussian(1)
+    n = len(m)
+    rows = [list(r) for r in m]
+    for col in range(n):
+        p = next((i for i in range(col, n) if rows[i][col]), None)
+        if p is None:
+            # columns before col are pivots with unit entries on the diagonal
+            return [-rows[i][col] for i in range(col)] + [one] + [zero] * (n - col - 1)
+        rows[col], rows[p] = rows[p], rows[col]
+        inv = one / rows[col][col]
+        pivot = rows[col] = [x * inv for x in rows[col]]
+        for i in range(n):
+            f = rows[i][col]
+            if i != col and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], pivot)]
+    return None
+
+
+def _gaussian_integer_matrices():
+    """1x1 to 3x3 matrices of pairs (a, b) = a + b*i: any entries, or singular
+    by construction, with one column a combination of the others or rank one."""
+    from hypothesis import strategies as st
+
+    pair = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(1, 3))
+        m = [[draw(pair) for _ in range(n)] for _ in range(n)]
+        shape = draw(st.sampled_from(("any", "dependent column", "rank one")))
+        if shape == "dependent column":
+            k = draw(st.integers(0, n - 1))
+            c = [draw(pair) for _ in range(n)]
+            for row in m:
+                row[k] = (
+                    sum(x * p - y * q for j, ((x, y), (p, q)) in enumerate(zip(row, c)) if j != k),
+                    sum(x * q + y * p for j, ((x, y), (p, q)) in enumerate(zip(row, c)) if j != k),
+                )
+        elif shape == "rank one":
+            u, w = [draw(pair) for _ in range(n)], [draw(pair) for _ in range(n)]
+            m = [[(a * c - b * d, a * d + b * c) for c, d in w] for a, b in u]
+        return m
+
+    return build()
+
+
+def test_kernel_vector_matches_gaussian_oracle():
+    from hypothesis import given, settings
+
+    import matsuki.loopmatrix as loopmatrix
+
+    @settings(max_examples=300, deadline=None)
+    @given(_gaussian_integer_matrices())
+    def agree(m):
+        v = loopmatrix._kernel_vector(m)
+        want = gaussian_kernel_vector([[Gaussian(a, b) for a, b in row] for row in m])
+        if want is None:
+            assert v is None
+            return
+        assert v is not None and any(a or b for a, b in v)
+        assert gcd(*(x for pair in v for x in pair)) == 1
+        got = [Gaussian(a, b) for a, b in v]
+        for row in m:
+            assert sum((Gaussian(a, b) * x for (a, b), x in zip(row, got)), Gaussian(0)) == Gaussian(0)
+        # proportional: every 2x2 cross product vanishes
+        for i, j in combinations(range(len(m)), 2):
+            assert got[i] * want[j] == got[j] * want[i]
+
+    agree()
+
+
+def _dense_unipotent(terms):
+    rng = random.Random(f"dense:{terms}")
+
+    def entry():
+        return LaurentPoly({
+            e: Gaussian(Fraction(rng.randint(1, 9), rng.choice((1, 2, 3))), rng.randint(-9, 9))
+            for e in range(-(terms // 2), terms - terms // 2)
+        })
+
+    return lm_from_rows("gl3_split", [[ONE, entry(), entry()], [ZERO, ONE, entry()], [ZERO, ZERO, ONE]])
+
+
+def test_column_reduction_builds_no_gaussian_per_step(monkeypatch):
+    import matsuki.loopmatrix as loopmatrix
+
+    made = 0
+    make = loopmatrix._make
+
+    def counting_make(*fields):
+        nonlocal made
+        made += 1
+        return make(*fields)
+
+    monkeypatch.setattr(loopmatrix, "_make", counting_make)
+    counts = []
+    for terms in (10, 50):
+        g = _dense_unipotent(terms)
+        made = 0
+        assert splitting_type(g) == (0, 0, 0) and r_orbit_invariant(g) == (0, 0, 0)
+        counts.append(made)
+    # the Gaussians are built at the boundary (determinants), not per reduction step
+    assert counts[0] == counts[1]
 
 
 class _IntegerEchelon:
