@@ -709,6 +709,17 @@ def _kernel_vector(m: list[list[Pair]]) -> list[Pair] | None:
     return None
 
 
+def _content(col: list[dict[int, Pair]]) -> int:
+    """The gcd of a column's numerators, stopping as soon as it reaches 1."""
+    g = 0
+    for p in col:
+        for a, b in p.values():
+            g = gcd(g, a, b)
+            if g == 1:
+                return 1
+    return g
+
+
 def _splitting(g: LaurentMatrix, det: Monomial) -> Coweight:
     # t^N g has g's column degrees plus N, so the reduction runs on g.  Scaling a
     # column by the lcm of its denominators is unimodular, so it runs on Z[i]
@@ -740,8 +751,11 @@ def _splitting(g: LaurentMatrix, det: Monomial) -> Coweight:
                     x, y, old = a * p - b * q, a * q + b * p, acc.get(e + k)
                     acc[e + k] = (x, y) if old is None else (old[0] + x, old[1] + y)
             new.append({e: pair for e, pair in acc.items() if pair != (0, 0)})
-        cols[top] = new
         degs[top] = max(max(p) for p in new if p)
+        # dividing out the content is unimodular too, and keeps the numerators from swelling
+        if (content := _content(new)) > 1:
+            new = [{e: (a // content, b // content) for e, (a, b) in p.items()} for p in new]
+        cols[top] = new
     lam = tuple(sorted(degs, reverse=True))
     if sum(lam) != det[0]:
         raise TheoremViolationError(

@@ -2,7 +2,8 @@
 
 Coweights are integer vectors in Z^rank (the cocharacter lattice); roots live
 in the dual copy and pair with coweights by the plain dot product.  All
-computations are integer or Fraction exact; nothing here ever touches floats.
+computations are integer exact: every solve in the lattice layer comes from
+one Smith normal form, and nothing here ever touches floats.
 
 Weyl group elements are handled as integer matrices acting on the cocharacter
 lattice, except where an explicit reflection word is part of a result.
@@ -10,9 +11,7 @@ lattice, except where an explicit reflection word is part of a result.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
 from operator import add, mul, sub
 
 from .errors import ValidationError
@@ -61,19 +60,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 def mat_transpose(m: IntMatrix) -> IntMatrix:
     return tuple(zip(*m)) if m else ()
-
-
-def solve_rational(columns: tuple[Coweight, ...], target) -> tuple[Fraction, ...] | None:
-    """Solve sum_j c_j * columns[j] = target over the rationals.
-
-    Returns the coefficient tuple, or None when target is outside the span.
-    Columns must be linearly independent; dependent input raises, since every
-    caller in this package feeds a basis.
-    """
-    rows, consistency = linear_solver(columns, len(target))
-    if any(dot(row, target) for row in consistency):
-        return None
-    return tuple(dot(row, target) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +119,12 @@ def simple_coroots(datum: RootDatum) -> tuple[Coweight, ...]:
 @lru_cache(maxsize=None)
 def positive_root_indices(datum: RootDatum) -> tuple[int, ...]:
     """Indices of roots expressible as non-negative integer combinations of simples."""
-    out = []
-    for idx, root in enumerate(datum.roots):
-        coeffs = solve_rational(simple_roots(datum), root)
-        if coeffs is not None and all(c.denominator == 1 and c >= 0 for c in coeffs):
-            out.append(idx)
-    return tuple(out)
+    den, rows, consistency = integer_solver(simple_roots(datum), datum.rank)
+    return tuple(
+        idx for idx, root in enumerate(datum.roots)
+        if not any(dot(row, root) for row in consistency)
+        and all(c >= 0 and c % den == 0 for c in mat_vec(rows, root))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -198,21 +184,19 @@ def validate_root_datum(datum: RootDatum) -> list[str]:
                 break
 
     try:
-        simples = simple_roots(datum)
-        for idx, root in enumerate(datum.roots):
-            coeffs = solve_rational(simples, root)
-            if coeffs is None:
-                problems.append(f"root {root} lies outside the span of the simple roots")
-                continue
-            integral = all(c.denominator == 1 for c in coeffs)
-            nonneg = all(c >= 0 for c in coeffs)
-            nonpos = all(c <= 0 for c in coeffs)
-            if not integral or not (nonneg or nonpos):
-                problems.append(
-                    f"root {root} is not a signed non-negative integer combination of simples"
-                )
+        den, rows, consistency = integer_solver(simple_roots(datum), datum.rank)
     except ValidationError:
-        problems.append("simple roots are linearly dependent")
+        return problems + ["simple roots are linearly dependent"]
+    for root in datum.roots:
+        if any(dot(row, root) for row in consistency):
+            problems.append(f"root {root} lies outside the span of the simple roots")
+            continue
+        coeffs = mat_vec(rows, root)
+        integral = all(c % den == 0 for c in coeffs)
+        if not integral or not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
+            problems.append(
+                f"root {root} is not a signed non-negative integer combination of simples"
+            )
     return problems
 
 
@@ -243,51 +227,28 @@ def dominant_representative(datum: RootDatum, coweight: Coweight) -> tuple[Cowei
         word.append(neg)
 
 
-def linear_solver(columns: tuple[Coweight, ...], dim: int | None = None):
-    """Echelon data for writing a vector in the given independent column basis.
+def integer_solver(columns: tuple[Coweight, ...], dim: int | None = None) -> tuple[int, IntMatrix, IntMatrix]:
+    """Integer data (den, rows, consistency) for writing a vector in the given
+    independent columns, read off the Smith normal form U A V = D of their
+    matrix A.
 
-    Returns (solve_rows, consistency_rows) of Fractions: coefficients are
-    solve_rows @ v, valid only when every consistency row pairs to zero.
-    ``dim`` is required when the column list is empty.
+    A vector v is in the span of the columns iff every consistency row (the
+    rows of U past the rank) pairs to 0 with it; its coordinates V D^-1 U v
+    are then rows @ v divided by den, the last invariant factor, with
+    rows = V diag(den / d_i) U[:k].  ``dim`` is required when the column
+    list is empty.
     """
     k = len(columns)
-    if k == 0:
-        if dim is None:
-            raise ValidationError("linear_solver needs the ambient dimension for no columns")
-        return (), tuple(tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim))
-    m = len(columns[0])
-    # [A | I] echelon; track the transformation applied to the identity block.
-    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(int(i == t)) for t in range(m)] for i in range(m)]
-    row = 0
-    pivot_rows = []
-    for col in range(k):
-        sel = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if sel is None:
-            raise ValidationError("dependent columns passed to linear_solver")
-        aug[row], aug[sel] = aug[sel], aug[row]
-        piv = aug[row][col]
-        aug[row] = [x / piv for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivot_rows.append(row)
-        row += 1
-    solve_rows = tuple(tuple(aug[pivot_rows[j]][k:]) for j in range(k))
-    consistency = tuple(tuple(aug[r][k:]) for r in range(row, m))
-    return solve_rows, consistency
-
-
-def integer_solver(columns: tuple[Coweight, ...], dim: int | None = None) -> tuple[int, IntMatrix, IntMatrix]:
-    """``linear_solver`` scaled to integers: (den, rows, consistency).
-
-    A vector v is in the span of the columns iff every consistency row pairs
-    to 0 with it; its coordinates are then rows @ v divided by den.
-    """
-    solve_rows, consistency = linear_solver(columns, dim)
-    den = lcm(*(x.denominator for row in solve_rows for x in row))
-    rows = tuple(tuple(int(x * den) for x in row) for row in solve_rows)
-    return den, rows, tuple(tuple(int(x * lcm(*(y.denominator for y in row))) for x in row) for row in consistency)
+    if not k and dim is None:
+        raise ValidationError("integer_solver needs the ambient dimension for no columns")
+    matrix = tuple(zip(*columns)) if k else ((),) * dim
+    if k > len(matrix):
+        raise ValidationError("more columns than the dimension passed to integer_solver")
+    u, d, v = smith_normal_form(matrix)
+    den = d[k - 1][k - 1] if k else 1  # d_1 | d_2 | ...: zero iff the columns are dependent
+    if not den:
+        raise ValidationError("dependent columns passed to integer_solver")
+    return den, mat_mul(v, tuple(vec_scale(den // d[i][i], u[i]) for i in range(k))), u[k:]
 
 
 def free_monoid_leq(solver: tuple[int, IntMatrix, IntMatrix], lower: Coweight, upper: Coweight) -> bool:
@@ -318,15 +279,12 @@ def dominance_leq(datum: RootDatum, lower: Coweight, upper: Coweight) -> bool:
 @lru_cache(maxsize=None)
 def _parabolic_positive_coroots(datum: RootDatum, subset: tuple[int, ...]) -> tuple[Coweight, ...]:
     """Positive coroots of the sub-system spanned by the given simple roots."""
-    chosen = []
-    sub_simple_positions = [datum.simple_indices.index(i) for i in subset]
-    simples = simple_roots(datum)
-    for idx in positive_root_indices(datum):
-        coeffs = solve_rational(simples, datum.roots[idx])
-        support = {j for j, c in enumerate(coeffs) if c != 0}
-        if support <= set(sub_simple_positions):
-            chosen.append(datum.coroots[idx])
-    return tuple(chosen)
+    outside = [j for j, i in enumerate(datum.simple_indices) if i not in subset]
+    _, rows, _ = integer_solver(simple_roots(datum), datum.rank)
+    return tuple(
+        datum.coroots[idx] for idx in positive_root_indices(datum)
+        if not any(dot(rows[j], datum.roots[idx]) for j in outside)
+    )
 
 
 def weyl_longest_element(datum: RootDatum, subset: frozenset[int] | tuple[int, ...]) -> IntMatrix:

@@ -497,6 +497,24 @@ def test_column_reduction_builds_no_gaussian_per_step(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_column_reduction_keeps_numerators_small(monkeypatch):
+    import matsuki.loopmatrix as loopmatrix
+
+    kernel = loopmatrix._kernel_vector
+    widest = 0
+
+    def recording_kernel(m):
+        nonlocal widest
+        widest = max([widest] + [abs(x).bit_length() for row in m for pair in row for x in pair])
+        return kernel(m)
+
+    monkeypatch.setattr(loopmatrix, "_kernel_vector", recording_kernel)
+    g = form_action("gl3_split").symmetrize(_dense_unipotent(20))
+    assert splitting_type(g) == (0, 0, 0)
+    # without dividing out each updated column's content the leads reach 10,025 bits
+    assert widest < 2000
+
+
 class _IntegerEchelon:
     """Incremental fraction-free row echelon over the integers: exact rank.
 

@@ -15,6 +15,7 @@ from matsuki.rootdata import (
     gl_datum,
     height,
     identity_matrix,
+    integer_solver,
     is_dominant,
     kernel_basis,
     mat_mul,
@@ -25,6 +26,7 @@ from matsuki.rootdata import (
     positive_root_indices,
     quotient_group,
     simple_coroots,
+    simple_roots,
     sl2_datum,
     sl2xsl2_datum,
     sl3_datum,
@@ -189,8 +191,9 @@ def test_dominance_agrees_with_brute_force_rank2(a, b, c, d):
 def gauss_jordan_solve(columns, target):
     """Solve sum_j c_j * columns[j] = target over the rationals by Gauss-Jordan
     elimination on [A | target]; None when target is outside the span of the
-    (independent) columns.  Kept apart from ``linear_solver`` so the dominance
-    oracle below does not check the package against itself."""
+    (independent) columns.  Kept apart from ``integer_solver``, which reads
+    its solve off the Smith normal form, so the dominance oracle below does
+    not check the package against itself."""
     if not columns:
         return () if all(x == 0 for x in target) else None
     m = len(columns[0])
@@ -379,18 +382,63 @@ def test_height_functional():
     assert two_rho(gl_datum(3)) == (2, 0, -2)
 
 
-def test_solve_rational_agrees_with_elimination():
-    from matsuki.rootdata import simple_roots, solve_rational
+def solver_coordinates(solver, target):
+    """Fraction coordinates from an ``integer_solver`` triple, or None when a
+    consistency row does not vanish on the target."""
+    den, rows, consistency = solver
+    if any(mat_vec(consistency, target)):
+        return None
+    return tuple(Fraction(c, den) for c in mat_vec(rows, target))
 
+
+def test_integer_solver_agrees_with_elimination():
     for datum in ALL_DATA + [SKEWED_TORUS]:
+        solver = integer_solver(simple_roots(datum), datum.rank)
         targets = (*datum.roots, *datum.coroots, (1,) * datum.rank, (3,) + (-1,) * (datum.rank - 1))
         for target in targets:
             expected = gauss_jordan_solve(simple_roots(datum), target)
-            assert solve_rational(simple_roots(datum), target) == expected, (datum.name, target)
+            assert solver_coordinates(solver, target) == expected, (datum.name, target)
 
 
-def test_solve_rational_rejects_dependent_columns():
-    from matsuki.rootdata import solve_rational
-
+def test_integer_solver_rejects_dependent_columns():
     with pytest.raises(ValidationError):
-        solve_rational(((1, 0), (2, 0)), (1, 0))
+        integer_solver(((1, 0), (2, 0)))
+    with pytest.raises(ValidationError):
+        integer_solver(((1,), (2,)))  # more columns than the dimension
+    with pytest.raises(ValidationError):
+        integer_solver(())  # no columns and no dimension
+
+
+def _rank(columns):
+    """Rank by Fraction elimination, independent of the Smith normal form."""
+    rows = [[Fraction(x) for x in col] for col in columns]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_solver_agrees_with_gauss_jordan(data):
+    dim = data.draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-6, 6)] * dim)
+    columns = tuple(data.draw(st.lists(vec, max_size=3)))  # no columns: only 0 is in the span
+    if _rank(columns) < len(columns):
+        with pytest.raises(ValidationError):
+            integer_solver(columns, dim)
+        return
+    solver = integer_solver(columns, dim)
+    target = data.draw(vec)
+    assert solver_coordinates(solver, target) == gauss_jordan_solve(columns, target)
+    # members of the span have the drawn combination as their coordinates
+    coeffs = data.draw(st.tuples(*[st.integers(-6, 6)] * len(columns)))
+    member = tuple(sum(c * col[i] for c, col in zip(coeffs, columns)) for i in range(dim))
+    assert solver_coordinates(solver, member) == coeffs

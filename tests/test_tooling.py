@@ -1,6 +1,6 @@
-"""Source guards: the runtime imports only the standard library, stays exact,
-keeps its checks under ``python -O`` and starts up without ``dataclasses``;
-the README example runs."""
+"""Source guards: the runtime imports only the standard library, stays exact
+(the lattice layer on integers alone), keeps its checks under ``python -O``
+and starts up without ``dataclasses``; the README example runs."""
 
 import ast
 import doctest
@@ -49,6 +49,16 @@ def test_no_dataclasses_import(path):
     # importing dataclasses pulls in inspect, ast, dis and tokenize at every CLI start-up
     for lineno, name in _absolute_imports(path):
         assert name.split(".")[0] != "dataclasses", f"{path.name}:{lineno} imports {name}"
+
+
+LATTICE_LAYER = [ROOT / "src" / "matsuki" / f"{stem}.py" for stem in ("fundgroup", "orbitposet", "realform", "rootdata")]
+
+
+@pytest.mark.parametrize("path", LATTICE_LAYER, ids=lambda p: p.name)
+def test_lattice_layer_is_integer_only(path):
+    # every lattice solve is an integer one, read off the Smith normal form
+    for lineno, name in _absolute_imports(path):
+        assert name.split(".")[0] != "fractions", f"{path.name}:{lineno} imports {name}"
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
