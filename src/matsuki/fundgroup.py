@@ -24,6 +24,7 @@ from .rootdata import (
     identity_matrix,
     integer_solver,
     is_dominant,
+    mat_mul,
     pi1_of_group,
     positive_coroots,
     quotient_group,
@@ -105,23 +106,31 @@ def pi1_of_symmetric_space(spec: InvolutionSpec) -> FiniteAbelianGroup:
 
 
 @lru_cache(maxsize=None)
-def _image_lattice(spec: InvolutionSpec) -> tuple[tuple[Coweight, ...], FiniteAbelianGroup]:
+def _image_lattice(spec: InvolutionSpec) -> tuple[tuple[Coweight, ...], FiniteAbelianGroup, tuple]:
     """The generators lambda + theta(lambda) of the loop image over a lattice
-    basis, and the quotient of the fixed sublattice by the preimage of that
+    basis, the quotient of the fixed sublattice by the preimage of that
     image, which the restricted coroot generators and those sums generate
-    (in fixed-basis coordinates)."""
+    (in fixed-basis coordinates), and that quotient's class test on the
+    lattice itself: pairs (row, m), each a row of the projection times the
+    solve rows of the fixed basis and den times its invariant factor, such
+    that a theta-fixed coweight has class zero iff every row pairs with it
+    to a multiple of m."""
     sums = (vec_add(e, spec.apply(e)) for e in identity_matrix(spec.datum.rank))
     image_gens = tuple(dict.fromkeys(v for v in sums if any(v)))
     lattice_gens = tuple(
         real_coweight_coordinates(spec, g)
         for g in (*restricted_coroot_generators(spec), *image_gens)
     )
-    return image_gens, quotient_group(len(real_coweight_basis(spec)), lattice_gens)
+    group = quotient_group(len(real_coweight_basis(spec)), lattice_gens)
+    den, rows, _ = spec.fixed_solver
+    # every factor is finite: 2*lambda = lambda + theta(lambda) lies in the image
+    class_rows = tuple(zip(mat_mul(group.projection, rows), (den * f for f in group.invariant_factors)))
+    return image_gens, group, class_rows
 
 
 @lru_cache(maxsize=None)
 def pi1_model(spec: InvolutionSpec) -> PiOneModel:
-    image_gens, group = _image_lattice(spec)
+    image_gens, group, _ = _image_lattice(spec)
     index = group.order()
     if index is None:
         # cannot happen: 2*lambda is always in the image lattice
@@ -145,5 +154,5 @@ def in_image_semigroup(spec: InvolutionSpec, coweight: Coweight) -> bool:
 
 
 def _in_image_class(spec: InvolutionSpec, coweight: Coweight) -> bool:
-    coords = real_coweight_coordinates(spec, coweight)
-    return all(c == 0 for c in _image_lattice(spec)[1].image(coords))
+    """Whether a theta-fixed coweight has loop class zero, with no solve."""
+    return not any(dot(row, coweight) % m for row, m in _image_lattice(spec)[2])

@@ -11,16 +11,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product as iter_product
+from operator import index
 
 from .errors import ValidationError
-from .fundgroup import _in_image_class, in_image_semigroup
+from .fundgroup import _image_lattice, _in_image_class, in_image_semigroup
 from .realform import InvolutionSpec, real_coweight_basis
 from .record import Record
 from .rootdata import (
     Coweight,
     dominance_leq,
     dot,
-    free_monoid_leq,
     height,
     identity_matrix,
     is_dominant,
@@ -72,7 +72,7 @@ def require_orbit_index(spec: InvolutionSpec, coweight: Coweight) -> None:
         raise ValidationError(f"{coweight} is not in the image sub-semigroup")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_orbits(spec: InvolutionSpec, height_bound: int) -> tuple[Coweight, ...]:
     """All orbit indices with height at most the bound, sorted lexicographically.
 
@@ -87,9 +87,19 @@ def enumerate_orbits(spec: InvolutionSpec, height_bound: int) -> tuple[Coweight,
     constraint is affine in the last coefficient c, of the form a + s*c >= 0:
     both bounds of the box in every coordinate, dominance at every simple
     root, and 0 <= height <= H.  Their intersection is the range of c; every
-    vector in it is a dominant real candidate, and only its loop class is
-    tested.
+    vector in it is a dominant real candidate, and its loop class is read
+    off the class rows of the image quotient (``fundgroup._image_lattice``)
+    with no solve: per choice of the leading coefficients the class of c = 0
+    and the step of one more c are computed once, and each c is tested by
+    base + c*step modulo the class moduli.
+
+    The cache keys carry the bound's type, so 4.0 never finds the entry of 4
+    and is refused by the integer check like any other non-integral bound.
     """
+    try:
+        height_bound = index(height_bound)
+    except TypeError:
+        raise ValidationError(f"height bound must be an integer, got {height_bound!r}") from None
     if height_bound < 0:
         raise ValidationError("height bound must be non-negative")
     datum = spec.datum
@@ -104,6 +114,7 @@ def enumerate_orbits(spec: InvolutionSpec, height_bound: int) -> tuple[Coweight,
     constraints = [(f, 0) for f in (*simple_roots(datum), rho2)] + [(e, height_bound) for e in unit]
     constraints += [(vec_neg(f), height_bound) for f in (*unit, rho2)]
     constraints = [(f, offset, dot(f, last)) for f, offset in constraints]
+    class_rows = [(row, dot(row, last), m) for row, m in _image_lattice(spec)[2]]
     found = []
     for coeffs in iter_product(*(range(-m, m + 1) for m in limits[:-1])):
         base = (0,) * datum.rank
@@ -118,10 +129,10 @@ def enumerate_orbits(spec: InvolutionSpec, height_bound: int) -> tuple[Coweight,
                 hi = min(hi, a // -slope)
             elif a < 0:
                 hi = lo - 1
+        classes = [(dot(row, base), step, m) for row, step, m in class_rows]
         for c in range(lo, hi + 1):
-            vec = vec_add(base, vec_scale(c, last))
-            if _in_image_class(spec, vec):
-                found.append(vec)
+            if not any((r + c * step) % m for r, step, m in classes):
+                found.append(vec_add(base, vec_scale(c, last)))
     return tuple(sorted(found))
 
 
@@ -135,9 +146,7 @@ def r_leq(spec: InvolutionSpec, lower: Coweight, upper: Coweight) -> bool:
     non-negative integer combination of the indecomposable restricted coroot
     generators.  It agrees with reversed dominance on orbit indices, which is
     the order-reversal law, not its definition."""
-    if len(lower) != spec.datum.rank or len(upper) != spec.datum.rank:
-        raise ValidationError(f"{lower} and {upper} must both have length rank={spec.datum.rank}")
-    return free_monoid_leq(spec.step_solver, upper, lower)
+    return spec.step_order(upper, lower)
 
 
 def core_data(spec: InvolutionSpec, coweight: Coweight) -> CoreData:
@@ -158,12 +167,14 @@ def matsuki_dual(spec: InvolutionSpec, coweight: Coweight) -> tuple[Coweight, Co
 
 def real_step_leq(spec: InvolutionSpec, lower: Coweight, upper: Coweight) -> bool:
     """True when upper - lower is a non-negative integer combination of the
-    restricted coroot generators, decided by one solve over their
+    restricted coroot generators, decided by the compiled order of their
     indecomposables; both arguments must be real coweights."""
-    for v in (lower, upper):
-        if not spec.is_real(v):
-            raise ValidationError(f"{v} is not theta-fixed")
-    return free_monoid_leq(spec.step_solver, lower, upper)
+    leq = spec.step_order(lower, upper)  # checks both lengths first
+    if spec.moving_rows:
+        for v in (lower, upper):
+            if not spec.is_real(v):
+                raise ValidationError(f"{v} is not theta-fixed")
+    return leq
 
 
 def _interval_has_strictly_between(spec: InvolutionSpec, lower: Coweight, steps: tuple[int, ...]) -> bool:

@@ -27,6 +27,7 @@ from .rootdata import (
     mat_mul,
     mat_transpose,
     mat_vec,
+    monoid_order,
     pgl2_datum,
     positive_root_indices,
     require_valid,
@@ -72,6 +73,11 @@ class InvolutionSpec(Record):
         from .fundgroup import step_basis  # fundgroup imports this module
 
         return integer_solver(step_basis(self), dim=self.datum.rank)
+
+    @cached_property
+    def step_order(self):
+        """``monoid_order`` of ``step_solver``, compiled on first use."""
+        return monoid_order(self.step_solver, self.datum.rank)
 
 
 def validate_involution(spec: InvolutionSpec) -> list[str]:

@@ -3,7 +3,9 @@
 Coweights are integer vectors in Z^rank (the cocharacter lattice); roots live
 in the dual copy and pair with coweights by the plain dot product.  All
 computations are integer exact: every solve in the lattice layer comes from
-one Smith normal form, and nothing here ever touches floats.
+one Smith normal form, and nothing here ever touches floats.  Each order on
+coweights is compiled once per solver (``monoid_order``) into straight-line
+integer tests, so a comparison does no solve and no loop.
 
 Weyl group elements are handled as integer matrices acting on the cocharacter
 lattice, except where an explicit reflection word is part of a result.
@@ -11,6 +13,7 @@ lattice, except where an explicit reflection word is part of a result.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import cached_property, lru_cache
 from operator import add, mul, sub
 
@@ -104,6 +107,11 @@ class RootDatum(Record):
             return integer_solver(simple_coroots(self), dim=self.rank)
         except ValidationError:
             raise ValidationError("simple coroots are linearly dependent")
+
+    @cached_property
+    def coroot_order(self):
+        """``monoid_order`` of ``coroot_solver``, compiled on first use."""
+        return monoid_order(self.coroot_solver, self.rank)
 
 
 @lru_cache(maxsize=None)
@@ -254,26 +262,50 @@ def integer_solver(columns: tuple[Coweight, ...], dim: int | None = None) -> tup
 def free_monoid_leq(solver: tuple[int, IntMatrix, IntMatrix], lower: Coweight, upper: Coweight) -> bool:
     """The order of the free monoid on the columns of an ``integer_solver``:
     upper - lower pairs to 0 with every consistency row and to a non-negative
-    multiple of den with every solve row."""
+    multiple of den with every solve row.  The orders called per comparison
+    are ``monoid_order`` compilations of the same test; this loop serves a
+    solver used a few times, as in ``fundgroup.step_basis``."""
     den, rows, consistency = solver
-    # vec_sub and dot inlined: every order comparison in the package runs here
-    diff = tuple(map(sub, upper, lower))
-    for row in consistency:
-        if sum(map(mul, row, diff)):
-            return False
-    for row in rows:
-        c = sum(map(mul, row, diff))
-        if c < 0 or c % den:
-            return False
-    return True
+    diff = vec_sub(upper, lower)
+    if any(dot(row, diff) for row in consistency):
+        return False
+    return all(c >= 0 and c % den == 0 for c in mat_vec(rows, diff))
+
+
+def _linear_form(row) -> str:
+    """Source of the integer form sum(row[i] * d_i), zero terms left out."""
+    terms = (f"{'-' if c < 0 else '+'} {f'{abs(c)} * ' if abs(c) != 1 else ''}d{i}" for i, c in enumerate(row) if c)
+    return " ".join(terms).removeprefix("+ ")
+
+
+def monoid_order(solver: tuple[int, IntMatrix, IntMatrix], rank: int) -> Callable[[Coweight, Coweight], bool]:
+    """``free_monoid_leq`` of one solver as a function ``leq(lower, upper)`` of
+    straight-line code: after checking both lengths it binds the differences
+    d_i = upper[i] - lower[i] and returns the conjunction of form == 0 for
+    each consistency row and form >= 0 (and form % den == 0 when den > 1)
+    for each solve row, with the solver's integers written into the source."""
+    den, rows, consistency = solver
+    tests = [f"{_linear_form(row)} == 0" for row in consistency if any(row)]
+    for j, row in enumerate(rows):
+        if any(row):
+            form = _linear_form(row)
+            tests.append(f"(c{j} := {form}) >= 0 and c{j} % {den} == 0" if den > 1 else f"{form} >= 0")
+    source = (
+        "def leq(lower, upper):\n"
+        f"    if len(lower) != {rank} or len(upper) != {rank}:\n"
+        f"        raise ValidationError(f'{{lower}} and {{upper}} must both have length rank={rank}')\n"
+        + "".join(f"    d{i} = upper[{i}] - lower[{i}]\n" for i in range(rank))
+        + f"    return {' and '.join(tests) or 'True'}\n"
+    )
+    namespace = {"ValidationError": ValidationError}
+    exec(source, namespace)
+    return namespace["leq"]
 
 
 def dominance_leq(datum: RootDatum, lower: Coweight, upper: Coweight) -> bool:
     """Coroot dominance order: lower <= upper iff the difference is a
     non-negative integer combination of simple coroots."""
-    if len(lower) != datum.rank or len(upper) != datum.rank:
-        raise ValidationError(f"{lower} and {upper} must both have length rank={datum.rank}")
-    return free_monoid_leq(datum.coroot_solver, lower, upper)
+    return datum.coroot_order(lower, upper)
 
 
 @lru_cache(maxsize=None)

@@ -67,11 +67,29 @@ def test_enumerate_always_contains_zero():
 
 
 def test_enumerate_matches_direct_filter():
+    # height 13 runs the loop-class arithmetic along longer parity chains
     for spec in [catalog(name).spec for name in ALL_NAMES] + [skewed_torus_spec()]:
-        expected = sorted(
-            lam for lam in real_dominant_up_to(spec, 9) if in_image_semigroup(spec, lam)
-        )
-        assert list(enumerate_orbits(spec, 9)) == expected, spec.name
+        for bound in (9, 13):
+            expected = sorted(
+                lam for lam in real_dominant_up_to(spec, bound) if in_image_semigroup(spec, lam)
+            )
+            assert list(enumerate_orbits(spec, bound)) == expected, (spec.name, bound)
+
+
+@pytest.mark.parametrize(
+    "bound, warm",
+    [(2.5, False), (4.0, True), (4.0, False), ("3", False), (None, False)],
+    ids=["2.5", "4.0-after-4", "4.0-cold", "str", "None"],
+)
+def test_enumerate_rejects_non_integral_height(bound, warm, cleared_caches):
+    # a warm cache entry for the integer 4 must not answer the float 4.0
+    spec = catalog("sl3_split").spec
+    if warm:
+        enumerate_orbits(spec, 4)
+    with pytest.raises(ValidationError, match="height bound must be an integer"):
+        enumerate_orbits(spec, bound)
+    with pytest.raises(ValidationError, match="height bound must be an integer"):
+        build_poset_slice(spec, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +147,8 @@ def test_orders_reject_wrong_length():
         k_leq(spec, (0, 0, 5), (1, -1))
     with pytest.raises(ValidationError, match="length"):
         r_leq(spec, (1, -1), (0, 0, 5))
+    with pytest.raises(ValidationError, match="must both have length rank=2"):
+        real_step_leq(spec, (1, 2, 3), (1, 1))
 
 
 # ---------------------------------------------------------------------------

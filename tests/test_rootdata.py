@@ -12,6 +12,7 @@ from matsuki.rootdata import (
     RootDatum,
     dominance_leq,
     dominant_representative,
+    free_monoid_leq,
     gl_datum,
     height,
     identity_matrix,
@@ -20,6 +21,7 @@ from matsuki.rootdata import (
     kernel_basis,
     mat_mul,
     mat_vec,
+    monoid_order,
     pgl2_datum,
     pi1_of_group,
     positive_coroots,
@@ -442,3 +444,29 @@ def test_integer_solver_agrees_with_gauss_jordan(data):
     coeffs = data.draw(st.tuples(*[st.integers(-6, 6)] * len(columns)))
     member = tuple(sum(c * col[i] for c, col in zip(coeffs, columns)) for i in range(dim))
     assert solver_coordinates(solver, member) == coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_monoid_order_agrees_with_free_monoid_leq(data):
+    # random columns give den > 1 and, with fewer columns than dim, consistency rows
+    dim = data.draw(st.integers(1, 3))
+    columns = tuple(data.draw(st.lists(st.tuples(*[st.integers(-6, 6)] * dim), max_size=3)))
+    if _rank(columns) < len(columns):
+        return
+    solver = integer_solver(columns, dim)
+    leq = monoid_order(solver, dim)
+    vec = st.tuples(*[st.integers(-20, 20)] * dim)
+    lower, upper = data.draw(vec), data.draw(vec)
+    assert leq(lower, upper) == free_monoid_leq(solver, lower, upper)
+    # above lower by a drawn combination: in the order iff no coefficient is negative
+    coeffs = data.draw(st.tuples(*[st.integers(-3, 3)] * len(columns)))
+    step = tuple(sum(c * col[i] for c, col in zip(coeffs, columns)) for i in range(dim))
+    assert leq(lower, vec_add(lower, step)) == all(c >= 0 for c in coeffs)
+    assert free_monoid_leq(solver, lower, vec_add(lower, step)) == all(c >= 0 for c in coeffs)
+    wrong = data.draw(st.integers(0, dim + 1).filter(lambda n: n != dim))
+    misfit = data.draw(st.tuples(*[st.integers(-20, 20)] * wrong))
+    for pair in ((misfit, upper), (lower, misfit)):
+        with pytest.raises(ValidationError) as raised:
+            leq(*pair)
+        assert str(raised.value) == f"{pair[0]} and {pair[1]} must both have length rank={dim}"

@@ -150,3 +150,32 @@ def test_unbounded_caches_are_keyed_by_structure():
         for name in _unbounded_caches(_parse(path), path.stem + ".")
     }
     assert found == set(STRUCTURE_CACHES)
+
+
+# The only places that generate code: record initializers and the compiled
+# lattice orders, whose sources hold nothing but field names and solver ints.
+CODE_GENERATORS = {"record.Record.__init_subclass__", "rootdata.monoid_order"}
+
+
+def _dynamic_code_calls(node, prefix):
+    """Qualified names of the functions that call exec, eval or compile."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _dynamic_code_calls(child, prefix + child.name + ".")
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func  # the builtins, bare or as builtins.<name>; re.compile is not one
+            if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "builtins":
+                func = ast.Name(func.attr)
+            if isinstance(func, ast.Name) and func.id in ("exec", "eval", "compile"):
+                yield prefix.rstrip(".")
+        yield from _dynamic_code_calls(child, prefix)
+
+
+def test_code_generation_only_in_known_places():
+    found = {
+        name
+        for path in SOURCES
+        for name in _dynamic_code_calls(_parse(path), path.stem + ".")
+    }
+    assert found == CODE_GENERATORS
