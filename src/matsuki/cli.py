@@ -438,9 +438,6 @@ def main(argv=None) -> int:
     except TheoremViolationError as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # reader went away (e.g. piped into head); not an error
         try:
@@ -448,6 +445,10 @@ def main(argv=None) -> int:
         except OSError:
             pass
         return 0
+    except (OSError, UnicodeDecodeError) as exc:
+        # after BrokenPipeError, which is itself an OSError
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry_point() -> None:

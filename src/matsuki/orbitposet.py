@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product as iter_product
-from operator import index
+from operator import index, le
 
 from .errors import ValidationError
-from .fundgroup import _image_lattice, _in_image_class, in_image_semigroup
+from .fundgroup import _image_lattice, in_image_semigroup, pi1_model
 from .realform import InvolutionSpec, real_coweight_basis
 from .record import Record
 from .rootdata import (
@@ -27,7 +27,6 @@ from .rootdata import (
     mat_vec,
     pi1_of_group,
     positive_root_indices,
-    simple_coroots,
     simple_roots,
     two_rho,
     vec_add,
@@ -54,15 +53,6 @@ class PosetSlice(Record):
     hasse_edges: tuple[tuple[Coweight, Coweight], ...]
     component_count: int
     image_index: int
-
-
-def is_orbit_index(spec: InvolutionSpec, coweight: Coweight) -> bool:
-    """Dominant, theta-fixed and in the image sub-semigroup (no height bound)."""
-    if not is_dominant(spec.datum, coweight):
-        return False
-    if not spec.is_real(coweight):
-        return False
-    return _in_image_class(spec, coweight)
 
 
 def require_orbit_index(spec: InvolutionSpec, coweight: Coweight) -> None:
@@ -177,49 +167,44 @@ def real_step_leq(spec: InvolutionSpec, lower: Coweight, upper: Coweight) -> boo
     return leq
 
 
-def _interval_has_strictly_between(spec: InvolutionSpec, lower: Coweight, steps: tuple[int, ...]) -> bool:
-    """Exhaustive betweenness test against the full sub-semigroup: candidates
-    are lower plus the simple-coroot combinations in the box of steps, the
-    coordinates of upper - lower."""
-    simples = simple_coroots(spec.datum)
-    for cs in iter_product(*(range(c + 1) for c in steps)):
-        if cs == steps or not any(cs):
-            continue
-        vec = lower
-        for c, b in zip(cs, simples):
-            if c:
-                vec = vec_add(vec, vec_scale(c, b))
-        if is_orbit_index(spec, vec):
-            return True
-    return False
-
-
 def primitive_relations(
     spec: InvolutionSpec, elements: tuple[Coweight, ...]
 ) -> tuple[tuple[Coweight, Coweight], ...]:
-    """Hasse edges of the dominance order on the given orbit indices.
+    """Hasse edges of the dominance order restricted to the given coweights.
 
-    Each element's scaled simple-coroot coordinates are computed once, so a
-    comparison is componentwise.  Primitivity is decided against the
-    unbounded sub-semigroup, not just the supplied slice, so edges near the
-    height boundary are still correct.
+    Only coweights that differ by coroots are comparable, so the elements are
+    grouped into coroot classes: the same consistency-row pairing and the same
+    scaled simple-coroot coordinates modulo ``den``.  Within a class a <= b
+    is a componentwise comparison of coordinates, and the coordinate sum (the
+    height up to a constant) grows strictly along the order.  Taken in that
+    order, b covers a when it lies above a and above no cover of a found
+    earlier.  No lattice point outside the elements is visited.
+
+    The edges are the covers in the whole orbit-index sub-semigroup whenever
+    the elements are convex: every orbit index between two of them is one of
+    them.  Height slices from ``enumerate_orbits`` are convex.  Every simple
+    coroot has height 2, so any c between a and b has a height between
+    theirs, and the enumeration's coordinate box never cuts semisimple data;
+    for ``gl_n``, c_1 <= b_1, c_n >= b_n and dominance keep c in the box.
     """
     for e in elements:
         if len(e) != spec.datum.rank:
             raise ValidationError(f"{e} does not have length rank={spec.datum.rank}")
     den, rows, consistency = spec.datum.coroot_solver
-    keys = {e: (mat_vec(consistency, e), mat_vec(rows, e)) for e in elements}
+    classes: dict[tuple, list[tuple[Coweight, Coweight]]] = {}
+    for e in set(elements):
+        coords = mat_vec(rows, e)
+        key = (mat_vec(consistency, e), tuple(c % den for c in coords))
+        classes.setdefault(key, []).append((e, coords))
     edges = []
-    for a in elements:
-        off_span, coords = keys[a]
-        for b in elements:
-            if a == b or keys[b][0] != off_span:
-                continue
-            steps = tuple(y - x for x, y in zip(coords, keys[b][1]))
-            if any(c < 0 or c % den for c in steps):
-                continue
-            if not _interval_has_strictly_between(spec, a, tuple(c // den for c in steps)):
-                edges.append((a, b))
+    for members in classes.values():
+        members.sort(key=lambda m: sum(m[1]))
+        for i, (a, lo) in enumerate(members):
+            covers = []
+            for b, hi in members[i + 1 :]:
+                if all(map(le, lo, hi)) and not any(all(map(le, c, hi)) for c in covers):
+                    covers.append(hi)
+                    edges.append((a, b))
     return tuple(sorted(edges))
 
 
@@ -262,8 +247,6 @@ def component_count(spec: InvolutionSpec, elements: tuple[Coweight, ...]) -> int
 def build_poset_slice(spec: InvolutionSpec, height_bound: int, order: str = "K") -> PosetSlice:
     """Assemble a slice report for one of the two orders; edges point upward
     in the chosen order."""
-    from .fundgroup import pi1_model
-
     if order not in ("K", "R"):
         raise ValidationError("order must be 'K' or 'R'")
     elements = enumerate_orbits(spec, height_bound)

@@ -1,6 +1,8 @@
 """Command-line behavior: deterministic reports, exit codes, file handling."""
 
 
+import pytest
+
 from matsuki.cli import main
 from matsuki.errors import TheoremViolationError
 
@@ -234,3 +236,27 @@ def test_non_catalog_file_is_flagged(capsys, tmp_path):
     rc, out, _ = run(capsys, ["orbits", str(path), "--height", "4"])
     assert rc == 0
     assert "note: non-catalog involution" in out
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["invariant"], "dir"),
+        (["orbits"], "dir"),
+        (["catalog", "--export"], "file"),
+        (["invariant"], "latin1"),
+        (["pi1"], "latin1"),
+    ],
+    ids=["invariant-directory", "orbits-directory", "export-onto-file", "invariant-not-utf8", "pi1-not-utf8"],
+)
+def test_file_errors_exit_one_without_traceback(capsys, tmp_path, argv, target):
+    path = tmp_path
+    if target == "file":
+        path = tmp_path / "taken"
+        path.write_text("x")
+    elif target == "latin1":
+        path = tmp_path / "bad.matrix"
+        path.write_bytes("form: gl2_split\nname: caf\xe9\n".encode("latin-1"))
+    rc, out, err = run(capsys, argv + [str(path)])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

@@ -11,7 +11,6 @@ from matsuki.orbitposet import (
     component_count,
     core_data,
     enumerate_orbits,
-    is_orbit_index,
     k_leq,
     matsuki_dual,
     primitive_relations,
@@ -20,7 +19,7 @@ from matsuki.orbitposet import (
 )
 from matsuki.fundgroup import in_image_semigroup
 from matsuki.realform import InvolutionSpec, catalog, catalog_names
-from matsuki.rootdata import RootDatum, dominance_leq, height, is_dominant
+from matsuki.rootdata import RootDatum, dominance_leq, height, is_dominant, simple_coroots, vec_add, vec_scale
 
 ALL_NAMES = list(catalog_names())
 
@@ -241,29 +240,74 @@ def test_single_element_slice_has_no_edges():
 
 
 def brute_force_hasse(spec, elements):
-    """Transitive reduction against the full semigroup via interval scan."""
+    """Covers in the unbounded orbit-index sub-semigroup: for each comparable
+    pair, walk a + sum n_i alpha_i^vee for 0 <= n <= the coordinates of b - a
+    and test every point for membership.  Asserts the convexity law on the
+    way: every orbit index found between two elements is one of them."""
+    datum = spec.datum
+    simples = simple_coroots(datum)
+    inside = set(elements)
     edges = []
     for a in elements:
         for b in elements:
             if a == b or not k_leq(spec, a, b):
                 continue
-            # scan every lattice point in the bounding box between a and b
-            lo = tuple(min(x, y) for x, y in zip(a, b))
-            hi = tuple(max(x, y) for x, y in zip(a, b))
-            strict = False
-            for vec in product(*[range(l, h + 1) for l, h in zip(lo, hi)]):
-                if vec in (a, b):
-                    continue
-                if (
-                    k_leq(spec, a, vec)
-                    and k_leq(spec, vec, b)
-                    and is_orbit_index(spec, vec)
-                ):
-                    strict = True
-                    break
-            if not strict:
+            # every simple coroot has height 2, so no coordinate exceeds span
+            span = (height(datum, b) - height(datum, a)) // 2
+            box = {}
+            for n in product(range(span + 1), repeat=len(simples)):
+                vec = a
+                for c, root in zip(n, simples):
+                    vec = vec_add(vec, vec_scale(c, root))
+                box[vec] = n
+            steps = box[b]
+            between = [
+                vec
+                for vec, n in box.items()
+                if vec not in (a, b)
+                and all(x <= y for x, y in zip(n, steps))
+                and is_dominant(datum, vec)
+                and spec.is_real(vec)
+                and in_image_semigroup(spec, vec)
+            ]
+            assert inside.issuperset(between), (spec.name, a, b, between)
+            if not between:
                 edges.append((a, b))
     return tuple(sorted(edges))
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_hasse_against_semigroup_walk_on_every_entry(name):
+    spec = catalog(name).spec
+    elements = enumerate_orbits(spec, 8 if name == "gl3_split" else 12)
+    assert primitive_relations(spec, elements) == brute_force_hasse(spec, elements)
+
+
+def test_hasse_is_taken_within_the_given_elements():
+    # (2,) lies between, but outside the input: covers are those of the input
+    spec = catalog("pgl2_so21").spec
+    assert primitive_relations(spec, ((0,), (4,))) == (((0,), (4,)),)
+
+
+@pytest.mark.parametrize("name, bound", [("gl2_split", 40), ("sl3_split", 60), ("gl3_split", 16)])
+def test_hasse_characterization_at_larger_heights(name, bound):
+    spec = catalog(name).spec
+    elements = enumerate_orbits(spec, bound)
+    edges = primitive_relations(spec, elements)
+    above = {a: {b for b in elements if k_leq(spec, a, b)} for a in elements}
+    below = {b: {a for a in elements if b in above[a]} for b in elements}
+    successors = {a: [] for a in elements}
+    for a, b in edges:
+        assert above[a] & below[b] == {a, b}, (name, a, b)  # nothing strictly inside
+        successors[a].append(b)
+    for a in elements:
+        reach, stack = {a}, [a]
+        while stack:
+            for b in successors[stack.pop()]:
+                if b not in reach:
+                    reach.add(b)
+                    stack.append(b)
+        assert reach == above[a], (name, a)
 
 
 def test_sl3_hasse_against_interval_oracle():

@@ -1,6 +1,7 @@
 """Source guards: the runtime imports only the standard library, stays exact
-(the lattice layer on integers alone), keeps its checks under ``python -O``
-and starts up without ``dataclasses``; the README example runs."""
+(the lattice layer on integers alone), keeps its checks under ``python -O``,
+starts up without ``dataclasses`` and holds no unused top-level definitions;
+the README example runs."""
 
 import ast
 import doctest
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -179,3 +181,27 @@ def test_code_generation_only_in_known_places():
         for name in _dynamic_code_calls(_parse(path), path.stem + ".")
     }
     assert found == CODE_GENERATORS
+
+
+def _words(lines):
+    return Counter(word for line in lines for word in re.findall(r"\w+", line))
+
+
+def test_every_top_level_definition_is_referenced():
+    # dead code is deleted: each top-level function and class of the package
+    # is named in src/, tests/ or bench/ somewhere outside its own definition
+    files = {
+        path: path.read_text(encoding="utf-8").splitlines()
+        for top in ("src", "tests", "bench")
+        for path in (ROOT / top).rglob("*.py")
+    }
+    total = _words(line for lines in files.values() for line in lines)
+    unreferenced = []
+    for path in SOURCES:
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                own = _words(files[path][start - 1 : node.end_lineno])
+                if total[node.name] == own[node.name]:
+                    unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unreferenced == []
