@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import product
 
 from .errors import TheoremViolationError, ValidationError
 from .fundgroup import pi1_model, restricted_coroot_generators
@@ -40,7 +41,7 @@ from .orbitposet import (
     real_step_leq,
 )
 from .realform import InvolutionSpec, catalog, catalog_names, is_catalog_spec
-from .rootdata import dominance_leq, gl_datum, height, is_dominant, vec_add
+from .rootdata import dominance_leq, gl_datum, height, is_dominant, simple_coroots, vec_add, vec_scale
 from .textio import format_involution, parse_involution, parse_matrix
 
 def fmt_coweight(vec) -> str:
@@ -211,8 +212,6 @@ def cmd_invariant(args) -> int:
 
 
 def _real_dominant_up_to(spec, bound):
-    from itertools import product
-
     out = []
     for vec in product(range(-bound, bound + 1), repeat=spec.datum.rank):
         if spec.is_real(vec) and is_dominant(spec.datum, vec) and 0 <= height(spec.datum, vec) <= bound:
@@ -223,14 +222,10 @@ def _real_dominant_up_to(spec, bound):
 def _suite_generation(spec) -> str | None:
     """Every fixed vector of the positive cone decomposes into the restricted
     coroot generators (bounded exhaustive check)."""
-    from itertools import product as iproduct
-
-    from .rootdata import simple_coroots, vec_scale
-
     simples = simple_coroots(spec.datum)
     zero, bound = (0,) * spec.datum.rank, 10
     heights = [height(spec.datum, b) for b in simples]
-    for coeffs in iproduct(*[range(bound // h + 1) for h in heights]):
+    for coeffs in product(*[range(bound // h + 1) for h in heights]):
         vec = zero
         for c, b in zip(coeffs, simples):
             vec = vec_add(vec, vec_scale(c, b))

@@ -21,9 +21,10 @@ anti-diagonal J, and J X J is X turned by 180 degrees, never a product.
 
 Every public entry point computes the determinant of the loop it is given
 once and rejects a non-unit one with ValidationError.  Along a call chain the
-unit monomial (e, c) of det(g) = c*t^e is then passed on: ``mat_inverse``
-accepts it, and the determinants of derived loops (inverse, symmetrized and
-real-symmetrized loops) follow from it by monomial algebra.
+unit monomial (e, c) of det(g) = c*t^e is then passed on to ``mat_inverse``,
+which divides by c.  The invariants of the symmetrized and real-symmetrized
+loops read only the t-exponent of their determinants, which follows from e
+(``FormAction.symmetrized_exponent``).
 """
 
 from __future__ import annotations
@@ -549,23 +550,12 @@ class FormAction(Record):
         upper = {(i, j): sum(map(mul, cols[i], cols[j]), LP_ZERO) for i in range(n) for j in range(i, n)}
         return lm_from_rows(g.form, [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
 
-    # determinants of the derived loops, by monomial algebra from det(g) = c t^e
-    def symmetrized_det(self, det: Monomial) -> Monomial:
-        """Unit monomial of ``symmetrize(g)``: det(g^T g) = c^2 t^2e for split
-        forms, det(J g^-1 J g) = det(J)^2 = 1 for unitary ones."""
-        e, c = det
-        if self.family == "split":
-            return 2 * e, c * c
-        return 0, G_ONE
-
-    def real_symmetrized_det(self, det: Monomial) -> Monomial:
-        """Unit monomial of ``real_antiinvolution(g) * g``.  Split forms:
-        conj(tau(g^-1)) has determinant t^e / conj(c).  Unitary forms:
-        J conj(tau(g))^T J has determinant conj(c) t^-e."""
-        e, c = det
-        if self.family == "split":
-            return 2 * e, c / c.conjugate()
-        return 0, c * c.conjugate()
+    def symmetrized_exponent(self, e: int) -> int:
+        """The t-exponent of det ``symmetrize(g)`` and of det
+        ``real_antiinvolution(g) * g`` when det g = c t^e: 2e for split forms,
+        whose anti-involutions keep the exponent e, and 0 for unitary ones,
+        whose anti-involutions turn it into -e."""
+        return 2 * e if self.family == "split" else 0
 
     # lattice shadow
     def lattice_involution(self) -> IntMatrix:
@@ -631,10 +621,10 @@ def stratum_invariant(g: LaurentMatrix) -> Coweight:
     elementary divisors at t = 0 are t^(d_k - d_(k-1)), and lam lists their
     exponents decreasingly.
     """
-    return _stratum(g, _unit_monomial(g))
+    return _stratum(g, _unit_monomial(g)[0])
 
 
-def _stratum(g: LaurentMatrix, det: Monomial) -> Coweight:
+def _stratum(g: LaurentMatrix, exponent: int) -> Coweight:
     n = g.n
     divisors = [0]
     for k in range(1, n):
@@ -644,7 +634,7 @@ def _stratum(g: LaurentMatrix, det: Monomial) -> Coweight:
             for cols in combinations(range(n), k)
             if not (minor := _det([[row[j] for j in cols] for row in rows])).is_zero()
         ))
-    divisors.append(det[0])
+    divisors.append(exponent)
     steps = [b - a for a, b in zip(divisors, divisors[1:])]
     # the elementary divisors divide one another, so the steps cannot decrease
     if steps != sorted(steps):
@@ -670,7 +660,7 @@ def splitting_type(g: LaurentMatrix) -> Coweight:
     the column degrees, which ends at det exponent + n*N, so the loop is
     bounded; a run past that bound raises TheoremViolationError.
     """
-    return _splitting(g, _unit_monomial(g))
+    return _splitting(g, _unit_monomial(g)[0])
 
 
 Pair = tuple[int, int]  # (a, b) standing for the Gaussian integer a + b*i
@@ -720,7 +710,7 @@ def _content(col: list[dict[int, Pair]]) -> int:
     return g
 
 
-def _splitting(g: LaurentMatrix, det: Monomial) -> Coweight:
+def _splitting(g: LaurentMatrix, exponent: int) -> Coweight:
     # t^N g has g's column degrees plus N, so the reduction runs on g.  Scaling a
     # column by the lcm of its denominators is unimodular, so it runs on Z[i]
     # numerators (Beelen, van den Hurk and Praagman, Syst. Control Lett. 11, 1988).
@@ -732,7 +722,7 @@ def _splitting(g: LaurentMatrix, det: Monomial) -> Coweight:
                      for p in col])
     degs = [max(max(p) for p in col if p) for col in cols]
     # each step lowers sum(degs), which ends at the determinant's exponent
-    steps_left = sum(degs) - det[0]
+    steps_left = sum(degs) - exponent
     while (v := _kernel_vector([[col[i].get(d, (0, 0)) for col, d in zip(cols, degs)] for i in range(n)])) is not None:
         if steps_left <= 0:
             raise TheoremViolationError(
@@ -757,9 +747,9 @@ def _splitting(g: LaurentMatrix, det: Monomial) -> Coweight:
             new = [{e: (a // content, b // content) for e, (a, b) in p.items()} for p in new]
         cols[top] = new
     lam = tuple(sorted(degs, reverse=True))
-    if sum(lam) != det[0]:
+    if sum(lam) != exponent:
         raise TheoremViolationError(
-            f"partial indices {lam} do not sum to the determinant exponent {det[0]}"
+            f"partial indices {lam} do not sum to the determinant exponent {exponent}"
         )
     return lam
 
@@ -773,7 +763,7 @@ def k_orbit_invariant(g: LaurentMatrix) -> Coweight:
     form's lattice involution, and checked."""
     form = form_action(g.form)
     det = form.validate(g)
-    lam = _stratum(form.symmetrize(g, det), form.symmetrized_det(det))
+    lam = _stratum(form.symmetrize(g, det), form.symmetrized_exponent(det[0]))
     if not form.lattice_fixed(lam):
         raise TheoremViolationError(
             f"k-orbit invariant {lam} is not fixed by the lattice involution of {form.name}; "
@@ -787,7 +777,7 @@ def r_orbit_invariant(g: LaurentMatrix) -> Coweight:
     real coweight, and checked."""
     form = form_action(g.form)
     det = form.validate(g)
-    lam = _splitting(mat_mul(form.real_antiinvolution(g, det), g), form.real_symmetrized_det(det))
+    lam = _splitting(mat_mul(form.real_antiinvolution(g, det), g), form.symmetrized_exponent(det[0]))
     if not form.lattice_fixed(lam):
         raise TheoremViolationError(
             f"r-orbit invariant {lam} is not fixed by the lattice involution of {form.name}; "

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product as iter_product
-from operator import index, le
+from operator import index, le, mul
 
 from .errors import ValidationError
 from .fundgroup import _image_lattice, in_image_semigroup, pi1_model
@@ -21,11 +21,8 @@ from .rootdata import (
     Coweight,
     dominance_leq,
     dot,
-    height,
     identity_matrix,
     is_dominant,
-    mat_vec,
-    pi1_of_group,
     positive_root_indices,
     simple_roots,
     two_rho,
@@ -167,18 +164,39 @@ def real_step_leq(spec: InvolutionSpec, lower: Coweight, upper: Coweight) -> boo
     return leq
 
 
+def _coroot_classes(spec: InvolutionSpec, elements: tuple[Coweight, ...]) -> list[dict[Coweight, Coweight]]:
+    """The distinct elements grouped by coroot class, each class a dict from
+    scaled coordinates to element.
+
+    Coweights that differ by coroots share their consistency-row pairings and
+    their ``coroot_solver`` coordinates modulo ``den``.  Within a class the
+    coordinates are den times the simple-coroot coefficients up to a common
+    shift, so they determine the element, a <= b in dominance is a
+    componentwise comparison of coordinates, and the coordinate sum (the
+    height up to a constant) grows strictly along the order.
+    """
+    rank = spec.datum.rank
+    den, rows, consistency = spec.datum.coroot_solver
+    forms, k = rows + consistency, len(rows)
+    classes: dict[tuple, dict[Coweight, Coweight]] = {}
+    for e in elements:
+        if len(e) != rank:
+            raise ValidationError(f"{e} does not have length rank={rank}")
+        values = tuple([sum(map(mul, f, e)) for f in forms])
+        coords = values[:k]
+        classes.setdefault((*[c % den for c in coords], *values[k:]), {})[coords] = e
+    return list(classes.values())
+
+
 def primitive_relations(
     spec: InvolutionSpec, elements: tuple[Coweight, ...]
 ) -> tuple[tuple[Coweight, Coweight], ...]:
     """Hasse edges of the dominance order restricted to the given coweights.
 
-    Only coweights that differ by coroots are comparable, so the elements are
-    grouped into coroot classes: the same consistency-row pairing and the same
-    scaled simple-coroot coordinates modulo ``den``.  Within a class a <= b
-    is a componentwise comparison of coordinates, and the coordinate sum (the
-    height up to a constant) grows strictly along the order.  Taken in that
-    order, b covers a when it lies above a and above no cover of a found
-    earlier.  No lattice point outside the elements is visited.
+    Only coweights in one coroot class are comparable (``_coroot_classes``).
+    Each class is taken in order of coordinate sum, and b covers a when it
+    lies above a and above no cover of a found earlier.  No lattice point
+    outside the elements is visited.
 
     The edges are the covers in the whole orbit-index sub-semigroup whenever
     the elements are convex: every orbit index between two of them is one of
@@ -187,60 +205,40 @@ def primitive_relations(
     theirs, and the enumeration's coordinate box never cuts semisimple data;
     for ``gl_n``, c_1 <= b_1, c_n >= b_n and dominance keep c in the box.
     """
-    for e in elements:
-        if len(e) != spec.datum.rank:
-            raise ValidationError(f"{e} does not have length rank={spec.datum.rank}")
-    den, rows, consistency = spec.datum.coroot_solver
-    classes: dict[tuple, list[tuple[Coweight, Coweight]]] = {}
-    for e in set(elements):
-        coords = mat_vec(rows, e)
-        key = (mat_vec(consistency, e), tuple(c % den for c in coords))
-        classes.setdefault(key, []).append((e, coords))
     edges = []
-    for members in classes.values():
-        members.sort(key=lambda m: sum(m[1]))
-        for i, (a, lo) in enumerate(members):
+    for members in _coroot_classes(spec, elements):
+        ordered = sorted(members.items(), key=lambda m: sum(m[0]))
+        for i, (lo, a) in enumerate(ordered):
             covers = []
-            for b, hi in members[i + 1 :]:
+            for hi, b in ordered[i + 1 :]:
                 if all(map(le, lo, hi)) and not any(all(map(le, c, hi)) for c in covers):
                     covers.append(hi)
                     edges.append((a, b))
     return tuple(sorted(edges))
 
 
-def _comparability_components(spec: InvolutionSpec, elements) -> int:
-    """Components of the comparability graph, by search over all pairs."""
-    todo, count = set(elements), 0
-    while todo:
-        count += 1
-        stack = [todo.pop()]
-        while stack:
-            a = stack.pop()
-            linked = {b for b in todo if k_leq(spec, a, b) or k_leq(spec, b, a)}
-            todo -= linked
-            stack.extend(linked)
-    return count
-
-
 def component_count(spec: InvolutionSpec, elements: tuple[Coweight, ...]) -> int:
     """Connected components of the comparability graph on the given indices.
 
-    Comparable coweights differ by coroots, so they share their class in the
-    fundamental group of the group.  A class whose element of least height
-    lies below all its members is one component; only a class without such
-    an element is resolved pair by pair.
+    Comparable coweights share their coroot class (``_coroot_classes``).  A
+    class holding the componentwise minimum of its coordinates has a member
+    below all the others and is one component; only a class without one is
+    resolved pair by pair, by comparing coordinates.
     """
-    group = pi1_of_group(spec.datum)
-    classes: dict[tuple[int, ...], list[Coweight]] = {}
-    for e in elements:
-        classes.setdefault(group.image(e), []).append(e)
     count = 0
-    for members in classes.values():
-        least = min(members, key=lambda e: height(spec.datum, e))
-        if all(k_leq(spec, least, e) for e in members):
+    for members in _coroot_classes(spec, elements):
+        if tuple(map(min, zip(*members))) in members:
             count += 1
-        else:
-            count += _comparability_components(spec, members)
+            continue
+        todo = set(members)
+        while todo:
+            count += 1
+            stack = [todo.pop()]
+            while stack:
+                a = stack.pop()
+                linked = {b for b in todo if all(map(le, a, b)) or all(map(le, b, a))}
+                todo -= linked
+                stack.extend(linked)
     return count
 
 

@@ -1,5 +1,6 @@
 """Orbit enumeration, the two orders, duality, Hasse edges and cores."""
 
+import copy
 import random
 from itertools import product
 
@@ -397,6 +398,41 @@ def test_component_count_of_a_class_without_least_element():
     assert component_count(spec, pair) == 2
     assert component_count(spec, pair + ((0, 0, 0),)) == 1
     assert component_count(spec, pair + ((0, 0, 0), (2, 0, 0))) == 2  # another class
+
+
+def transitive_reduction(spec, elements):
+    """Hasse edges of k_leq on exactly the given elements: the oracle for
+    primitive_relations on sets that need not be convex."""
+    above = {a: {b for b in elements if b != a and k_leq(spec, a, b)} for a in elements}
+    below = {b: {a for a in elements if b in above[a]} for b in elements}
+    return tuple(sorted((a, b) for a in elements for b in above[a] if not above[a] & below[b]))
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_classes_on_random_subsets_against_oracles(name):
+    # subsets of a slice need not be convex, and a class in them can lose its
+    # least element, which sends component_count to its pair-by-pair branch
+    spec = catalog(name).spec
+    elements = enumerate_orbits(spec, 8 if name == "gl3_split" else 12)
+    rng = random.Random(f"subsets:{name}")
+    for _ in range(20):
+        subset = tuple(rng.sample(elements, rng.randint(0, len(elements))))
+        assert component_count(spec, subset) == comparability_components(spec, subset), (name, subset)
+        assert primitive_relations(spec, subset) == transitive_reduction(spec, subset), (name, subset)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_cold_slices_and_counts_compile_no_order(name, cleared_caches):
+    # coroot classes and their coordinates decide both the Hasse edges and
+    # the component count, so neither compiles a monoid order; each call
+    # gets its own copy of the spec, with no cached property set
+    sliced, counted = (copy.deepcopy(catalog(name).spec) for _ in range(2))
+    elements = build_poset_slice(sliced, 12, "K").elements
+    build_poset_slice(sliced, 12, "R")
+    component_count(counted, elements)
+    for spec in (sliced, counted):
+        assert "coroot_order" not in vars(spec.datum)
+        assert "step_order" not in vars(spec)
 
 
 def test_slice_rejects_bad_order():
