@@ -3,7 +3,7 @@
 The package is organised around exact lattice combinatorics:
 
 - ``rootdata``: root data, dominance order, Weyl actions, Smith normal form;
-- ``realform``: lattice involutions for real forms and a catalog of classical ones;
+- ``realform``: lattice involutions for real forms, their step monoid, and a catalog of classical ones;
 - ``fundgroup``: fundamental-group models and the parameterizing sub-semigroup;
 - ``orbitposet``: the two orbit posets, their duality, Hasse diagrams, cores;
 - ``loopmatrix``: an exact type-A Laurent-matrix model for the double-coset invariants;
@@ -33,6 +33,7 @@ from .realform import (
     levi_simple_roots,
     real_coweight_basis,
     real_criterion,
+    restricted_coroot_generators,
     validate_involution,
 )
 from .fundgroup import (
@@ -40,7 +41,6 @@ from .fundgroup import (
     in_image_semigroup,
     pi1_model,
     pi1_of_symmetric_space,
-    restricted_coroot_generators,
 )
 from .orbitposet import (
     CoreData,

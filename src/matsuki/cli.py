@@ -14,7 +14,7 @@ import sys
 from itertools import product
 
 from .errors import TheoremViolationError, ValidationError
-from .fundgroup import pi1_model, restricted_coroot_generators
+from .fundgroup import pi1_model
 from .loopmatrix import (
     FormAction,
     form_action,
@@ -40,7 +40,7 @@ from .orbitposet import (
     r_leq,
     real_step_leq,
 )
-from .realform import InvolutionSpec, catalog, catalog_names, is_catalog_spec
+from .realform import InvolutionSpec, catalog, catalog_names, is_catalog_spec, restricted_coroot_generators
 from .rootdata import dominance_leq, gl_datum, height, is_dominant, simple_coroots, vec_add, vec_scale
 from .textio import format_involution, parse_involution, parse_matrix
 
@@ -289,9 +289,9 @@ def _suite_chain(spec) -> str | None:
     return None
 
 
-def _suite_matrix(form: FormAction, seed: int, loops: int = 12) -> str | None:
+def _suite_matrix(form: FormAction, seed: int) -> str | None:
     datum = gl_datum(form.n)
-    for i in range(loops):
+    for i in range(12):  # loops per form and seed
         g = mat_mul(
             mat_mul(random_real_loop(form, seed * 1000 + i), random_k_loop(form, seed * 2000 + i)),
             random_polynomial_loop(form, seed * 3000 + i),

@@ -12,21 +12,17 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import TheoremViolationError, ValidationError
-from .realform import InvolutionSpec, real_coweight_basis
+from .errors import ValidationError
+from .realform import InvolutionSpec, real_coweight_basis, restricted_coroot_generators
 from .record import Record
 from .rootdata import (
     Coweight,
     FiniteAbelianGroup,
     dot,
-    free_monoid_leq,
-    height,
     identity_matrix,
-    integer_solver,
     is_dominant,
     mat_mul,
     pi1_of_group,
-    positive_coroots,
     quotient_group,
     vec_add,
 )
@@ -41,50 +37,6 @@ class PiOneModel(Record):
     space_pi1: FiniteAbelianGroup
     image_generators: tuple[Coweight, ...]
     image_index: int
-
-
-@lru_cache(maxsize=None)
-def restricted_coroot_generators(spec: InvolutionSpec) -> tuple[Coweight, ...]:
-    """Theta-fixed positive coroots and the sums beta + theta(beta), deduplicated,
-    zero vectors removed.  These generate the positive cone of the fixed lattice."""
-    gens: set[Coweight] = set()
-    for beta in positive_coroots(spec.datum):
-        if spec.apply(beta) == beta:
-            gens.add(beta)
-        total = vec_add(beta, spec.apply(beta))
-        if any(x != 0 for x in total):
-            gens.add(total)
-    return tuple(sorted(gens))
-
-
-@lru_cache(maxsize=None)
-def step_basis(spec: InvolutionSpec) -> tuple[Coweight, ...]:
-    """The indecomposable restricted coroot generators, in order of height.
-
-    A generator is kept unless the monoid of the ones kept before it already
-    contains it; those have smaller height, so the kept ones are exactly the
-    indecomposables.  They lie along the simple coroots of the restricted root
-    system (Araki 1962; Helgason, ch. X), so they must be linearly
-    independent: the monoid is free, and ``spec.step_solver`` decides
-    membership in it by one scaled integer solve.
-    """
-    datum = spec.datum
-    gens = sorted(restricted_coroot_generators(spec), key=lambda g: height(datum, g))
-    if gens and height(datum, gens[0]) <= 0:
-        raise ValidationError("restricted coroot generator with non-positive height")
-    zero, basis = (0,) * datum.rank, ()
-    solver = integer_solver(basis, dim=datum.rank)
-    for g in gens:
-        if free_monoid_leq(solver, zero, g):
-            continue
-        basis += (g,)
-        try:
-            solver = integer_solver(basis)
-        except ValidationError:
-            raise TheoremViolationError(
-                f"restricted generator {g} is rationally dependent on {basis[:-1]}; the step monoid is not free"
-            )
-    return basis
 
 
 def real_coweight_coordinates(spec: InvolutionSpec, coweight: Coweight) -> tuple[int, ...]:

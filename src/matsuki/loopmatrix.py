@@ -361,9 +361,6 @@ class LaurentMatrix(Record):
     entries: tuple[tuple[LaurentPoly, ...], ...]
     form: str
 
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.entries[i][j]
-
 
 def lm_from_rows(form: str, rows) -> LaurentMatrix:
     rows = tuple(tuple(r) for r in rows)

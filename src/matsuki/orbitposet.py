@@ -53,13 +53,11 @@ class PosetSlice(Record):
 
 
 def require_orbit_index(spec: InvolutionSpec, coweight: Coweight) -> None:
-    if len(coweight) != spec.datum.rank:
-        raise ValidationError(f"{coweight} does not have length rank={spec.datum.rank}")
     if not in_image_semigroup(spec, coweight):
         raise ValidationError(f"{coweight} is not in the image sub-semigroup")
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=16, typed=True)
 def enumerate_orbits(spec: InvolutionSpec, height_bound: int) -> tuple[Coweight, ...]:
     """All orbit indices with height at most the bound, sorted lexicographically.
 
@@ -80,8 +78,9 @@ def enumerate_orbits(spec: InvolutionSpec, height_bound: int) -> tuple[Coweight,
     and the step of one more c are computed once, and each c is tested by
     base + c*step modulo the class moduli.
 
-    The cache keys carry the bound's type, so 4.0 never finds the entry of 4
-    and is refused by the integer check like any other non-integral bound.
+    The cache holds the last 16 slices, since the bound comes from the user.
+    Its keys carry the bound's type, so 4.0 never finds the entry of 4 and is
+    refused by the integer check like any other non-integral bound.
     """
     try:
         height_bound = index(height_bound)
@@ -157,7 +156,7 @@ def real_step_leq(spec: InvolutionSpec, lower: Coweight, upper: Coweight) -> boo
     restricted coroot generators, decided by the compiled order of their
     indecomposables; both arguments must be real coweights."""
     leq = spec.step_order(lower, upper)  # checks both lengths first
-    if spec.moving_rows:
+    if spec.fixed_solver[2]:  # theta is not the identity
         for v in (lower, upper):
             if not spec.is_real(v):
                 raise ValidationError(f"{v} is not theta-fixed")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .errors import ValidationError
+from .errors import TheoremViolationError, ValidationError
 from .record import Record
 from .rootdata import (
     Coweight,
@@ -19,7 +19,9 @@ from .rootdata import (
     RootDatum,
     dominant_representative,
     dot,
+    free_monoid_leq,
     gl_datum,
+    height,
     identity_matrix,
     integer_solver,
     is_dominant,
@@ -29,11 +31,13 @@ from .rootdata import (
     mat_vec,
     monoid_order,
     pgl2_datum,
+    positive_coroots,
     positive_root_indices,
     require_valid,
     sl2_datum,
     sl2xsl2_datum,
     sl3_datum,
+    vec_add,
     weyl_longest_element,
 )
 
@@ -49,18 +53,14 @@ class InvolutionSpec(Record):
         return mat_vec(self.theta, coweight)
 
     def is_real(self, coweight: Coweight) -> bool:
+        """Whether theta fixes the coweight: it lies in the span of the saturated
+        fixed basis, so every consistency row of ``fixed_solver`` pairs to 0."""
         if len(coweight) != self.datum.rank:
             return False
-        for row in self.moving_rows:
+        for row in self.fixed_solver[2]:
             if dot(row, coweight):
                 return False
         return True
-
-    @cached_property
-    def moving_rows(self) -> IntMatrix:
-        """The nonzero rows of theta - 1; there are none when theta is the identity."""
-        rows = (tuple(x - int(i == j) for j, x in enumerate(row)) for i, row in enumerate(self.theta))
-        return tuple(row for row in rows if any(row))
 
     @cached_property
     def fixed_solver(self) -> tuple[int, IntMatrix, IntMatrix]:
@@ -69,9 +69,7 @@ class InvolutionSpec(Record):
 
     @cached_property
     def step_solver(self) -> tuple[int, IntMatrix, IntMatrix]:
-        """``integer_solver`` of ``fundgroup.step_basis``, built on first use."""
-        from .fundgroup import step_basis  # fundgroup imports this module
-
+        """``integer_solver`` of ``step_basis``, built on first use."""
         return integer_solver(step_basis(self), dim=self.datum.rank)
 
     @cached_property
@@ -136,6 +134,50 @@ def real_coweight_basis(spec: InvolutionSpec) -> tuple[Coweight, ...]:
         tuple(spec.theta[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)
     )
     return kernel_basis(delta)
+
+
+@lru_cache(maxsize=None)
+def restricted_coroot_generators(spec: InvolutionSpec) -> tuple[Coweight, ...]:
+    """Theta-fixed positive coroots and the sums beta + theta(beta), deduplicated,
+    zero vectors removed.  These generate the positive cone of the fixed lattice."""
+    gens: set[Coweight] = set()
+    for beta in positive_coroots(spec.datum):
+        if spec.apply(beta) == beta:
+            gens.add(beta)
+        total = vec_add(beta, spec.apply(beta))
+        if any(x != 0 for x in total):
+            gens.add(total)
+    return tuple(sorted(gens))
+
+
+@lru_cache(maxsize=None)
+def step_basis(spec: InvolutionSpec) -> tuple[Coweight, ...]:
+    """The indecomposable restricted coroot generators, in order of height.
+
+    A generator is kept unless the monoid of the ones kept before it already
+    contains it; those have smaller height, so the kept ones are exactly the
+    indecomposables.  They lie along the simple coroots of the restricted root
+    system (Araki 1962; Helgason, ch. X), so they must be linearly
+    independent: the monoid is free, and ``spec.step_solver`` decides
+    membership in it by one scaled integer solve.
+    """
+    datum = spec.datum
+    gens = sorted(restricted_coroot_generators(spec), key=lambda g: height(datum, g))
+    if gens and height(datum, gens[0]) <= 0:
+        raise ValidationError("restricted coroot generator with non-positive height")
+    zero, basis = (0,) * datum.rank, ()
+    solver = integer_solver(basis, dim=datum.rank)
+    for g in gens:
+        if free_monoid_leq(solver, zero, g):
+            continue
+        basis += (g,)
+        try:
+            solver = integer_solver(basis)
+        except ValidationError:
+            raise TheoremViolationError(
+                f"restricted generator {g} is rationally dependent on {basis[:-1]}; the step monoid is not free"
+            )
+    return basis
 
 
 def levi_simple_roots(spec: InvolutionSpec) -> tuple[int, ...]:

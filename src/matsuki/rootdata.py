@@ -127,12 +127,8 @@ def simple_coroots(datum: RootDatum) -> tuple[Coweight, ...]:
 @lru_cache(maxsize=None)
 def positive_root_indices(datum: RootDatum) -> tuple[int, ...]:
     """Indices of roots expressible as non-negative integer combinations of simples."""
-    den, rows, consistency = integer_solver(simple_roots(datum), datum.rank)
-    return tuple(
-        idx for idx, root in enumerate(datum.roots)
-        if not any(dot(row, root) for row in consistency)
-        and all(c >= 0 and c % den == 0 for c in mat_vec(rows, root))
-    )
+    solver, zero = integer_solver(simple_roots(datum), datum.rank), (0,) * datum.rank
+    return tuple(idx for idx, root in enumerate(datum.roots) if free_monoid_leq(solver, zero, root))
 
 
 @lru_cache(maxsize=None)
@@ -149,11 +145,18 @@ def two_rho(datum: RootDatum) -> Coweight:
     return total
 
 
+def _require_rank(datum: RootDatum, coweight: Coweight) -> None:
+    if len(coweight) != datum.rank:
+        raise ValidationError(f"{coweight} does not have length rank={datum.rank}")
+
+
 def height(datum: RootDatum, coweight: Coweight) -> int:
+    _require_rank(datum, coweight)
     return dot(two_rho(datum), coweight)
 
 
 def is_dominant(datum: RootDatum, coweight: Coweight) -> bool:
+    _require_rank(datum, coweight)
     return all(dot(datum.roots[i], coweight) >= 0 for i in datum.simple_indices)
 
 
@@ -192,16 +195,14 @@ def validate_root_datum(datum: RootDatum) -> list[str]:
                 break
 
     try:
-        den, rows, consistency = integer_solver(simple_roots(datum), datum.rank)
+        solver = integer_solver(simple_roots(datum), datum.rank)
     except ValidationError:
         return problems + ["simple roots are linearly dependent"]
+    zero = (0,) * datum.rank
     for root in datum.roots:
-        if any(dot(row, root) for row in consistency):
+        if any(dot(row, root) for row in solver[2]):
             problems.append(f"root {root} lies outside the span of the simple roots")
-            continue
-        coeffs = mat_vec(rows, root)
-        integral = all(c % den == 0 for c in coeffs)
-        if not integral or not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
+        elif not (free_monoid_leq(solver, zero, root) or free_monoid_leq(solver, root, zero)):
             problems.append(
                 f"root {root} is not a signed non-negative integer combination of simples"
             )
@@ -225,6 +226,7 @@ def dominant_representative(datum: RootDatum, coweight: Coweight) -> tuple[Cowei
     s_{w[-1]} ... s_{w[0]} applied to the input.  Each step strictly increases
     the height pairing, which bounds the loop by the (finite) orbit.
     """
+    _require_rank(datum, coweight)
     x = coweight
     word: list[int] = []
     while True:
@@ -264,7 +266,7 @@ def free_monoid_leq(solver: tuple[int, IntMatrix, IntMatrix], lower: Coweight, u
     upper - lower pairs to 0 with every consistency row and to a non-negative
     multiple of den with every solve row.  The orders called per comparison
     are ``monoid_order`` compilations of the same test; this loop serves a
-    solver used a few times, as in ``fundgroup.step_basis``."""
+    solver used a few times, as in ``realform.step_basis``."""
     den, rows, consistency = solver
     diff = vec_sub(upper, lower)
     if any(dot(row, diff) for row in consistency):

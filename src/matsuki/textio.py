@@ -172,8 +172,7 @@ def parse_matrix(text: str) -> LaurentMatrix:
 
     entries = [[LaurentPoly.zero() for _ in range(n)] for _ in range(n)]
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, line in _logical_lines(text):
         m = _ENTRY_RE.match(line)
         if not m:
             continue
@@ -184,19 +183,16 @@ def parse_matrix(text: str) -> LaurentMatrix:
             raise ParseError(lineno, f"duplicate entry ({i}, {j})")
         seen.add((i, j))
         rest = m.group(3).strip()
-        consumed = 0
+        matches = list(_TUPLE_RE.finditer(rest))
         coeffs: dict[int, Gaussian] = {}
-        for match in _TUPLE_RE.finditer(rest):
-            consumed += len(match.group(0))
+        for match in matches:
             e = int(match.group(1))
             re_part = _parse_rational(match.group(2), lineno)
             im_part = _parse_rational(match.group(3), lineno)
             if e in coeffs:
                 raise ParseError(lineno, f"duplicate exponent {e} in entry ({i}, {j})")
             coeffs[e] = Gaussian(re_part, im_part)
-        if rest.replace(" ", "") != "".join(
-            match.group(0).replace(" ", "") for match in _TUPLE_RE.finditer(rest)
-        ):
+        if rest.replace(" ", "") != "".join(match.group(0).replace(" ", "") for match in matches):
             raise ParseError(lineno, f"unparsed text in entry ({i}, {j}): {rest!r}")
         entries[i - 1][j - 1] = LaurentPoly(coeffs)
     g = lm_from_rows(form_name, entries)

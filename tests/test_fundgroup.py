@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matsuki import fundgroup
+from matsuki import realform
 from matsuki.cli import main
 from matsuki.errors import TheoremViolationError, ValidationError
 from matsuki.fundgroup import (
@@ -14,11 +14,15 @@ from matsuki.fundgroup import (
     pi1_model,
     pi1_of_symmetric_space,
     real_coweight_coordinates,
+)
+from matsuki.orbitposet import r_leq, real_step_leq
+from matsuki.realform import (
+    catalog,
+    catalog_names,
+    real_coweight_basis,
     restricted_coroot_generators,
     step_basis,
 )
-from matsuki.orbitposet import r_leq, real_step_leq
-from matsuki.realform import catalog, catalog_names, real_coweight_basis
 from matsuki.rootdata import height, is_dominant, simple_coroots, vec_add, vec_scale, vec_sub
 
 ALL_NAMES = list(catalog_names())
@@ -133,7 +137,7 @@ def test_step_order_agrees_with_bounded_search(data):
 
 
 def test_non_free_generators_raise(monkeypatch, cleared_caches):
-    monkeypatch.setattr(fundgroup, "restricted_coroot_generators", lambda spec: ((2,), (3,)))
+    monkeypatch.setattr(realform, "restricted_coroot_generators", lambda spec: ((2,), (3,)))
     spec = catalog("pgl2_so21").spec
     with pytest.raises(TheoremViolationError, match="not free"):
         step_basis(spec)
@@ -142,7 +146,7 @@ def test_non_free_generators_raise(monkeypatch, cleared_caches):
 
 
 def test_non_free_generators_fail_the_check(monkeypatch, cleared_caches, capsys):
-    monkeypatch.setattr(fundgroup, "restricted_coroot_generators", lambda spec: ((2,), (3,)))
+    monkeypatch.setattr(realform, "restricted_coroot_generators", lambda spec: ((2,), (3,)))
     assert main(["check", "pgl2_so21"]) == 2
     captured = capsys.readouterr()
     for suite in ("generation", "duality", "step-order"):

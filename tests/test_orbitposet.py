@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from matsuki.cli import main
 from matsuki.errors import ValidationError
 from matsuki.orbitposet import (
     build_poset_slice,
@@ -139,6 +140,20 @@ def test_order_comparisons_leave_the_caches_unchanged(package_caches):
         for leq in orders:
             leq(spec, a, b)
     assert sum(cache.cache_info().currsize for cache in package_caches) == before
+
+
+def test_enumeration_cache_is_bounded(cleared_caches, capsys):
+    spec = catalog("sl2_split").spec
+    for h in range(200):
+        enumerate_orbits(spec, h)
+    assert enumerate_orbits.cache_info().currsize <= 16
+    build_poset_slice(spec, 12, "K")
+    hits = enumerate_orbits.cache_info().hits
+    build_poset_slice(spec, 12, "R")  # a reslice
+    assert enumerate_orbits.cache_info().hits == hits + 1
+    enumerate_orbits.cache_clear()
+    assert main(["check", "pgl2_so21"]) == 0  # the duality and Hasse suites share height 10
+    assert enumerate_orbits.cache_info()[:2] == (1, 2)
 
 
 def test_orders_reject_wrong_length():

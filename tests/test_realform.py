@@ -165,6 +165,20 @@ def test_dominant_involution_rejects_non_dominant():
         real_criterion(catalog("sl2_split").spec, (-1,))
 
 
+def test_dominance_queries_reject_wrong_length():
+    spec = catalog("sl3_split").spec
+    for query in (dominant_involution, real_criterion):
+        with pytest.raises(ValidationError, match="does not have length rank=2"):
+            query(spec, (1, 1, 1))
+
+
+def test_is_real_is_theta_fixed():
+    for name in ALL_NAMES:
+        spec = catalog(name).spec
+        for v in product(range(-3, 4), repeat=spec.datum.rank):
+            assert spec.is_real(v) == (spec.apply(v) == v), (name, v)
+
+
 def test_real_criterion_examples():
     assert real_criterion(catalog("sl2_split").spec, (5,))
     assert not real_criterion(catalog("sl2_compact").spec, (1,))

@@ -123,8 +123,6 @@ def test_cached_properties_still_work():
     spec = catalog("su21").spec
     fresh = InvolutionSpec(spec.datum, spec.theta, spec.name)
     h = hash(fresh)
-    assert fresh.moving_rows == ((-1, 1), (1, -1))
-    assert fresh.moving_rows is fresh.moving_rows
     assert fresh.fixed_solver == (1, ((1, 0),), ((-1, 1),))
     assert fresh.fixed_solver is fresh.fixed_solver
     datum = sl3_datum()

@@ -376,6 +376,15 @@ def test_longest_element_a2_against_brute_force():
     assert best == w0
 
 
+def test_weyl_queries_reject_wrong_length():
+    # zip truncated a short coweight: the reflection never changed it, so
+    # dominant_representative looped for ever and the others answered silently
+    datum = sl3_datum()
+    for query, coweight in ((dominant_representative, (1,)), (is_dominant, (1, 2, 3)), (height, (1,))):
+        with pytest.raises(ValidationError, match="does not have length rank=2"):
+            query(datum, coweight)
+
+
 def test_height_functional():
     assert two_rho(sl2_datum()) == (2,)
     assert height(sl2_datum(), (1,)) == 2

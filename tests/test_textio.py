@@ -109,6 +109,10 @@ def test_matrix_parse_errors():
         )
     with pytest.raises(ParseError, match="unparsed"):
         parse_matrix("form: gl2_split\nsize: 2\nentry 1 1: (0, 1/1, 0/1) leftover\n")
+    # comment and blank lines still count towards the line number
+    text = "# a loop\nform: gl2_split\n\nsize: 2  # square\n\n# entries\nentry 1 1: (0, 1/1, 0/1) (1, 1/1, 0/1\n"
+    with pytest.raises(ParseError, match=r"^line 7: unparsed text in entry \(1, 1\): '\(0, 1/1, 0/1\) \(1, 1/1, 0/1'$"):
+        parse_matrix(text)
 
 
 def test_matrix_file_must_satisfy_form_invariant():

@@ -5,6 +5,7 @@ the README example runs."""
 
 import ast
 import doctest
+import graphlib
 import os
 import re
 import subprocess
@@ -96,21 +97,20 @@ def test_no_assert_statements(path):
 
 
 # Unbounded caches allowed in the package.  Each is keyed by structure: a root
-# datum, an involution, a catalog table or entry name, or an orbit slice
-# request, so its size is bounded by the structures in use, never by the
-# coweights compared or the loops classified.
+# datum, an involution, or a catalog table or entry name, so its size is
+# bounded by the structures in use, never by the coweights compared, the
+# heights asked for or the loops classified.
 STRUCTURE_CACHES = {
     "fundgroup._image_lattice": "involution",
     "fundgroup.pi1_model": "involution",
     "fundgroup.pi1_of_symmetric_space": "involution",
-    "fundgroup.restricted_coroot_generators": "involution",
-    "fundgroup.step_basis": "involution",
     "loopmatrix._form_table": "catalog table",
-    "orbitposet.enumerate_orbits": "involution and height bound",
     "realform._catalog": "catalog table",
     "realform.catalog": "catalog entry name",
     "realform.levi_longest_element": "involution",
     "realform.real_coweight_basis": "involution",
+    "realform.restricted_coroot_generators": "involution",
+    "realform.step_basis": "involution",
     "rootdata._parabolic_positive_coroots": "root datum and simple-root subset",
     "rootdata.positive_coroots": "root datum",
     "rootdata.positive_root_indices": "root datum",
@@ -183,9 +183,8 @@ def test_code_generation_only_in_known_places():
     assert found == CODE_GENERATORS
 
 
-# The only import inside a function: ``step_solver`` needs ``fundgroup``,
-# which imports ``realform`` at its top.
-FUNCTION_IMPORTS = {"realform.InvolutionSpec.step_solver"}
+# Imports inside a function: none, since the modules import in one direction.
+FUNCTION_IMPORTS: set[str] = set()
 
 
 def _function_imports(node, prefix, in_function=False):
@@ -200,13 +199,29 @@ def _function_imports(node, prefix, in_function=False):
         yield from _function_imports(child, prefix, in_function)
 
 
-def test_imports_only_at_module_level_but_for_the_known_cycle():
+def test_imports_only_at_module_level():
     found = {
         name
         for path in SOURCES
         for name in _function_imports(_parse(path), path.stem + ".")
     }
     assert found == FUNCTION_IMPORTS
+
+
+def test_relative_imports_are_acyclic():
+    # every relative import, at module level or inside a function, is an edge
+    graph = {path.stem: set() for path in SOURCES}
+    for path in SOURCES:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [alias.name for alias in node.names]
+                graph[path.stem].update(t.split(".")[0] for t in targets)
+    try:
+        order = list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+    lattice = ["rootdata", "realform", "fundgroup", "orbitposet"]
+    assert [stem for stem in order if stem in lattice] == lattice
 
 
 def _words(lines):
