@@ -10,7 +10,7 @@ and meet along a finite-dimensional flag variety described by ``CoreData``.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product as iter_product
+from math import gcd, prod
 from operator import index, le, mul
 
 from .errors import ValidationError
@@ -22,13 +22,10 @@ from .rootdata import (
     dominance_leq,
     dot,
     identity_matrix,
-    is_dominant,
     positive_root_indices,
     simple_roots,
     two_rho,
-    vec_add,
     vec_neg,
-    vec_scale,
 )
 
 
@@ -57,6 +54,40 @@ def require_orbit_index(spec: InvolutionSpec, coweight: Coweight) -> None:
         raise ValidationError(f"{coweight} is not in the image sub-semigroup")
 
 
+ENUMERATION_BUDGET = 10**7
+
+
+def _coefficient_range(rows, prefix: tuple[int, ...], bound: int) -> range:
+    """The integers c in [-bound, bound] with a . (*prefix, c) + offset >= 0
+    for every row (a, offset), each a one entry longer than the prefix."""
+    lo, hi = -bound, bound
+    for a, offset in rows:
+        value, s = dot(a, prefix) + offset, a[len(prefix)]
+        if s > 0:
+            lo = max(lo, -(value // s))
+        elif s < 0:
+            hi = min(hi, value // -s)
+        elif value < 0:
+            return range(0)
+    return range(lo, hi + 1)
+
+
+def _eliminate(rows, j: int) -> list:
+    """Integer Fourier-Motzkin elimination of c_j from rows (a, offset), each
+    a . c + offset >= 0 on c_0..c_j, with the Chvatal-Gomory rounding and the
+    deduplication of ``enumerate_orbits``; rows with no coefficient left hold
+    at zero, a solution, and are dropped."""
+    combined = [(a[:j], offset) for a, offset in rows if not a[j]]
+    combined += [(tuple(-n[j] * x + p[j] * y for x, y in zip(p, n[:j])), -n[j] * p_off + p[j] * n_off)
+                 for p, p_off in rows if p[j] > 0 for n, n_off in rows if n[j] < 0]
+    kept: dict[tuple[int, ...], int] = {}
+    for a, offset in combined:
+        if g := gcd(*a):
+            a, offset = tuple(x // g for x in a), offset // g
+            kept[a] = min(offset, kept.get(a, offset))
+    return list(kept.items())
+
+
 @lru_cache(maxsize=16, typed=True)
 def enumerate_orbits(spec: InvolutionSpec, height_bound: int) -> tuple[Coweight, ...]:
     """All orbit indices with height at most the bound, sorted lexicographically.
@@ -67,16 +98,24 @@ def enumerate_orbits(spec: InvolutionSpec, height_bound: int) -> tuple[Coweight,
     height bound allows.  Always contains zero.
 
     Candidates are combinations of the theta-fixed basis, so they are real by
-    construction.  All coefficients but the last run over the box they can
-    take, |c_j| <= H times the l1 norm of row j of the solve matrix.  Each
-    constraint is affine in the last coefficient c, of the form a + s*c >= 0:
-    both bounds of the box in every coordinate, dominance at every simple
-    root, and 0 <= height <= H.  Their intersection is the range of c; every
-    vector in it is a dominant real candidate, and its loop class is read
-    off the class rows of the image quotient (``fundgroup._image_lattice``)
-    with no solve: per choice of the leading coefficients the class of c = 0
-    and the step of one more c are computed once, and each c is tested by
-    base + c*step modulo the class moduli.
+    construction.  Coefficient j lies in [-m_j, m_j], m_j = H times the l1
+    norm of row j of the solve matrix over den, and a bound is refused before
+    any walk when the product of the 2 m_j + 1 exceeds ``ENUMERATION_BUDGET``
+    (10**7).  Dominance at every simple root, 0 <= height <= H and the
+    coordinate box are rows a . c + offset >= 0 in the coefficients c.  An
+    integer Fourier-Motzkin projection (Schrijver, Theory of Linear and
+    Integer Programming, 1986, section 12.2) eliminates the coefficients from
+    the last down (``_eliminate``), dividing each combined row by the gcd of
+    its coefficients with the offset rounded down and keeping the least
+    offset per direction.  No integer solution violates a projected row, so
+    the walk, which extends each prefix through the next coefficient's
+    range, meets every prefix of the output and few others.  The last
+    coefficient takes its exact range from the original rows, so every
+    emitted vector meets every constraint.  Its loop class is read off the
+    class rows of the image quotient (``fundgroup._image_lattice``) with no
+    solve: per prefix the class of c = 0 and the step of one more c are
+    computed once, and each c is tested by base + c*step modulo the class
+    moduli.
 
     The cache holds the last 16 slices, since the bound comes from the user.
     Its keys carry the bound's type, so 4.0 never finds the entry of 4 and is
@@ -92,33 +131,30 @@ def enumerate_orbits(spec: InvolutionSpec, height_bound: int) -> tuple[Coweight,
     basis = real_coweight_basis(spec)
     if not basis:
         return ((0,) * datum.rank,)
-    den, rows, _ = spec.fixed_solver
-    limits = [-(-height_bound * sum(abs(x) for x in row) // den) for row in rows]
-    *lead, last = basis
+    den, solve_rows, _ = spec.fixed_solver
+    limits = [-(-height_bound * sum(map(abs, row)) // den) for row in solve_rows]
+    if (box := prod(2 * m + 1 for m in limits)) > ENUMERATION_BUDGET:
+        raise ValidationError(f"height bound {height_bound} spans a box of {box} points, over {ENUMERATION_BUDGET}")
     unit, rho2 = identity_matrix(datum.rank), two_rho(datum)
     # (f, offset): the constraint f(v) + offset >= 0
     constraints = [(f, 0) for f in (*simple_roots(datum), rho2)] + [(e, height_bound) for e in unit]
     constraints += [(vec_neg(f), height_bound) for f in (*unit, rho2)]
-    constraints = [(f, offset, dot(f, last)) for f, offset in constraints]
-    class_rows = [(row, dot(row, last), m) for row, m in _image_lattice(spec)[2]]
+    systems = [[(tuple(dot(f, b) for b in basis), offset) for f, offset in constraints]]
+    for j in range(len(basis) - 1, 0, -1):
+        systems.insert(0, _eliminate(systems[0], j))
+    prefixes = [()]
+    for rows, bound in zip(systems, limits[:-1]):
+        prefixes = [(*p, c) for p in prefixes for c in _coefficient_range(rows, p, bound)]
+    class_rows = [([dot(row, b) for b in basis], m) for row, m in _image_lattice(spec)[2]]
+    *lead, last = basis
+    columns = [tuple(b[i] for b in lead) for i in range(datum.rank)]
     found = []
-    for coeffs in iter_product(*(range(-m, m + 1) for m in limits[:-1])):
-        base = (0,) * datum.rank
-        for c, b in zip(coeffs, lead):
-            base = vec_add(base, vec_scale(c, b))
-        lo, hi = -limits[-1], limits[-1]
-        for f, offset, slope in constraints:
-            a = dot(f, base) + offset
-            if slope > 0:
-                lo = max(lo, -(a // slope))
-            elif slope < 0:
-                hi = min(hi, a // -slope)
-            elif a < 0:
-                hi = lo - 1
-        classes = [(dot(row, base), step, m) for row, step, m in class_rows]
-        for c in range(lo, hi + 1):
+    for p in prefixes:
+        base = [dot(col, p) for col in columns]
+        classes = [(dot(row, p), row[-1], m) for row, m in class_rows]
+        for c in _coefficient_range(systems[-1], p, limits[-1]):
             if not any((r + c * step) % m for r, step, m in classes):
-                found.append(vec_add(base, vec_scale(c, last)))
+                found.append(tuple(b + c * x for b, x in zip(base, last)))
     return tuple(sorted(found))
 
 

@@ -101,6 +101,14 @@ class RootDatum(Record):
         )
 
     @cached_property
+    def root_solver(self) -> tuple[int, IntMatrix, IntMatrix]:
+        """``integer_solver`` of the simple roots, built on first use."""
+        try:
+            return integer_solver(simple_roots(self), dim=self.rank)
+        except ValidationError:
+            raise ValidationError("simple roots are linearly dependent")
+
+    @cached_property
     def coroot_solver(self) -> tuple[int, IntMatrix, IntMatrix]:
         """``integer_solver`` of the simple coroots, built on first use."""
         try:
@@ -127,8 +135,8 @@ def simple_coroots(datum: RootDatum) -> tuple[Coweight, ...]:
 @lru_cache(maxsize=None)
 def positive_root_indices(datum: RootDatum) -> tuple[int, ...]:
     """Indices of roots expressible as non-negative integer combinations of simples."""
-    solver, zero = integer_solver(simple_roots(datum), datum.rank), (0,) * datum.rank
-    return tuple(idx for idx, root in enumerate(datum.roots) if free_monoid_leq(solver, zero, root))
+    zero = (0,) * datum.rank
+    return tuple(idx for idx, root in enumerate(datum.roots) if free_monoid_leq(datum.root_solver, zero, root))
 
 
 @lru_cache(maxsize=None)
@@ -195,9 +203,9 @@ def validate_root_datum(datum: RootDatum) -> list[str]:
                 break
 
     try:
-        solver = integer_solver(simple_roots(datum), datum.rank)
-    except ValidationError:
-        return problems + ["simple roots are linearly dependent"]
+        solver = datum.root_solver
+    except ValidationError as exc:
+        return problems + [str(exc)]
     zero = (0,) * datum.rank
     for root in datum.roots:
         if any(dot(row, root) for row in solver[2]):
@@ -314,7 +322,7 @@ def dominance_leq(datum: RootDatum, lower: Coweight, upper: Coweight) -> bool:
 def _parabolic_positive_coroots(datum: RootDatum, subset: tuple[int, ...]) -> tuple[Coweight, ...]:
     """Positive coroots of the sub-system spanned by the given simple roots."""
     outside = [j for j, i in enumerate(datum.simple_indices) if i not in subset]
-    _, rows, _ = integer_solver(simple_roots(datum), datum.rank)
+    rows = datum.root_solver[1]
     return tuple(
         datum.coroots[idx] for idx in positive_root_indices(datum)
         if not any(dot(rows[j], datum.roots[idx]) for j in outside)

@@ -1,5 +1,6 @@
 """Command-line behavior: deterministic reports, exit codes, file handling."""
 
+import time
 
 import pytest
 
@@ -62,6 +63,17 @@ def test_orbits_split_height_four(capsys):
     rc, out, _ = run(capsys, ["orbits", "sl2_split", "--height", "4"])
     assert rc == 0
     assert "count: 3" in out
+
+
+@pytest.mark.parametrize(
+    "spec, height", [("gl3_split", "400"), ("sl3_split", "100000000")], ids=["gl3_split-400", "sl3_split-1e8"]
+)
+def test_orbits_over_the_budget_exit_one_at_once(capsys, spec, height):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["orbits", spec, "--height", height])
+    assert time.perf_counter() - start < 1
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: height bound {height} spans a box of ") and err.count("\n") == 1
 
 
 def test_poset_graph_chain(capsys):

@@ -6,9 +6,11 @@ from itertools import product
 
 import pytest
 
+from matsuki import orbitposet
 from matsuki.cli import main
 from matsuki.errors import ValidationError
 from matsuki.orbitposet import (
+    ENUMERATION_BUDGET,
     build_poset_slice,
     component_count,
     core_data,
@@ -19,9 +21,19 @@ from matsuki.orbitposet import (
     r_leq,
     real_step_leq,
 )
-from matsuki.fundgroup import in_image_semigroup
-from matsuki.realform import InvolutionSpec, catalog, catalog_names
-from matsuki.rootdata import RootDatum, dominance_leq, height, is_dominant, simple_coroots, vec_add, vec_scale
+from matsuki.fundgroup import in_image_semigroup, real_coweight_coordinates
+from matsuki.realform import InvolutionSpec, catalog, catalog_names, real_coweight_basis
+from matsuki.rootdata import (
+    RootDatum,
+    dominance_leq,
+    gl_datum,
+    height,
+    identity_matrix,
+    is_dominant,
+    simple_coroots,
+    vec_add,
+    vec_scale,
+)
 
 ALL_NAMES = list(catalog_names())
 
@@ -30,6 +42,11 @@ def skewed_torus_spec():
     """Rootless rank-2 torus whose fixed lattice has the skewed basis (2, 1)."""
     datum = RootDatum(rank=2, roots=(), coroots=(), simple_indices=(), name="torus2")
     return InvolutionSpec(datum=datum, theta=((1, 0), (1, -1)), name="skewed")
+
+
+def split_gl_spec(n):
+    """Split gl_n: the identity involution of ``gl_datum(n)``."""
+    return InvolutionSpec(datum=gl_datum(n), theta=identity_matrix(n), name=f"gl{n}_identity")
 
 
 def real_dominant_up_to(spec, bound):
@@ -68,13 +85,65 @@ def test_enumerate_always_contains_zero():
 
 
 def test_enumerate_matches_direct_filter():
-    # height 13 runs the loop-class arithmetic along longer parity chains
-    for spec in [catalog(name).spec for name in ALL_NAMES] + [skewed_torus_spec()]:
-        for bound in (9, 13):
+    # heights 0-2 meet the empty and single-point projections; 13 runs the
+    # loop-class arithmetic along longer parity chains; gl4 and gl5 project
+    # through three and four eliminations
+    cases = [(catalog(name).spec, (0, 1, 2, 7, 9, 13, 16)) for name in ALL_NAMES]
+    cases += [(skewed_torus_spec(), (0, 1, 2, 7, 9, 13, 16))]
+    cases += [(split_gl_spec(n), range(5)) for n in (4, 5)]
+    for spec, bounds in cases:
+        for bound in bounds:
             expected = sorted(
                 lam for lam in real_dominant_up_to(spec, bound) if in_image_semigroup(spec, lam)
             )
             assert list(enumerate_orbits(spec, bound)) == expected, (spec.name, bound)
+
+
+def test_elimination_rounds_each_row_down_and_keeps_the_least_offset():
+    rows = [
+        ((2, 1), 3),  # with -c1 >= 0: 2 c0 + 3 >= 0, so c0 + 1 >= 0 on integers
+        ((0, -1), 0),
+        ((-1, -1), 4),  # with the first: c0 + 7 >= 0, looser
+        ((1, 0), 5),  # free of c1 and looser still
+        ((-1, 0), 2),
+        ((0, 1), 0),  # with -c1 >= 0: 0 >= 0, dropped
+    ]
+    assert sorted(orbitposet._eliminate(rows, 1)) == [((-1,), 2), ((1,), 1)]
+
+
+@pytest.mark.parametrize(
+    "name, bound, ratio",
+    [("gl3_split", 7, 1.25), ("gl3_split", 40, 1.25), ("sl3_split", 12, 1.25), ("gl5", 4, 2)],
+)
+def test_enumeration_visits_few_prefixes_beyond_its_output(name, bound, ratio, monkeypatch, cleared_caches):
+    # the box of leading coefficients holds 225, 6,561, 25 and 6,561 prefixes
+    spec = split_gl_spec(5) if name == "gl5" else catalog(name).spec
+    last = len(real_coweight_basis(spec)) - 1
+    visited = []
+    coefficient_range = orbitposet._coefficient_range
+
+    def counting(rows, prefix, limit):
+        if len(prefix) == last:
+            visited.append(prefix)
+        return coefficient_range(rows, prefix, limit)
+
+    monkeypatch.setattr(orbitposet, "_coefficient_range", counting)
+    leading = {real_coweight_coordinates(spec, lam)[:last] for lam in enumerate_orbits(spec, bound)}
+    assert len(visited) == len(set(visited)) <= ratio * len(leading)
+
+
+def test_enumeration_budget_is_decided_before_any_walk(monkeypatch, cleared_caches):
+    def no_walk(rows, prefix, limit):
+        return range(0)
+
+    monkeypatch.setattr(orbitposet, "_coefficient_range", no_walk)
+    admitted = [("gl2_split", 400), ("gl3_split", 60), ("sl3_split", 160), ("gl2_split", 200), ("gl3_split", 40)]
+    for name, bound in admitted:
+        enumerate_orbits(catalog(name).spec, bound)
+    for name, bound, box in [("gl3_split", 400, 801**3), ("sl3_split", 10**8, (2 * 10**8 + 1) ** 2)]:
+        with pytest.raises(ValidationError, match=f"a box of {box} points, over {ENUMERATION_BUDGET}$"):
+            enumerate_orbits(catalog(name).spec, bound)
+    assert ENUMERATION_BUDGET == 10**7
 
 
 @pytest.mark.parametrize(

@@ -233,6 +233,21 @@ def catalog_data():
     return [catalog(name).datum for name in catalog_names()]
 
 
+def test_cold_catalog_lookup_solves_the_simple_roots_once(monkeypatch, cleared_caches):
+    from matsuki import rootdata
+    from matsuki.realform import catalog
+
+    solved = []
+    snf = rootdata.smith_normal_form
+    monkeypatch.setattr(rootdata, "smith_normal_form", lambda m: solved.append(m) or snf(m))
+    datum = catalog("gl3_split").datum
+    # the simple roots, shared by validation and the positive roots, and the kernel of theta - 1
+    assert len(solved) == len(set(solved)) == 2
+    assert datum.root_solver is datum.root_solver
+    dependent = RootDatum(rank=1, roots=((2,), (-2,)), coroots=((1,), (-1,)), simple_indices=(0, 1))
+    assert "simple roots are linearly dependent" in validate_root_datum(dependent)
+
+
 def test_integer_rows_cover_denominators_and_consistency():
     assert pgl2_datum().coroot_solver[0] == 2
     assert gl_datum(3).coroot_solver[2] != ()
