@@ -7,131 +7,107 @@ The package is organised around exact lattice combinatorics:
 - ``fundgroup``: fundamental-group models and the parameterizing sub-semigroup;
 - ``orbitposet``: the two orbit posets, their duality, Hasse diagrams, cores;
 - ``loopmatrix``: an exact type-A Laurent-matrix model for the double-coset invariants;
+- ``textio``: the text formats for root data, involutions and loop matrices;
+- ``laws``: the property suites behind ``matsuki check``;
 - ``cli``: the ``matsuki`` command-line surface.
+
+Start-up: importing the package registers every library module in
+``sys.modules`` without running it; a module runs on its first attribute
+access (other threads wait until it has run), and the names below are read
+from their modules on demand.  So a command runs only the modules it uses:
+every command runs ``errors``, ``record``, ``rootdata`` and ``realform``;
+``orbits``, ``poset``, ``dual``, ``core`` and ``pi1`` add ``fundgroup`` and
+``orbitposet``; a spec file and ``catalog --export`` add ``textio``;
+``invariant`` adds ``textio`` and ``loopmatrix``; ``check`` adds ``laws`` and
+with it the rest.  ``cli`` is never registered: ``python -m matsuki.cli``
+must find it unimported.
 """
 
-from .errors import ParseError, TheoremViolationError, ValidationError
-from .rootdata import (
-    Coweight,
-    FiniteAbelianGroup,
-    RootDatum,
-    dominance_leq,
-    dominant_representative,
-    height,
-    pi1_of_group,
-    smith_normal_form,
-    validate_root_datum,
-    weyl_longest_element,
-)
-from .realform import (
-    InvolutionSpec,
-    RealFormCatalogEntry,
-    catalog,
-    catalog_names,
-    dominant_involution,
-    levi_longest_element,
-    levi_simple_roots,
-    real_coweight_basis,
-    real_criterion,
-    restricted_coroot_generators,
-    validate_involution,
-)
-from .fundgroup import (
-    PiOneModel,
-    in_image_semigroup,
-    pi1_model,
-    pi1_of_symmetric_space,
-)
-from .orbitposet import (
-    CoreData,
-    PosetSlice,
-    build_poset_slice,
-    core_data,
-    enumerate_orbits,
-    k_leq,
-    matsuki_dual,
-    primitive_relations,
-    r_leq,
-    real_step_leq,
-)
-from .loopmatrix import (
-    FormAction,
-    Gaussian,
-    LaurentMatrix,
-    LaurentPoly,
-    form_action,
-    form_names,
-    geodesic_representative,
-    k_orbit_invariant,
-    r_orbit_invariant,
-    splitting_type,
-    stratum_invariant,
-)
-from .textio import (
-    format_involution,
-    format_matrix,
-    format_root_datum,
-    parse_involution,
-    parse_matrix,
-    parse_root_datum,
-)
+import importlib.util
+import sys
+import types
+from _thread import RLock
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Coweight",
-    "CoreData",
-    "FiniteAbelianGroup",
-    "FormAction",
-    "Gaussian",
-    "InvolutionSpec",
-    "LaurentMatrix",
-    "LaurentPoly",
-    "ParseError",
-    "PiOneModel",
-    "PosetSlice",
-    "RealFormCatalogEntry",
-    "RootDatum",
-    "TheoremViolationError",
-    "ValidationError",
-    "build_poset_slice",
-    "catalog",
-    "catalog_names",
-    "core_data",
-    "dominance_leq",
-    "dominant_involution",
-    "dominant_representative",
-    "enumerate_orbits",
-    "form_action",
-    "form_names",
-    "format_involution",
-    "format_matrix",
-    "format_root_datum",
-    "geodesic_representative",
-    "height",
-    "in_image_semigroup",
-    "k_leq",
-    "k_orbit_invariant",
-    "levi_longest_element",
-    "levi_simple_roots",
-    "matsuki_dual",
-    "parse_involution",
-    "parse_matrix",
-    "parse_root_datum",
-    "pi1_model",
-    "pi1_of_group",
-    "pi1_of_symmetric_space",
-    "primitive_relations",
-    "r_leq",
-    "r_orbit_invariant",
-    "real_coweight_basis",
-    "real_criterion",
-    "real_step_leq",
-    "restricted_coroot_generators",
-    "smith_normal_form",
-    "splitting_type",
-    "stratum_invariant",
-    "validate_involution",
-    "validate_root_datum",
-    "weyl_longest_element",
-]
+# the public names, by the module that defines them
+_EXPORTS = {
+    "errors": ("ParseError", "TheoremViolationError", "ValidationError"),
+    "rootdata": (
+        "Coweight", "FiniteAbelianGroup", "RootDatum", "dominance_leq", "dominant_representative", "height",
+        "pi1_of_group", "smith_normal_form", "validate_root_datum", "weyl_longest_element",
+    ),
+    "realform": (
+        "InvolutionSpec", "RealFormCatalogEntry", "catalog", "catalog_names", "dominant_involution",
+        "levi_longest_element", "levi_simple_roots", "real_coweight_basis", "real_criterion",
+        "restricted_coroot_generators", "validate_involution",
+    ),
+    "fundgroup": ("PiOneModel", "in_image_semigroup", "pi1_model", "pi1_of_symmetric_space"),
+    "orbitposet": (
+        "CoreData", "PosetSlice", "build_poset_slice", "core_data", "enumerate_orbits", "k_leq", "matsuki_dual",
+        "primitive_relations", "r_leq", "real_step_leq",
+    ),
+    "loopmatrix": (
+        "FormAction", "Gaussian", "LaurentMatrix", "LaurentPoly", "form_action", "form_names",
+        "geodesic_representative", "k_orbit_invariant", "r_orbit_invariant", "splitting_type", "stratum_invariant",
+    ),
+    "textio": (
+        "format_involution", "format_matrix", "format_root_datum", "parse_involution", "parse_matrix",
+        "parse_root_datum",
+    ),
+}
+_HOME = {name: stem for stem, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+class _LazyModule(types.ModuleType):
+    """A registered module that runs its code on the first attribute access.
+
+    ``importlib.util.LazyLoader`` before Python 3.13 marks the module as run
+    before its code has run, so a second thread reads a half-run module; here
+    the other threads wait on the module's lock until it has run.
+    """
+
+    def __getattribute__(self, attr):
+        spec = object.__getattribute__(self, "__spec__")
+        with spec.loader_state["lock"]:
+            # the loader's own reads of the module, made while it runs, pass through
+            if type(self) is _LazyModule and not spec.loader_state["running"]:
+                spec.loader_state["running"] = True
+                try:
+                    spec.loader.exec_module(self)
+                finally:
+                    spec.loader_state["running"] = False
+                self.__class__ = types.ModuleType
+        return types.ModuleType.__getattribute__(self, attr)
+
+
+def _register(stem: str) -> types.ModuleType:
+    """The module ``matsuki.<stem>``, in ``sys.modules`` and run on first use."""
+    name = f"{__name__}.{stem}"
+    if name in sys.modules:  # the package itself is being imported again
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader_state = {"lock": RLock(), "running": False}
+    module = importlib.util.module_from_spec(spec)
+    module.__class__ = _LazyModule
+    sys.modules[name] = module
+    return module
+
+
+errors = _register("errors")
+record = _register("record")
+rootdata = _register("rootdata")
+realform = _register("realform")
+fundgroup = _register("fundgroup")
+orbitposet = _register("orbitposet")
+loopmatrix = _register("loopmatrix")
+textio = _register("textio")
+laws = _register("laws")
+
+
+def __getattr__(name: str):
+    """A public name, read from its defining module (PEP 562)."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_HOME[name]], name)

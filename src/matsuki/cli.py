@@ -11,41 +11,28 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import product
 
+# Each module that only some commands use is imported as a module and read
+# at call time, so a command runs only what it calls (see ``matsuki``).
+from . import fundgroup, laws, orbitposet, textio
+from . import loopmatrix as lm
 from .errors import TheoremViolationError, ValidationError
-from .fundgroup import pi1_model
-from .loopmatrix import (
-    FormAction,
-    form_action,
-    form_names,
-    geodesic_representative,
-    k_orbit_invariant,
-    mat_mul,
-    r_orbit_invariant,
-    random_k_loop,
-    random_polynomial_loop,
-    random_real_loop,
-    splitting_type,
-    stratum_invariant,
-)
-from .orbitposet import (
-    build_poset_slice,
-    component_count,
-    core_data,
-    enumerate_orbits,
-    k_leq,
-    matsuki_dual,
-    primitive_relations,
-    r_leq,
-    real_step_leq,
-)
 from .realform import InvolutionSpec, catalog, catalog_names, is_catalog_spec, restricted_coroot_generators
-from .rootdata import dominance_leq, gl_datum, height, is_dominant, simple_coroots, vec_add, vec_scale
-from .textio import format_involution, parse_involution, parse_matrix
+from .rootdata import fmt_coweight
 
-def fmt_coweight(vec) -> str:
-    return "(" + ",".join(str(x) for x in vec) + ")"
+# loop-matrix names that callers still read as attributes of this module
+# (bench/tests does), as when it imported them by name
+_LOOP_NAMES = frozenset({
+    "FormAction", "form_action", "form_names", "geodesic_representative", "k_orbit_invariant", "mat_mul",
+    "r_orbit_invariant", "random_k_loop", "random_polynomial_loop", "random_real_loop", "splitting_type",
+    "stratum_invariant",
+})
+
+
+def __getattr__(name: str):
+    if name not in _LOOP_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(lm, name)
 
 
 def resolve_spec(source: str) -> InvolutionSpec:
@@ -54,7 +41,7 @@ def resolve_spec(source: str) -> InvolutionSpec:
         return catalog(source).spec
     if os.path.exists(source):
         with open(source, encoding="utf-8") as fh:
-            return parse_involution(fh.read())
+            return textio.parse_involution(fh.read())
     raise ValidationError(
         f"{source!r} is neither a catalog name ({', '.join(catalog_names())}) nor a readable file"
     )
@@ -97,7 +84,7 @@ def cmd_catalog(args) -> int:
         for name in names:
             path = os.path.join(args.export, f"{name}.involution")
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(format_involution(catalog(name)))
+                fh.write(textio.format_involution(catalog(name)))
             print(f"wrote: {path}")
         return 0
     for name in names:
@@ -116,11 +103,11 @@ def cmd_catalog(args) -> int:
 
 def cmd_orbits(args) -> int:
     spec = resolve_spec(args.spec)
-    elements = enumerate_orbits(spec, args.height)
+    elements = orbitposet.enumerate_orbits(spec, args.height)
     print(f"spec: {spec.name}")
     print(f"height: {args.height}")
-    print(f"image_index: {pi1_model(spec).image_index}")
-    print(f"components: {component_count(spec, elements)}")
+    print(f"image_index: {fundgroup.pi1_model(spec).image_index}")
+    print(f"components: {orbitposet.component_count(spec, elements)}")
     for line in _spec_note_lines(spec):
         print(line)
     print(f"count: {len(elements)}")
@@ -131,7 +118,7 @@ def cmd_orbits(args) -> int:
 
 def cmd_poset(args) -> int:
     spec = resolve_spec(args.spec)
-    slice_ = build_poset_slice(spec, args.height, args.order)
+    slice_ = orbitposet.build_poset_slice(spec, args.height, args.order)
     if args.format == "graph":
         for a, b in slice_.hasse_edges:
             print(f"{fmt_coweight(a)} -> {fmt_coweight(b)}")
@@ -155,7 +142,7 @@ def cmd_poset(args) -> int:
 def cmd_dual(args) -> int:
     spec = resolve_spec(args.spec)
     lam = _parse_coweight(args.coweight, spec.datum.rank)
-    dual, core = matsuki_dual(spec, lam)
+    dual, core = orbitposet.matsuki_dual(spec, lam)
     print(f"spec: {spec.name}")
     print(f"orbit: {fmt_coweight(lam)}")
     print(f"dual: {fmt_coweight(dual)}")
@@ -168,7 +155,7 @@ def cmd_dual(args) -> int:
 def cmd_core(args) -> int:
     spec = resolve_spec(args.spec)
     lam = _parse_coweight(args.coweight, spec.datum.rank)
-    core = core_data(spec, lam)
+    core = orbitposet.core_data(spec, lam)
     print(f"spec: {spec.name}")
     print(f"orbit: {fmt_coweight(lam)}")
     roots = " ".join(str(i) for i in core.parabolic_simple_roots)
@@ -179,7 +166,7 @@ def cmd_core(args) -> int:
 
 def cmd_pi1(args) -> int:
     spec = resolve_spec(args.spec)
-    model = pi1_model(spec)
+    model = fundgroup.pi1_model(spec)
     print(f"spec: {spec.name}")
     print(f"pi1_group: {model.group_pi1.describe()}")
     print(f"pi1_group_factors: {' '.join(str(f) for f in model.group_pi1.invariant_factors) or 'none'}")
@@ -197,175 +184,24 @@ def cmd_pi1(args) -> int:
 
 def cmd_invariant(args) -> int:
     with open(args.matrix, encoding="utf-8") as fh:
-        g = parse_matrix(fh.read())
+        g = textio.parse_matrix(fh.read())
     print(f"form: {g.form}")
     print(f"size: {g.n}")
-    print(f"cartan: {fmt_coweight(stratum_invariant(g))}")
-    print(f"birkhoff: {fmt_coweight(splitting_type(g))}")
-    print(f"k_orbit: {fmt_coweight(k_orbit_invariant(g))}")
-    print(f"r_orbit: {fmt_coweight(r_orbit_invariant(g))}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# property-check suites
-
-
-def _real_dominant_up_to(spec, bound):
-    out = []
-    for vec in product(range(-bound, bound + 1), repeat=spec.datum.rank):
-        if spec.is_real(vec) and is_dominant(spec.datum, vec) and 0 <= height(spec.datum, vec) <= bound:
-            out.append(vec)
-    return out
-
-
-def _suite_generation(spec) -> str | None:
-    """Every fixed vector of the positive cone decomposes into the restricted
-    coroot generators (bounded exhaustive check)."""
-    simples = simple_coroots(spec.datum)
-    zero, bound = (0,) * spec.datum.rank, 10
-    heights = [height(spec.datum, b) for b in simples]
-    for coeffs in product(*[range(bound // h + 1) for h in heights]):
-        vec = zero
-        for c, b in zip(coeffs, simples):
-            vec = vec_add(vec, vec_scale(c, b))
-        if height(spec.datum, vec) > bound or not spec.is_real(vec):
-            continue
-        if not real_step_leq(spec, zero, vec):
-            return f"{fmt_coweight(vec)} does not decompose into restricted generators"
-    return None
-
-
-def _suite_duality(spec) -> str | None:
-    elements = enumerate_orbits(spec, 10)
-    for a in elements:
-        for b in elements:
-            if r_leq(spec, a, b) != k_leq(spec, b, a):
-                return f"duality fails at {fmt_coweight(a)}, {fmt_coweight(b)}"
-    return None
-
-
-def _suite_step_order(spec) -> str | None:
-    reals = _real_dominant_up_to(spec, 8)
-    for a in reals:
-        for b in reals:
-            if real_step_leq(spec, a, b) != dominance_leq(spec.datum, a, b):
-                return f"step order disagrees with dominance at {fmt_coweight(a)}, {fmt_coweight(b)}"
-    return None
-
-
-def _suite_hasse(spec) -> str | None:
-    elements = enumerate_orbits(spec, 10)
-    edges = set(primitive_relations(spec, elements))
-    reach = {a: {a} for a in elements}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in edges:
-            for targets in reach.values():
-                if a in targets and b not in targets:
-                    targets.add(b)
-                    changed = True
-    for a in elements:
-        for b in elements:
-            if (b in reach[a]) != k_leq(spec, a, b):
-                return f"Hasse closure disagrees with the order at {fmt_coweight(a)}, {fmt_coweight(b)}"
-    return None
-
-
-def _suite_chain(spec) -> str | None:
-    """For the adjoint rank-one entry the poset is a total chain with index 2."""
-    slice_ = build_poset_slice(spec, 12, "K")
-    if slice_.image_index != 2:
-        return f"image index {slice_.image_index}, expected 2"
-    elems = slice_.elements
-    for a in elems:
-        for b in elems:
-            if not (k_leq(spec, a, b) or k_leq(spec, b, a)):
-                return f"{fmt_coweight(a)} and {fmt_coweight(b)} are incomparable"
-    expected_edges = tuple((elems[i], elems[i + 1]) for i in range(len(elems) - 1))
-    if slice_.hasse_edges != expected_edges:
-        return "Hasse edges are not the consecutive chain"
-    return None
-
-
-def _suite_matrix(form: FormAction, seed: int) -> str | None:
-    datum = gl_datum(form.n)
-    for i in range(12):  # loops per form and seed
-        g = mat_mul(
-            mat_mul(random_real_loop(form, seed * 1000 + i), random_k_loop(form, seed * 2000 + i)),
-            random_polynomial_loop(form, seed * 3000 + i),
-        )
-        cartan = stratum_invariant(g)
-        birkhoff = splitting_type(g)
-        if not dominance_leq(datum, birkhoff, cartan):
-            return f"Birkhoff {fmt_coweight(birkhoff)} not below Cartan {fmt_coweight(cartan)} at loop {i}"
-        a = random_polynomial_loop(form, seed * 4000 + i)
-        b = random_polynomial_loop(form, seed * 5000 + i)
-        if stratum_invariant(mat_mul(mat_mul(a, g), b)) != cartan:
-            return f"Cartan invariance fails at loop {i}"
-        minus = random_polynomial_loop(form, seed * 6000 + i, negative=True)
-        if splitting_type(mat_mul(mat_mul(minus, g), b)) != birkhoff:
-            return f"Birkhoff invariance fails at loop {i}"
-        k_inv = k_orbit_invariant(g)
-        if k_orbit_invariant(mat_mul(mat_mul(random_k_loop(form, seed * 7000 + i), g), b)) != k_inv:
-            return f"k-orbit invariance fails at loop {i}"
-        r_inv = r_orbit_invariant(g)
-        if r_orbit_invariant(mat_mul(random_real_loop(form, seed * 8000 + i), g)) != r_inv:
-            return f"r-orbit invariance fails at loop {i}"
-    if form.family == "split" and form.n > 1:
-        if form.special:
-            lam = (1,) + (0,) * (form.n - 2) + (-1,)
-        else:
-            lam = (1, 1) + (0,) * (form.n - 2)
-        c = geodesic_representative(form, lam)
-        if k_orbit_invariant(c) != lam or r_orbit_invariant(c) != lam:
-            return "geodesic duality pairing fails"
-    return None
-
-
-def _run_suites(names, seed: int) -> int:
-    matrix_forms = {form.entry: form for form in map(form_action, form_names())}
-    failures = 0
-    for entry_name in names:
-        spec = catalog(entry_name).spec
-        suites = [
-            ("generation", lambda s=spec: _suite_generation(s)),
-            ("duality", lambda s=spec: _suite_duality(s)),
-            ("step-order", lambda s=spec: _suite_step_order(s)),
-            ("hasse-closure", lambda s=spec: _suite_hasse(s)),
-        ]
-        if entry_name == "pgl2_so21":
-            suites.append(("chain-structure", lambda s=spec: _suite_chain(s)))
-        if entry_name in matrix_forms:
-            suites.append(
-                ("matrix-invariance", lambda f=matrix_forms[entry_name]: _suite_matrix(f, seed))
-            )
-        for suite_name, runner in suites:
-            try:
-                problem = runner()
-            except (ValidationError, TheoremViolationError) as exc:
-                problem = str(exc)
-            if problem is None:
-                print(f"suite {entry_name}/{suite_name}: PASS")
-            else:
-                failures += 1
-                print(f"suite {entry_name}/{suite_name}: FAIL ({problem})")
-    if failures:
-        print(f"check: {failures} suite(s) failed")
-        return 2
-    print("check: all suites passed")
+    print(f"cartan: {fmt_coweight(lm.stratum_invariant(g))}")
+    print(f"birkhoff: {fmt_coweight(lm.splitting_type(g))}")
+    print(f"k_orbit: {fmt_coweight(lm.k_orbit_invariant(g))}")
+    print(f"r_orbit: {fmt_coweight(lm.r_orbit_invariant(g))}")
     return 0
 
 
 def cmd_check(args) -> int:
     if args.all:
-        return _run_suites(catalog_names(), args.seed)
+        return laws.run_suites(catalog_names(), args.seed)
     if args.spec is None:
         raise ValidationError("check needs a catalog name or --all")
     if args.spec not in catalog_names():
         raise ValidationError(f"check runs on catalog entries; unknown {args.spec!r}")
-    return _run_suites([args.spec], args.seed)
+    return laws.run_suites([args.spec], args.seed)
 
 
 # ---------------------------------------------------------------------------

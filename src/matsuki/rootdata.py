@@ -48,6 +48,10 @@ def dot(u, v) -> int:
     return sum(map(mul, u, v))
 
 
+def fmt_coweight(vec) -> str:
+    return "(" + ",".join(str(x) for x in vec) + ")"
+
+
 def identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 

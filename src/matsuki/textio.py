@@ -13,8 +13,8 @@ import re
 from fractions import Fraction
 from math import gcd
 
+from . import loopmatrix as lm  # read at call time: only matrix files run it
 from .errors import ParseError, ValidationError
-from .loopmatrix import Gaussian, LaurentMatrix, LaurentPoly, form_action, lm_from_rows
 from .realform import InvolutionSpec, RealFormCatalogEntry, catalog, require_valid_involution
 from .rootdata import RootDatum, require_valid
 
@@ -155,11 +155,11 @@ def _parse_rational(token: str, lineno: int) -> Fraction:
         raise ParseError(lineno, f"bad rational {token!r}")
 
 
-def parse_matrix(text: str) -> LaurentMatrix:
+def parse_matrix(text: str) -> lm.LaurentMatrix:
     sections = _parse_sections(text)
     form_line, form_name, _ = _require_key(sections, "form", "matrix file")
     try:
-        form = form_action(form_name)
+        form = lm.form_action(form_name)
     except ValidationError as exc:
         raise ParseError(form_line, str(exc))
     size_line, size_value, _ = _require_key(sections, "size", "matrix file")
@@ -170,7 +170,7 @@ def parse_matrix(text: str) -> LaurentMatrix:
     if n != form.n:
         raise ParseError(size_line, f"form {form_name} has size {form.n}, file says {n}")
 
-    entries = [[LaurentPoly.zero() for _ in range(n)] for _ in range(n)]
+    entries = [[lm.LaurentPoly.zero() for _ in range(n)] for _ in range(n)]
     seen: set[tuple[int, int]] = set()
     for lineno, line in _logical_lines(text):
         m = _ENTRY_RE.match(line)
@@ -184,18 +184,18 @@ def parse_matrix(text: str) -> LaurentMatrix:
         seen.add((i, j))
         rest = m.group(3).strip()
         matches = list(_TUPLE_RE.finditer(rest))
-        coeffs: dict[int, Gaussian] = {}
+        coeffs: dict[int, lm.Gaussian] = {}
         for match in matches:
             e = int(match.group(1))
             re_part = _parse_rational(match.group(2), lineno)
             im_part = _parse_rational(match.group(3), lineno)
             if e in coeffs:
                 raise ParseError(lineno, f"duplicate exponent {e} in entry ({i}, {j})")
-            coeffs[e] = Gaussian(re_part, im_part)
+            coeffs[e] = lm.Gaussian(re_part, im_part)
         if rest.replace(" ", "") != "".join(match.group(0).replace(" ", "") for match in matches):
             raise ParseError(lineno, f"unparsed text in entry ({i}, {j}): {rest!r}")
-        entries[i - 1][j - 1] = LaurentPoly(coeffs)
-    g = lm_from_rows(form_name, entries)
+        entries[i - 1][j - 1] = lm.LaurentPoly(coeffs)
+    g = lm.lm_from_rows(form_name, entries)
     form.validate(g)
     return g
 
@@ -205,7 +205,7 @@ def _ratio(num: int, den: int) -> str:
     return f"{num // g}/{den // g}"
 
 
-def format_matrix(g: LaurentMatrix) -> str:
+def format_matrix(g: lm.LaurentMatrix) -> str:
     lines = [f"form: {g.form}", f"size: {g.n}"]
     for i in range(g.n):
         for j in range(g.n):

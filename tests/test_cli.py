@@ -195,12 +195,12 @@ def test_unknown_spec_exit_code(capsys):
 
 def test_theorem_violation_exit_code(capsys, tmp_path, monkeypatch):
     # force an inconsistent invariant to exercise the diagnostic path
-    import matsuki.cli as cli_module
+    import matsuki.loopmatrix as loopmatrix
 
     def broken(_g):
         raise TheoremViolationError("forced for the test")
 
-    monkeypatch.setattr(cli_module, "k_orbit_invariant", broken)
+    monkeypatch.setattr(loopmatrix, "k_orbit_invariant", broken)
     path = tmp_path / "id.matrix"
     path.write_text(IDENTITY_FILE)
     rc, _, err = run(capsys, ["invariant", str(path)])
