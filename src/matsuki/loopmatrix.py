@@ -13,6 +13,9 @@ coefficients.  Four discrete invariants are computed here:
 - ``k_orbit_invariant`` and ``r_orbit_invariant``: the stratum and splitting
   invariants of the symmetrized loops attached to a form.
 
+Each form reads theta and the orbit-index test from its ``realform`` catalog
+entry, mapping diagonal-torus coordinates to the entry's (``to_entry``).
+
 All arithmetic is exact and runs on Python integers: a Gaussian rational is
 a normalized integer triple (a, b, d) meaning (a + b*i)/d, and a Laurent
 polynomial packs its Gaussian-integer numerators over one common denominator;
@@ -32,13 +35,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import gcd, lcm
 from operator import index, mul
 
+from . import fundgroup  # read at call time: only geodesic construction runs it
 from .errors import TheoremViolationError, ValidationError
+from .realform import catalog
 from .record import Record
-from .rootdata import Coweight, IntMatrix
+from .rootdata import Coweight
 
 # ---------------------------------------------------------------------------
 # Gaussian rationals
@@ -370,21 +375,16 @@ def lm_from_rows(form: str, rows) -> LaurentMatrix:
     return LaurentMatrix(n=n, entries=rows, form=form)
 
 
+def _diagonal(form: str, polys) -> LaurentMatrix:
+    return lm_from_rows(form, [[p if i == j else LP_ZERO for j in range(len(polys))] for i, p in enumerate(polys)])
+
+
 def identity_loop(form: str, n: int) -> LaurentMatrix:
-    return lm_from_rows(
-        form, [[LP_ONE if i == j else LP_ZERO for j in range(n)] for i in range(n)]
-    )
+    return _diagonal(form, [LP_ONE] * n)
 
 
 def diagonal_loop(form: str, exponents) -> LaurentMatrix:
-    n = len(exponents)
-    return lm_from_rows(
-        form,
-        [
-            [LaurentPoly.t_power(exponents[i]) if i == j else LP_ZERO for j in range(n)]
-            for i in range(n)
-        ],
-    )
+    return _diagonal(form, [LaurentPoly.t_power(e) for e in exponents])
 
 
 def mat_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
@@ -511,7 +511,6 @@ class FormAction(Record):
     n: int
     family: str  # "split" or "unitary"
     special: bool  # determinant pinned to 1
-    signature: tuple[int, int] | None = None
     entry: str = ""  # the catalog entry this form models
 
     # involutions of the loop group; J X J is X turned by 180 degrees
@@ -554,15 +553,18 @@ class FormAction(Record):
         whose anti-involutions turn it into -e."""
         return 2 * e if self.family == "split" else 0
 
-    # lattice shadow
-    def lattice_involution(self) -> IntMatrix:
-        if self.family == "split":
-            return tuple(tuple(1 if i == j else 0 for j in range(self.n)) for i in range(self.n))
-        return tuple(tuple(-1 if i + j == self.n - 1 else 0 for j in range(self.n)) for i in range(self.n))
+    # the lattice side is the catalog entry's
+    def to_entry(self, lam: Coweight) -> Coweight | None:
+        """lam in the entry's coordinates: itself on a rank-n entry; on a rank n-1
+        one its partial sums (simple-coroot coordinates) if it sums to zero, else None."""
+        if catalog(self.entry).datum.rank == self.n:
+            return tuple(lam)
+        *sums, total = accumulate(lam)
+        return None if total else tuple(sums)
 
     def lattice_fixed(self, lam: Coweight) -> bool:
-        theta = self.lattice_involution()
-        return tuple(sum(r * x for r, x in zip(row, lam)) for row in theta) == tuple(lam)
+        mu = self.to_entry(lam)
+        return mu is not None and catalog(self.entry).spec.apply(mu) == mu
 
     # membership checks for the subgroup generators
     def is_real_loop(self, g: LaurentMatrix) -> bool:
@@ -589,8 +591,8 @@ def _form_table() -> dict[str, FormAction]:
         FormAction(name="gl3_split", n=3, family="split", special=False, entry="gl3_split"),
         FormAction(name="sl2_split", n=2, family="split", special=True, entry="sl2_split"),
         FormAction(name="sl3_split", n=3, family="split", special=True, entry="sl3_split"),
-        FormAction(name="u11", n=2, family="unitary", special=False, signature=(1, 1), entry="su11"),
-        FormAction(name="u21", n=3, family="unitary", special=False, signature=(2, 1), entry="su21"),
+        FormAction(name="u11", n=2, family="unitary", special=False, entry="su11"),
+        FormAction(name="u21", n=3, family="unitary", special=False, entry="su21"),
     ]
     return {f.name: f for f in forms}
 
@@ -790,17 +792,19 @@ def r_orbit_invariant(g: LaurentMatrix) -> Coweight:
 def _split_membership_error(form: FormAction, lam) -> str | None:
     if len(lam) != form.n:
         return f"coweight must have length {form.n}"
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-        return "coweight must be dominant (non-increasing entries)"
-    if form.special and sum(lam) != 0:
+    if (mu := form.to_entry(lam)) is None:
         return "special form requires coordinate sum zero"
-    if sum(1 for a in lam if a % 2) % 2:
-        return "parity obstruction: an odd number of odd entries has no based loop"
-    return None
+    spec = catalog(form.entry).spec
+    try:
+        member = fundgroup.in_image_semigroup(spec, mu)
+    except ValidationError:  # theta is the identity, so only dominance can fail
+        return "coweight must be dominant (non-increasing entries)"
+    return None if member else "parity obstruction: an odd number of odd entries has no based loop"
 
 
 def geodesic_representative(form: FormAction | str, lam: Coweight) -> LaurentMatrix:
-    """An exactly-verified based loop whose real symmetrization is t^lam.
+    """An exactly-verified based loop whose real symmetrization is t^lam, for
+    lam whose ``to_entry`` image is in the entry's parameterizing sub-semigroup.
 
     Even entries contribute half-power diagonal monomials; odd entries are
     paired and each pair contributes a half-angle rotation times a half-power
@@ -817,22 +821,17 @@ def geodesic_representative(form: FormAction | str, lam: Coweight) -> LaurentMat
     if reason is not None:
         raise ValidationError(f"{tuple(lam)} is not an orbit index for {form.name}: {reason}")
 
-    n = form.n
-    rows = [[LP_ZERO for _ in range(n)] for _ in range(n)]
+    rows = _zero_rows(form.n)
     odd_positions = [i for i, a in enumerate(lam) if a % 2]
     for i, a in enumerate(lam):
         if a % 2 == 0:
             rows[i][i] = LaurentPoly.t_power(a // 2)
     for i, j in zip(odd_positions[::2], odd_positions[1::2]):
-        a, b = lam[i], lam[j]
-        cos_a = LaurentPoly({(a + 1) // 2: HALF, (a - 1) // 2: HALF})
-        sin_b = LaurentPoly({(b + 1) // 2: HALF_OVER_I, (b - 1) // 2: -HALF_OVER_I})
-        msin_a = LaurentPoly({(a + 1) // 2: -HALF_OVER_I, (a - 1) // 2: HALF_OVER_I})
-        cos_b = LaurentPoly({(b + 1) // 2: HALF, (b - 1) // 2: HALF})
-        rows[i][i] = cos_a
-        rows[i][j] = sin_b
-        rows[j][i] = msin_a
-        rows[j][j] = cos_b
+        a, b = lam[i], lam[j]  # [[cos, sin], [-sin, cos]] of the half angles a/2 and b/2
+        rows[i][i] = LaurentPoly({(a + 1) // 2: HALF, (a - 1) // 2: HALF})
+        rows[i][j] = LaurentPoly({(b + 1) // 2: HALF_OVER_I, (b - 1) // 2: -HALF_OVER_I})
+        rows[j][i] = LaurentPoly({(a + 1) // 2: -HALF_OVER_I, (a - 1) // 2: HALF_OVER_I})
+        rows[j][j] = LaurentPoly({(b + 1) // 2: HALF, (b - 1) // 2: HALF})
     loop = lm_from_rows(form.name, rows)
     target = diagonal_loop(form.name, lam)
     if not loops_equal(mat_mul(form.real_antiinvolution(loop), loop), target):
@@ -865,10 +864,7 @@ def _zero_rows(n):
 
 
 def _constant_diagonal(form_name: str, values) -> LaurentMatrix:
-    rows = _zero_rows(len(values))
-    for i, x in enumerate(values):
-        rows[i][i] = LaurentPoly.constant(x)
-    return lm_from_rows(form_name, rows)
+    return _diagonal(form_name, [LaurentPoly.constant(x) for x in values])
 
 
 def _strict_positions(n, rng, upper=True):

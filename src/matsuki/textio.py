@@ -10,7 +10,6 @@ line number.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd
 
 from . import loopmatrix as lm  # read at call time: only matrix files run it
@@ -148,11 +147,12 @@ def format_involution(entry_or_spec) -> str:
 # loop matrices
 
 
-def _parse_rational(token: str, lineno: int) -> Fraction:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
+def _parse_rational(token: str, lineno: int) -> tuple[int, int]:
+    """Numerator and denominator, q > 0, of a ``p`` or ``p/q`` token."""
+    num, _, den = token.partition("/")
+    if den and not int(den):
         raise ParseError(lineno, f"bad rational {token!r}")
+    return int(num), int(den or 1)
 
 
 def parse_matrix(text: str) -> lm.LaurentMatrix:
@@ -187,11 +187,11 @@ def parse_matrix(text: str) -> lm.LaurentMatrix:
         coeffs: dict[int, lm.Gaussian] = {}
         for match in matches:
             e = int(match.group(1))
-            re_part = _parse_rational(match.group(2), lineno)
-            im_part = _parse_rational(match.group(3), lineno)
+            p, q = _parse_rational(match.group(2), lineno)
+            r, s = _parse_rational(match.group(3), lineno)
             if e in coeffs:
                 raise ParseError(lineno, f"duplicate exponent {e} in entry ({i}, {j})")
-            coeffs[e] = lm.Gaussian(re_part, im_part)
+            coeffs[e] = lm.Gaussian(p * s, r * q) / lm.Gaussian(q * s)  # p/q + (r/s)i
         if rest.replace(" ", "") != "".join(match.group(0).replace(" ", "") for match in matches):
             raise ParseError(lineno, f"unparsed text in entry ({i}, {j}): {rest!r}")
         entries[i - 1][j - 1] = lm.LaurentPoly(coeffs)

@@ -1,0 +1,93 @@
+"""The two layers index the same orbits: the matrix layer's K-orbit and
+R-orbit invariants, mapped into catalog coordinates by ``to_entry``, lie in
+the entry's parameterizing sub-semigroup, and every orbit index of a split
+entry comes back from its geodesic loop."""
+
+import pytest
+
+from matsuki.errors import TheoremViolationError, ValidationError
+from matsuki.fundgroup import in_image_semigroup
+from matsuki.loopmatrix import (
+    FormAction,
+    form_action,
+    form_names,
+    geodesic_representative,
+    k_orbit_invariant,
+    mat_mul,
+    r_orbit_invariant,
+    random_k_loop,
+    random_polynomial_loop,
+    random_real_loop,
+)
+from matsuki.orbitposet import enumerate_orbits
+from matsuki.realform import catalog
+
+LOOPS_PER_FORM = 40
+
+
+def _cross_layer_misses(form):
+    """The invariants of seeded real*K*polynomial loops that miss the entry's
+    sub-semigroup, and the invariant checks that raised; empty when the law holds."""
+    spec = catalog(form.entry).spec
+    misses = []
+    for i in range(LOOPS_PER_FORM):
+        g = mat_mul(
+            mat_mul(random_real_loop(form, 3 * i), random_k_loop(form, 3 * i + 1)),
+            random_polynomial_loop(form, 3 * i + 2),
+        )
+        try:
+            invariants = (k_orbit_invariant(g), r_orbit_invariant(g))
+        except TheoremViolationError as exc:
+            misses.append((i, str(exc)))
+            continue
+        for lam in invariants:
+            mu = form.to_entry(lam)
+            try:
+                member = mu is not None and in_image_semigroup(spec, mu)
+            except ValidationError:
+                member = False
+            if not member:
+                misses.append((i, lam))
+    return misses
+
+
+@pytest.mark.parametrize("name", form_names())
+def test_orbit_invariants_lie_in_the_entry_sub_semigroup(name):
+    assert _cross_layer_misses(form_action(name)) == []
+
+
+def test_a_wrong_map_to_the_entry_is_caught(monkeypatch):
+    right = FormAction.to_entry
+
+    def identity_on_u21(self, lam):
+        return tuple(lam) if self.name == "u21" else right(self, lam)
+
+    monkeypatch.setattr(FormAction, "to_entry", identity_on_u21)
+    assert _cross_layer_misses(form_action("u21"))
+
+    def entries_not_sums_on_sl3(self, lam):
+        return tuple(lam[:-1]) if self.name == "sl3_split" else right(self, lam)
+
+    monkeypatch.setattr(FormAction, "to_entry", entries_not_sums_on_sl3)
+    assert _cross_layer_misses(form_action("sl3_split"))
+
+
+def _from_entry(form, mu):
+    """The gl coweight with entry coordinates mu: mu itself on a rank-n entry,
+    successive differences of 0, mu_1, ..., mu_(n-1), 0 on a rank n-1 one."""
+    if len(mu) == form.n:
+        return mu
+    return tuple(b - a for a, b in zip((0,) + mu, mu + (0,)))
+
+
+def test_every_orbit_index_comes_back_from_its_geodesic():
+    checked = 0
+    for name in ("gl1_split", "sl2_split", "sl3_split"):
+        form = form_action(name)
+        for mu in enumerate_orbits(catalog(form.entry).spec, 8):
+            lam = _from_entry(form, mu)
+            assert form.to_entry(lam) == mu
+            c = geodesic_representative(form, lam)
+            assert (k_orbit_invariant(c), r_orbit_invariant(c)) == (lam, lam), (name, mu)
+            checked += 1
+    assert checked == 19

@@ -737,28 +737,32 @@ def test_r_orbit_examples():
 
 
 def test_su21_catalog_involution_matches_u21_matrix_model():
-    # the catalog's swap on simple-coroot coordinates is the matrix model's
-    # negated reversal restricted to the sum-zero sublattice
+    # the catalog's swap on simple-coroot coordinates, read through the form's
+    # map to its entry, is the matrix model's J-twisted reversal: on the
+    # diagonal torus, J conj(t^lam)^-T J is t^(-reversed(lam))
     from matsuki.realform import catalog
 
-    spec = catalog("su21").spec
     form = form_action("u21")
-    theta = form.lattice_involution()
+    spec = catalog("su21").spec
+    assert form.entry == "su21"
     for x in range(-3, 4):
         for y in range(-3, 4):
             embedded = (x, y - x, -y)  # x*alpha1_vee + y*alpha2_vee in gl3 coords
-            swapped = spec.apply((x, y))
-            reembedded = (swapped[0], swapped[1] - swapped[0], -swapped[1])
-            assert tuple(sum(r * v for r, v in zip(row, embedded)) for row in theta) == reembedded
+            turned = tuple(-a for a in reversed(embedded))
+            assert form.to_entry(embedded) == (x, y)
+            assert form.to_entry(turned) == spec.apply((x, y))
+            assert form.lattice_fixed(embedded) == (turned == embedded)
 
 
 def test_unitary_orbit_invariants_are_lattice_fixed():
+    from matsuki.realform import catalog
+
     form = form_action("u21")
+    theta = catalog("su21").spec.apply
     g = mat_mul(random_real_loop(form, 3), random_polynomial_loop(form, 4))
-    lam = k_orbit_invariant(g)
-    assert form.lattice_fixed(lam)
-    mu = r_orbit_invariant(g)
-    assert form.lattice_fixed(mu)
+    for lam in (k_orbit_invariant(g), r_orbit_invariant(g)):
+        mu = form.to_entry(lam)
+        assert mu is not None and theta(mu) == mu, lam
 
 
 # ---------------------------------------------------------------------------

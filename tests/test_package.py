@@ -73,6 +73,28 @@ def test_invariant_runs_the_matrix_layer(tmp_path):
     assert not {"fundgroup", "orbitposet", "laws"} & set(seen["run"])
 
 
+def test_benchmark_setup_runs_neither_fundgroup_nor_orbitposet():
+    # the matrix layer reads its catalog entry, whose sub-semigroup only
+    # geodesic construction asks for
+    seen = _fresh(
+        "from matsuki import loopmatrix, realform\n"
+        "for name in realform.catalog_names():\n    realform.catalog(name)\n"
+        "for name in loopmatrix.form_names():\n    loopmatrix.form_action(name)"
+    )
+    assert "loopmatrix" in seen["run"]
+    assert not {"fundgroup", "orbitposet"} & set(seen["run"])
+
+
+def test_exported_involution_files_need_no_fractions(tmp_path):
+    seen = _fresh(
+        "from matsuki.cli import main\n"
+        f"assert main(['catalog', '--export', {str(tmp_path)!r}]) == 0\n"
+        f"assert main(['pi1', {str(tmp_path / 'su21.involution')!r}]) == 0"
+    )
+    assert "textio" in seen["run"]
+    assert not {"fractions", "decimal"} & set(seen["modules"])
+
+
 def test_check_runs_the_property_suites():
     seen = _after_command(["check", "pgl2_so21"])
     assert {"laws", "loopmatrix", "orbitposet"} <= set(seen["run"])

@@ -30,7 +30,7 @@ RECORDS = {
         lambda: build_poset_slice(catalog("sl3_split").spec, 6, "R"),
     ),
     LaurentMatrix: (("n", "entries", "form"), lambda: identity_loop("gl2_split", 2)),
-    FormAction: (("name", "n", "family", "special", "signature", "entry"), lambda: form_action("u11")),
+    FormAction: (("name", "n", "family", "special", "entry"), lambda: form_action("u11")),
 }
 
 CLASSES = pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)
@@ -116,7 +116,7 @@ def test_defaults_are_kept():
     assert InvolutionSpec(spec.datum, spec.theta).name == ""
     assert RootDatum(1, (), (), ()).name == ""
     form = FormAction("f", 2, "split", False)
-    assert form.signature is None and form.entry == ""
+    assert form.entry == ""
 
 
 def test_cached_properties_still_work():

@@ -1,5 +1,7 @@
 """Structured-text round trips and parse errors with line numbers."""
 
+from fractions import Fraction
+
 import pytest
 
 from matsuki.errors import ParseError
@@ -96,6 +98,12 @@ def test_matrix_identity_file():
     assert loops_equal(g, diagonal_loop("gl2_split", (0, 0)))
 
 
+def test_matrix_rationals_are_read_in_lowest_terms():
+    text = "form: gl2_split\nsize: 2\nentry 1 1: (0, 1, 0)\nentry 1 2: (0, -6/4, 10/15) (2, 0/7, 3)\nentry 2 2: (0, 1, 0)\n"
+    entry = parse_matrix(text).entries[0][1]
+    assert entry == LaurentPoly({0: Gaussian(Fraction(-3, 2), Fraction(2, 3)), 2: Gaussian(0, 3)})
+
+
 def test_matrix_parse_errors():
     with pytest.raises(ParseError, match="line 1"):
         parse_matrix("form: nonsense\nsize: 2\n")
@@ -107,6 +115,8 @@ def test_matrix_parse_errors():
         parse_matrix(
             "form: gl2_split\nsize: 2\nentry 1 1: (0, 1/1, 0/1)\nentry 1 1: (0, 1/1, 0/1)\n"
         )
+    with pytest.raises(ParseError, match=r"^line 3: bad rational '1/0'$"):
+        parse_matrix("form: gl2_split\nsize: 2\nentry 1 1: (0, 1/0, 0/1)\n")
     with pytest.raises(ParseError, match="unparsed"):
         parse_matrix("form: gl2_split\nsize: 2\nentry 1 1: (0, 1/1, 0/1) leftover\n")
     # comment and blank lines still count towards the line number
