@@ -106,7 +106,7 @@ def cmd_orbits(args) -> int:
     elements = orbitposet.enumerate_orbits(spec, args.height)
     print(f"spec: {spec.name}")
     print(f"height: {args.height}")
-    print(f"image_index: {fundgroup.pi1_model(spec).image_index}")
+    print(f"image_index: {fundgroup.image_index(spec)}")
     print(f"components: {orbitposet.component_count(spec, elements)}")
     for line in _spec_note_lines(spec):
         print(line)

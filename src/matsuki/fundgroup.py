@@ -48,7 +48,6 @@ def real_coweight_coordinates(spec: InvolutionSpec, coweight: Coweight) -> tuple
     return tuple(c // den for c in scaled)
 
 
-@lru_cache(maxsize=None)
 def pi1_of_symmetric_space(spec: InvolutionSpec) -> FiniteAbelianGroup:
     """Quotient of the theta-fixed sublattice by the restricted coroot generators,
     in fixed-basis coordinates.  The zero lattice gives the trivial group."""
@@ -80,18 +79,23 @@ def _image_lattice(spec: InvolutionSpec) -> tuple[tuple[Coweight, ...], FiniteAb
     return image_gens, group, class_rows
 
 
-@lru_cache(maxsize=None)
-def pi1_model(spec: InvolutionSpec) -> PiOneModel:
-    image_gens, group, _ = _image_lattice(spec)
-    index = group.order()
+def image_index(spec: InvolutionSpec) -> int:
+    """Index of the loop image in the fixed sublattice: the order of the
+    quotient of ``_image_lattice``, all that a poset slice reads of it."""
+    index = _image_lattice(spec)[1].order()
     if index is None:
         # cannot happen: 2*lambda is always in the image lattice
         raise ValidationError("loop image has infinite index in the fixed sublattice")
+    return index
+
+
+@lru_cache(maxsize=None)
+def pi1_model(spec: InvolutionSpec) -> PiOneModel:
     return PiOneModel(
         group_pi1=pi1_of_group(spec.datum),
         space_pi1=pi1_of_symmetric_space(spec),
-        image_generators=image_gens,
-        image_index=index,
+        image_generators=_image_lattice(spec)[0],
+        image_index=image_index(spec),
     )
 
 

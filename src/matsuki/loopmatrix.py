@@ -51,7 +51,9 @@ from .rootdata import Coweight
 
 class Gaussian:
     """An element of Q(i), stored as normalized integers ``(a, b, d)`` that
-    mean (a + b*i)/d, with d > 0 and gcd(a, b, d) = 1.
+    mean (a + b*i)/d, with d > 0 and gcd(a, b, d) = 1.  It is built from
+    parts ``re`` and ``im`` that are ints or Fractions; anything else, a float
+    included, raises ``ValidationError``.
 
     Normalization makes the fields unique, so equality compares them
     directly; the hash is that of the ``(re, im)`` pair of Fractions.
@@ -65,6 +67,8 @@ class Gaussian:
         if type(re) is int and type(im) is int:
             a, b, d = re, im, 1
         else:
+            if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+                raise ValidationError(f"Gaussian parts must be int or Fraction, got {re!r} and {im!r}")
             re, im = Fraction(re), Fraction(im)
             q, s = re.denominator, im.denominator
             d = q * s // gcd(q, s)  # lcm; both parts are in lowest terms, so gcd(a, b, d) = 1

@@ -14,7 +14,7 @@ from math import gcd, prod
 from operator import index, le, mul
 
 from .errors import ValidationError
-from .fundgroup import _image_lattice, in_image_semigroup, pi1_model
+from .fundgroup import _image_lattice, image_index, in_image_semigroup
 from .realform import InvolutionSpec, real_coweight_basis
 from .record import Record
 from .rootdata import (
@@ -293,5 +293,5 @@ def build_poset_slice(spec: InvolutionSpec, height_bound: int, order: str = "K")
         elements=elements,
         hasse_edges=edges,
         component_count=component_count(spec, elements),
-        image_index=pi1_model(spec).image_index,
+        image_index=image_index(spec),
     )

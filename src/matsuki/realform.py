@@ -115,7 +115,7 @@ def validate_involution(spec: InvolutionSpec) -> list[str]:
 
 
 def require_valid_involution(spec: InvolutionSpec) -> None:
-    require_valid(spec.datum)
+    """Raise on an invalid involution of a datum the caller has validated."""
     problems = validate_involution(spec)
     if problems:
         raise ValidationError(f"invalid involution {spec.name!r}: " + "; ".join(problems))
@@ -150,7 +150,6 @@ def restricted_coroot_generators(spec: InvolutionSpec) -> tuple[Coweight, ...]:
     return tuple(sorted(gens))
 
 
-@lru_cache(maxsize=None)
 def step_basis(spec: InvolutionSpec) -> tuple[Coweight, ...]:
     """The indecomposable restricted coroot generators, in order of height.
 
@@ -313,6 +312,7 @@ def catalog(name: str) -> RealFormCatalogEntry:
     table = _catalog()
     if name not in table:
         raise ValidationError(f"unknown catalog entry {name!r}; available: {', '.join(table)}")
+    require_valid(table[name].datum)
     require_valid_involution(table[name].spec)
     return table[name]
 

@@ -131,7 +131,6 @@ def simple_roots(datum: RootDatum) -> tuple[Coweight, ...]:
     return tuple(datum.roots[i] for i in datum.simple_indices)
 
 
-@lru_cache(maxsize=None)
 def simple_coroots(datum: RootDatum) -> tuple[Coweight, ...]:
     return tuple(datum.coroots[i] for i in datum.simple_indices)
 
@@ -143,7 +142,6 @@ def positive_root_indices(datum: RootDatum) -> tuple[int, ...]:
     return tuple(idx for idx, root in enumerate(datum.roots) if free_monoid_leq(datum.root_solver, zero, root))
 
 
-@lru_cache(maxsize=None)
 def positive_coroots(datum: RootDatum) -> tuple[Coweight, ...]:
     return tuple(datum.coroots[i] for i in positive_root_indices(datum))
 
@@ -189,22 +187,18 @@ def validate_root_datum(datum: RootDatum) -> list[str]:
     if len(set(datum.coroots)) != len(datum.coroots):
         problems.append("coroot list contains duplicates")
 
+    coroot_set, reflection_problems = set(datum.coroots), []
     for i in datum.simple_indices:
         p = dot(datum.roots[i], datum.coroots[i])
         if p != 2:
             problems.append(f"pairing <alpha_{i}, alpha_{i}^vee> = {p}, expected 2")
-
-    coroot_set = set(datum.coroots)
-    for i in datum.simple_indices:
-        if dot(datum.roots[i], datum.coroots[i]) != 2:
             continue  # reflection is meaningless without the pairing axiom
-        for beta in datum.coroots:
-            if datum.reflect(i, beta) not in coroot_set:
-                problems.append(
-                    f"reflection at simple root {i} does not permute the coroot set "
-                    f"(image of {beta} missing)"
-                )
-                break
+        beta = next((b for b in datum.coroots if datum.reflect(i, b) not in coroot_set), None)
+        if beta is not None:
+            reflection_problems.append(
+                f"reflection at simple root {i} does not permute the coroot set (image of {beta} missing)"
+            )
+    problems += reflection_problems  # every pairing problem is listed first
 
     try:
         solver = datum.root_solver
@@ -322,17 +316,6 @@ def dominance_leq(datum: RootDatum, lower: Coweight, upper: Coweight) -> bool:
     return datum.coroot_order(lower, upper)
 
 
-@lru_cache(maxsize=None)
-def _parabolic_positive_coroots(datum: RootDatum, subset: tuple[int, ...]) -> tuple[Coweight, ...]:
-    """Positive coroots of the sub-system spanned by the given simple roots."""
-    outside = [j for j, i in enumerate(datum.simple_indices) if i not in subset]
-    rows = datum.root_solver[1]
-    return tuple(
-        datum.coroots[idx] for idx in positive_root_indices(datum)
-        if not any(dot(rows[j], datum.roots[idx]) for j in outside)
-    )
-
-
 def weyl_longest_element(datum: RootDatum, subset: frozenset[int] | tuple[int, ...]) -> IntMatrix:
     """Matrix of the longest element of the parabolic Weyl subgroup.
 
@@ -345,9 +328,11 @@ def weyl_longest_element(datum: RootDatum, subset: frozenset[int] | tuple[int, .
         raise ValidationError(f"subset {subset} is not a set of simple indices")
     if not subset:
         return identity_matrix(datum.rank)
-    x = (0,) * datum.rank
-    for beta in _parabolic_positive_coroots(datum, subset):
-        x = vec_add(x, beta)
+    outside = [j for j, i in enumerate(datum.simple_indices) if i not in subset]
+    rows, x = datum.root_solver[1], (0,) * datum.rank
+    for idx in positive_root_indices(datum):  # the positive coroots of the sub-system
+        if not any(dot(rows[j], datum.roots[idx]) for j in outside):
+            x = vec_add(x, datum.coroots[idx])
     w = identity_matrix(datum.rank)
     while True:
         pos = next((i for i in subset if dot(datum.roots[i], x) > 0), None)

@@ -4,7 +4,7 @@ One format family: ``key: value`` lines, with integer-matrix blocks written as
 one row per line after a bare ``key:`` line.  Matrix files list entries as
 ``entry <row> <col>: (exp, re_num/re_den, im_num/im_den) ...`` tuples.
 Exact integers and rationals only; every parse failure is fatal and carries a
-line number.
+line number, and a line that the format does not read is one.
 """
 
 from __future__ import annotations
@@ -20,13 +20,8 @@ from .rootdata import RootDatum, require_valid
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.*)$")
 _ENTRY_RE = re.compile(r"^entry\s+(\d+)\s+(\d+)\s*:\s*(.*)$")
 _TUPLE_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+(?:/\d+)?)\s*,\s*(-?\d+(?:/\d+)?)\s*\)")
-
-
-def _logical_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+_BLOCK_KEYS = frozenset({"roots", "coroots", "theta"})
+_DATUM_KEYS = frozenset({"name", "rank", "simple", "roots", "coroots"})
 
 
 def _parse_int_row(line: str, lineno: int) -> tuple[int, ...]:
@@ -36,20 +31,28 @@ def _parse_int_row(line: str, lineno: int) -> tuple[int, ...]:
         raise ParseError(lineno, f"expected a row of integers, got {line!r}")
 
 
-def _parse_sections(text: str) -> dict[str, tuple[int, str, list[tuple[int, str]]]]:
-    """Split into key -> (lineno, inline value, block rows)."""
+def _parse_sections(text: str, where: str, keys, entries: list | None = None) -> dict[str, tuple]:
+    """Split into key -> (lineno, inline value, block rows) in one pass.  A
+    line is one of ``keys``, a row under a block key (``_BLOCK_KEYS``) or,
+    when ``entries`` is a list, an ``entry i j:`` line after the first key,
+    appended to it as (lineno, match); any other line is a parse error."""
     sections: dict[str, tuple[int, str, list[tuple[int, str]]]] = {}
-    current: str | None = None
-    for lineno, line in _logical_lines(text):
-        m = _KEY_RE.match(line)
-        if m and not _ENTRY_RE.match(line):
+    rows = None  # the rows of the last key, if it is a block key
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not (line := raw.split("#", 1)[0].strip()):
+            continue
+        if m := _KEY_RE.match(line):
             key, value = m.group(1), m.group(2).strip()
+            if key not in keys:
+                raise ParseError(lineno, f"unknown key {key!r} in {where}")
             if key in sections:
                 raise ParseError(lineno, f"duplicate key {key!r}")
             sections[key] = (lineno, value, [])
-            current = key
-        elif current is not None:
-            sections[current][2].append((lineno, line))
+            rows = sections[key][2] if key in _BLOCK_KEYS else None
+        elif rows is not None:
+            rows.append((lineno, line))
+        elif entries is not None and sections and (m := _ENTRY_RE.match(line)):
+            entries.append((lineno, m))
         else:
             raise ParseError(lineno, f"expected 'key: value', got {line!r}")
     return sections
@@ -79,8 +82,8 @@ def _matrix_block(sections, key: str, where: str) -> tuple[tuple[int, ...], ...]
 # root data and involutions
 
 
-def parse_root_datum(text: str) -> RootDatum:
-    sections = _parse_sections(text)
+def _root_datum(sections) -> RootDatum:
+    """The validated datum of the inline fields of a root-datum or involution file."""
     name_line, name, _ = _require_key(sections, "name", "root datum")
     rank_line, rank_value, _ = _require_key(sections, "rank", "root datum")
     try:
@@ -98,10 +101,15 @@ def parse_root_datum(text: str) -> RootDatum:
     return datum
 
 
+def parse_root_datum(text: str) -> RootDatum:
+    return _root_datum(_parse_sections(text, "root datum", _DATUM_KEYS))
+
+
 def parse_involution(text: str) -> InvolutionSpec:
     """An involution file: a theta block plus either inline datum fields or a
-    ``datum: <catalog name>`` reference."""
-    sections = _parse_sections(text)
+    ``datum: <catalog name>`` reference.  The datum is validated once: by the
+    catalog lookup for a reference, here for inline fields."""
+    sections = _parse_sections(text, "involution", _DATUM_KEYS | {"datum", "theta"})
     _, name, _ = _require_key(sections, "name", "involution")
     if "datum" in sections:
         lineno, ref, _ = sections["datum"]
@@ -110,7 +118,7 @@ def parse_involution(text: str) -> InvolutionSpec:
         except ValidationError as exc:
             raise ParseError(lineno, str(exc))
     elif "rank" in sections:
-        base = parse_root_datum(text)
+        base = _root_datum(sections)
     else:
         raise ParseError(0, "involution file needs either inline datum fields or a datum reference")
     theta = _matrix_block(sections, "theta", "involution")
@@ -156,7 +164,8 @@ def _parse_rational(token: str, lineno: int) -> tuple[int, int]:
 
 
 def parse_matrix(text: str) -> lm.LaurentMatrix:
-    sections = _parse_sections(text)
+    entry_lines: list = []
+    sections = _parse_sections(text, "matrix file", ("form", "size"), entry_lines)
     form_line, form_name, _ = _require_key(sections, "form", "matrix file")
     try:
         form = lm.form_action(form_name)
@@ -172,10 +181,7 @@ def parse_matrix(text: str) -> lm.LaurentMatrix:
 
     entries = [[lm.LaurentPoly.zero() for _ in range(n)] for _ in range(n)]
     seen: set[tuple[int, int]] = set()
-    for lineno, line in _logical_lines(text):
-        m = _ENTRY_RE.match(line)
-        if not m:
-            continue
+    for lineno, m in entry_lines:
         i, j = int(m.group(1)), int(m.group(2))
         if not (1 <= i <= n and 1 <= j <= n):
             raise ParseError(lineno, f"entry ({i}, {j}) outside a {n}x{n} matrix")

@@ -187,6 +187,23 @@ def test_invariant_parse_error_exit_code(capsys, tmp_path):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize(
+    "command, name, text, message",
+    [
+        ("invariant", "stray.matrix", IDENTITY_FILE.replace("size: 2\n", "size: 2\nhello world\n"),
+         "line 3: expected 'key: value', got 'hello world'"),
+        ("orbits", "stray.involution", "name: borrowed\nextra: 5\ndatum: sl3_split\ntheta:\n0 1\n1 0\n",
+         "line 2: unknown key 'extra' in involution"),
+    ],
+    ids=["matrix", "involution"],
+)
+def test_a_line_the_format_does_not_read_exits_one(capsys, tmp_path, command, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    rc, out, err = run(capsys, [command, str(path)])
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_unknown_spec_exit_code(capsys):
     rc, _, err = run(capsys, ["orbits", "not_a_form"])
     assert rc == 1

@@ -3,12 +3,16 @@ R-orbit invariants, mapped into catalog coordinates by ``to_entry``, lie in
 the entry's parameterizing sub-semigroup, and every orbit index of a split
 entry comes back from its geodesic loop."""
 
+import random
+
 import pytest
 
+from matsuki import fundgroup
 from matsuki.errors import TheoremViolationError, ValidationError
 from matsuki.fundgroup import in_image_semigroup
 from matsuki.loopmatrix import (
     FormAction,
+    diagonal_loop,
     form_action,
     form_names,
     geodesic_representative,
@@ -25,16 +29,32 @@ from matsuki.realform import catalog
 LOOPS_PER_FORM = 40
 
 
-def _cross_layer_misses(form):
-    """The invariants of seeded real*K*polynomial loops that miss the entry's
-    sub-semigroup, and the invariant checks that raised; empty when the law holds."""
+def _seeded_loop(form, i):
+    """The i-th seeded real*K*polynomial loop of the form."""
+    return mat_mul(
+        mat_mul(random_real_loop(form, 3 * i), random_k_loop(form, 3 * i + 1)),
+        random_polynomial_loop(form, 3 * i + 2),
+    )
+
+
+def _odd_loop(form, i):
+    """The i-th seeded loop times diag(t^mu) with mu of odd sum.  On a split gl
+    form its K-orbit and R-orbit invariants then sum to 2 mod 4, so they test
+    the image-class side of the law, which every seeded loop, with invariants
+    summing to 0, leaves untested."""
+    rng = random.Random(f"odd:{form.name}:{i}")
+    mu = [rng.randint(-3, 3) for _ in range(form.n)]
+    mu[0] += 1 - sum(mu) % 2
+    return mat_mul(_seeded_loop(form, i), diagonal_loop(form.name, tuple(mu)))
+
+
+def _cross_layer_misses(form, loop=_seeded_loop):
+    """The invariants of the form's loops that miss the entry's sub-semigroup,
+    and the invariant checks that raised; empty when the law holds."""
     spec = catalog(form.entry).spec
     misses = []
     for i in range(LOOPS_PER_FORM):
-        g = mat_mul(
-            mat_mul(random_real_loop(form, 3 * i), random_k_loop(form, 3 * i + 1)),
-            random_polynomial_loop(form, 3 * i + 2),
-        )
+        g = loop(form, i)
         try:
             invariants = (k_orbit_invariant(g), r_orbit_invariant(g))
         except TheoremViolationError as exc:
@@ -70,6 +90,29 @@ def test_a_wrong_map_to_the_entry_is_caught(monkeypatch):
 
     monkeypatch.setattr(FormAction, "to_entry", entries_not_sums_on_sl3)
     assert _cross_layer_misses(form_action("sl3_split"))
+
+
+ODD_FORMS = ("gl1_split", "gl2_split", "gl3_split")
+
+
+@pytest.mark.parametrize("name", ODD_FORMS)
+def test_invariants_of_odd_loops_lie_in_the_image_class(name):
+    form = form_action(name)
+    loops = [_odd_loop(form, i) for i in range(LOOPS_PER_FORM)]
+    assert {sum(f(g)) % 4 for g in loops for f in (k_orbit_invariant, r_orbit_invariant)} == {2}
+    assert _cross_layer_misses(form, _odd_loop) == []
+
+
+@pytest.mark.parametrize("name", ODD_FORMS)
+def test_a_wrong_image_class_is_caught(name, monkeypatch):
+    right = fundgroup._image_lattice
+
+    def doubled_moduli(spec):
+        gens, group, class_rows = right(spec)
+        return gens, group, tuple((row, 2 * m) for row, m in class_rows)
+
+    monkeypatch.setattr(fundgroup, "_image_lattice", doubled_moduli)
+    assert _cross_layer_misses(form_action(name), _odd_loop)
 
 
 def _from_entry(form, mu):

@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matsuki import realform
+from matsuki import fundgroup, realform
 from matsuki.cli import main
 from matsuki.errors import TheoremViolationError, ValidationError
 from matsuki.fundgroup import (
+    image_index,
     in_image_semigroup,
     pi1_model,
     pi1_of_symmetric_space,
     real_coweight_coordinates,
 )
-from matsuki.orbitposet import r_leq, real_step_leq
+from matsuki.orbitposet import build_poset_slice, r_leq, real_step_leq
 from matsuki.realform import (
     catalog,
     catalog_names,
@@ -186,6 +187,34 @@ def test_image_index_matches_component_expectation():
         entry = catalog(name)
         index = pi1_model(entry.spec).image_index
         assert (index == 1) == entry.expected_k_connected, name
+
+
+IMAGE_INDEX = {
+    "sl2_split": 1, "sl2_compact": 1, "pgl2_so21": 2, "sl2C_as_real": 1, "sl3_split": 1,
+    "su11": 1, "su21": 1, "gl1_split": 2, "gl2_split": 2, "gl3_split": 2,
+}
+
+
+def test_image_index_of_every_entry():
+    assert {name: image_index(catalog(name).spec) for name in ALL_NAMES} == IMAGE_INDEX
+    assert {name: pi1_model(catalog(name).spec).image_index for name in ALL_NAMES} == IMAGE_INDEX
+
+
+def test_slices_and_orbit_reports_build_no_pi1_group(monkeypatch, package_caches, cleared_caches, capsys):
+    built = []
+    for name in ("pi1_of_group", "pi1_of_symmetric_space"):
+        real = getattr(fundgroup, name)
+        monkeypatch.setattr(fundgroup, name, lambda arg, real=real, name=name: built.append(name) or real(arg))
+    for name in ALL_NAMES:
+        assert build_poset_slice(catalog(name).spec, 6).image_index == IMAGE_INDEX[name]
+    for cache in package_caches:
+        cache.cache_clear()
+    for name in ALL_NAMES:
+        assert main(["orbits", name, "--height", "6"]) == 0
+        assert f"image_index: {IMAGE_INDEX[name]}\n" in capsys.readouterr().out
+    assert built == []
+    assert main(["pi1", "pgl2_so21"]) == 0  # the report that prints both groups builds them
+    assert built == ["pi1_of_group", "pi1_of_symmetric_space"]
 
 
 def test_image_index_divides_torsion_order_when_finite():

@@ -128,6 +128,19 @@ def test_gaussian_normalization():
         half.a = 2
 
 
+@pytest.mark.parametrize("re, im", [(0.1, 0), (1, 0.5), ("1/2", 0), (Gaussian(1), 0)])
+def test_gaussian_parts_are_ints_or_fractions(re, im):
+    # a float would be read as its binary fraction: 0.1 is 3602879701896397/2**55
+    with pytest.raises(ValidationError, match="must be int or Fraction"):
+        Gaussian(re, im)
+
+
+def test_constant_polynomials_take_no_floats():
+    with pytest.raises(ValidationError, match="must be int or Fraction"):
+        LaurentPoly.constant(0.1)
+    assert LaurentPoly.constant(Fraction(1, 10)) == LaurentPoly.constant(Gaussian(Fraction(1, 10)))
+
+
 def test_poly_ring_ops():
     p = LaurentPoly({1: Gaussian(1), -1: Gaussian(1)})
     q = LaurentPoly({0: Gaussian(2)})

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from matsuki import rootdata, textio
 from matsuki.errors import ParseError
 from matsuki.loopmatrix import (
     Gaussian,
@@ -49,6 +50,10 @@ def test_root_datum_parse_errors_carry_line_numbers():
         parse_root_datum("name: x\nrank: 1\nsimple: 0\nroots:\n2\nnot numbers\ncoroots:\n1\n")
     with pytest.raises(ParseError, match="missing required key"):
         parse_root_datum("rank: 1\nsimple: 0\n")
+    with pytest.raises(ParseError, match=r"^line 4: expected 'key: value', got '1'$"):
+        parse_root_datum("name: x\nrank: 1\nsimple: 0\n1\n")  # rows follow block keys only
+    with pytest.raises(ParseError, match=r"^line 2: unknown key 'theta' in root datum$"):
+        parse_root_datum("name: x\ntheta:\n1\n")
 
 
 def test_involution_with_inline_datum():
@@ -130,3 +135,56 @@ def test_matrix_file_must_satisfy_form_invariant():
     text = "form: sl2_split\nsize: 2\nentry 1 1: (1, 1/1, 0/1)\nentry 2 2: (0, 1/1, 0/1)\n"
     with pytest.raises(Exception, match="determinant"):
         parse_matrix(text)
+
+
+IDENTITY_MATRIX = "form: gl2_split\nsize: 2\nentry 1 1: (0, 1/1, 0/1)\nentry 2 2: (0, 1/1, 0/1)\n"
+REFERENCE_INVOLUTION = "name: borrowed\ndatum: sl3_split\ntheta:\n0 1\n1 0\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_matrix, "form: gl2_split\nsize: 2\nhello world\nentry 1 1: (0, 1, 0)\nentry 2 2: (0, 1, 0)\n",
+         r"^line 3: expected 'key: value', got 'hello world'$"),
+        (parse_matrix, IDENTITY_MATRIX + "foo: bar\n1 2 3\n", r"^line 5: unknown key 'foo' in matrix file$"),
+        (parse_involution, REFERENCE_INVOLUTION.replace("\n", "\nbogus line here\nextra: 5\n", 1),
+         r"^line 2: expected 'key: value', got 'bogus line here'$"),
+        (parse_involution, REFERENCE_INVOLUTION + "extra: 5\n", r"^line 6: unknown key 'extra' in involution$"),
+        (parse_matrix, "entry 1 1: (0, 1, 0)\n" + IDENTITY_MATRIX, r"^line 1: expected 'key: value'"),
+    ],
+    ids=["matrix-stray-line", "matrix-unknown-key", "involution-stray-line", "involution-unknown-key", "entry-first"],
+)
+def test_a_line_the_format_does_not_read_is_an_error(parse, text, message):
+    with pytest.raises(ParseError, match=message):
+        parse(text)
+
+
+class _CountingText(str):
+    """Text that counts the passes made over it through ``splitlines``."""
+
+    passes = 0
+
+    def splitlines(self, *args, **kwargs):
+        self.passes += 1
+        return super().splitlines(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "text", [SL2_TEXT.replace("name: sl2", "name: my_split") + "theta:\n1\n", REFERENCE_INVOLUTION],
+    ids=["inline", "reference"],
+)
+def test_an_involution_file_is_scanned_once_and_validated_once(text, monkeypatch, cleared_caches):
+    # cold caches: a reference is validated by its catalog lookup, and only there
+    scans, validated = [], []
+    sections, validate = textio._parse_sections, rootdata.validate_root_datum
+    monkeypatch.setattr(textio, "_parse_sections", lambda *args: scans.append(args[1]) or sections(*args))
+    monkeypatch.setattr(rootdata, "validate_root_datum", lambda datum: validated.append(datum.name) or validate(datum))
+    text = _CountingText(text)
+    parse_involution(text)
+    assert (text.passes, scans, len(validated)) == (1, ["involution"], 1)
+
+
+def test_a_matrix_file_is_scanned_once():
+    text = _CountingText(IDENTITY_MATRIX)
+    assert loops_equal(parse_matrix(text), diagonal_loop("gl2_split", (0, 0)))
+    assert text.passes == 1

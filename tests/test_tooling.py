@@ -99,22 +99,18 @@ def test_no_assert_statements(path):
 # Unbounded caches allowed in the package.  Each is keyed by structure: a root
 # datum, an involution, or a catalog table or entry name, so its size is
 # bounded by the structures in use, never by the coweights compared, the
-# heights asked for or the loops classified.
+# heights asked for or the loops classified.  A function whose callers are
+# cached themselves, or whose value is a tuple comprehension, has none.
 STRUCTURE_CACHES = {
     "fundgroup._image_lattice": "involution",
     "fundgroup.pi1_model": "involution",
-    "fundgroup.pi1_of_symmetric_space": "involution",
     "loopmatrix._form_table": "catalog table",
     "realform._catalog": "catalog table",
     "realform.catalog": "catalog entry name",
     "realform.levi_longest_element": "involution",
     "realform.real_coweight_basis": "involution",
     "realform.restricted_coroot_generators": "involution",
-    "realform.step_basis": "involution",
-    "rootdata._parabolic_positive_coroots": "root datum and simple-root subset",
-    "rootdata.positive_coroots": "root datum",
     "rootdata.positive_root_indices": "root datum",
-    "rootdata.simple_coroots": "root datum",
     "rootdata.simple_roots": "root datum",
     "rootdata.two_rho": "root datum",
 }
