@@ -89,7 +89,6 @@ def image_index(spec: InvolutionSpec) -> int:
     return index
 
 
-@lru_cache(maxsize=None)
 def pi1_model(spec: InvolutionSpec) -> PiOneModel:
     return PiOneModel(
         group_pi1=pi1_of_group(spec.datum),

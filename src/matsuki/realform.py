@@ -189,7 +189,6 @@ def levi_simple_roots(spec: InvolutionSpec) -> tuple[int, ...]:
     )
 
 
-@lru_cache(maxsize=None)
 def levi_longest_element(spec: InvolutionSpec) -> IntMatrix:
     return weyl_longest_element(spec.datum, levi_simple_roots(spec))
 

@@ -349,80 +349,48 @@ def weyl_longest_element(datum: RootDatum, subset: frozenset[int] | tuple[int, .
 def smith_normal_form(matrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """U, D, V with U @ M @ V = D, U and V unimodular, D diagonal, d1 | d2 | ...
 
-    Pivoting is deterministic (smallest nonzero absolute value, ties row-major)
-    so every projection built on top of this is reproducible bit for bit.
+    One elimination in place on the augmented rows [[M, U], [V]]: a row
+    operation spans a whole row of the first m, a column operation the first
+    n columns of all m + n rows.  Pivoting is deterministic (smallest nonzero
+    absolute value, ties row-major) so everything built on it is reproducible.
     """
-    rows = [list(r) for r in matrix]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if any(len(r) != n for r in rows):
+    a = [list(r) for r in matrix]
+    m, n = len(a), (len(a[0]) if a else 0)
+    if any(len(r) != n for r in a):
         raise ValidationError("ragged matrix")
-    U = [list(r) for r in identity_matrix(m)]
-    V = [list(r) for r in identity_matrix(n)]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in rows:
-            r[i] -= q * r[j]
-        for r in V:
-            r[i] -= q * r[j]
-
-    def swap_rows(i, j):
-        rows[i], rows[j] = rows[j], rows[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in rows:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
+    a = [r + [int(i == j) for j in range(m)] for i, r in enumerate(a)]
+    a += ([int(i == j) for j in range(n)] for i in range(n))
     t = 0
     while t < min(m, n):
-        pivot = None
-        best = None
+        best = 0
         for i in range(t, m):
             for j in range(t, n):
-                v = abs(rows[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
+                if a[i][j] and (not best or abs(a[i][j]) < best):
+                    best, p, q = abs(a[i][j]), i, j
+        if not best:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        dirty = False
+        a[t], a[p] = a[p], a[t]
+        for r in a:
+            r[t], r[q] = r[q], r[t]
+        pivot = a[t][t]
         for i in range(t + 1, m):
-            if rows[i][t]:
-                q = rows[i][t] // rows[t][t]
-                row_op(i, t, q)
-                if rows[i][t]:
-                    dirty = True
+            if c := a[i][t] // pivot:
+                a[i] = [x - c * y for x, y in zip(a[i], a[t])]
         for j in range(t + 1, n):
-            if rows[t][j]:
-                q = rows[t][j] // rows[t][t]
-                col_op(j, t, q)
-                if rows[t][j]:
-                    dirty = True
-        if dirty:
+            if c := a[t][j] // pivot:
+                for r in a:
+                    r[j] -= c * r[t]
+        if any(a[t][t + 1:n]) or any(a[i][t] for i in range(t + 1, m)):
             continue
-        # divisibility: pivot must divide the remaining block
-        offender = next(
-            ((i, j) for i in range(t + 1, m) for j in range(t + 1, n) if rows[i][j] % rows[t][t]),
-            None,
-        )
+        # the pivot must divide the rest of the block: else pull an offending row up
+        offender = next((i for i in range(t + 1, m) for j in range(t + 1, n) if a[i][j] % pivot), None)
         if offender is not None:
-            row_op(t, offender[0], -1)  # pull the offending row up, re-eliminate
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
             continue
+        if pivot < 0:  # row t is final
+            a[t] = [-x for x in a[t]]
         t += 1
-
-    for i in range(min(m, n)):
-        if rows[i][i] < 0:
-            rows[i] = [-a for a in rows[i]]
-            U[i] = [-a for a in U[i]]
-    return tuple(map(tuple, U)), tuple(map(tuple, rows)), tuple(map(tuple, V))
+    return tuple(tuple(r[n:]) for r in a[:m]), tuple(tuple(r[:n]) for r in a[:m]), tuple(map(tuple, a[m:]))
 
 
 def kernel_basis(matrix) -> tuple[Coweight, ...]:

@@ -106,12 +106,15 @@ def parse_root_datum(text: str) -> RootDatum:
 
 
 def parse_involution(text: str) -> InvolutionSpec:
-    """An involution file: a theta block plus either inline datum fields or a
-    ``datum: <catalog name>`` reference.  The datum is validated once: by the
-    catalog lookup for a reference, here for inline fields."""
+    """An involution file: a name, a theta block and either inline datum
+    fields or a ``datum: <catalog name>`` reference, never both.  The datum is
+    validated once: by the catalog lookup for a reference, here for inline
+    fields."""
     sections = _parse_sections(text, "involution", _DATUM_KEYS | {"datum", "theta"})
     _, name, _ = _require_key(sections, "name", "involution")
     if "datum" in sections:
+        if inline := sorted((sections[k][0], k) for k in _DATUM_KEYS - {"name"} if k in sections):
+            raise ParseError(inline[0][0], f"inline datum field {inline[0][1]!r} next to a datum reference")
         lineno, ref, _ = sections["datum"]
         try:
             base = catalog(ref).datum

@@ -194,8 +194,10 @@ def test_invariant_parse_error_exit_code(capsys, tmp_path):
          "line 3: expected 'key: value', got 'hello world'"),
         ("orbits", "stray.involution", "name: borrowed\nextra: 5\ndatum: sl3_split\ntheta:\n0 1\n1 0\n",
          "line 2: unknown key 'extra' in involution"),
+        ("orbits", "conflict.involution", "name: x\ndatum: sl3_split\nrank: 7\nsimple: 9\ntheta:\n0 1\n1 0\n",
+         "line 3: inline datum field 'rank' next to a datum reference"),
     ],
-    ids=["matrix", "involution"],
+    ids=["matrix", "involution", "involution-datum-conflict"],
 )
 def test_a_line_the_format_does_not_read_exits_one(capsys, tmp_path, command, name, text, message):
     path = tmp_path / name

@@ -151,8 +151,11 @@ REFERENCE_INVOLUTION = "name: borrowed\ndatum: sl3_split\ntheta:\n0 1\n1 0\n"
          r"^line 2: expected 'key: value', got 'bogus line here'$"),
         (parse_involution, REFERENCE_INVOLUTION + "extra: 5\n", r"^line 6: unknown key 'extra' in involution$"),
         (parse_matrix, "entry 1 1: (0, 1, 0)\n" + IDENTITY_MATRIX, r"^line 1: expected 'key: value'"),
+        (parse_involution, "name: x\ndatum: sl3_split\nrank: 7\nsimple: 9\ntheta:\n0 1\n1 0\n",
+         r"^line 3: inline datum field 'rank' next to a datum reference$"),
     ],
-    ids=["matrix-stray-line", "matrix-unknown-key", "involution-stray-line", "involution-unknown-key", "entry-first"],
+    ids=["matrix-stray-line", "matrix-unknown-key", "involution-stray-line", "involution-unknown-key", "entry-first",
+         "involution-datum-conflict"],
 )
 def test_a_line_the_format_does_not_read_is_an_error(parse, text, message):
     with pytest.raises(ParseError, match=message):

@@ -6,6 +6,7 @@ the README example runs."""
 import ast
 import doctest
 import graphlib
+import importlib
 import os
 import re
 import subprocess
@@ -100,14 +101,13 @@ def test_no_assert_statements(path):
 # datum, an involution, or a catalog table or entry name, so its size is
 # bounded by the structures in use, never by the coweights compared, the
 # heights asked for or the loops classified.  A function whose callers are
-# cached themselves, or whose value is a tuple comprehension, has none.
+# cached themselves, whose value is a tuple comprehension, or that no command
+# calls twice in one process, has none.
 STRUCTURE_CACHES = {
     "fundgroup._image_lattice": "involution",
-    "fundgroup.pi1_model": "involution",
     "loopmatrix._form_table": "catalog table",
     "realform._catalog": "catalog table",
     "realform.catalog": "catalog entry name",
-    "realform.levi_longest_element": "involution",
     "realform.real_coweight_basis": "involution",
     "realform.restricted_coroot_generators": "involution",
     "rootdata.positive_root_indices": "root datum",
@@ -242,3 +242,42 @@ def test_every_top_level_definition_is_referenced():
                 if total[node.name] == own[node.name]:
                     unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
     assert unreferenced == []
+
+
+def _bench_interface():
+    """(module, name) for every package name the benchmark reads outside its
+    own tests: each attribute read on a ``from matsuki import X [as Y]`` alias,
+    each ``from matsuki.X import name`` and the traced (module, function)
+    pairs of ``TARGETS`` in ``bench/layers.py``."""
+    bench = ROOT / "bench"
+    found = set()
+    for path in sorted(bench.rglob("*.py")):
+        if "tests" in path.relative_to(bench).parts:
+            continue
+        tree = _parse(path)
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "matsuki":
+                for alias in node.names:
+                    aliases[alias.asname or alias.name] = f"matsuki.{alias.name}"
+                    found.add(("matsuki", alias.name))
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.startswith("matsuki."):
+                found.update((node.module, alias.name) for alias in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+                found.add((aliases[node.value.id], node.attr))
+    for node in ast.walk(_parse(bench / "layers.py")):
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]:
+            found.update((f"matsuki.{t.elts[0].value}", t.elts[1].value) for t in node.value.elts)
+    return found
+
+
+def test_every_name_the_benchmark_reads_exists():
+    # the benchmark runs unchanged on every commit, so each name it traces or
+    # calls keeps its name and module
+    names = _bench_interface()
+    assert {("matsuki.fundgroup", "pi1_model"), ("matsuki.loopmatrix", "random_k_loop")} <= names
+    missing = sorted(f"{module}.{name}" for module, name in names if not hasattr(importlib.import_module(module), name))
+    assert missing == []
+    enumerate_orbits = importlib.import_module("matsuki.orbitposet").enumerate_orbits
+    assert callable(enumerate_orbits.cache_info) and callable(enumerate_orbits.cache_clear)  # read by bench/tests
