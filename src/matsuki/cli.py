@@ -1,9 +1,9 @@
 """Command-line surface: deterministic, file-based reports.
 
 Exit codes: 0 success, 1 validation error (bad input, unknown name, parse
-failure), 2 theorem-violation diagnostic (a structural law failed on the
-given data).  All output is plain structured text with a stable field order,
-so reports can be diffed against golden files.
+failure, usage error), 2 theorem-violation diagnostic (a structural law
+failed on the given data).  All output is plain structured text with a
+stable field order, so reports can be diffed against golden files.
 """
 
 from __future__ import annotations
@@ -208,8 +208,18 @@ def cmd_check(args) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1, like any other bad input;
+    argparse's own 2 is the theorem-violation code here.  The subparsers are
+    of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matsuki",
         description="Orbit posets of real and symmetric loop groups on the affine Grassmannian.",
     )

@@ -28,12 +28,17 @@ unit monomial (e, c) of det(g) = c*t^e is then passed on to ``mat_inverse``,
 which divides by c.  The invariants of the symmetrized and real-symmetrized
 loops read only the t-exponent of their determinants, which follows from e
 (``FormAction.symmetrized_exponent``).
+
+Two standard modules are imported only by the code that uses them, since
+every command and set-up pays for a module-level import in a fresh process:
+``fractions`` (which loads ``decimal``, ``numbers`` and ``re``) by ``_fraction``
+for the Fraction-facing API of ``Gaussian``, and ``random`` by ``_rng`` for the
+seeded generators.  The arithmetic, the four invariants and the module's own
+constants build no Fraction.
 """
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import gcd, lcm
@@ -47,6 +52,13 @@ from .rootdata import Coweight
 
 # ---------------------------------------------------------------------------
 # Gaussian rationals
+
+
+def _fraction():
+    """The ``Fraction`` class, for parts given or read as Fractions."""
+    from fractions import Fraction
+
+    return Fraction
 
 
 class Gaussian:
@@ -67,6 +79,7 @@ class Gaussian:
         if type(re) is int and type(im) is int:
             a, b, d = re, im, 1
         else:
+            Fraction = _fraction()
             if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
                 raise ValidationError(f"Gaussian parts must be int or Fraction, got {re!r} and {im!r}")
             re, im = Fraction(re), Fraction(im)
@@ -85,11 +98,11 @@ class Gaussian:
 
     @property
     def re(self) -> Fraction:
-        return Fraction(self.a, self.d)
+        return _fraction()(self.a, self.d)
 
     @property
     def im(self) -> Fraction:
-        return Fraction(self.b, self.d)
+        return _fraction()(self.b, self.d)
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
@@ -163,8 +176,8 @@ def _norm(a: int, b: int, d: int) -> Gaussian:
 G_ZERO = Gaussian(0)
 G_ONE = Gaussian(1)
 G_I = Gaussian(0, 1)
-HALF = Gaussian(Fraction(1, 2))
-HALF_OVER_I = Gaussian(0, Fraction(-1, 2))  # 1/(2i)
+HALF = _make(1, 0, 2)
+HALF_OVER_I = _make(0, -1, 2)  # 1/(2i)
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +869,7 @@ def _exp_nilpotent(form_name: str, n: int, entries) -> LaurentMatrix:
     fact = 1
     for k in range(1, n):
         power, fact = mat_mul(power, x), fact * k
-        c = Gaussian(Fraction(1, fact))
+        c = _make(1, 0, fact)
         total = lm_from_rows(
             form_name, [[a + b.scale(c) for a, b in zip(r, s)] for r, s in zip(total.entries, power.entries)]
         )
@@ -871,6 +884,13 @@ def _constant_diagonal(form_name: str, values) -> LaurentMatrix:
     return _diagonal(form_name, [LaurentPoly.constant(x) for x in values])
 
 
+def _rng(form: FormAction, kind: str, seed: int):
+    """The generator of one seeded family of loops of a form."""
+    import random
+
+    return random.Random(f"{form.name}:{kind}:{seed}")
+
+
 def _strict_positions(n, rng, upper=True):
     pairs = [(i, j) for i in range(n) for j in range(n) if (j > i if upper else j < i)]
     return rng.choice(pairs)
@@ -880,7 +900,7 @@ def random_real_loop(form: FormAction | str, seed: int) -> LaurentMatrix:
     """Deterministic product of generators of the real polynomial loop group."""
     if isinstance(form, str):
         form = form_action(form)
-    rng = random.Random(f"{form.name}:real:{seed}")
+    rng = _rng(form, "real", seed)
     n = form.n
     g = identity_loop(form.name, n)
     for _ in range(rng.randint(0, 3 if n == 2 else 2)):
@@ -936,7 +956,7 @@ def random_k_loop(form: FormAction | str, seed: int) -> LaurentMatrix:
     """Deterministic product of generators of the symmetric-subgroup loop group."""
     if isinstance(form, str):
         form = form_action(form)
-    rng = random.Random(f"{form.name}:k:{seed}")
+    rng = _rng(form, "k", seed)
     n = form.n
     g = identity_loop(form.name, n)
     for _ in range(rng.randint(0, 3 if n == 2 else 2)):
@@ -949,8 +969,8 @@ def random_k_loop(form: FormAction | str, seed: int) -> LaurentMatrix:
             if kind < 0.5:  # cos/sin pair (t + 1/t)/2 and (t - 1/t)/(2i), orthogonal and based
                 c, s = LaurentPoly({1: HALF, -1: HALF}), LaurentPoly({1: HALF_OVER_I, -1: -HALF_OVER_I})
             else:
-                c = LaurentPoly.constant(Fraction(3, 5))
-                s = LaurentPoly.constant(Fraction(4, 5))
+                c = LaurentPoly.constant(_make(3, 0, 5))
+                s = LaurentPoly.constant(_make(4, 0, 5))
             rows = [[LP_ONE if a == b else LP_ZERO for b in range(n)] for a in range(n)]
             rows[i][i], rows[i][j] = c, s
             rows[j][i], rows[j][j] = -s, c
@@ -979,7 +999,7 @@ def random_polynomial_loop(form: FormAction | str, seed: int, negative: bool = F
     constant invertibles; with ``negative`` the loop lives in t^-1 instead."""
     if isinstance(form, str):
         form = form_action(form)
-    rng = random.Random(f"{form.name}:poly:{seed}")
+    rng = _rng(form, "poly", seed)
     n = form.n
     g = identity_loop(form.name, n)
     for _ in range(rng.randint(0, 3 if n == 2 else 2)):

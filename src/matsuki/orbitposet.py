@@ -55,6 +55,7 @@ def require_orbit_index(spec: InvolutionSpec, coweight: Coweight) -> None:
 
 
 ENUMERATION_BUDGET = 10**7
+CANDIDATE_BUDGET = 10**6
 
 
 def _coefficient_range(rows, prefix: tuple[int, ...], bound: int) -> range:
@@ -117,6 +118,13 @@ def enumerate_orbits(spec: InvolutionSpec, height_bound: int) -> tuple[Coweight,
     computed once, and each c is tested by base + c*step modulo the class
     moduli.
 
+    The output is bounded too: the last coefficient's ranges are summed over
+    all prefixes before any vector is built, and more than
+    ``CANDIDATE_BUDGET`` (10**6) candidates are refused.  On the catalog's
+    larger slices the candidates are about twice the output (gl2_split at
+    H = 400: 241,001 for 120,801 indices), so this caps what one slice, and
+    so each cache entry, holds.
+
     The cache holds the last 16 slices, since the bound comes from the user.
     Its keys carry the bound's type, so 4.0 never finds the entry of 4 and is
     refused by the integer check like any other non-integral bound.
@@ -145,14 +153,19 @@ def enumerate_orbits(spec: InvolutionSpec, height_bound: int) -> tuple[Coweight,
     prefixes = [()]
     for rows, bound in zip(systems, limits[:-1]):
         prefixes = [(*p, c) for p in prefixes for c in _coefficient_range(rows, p, bound)]
+    ranges = [_coefficient_range(systems[-1], p, limits[-1]) for p in prefixes]
+    if (candidates := sum(map(len, ranges))) > CANDIDATE_BUDGET:
+        raise ValidationError(
+            f"height bound {height_bound} leaves {candidates} candidates, over {CANDIDATE_BUDGET}"
+        )
     class_rows = [([dot(row, b) for b in basis], m) for row, m in _image_lattice(spec)[2]]
     *lead, last = basis
     columns = [tuple(b[i] for b in lead) for i in range(datum.rank)]
     found = []
-    for p in prefixes:
+    for p, last_range in zip(prefixes, ranges):
         base = [dot(col, p) for col in columns]
         classes = [(dot(row, p), row[-1], m) for row, m in class_rows]
-        for c in _coefficient_range(systems[-1], p, limits[-1]):
+        for c in last_range:
             if not any((r + c * step) % m for r, step, m in classes):
                 found.append(tuple(b + c * x for b, x in zip(base, last)))
     return tuple(sorted(found))

@@ -1,9 +1,11 @@
 """Command-line behavior: deterministic reports, exit codes, file handling."""
 
+import argparse
 import time
 
 import pytest
 
+from matsuki import cli
 from matsuki.cli import main
 from matsuki.errors import TheoremViolationError
 
@@ -66,14 +68,17 @@ def test_orbits_split_height_four(capsys):
 
 
 @pytest.mark.parametrize(
-    "spec, height", [("gl3_split", "400"), ("sl3_split", "100000000")], ids=["gl3_split-400", "sl3_split-1e8"]
+    "spec, height, refusal",
+    [("gl3_split", "400", "spans a box of "), ("sl3_split", "100000000", "spans a box of "),
+     ("sl2_split", "4999999", "leaves 2500000 candidates, over ")],
+    ids=["gl3_split-400", "sl3_split-1e8", "sl2_split-4999999"],
 )
-def test_orbits_over_the_budget_exit_one_at_once(capsys, spec, height):
+def test_orbits_over_the_budget_exit_one_at_once(capsys, spec, height, refusal):
     start = time.perf_counter()
     rc, out, err = run(capsys, ["orbits", spec, "--height", height])
     assert time.perf_counter() - start < 1
     assert rc == 1 and out == ""
-    assert err.startswith(f"error: height bound {height} spans a box of ") and err.count("\n") == 1
+    assert err.startswith(f"error: height bound {height} {refusal}") and err.count("\n") == 1
 
 
 def test_poset_graph_chain(capsys):
@@ -256,6 +261,37 @@ def test_check_requires_spec_or_all(capsys):
     rc, _, err = run(capsys, ["check"])
     assert rc == 1
     assert "--all" in err
+
+
+USAGE_ERRORS = [
+    ["poset", "sl2_split", "--order", "X"],
+    ["orbits", "gl2_split", "--height", "abc"],
+    ["dual", "sl2_compact"],
+    [],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=["bad-choice", "bad-int", "missing-argument", "no-command"])
+def test_usage_errors_exit_one_with_argparse_text(capsys, monkeypatch, argv):
+    # exit 2 is a failed structural law; the message is argparse's own, byte for byte
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    ours = capsys.readouterr()
+    monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+    with pytest.raises(SystemExit) as plain:
+        main(argv)
+    theirs = capsys.readouterr()
+    assert (raised.value.code, plain.value.code) == (1, 2)
+    assert ours.out == theirs.out == ""
+    assert ours.err == theirs.err and ours.err.startswith("usage: matsuki")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["poset", "--help"]], ids=["main", "subcommand"])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: matsuki")
 
 
 def test_non_catalog_file_is_flagged(capsys, tmp_path):

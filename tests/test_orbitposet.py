@@ -2,6 +2,7 @@
 
 import copy
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from matsuki import orbitposet
 from matsuki.cli import main
 from matsuki.errors import ValidationError
 from matsuki.orbitposet import (
+    CANDIDATE_BUDGET,
     ENUMERATION_BUDGET,
     build_poset_slice,
     component_count,
@@ -144,6 +146,22 @@ def test_enumeration_budget_is_decided_before_any_walk(monkeypatch, cleared_cach
         with pytest.raises(ValidationError, match=f"a box of {box} points, over {ENUMERATION_BUDGET}$"):
             enumerate_orbits(catalog(name).spec, bound)
     assert ENUMERATION_BUDGET == 10**7
+
+
+def test_candidate_budget_is_decided_before_any_index_is_built(cleared_caches):
+    # the box of 9,999,999 points is admitted, but the slice would hold 2.5e6 indices
+    spec = catalog("sl2_split").spec
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=f"leaves 2500000 candidates, over {CANDIDATE_BUDGET}$"):
+            enumerate_orbits(spec, 4_999_999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # 10**6 index tuples would take over 50 MB
+    assert CANDIDATE_BUDGET == 10**6
+    # gl2_split at H = 400, 241,001 candidates, is the largest slice the roadmap's commands ask for
+    assert len(enumerate_orbits(catalog("gl2_split").spec, 400)) == 120_801
 
 
 @pytest.mark.parametrize(

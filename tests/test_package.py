@@ -13,6 +13,7 @@ import pytest
 
 import matsuki
 import matsuki.cli
+from matsuki.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ("errors", "record", "rootdata", "realform", "fundgroup", "orbitposet", "loopmatrix", "textio", "laws")
@@ -73,16 +74,59 @@ def test_invariant_runs_the_matrix_layer(tmp_path):
     assert not {"fundgroup", "orbitposet", "laws"} & set(seen["run"])
 
 
+BENCHMARK_SETUP = (
+    "from matsuki import loopmatrix, realform\n"
+    "for name in realform.catalog_names():\n    realform.catalog(name)\n"
+    "for name in loopmatrix.form_names():\n    loopmatrix.form_action(name)"
+)
+
+
 def test_benchmark_setup_runs_neither_fundgroup_nor_orbitposet():
     # the matrix layer reads its catalog entry, whose sub-semigroup only
     # geodesic construction asks for
-    seen = _fresh(
-        "from matsuki import loopmatrix, realform\n"
-        "for name in realform.catalog_names():\n    realform.catalog(name)\n"
-        "for name in loopmatrix.form_names():\n    loopmatrix.form_action(name)"
-    )
+    seen = _fresh(BENCHMARK_SETUP)
     assert "loopmatrix" in seen["run"]
     assert not {"fundgroup", "orbitposet"} & set(seen["run"])
+
+
+def _loaded(setup, names):
+    """The set-up's stdout in a fresh interpreter, and which of the named
+    modules it holds after it; the probe imports nothing, since json loads re."""
+    result = _python("-c", f"import sys\n{setup}\nprint(*sorted(set({sorted(names)!r}) & set(sys.modules)))")
+    assert result.returncode == 0, result.stderr
+    *out, last = result.stdout.splitlines(keepends=True)
+    return "".join(out), last.split()
+
+
+def test_benchmark_setup_loads_no_fractions_random_or_re():
+    # fractions loads decimal, numbers and re; the matrix layer defers it and random
+    assert _loaded(BENCHMARK_SETUP, {"fractions", "decimal", "numbers", "random", "re"}) == ("", [])
+
+
+def test_invariant_loads_no_fractions_or_random(tmp_path):
+    path = tmp_path / "id.matrix"
+    path.write_text(IDENTITY_FILE)
+    setup = f"from matsuki.cli import main\nassert main(['invariant', {str(path)!r}]) == 0"
+    assert _loaded(setup, {"fractions", "decimal", "random"})[1] == []
+
+
+def test_deferred_modules_load_where_they_are_used(capsys):
+    # check and a generator load random, a Gaussian's repr loads fractions, and
+    # each prints what it prints in this process, where both are loaded
+    from matsuki.loopmatrix import HALF, random_k_loop
+    from matsuki.textio import format_matrix
+
+    assert main(["check", "pgl2_so21"]) == 0
+    expected = capsys.readouterr().out + f"{format_matrix(random_k_loop('gl2_split', 7))}\n{HALF!r}\n"
+    setup = (
+        "from matsuki.cli import main\n"
+        "from matsuki.loopmatrix import HALF, random_k_loop\n"
+        "from matsuki.textio import format_matrix\n"
+        "assert main(['check', 'pgl2_so21']) == 0\n"
+        "print(format_matrix(random_k_loop('gl2_split', 7)))\n"
+        "print(repr(HALF))"
+    )
+    assert _loaded(setup, {"fractions", "random"}) == (expected, ["fractions", "random"])
 
 
 def test_exported_involution_files_need_no_fractions(tmp_path):

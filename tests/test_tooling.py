@@ -1,7 +1,8 @@
 """Source guards: the runtime imports only the standard library, stays exact
 (the lattice layer on integers alone), keeps its checks under ``python -O``,
-starts up without ``dataclasses`` and holds no unused top-level definitions;
-the README example runs."""
+starts up without ``dataclasses`` and imports ``fractions``, ``decimal`` and
+``random`` only inside the functions that use them, and holds no unused
+top-level definitions; the README example runs."""
 
 import ast
 import doctest
@@ -28,17 +29,18 @@ def test_sources_found():
     assert any(p.name == "loopmatrix.py" for p in SOURCES)
 
 
+def _imported_modules(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    return [node.module]
+
+
 def _absolute_imports(path):
     """(line, module) for every absolute import in the file."""
     for node in ast.walk(_parse(path)):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        for name in names:
-            yield node.lineno, name
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.level == 0):
+            for name in _imported_modules(node):
+                yield node.lineno, name
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -179,29 +181,46 @@ def test_code_generation_only_in_known_places():
     assert found == CODE_GENERATORS
 
 
-# Imports inside a function: none, since the modules import in one direction.
-FUNCTION_IMPORTS: set[str] = set()
+# Imports inside a function.  Package modules import one another at module
+# level only, so the relative imports form the acyclic graph checked below.
+# The only imports inside a function are two standard modules that start-up
+# would pay for and never use: ``fractions`` (which loads decimal, numbers and
+# re) for the Fraction-facing API of ``Gaussian``, and ``random`` for the
+# seeded loop generators.
+FUNCTION_IMPORTS = {"loopmatrix._fraction": "fractions", "loopmatrix._rng": "random"}
+DEFERRED_MODULES = {"fractions", "decimal", "random"}
 
 
 def _function_imports(node, prefix, in_function=False):
-    """Qualified names of the functions whose bodies import."""
+    """(qualified function name, import node) for every import in a function body."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inside = in_function or not isinstance(child, ast.ClassDef)
             yield from _function_imports(child, prefix + child.name + ".", inside)
             continue
         if in_function and isinstance(child, (ast.Import, ast.ImportFrom)):
-            yield prefix.rstrip(".")
+            yield prefix.rstrip("."), child
         yield from _function_imports(child, prefix, in_function)
 
 
 def test_imports_only_at_module_level():
-    found = {
-        name
+    found = [
+        (name, node)
         for path in SOURCES
-        for name in _function_imports(_parse(path), path.stem + ".")
-    }
-    assert found == FUNCTION_IMPORTS
+        for name, node in _function_imports(_parse(path), path.stem + ".")
+    ]
+    relative = [name for name, node in found if isinstance(node, ast.ImportFrom) and node.level]
+    assert relative == []
+    assert {name: ",".join(_imported_modules(node)) for name, node in found} == FUNCTION_IMPORTS
+    assert len(found) == len(FUNCTION_IMPORTS)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_deferred_modules_are_not_imported_at_module_level(path):
+    in_functions = {node.lineno for _, node in _function_imports(_parse(path), "")}
+    for lineno, name in _absolute_imports(path):
+        if lineno not in in_functions:
+            assert name.split(".")[0] not in DEFERRED_MODULES, f"{path.name}:{lineno} imports {name}"
 
 
 def test_relative_imports_are_acyclic():
