@@ -4,13 +4,20 @@ Exit codes: 0 success, 1 validation error (bad input, unknown name, parse
 failure, usage error), 2 theorem-violation diagnostic (a structural law
 failed on the given data).  All output is plain structured text with a
 stable field order, so reports can be diffed against golden files.
+
+The command grammar is one table, ``COMMANDS``, with two readers.  ``main``
+reads argv with ``_read_table``, which imports nothing, and hands anything
+it does not read exactly as argparse would (help, usage errors, ``--``,
+abbreviations) to the argparse parser that ``build_parser`` makes of the
+table; argparse, and the ``re``, ``gettext``, ``shutil`` and ``locale`` it
+loads, are imported there only.  A usage error exits 1, not argparse's 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+import types
 
 # Each module that only some commands use is imported as a module and read
 # at call time, so a command runs only what it calls (see ``matsuki``).
@@ -207,70 +214,130 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# The command grammar, written once: each command's handler, help text and
+# arguments, in order, as ``add_argument`` takes them.  Positionals take nargs
+# None, "?" or "+", and a command with options has one positional at most, so
+# argparse never splits positionals at an option.  Options are long options
+# and none looks like a negative number, so a negative integer is always a
+# positional or an option value.
+COMMANDS = {
+    "catalog": (cmd_catalog, "list shipped real forms", (
+        ("--name", {"help": "show one entry in full"}),
+        ("--export", {"metavar": "DIR", "help": "write every entry as an involution file"}),
+    )),
+    "orbits": (cmd_orbits, "enumerate orbit indices up to a height bound", (
+        ("spec", {"help": "catalog name or involution file"}),
+        ("--height", {"type": int, "default": 12}),
+    )),
+    "poset": (cmd_poset, "orbit poset slice with Hasse edges", (
+        ("spec", {"help": "catalog name or involution file"}),
+        ("--height", {"type": int, "default": 12}),
+        ("--format", {"choices": ("report", "graph"), "default": "report"}),
+        ("--order", {"choices": ("K", "R"), "default": "K"}),
+    )),
+    "dual": (cmd_dual, "dual orbit and core data of an index", (
+        ("spec", {}),
+        ("coweight", {"nargs": "+", "help": "coordinates in the entry's documented basis"}),
+    )),
+    "core": (cmd_core, "core flag-variety data of an index", (
+        ("spec", {}),
+        ("coweight", {"nargs": "+"}),
+    )),
+    "pi1": (cmd_pi1, "fundamental-group report", (
+        ("spec", {}),
+    )),
+    "invariant": (cmd_invariant, "double-coset invariants of a loop matrix file", (
+        ("matrix", {"help": "path to a matrix file"}),
+    )),
+    "check": (cmd_check, "run the property suites", (
+        ("spec", {"nargs": "?", "help": "catalog name"}),
+        ("--all", {"action": "store_true"}),
+        ("--seed", {"type": int, "default": 0}),
+    )),
+}
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors on exit code 1, like any other bad input;
-    argparse's own 2 is the theorem-violation code here.  The subparsers are
-    of this class too."""
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+def build_parser():
+    """The argparse parser of ``COMMANDS``, which alone prints help and usage
+    errors; argparse and the modules it loads are imported here only."""
+    import argparse
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="matsuki",
         description="Orbit posets of real and symmetric loop groups on the affine Grassmannian.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("catalog", help="list shipped real forms")
-    p.add_argument("--name", help="show one entry in full")
-    p.add_argument("--export", metavar="DIR", help="write every entry as an involution file")
-    p.set_defaults(func=cmd_catalog)
-
-    p = sub.add_parser("orbits", help="enumerate orbit indices up to a height bound")
-    p.add_argument("spec", help="catalog name or involution file")
-    p.add_argument("--height", type=int, default=12)
-    p.set_defaults(func=cmd_orbits)
-
-    p = sub.add_parser("poset", help="orbit poset slice with Hasse edges")
-    p.add_argument("spec", help="catalog name or involution file")
-    p.add_argument("--height", type=int, default=12)
-    p.add_argument("--format", choices=("report", "graph"), default="report")
-    p.add_argument("--order", choices=("K", "R"), default="K")
-    p.set_defaults(func=cmd_poset)
-
-    p = sub.add_parser("dual", help="dual orbit and core data of an index")
-    p.add_argument("spec")
-    p.add_argument("coweight", nargs="+", help="coordinates in the entry's documented basis")
-    p.set_defaults(func=cmd_dual)
-
-    p = sub.add_parser("core", help="core flag-variety data of an index")
-    p.add_argument("spec")
-    p.add_argument("coweight", nargs="+")
-    p.set_defaults(func=cmd_core)
-
-    p = sub.add_parser("pi1", help="fundamental-group report")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_pi1)
-
-    p = sub.add_parser("invariant", help="double-coset invariants of a loop matrix file")
-    p.add_argument("matrix", help="path to a matrix file")
-    p.set_defaults(func=cmd_invariant)
-
-    p = sub.add_parser("check", help="run the property suites")
-    p.add_argument("spec", nargs="?", help="catalog name")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_check)
+    for name, (handler, help_text, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
+def _convert(token: str, kwargs: dict):
+    """token as argparse converts and checks it as a positional or an option
+    value; ValueError where argparse fails or might not take it as a value,
+    which is anything that starts with "-" but a negative integer."""
+    if token.startswith("-") and not (token[1:].isascii() and token[1:].isdecimal()):
+        raise ValueError(token)
+    value = kwargs.get("type", str)(token)
+    if value not in kwargs.get("choices", (value,)):
+        raise ValueError(token)
+    return value
+
+
+def _read_table(argv):
+    """The namespace argparse makes of argv, read from ``COMMANDS`` without
+    argparse, or None wherever argparse might read argv otherwise: help,
+    ``--``, ``--opt=value``, abbreviations, unknown tokens, bad values, and
+    a missing or extra argument."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    handler, _, arguments = COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": handler}
+    options, positionals = {}, []
+    for flag, kwargs in arguments:
+        dest = flag.lstrip("-").replace("-", "_")
+        if flag.startswith("-"):
+            options[flag] = dest, kwargs
+            values[dest] = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+        else:
+            positionals.append((dest, kwargs))
+            values[dest] = kwargs.get("default")
+    words = []
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            if token in options:
+                dest, kwargs = options[token]
+                store_true = kwargs.get("action") == "store_true"
+                values[dest] = True if store_true else _convert(next(tokens), kwargs)
+            else:
+                words.append(token)  # each is converted, or left over, below
+        for dest, kwargs in positionals:
+            nargs = kwargs.get("nargs")
+            if nargs == "+" and words:
+                values[dest], words = [_convert(w, kwargs) for w in words], []
+            elif nargs != "+" and words:
+                values[dest], words = _convert(words[0], kwargs), words[1:]
+            elif nargs != "?":
+                return None
+    except (StopIteration, ValueError):
+        return None
+    return None if words else types.SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_table(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            if exc.code == 2:  # a usage error
+                raise SystemExit(1) from None
+            raise
     try:
         return args.func(args)
     except ValidationError as exc:

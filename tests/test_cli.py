@@ -1,9 +1,16 @@
 """Command-line behavior: deterministic reports, exit codes, file handling."""
 
-import argparse
+import contextlib
+import io
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matsuki import cli
 from matsuki.cli import main
@@ -272,14 +279,13 @@ USAGE_ERRORS = [
 
 
 @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=["bad-choice", "bad-int", "missing-argument", "no-command"])
-def test_usage_errors_exit_one_with_argparse_text(capsys, monkeypatch, argv):
+def test_usage_errors_exit_one_with_argparse_text(capsys, argv):
     # exit 2 is a failed structural law; the message is argparse's own, byte for byte
     with pytest.raises(SystemExit) as raised:
         main(argv)
     ours = capsys.readouterr()
-    monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
     with pytest.raises(SystemExit) as plain:
-        main(argv)
+        cli.build_parser().parse_args(argv)
     theirs = capsys.readouterr()
     assert (raised.value.code, plain.value.code) == (1, 2)
     assert ours.out == theirs.out == ""
@@ -327,3 +333,115 @@ def test_file_errors_exit_one_without_traceback(capsys, tmp_path, argv, target):
     rc, out, err = run(capsys, argv + [str(path)])
     assert rc == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the grammar table and its two readers
+
+ROOT = Path(__file__).resolve().parent.parent
+OPTIONS = sorted({flag for _, _, arguments in cli.COMMANDS.values() for flag, _ in arguments if flag.startswith("-")})
+WORDS = ["sl2_split", "gl2_split", "pgl2_so21", "x", "", "report", "graph", "K", "R", "X"]
+MALFORMED_INTS = ["-", "--5", "-1.5", "1e3", "1_0", " 7", "+4", "abc", "-x y", "-5\n", "٣", "-٣", "9" * 5000]
+VALUES = st.one_of(st.integers(-30, 30).map(str), st.sampled_from(MALFORMED_INTS), st.sampled_from(WORDS))
+TOKENS = st.one_of(
+    st.sampled_from(list(cli.COMMANDS)), st.sampled_from(OPTIONS + ["--he", "--height=3", "-h", "--help", "--"]), VALUES
+)
+
+
+def _piece(flag, kwargs):
+    """Tokens for one argument of the table: words for a positional, the
+    flag and a value for an option."""
+    if not flag.startswith("-"):
+        return st.lists(VALUES, min_size=1, max_size=3 if kwargs.get("nargs") == "+" else 1)
+    if kwargs.get("action") == "store_true":
+        return st.just([flag])
+    return VALUES.map(lambda value: [flag, value])
+
+
+def _command_argv(name):
+    """argv for the command: its name, then each of its arguments or none,
+    and one token of any kind or none, in any order."""
+    pieces = [st.one_of(st.just([]), _piece(flag, kwargs)) for flag, kwargs in cli.COMMANDS[name][2]]
+    pieces.append(st.lists(TOKENS, max_size=1))
+    shuffled = st.tuples(*pieces).flatmap(st.permutations)
+    return shuffled.map(lambda pieces: [name, *(token for piece in pieces for token in piece)])
+
+
+COMMAND_ARGV = st.sampled_from(list(cli.COMMANDS)).flatmap(_command_argv)
+ARGV = st.one_of(COMMAND_ARGV, COMMAND_ARGV, COMMAND_ARGV, st.lists(TOKENS, max_size=6))
+PARSER = cli.build_parser()
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(ARGV)
+@example(["poset", "x", "--order", "X"])
+@example(["orbits", "x", "--he", "3"])
+@example(["orbits", "x", "--height=3"])
+@example(["check", "--", "-3"])
+@example(["dual", "x", "-1", "-h"])
+def test_table_reader_reads_what_argparse_reads_or_declines(argv):
+    ours = cli._read_table(argv)
+    assert ours is None or vars(ours) == _argparse_vars(argv)
+
+
+def test_workload_commands_never_fall_back_to_argparse(tmp_path):
+    # the shapes of one command per fresh process, which the table reader serves
+    matrix = tmp_path / "loop.matrix"
+    shapes = [
+        ["catalog"], ["catalog", "--name", "su21"], ["catalog", "--export", str(tmp_path)],
+        ["pi1", str(tmp_path / "su21.involution")], ["pi1", "gl2_split"],
+        ["dual", "gl2_split", "1", "-1"], ["core", "gl3_split", "2", "0", "-2"],
+        ["orbits", "sl3_split", "--height", "16"],
+        ["poset", "gl2_split", "--height", "8", "--order", "K"], ["poset", "su21", "--height", "4", "--order", "R"],
+        ["poset", "pgl2_so21", "--height", "20"],
+        ["check", "sl2_compact", "--seed", "42"], ["invariant", str(matrix)],
+    ]
+    for argv in shapes:
+        ours = cli._read_table(argv)
+        assert ours is not None, argv
+        assert vars(ours) == _argparse_vars(argv)
+
+
+HELP_ARGV = [[]] + [[name] for name in cli.COMMANDS]
+
+
+@pytest.mark.parametrize("argv", HELP_ARGV, ids=lambda argv: argv[0] if argv else "matsuki")
+def test_help_text_is_pinned(argv):
+    # captured at 80 columns from the argparse code that preceded the table
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
+    result = subprocess.run(
+        [sys.executable, "-B", "-S", "-m", "matsuki.cli", *argv, "--help"],
+        env=env, capture_output=True, text=True, timeout=60, check=False,
+    )
+    expected = (ROOT / "tests" / "help" / f"{argv[0] if argv else 'matsuki'}.txt").read_text(encoding="utf-8")
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
+
+
+def test_every_handler_has_one_table_entry():
+    handlers = [handler for handler, _, _ in cli.COMMANDS.values()]
+    commands = sorted(name for name in vars(cli) if name.startswith("cmd_"))
+    assert sorted(handler.__name__ for handler in handlers) == commands
+    assert all(getattr(cli, f"cmd_{name}") is handler for name, (handler, _, _) in cli.COMMANDS.items())
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    assert all(line[0] == "matsuki" for line in lines) and len(lines) == 11
+    (tmp_path / "loop.matrix").write_text(SHEAR_FILE)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = [str(tmp_path / "export") if word == "DIR" else word for word in line[1:]]
+        assert cli._read_table(argv) is not None, line
+        assert main(argv) == 0, line
+    capsys.readouterr()

@@ -110,6 +110,31 @@ def test_invariant_loads_no_fractions_or_random(tmp_path):
     assert _loaded(setup, {"fractions", "decimal", "random"})[1] == []
 
 
+ARGPARSE_MODULES = {"argparse", "shutil", "gettext", "locale"}
+
+
+@pytest.mark.parametrize(
+    "argv", [["catalog"], ["orbits", "gl2_split", "--height", "4"], ["dual", "gl2_split", "1", "-1"], ["invariant"]],
+    ids=["catalog", "orbits", "dual", "invariant"],
+)
+def test_well_formed_commands_load_no_argparse(tmp_path, argv):
+    # the table reader serves them; a matrix file's parser loads re itself
+    names = ARGPARSE_MODULES
+    if argv == ["invariant"]:
+        argv = ["invariant", str(tmp_path / "id.matrix")]
+        (tmp_path / "id.matrix").write_text(IDENTITY_FILE)
+    else:
+        names = names | {"re"}
+    setup = f"from matsuki.cli import main\nassert main({argv!r}) == 0"
+    assert _loaded(setup, names)[1] == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["orbits", "gl2_split", "--height", "abc"]], ids=["help", "usage-error"])
+def test_help_and_usage_errors_load_argparse(argv):
+    setup = f"from matsuki.cli import main\ntry:\n    main({argv!r})\nexcept SystemExit:\n    pass"
+    assert _loaded(setup, ARGPARSE_MODULES | {"re"})[1] == sorted(ARGPARSE_MODULES | {"re"})
+
+
 def test_deferred_modules_load_where_they_are_used(capsys):
     # check and a generator load random, a Gaussian's repr loads fractions, and
     # each prints what it prints in this process, where both are loaded

@@ -1,8 +1,8 @@
 """Source guards: the runtime imports only the standard library, stays exact
 (the lattice layer on integers alone), keeps its checks under ``python -O``,
-starts up without ``dataclasses`` and imports ``fractions``, ``decimal`` and
-``random`` only inside the functions that use them, and holds no unused
-top-level definitions; the README example runs."""
+starts up without ``dataclasses`` and imports ``argparse``, ``fractions``,
+``decimal`` and ``random`` only inside the functions that use them, and
+holds no unused top-level definitions; the README example runs."""
 
 import ast
 import doctest
@@ -68,7 +68,7 @@ def test_lattice_layer_is_integer_only(path):
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
-    code = "import sys, matsuki.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = "import sys, matsuki.cli; print(sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
         [sys.executable, "-B", "-S", "-c", code], env=env, capture_output=True, text=True, check=True
@@ -183,12 +183,13 @@ def test_code_generation_only_in_known_places():
 
 # Imports inside a function.  Package modules import one another at module
 # level only, so the relative imports form the acyclic graph checked below.
-# The only imports inside a function are two standard modules that start-up
-# would pay for and never use: ``fractions`` (which loads decimal, numbers and
-# re) for the Fraction-facing API of ``Gaussian``, and ``random`` for the
-# seeded loop generators.
-FUNCTION_IMPORTS = {"loopmatrix._fraction": "fractions", "loopmatrix._rng": "random"}
-DEFERRED_MODULES = {"fractions", "decimal", "random"}
+# The only imports inside a function are three standard modules that start-up
+# would pay for and never use: ``argparse`` (which loads re, gettext, shutil and
+# locale) for help and usage errors, ``fractions`` (which loads decimal,
+# numbers and re) for the Fraction-facing API of ``Gaussian``, and ``random``
+# for the seeded loop generators.
+FUNCTION_IMPORTS = {"cli.build_parser": "argparse", "loopmatrix._fraction": "fractions", "loopmatrix._rng": "random"}
+DEFERRED_MODULES = {"argparse", "fractions", "decimal", "random"}
 
 
 def _function_imports(node, prefix, in_function=False):
