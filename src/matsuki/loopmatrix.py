@@ -22,12 +22,14 @@ polynomial packs its Gaussian-integer numerators over one common denominator;
 nothing is ever floating point.  The unitary forms conjugate by the
 anti-diagonal J, and J X J is X turned by 180 degrees, never a product.
 
-Every public entry point computes the determinant of the loop it is given
-once and rejects a non-unit one with ValidationError.  Along a call chain the
-unit monomial (e, c) of det(g) = c*t^e is then passed on to ``mat_inverse``,
-which divides by c.  The invariants of the symmetrized and real-symmetrized
-loops read only the t-exponent of their determinants, which follows from e
-(``FormAction.symmetrized_exponent``).
+Determinants, minors and products run on one integer kernel: ``_int_rows``
+clears each row or column of its denominators once, ``_raw_dot`` and
+``_raw_det`` work on the Gaussian-integer numerator dicts, and only an entry
+that a public function returns becomes a ``LaurentPoly``.  A constant
+invertible diagonal lies in G(O) and in G[1/t], so scaling rows or columns by
+constants moves neither the valuation of a minor nor a column degree of the
+reduction: the invariants read those numerators directly, for g and for its
+symmetrized loops, once det g = c*t^e is checked to be a unit monomial.
 
 Two standard modules are imported only by the code that uses them, since
 every command and set-up pays for a module-level import in a fresh process:
@@ -41,8 +43,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, combinations
-from math import gcd, lcm
-from operator import index, mul
+from math import gcd, lcm, prod
+from operator import index
 
 from . import fundgroup  # read at call time: only geodesic construction runs it
 from .errors import TheoremViolationError, ValidationError
@@ -291,14 +293,7 @@ class LaurentPoly:
     def __mul__(self, other):
         if not self._c or not other._c:
             return LP_ZERO
-        out: dict[int, tuple[int, int]] = {}
-        for e1, (a1, b1) in self._c.items():
-            for e2, (a2, b2) in other._c.items():
-                e = e1 + e2
-                x, y = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
-                s = out.get(e)
-                out[e] = (x, y) if s is None else (s[0] + x, s[1] + y)
-        return _packed({e: s for e, s in out.items() if s[0] or s[1]}, self._d * other._d)
+        return _packed(_raw_dot(((self._c, other._c),)), self._d * other._d)
 
     def scale(self, factor: Gaussian) -> "LaurentPoly":
         if not factor:
@@ -404,13 +399,6 @@ def diagonal_loop(form: str, exponents) -> LaurentMatrix:
     return _diagonal(form, [LaurentPoly.t_power(e) for e in exponents])
 
 
-def mat_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
-    if a.n != b.n:
-        raise ValidationError("size mismatch in matrix product")
-    cols = tuple(zip(*b.entries))
-    return lm_from_rows(a.form, [[sum(map(mul, row, col), LP_ZERO) for col in cols] for row in a.entries])
-
-
 def transpose(g: LaurentMatrix) -> LaurentMatrix:
     return lm_from_rows(g.form, tuple(zip(*g.entries)))
 
@@ -425,25 +413,66 @@ def apply_conjugation(g: LaurentMatrix) -> LaurentMatrix:
     return lm_from_rows(g.form, [[p.conjugate() for p in row] for row in g.entries])
 
 
-def _det(rows) -> LaurentPoly:
-    """Determinant of a square list of rows: closed forms up to 2x2, cofactor
-    expansion along the first row above that; fine at desk scale."""
-    m = len(rows)
-    if m == 1:
+# ---------------------------------------------------------------------------
+# the integer kernel: numerator dicts {e: (a, b)} of Gaussian integers
+
+Pair = tuple[int, int]  # (a, b) standing for the Gaussian integer a + b*i
+Raw = dict[int, Pair]  # the numerators of a Laurent polynomial, no zero pairs; never mutated
+
+
+def _int_rows(rows) -> tuple[list[list[Raw]], list[int]]:
+    """Each row's numerators over the lcm of its denominators, and those lcms."""
+    out, scales = [], []
+    for row in rows:
+        s = lcm(*[p._d for p in row])
+        out.append([p._c if p._d == s else {e: (a * (s // p._d), b * (s // p._d)) for e, (a, b) in p._c.items()}
+                    for p in row])
+        scales.append(s)
+    return out, scales
+
+
+def _raw_dot(plus, minus=()) -> Raw:
+    """The sum of p*q over the pairs (p, q) of ``plus`` minus that over ``minus``,
+    fused into one dict: zero pairs are dropped, nothing is normalized."""
+    out: Raw = {}
+    for sign, pairs in ((1, plus), (-1, minus)):
+        for p, q in pairs:
+            if not q:
+                continue
+            for e1, (a1, b1) in p.items():
+                a1, b1 = sign * a1, sign * b1
+                for e2, (a2, b2) in q.items():
+                    s = out.get(e := e1 + e2, (0, 0))
+                    out[e] = (s[0] + a1 * a2 - b1 * b2, s[1] + a1 * b2 + b1 * a2)
+    return {e: s for e, s in out.items() if s[0] or s[1]}
+
+
+def _raw_det(rows) -> Raw:
+    """Determinant of a square list of numerator rows: closed forms up to 2x2,
+    cofactor expansion along the first row above that; fine at desk scale."""
+    if len(rows) == 1:
         return rows[0][0]
-    if m == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = LP_ZERO
-    for j in range(m):
-        if rows[0][j].is_zero():
-            continue
-        term = rows[0][j] * _det([row[:j] + row[j + 1:] for row in rows[1:]])
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return _raw_dot([(a, d)], [(b, c)])
+    terms = ([], [])
+    for j, p in enumerate(rows[0]):
+        if p:
+            terms[j % 2].append((p, _raw_det([r[:j] + r[j + 1:] for r in rows[1:]])))
+    return _raw_dot(*terms)
+
+
+def _adjugate(m: list[list[Raw]]) -> list[list[Raw]]:
+    """Entry (i, j) is the (j, i) cofactor of m: the determinant of m with row j
+    replaced by the unit row e_i, moved to the top and signed (-1)^j to match."""
+    n = len(m)
+    return [[_raw_det([[{0: ((-1) ** j, 0)} if k == i else {} for k in range(n)], *m[:j], *m[j + 1:]])
+             for j in range(n)] for i in range(n)]
 
 
 def determinant(g: LaurentMatrix) -> LaurentPoly:
-    return _det(g.entries)
+    rows, scales = _int_rows(g.entries)
+    return _packed(_raw_det(rows), prod(scales))
 
 
 Monomial = tuple[int, Gaussian]  # (e, c) standing for c * t^e
@@ -451,35 +480,39 @@ Monomial = tuple[int, Gaussian]  # (e, c) standing for c * t^e
 
 def _unit_monomial(g: LaurentMatrix) -> Monomial:
     """Exponent and coefficient of the determinant, which must be a monomial."""
-    mono = determinant(g).monomial()
-    if mono is None:
+    rows, scales = _int_rows(g.entries)
+    det = _raw_det(rows)
+    if len(det) != 1:
         raise ValidationError("loop is not invertible: determinant is not a unit monomial")
-    return mono
+    (e, (a, b)), = det.items()
+    return e, _norm(a, b, prod(scales))
 
 
 def mat_inverse(g: LaurentMatrix, det: Monomial | None = None) -> LaurentMatrix:
     """Adjugate over the unit determinant; errors on non-unit determinants.
 
     ``det`` is the unit monomial of g when the caller already knows it;
-    otherwise it is computed and checked here.  The adjugate's entries are
-    the (n-1)x(n-1) minors, in closed form for n <= 3.
+    otherwise it is computed and checked here.  For g's column lcms s,
+    adj(g diag(s)) is diag(prod(s)/s) adj(g): row i is divided by prod(s)/s_i.
     """
     e, c = _unit_monomial(g) if det is None else det
-    inv_c = G_ONE / c
-    n = g.n
-    if n == 1:
-        return lm_from_rows(g.form, [[LaurentPoly.t_power(-e, inv_c)]])
-    rows = g.entries
-    neg_inv_c = -inv_c
-    adjugate = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            # cofactor (j, i): delete row j and column i
-            minor = _det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
-            row.append(minor.shift(-e).scale(inv_c if (i + j) % 2 == 0 else neg_inv_c))
-        adjugate.append(row)
-    return lm_from_rows(g.form, adjugate)
+    cols, scales = _int_rows(zip(*g.entries))
+    # 1/c is c.d times the conjugate of c.a + c.b*i over its norm
+    p, q, den = c.d * c.a, -c.d * c.b, prod(scales) * (c.a * c.a + c.b * c.b)
+    return lm_from_rows(g.form, [
+        [_packed({x - e: (a * p - b * q, a * q + b * p) for x, (a, b) in r.items()}, den // s) for r in row]
+        for row, s in zip(_adjugate([*zip(*cols)]), scales)
+    ])
+
+
+def mat_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
+    if a.n != b.n:
+        raise ValidationError("size mismatch in matrix product")
+    rows, r = _int_rows(a.entries)
+    cols, c = _int_rows(zip(*b.entries))
+    return lm_from_rows(
+        a.form, [[_packed(_raw_dot(zip(row, col)), s * t) for col, t in zip(cols, c)] for row, s in zip(rows, r)]
+    )
 
 
 def min_valuation(g: LaurentMatrix) -> int:
@@ -507,11 +540,6 @@ def loops_equal(a: LaurentMatrix, b: LaurentMatrix) -> bool:
 def _turn(g: LaurentMatrix) -> LaurentMatrix:
     """J g J for the anti-diagonal J: g with its rows and columns reversed."""
     return lm_from_rows(g.form, [row[::-1] for row in reversed(g.entries)])
-
-
-def _bar(p: LaurentPoly) -> LaurentPoly:
-    """Substitute t -> 1/t and conjugate the coefficients, in one pass."""
-    return _raw({-e: (a, -b) for e, (a, b) in p._c.items()}, p._d)
 
 
 class FormAction(Record):
@@ -543,11 +571,11 @@ class FormAction(Record):
 
     # anti-involutions; ``det`` is the unit monomial of g when already known
     def real_antiinvolution(self, g: LaurentMatrix, det: Monomial | None = None) -> LaurentMatrix:
-        """Invert, reverse time, apply the real conjugation."""
-        if self.family == "split":
-            return lm_from_rows(g.form, [[_bar(p) for p in row] for row in mat_inverse(g, det).entries])
-        # J bar(g)^T J: entry (i, j) is bar(g) at (n-1-j, n-1-i)
-        return lm_from_rows(g.form, [[_bar(p) for p in col[::-1]] for col in reversed(tuple(zip(*g.entries)))])
+        """Invert (split) or take J g^T J (unitary), then reverse time and
+        conjugate the coefficients in one pass."""
+        h = mat_inverse(g, det) if self.family == "split" else _turn(transpose(g))
+        return lm_from_rows(g.form, [[_raw({-e: (a, -b) for e, (a, b) in p._c.items()}, p._d) for p in row]
+                                     for row in h.entries])
 
     def symmetric_antiinvolution(self, g: LaurentMatrix, det: Monomial | None = None) -> LaurentMatrix:
         if self.family == "split":
@@ -556,12 +584,21 @@ class FormAction(Record):
 
     def symmetrize(self, g: LaurentMatrix, det: Monomial | None = None) -> LaurentMatrix:
         """The loop-to-symmetric-space projection applied to g."""
+        return mat_mul(self.symmetric_antiinvolution(g, det), g)
+
+    def _anti_product(self, g: LaurentMatrix, e: int, real: bool) -> list[list[Raw]]:
+        """The numerator columns of a(g) * g for det g = c t^e, up to constant
+        factors of rows and columns, where a(g) is g^-1 = adj(g) t^-e / c or g^T,
+        barred if ``real``, turned if unitary: the real or symmetric anti-involution."""
+        cols = _int_rows(zip(*g.entries))[0]
+        left = cols  # the rows of g^T
+        if (self.family == "split") == real:
+            left = [[p if not e else {x - e: v for x, v in p.items()} for p in row] for row in _adjugate([*zip(*cols)])]
+        if real:
+            left = [[{-x: (a, -b) for x, (a, b) in p.items()} for p in row] for row in left]
         if self.family != "split":
-            return mat_mul(self.symmetric_antiinvolution(g, det), g)
-        # g^T g is symmetric: compute the upper triangle and mirror it
-        cols, n = tuple(zip(*g.entries)), g.n
-        upper = {(i, j): sum(map(mul, cols[i], cols[j]), LP_ZERO) for i in range(n) for j in range(i, n)}
-        return lm_from_rows(g.form, [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
+            left = [row[::-1] for row in reversed(left)]
+        return [[_raw_dot(zip(row, col)) for row in left] for col in cols]
 
     def symmetrized_exponent(self, e: int) -> int:
         """The t-exponent of det ``symmetrize(g)`` and of det
@@ -637,18 +674,19 @@ def stratum_invariant(g: LaurentMatrix) -> Coweight:
     elementary divisors at t = 0 are t^(d_k - d_(k-1)), and lam lists their
     exponents decreasingly.
     """
-    return _stratum(g, _unit_monomial(g)[0])
+    return _stratum(_int_rows(g.entries)[0], _unit_monomial(g)[0])
 
 
-def _stratum(g: LaurentMatrix, exponent: int) -> Coweight:
-    n = g.n
+def _stratum(rows: list[list[Raw]], exponent: int) -> Coweight:
+    # scaling rows or columns by nonzero constants moves no minor's valuation
+    n = len(rows)
     divisors = [0]
     for k in range(1, n):
         divisors.append(min(
-            minor.valuation()
-            for rows in combinations(g.entries, k)
+            min(minor)
+            for sub in combinations(rows, k)
             for cols in combinations(range(n), k)
-            if not (minor := _det([[row[j] for j in cols] for row in rows])).is_zero()
+            if (minor := _raw_det([[row[j] for j in cols] for row in sub]))
         ))
     divisors.append(exponent)
     steps = [b - a for a, b in zip(divisors, divisors[1:])]
@@ -676,10 +714,7 @@ def splitting_type(g: LaurentMatrix) -> Coweight:
     the column degrees, which ends at det exponent + n*N, so the loop is
     bounded; a run past that bound raises TheoremViolationError.
     """
-    return _splitting(g, _unit_monomial(g)[0])
-
-
-Pair = tuple[int, int]  # (a, b) standing for the Gaussian integer a + b*i
+    return _splitting(_int_rows(zip(*g.entries))[0], _unit_monomial(g)[0])
 
 
 def _kernel_vector(m: list[list[Pair]]) -> list[Pair] | None:
@@ -726,16 +761,11 @@ def _content(col: list[dict[int, Pair]]) -> int:
     return g
 
 
-def _splitting(g: LaurentMatrix, exponent: int) -> Coweight:
+def _splitting(cols: list[list[Raw]], exponent: int) -> Coweight:
     # t^N g has g's column degrees plus N, so the reduction runs on g.  Scaling a
-    # column by the lcm of its denominators is unimodular, so it runs on Z[i]
-    # numerators (Beelen, van den Hurk and Praagman, Syst. Control Lett. 11, 1988).
-    n = g.n
-    cols = []
-    for col in zip(*g.entries):
-        s = lcm(*(p._d for p in col))
-        cols.append([p._c if p._d == s else {e: (a * (s // p._d), b * (s // p._d)) for e, (a, b) in p._c.items()}
-                     for p in col])
+    # column or a row by a constant is unimodular, so it runs on Z[i] numerators
+    # (Beelen, van den Hurk and Praagman, Syst. Control Lett. 11, 1988).
+    n = len(cols)
     degs = [max(max(p) for p in col if p) for col in cols]
     # each step lowers sum(degs), which ends at the determinant's exponent
     steps_left = sum(degs) - exponent
@@ -779,7 +809,7 @@ def k_orbit_invariant(g: LaurentMatrix) -> Coweight:
     form's lattice involution, and checked."""
     form = form_action(g.form)
     det = form.validate(g)
-    lam = _stratum(form.symmetrize(g, det), form.symmetrized_exponent(det[0]))
+    lam = _stratum(form._anti_product(g, det[0], real=False), form.symmetrized_exponent(det[0]))
     if not form.lattice_fixed(lam):
         raise TheoremViolationError(
             f"k-orbit invariant {lam} is not fixed by the lattice involution of {form.name}; "
@@ -793,7 +823,7 @@ def r_orbit_invariant(g: LaurentMatrix) -> Coweight:
     real coweight, and checked."""
     form = form_action(g.form)
     det = form.validate(g)
-    lam = _splitting(mat_mul(form.real_antiinvolution(g, det), g), form.symmetrized_exponent(det[0]))
+    lam = _splitting(form._anti_product(g, det[0], real=True), form.symmetrized_exponent(det[0]))
     if not form.lattice_fixed(lam):
         raise TheoremViolationError(
             f"r-orbit invariant {lam} is not fixed by the lattice involution of {form.name}; "

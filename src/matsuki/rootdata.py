@@ -434,9 +434,6 @@ class FiniteAbelianGroup(Record):
             total *= f
         return total
 
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors
-
     def describe(self) -> str:
         if not self.invariant_factors:
             return "1"

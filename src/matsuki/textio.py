@@ -9,7 +9,6 @@ line number, and a line that the format does not read is one.
 
 from __future__ import annotations
 
-import re
 from math import gcd
 
 from . import loopmatrix as lm  # read at call time: only matrix files run it
@@ -17,11 +16,53 @@ from .errors import ParseError, ValidationError
 from .realform import InvolutionSpec, RealFormCatalogEntry, catalog, require_valid_involution
 from .rootdata import RootDatum, require_valid
 
-_KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.*)$")
-_ENTRY_RE = re.compile(r"^entry\s+(\d+)\s+(\d+)\s*:\s*(.*)$")
-_TUPLE_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+(?:/\d+)?)\s*,\s*(-?\d+(?:/\d+)?)\s*\)")
 _BLOCK_KEYS = frozenset({"roots", "coroots", "theta"})
 _DATUM_KEYS = frozenset({"name", "rank", "simple", "roots", "coroots"})
+
+
+# The line readers use str methods, not the re module, which start-up would pay
+# for.  Whitespace is what str.isspace accepts and a digit what str.isdecimal
+# accepts, as for re's \s and \d, so Unicode digits and spaces read as there.
+
+
+def _key_line(line: str) -> tuple[str, str] | None:
+    """(key, value) of a stripped ``key: value`` line whose key is an ASCII
+    identifier, with the value stripped; None for any other line."""
+    key, colon, value = line.partition(":")
+    key = key.rstrip()
+    return (key, value.strip()) if colon and key.isascii() and key.isidentifier() else None
+
+
+def _entry_line(line: str) -> tuple[int, int, str] | None:
+    """(i, j, rest) of a stripped ``entry i j: rest`` line, with the rest
+    stripped; None for any other line."""
+    head, colon, rest = line.partition(":")
+    words = head.split()
+    if colon and len(words) == 3 and words[0] == "entry" and words[1].isdecimal() and words[2].isdecimal():
+        return int(words[1]), int(words[2]), rest.strip()
+    return None
+
+
+def _is_number(token: str, fraction: bool) -> bool:
+    """Whether a token is ``-?d+``, or with ``fraction`` also ``-?d+/d+``."""
+    num, slash, den = token.removeprefix("-").partition("/")
+    return num.isdecimal() and (not slash or fraction and den.isdecimal())
+
+
+def _tuples(text: str) -> list[tuple[str, str, str, str]]:
+    """The ``(e, re, im)`` tuples in text, left to right, each as its source and
+    its three tokens.  A tuple runs from a ``(`` to the next ``)``, and a ``(``
+    that starts none is passed over, so a tuple may sit inside other text."""
+    found = []
+    start = text.find("(")
+    while start >= 0 and (end := text.find(")", start)) >= 0:
+        tokens = [token.strip() for token in text[start + 1:end].split(",")]
+        if len(tokens) == 3 and all(_is_number(token, k > 0) for k, token in enumerate(tokens)):
+            found.append((text[start:end + 1], *tokens))
+            start = text.find("(", end)
+        else:
+            start = text.find("(", start + 1)
+    return found
 
 
 def _parse_int_row(line: str, lineno: int) -> tuple[int, ...]:
@@ -35,14 +76,14 @@ def _parse_sections(text: str, where: str, keys, entries: list | None = None) ->
     """Split into key -> (lineno, inline value, block rows) in one pass.  A
     line is one of ``keys``, a row under a block key (``_BLOCK_KEYS``) or,
     when ``entries`` is a list, an ``entry i j:`` line after the first key,
-    appended to it as (lineno, match); any other line is a parse error."""
+    appended to it as (lineno, i, j, rest); any other line is a parse error."""
     sections: dict[str, tuple[int, str, list[tuple[int, str]]]] = {}
     rows = None  # the rows of the last key, if it is a block key
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not (line := raw.split("#", 1)[0].strip()):
             continue
-        if m := _KEY_RE.match(line):
-            key, value = m.group(1), m.group(2).strip()
+        if parsed := _key_line(line):
+            key, value = parsed
             if key not in keys:
                 raise ParseError(lineno, f"unknown key {key!r} in {where}")
             if key in sections:
@@ -51,8 +92,8 @@ def _parse_sections(text: str, where: str, keys, entries: list | None = None) ->
             rows = sections[key][2] if key in _BLOCK_KEYS else None
         elif rows is not None:
             rows.append((lineno, line))
-        elif entries is not None and sections and (m := _ENTRY_RE.match(line)):
-            entries.append((lineno, m))
+        elif entries is not None and sections and (entry := _entry_line(line)):
+            entries.append((lineno, *entry))
         else:
             raise ParseError(lineno, f"expected 'key: value', got {line!r}")
     return sections
@@ -184,24 +225,22 @@ def parse_matrix(text: str) -> lm.LaurentMatrix:
 
     entries = [[lm.LaurentPoly.zero() for _ in range(n)] for _ in range(n)]
     seen: set[tuple[int, int]] = set()
-    for lineno, m in entry_lines:
-        i, j = int(m.group(1)), int(m.group(2))
+    for lineno, i, j, rest in entry_lines:
         if not (1 <= i <= n and 1 <= j <= n):
             raise ParseError(lineno, f"entry ({i}, {j}) outside a {n}x{n} matrix")
         if (i, j) in seen:
             raise ParseError(lineno, f"duplicate entry ({i}, {j})")
         seen.add((i, j))
-        rest = m.group(3).strip()
-        matches = list(_TUPLE_RE.finditer(rest))
+        matches = _tuples(rest)
         coeffs: dict[int, lm.Gaussian] = {}
-        for match in matches:
-            e = int(match.group(1))
-            p, q = _parse_rational(match.group(2), lineno)
-            r, s = _parse_rational(match.group(3), lineno)
+        for _, exponent, re_part, im_part in matches:
+            e = int(exponent)
+            p, q = _parse_rational(re_part, lineno)
+            r, s = _parse_rational(im_part, lineno)
             if e in coeffs:
                 raise ParseError(lineno, f"duplicate exponent {e} in entry ({i}, {j})")
             coeffs[e] = lm.Gaussian(p * s, r * q) / lm.Gaussian(q * s)  # p/q + (r/s)i
-        if rest.replace(" ", "") != "".join(match.group(0).replace(" ", "") for match in matches):
+        if rest.replace(" ", "") != "".join(source.replace(" ", "") for source, *_ in matches):
             raise ParseError(lineno, f"unparsed text in entry ({i}, {j}): {rest!r}")
         entries[i - 1][j - 1] = lm.LaurentPoly(coeffs)
     g = lm.lm_from_rows(form_name, entries)

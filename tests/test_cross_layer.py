@@ -125,7 +125,7 @@ def _from_entry(form, mu):
 
 def test_every_orbit_index_comes_back_from_its_geodesic():
     checked = 0
-    for name in ("gl1_split", "sl2_split", "sl3_split"):
+    for name in ("gl1_split", "gl2_split", "gl3_split", "sl2_split", "sl3_split"):
         form = form_action(name)
         for mu in enumerate_orbits(catalog(form.entry).spec, 8):
             lam = _from_entry(form, mu)
@@ -133,4 +133,4 @@ def test_every_orbit_index_comes_back_from_its_geodesic():
             c = geodesic_representative(form, lam)
             assert (k_orbit_invariant(c), r_orbit_invariant(c)) == (lam, lam), (name, mu)
             checked += 1
-    assert checked == 19
+    assert checked == 193

@@ -1,0 +1,284 @@
+"""The integer kernel of the matrix layer against the LaurentPoly-level
+reference it replaced: cofactor determinants and sums of products, here on
+``Gaussian`` coefficients so that no kernel code runs on the reference side.
+
+The loops carry coefficients with denominators 1 to 25, so rows and columns
+are cleared with different lcms; the comparison is exact, down to the
+determinantal divisors and the column degrees at every reduction step, which
+the invariants' error texts print."""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+from math import lcm
+
+import pytest
+
+import matsuki.loopmatrix as loopmatrix
+from matsuki.errors import TheoremViolationError, ValidationError
+from matsuki.loopmatrix import (
+    Gaussian,
+    LaurentPoly,
+    determinant,
+    form_action,
+    form_names,
+    identity_loop,
+    k_orbit_invariant,
+    lm_from_rows,
+    mat_inverse,
+    mat_mul,
+    r_orbit_invariant,
+    random_k_loop,
+    random_polynomial_loop,
+    random_real_loop,
+    splitting_type,
+    stratum_invariant,
+    transpose,
+)
+
+ZERO = LaurentPoly.zero()
+
+
+# ---------------------------------------------------------------------------
+# the reference
+
+
+def ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, Gaussian(0)) + c1 * c2
+    return LaurentPoly(out)
+
+
+def ref_det(rows):
+    m = len(rows)
+    if m == 1:
+        return rows[0][0]
+    if m == 2:
+        return ref_mul(rows[0][0], rows[1][1]) - ref_mul(rows[0][1], rows[1][0])
+    acc = ZERO
+    for j in range(m):
+        if rows[0][j].is_zero():
+            continue
+        term = ref_mul(rows[0][j], ref_det([row[:j] + row[j + 1:] for row in rows[1:]]))
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def ref_matmul(a, b):
+    cols = list(zip(*b.entries))
+    return lm_from_rows(a.form, [[sum(map(ref_mul, row, col), ZERO) for col in cols] for row in a.entries])
+
+
+def ref_inverse(g):
+    e, c = ref_det(g.entries).monomial()
+    n = g.n
+    if n == 1:
+        return lm_from_rows(g.form, [[LaurentPoly.t_power(-e, Gaussian(1) / c)]])
+    adjugate = [
+        [ref_det([r[:i] + r[i + 1:] for k, r in enumerate(g.entries) if k != j]).shift(-e).scale(
+            Gaussian((-1) ** (i + j)) / c) for j in range(n)]
+        for i in range(n)
+    ]
+    return lm_from_rows(g.form, adjugate)
+
+
+def _turn(g):
+    return lm_from_rows(g.form, [row[::-1] for row in reversed(g.entries)])
+
+
+def _bar(g):
+    return lm_from_rows(g.form, [[p.tau().conjugate() for p in row] for row in g.entries])
+
+
+def ref_symmetrize(form, g):
+    left = transpose(g) if form.family == "split" else _turn(ref_inverse(g))
+    return ref_matmul(left, g)
+
+
+def ref_real_symmetrized(form, g):
+    left = _bar(ref_inverse(g)) if form.family == "split" else _turn(transpose(_bar(g)))
+    return ref_matmul(left, g)
+
+
+def ref_stratum(h, exponent):
+    """The stratum invariant of h from the valuations of its minors."""
+    n = h.n
+    divisors = [0]
+    for k in range(1, n):
+        divisors.append(min(
+            minor.valuation()
+            for rows in combinations(h.entries, k)
+            for cols in combinations(range(n), k)
+            if not (minor := ref_det([[row[j] for j in cols] for row in rows])).is_zero()
+        ))
+    divisors.append(exponent)
+    steps = [b - a for a, b in zip(divisors, divisors[1:])]
+    if steps != sorted(steps):
+        raise TheoremViolationError(f"determinantal divisors {tuple(divisors)} do not form a divisibility chain")
+    return tuple(reversed(steps))
+
+
+def ref_columns(h):
+    """h's columns as Gaussian-integer numerators over each column's lcm."""
+    cols = []
+    for col in zip(*h.entries):
+        d = lcm(*(c.d for p in col for _, c in p.items()))
+        cols.append([{e: (c.a * (d // c.d), c.b * (d // c.d)) for e, c in p.items()} for p in col])
+    return cols
+
+
+# ---------------------------------------------------------------------------
+# loops with denominators 1 to 25
+
+
+def _rational(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 25))
+
+
+def rational_loops(form, count=5):
+    """Seeded unit loops of a form, conjugated by a constant diagonal and
+    multiplied by a constant shear, both with denominators 1 to 25; off the
+    special forms with determinant (2 + i) t."""
+    rng = random.Random(f"kernel:{form.name}")
+    n = form.n
+    for seed in range(count):
+        g = mat_mul(random_real_loop(form, seed), random_k_loop(form, seed + 1))
+        g = mat_mul(g, random_polynomial_loop(form, seed + 2))
+        if not form.special:
+            g = mat_mul(g, _diagonal(form, [LaurentPoly.t_power(1, Gaussian(2, 1))] + [LaurentPoly.one()] * (n - 1)))
+        scales = [Gaussian(_rational(rng), _rational(rng) if rng.random() < 0.3 else 0) for _ in range(n)]
+        g = mat_mul(mat_mul(_diagonal(form, [LaurentPoly.constant(s) for s in scales]), g),
+                    _diagonal(form, [LaurentPoly.constant(Gaussian(1) / s) for s in scales]))
+        if n > 1:
+            rows = [[LaurentPoly.one() if i == j else ZERO for j in range(n)] for i in range(n)]
+            i, j = rng.sample(range(n), 2)
+            rows[i][j] = LaurentPoly({rng.randint(-1, 1): Gaussian(_rational(rng))})
+            g = mat_mul(g, lm_from_rows(form.name, rows))
+        yield g
+
+
+def _diagonal(form, polys):
+    n = form.n
+    return lm_from_rows(form.name, [[polys[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+
+
+# ---------------------------------------------------------------------------
+# the comparison
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (TheoremViolationError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def reduction_trail(cols, exponent):
+    """The column reduction of cols stopped after 0, 1, 2, ... steps.  A step
+    past the stop keeps every column degree, so the run ends at the step bound
+    and its error text prints the degrees reached; the last entry is the
+    reduction's own outcome."""
+    real = loopmatrix._kernel_vector
+    trail = []
+    for stop in range(sum(max(max(p) for p in col if p) for col in cols) - exponent + 2):
+        calls = 0
+
+        def stopped(m):
+            nonlocal calls
+            calls += 1
+            return real(m) if calls <= stop else [(1, 0)] + [(0, 0)] * (len(m) - 1)
+
+        loopmatrix._kernel_vector = stopped
+        try:
+            trail.append(outcome(loopmatrix._splitting, [list(col) for col in cols], exponent))
+        finally:
+            loopmatrix._kernel_vector = real
+        if calls <= stop:
+            break
+    return trail
+
+
+def mismatches(form, g):
+    """Where the kernel and the reference disagree on g, as (what, kernel, reference)."""
+    found = []
+
+    def compare(what, got, want):
+        if got != want:
+            found.append((what, got, want))
+
+    ref = ref_det(g.entries)
+    compare("determinant", outcome(determinant, g), ref)
+    det = outcome(form.validate, g)
+    compare("unit monomial", det, ref.monomial())
+    if det != ref.monomial():
+        return found
+    e = det[0]
+    x = form.symmetrized_exponent(e)
+    inverse = ref_inverse(g)
+    for args in ((g,), (g, det)):
+        compare("inverse", outcome(lambda: mat_inverse(*args).entries), inverse.entries)
+        compare("symmetrize", outcome(lambda: form.symmetrize(*args).entries), ref_symmetrize(form, g).entries)
+    compare("product", outcome(lambda: mat_mul(g, inverse).entries), identity_loop(form.name, form.n).entries)
+    compare("product", outcome(lambda: mat_mul(inverse, g).entries), ref_matmul(inverse, g).entries)
+    compare("cartan", outcome(stratum_invariant, g), outcome(ref_stratum, g, e))
+    cols = loopmatrix._int_rows(zip(*g.entries))[0]
+    compare("birkhoff", reduction_trail(cols, e), reduction_trail(ref_columns(g), e))
+    k_lam = outcome(loopmatrix._stratum, outcome(form._anti_product, g, e, False), x)
+    compare("k-orbit", k_lam, outcome(ref_stratum, ref_symmetrize(form, g), x))
+    r_cols = outcome(form._anti_product, g, e, True)
+    compare("r-orbit", reduction_trail(r_cols, x), reduction_trail(ref_columns(ref_real_symmetrized(form, g)), x))
+    compare("public", (outcome(k_orbit_invariant, g), outcome(r_orbit_invariant, g), outcome(splitting_type, g)),
+            (k_lam, reduction_trail(r_cols, x)[-1], reduction_trail(ref_columns(g), e)[-1]))
+    return found
+
+
+@pytest.mark.parametrize("name", form_names())
+def test_kernel_matches_the_laurentpoly_reference(name):
+    form = form_action(name)
+    loops = list(rational_loops(form))
+    # rows and columns mix denominators, so each is cleared with its own lcm
+    assert form.n == 1 or any(len({p._d for p in row}) > 1 for g in loops for row in g.entries)
+    assert form.n == 1 or any(len({p._d for p in col}) > 1 for g in loops for col in zip(*g.entries))
+    for g in loops:
+        assert mismatches(form, g) == []
+
+
+# the kernel as it is, for the mutants to call
+_int_rows = loopmatrix._int_rows
+_raw_det = loopmatrix._raw_det
+
+
+def _one_row_unscaled(rows):
+    """``_int_rows`` with the first row that needs a scale left unscaled."""
+    rows = [list(row) for row in rows]
+    out, scales = _int_rows(rows)
+    for i, (row, s) in enumerate(zip(rows, scales)):
+        if s != 1:
+            out[i] = [p._c for p in row]
+            break
+    return out, scales
+
+
+def _flipped_two_by_two(rows):
+    """``_raw_det`` with the sign of the 2x2 closed form's second term flipped."""
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return loopmatrix._raw_dot([(a, d), (b, c)])
+    return _raw_det(rows)
+
+
+@pytest.mark.parametrize("target, mutant", [("_int_rows", _one_row_unscaled), ("_raw_det", _flipped_two_by_two)])
+def test_the_comparison_catches_kernel_mutants(target, mutant, monkeypatch):
+    loops = {name: list(rational_loops(form_action(name), 2)) for name in form_names()}
+    monkeypatch.setattr(loopmatrix, target, mutant)
+    for name, gs in loops.items():
+        form = form_action(name)
+        caught = []
+        for g in gs:
+            try:
+                caught.append(bool(mismatches(form, g)))
+            except (ArithmeticError, LookupError, ValueError):  # a mutant may also crash the kernel
+                caught.append(True)
+        assert any(caught) or form.n == 1, name

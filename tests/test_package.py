@@ -14,6 +14,8 @@ import pytest
 import matsuki
 import matsuki.cli
 from matsuki.cli import main
+from matsuki.realform import catalog
+from matsuki.textio import format_involution
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ("errors", "record", "rootdata", "realform", "fundgroup", "orbitposet", "loopmatrix", "textio", "laws")
@@ -118,15 +120,27 @@ ARGPARSE_MODULES = {"argparse", "shutil", "gettext", "locale"}
     ids=["catalog", "orbits", "dual", "invariant"],
 )
 def test_well_formed_commands_load_no_argparse(tmp_path, argv):
-    # the table reader serves them; a matrix file's parser loads re itself
-    names = ARGPARSE_MODULES
+    # the table reader serves them, and the matrix file's reader needs no re either
     if argv == ["invariant"]:
         argv = ["invariant", str(tmp_path / "id.matrix")]
         (tmp_path / "id.matrix").write_text(IDENTITY_FILE)
-    else:
-        names = names | {"re"}
     setup = f"from matsuki.cli import main\nassert main({argv!r}) == 0"
-    assert _loaded(setup, names)[1] == []
+    assert _loaded(setup, ARGPARSE_MODULES | {"re"})[1] == []
+
+
+@pytest.mark.parametrize("command", ["invariant", "pi1", "catalog"])
+def test_file_commands_load_no_re(tmp_path, command):
+    # the text formats are read with str methods: re would cost each command
+    # a few milliseconds of start-up
+    (tmp_path / "id.matrix").write_text(IDENTITY_FILE)
+    (tmp_path / "su21.involution").write_text(format_involution(catalog("su21")))
+    argv = {
+        "invariant": ["invariant", str(tmp_path / "id.matrix")],
+        "pi1": ["pi1", str(tmp_path / "su21.involution")],
+        "catalog": ["catalog", "--export", str(tmp_path / "exported")],
+    }[command]
+    setup = f"from matsuki.cli import main\nassert main({argv!r}) == 0"
+    assert _loaded(setup, {"re"})[1] == []
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["orbits", "gl2_split", "--height", "abc"]], ids=["help", "usage-error"])

@@ -1,5 +1,7 @@
 """Structured-text round trips and parse errors with line numbers."""
 
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -191,3 +193,61 @@ def test_a_matrix_file_is_scanned_once():
     text = _CountingText(IDENTITY_MATRIX)
     assert loops_equal(parse_matrix(text), diagonal_loop("gl2_split", (0, 0)))
     assert text.passes == 1
+
+
+# ---------------------------------------------------------------------------
+# the str-method line readers against the regular expressions they replace
+
+KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.*)$")
+ENTRY_RE = re.compile(r"^entry\s+(\d+)\s+(\d+)\s*:\s*(.*)$")
+TUPLE_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+(?:/\d+)?)\s*,\s*(-?\d+(?:/\d+)?)\s*\)")
+
+SEED_LINES = (
+    "name: sl2",
+    "rank :2",
+    "theta:",
+    "_x9: 1 -2  3",
+    "form: u21",
+    "entry 1 2: (0, 1/1, 0/1)",
+    "entry 3 1: (-2, -3/4, 5/6) (1, 7, -1/25)",
+    "entry 2 2:(0,1,0)(1, 2/3 ,-4)",
+    "entry ١٢ ٣: ( ٣ , -١/٢ , 0 )",
+    "entry 1 1: (1/2, 1, 0) ((2, 1/0, 3)",
+    "(--1, 2, 3)(4,5,6)) (7, 8/, 9)",
+)
+# Unicode digits and spaces (none of them a line break), signs, slashes,
+# parentheses, commas, colons and letters
+MUTATION_ALPHABET = "0129-+/(),: \t  　\x1f٣７²½ex_#"
+
+
+def _mutated_lines(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        line = list(rng.choice(SEED_LINES))
+        for _ in range(rng.randint(1, 4)):
+            k = rng.randrange(len(line) + 1)
+            action = rng.random()
+            if action < 0.4:
+                line.insert(k, rng.choice(MUTATION_ALPHABET))
+            elif action < 0.7 and k < len(line):
+                del line[k]
+            elif k < len(line):
+                line[k] = rng.choice(MUTATION_ALPHABET)
+        # as the section reader sees a line: comment cut off, stripped
+        yield "".join(line).split("#", 1)[0].strip()
+
+
+def test_line_readers_match_the_regular_expressions():
+    accepted = {"key": 0, "entry": 0, "tuples": 0}
+    for line in _mutated_lines(4000, "textio-readers"):
+        m = KEY_RE.match(line)
+        assert textio._key_line(line) == (m and (m.group(1), m.group(2).strip())), line
+        m = ENTRY_RE.match(line)
+        assert textio._entry_line(line) == (m and (int(m.group(1)), int(m.group(2)), m.group(3).strip())), line
+        want = [m.group(0, 1, 2, 3) for m in TUPLE_RE.finditer(line)]
+        assert textio._tuples(line) == want, line
+        accepted["key"] += KEY_RE.match(line) is not None
+        accepted["entry"] += ENTRY_RE.match(line) is not None
+        accepted["tuples"] += bool(want)
+    # the mutations keep many lines readable, so both outcomes are compared
+    assert min(accepted.values()) > 400, accepted
