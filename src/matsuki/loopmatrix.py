@@ -22,14 +22,16 @@ polynomial packs its Gaussian-integer numerators over one common denominator;
 nothing is ever floating point.  The unitary forms conjugate by the
 anti-diagonal J, and J X J is X turned by 180 degrees, never a product.
 
-Determinants, minors and products run on one integer kernel: ``_int_rows``
-clears each row or column of its denominators once, ``_raw_dot`` and
-``_raw_det`` work on the Gaussian-integer numerator dicts, and only an entry
-that a public function returns becomes a ``LaurentPoly``.  A constant
+All arithmetic on Gaussian-integer numerator dicts runs on one integer
+kernel: ``_int_rows`` clears each row or column of its denominators,
+``_raw_dot`` is every product, sum and scaling (a sum or a scaling is a
+product with constants), ``_raw_det`` expands determinants with it, and only
+an entry that a public function returns becomes a ``LaurentPoly``.  A constant
 invertible diagonal lies in G(O) and in G[1/t], so scaling rows or columns by
 constants moves neither the valuation of a minor nor a column degree of the
-reduction: the invariants read those numerators directly, for g and for its
-symmetrized loops, once det g = c*t^e is checked to be a unit monomial.
+reduction.  Each invariant therefore clears its loop once and reads both the
+check that det g = c*t^e is a unit monomial and the minors or the reduction
+off those lines, for g and for its symmetrized loops.
 
 Two standard modules are imported only by the code that uses them, since
 every command and set-up pays for a module-level import in a fresh process:
@@ -261,25 +263,9 @@ class LaurentPoly:
     # arithmetic
     def _combine(self, other, sign: int) -> "LaurentPoly":
         """self + sign * other over the least common denominator."""
-        if not other._c:
-            return self
-        if not self._c:
-            return other if sign > 0 else -other
         d, f = self._d, other._d
         g = gcd(d, f)
-        m, n, d = f // g, sign * d // g, d // g * f
-        out = dict(self._c) if m == 1 else {e: (a * m, b * m) for e, (a, b) in self._c.items()}
-        for e, (a, b) in other._c.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = (a * n, b * n)
-            else:
-                x, y = s[0] + a * n, s[1] + b * n
-                if x or y:
-                    out[e] = (x, y)
-                else:
-                    del out[e]
-        return _packed(out, d)
+        return _packed(_raw_dot([(self._c, {0: (f // g, 0)}), (other._c, {0: (sign * d // g, 0)})]), d // g * f)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -296,10 +282,7 @@ class LaurentPoly:
         return _packed(_raw_dot(((self._c, other._c),)), self._d * other._d)
 
     def scale(self, factor: Gaussian) -> "LaurentPoly":
-        if not factor:
-            return LP_ZERO
-        p, q = factor.a, factor.b
-        return _packed({e: (a * p - b * q, a * q + b * p) for e, (a, b) in self._c.items()}, self._d * factor.d)
+        return _packed(_raw_dot([(self._c, {0: (factor.a, factor.b)})]), self._d * factor.d)
 
     def shift(self, k: int) -> "LaurentPoly":
         try:
@@ -478,31 +461,26 @@ def determinant(g: LaurentMatrix) -> LaurentPoly:
 Monomial = tuple[int, Gaussian]  # (e, c) standing for c * t^e
 
 
-def _unit_monomial(g: LaurentMatrix) -> Monomial:
-    """Exponent and coefficient of the determinant, which must be a monomial."""
-    rows, scales = _int_rows(g.entries)
-    det = _raw_det(rows)
+def _unit_monomial(lines: list[list[Raw]], scales: list[int]) -> Monomial:
+    """Exponent and coefficient of the determinant of a loop, read off its
+    cleared rows or columns and their lcms; it must be a monomial."""
+    det = _raw_det(lines)
     if len(det) != 1:
         raise ValidationError("loop is not invertible: determinant is not a unit monomial")
     (e, (a, b)), = det.items()
     return e, _norm(a, b, prod(scales))
 
 
-def mat_inverse(g: LaurentMatrix, det: Monomial | None = None) -> LaurentMatrix:
-    """Adjugate over the unit determinant; errors on non-unit determinants.
-
-    ``det`` is the unit monomial of g when the caller already knows it;
-    otherwise it is computed and checked here.  For g's column lcms s,
-    adj(g diag(s)) is diag(prod(s)/s) adj(g): row i is divided by prod(s)/s_i.
-    """
-    e, c = _unit_monomial(g) if det is None else det
+def mat_inverse(g: LaurentMatrix) -> LaurentMatrix:
+    """Adjugate over the unit determinant c t^e; errors on non-unit determinants.
+    For g's column lcms s, adj(g diag(s)) is diag(prod(s)/s) adj(g), so row i
+    is divided by prod(s)/s_i."""
     cols, scales = _int_rows(zip(*g.entries))
-    # 1/c is c.d times the conjugate of c.a + c.b*i over its norm
-    p, q, den = c.d * c.a, -c.d * c.b, prod(scales) * (c.a * c.a + c.b * c.b)
-    return lm_from_rows(g.form, [
-        [_packed({x - e: (a * p - b * q, a * q + b * p) for x, (a, b) in r.items()}, den // s) for r in row]
-        for row, s in zip(_adjugate([*zip(*cols)]), scales)
-    ])
+    e, c = _unit_monomial(cols, scales)
+    # t^-e/c is c.d t^-e times the conjugate of c.a + c.b*i over its norm
+    inv, den = {-e: (c.d * c.a, -c.d * c.b)}, prod(scales) * (c.a * c.a + c.b * c.b)
+    return lm_from_rows(g.form, [[_packed(_raw_dot([(r, inv)]), den // s) for r in row]
+                                 for row, s in zip(_adjugate([*zip(*cols)]), scales)])
 
 
 def mat_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
@@ -569,28 +547,31 @@ class FormAction(Record):
             return mat_inverse(transpose(g))
         return _turn(g)
 
-    # anti-involutions; ``det`` is the unit monomial of g when already known
-    def real_antiinvolution(self, g: LaurentMatrix, det: Monomial | None = None) -> LaurentMatrix:
+    # anti-involutions
+    def real_antiinvolution(self, g: LaurentMatrix) -> LaurentMatrix:
         """Invert (split) or take J g^T J (unitary), then reverse time and
         conjugate the coefficients in one pass."""
-        h = mat_inverse(g, det) if self.family == "split" else _turn(transpose(g))
+        h = mat_inverse(g) if self.family == "split" else _turn(transpose(g))
         return lm_from_rows(g.form, [[_raw({-e: (a, -b) for e, (a, b) in p._c.items()}, p._d) for p in row]
                                      for row in h.entries])
 
-    def symmetric_antiinvolution(self, g: LaurentMatrix, det: Monomial | None = None) -> LaurentMatrix:
+    def symmetric_antiinvolution(self, g: LaurentMatrix) -> LaurentMatrix:
         if self.family == "split":
             return transpose(g)
-        return _turn(mat_inverse(g, det))
+        return _turn(mat_inverse(g))
 
-    def symmetrize(self, g: LaurentMatrix, det: Monomial | None = None) -> LaurentMatrix:
+    def symmetrize(self, g: LaurentMatrix) -> LaurentMatrix:
         """The loop-to-symmetric-space projection applied to g."""
-        return mat_mul(self.symmetric_antiinvolution(g, det), g)
+        return mat_mul(self.symmetric_antiinvolution(g), g)
 
-    def _anti_product(self, g: LaurentMatrix, e: int, real: bool) -> list[list[Raw]]:
-        """The numerator columns of a(g) * g for det g = c t^e, up to constant
-        factors of rows and columns, where a(g) is g^-1 = adj(g) t^-e / c or g^T,
-        barred if ``real``, turned if unitary: the real or symmetric anti-involution."""
-        cols = _int_rows(zip(*g.entries))[0]
+    def _anti_product(self, g: LaurentMatrix, real: bool) -> tuple[list[list[Raw]], int]:
+        """The numerator columns of a(g) * g up to constant factors of rows and
+        columns, and the exponent of its determinant, where a(g) is
+        g^-1 = adj(g) t^-e / c or g^T, barred if ``real``, turned if unitary: the
+        real or symmetric anti-involution.  g is checked as ``validate`` does,
+        on the columns cleared here."""
+        cols, scales = _int_rows(zip(*g.entries))
+        e = self._checked_det(cols, scales)[0]
         left = cols  # the rows of g^T
         if (self.family == "split") == real:
             left = [[p if not e else {x - e: v for x, v in p.items()} for p in row] for row in _adjugate([*zip(*cols)])]
@@ -598,7 +579,7 @@ class FormAction(Record):
             left = [[{-x: (a, -b) for x, (a, b) in p.items()} for p in row] for row in left]
         if self.family != "split":
             left = [row[::-1] for row in reversed(left)]
-        return [[_raw_dot(zip(row, col)) for row in left] for col in cols]
+        return [[_raw_dot(zip(row, col)) for row in left] for col in cols], self.symmetrized_exponent(e)
 
     def symmetrized_exponent(self, e: int) -> int:
         """The t-exponent of det ``symmetrize(g)`` and of det
@@ -629,9 +610,13 @@ class FormAction(Record):
 
     def validate(self, g: LaurentMatrix) -> Monomial:
         """Check the size and the unit determinant of g; returns det(g) as (e, c)."""
-        if g.n != self.n:
-            raise ValidationError(f"form {self.name} expects size {self.n}, got {g.n}")
-        e, c = _unit_monomial(g)
+        return self._checked_det(*_int_rows(g.entries))
+
+    def _checked_det(self, lines: list[list[Raw]], scales: list[int]) -> Monomial:
+        # the checks of ``validate`` on a loop's cleared rows or columns
+        if len(lines) != self.n:
+            raise ValidationError(f"form {self.name} expects size {self.n}, got {len(lines)}")
+        e, c = _unit_monomial(lines, scales)
         if self.special and (e != 0 or c != G_ONE):
             raise ValidationError(f"form {self.name} requires determinant 1")
         return e, c
@@ -674,7 +659,8 @@ def stratum_invariant(g: LaurentMatrix) -> Coweight:
     elementary divisors at t = 0 are t^(d_k - d_(k-1)), and lam lists their
     exponents decreasingly.
     """
-    return _stratum(_int_rows(g.entries)[0], _unit_monomial(g)[0])
+    rows, scales = _int_rows(g.entries)
+    return _stratum(rows, _unit_monomial(rows, scales)[0])
 
 
 def _stratum(rows: list[list[Raw]], exponent: int) -> Coweight:
@@ -714,7 +700,8 @@ def splitting_type(g: LaurentMatrix) -> Coweight:
     the column degrees, which ends at det exponent + n*N, so the loop is
     bounded; a run past that bound raises TheoremViolationError.
     """
-    return _splitting(_int_rows(zip(*g.entries))[0], _unit_monomial(g)[0])
+    cols, scales = _int_rows(zip(*g.entries))
+    return _splitting(cols, _unit_monomial(cols, scales)[0])  # read before the reduction rewrites cols
 
 
 def _kernel_vector(m: list[list[Pair]]) -> list[Pair] | None:
@@ -778,15 +765,7 @@ def _splitting(cols: list[list[Raw]], exponent: int) -> Coweight:
         # the sum of v_j * t^(top - d_j) * col_j over the support of v cancels the top column's lead
         support = [j for j in range(n) if v[j] != (0, 0)]
         top = max(support, key=degs.__getitem__)
-        new = []
-        for i in range(n):
-            acc: dict[int, Pair] = {}
-            for j in support:
-                (p, q), k = v[j], degs[top] - degs[j]
-                for e, (a, b) in cols[j][i].items():
-                    x, y, old = a * p - b * q, a * q + b * p, acc.get(e + k)
-                    acc[e + k] = (x, y) if old is None else (old[0] + x, old[1] + y)
-            new.append({e: pair for e, pair in acc.items() if pair != (0, 0)})
+        new = [_raw_dot([(cols[j][i], {degs[top] - degs[j]: v[j]}) for j in support]) for i in range(n)]
         degs[top] = max(max(p) for p in new if p)
         # dividing out the content is unimodular too, and keeps the numerators from swelling
         if (content := _content(new)) > 1:
@@ -808,8 +787,7 @@ def k_orbit_invariant(g: LaurentMatrix) -> Coweight:
     """Stratum invariant of the symmetrized loop; guaranteed to be fixed by the
     form's lattice involution, and checked."""
     form = form_action(g.form)
-    det = form.validate(g)
-    lam = _stratum(form._anti_product(g, det[0], real=False), form.symmetrized_exponent(det[0]))
+    lam = _stratum(*form._anti_product(g, real=False))
     if not form.lattice_fixed(lam):
         raise TheoremViolationError(
             f"k-orbit invariant {lam} is not fixed by the lattice involution of {form.name}; "
@@ -822,8 +800,7 @@ def r_orbit_invariant(g: LaurentMatrix) -> Coweight:
     """Splitting type of the real-symmetrized loop; guaranteed to be a dominant
     real coweight, and checked."""
     form = form_action(g.form)
-    det = form.validate(g)
-    lam = _splitting(form._anti_product(g, det[0], real=True), form.symmetrized_exponent(det[0]))
+    lam = _splitting(*form._anti_product(g, real=True))
     if not form.lattice_fixed(lam):
         raise TheoremViolationError(
             f"r-orbit invariant {lam} is not fixed by the lattice involution of {form.name}; "

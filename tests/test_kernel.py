@@ -217,17 +217,20 @@ def mismatches(form, g):
     e = det[0]
     x = form.symmetrized_exponent(e)
     inverse = ref_inverse(g)
-    for args in ((g,), (g, det)):
-        compare("inverse", outcome(lambda: mat_inverse(*args).entries), inverse.entries)
-        compare("symmetrize", outcome(lambda: form.symmetrize(*args).entries), ref_symmetrize(form, g).entries)
+    compare("inverse", outcome(lambda: mat_inverse(g).entries), inverse.entries)
+    compare("symmetrize", outcome(lambda: form.symmetrize(g).entries), ref_symmetrize(form, g).entries)
     compare("product", outcome(lambda: mat_mul(g, inverse).entries), identity_loop(form.name, form.n).entries)
     compare("product", outcome(lambda: mat_mul(inverse, g).entries), ref_matmul(inverse, g).entries)
     compare("cartan", outcome(stratum_invariant, g), outcome(ref_stratum, g, e))
     cols = loopmatrix._int_rows(zip(*g.entries))[0]
     compare("birkhoff", reduction_trail(cols, e), reduction_trail(ref_columns(g), e))
-    k_lam = outcome(loopmatrix._stratum, outcome(form._anti_product, g, e, False), x)
+    # a(g) * g's columns and determinant exponent, g checked on its own columns
+    (k_cols, k_x), (r_cols, r_x) = (outcome(form._anti_product, g, real) for real in (False, True))
+    compare("anti-product exponents", (k_x, r_x), (x, x))
+    if found:
+        return found
+    k_lam = outcome(loopmatrix._stratum, k_cols, x)
     compare("k-orbit", k_lam, outcome(ref_stratum, ref_symmetrize(form, g), x))
-    r_cols = outcome(form._anti_product, g, e, True)
     compare("r-orbit", reduction_trail(r_cols, x), reduction_trail(ref_columns(ref_real_symmetrized(form, g)), x))
     compare("public", (outcome(k_orbit_invariant, g), outcome(r_orbit_invariant, g), outcome(splitting_type, g)),
             (k_lam, reduction_trail(r_cols, x)[-1], reduction_trail(ref_columns(g), e)[-1]))
@@ -282,3 +285,49 @@ def test_the_comparison_catches_kernel_mutants(target, mutant, monkeypatch):
             except (ArithmeticError, LookupError, ValueError):  # a mutant may also crash the kernel
                 caught.append(True)
         assert any(caught) or form.n == 1, name
+
+
+# ---------------------------------------------------------------------------
+# one clearing per invariant, one multiply-accumulate for every product
+
+
+def counted(monkeypatch, name):
+    """Wrap ``loopmatrix.<name>`` so that each call appends to the returned list."""
+    real, calls = getattr(loopmatrix, name), []
+
+    def wrapper(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(loopmatrix, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["gl2_split", "gl3_split", "u11", "u21"])
+@pytest.mark.parametrize("invariant", [stratum_invariant, splitting_type, k_orbit_invariant, r_orbit_invariant])
+def test_each_invariant_clears_its_loop_once(invariant, name, monkeypatch):
+    # the unit check reads the determinant off the lines that the minors or the reduction use
+    g = next(rational_loops(form_action(name), 1))
+    want = invariant(g)
+    calls = counted(monkeypatch, "_int_rows")
+    assert invariant(g) == want
+    assert len(calls) == 1
+
+
+_P = LaurentPoly({-1: Gaussian(Fraction(1, 2)), 2: Gaussian(1, 3)})
+_Q = LaurentPoly({0: Gaussian(Fraction(-2, 3), 1), 2: Gaussian(-1, -3)})  # cancels _P's t^2 in a sum
+_SHEAR_COLUMNS = [[{1: (1, 0)}, {}], [{0: (1, 0)}, {-1: (1, 0)}]]  # [[t, 1], [0, 1/t]], one reduction step
+
+
+@pytest.mark.parametrize("run", [
+    lambda: _P + _Q,
+    lambda: _P - _Q,
+    lambda: _P.scale(Gaussian(Fraction(3, 4), -1)),
+    lambda: mat_inverse(lm_from_rows("gl1_split", [[LaurentPoly.t_power(2, Gaussian(2, 1))]])).entries,
+    lambda: loopmatrix._splitting([list(col) for col in _SHEAR_COLUMNS], 0),
+], ids=["add", "sub", "scale", "inverse-1x1", "splitting"])
+def test_sums_scalings_and_reduction_steps_run_on_raw_dot(run, monkeypatch):
+    want = run()
+    calls = counted(monkeypatch, "_raw_dot")
+    assert run() == want
+    assert calls

@@ -216,18 +216,17 @@ def _seeded_unit_loops(form):
 
 
 @pytest.mark.parametrize("name", form_names())
-def test_known_determinant_pass_through(name):
+def test_unit_loops_invert_and_symmetrize_to_the_predicted_exponent(name):
     form = form_action(name)
     identity = identity_loop(name, form.n)
     for g in _seeded_unit_loops(form):
         det = form.validate(g)
         assert det == determinant(g).monomial()
-        inv = mat_inverse(g, det)
-        assert loops_equal(inv, mat_inverse(g))
+        inv = mat_inverse(g)
         assert loops_equal(mat_mul(g, inv), identity)
         assert loops_equal(mat_mul(inv, g), identity)
-        assert determinant(form.symmetrize(g, det)).monomial()[0] == form.symmetrized_exponent(det[0])
-        real_sym = mat_mul(form.real_antiinvolution(g, det), g)
+        assert determinant(form.symmetrize(g)).monomial()[0] == form.symmetrized_exponent(det[0])
+        real_sym = mat_mul(form.real_antiinvolution(g), g)
         assert determinant(real_sym).monomial()[0] == form.symmetrized_exponent(det[0])
 
 
@@ -238,6 +237,19 @@ def test_invariants_reject_non_unit_determinant(invariant):
     bad = lm_from_rows("gl2_split", [[ONE + t_pow(1), ZERO], [ZERO, ONE]])  # det = 1 + t
     with pytest.raises(ValidationError, match="determinant"):
         invariant(bad)
+
+
+@pytest.mark.parametrize("check", [
+    k_orbit_invariant, r_orbit_invariant, lambda g: form_action(g.form).validate(g)
+], ids=["k_orbit", "r_orbit", "validate"])
+def test_form_checks_reject_a_wrong_size_and_a_determinant_other_than_one(check):
+    # the orbit invariants check g on the columns they clear, with validate's texts
+    with pytest.raises(ValidationError, match=r"^form gl3_split expects size 3, got 2$"):
+        check(identity_loop("gl3_split", 2))
+    for det in (t_pow(1), t_pow(0, 2), t_pow(0, 0, 1)):
+        with pytest.raises(ValidationError, match=r"^form sl2_split requires determinant 1$"):
+            check(lm_from_rows("sl2_split", [[det, ZERO], [ZERO, ONE]]))
+    assert check(lm_from_rows("sl2_split", [[t_pow(1), ZERO], [ZERO, t_pow(-1)]])) is not None
 
 
 def test_tau_is_an_involution():
@@ -305,13 +317,9 @@ def test_involutions_match_j_product_formulas(name):
         g = mat_mul(
             mat_mul(random_real_loop(form, seed), random_k_loop(form, seed + 1)), random_polynomial_loop(form, seed + 2)
         )
-        det = form.validate(g)
         for method, want in involution_formulas(form, g).items():
-            # the anti-involutions and symmetrize also take the known determinant
-            takes_det = method not in ("conjugation", "symmetric_involution")
-            for args in [(g,), (g, det)] if takes_det else [(g,)]:
-                got = getattr(form, method)(*args)
-                assert got.form == want.form and loops_equal(got, want), (name, seed, method, len(args))
+            got = getattr(form, method)(g)
+            assert got.form == want.form and loops_equal(got, want), (name, seed, method)
 
 
 def test_real_and_symmetric_antiinvolutions_agree_on_based_loops():
@@ -642,8 +650,7 @@ def _raw_and_symmetrized(form, seed):
         mat_mul(random_polynomial_loop(form, seed, negative=True), random_real_loop(form, seed + 1)),
         mat_mul(random_k_loop(form, seed + 2), random_polynomial_loop(form, seed + 3)),
     )
-    det = form.validate(g)
-    return g, form.symmetrize(g, det), mat_mul(form.real_antiinvolution(g, det), g)
+    return g, form.symmetrize(g), mat_mul(form.real_antiinvolution(g), g)
 
 
 @pytest.mark.parametrize("name", form_names())
@@ -881,12 +888,11 @@ def loops_forms_report() -> str:
         form = form_action(name)
         for seed in range(3):
             g = mat_mul(mat_mul(random_real_loop(form, seed), random_k_loop(form, seed)), random_polynomial_loop(form, seed))
-            det = form.validate(g)
             parts += [
                 f"# {name} seed {seed}: g, symmetrize(g), real_antiinvolution(g)*g\n",
                 format_matrix(g),
-                format_matrix(form.symmetrize(g, det)),
-                format_matrix(mat_mul(form.real_antiinvolution(g, det), g)),
+                format_matrix(form.symmetrize(g)),
+                format_matrix(mat_mul(form.real_antiinvolution(g), g)),
                 f"invariants: {stratum_invariant(g)} {splitting_type(g)} "
                 f"{k_orbit_invariant(g)} {r_orbit_invariant(g)}\n",
             ]
