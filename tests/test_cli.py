@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from matsuki import cli
 from matsuki.cli import main
 from matsuki.errors import TheoremViolationError
+from matsuki.loopmatrix import form_action, form_names
+from matsuki.realform import catalog_names
 
 IDENTITY_FILE = "form: gl2_split\nsize: 2\nentry 1 1: (0, 1/1, 0/1)\nentry 2 2: (0, 1/1, 0/1)\n"
 SHEAR_FILE = (
@@ -262,6 +264,17 @@ def test_check_output_is_byte_identical_across_runs(capsys):
     rc2, second, _ = run(capsys, ["check", "sl2_split", "--seed", "3"])
     assert rc1 == rc2 == 0
     assert first == second
+
+
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_check_all_runs_every_suite_on_every_entry(capsys, seed):
+    matrix_entries = {form_action(name).entry for name in form_names()}
+    expected = []
+    for name in catalog_names():
+        suites = ["generation", "duality", "step-order", "hasse-closure"]
+        suites += ["chain-structure"] * (name == "pgl2_so21") + ["matrix-invariance"] * (name in matrix_entries)
+        expected += [f"suite {name}/{suite}: PASS\n" for suite in suites]
+    assert run(capsys, ["check", "--all", "--seed", seed]) == (0, "".join(expected) + "check: all suites passed\n", "")
 
 
 def test_check_requires_spec_or_all(capsys):

@@ -10,6 +10,7 @@ import pytest
 from matsuki import fundgroup
 from matsuki.errors import TheoremViolationError, ValidationError
 from matsuki.fundgroup import in_image_semigroup
+from matsuki.laws import seeded_loop
 from matsuki.loopmatrix import (
     FormAction,
     diagonal_loop,
@@ -48,12 +49,13 @@ def _odd_loop(form, i):
     return mat_mul(_seeded_loop(form, i), diagonal_loop(form.name, tuple(mu)))
 
 
-def _cross_layer_misses(form, loop=_seeded_loop):
-    """The invariants of the form's loops that miss the entry's sub-semigroup,
-    and the invariant checks that raised; empty when the law holds."""
+def _cross_layer_misses(form, loop=_seeded_loop, count=LOOPS_PER_FORM):
+    """The invariants of the form's first count loops that miss the entry's
+    sub-semigroup, and the invariant checks that raised; empty when the law
+    holds."""
     spec = catalog(form.entry).spec
     misses = []
-    for i in range(LOOPS_PER_FORM):
+    for i in range(count):
         g = loop(form, i)
         try:
             invariants = (k_orbit_invariant(g), r_orbit_invariant(g))
@@ -74,6 +76,12 @@ def _cross_layer_misses(form, loop=_seeded_loop):
 @pytest.mark.parametrize("name", form_names())
 def test_orbit_invariants_lie_in_the_entry_sub_semigroup(name):
     assert _cross_layer_misses(form_action(name)) == []
+
+
+@pytest.mark.parametrize("name", form_names())
+def test_the_law_holds_on_the_acceptance_loops(name):
+    # the loops of acceptance criterion 6: 200 per form at seed 7
+    assert _cross_layer_misses(form_action(name), lambda form, i: seeded_loop(form, 7, i), 200) == []
 
 
 def test_a_wrong_map_to_the_entry_is_caught(monkeypatch):
