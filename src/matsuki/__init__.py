@@ -60,26 +60,35 @@ _HOME = {name: stem for stem, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME)
 
 
-class _LazyModule(types.ModuleType):
-    """A registered module that runs its code on the first attribute access.
+def _after_run(method):
+    """The module method, called once the module's code has run; other threads
+    wait on the module's lock until it has, and the loader's own uses of the
+    module, made while it runs, pass through."""
 
-    ``importlib.util.LazyLoader`` before Python 3.13 marks the module as run
-    before its code has run, so a second thread reads a half-run module; here
-    the other threads wait on the module's lock until it has run.
-    """
-
-    def __getattribute__(self, attr):
-        spec = object.__getattribute__(self, "__spec__")
+    def hook(module, *args):
+        spec = object.__getattribute__(module, "__spec__")
         with spec.loader_state["lock"]:
-            # the loader's own reads of the module, made while it runs, pass through
-            if type(self) is _LazyModule and not spec.loader_state["running"]:
+            if type(module) is _LazyModule and not spec.loader_state["running"]:
                 spec.loader_state["running"] = True
                 try:
-                    spec.loader.exec_module(self)
+                    spec.loader.exec_module(module)
                 finally:
                     spec.loader_state["running"] = False
-                self.__class__ = types.ModuleType
-        return types.ModuleType.__getattribute__(self, attr)
+                object.__setattr__(module, "__class__", types.ModuleType)  # not the hook
+        return method(module, *args)
+
+    return hook
+
+
+class _LazyModule(types.ModuleType):
+    """A registered module that runs its code on the first attribute read,
+    assignment or deletion, then acts.  ``importlib.util.LazyLoader`` before
+    Python 3.13 marks the module as run before its code has run, so a second
+    thread reads a half-run module."""
+
+    __getattribute__ = _after_run(types.ModuleType.__getattribute__)
+    __setattr__ = _after_run(types.ModuleType.__setattr__)
+    __delattr__ = _after_run(types.ModuleType.__delattr__)
 
 
 def _register(stem: str) -> types.ModuleType:

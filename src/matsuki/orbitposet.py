@@ -10,7 +10,7 @@ and meet along a finite-dimensional flag variety described by ``CoreData``.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd
 from operator import index, le, mul
 
 from .errors import ValidationError
@@ -54,30 +54,31 @@ def require_orbit_index(spec: InvolutionSpec, coweight: Coweight) -> None:
         raise ValidationError(f"{coweight} is not in the image sub-semigroup")
 
 
-ENUMERATION_BUDGET = 10**7
 CANDIDATE_BUDGET = 10**6
 
 
-def _coefficient_range(rows, prefix: tuple[int, ...], bound: int) -> range:
-    """The integers c in [-bound, bound] with a . (*prefix, c) + offset >= 0
-    for every row (a, offset), each a one entry longer than the prefix."""
-    lo, hi = -bound, bound
+def _coefficient_range(rows, prefix: tuple[int, ...]) -> range:
+    """The integers c with a . (*prefix, c) + offset >= 0 for every row
+    (a, offset), each a one entry longer than the prefix; the rows must bound
+    c on both sides, as those of ``enumerate_orbits`` do."""
+    lo, hi = [], []
     for a, offset in rows:
         value, s = dot(a, prefix) + offset, a[len(prefix)]
         if s > 0:
-            lo = max(lo, -(value // s))
+            lo.append(-(value // s))
         elif s < 0:
-            hi = min(hi, value // -s)
+            hi.append(value // -s)
         elif value < 0:
             return range(0)
-    return range(lo, hi + 1)
+    return range(max(lo), min(hi) + 1)
 
 
 def _eliminate(rows, j: int) -> list:
     """Integer Fourier-Motzkin elimination of c_j from rows (a, offset), each
-    a . c + offset >= 0 on c_0..c_j, with the Chvatal-Gomory rounding and the
-    deduplication of ``enumerate_orbits``; rows with no coefficient left hold
-    at zero, a solution, and are dropped."""
+    a . c + offset >= 0 on c_0..c_j: each combined row is divided by the gcd
+    of its coefficients, its offset rounded down (Chvatal-Gomory), and the
+    least offset kept per direction; rows with no coefficient left hold at
+    zero, a solution, and are dropped."""
     combined = [(a[:j], offset) for a, offset in rows if not a[j]]
     combined += [(tuple(-n[j] * x + p[j] * y for x, y in zip(p, n[:j])), -n[j] * p_off + p[j] * n_off)
                  for p, p_off in rows if p[j] > 0 for n, n_off in rows if n[j] < 0]
@@ -93,37 +94,29 @@ def _eliminate(rows, j: int) -> list:
 def enumerate_orbits(spec: InvolutionSpec, height_bound: int) -> tuple[Coweight, ...]:
     """All orbit indices with height at most the bound, sorted lexicographically.
 
-    The height functional (pairing with the sum of positive roots) vanishes on
-    central directions, so enumeration additionally restricts every lattice
-    coordinate to [-H, H]; for semisimple data that box never cuts anything the
-    height bound allows.  Always contains zero.
-
     Candidates are combinations of the theta-fixed basis, so they are real by
-    construction.  Coefficient j lies in [-m_j, m_j], m_j = H times the l1
-    norm of row j of the solve matrix over den, and a bound is refused before
-    any walk when the product of the 2 m_j + 1 exceeds ``ENUMERATION_BUDGET``
-    (10**7).  Dominance at every simple root, 0 <= height <= H and the
-    coordinate box are rows a . c + offset >= 0 in the coefficients c.  An
-    integer Fourier-Motzkin projection (Schrijver, Theory of Linear and
-    Integer Programming, 1986, section 12.2) eliminates the coefficients from
-    the last down (``_eliminate``), dividing each combined row by the gcd of
-    its coefficients with the offset rounded down and keeping the least
-    offset per direction.  No integer solution violates a projected row, so
-    the walk, which extends each prefix through the next coefficient's
-    range, meets every prefix of the output and few others.  The last
-    coefficient takes its exact range from the original rows, so every
-    emitted vector meets every constraint.  Its loop class is read off the
-    class rows of the image quotient (``fundgroup._image_lattice``) with no
-    solve: per prefix the class of c = 0 and the step of one more c are
-    computed once, and each c is tested by base + c*step modulo the class
-    moduli.
+    construction.  Dominance at every simple root, 0 <= height <= H and the
+    box -H <= v_i <= H are rows a . c + offset >= 0 in the coefficients c;
+    the box rows keep gl_n slices finite and cut nothing from semisimple
+    ones.  An integer Fourier-Motzkin projection (Schrijver, Theory of Linear
+    and Integer Programming, 1986, section 12.2) eliminates the coefficients
+    from the last down (``_eliminate``).  No integer solution violates a
+    projected row, so the walk, which extends each prefix through the next
+    coefficient's range, meets every prefix of the output and few others.
+    Each range comes from the rows alone: the box rows bound every lattice
+    coordinate, so each system bounds the next coefficient on both sides, and
+    0 is always a solution.  The last range is exact; per prefix, the loop
+    class of c = 0 and the step of one more c are read off the class rows of
+    the image quotient (``fundgroup._image_lattice``), and each c is tested
+    by base + c*step modulo the class moduli, with no solve.
 
-    The output is bounded too: the last coefficient's ranges are summed over
-    all prefixes before any vector is built, and more than
-    ``CANDIDATE_BUDGET`` (10**6) candidates are refused.  On the catalog's
-    larger slices the candidates are about twice the output (gl2_split at
-    H = 400: 241,001 for 120,801 indices), so this caps what one slice, and
-    so each cache entry, holds.
+    One budget bounds the walk: each level's prefixes are generated from the
+    ranges of the level before, each range's length is added to the level's
+    count as it is computed, and the bound is refused once a count passes
+    ``CANDIDATE_BUDGET`` (10**6).  So a refusal builds no index, holds fewer
+    prefixes than that and computes at most 1 + (levels - 1) *
+    ``CANDIDATE_BUDGET`` ranges.  The last level's candidates are about twice
+    the output on large slices (gl2_split at H = 400: 241,001 for 120,801).
 
     The cache holds the last 16 slices, since the bound comes from the user.
     Its keys carry the bound's type, so 4.0 never finds the entry of 4 and is
@@ -139,10 +132,6 @@ def enumerate_orbits(spec: InvolutionSpec, height_bound: int) -> tuple[Coweight,
     basis = real_coweight_basis(spec)
     if not basis:
         return ((0,) * datum.rank,)
-    den, solve_rows, _ = spec.fixed_solver
-    limits = [-(-height_bound * sum(map(abs, row)) // den) for row in solve_rows]
-    if (box := prod(2 * m + 1 for m in limits)) > ENUMERATION_BUDGET:
-        raise ValidationError(f"height bound {height_bound} spans a box of {box} points, over {ENUMERATION_BUDGET}")
     unit, rho2 = identity_matrix(datum.rank), two_rho(datum)
     # (f, offset): the constraint f(v) + offset >= 0
     constraints = [(f, 0) for f in (*simple_roots(datum), rho2)] + [(e, height_bound) for e in unit]
@@ -151,18 +140,19 @@ def enumerate_orbits(spec: InvolutionSpec, height_bound: int) -> tuple[Coweight,
     for j in range(len(basis) - 1, 0, -1):
         systems.insert(0, _eliminate(systems[0], j))
     prefixes = [()]
-    for rows, bound in zip(systems, limits[:-1]):
-        prefixes = [(*p, c) for p in prefixes for c in _coefficient_range(rows, p, bound)]
-    ranges = [_coefficient_range(systems[-1], p, limits[-1]) for p in prefixes]
-    if (candidates := sum(map(len, ranges))) > CANDIDATE_BUDGET:
-        raise ValidationError(
-            f"height bound {height_bound} leaves {candidates} candidates, over {CANDIDATE_BUDGET}"
-        )
+    for level, rows in enumerate(systems, 1):
+        walk, count = [], 0
+        for p in prefixes:
+            walk.append((p, r := _coefficient_range(rows, p)))
+            if (count := count + len(r)) > CANDIDATE_BUDGET:
+                raise ValidationError(f"height bound {height_bound} leaves over {CANDIDATE_BUDGET} candidates"
+                                      f" for coefficient {level} of {len(systems)}")
+        prefixes = ((*p, c) for p, r in walk for c in r)
     class_rows = [([dot(row, b) for b in basis], m) for row, m in _image_lattice(spec)[2]]
     *lead, last = basis
     columns = [tuple(b[i] for b in lead) for i in range(datum.rank)]
     found = []
-    for p, last_range in zip(prefixes, ranges):
+    for p, last_range in walk:
         base = [dot(col, p) for col in columns]
         classes = [(dot(row, p), row[-1], m) for row, m in class_rows]
         for c in last_range:

@@ -3,7 +3,8 @@
 import copy
 import random
 import tracemalloc
-from itertools import product
+from fractions import Fraction
+from itertools import accumulate, product
 
 import pytest
 
@@ -12,7 +13,6 @@ from matsuki.cli import main
 from matsuki.errors import ValidationError
 from matsuki.orbitposet import (
     CANDIDATE_BUDGET,
-    ENUMERATION_BUDGET,
     build_poset_slice,
     component_count,
     core_data,
@@ -110,50 +110,114 @@ def test_elimination_rounds_each_row_down_and_keeps_the_least_offset():
     [("gl3_split", 7, 1.25), ("gl3_split", 40, 1.25), ("sl3_split", 12, 1.25), ("gl5", 4, 2)],
 )
 def test_enumeration_visits_few_prefixes_beyond_its_output(name, bound, ratio, monkeypatch, cleared_caches):
-    # the box of leading coefficients holds 225, 6,561, 25 and 6,561 prefixes
     spec = split_gl_spec(5) if name == "gl5" else catalog(name).spec
     last = len(real_coweight_basis(spec)) - 1
     visited = []
     coefficient_range = orbitposet._coefficient_range
 
-    def counting(rows, prefix, limit):
+    def counting(rows, prefix):
         if len(prefix) == last:
             visited.append(prefix)
-        return coefficient_range(rows, prefix, limit)
+        return coefficient_range(rows, prefix)
 
     monkeypatch.setattr(orbitposet, "_coefficient_range", counting)
     leading = {real_coweight_coordinates(spec, lam)[:last] for lam in enumerate_orbits(spec, bound)}
     assert len(visited) == len(set(visited)) <= ratio * len(leading)
 
 
-def test_enumeration_budget_is_decided_before_any_walk(monkeypatch, cleared_caches):
-    def no_walk(rows, prefix, limit):
-        return range(0)
+class IndexBuilt(Exception):
+    """Raised where the walk ends and the index would be built."""
 
-    monkeypatch.setattr(orbitposet, "_coefficient_range", no_walk)
-    admitted = [("gl2_split", 400), ("gl3_split", 60), ("sl3_split", 160), ("gl2_split", 200), ("gl3_split", 40)]
-    for name, bound in admitted:
-        enumerate_orbits(catalog(name).spec, bound)
-    for name, bound, box in [("gl3_split", 400, 801**3), ("sl3_split", 10**8, (2 * 10**8 + 1) ** 2)]:
-        with pytest.raises(ValidationError, match=f"a box of {box} points, over {ENUMERATION_BUDGET}$"):
+
+def test_a_refusal_walks_at_most_one_budget_per_level(monkeypatch, cleared_caches):
+    calls = []
+    coefficient_range = orbitposet._coefficient_range
+
+    def counting(rows, prefix):
+        calls.append(len(prefix))
+        return coefficient_range(rows, prefix)
+
+    def no_index(spec):
+        raise IndexBuilt
+
+    monkeypatch.setattr(orbitposet, "_coefficient_range", counting)
+    monkeypatch.setattr(orbitposet, "_image_lattice", no_index)
+    # admitted heights walk every level and reach the index
+    for name, bound in [("gl2_split", 400), ("gl3_split", 60), ("sl3_split", 160), ("su21", 1001), ("sl3_split", 3000)]:
+        with pytest.raises(IndexBuilt):
             enumerate_orbits(catalog(name).spec, bound)
-    assert ENUMERATION_BUDGET == 10**7
+    refused = [("gl3_split", 400, 3), ("gl3_split", 1000, 3), ("gl3_split", 1060, 3), ("sl3_split", 10**8, 1)]
+    refused += [("sl2_split", 4_999_999, 1), ("gl2_split", 2000, 2)]
+    for name, bound, level in refused:
+        spec = catalog(name).spec
+        levels = len(real_coweight_basis(spec))
+        calls.clear()
+        with pytest.raises(ValidationError, match=f"over {CANDIDATE_BUDGET} candidates for coefficient {level} of {levels}$"):
+            enumerate_orbits(spec, bound)
+        assert len(calls) <= 1 + (levels - 1) * CANDIDATE_BUDGET, (name, bound)
+        assert max(calls) == level - 1, (name, bound)
 
 
 def test_candidate_budget_is_decided_before_any_index_is_built(cleared_caches):
-    # the box of 9,999,999 points is admitted, but the slice would hold 2.5e6 indices
-    spec = catalog("sl2_split").spec
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValidationError, match=f"leaves 2500000 candidates, over {CANDIDATE_BUDGET}$"):
-            enumerate_orbits(spec, 4_999_999)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20  # 10**6 index tuples would take over 50 MB
+    # sl2_split's one coefficient has 2.5e6 candidates at once; gl3_split's
+    # second has 985,536, and its third passes the budget at the 3,739th of them,
+    # so the walk holds 2,121 second-level prefixes and 3,739 third-level ones
+    for name, bound, level, most in [("sl2_split", 4_999_999, "1 of 1", 2**20), ("gl3_split", 1060, "3 of 3", 2**22)]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=f"leaves over {CANDIDATE_BUDGET} candidates for coefficient {level}$"):
+                enumerate_orbits(catalog(name).spec, bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < most, name  # 10**6 index tuples would take over 50 MB
     assert CANDIDATE_BUDGET == 10**6
     # gl2_split at H = 400, 241,001 candidates, is the largest slice the roadmap's commands ask for
     assert len(enumerate_orbits(catalog("gl2_split").spec, 400)) == 120_801
+
+
+def box_scan_counts(spec, top):
+    """Orbit counts at heights 0..top from the box scan of ``real_dominant_up_to``
+    and the membership test, with no walk: an index counts from the least
+    height whose box and height bound both hold it."""
+    first = [0] * (top + 1)
+    for v in real_dominant_up_to(spec, top):
+        if in_image_semigroup(spec, v):
+            first[max(height(spec.datum, v), *map(abs, v))] += 1
+    return list(accumulate(first))
+
+
+def lagrange(points, x):
+    """The value at x of the polynomial through the points, exactly."""
+    total = Fraction(0)
+    for xi, yi in points:
+        term = Fraction(yi)
+        for xj, _ in points:
+            if xj != xi:
+                term *= Fraction(x - xj, xi - xj)
+        total += term
+    return total
+
+
+@pytest.mark.parametrize(
+    "name, period, degree, target, count",
+    [("sl3_split", 6, 2, 3000, 375_751), ("gl3_split", 4, 3, 108, 139_384)],
+    ids=["sl3_split-3000", "gl3_split-108"],
+)
+def test_orbit_counts_at_large_heights_follow_the_box_scan(name, period, degree, target, count, cleared_caches):
+    # the slice at H is H times one rational polytope, cut to a sublattice
+    # coset, so its size is a quasi-polynomial in H (Ehrhart); each residue is
+    # fitted through degree + 1 scanned counts and checked on one more
+    spec = catalog(name).spec
+    top = period * (degree + 2) - 1
+    counts = box_scan_counts(spec, top)
+    assert [len(enumerate_orbits(spec, h)) for h in range(top + 1)] == counts
+    for residue in range(period):
+        *fit, check = [(h, counts[h]) for h in range(residue, top + 1, period)]
+        assert lagrange(fit, check[0]) == check[1], (name, residue)
+    fit = [(h, counts[h]) for h in range(target % period, top + 1, period)][: degree + 1]
+    assert lagrange(fit, target) == count
+    assert len(enumerate_orbits(spec, target)) == count
 
 
 @pytest.mark.parametrize(
@@ -363,6 +427,13 @@ def test_hasse_is_taken_within_the_given_elements():
     # (2,) lies between, but outside the input: covers are those of the input
     spec = catalog("pgl2_so21").spec
     assert primitive_relations(spec, ((0,), (4,))) == (((0,), (4,)),)
+
+
+def test_coroot_classes_refuse_an_element_of_the_wrong_length():
+    spec = catalog("sl3_split").spec
+    for count in (primitive_relations, component_count):
+        with pytest.raises(ValidationError, match=r"^\(1, 2, 3\) does not have length rank=2$"):
+            count(spec, ((0, 0), (1, 2, 3)))
 
 
 @pytest.mark.parametrize("name, bound", [("gl2_split", 40), ("sl3_split", 60), ("gl3_split", 16)])

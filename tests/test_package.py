@@ -217,6 +217,28 @@ def test_first_use_from_many_threads_runs_each_module_once():
     assert result.stdout.strip() == "8"
 
 
+# an assignment or deletion on a module that has not run runs it first, once
+ASSIGN = """
+from matsuki import laws, orbitposet
+runs = []
+for module in (laws, orbitposet):
+    loader = object.__getattribute__(module, "__spec__").loader
+    loader.exec_module = lambda m, run=loader.exec_module: runs.append(m.__name__) or run(m)
+marker = object()
+laws.r_leq = marker
+assert laws.r_leq is marker and callable(laws.hasse_closure)
+del orbitposet.k_leq
+assert not hasattr(orbitposet, "k_leq") and callable(orbitposet.r_leq)
+print(runs)
+"""
+
+
+def test_assignment_and_deletion_act_on_the_run_module():
+    result = _python("-c", ASSIGN)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "['matsuki.laws', 'matsuki.orbitposet']"
+
+
 def test_module_run_of_the_cli_warns_nothing():
     # runpy warns if matsuki.cli is in sys.modules before it runs as __main__
     result = _python("-W", "error", "-m", "matsuki.cli", "catalog")

@@ -2,7 +2,8 @@
 (the lattice layer on integers alone), keeps its checks under ``python -O``,
 starts up without ``dataclasses`` and imports ``argparse``, ``fractions``,
 ``decimal`` and ``random`` only inside the functions that use them, and
-holds no unused top-level definitions; the README example runs."""
+holds no unused top-level definitions; the README example runs and every
+constant it names exists."""
 
 import ast
 import doctest
@@ -262,6 +263,22 @@ def test_every_top_level_definition_is_referenced():
                 if total[node.name] == own[node.name]:
                     unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
     assert unreferenced == []
+
+
+def test_every_constant_the_readme_names_exists():
+    # a deleted constant cannot stay documented: each backticked ALL-CAPS name
+    # in README.md is assigned at module level in some package module
+    named = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", (ROOT / "README.md").read_text(encoding="utf-8")))
+    defined = {
+        target.id
+        for path in SOURCES
+        for node in _parse(path).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    assert "CANDIDATE_BUDGET" in named
+    assert sorted(named - defined) == []
 
 
 def _bench_interface():
