@@ -33,13 +33,13 @@ def _key_line(line: str) -> tuple[str, str] | None:
     return (key, value.strip()) if colon and key.isascii() and key.isidentifier() else None
 
 
-def _entry_line(line: str) -> tuple[int, int, str] | None:
+def _entry_line(line: str, lineno: int) -> tuple[int, int, str] | None:
     """(i, j, rest) of a stripped ``entry i j: rest`` line, with the rest
     stripped; None for any other line."""
     head, colon, rest = line.partition(":")
     words = head.split()
     if colon and len(words) == 3 and words[0] == "entry" and words[1].isdecimal() and words[2].isdecimal():
-        return int(words[1]), int(words[2]), rest.strip()
+        return (*_ints(words[1:], lineno, "entry row or column too long"), rest.strip())
     return None
 
 
@@ -49,27 +49,17 @@ def _is_number(token: str, fraction: bool) -> bool:
     return num.isdecimal() and (not slash or fraction and den.isdecimal())
 
 
-def _tuples(text: str) -> list[tuple[str, str, str, str]]:
-    """The ``(e, re, im)`` tuples in text, left to right, each as its source and
-    its three tokens.  A tuple runs from a ``(`` to the next ``)``, and a ``(``
-    that starts none is passed over, so a tuple may sit inside other text."""
-    found = []
-    start = text.find("(")
-    while start >= 0 and (end := text.find(")", start)) >= 0:
-        tokens = [token.strip() for token in text[start + 1:end].split(",")]
-        if len(tokens) == 3 and all(_is_number(token, k > 0) for k, token in enumerate(tokens)):
-            found.append((text[start:end + 1], *tokens))
-            start = text.find("(", end)
-        else:
-            start = text.find("(", start + 1)
-    return found
+def _ints(tokens, lineno: int, message: str) -> tuple[int, ...]:
+    """The tokens' integers, as every integer of a file is read: a token ``int``
+    refuses, one past Python's digit limit included, is a ParseError."""
+    try:
+        return tuple(int(token) for token in tokens)
+    except ValueError:
+        raise ParseError(lineno, message) from None
 
 
 def _parse_int_row(line: str, lineno: int) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in line.split())
-    except ValueError:
-        raise ParseError(lineno, f"expected a row of integers, got {line!r}")
+    return _ints(line.split(), lineno, f"expected a row of integers, got {line!r}")
 
 
 def _parse_sections(text: str, where: str, keys, entries: list | None = None) -> dict[str, tuple]:
@@ -92,7 +82,7 @@ def _parse_sections(text: str, where: str, keys, entries: list | None = None) ->
             rows = sections[key][2] if key in _BLOCK_KEYS else None
         elif rows is not None:
             rows.append((lineno, line))
-        elif entries is not None and sections and (entry := _entry_line(line)):
+        elif entries is not None and sections and (entry := _entry_line(line, lineno)):
             entries.append((lineno, *entry))
         else:
             raise ParseError(lineno, f"expected 'key: value', got {line!r}")
@@ -111,12 +101,11 @@ def _matrix_block(sections, key: str, where: str) -> tuple[tuple[int, ...], ...]
         raise ParseError(lineno, f"{key!r} must introduce a matrix block, not an inline value")
     if not rows:
         raise ParseError(lineno, f"matrix block {key!r} is empty")
-    parsed = [_parse_int_row(line, ln) for ln, line in rows]
-    width = len(parsed[0])
+    parsed = tuple(_parse_int_row(line, ln) for ln, line in rows)
     for (ln, _), row in zip(rows, parsed):
-        if len(row) != width:
+        if len(row) != len(parsed[0]):
             raise ParseError(ln, f"ragged row in matrix block {key!r}")
-    return tuple(parsed)
+    return parsed
 
 
 # ---------------------------------------------------------------------------
@@ -124,33 +113,30 @@ def _matrix_block(sections, key: str, where: str) -> tuple[tuple[int, ...], ...]
 
 
 def _root_datum(sections) -> RootDatum:
-    """The validated datum of the inline fields of a root-datum or involution file."""
-    name_line, name, _ = _require_key(sections, "name", "root datum")
+    """The datum of the inline fields of a root-datum or involution file, unvalidated."""
+    _, name, _ = _require_key(sections, "name", "root datum")
     rank_line, rank_value, _ = _require_key(sections, "rank", "root datum")
-    try:
-        rank = int(rank_value)
-    except ValueError:
-        raise ParseError(rank_line, f"rank must be an integer, got {rank_value!r}")
+    (rank,) = _ints([rank_value], rank_line, f"rank must be an integer, got {rank_value!r}")
     simple_line, simple_value, _ = _require_key(sections, "simple", "root datum")
     simple = _parse_int_row(simple_value, simple_line) if simple_value else ()
     roots = _matrix_block(sections, "roots", "root datum") if "roots" in sections else ()
     coroots = _matrix_block(sections, "coroots", "root datum") if "coroots" in sections else ()
     if ("roots" in sections) != ("coroots" in sections):
         raise ParseError(0, "roots and coroots must be given together")
-    datum = RootDatum(rank=rank, roots=roots, coroots=coroots, simple_indices=simple, name=name)
-    require_valid(datum)
-    return datum
+    return RootDatum(rank=rank, roots=roots, coroots=coroots, simple_indices=simple, name=name)
 
 
 def parse_root_datum(text: str) -> RootDatum:
-    return _root_datum(_parse_sections(text, "root datum", _DATUM_KEYS))
+    datum = _root_datum(_parse_sections(text, "root datum", _DATUM_KEYS))
+    require_valid(datum)
+    return datum
 
 
 def parse_involution(text: str) -> InvolutionSpec:
     """An involution file: a name, a theta block and either inline datum
     fields or a ``datum: <catalog name>`` reference, never both.  The datum is
     validated once: by the catalog lookup for a reference, here for inline
-    fields."""
+    fields, after theta's shape is held to the rank."""
     sections = _parse_sections(text, "involution", _DATUM_KEYS | {"datum", "theta"})
     _, name, _ = _require_key(sections, "name", "involution")
     if "datum" in sections:
@@ -166,45 +152,61 @@ def parse_involution(text: str) -> InvolutionSpec:
     else:
         raise ParseError(0, "involution file needs either inline datum fields or a datum reference")
     theta = _matrix_block(sections, "theta", "involution")
+    if "datum" not in sections:
+        # theta's shape is held to the rank before the datum's validation, whose Smith
+        # form costs rank x rank; only a rank or vector wrong on its face goes first
+        n = base.rank
+        if n > 0 and all(len(v) == n for v in base.roots + base.coroots) and any(len(r) != n for r in (theta, *theta)):
+            raise ValidationError(f"invalid involution {name!r}: theta must be a {n}x{n} integer matrix")
+        require_valid(base)
     spec = InvolutionSpec(datum=base, theta=theta, name=name)
     require_valid_involution(spec)
     return spec
 
 
+def _block(key: str, rows) -> str:
+    return f"{key}:\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
 def format_root_datum(datum: RootDatum) -> str:
-    lines = [f"name: {datum.name}", f"rank: {datum.rank}"]
-    lines.append("simple: " + " ".join(str(i) for i in datum.simple_indices))
-    if datum.roots:
-        lines.append("roots:")
-        lines.extend(" ".join(str(x) for x in row) for row in datum.roots)
-        lines.append("coroots:")
-        lines.extend(" ".join(str(x) for x in row) for row in datum.coroots)
-    return "\n".join(lines) + "\n"
+    simple = " ".join(map(str, datum.simple_indices))
+    body = f"name: {datum.name}\nrank: {datum.rank}\nsimple: {simple}\n"
+    return body + _block("roots", datum.roots) + _block("coroots", datum.coroots) if datum.roots else body
 
 
 def format_involution(entry_or_spec) -> str:
-    if isinstance(entry_or_spec, RealFormCatalogEntry):
-        spec = entry_or_spec.spec
-    else:
-        spec = entry_or_spec
-    body = format_root_datum(spec.datum)
+    spec = entry_or_spec.spec if isinstance(entry_or_spec, RealFormCatalogEntry) else entry_or_spec
     # the involution file re-states the datum inline so it round-trips alone
-    body = body.replace(f"name: {spec.datum.name}", f"name: {spec.name}", 1)
-    lines = [body.rstrip("\n"), "theta:"]
-    lines.extend(" ".join(str(x) for x in row) for row in spec.theta)
-    return "\n".join(lines) + "\n"
+    body = format_root_datum(spec.datum).replace(f"name: {spec.datum.name}", f"name: {spec.name}", 1)
+    return body + _block("theta", spec.theta)
 
 
 # ---------------------------------------------------------------------------
 # loop matrices
 
 
-def _parse_rational(token: str, lineno: int) -> tuple[int, int]:
-    """Numerator and denominator, q > 0, of a ``p`` or ``p/q`` token."""
-    num, _, den = token.partition("/")
-    if den and not int(den):
-        raise ParseError(lineno, f"bad rational {token!r}")
-    return int(num), int(den or 1)
+def _entry(rest: str, lineno: int, i: int, j: int) -> lm.LaurentPoly:
+    """The polynomial of an entry's text, read left to right: ``(e, re, im)``
+    tuples with only spaces between them and any whitespace around a part,
+    each part ``-?d+`` or, for ``re`` and ``im``, also ``-?d+/d+``."""
+    unparsed = f"unparsed text in entry ({i}, {j}): {rest!r}"
+    *tuples, tail = rest.split(")")
+    coeffs: dict[int, lm.Gaussian] = {}
+    for text in tuples:
+        gap, paren, body = text.partition("(")
+        parts = [part.strip() for part in body.split(",")]
+        if gap.strip(" ") or not paren or len(parts) != 3 or not all(map(_is_number, parts, (False, True, True))):
+            raise ParseError(lineno, unparsed)
+        (p, _, q), (r, _, s) = parts[1].partition("/"), parts[2].partition("/")
+        e, p, q, r, s = _ints((parts[0], p, q or "1", r, s or "1"), lineno, f"number too long in entry ({i}, {j})")
+        if not q or not s:
+            raise ParseError(lineno, f"bad rational {parts[2 if q else 1]!r}")
+        if e in coeffs:
+            raise ParseError(lineno, f"duplicate exponent {e} in entry ({i}, {j})")
+        coeffs[e] = lm.Gaussian(p * s, r * q) / lm.Gaussian(q * s)  # p/q + (r/s)i
+    if tail:
+        raise ParseError(lineno, unparsed)
+    return lm.LaurentPoly(coeffs)
 
 
 def parse_matrix(text: str) -> lm.LaurentMatrix:
@@ -216,10 +218,7 @@ def parse_matrix(text: str) -> lm.LaurentMatrix:
     except ValidationError as exc:
         raise ParseError(form_line, str(exc))
     size_line, size_value, _ = _require_key(sections, "size", "matrix file")
-    try:
-        n = int(size_value)
-    except ValueError:
-        raise ParseError(size_line, f"size must be an integer, got {size_value!r}")
+    (n,) = _ints([size_value], size_line, f"size must be an integer, got {size_value!r}")
     if n != form.n:
         raise ParseError(size_line, f"form {form_name} has size {form.n}, file says {n}")
 
@@ -231,18 +230,7 @@ def parse_matrix(text: str) -> lm.LaurentMatrix:
         if (i, j) in seen:
             raise ParseError(lineno, f"duplicate entry ({i}, {j})")
         seen.add((i, j))
-        matches = _tuples(rest)
-        coeffs: dict[int, lm.Gaussian] = {}
-        for _, exponent, re_part, im_part in matches:
-            e = int(exponent)
-            p, q = _parse_rational(re_part, lineno)
-            r, s = _parse_rational(im_part, lineno)
-            if e in coeffs:
-                raise ParseError(lineno, f"duplicate exponent {e} in entry ({i}, {j})")
-            coeffs[e] = lm.Gaussian(p * s, r * q) / lm.Gaussian(q * s)  # p/q + (r/s)i
-        if rest.replace(" ", "") != "".join(source.replace(" ", "") for source, *_ in matches):
-            raise ParseError(lineno, f"unparsed text in entry ({i}, {j}): {rest!r}")
-        entries[i - 1][j - 1] = lm.LaurentPoly(coeffs)
+        entries[i - 1][j - 1] = _entry(rest, lineno, i, j)
     g = lm.lm_from_rows(form_name, entries)
     form.validate(g)
     return g

@@ -278,6 +278,35 @@ def test_each_refusal_exits_one_with_one_line(capsys, tmp_path, argv, text, mess
     assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
+LONG = "7" * 5000  # past Python's 4,300-digit limit on reading an int
+
+
+@pytest.mark.parametrize(
+    "argv, text, lineno",
+    [
+        (["invariant"], IDENTITY_FILE.replace("size: 2", f"size: {LONG}"), 2),
+        (["invariant"], IDENTITY_FILE.replace("entry 1 1", f"entry {LONG} 1"), 3),
+        (["invariant"], IDENTITY_FILE.replace("entry 1 1", f"entry 1 {LONG}"), 3),
+        (["invariant"], IDENTITY_FILE.replace("(0, 1/1", f"({LONG}, 1/1", 1), 3),
+        (["invariant"], IDENTITY_FILE.replace("(0, 1/1", f"(0, {LONG}/1", 1), 3),
+        (["invariant"], IDENTITY_FILE.replace("(0, 1/1", f"(0, 1/{LONG}", 1), 3),
+        (["pi1"], SL2_FILE.replace("rank: 1", f"rank: {LONG}"), 2),
+        (["pi1"], SL2_FILE.replace("simple: 0", f"simple: {LONG}"), 3),
+        (["pi1"], SL2_FILE.replace("roots:\n2\n", f"roots:\n{LONG}\n"), 5),
+        (["pi1"], SL2_FILE.replace("coroots:\n1\n", f"coroots:\n{LONG}\n"), 8),
+        (["pi1"], SL2_FILE.replace("theta:\n1\n", f"theta:\n{LONG}\n"), 11),
+    ],
+    ids=["size", "entry-row", "entry-column", "exponent", "numerator", "denominator",
+         "rank", "simple", "roots", "coroots", "theta"],
+)
+def test_an_integer_past_the_digit_limit_is_one_error_line(capsys, tmp_path, argv, text, lineno):
+    path = tmp_path / "input"
+    path.write_text(text)
+    rc, out, err = run(capsys, [*argv, str(path)])
+    assert (rc, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith(f"error: line {lineno}: ") and err.endswith("\n")
+
+
 def test_unknown_spec_exit_code(capsys):
     rc, _, err = run(capsys, ["orbits", "not_a_form"])
     assert rc == 1

@@ -176,15 +176,20 @@ def test_candidate_budget_is_decided_before_any_index_is_built(cleared_caches):
     assert len(enumerate_orbits(catalog("gl2_split").spec, 400)) == 120_801
 
 
-def box_scan_counts(spec, top):
-    """Orbit counts at heights 0..top from the box scan of ``real_dominant_up_to``
-    and the membership test, with no walk: an index counts from the least
-    height whose box and height bound both hold it."""
-    first = [0] * (top + 1)
+def box_scan_slices(spec, top):
+    """The slices at heights 0..top from the box scan of ``real_dominant_up_to``
+    and the membership test, with no walk: an index joins at the least height
+    whose box and height bound both hold it."""
+    first = [[] for _ in range(top + 1)]
     for v in real_dominant_up_to(spec, top):
         if in_image_semigroup(spec, v):
-            first[max(height(spec.datum, v), *map(abs, v))] += 1
+            first[max(height(spec.datum, v), *map(abs, v))].append(v)
     return list(accumulate(first))
+
+
+def box_scan_counts(spec, top):
+    """Orbit counts at heights 0..top from ``box_scan_slices``."""
+    return [len(elements) for elements in box_scan_slices(spec, top)]
 
 
 def lagrange(points, x):
@@ -218,6 +223,51 @@ def test_orbit_counts_at_large_heights_follow_the_box_scan(name, period, degree,
     fit = [(h, counts[h]) for h in range(target % period, top + 1, period)][: degree + 1]
     assert lagrange(fit, target) == count
     assert len(enumerate_orbits(spec, target)) == count
+
+
+def quasi_polynomial(counts, start, period, degree):
+    """The quasi-polynomial through counts[start:]: per residue mod period, the
+    polynomial of the degree through its first degree + 1 counts, checked on
+    every later one."""
+    fits = {}
+    for residue in range(period):
+        points = [(h, counts[h]) for h in range(start, len(counts)) if h % period == residue]
+        fits[residue], checks = points[: degree + 1], points[degree + 1:]
+        assert checks and all(lagrange(fits[residue], h) == count for h, count in checks), (residue, points)
+    return lambda h: lagrange(fits[h % period], h)
+
+
+# name: orbit counts (period, degree), component counts (from, period, degree),
+# and two heights past both fits, each a slice that costs under 0.1 s; the
+# orbit degree is len(real_coweight_basis), and components grow along the
+# centre of the gl entries only
+LARGE_HEIGHTS = {
+    "sl2_split": ((2, 1), (0, 1, 0), (1000, 1001)),
+    "sl2_compact": ((1, 0), (0, 1, 0), (1000, 1001)),
+    "pgl2_so21": ((2, 1), (0, 1, 0), (1000, 1001)),
+    "sl2C_as_real": ((4, 1), (0, 1, 0), (1002, 1003)),
+    "sl3_split": ((6, 2), (0, 1, 0), (300, 301)),
+    "su11": ((2, 1), (0, 1, 0), (1000, 1001)),
+    "su21": ((4, 1), (0, 1, 0), (1002, 1003)),
+    "gl1_split": ((2, 1), (0, 2, 1), (1000, 1001)),
+    "gl2_split": ((2, 2), (0, 1, 1), (100, 101)),
+    "gl3_split": ((4, 3), (2, 2, 1), (40, 41)),
+}
+
+
+@pytest.mark.parametrize("name", LARGE_HEIGHTS)
+def test_orbit_and_component_counts_at_large_heights_follow_their_fits(name, cleared_caches):
+    # orbit counts are fitted from the box scan and component counts from the
+    # all-pairs union-find on its slices, so neither fit runs the code checked
+    spec = catalog(name).spec
+    (period, degree), (start, comp_period, comp_degree), targets = LARGE_HEIGHTS[name]
+    assert degree == len(real_coweight_basis(spec))
+    orbits = quasi_polynomial(box_scan_counts(spec, period * (degree + 2) - 1), 0, period, degree)
+    slices = box_scan_slices(spec, start + comp_period * (comp_degree + 3) - 1)
+    components = quasi_polynomial([comparability_components(spec, s) for s in slices], start, comp_period, comp_degree)
+    for h in targets:
+        elements = enumerate_orbits(spec, h)
+        assert (len(elements), component_count(spec, elements)) == (orbits(h), components(h)), (name, h)
 
 
 @pytest.mark.parametrize(

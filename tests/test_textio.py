@@ -2,18 +2,24 @@
 
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from matsuki import rootdata, textio
-from matsuki.errors import ParseError
+from matsuki.errors import ParseError, ValidationError
 from matsuki.loopmatrix import (
+    FormAction,
     Gaussian,
     LaurentPoly,
     diagonal_loop,
+    form_names,
     lm_from_rows,
     loops_equal,
+    random_k_loop,
+    random_polynomial_loop,
+    random_real_loop,
 )
 from matsuki.realform import catalog, catalog_names
 from matsuki.textio import (
@@ -69,6 +75,20 @@ def test_involution_with_catalog_reference():
     spec = parse_involution("name: borrowed\ndatum: sl3_split\ntheta:\n0 1\n1 0\n")
     assert spec.datum.rank == 2
     assert spec.theta == ((0, 1), (1, 0))
+
+
+def test_theta_shape_is_held_to_the_rank_before_the_datum_is_validated():
+    # 36 bytes declaring rank 2,000: validating the datum first would build a
+    # 2,000 x 2,000 Smith form (a 61 MiB peak) for a theta of one entry
+    text = "name: x\nrank: 2000\nsimple:\ntheta:\n1\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"^invalid involution 'x': theta must be a 2000x2000 integer matrix$"):
+            parse_involution(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_invalid_involution_rejected():
@@ -196,7 +216,8 @@ def test_a_matrix_file_is_scanned_once():
 
 
 # ---------------------------------------------------------------------------
-# the str-method line readers against the regular expressions they replace
+# the str-method line readers against the regular expressions they replace,
+# and the entry reader against the two-pass reader it replaces
 
 KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.*)$")
 ENTRY_RE = re.compile(r"^entry\s+(\d+)\s+(\d+)\s*:\s*(.*)$")
@@ -220,10 +241,10 @@ SEED_LINES = (
 MUTATION_ALPHABET = "0129-+/(),: \t  　\x1f٣７²½ex_#"
 
 
-def _mutated_lines(count, seed):
+def _mutated_lines(count, seed, seeds=SEED_LINES):
     rng = random.Random(seed)
     for _ in range(count):
-        line = list(rng.choice(SEED_LINES))
+        line = list(rng.choice(seeds))
         for _ in range(rng.randint(1, 4)):
             k = rng.randrange(len(line) + 1)
             action = rng.random()
@@ -238,16 +259,127 @@ def _mutated_lines(count, seed):
 
 
 def test_line_readers_match_the_regular_expressions():
-    accepted = {"key": 0, "entry": 0, "tuples": 0}
+    accepted = {"key": 0, "entry": 0}
     for line in _mutated_lines(4000, "textio-readers"):
         m = KEY_RE.match(line)
         assert textio._key_line(line) == (m and (m.group(1), m.group(2).strip())), line
         m = ENTRY_RE.match(line)
-        assert textio._entry_line(line) == (m and (int(m.group(1)), int(m.group(2)), m.group(3).strip())), line
-        want = [m.group(0, 1, 2, 3) for m in TUPLE_RE.finditer(line)]
-        assert textio._tuples(line) == want, line
+        assert textio._entry_line(line, 1) == (m and (int(m.group(1)), int(m.group(2)), m.group(3).strip())), line
         accepted["key"] += KEY_RE.match(line) is not None
         accepted["entry"] += ENTRY_RE.match(line) is not None
-        accepted["tuples"] += bool(want)
     # the mutations keep many lines readable, so both outcomes are compared
     assert min(accepted.values()) > 400, accepted
+
+
+def _two_pass_tuples(text):
+    """The ``(e, re, im)`` tuples in text, each as its source and its three
+    tokens: a ``(`` that starts none is passed over, so a tuple may sit inside
+    other text, as with the regular expression this scan replaced."""
+    found = []
+    start = text.find("(")
+    while start >= 0 and (end := text.find(")", start)) >= 0:
+        tokens = [token.strip() for token in text[start + 1:end].split(",")]
+        if len(tokens) == 3 and all(textio._is_number(token, k > 0) for k, token in enumerate(tokens)):
+            found.append((text[start:end + 1], *tokens))
+            start = text.find("(", end)
+        else:
+            start = text.find("(", start + 1)
+    return found
+
+
+def _two_pass_rational(token, lineno):
+    num, _, den = token.partition("/")
+    if den and not int(den):
+        raise ParseError(lineno, f"bad rational {token!r}")
+    return int(num), int(den or 1)
+
+
+def _stray(rest):
+    """Whether text other than spaces lies outside the tuples the scan finds."""
+    return rest.replace(" ", "") != "".join(source.replace(" ", "") for source, *_ in _two_pass_tuples(rest))
+
+
+def _two_pass_entry(rest, lineno, i, j):
+    """The entry reader ``textio._entry`` replaced, as an oracle: it reads every
+    tuple the scan finds, then refuses what is left over if it is not spaces."""
+    matches = _two_pass_tuples(rest)
+    coeffs = {}
+    for _, exponent, re_part, im_part in matches:
+        e = int(exponent)
+        p, q = _two_pass_rational(re_part, lineno)
+        r, s = _two_pass_rational(im_part, lineno)
+        if e in coeffs:
+            raise ParseError(lineno, f"duplicate exponent {e} in entry ({i}, {j})")
+        coeffs[e] = Gaussian(p * s, r * q) / Gaussian(q * s)
+    if _stray(rest):
+        raise ParseError(lineno, f"unparsed text in entry ({i}, {j}): {rest!r}")
+    return LaurentPoly(coeffs)
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _same_or_stray_first(rest, new, old):
+    """The readers agree, but where a line with stray text also holds a bad
+    rational or a duplicate exponent: the two-pass reader names the latter,
+    the one-pass reader the first fault it meets, which may be the text."""
+    if new == old:
+        return True
+    return (isinstance(old, str) and isinstance(new, str) and _stray(rest)
+            and re.match(r"line \d+: (bad rational|duplicate exponent)", old) is not None
+            and new.startswith(f"{old.split(':')[0]}: unparsed text in entry"))
+
+
+def test_entry_reader_matches_the_two_pass_reader():
+    tally = {"accepted": 0, "refused alike": 0, "stray text first": 0}
+    for line in _mutated_lines(6000, "textio-entries", [line for line in SEED_LINES if "(" in line]):
+        rest = entry[2] if (entry := textio._entry_line(line, 3)) else line
+        assert _two_pass_tuples(rest) == [m.group(0, 1, 2, 3) for m in TUPLE_RE.finditer(rest)], rest
+        new, old = _outcome(textio._entry, rest, 3, 1, 2), _outcome(_two_pass_entry, rest, 3, 1, 2)
+        assert _same_or_stray_first(rest, new, old), (line, new, old)
+        tally["accepted" if isinstance(new, LaurentPoly) else "refused alike" if new == old else "stray text first"] += 1
+    # both outcomes, and the one deliberate difference, are reached often
+    assert tally["accepted"] > 300 and tally["refused alike"] > 3000 and tally["stray text first"] > 300, tally
+
+
+def _read_both(text):
+    """parse_matrix's outcome with the one-pass entry reader and with the
+    two-pass one: a loop, or the error text."""
+    new = _outcome(parse_matrix, text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(textio, "_entry", _two_pass_entry)
+        return new, _outcome(parse_matrix, text)
+
+
+def test_matrix_files_read_alike_by_both_entry_readers(monkeypatch):
+    files = [
+        format_matrix(loop(form, seed))
+        for form in form_names() for seed in range(2) for loop in (random_real_loop, random_k_loop, random_polynomial_loop)
+    ]
+    for text in files:
+        new, old = _read_both(text)
+        assert loops_equal(new, old) and format_matrix(new) == text
+    # one line of a file mutated, with the determinant check off so that only
+    # the readers are compared
+    monkeypatch.setattr(FormAction, "validate", lambda self, g: None)
+    rng, tally = random.Random("textio-files"), {"accepted": 0, "refused alike": 0}
+    for text in files * 30:
+        lines = text.splitlines()
+        k = rng.randrange(2, len(lines))
+        line = list(lines[k])
+        for _ in range(rng.randint(1, 3)):
+            line.insert(rng.randrange(len(line) + 1), rng.choice(MUTATION_ALPHABET.replace("#", "")))
+        lines[k] = "".join(line)
+        new, old = _read_both("\n".join(lines) + "\n")
+        if isinstance(new, str):
+            rest = entry[2] if (entry := textio._entry_line(lines[k].strip(), k + 1)) else ""
+            assert _same_or_stray_first(rest, new, old), (lines[k], new, old)
+            tally["refused alike"] += new == old
+        else:
+            tally["accepted"] += 1
+            assert format_matrix(new) == format_matrix(old), lines[k]
+    assert tally["accepted"] > 50 and tally["refused alike"] > 600, tally

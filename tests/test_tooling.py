@@ -1,9 +1,10 @@
 """Source guards: the runtime imports only the standard library, stays exact
-(the lattice layer on integers alone), keeps its checks under ``python -O``,
-starts up without ``dataclasses`` and imports ``argparse``, ``fractions``,
-``decimal`` and ``random`` only inside the functions that use them, and
-holds no unused top-level definitions; the README example runs and every
-constant it names exists."""
+(the lattice layer on integers alone), reads every integer of a file through
+one reader, keeps its checks under ``python -O``, starts up without
+``dataclasses`` and imports ``argparse``, ``fractions``, ``decimal`` and
+``random`` only inside the functions that use them, and holds no unused
+top-level definitions; the README example runs and every constant it names
+exists."""
 
 import ast
 import doctest
@@ -98,6 +99,40 @@ def test_no_assert_statements(path):
     # python -O strips assert statements; internal checks raise typed errors instead
     for node in ast.walk(_parse(path)):
         assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno} uses assert"
+
+
+def _annotations(tree):
+    """Every annotation in the tree: what ``int`` names there is a type, not a call."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg):
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+INTEGER_READER = "_ints"
+CATCHES_VALUE_ERROR = {"ValueError", "Exception", "BaseException"}
+
+
+def test_textio_reads_every_integer_through_one_reader():
+    # int() raises ValueError on a literal past Python's digit limit, so an
+    # int() on file text outside the reader is a traceback on a long number
+    tree = _parse(ROOT / "src" / "matsuki" / "textio.py")
+    typed = {id(node) for annotation in _annotations(tree) for node in ast.walk(annotation)}
+    (reader,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == INTEGER_READER]
+    inside = {id(node) for node in ast.walk(reader)}
+    ints = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "int" and id(node) not in typed]
+    handlers = [
+        node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and (
+            node.type is None or CATCHES_VALUE_ERROR & {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)})
+    ]
+    assert ints and handlers, "the integer reader calls int() and catches its ValueError"
+    assert [node.lineno for node in ints + handlers if id(node) not in inside] == []
 
 
 # Unbounded caches allowed in the package.  Each is keyed by structure: a root
