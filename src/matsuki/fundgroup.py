@@ -10,22 +10,10 @@ dominant theta-fixed coweights whose class lies in that image.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import ValidationError
-from .realform import InvolutionSpec, real_coweight_basis, restricted_coroot_generators
+from .realform import InvolutionSpec, real_coweight_coordinates, restricted_coroot_generators
 from .record import Record
-from .rootdata import (
-    Coweight,
-    FiniteAbelianGroup,
-    dot,
-    identity_matrix,
-    is_dominant,
-    mat_mul,
-    pi1_of_group,
-    quotient_group,
-    vec_add,
-)
+from .rootdata import Coweight, FiniteAbelianGroup, dot, is_dominant, pi1_of_group, quotient_group
 
 
 class PiOneModel(Record):
@@ -39,61 +27,24 @@ class PiOneModel(Record):
     image_index: int
 
 
-def real_coweight_coordinates(spec: InvolutionSpec, coweight: Coweight) -> tuple[int, ...]:
-    """Coordinates of a theta-fixed coweight in the fixed-sublattice basis."""
-    den, rows, consistency = spec.fixed_solver
-    scaled = tuple(dot(row, coweight) for row in rows)
-    if any(dot(row, coweight) for row in consistency) or any(c % den for c in scaled):
-        raise ValidationError(f"{coweight} is not in the theta-fixed sublattice")
-    return tuple(c // den for c in scaled)
-
-
 def pi1_of_symmetric_space(spec: InvolutionSpec) -> FiniteAbelianGroup:
     """Quotient of the theta-fixed sublattice by the restricted coroot generators,
     in fixed-basis coordinates.  The zero lattice gives the trivial group."""
-    basis = real_coweight_basis(spec)
     gens = tuple(real_coweight_coordinates(spec, g) for g in restricted_coroot_generators(spec))
-    return quotient_group(len(basis), gens)
-
-
-@lru_cache(maxsize=None)
-def _image_lattice(spec: InvolutionSpec) -> tuple[tuple[Coweight, ...], FiniteAbelianGroup, tuple]:
-    """The generators lambda + theta(lambda) of the loop image over a lattice
-    basis, the quotient of the fixed sublattice by the preimage of that
-    image, which the restricted coroot generators and those sums generate
-    (in fixed-basis coordinates), and that quotient's class test on the
-    lattice itself: pairs (row, m), each a row of the projection times the
-    solve rows of the fixed basis and den times its invariant factor, such
-    that a theta-fixed coweight has class zero iff every row pairs with it
-    to a multiple of m."""
-    sums = (vec_add(e, spec.apply(e)) for e in identity_matrix(spec.datum.rank))
-    image_gens = tuple(dict.fromkeys(v for v in sums if any(v)))
-    lattice_gens = tuple(
-        real_coweight_coordinates(spec, g)
-        for g in (*restricted_coroot_generators(spec), *image_gens)
-    )
-    group = quotient_group(len(real_coweight_basis(spec)), lattice_gens)
-    den, rows, _ = spec.fixed_solver
-    # every factor is finite: 2*lambda = lambda + theta(lambda) lies in the image
-    class_rows = tuple(zip(mat_mul(group.projection, rows), (den * f for f in group.invariant_factors)))
-    return image_gens, group, class_rows
+    return quotient_group(len(spec.fixed_basis), gens)
 
 
 def image_index(spec: InvolutionSpec) -> int:
     """Index of the loop image in the fixed sublattice: the order of the
-    quotient of ``_image_lattice``, all that a poset slice reads of it."""
-    index = _image_lattice(spec)[1].order()
-    if index is None:
-        # cannot happen: 2*lambda is always in the image lattice
-        raise ValidationError("loop image has infinite index in the fixed sublattice")
-    return index
+    quotient of ``spec.image_lattice``, all that a poset slice reads of it."""
+    return spec.image_lattice[1].order()
 
 
 def pi1_model(spec: InvolutionSpec) -> PiOneModel:
     return PiOneModel(
         group_pi1=pi1_of_group(spec.datum),
         space_pi1=pi1_of_symmetric_space(spec),
-        image_generators=_image_lattice(spec)[0],
+        image_generators=spec.image_lattice[0],
         image_index=image_index(spec),
     )
 
@@ -110,4 +61,4 @@ def in_image_semigroup(spec: InvolutionSpec, coweight: Coweight) -> bool:
 
 def _in_image_class(spec: InvolutionSpec, coweight: Coweight) -> bool:
     """Whether a theta-fixed coweight has loop class zero, with no solve."""
-    return not any(dot(row, coweight) % m for row, m in _image_lattice(spec)[2])
+    return not any(dot(row, coweight) % m for row, m in spec.image_lattice[2])

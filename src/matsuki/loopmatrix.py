@@ -422,6 +422,13 @@ def _raw_dot(plus, minus=()) -> Raw:
         for p, q in pairs:
             if not q:
                 continue
+            if len(q) == 1:  # every scaling and reduction step: one pass over p
+                ((e2, (a2, b2)),) = q.items()
+                a2, b2 = sign * a2, sign * b2
+                for e1, (a1, b1) in p.items():
+                    s = out.get(e := e1 + e2, (0, 0))
+                    out[e] = (s[0] + a1 * a2 - b1 * b2, s[1] + a1 * b2 + b1 * a2)
+                continue
             for e1, (a1, b1) in p.items():
                 a1, b1 = sign * a1, sign * b1
                 for e2, (a2, b2) in q.items():

@@ -14,19 +14,10 @@ from math import gcd
 from operator import index, le, mul
 
 from .errors import ValidationError
-from .fundgroup import _image_lattice, image_index, in_image_semigroup
-from .realform import InvolutionSpec, real_coweight_basis
+from .fundgroup import image_index, in_image_semigroup
+from .realform import InvolutionSpec
 from .record import Record
-from .rootdata import (
-    Coweight,
-    dominance_leq,
-    dot,
-    identity_matrix,
-    positive_root_indices,
-    simple_roots,
-    two_rho,
-    vec_neg,
-)
+from .rootdata import Coweight, dominance_leq, dot, identity_matrix, simple_roots, vec_neg
 
 
 class CoreData(Record):
@@ -90,7 +81,7 @@ def _eliminate(rows, j: int) -> list:
     return list(kept.items())
 
 
-@lru_cache(maxsize=16, typed=True)
+@lru_cache(maxsize=1, typed=True)
 def enumerate_orbits(spec: InvolutionSpec, height_bound: int) -> tuple[Coweight, ...]:
     """All orbit indices with height at most the bound, sorted lexicographically.
 
@@ -107,7 +98,7 @@ def enumerate_orbits(spec: InvolutionSpec, height_bound: int) -> tuple[Coweight,
     coordinate, so each system bounds the next coefficient on both sides, and
     0 is always a solution.  The last range is exact; per prefix, the loop
     class of c = 0 and the step of one more c are read off the class rows of
-    the image quotient (``fundgroup._image_lattice``), and each c is tested
+    the image quotient (``InvolutionSpec.image_lattice``), and each c is tested
     by base + c*step modulo the class moduli, with no solve.
 
     One budget bounds the walk: each level's prefixes are generated from the
@@ -118,8 +109,9 @@ def enumerate_orbits(spec: InvolutionSpec, height_bound: int) -> tuple[Coweight,
     ``CANDIDATE_BUDGET`` ranges.  The last level's candidates are about twice
     the output on large slices (gl2_split at H = 400: 241,001 for 120,801).
 
-    The cache holds the last 16 slices, since the bound comes from the user.
-    Its keys carry the bound's type, so 4.0 never finds the entry of 4 and is
+    The cache holds the last slice, the one a reslice or a second suite on
+    the same height asks for; a slice can take tens of megabytes.  Its key
+    carries the bound's type, so 4.0 never finds the entry of 4 and is
     refused by the integer check like any other non-integral bound.
     """
     try:
@@ -129,10 +121,10 @@ def enumerate_orbits(spec: InvolutionSpec, height_bound: int) -> tuple[Coweight,
     if height_bound < 0:
         raise ValidationError("height bound must be non-negative")
     datum = spec.datum
-    basis = real_coweight_basis(spec)
+    basis = spec.fixed_basis
     if not basis:
         return ((0,) * datum.rank,)
-    unit, rho2 = identity_matrix(datum.rank), two_rho(datum)
+    unit, rho2 = identity_matrix(datum.rank), datum.two_rho
     # (f, offset): the constraint f(v) + offset >= 0
     constraints = [(f, 0) for f in (*simple_roots(datum), rho2)] + [(e, height_bound) for e in unit]
     constraints += [(vec_neg(f), height_bound) for f in (*unit, rho2)]
@@ -148,7 +140,7 @@ def enumerate_orbits(spec: InvolutionSpec, height_bound: int) -> tuple[Coweight,
                 raise ValidationError(f"height bound {height_bound} leaves over {CANDIDATE_BUDGET} candidates"
                                       f" for coefficient {level} of {len(systems)}")
         prefixes = ((*p, c) for p, r in walk for c in r)
-    class_rows = [([dot(row, b) for b in basis], m) for row, m in _image_lattice(spec)[2]]
+    class_rows = [([dot(row, b) for b in basis], m) for row, m in spec.image_lattice[2]]
     *lead, last = basis
     columns = [tuple(b[i] for b in lead) for i in range(datum.rank)]
     found = []
@@ -179,7 +171,7 @@ def core_data(spec: InvolutionSpec, coweight: Coweight) -> CoreData:
     require_orbit_index(spec, coweight)
     datum = spec.datum
     parabolic = tuple(i for i in datum.simple_indices if dot(datum.roots[i], coweight) == 0)
-    dim = sum(1 for i in positive_root_indices(datum) if dot(datum.roots[i], coweight) > 0)
+    dim = sum(1 for i in datum.positive_root_indices if dot(datum.roots[i], coweight) > 0)
     return CoreData(coweight=coweight, parabolic_simple_roots=parabolic, flag_dimension=dim)
 
 

@@ -15,6 +15,7 @@ from .errors import TheoremViolationError, ValidationError
 from .record import Record
 from .rootdata import (
     Coweight,
+    FiniteAbelianGroup,
     IntMatrix,
     RootDatum,
     dominant_representative,
@@ -32,7 +33,7 @@ from .rootdata import (
     monoid_order,
     pgl2_datum,
     positive_coroots,
-    positive_root_indices,
+    quotient_group,
     require_valid,
     sl2_datum,
     sl2xsl2_datum,
@@ -63,9 +64,20 @@ class InvolutionSpec(Record):
         return True
 
     @cached_property
+    def fixed_basis(self) -> tuple[Coweight, ...]:
+        """Basis of the saturated sublattice of theta-fixed cocharacters.
+
+        Computed as the integer kernel of (theta - 1) via Smith normal form; the
+        kernel of an integer matrix is automatically saturated.  May be empty
+        (anisotropic forms).
+        """
+        n = self.datum.rank
+        return kernel_basis(tuple(tuple(self.theta[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)))
+
+    @cached_property
     def fixed_solver(self) -> tuple[int, IntMatrix, IntMatrix]:
-        """``integer_solver`` of the theta-fixed basis, built on first use."""
-        return integer_solver(real_coweight_basis(self), dim=self.datum.rank)
+        """``integer_solver`` of ``fixed_basis``, built on first use."""
+        return integer_solver(self.fixed_basis, dim=self.datum.rank)
 
     @cached_property
     def step_solver(self) -> tuple[int, IntMatrix, IntMatrix]:
@@ -76,6 +88,40 @@ class InvolutionSpec(Record):
     def step_order(self):
         """``monoid_order`` of ``step_solver``, compiled on first use."""
         return monoid_order(self.step_solver, self.datum.rank)
+
+    @cached_property
+    def image_lattice(self) -> tuple[tuple[Coweight, ...], FiniteAbelianGroup, tuple]:
+        """The generators lambda + theta(lambda) of the loop image over a lattice
+        basis, the quotient of the fixed sublattice by the preimage of that
+        image, which the restricted coroot generators and those sums generate
+        (in fixed-basis coordinates), and that quotient's class test on the
+        lattice itself: pairs (row, m), each a row of the projection times the
+        solve rows of the fixed basis and den times its invariant factor, such
+        that a theta-fixed coweight has class zero iff every row pairs with it
+        to a multiple of m.  Built on first use.
+
+        Every factor is finite, since 2*lambda = lambda + theta(lambda) lies in
+        the image; a free one raises ``TheoremViolationError``."""
+        sums = (vec_add(e, self.apply(e)) for e in identity_matrix(self.datum.rank))
+        image_gens = tuple(dict.fromkeys(v for v in sums if any(v)))
+        lattice_gens = tuple(
+            real_coweight_coordinates(self, g) for g in (*restricted_coroot_generators(self), *image_gens)
+        )
+        group = quotient_group(len(self.fixed_basis), lattice_gens)
+        if 0 in group.invariant_factors:
+            raise TheoremViolationError(f"loop image of {self.name!r} has infinite index in the fixed sublattice")
+        den, rows, _ = self.fixed_solver
+        class_rows = tuple(zip(mat_mul(group.projection, rows), (den * f for f in group.invariant_factors)))
+        return image_gens, group, class_rows
+
+
+def real_coweight_coordinates(spec: InvolutionSpec, coweight: Coweight) -> tuple[int, ...]:
+    """Coordinates of a theta-fixed coweight in the fixed-sublattice basis."""
+    den, rows, consistency = spec.fixed_solver
+    scaled = tuple(dot(row, coweight) for row in rows)
+    if any(dot(row, coweight) for row in consistency) or any(c % den for c in scaled):
+        raise ValidationError(f"{coweight} is not in the theta-fixed sublattice")
+    return tuple(c // den for c in scaled)
 
 
 def validate_involution(spec: InvolutionSpec) -> list[str]:
@@ -97,12 +143,11 @@ def validate_involution(spec: InvolutionSpec) -> list[str]:
 
     # positivity compatibility: the transpose action must permute the positive
     # roots that restrict non-trivially to the fixed sublattice
-    basis = real_coweight_basis(spec)
     theta_t = mat_transpose(spec.theta)
     moving = {
         datum.roots[i]
-        for i in positive_root_indices(datum)
-        if any(dot(datum.roots[i], b) != 0 for b in basis)
+        for i in datum.positive_root_indices
+        if any(dot(datum.roots[i], b) != 0 for b in spec.fixed_basis)
     }
     for alpha in moving:
         if mat_vec(theta_t, alpha) not in moving:
@@ -121,22 +166,11 @@ def require_valid_involution(spec: InvolutionSpec) -> None:
         raise ValidationError(f"invalid involution {spec.name!r}: " + "; ".join(problems))
 
 
-@lru_cache(maxsize=None)
 def real_coweight_basis(spec: InvolutionSpec) -> tuple[Coweight, ...]:
-    """Basis of the saturated sublattice of theta-fixed cocharacters.
-
-    Computed as the integer kernel of (theta - 1) via Smith normal form; the
-    kernel of an integer matrix is automatically saturated.  May be empty
-    (anisotropic forms).
-    """
-    n = spec.datum.rank
-    delta = tuple(
-        tuple(spec.theta[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-    return kernel_basis(delta)
+    """``spec.fixed_basis``, the basis of the theta-fixed sublattice."""
+    return spec.fixed_basis
 
 
-@lru_cache(maxsize=None)
 def restricted_coroot_generators(spec: InvolutionSpec) -> tuple[Coweight, ...]:
     """Theta-fixed positive coroots and the sums beta + theta(beta), deduplicated,
     zero vectors removed.  These generate the positive cone of the fixed lattice."""
@@ -182,10 +216,9 @@ def step_basis(spec: InvolutionSpec) -> tuple[Coweight, ...]:
 def levi_simple_roots(spec: InvolutionSpec) -> tuple[int, ...]:
     """Simple roots vanishing on every theta-fixed cocharacter: the Levi of the
     minimal parabolic, whose Weyl group acts trivially on the split part."""
-    basis = real_coweight_basis(spec)
     return tuple(
         i for i in spec.datum.simple_indices
-        if all(dot(spec.datum.roots[i], b) == 0 for b in basis)
+        if all(dot(spec.datum.roots[i], b) == 0 for b in spec.fixed_basis)
     )
 
 

@@ -14,7 +14,7 @@ lattice, except where an explicit reflection word is part of a result.
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import add, mul, sub
 
 from .errors import ValidationError
@@ -125,8 +125,21 @@ class RootDatum(Record):
         """``monoid_order`` of ``coroot_solver``, compiled on first use."""
         return monoid_order(self.coroot_solver, self.rank)
 
+    @cached_property
+    def positive_root_indices(self) -> tuple[int, ...]:
+        """Indices of roots expressible as non-negative integer combinations of simples."""
+        zero = (0,) * self.rank
+        return tuple(idx for idx, root in enumerate(self.roots) if free_monoid_leq(self.root_solver, zero, root))
 
-@lru_cache(maxsize=None)
+    @cached_property
+    def two_rho(self) -> Coweight:
+        """Sum of the positive roots; the height functional on coweights."""
+        total = (0,) * self.rank
+        for i in self.positive_root_indices:
+            total = vec_add(total, self.roots[i])
+        return total
+
+
 def simple_roots(datum: RootDatum) -> tuple[Coweight, ...]:
     return tuple(datum.roots[i] for i in datum.simple_indices)
 
@@ -135,24 +148,8 @@ def simple_coroots(datum: RootDatum) -> tuple[Coweight, ...]:
     return tuple(datum.coroots[i] for i in datum.simple_indices)
 
 
-@lru_cache(maxsize=None)
-def positive_root_indices(datum: RootDatum) -> tuple[int, ...]:
-    """Indices of roots expressible as non-negative integer combinations of simples."""
-    zero = (0,) * datum.rank
-    return tuple(idx for idx, root in enumerate(datum.roots) if free_monoid_leq(datum.root_solver, zero, root))
-
-
 def positive_coroots(datum: RootDatum) -> tuple[Coweight, ...]:
-    return tuple(datum.coroots[i] for i in positive_root_indices(datum))
-
-
-@lru_cache(maxsize=None)
-def two_rho(datum: RootDatum) -> Coweight:
-    """Sum of the positive roots; the height functional on coweights."""
-    total = (0,) * datum.rank
-    for i in positive_root_indices(datum):
-        total = vec_add(total, datum.roots[i])
-    return total
+    return tuple(datum.coroots[i] for i in datum.positive_root_indices)
 
 
 def _require_rank(datum: RootDatum, coweight: Coweight) -> None:
@@ -162,7 +159,7 @@ def _require_rank(datum: RootDatum, coweight: Coweight) -> None:
 
 def height(datum: RootDatum, coweight: Coweight) -> int:
     _require_rank(datum, coweight)
-    return dot(two_rho(datum), coweight)
+    return dot(datum.two_rho, coweight)
 
 
 def is_dominant(datum: RootDatum, coweight: Coweight) -> bool:
@@ -330,7 +327,7 @@ def weyl_longest_element(datum: RootDatum, subset: frozenset[int] | tuple[int, .
         return identity_matrix(datum.rank)
     outside = [j for j, i in enumerate(datum.simple_indices) if i not in subset]
     rows, x = datum.root_solver[1], (0,) * datum.rank
-    for idx in positive_root_indices(datum):  # the positive coroots of the sub-system
+    for idx in datum.positive_root_indices:  # the positive coroots of the sub-system
         if not any(dot(rows[j], datum.roots[idx]) for j in outside):
             x = vec_add(x, datum.coroots[idx])
     w = identity_matrix(datum.rank)

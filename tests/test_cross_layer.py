@@ -7,7 +7,6 @@ import random
 
 import pytest
 
-from matsuki import fundgroup
 from matsuki.errors import TheoremViolationError, ValidationError
 from matsuki.fundgroup import in_image_semigroup
 from matsuki.laws import seeded_loop
@@ -25,7 +24,7 @@ from matsuki.loopmatrix import (
     random_real_loop,
 )
 from matsuki.orbitposet import enumerate_orbits
-from matsuki.realform import catalog
+from matsuki.realform import InvolutionSpec, catalog
 
 LOOPS_PER_FORM = 40
 
@@ -113,13 +112,14 @@ def test_invariants_of_odd_loops_lie_in_the_image_class(name):
 
 @pytest.mark.parametrize("name", ODD_FORMS)
 def test_a_wrong_image_class_is_caught(name, monkeypatch):
-    right = fundgroup._image_lattice
+    right = InvolutionSpec.image_lattice
 
     def doubled_moduli(spec):
-        gens, group, class_rows = right(spec)
+        gens, group, class_rows = right.__get__(spec)
         return gens, group, tuple((row, 2 * m) for row, m in class_rows)
 
-    monkeypatch.setattr(fundgroup, "_image_lattice", doubled_moduli)
+    # a data descriptor: it wins over the value cached on the catalog spec
+    monkeypatch.setattr(InvolutionSpec, "image_lattice", property(doubled_moduli))
     assert _cross_layer_misses(form_action(name), _odd_loop)
 
 
@@ -142,3 +142,15 @@ def test_every_orbit_index_comes_back_from_its_geodesic():
             assert (k_orbit_invariant(c), r_orbit_invariant(c)) == (lam, lam), (name, mu)
             checked += 1
     assert checked == 193
+
+
+def test_every_unitary_orbit_index_comes_back_from_a_diagonal_loop():
+    # with the 5 split forms above, every form realizes each of its orbit indices
+    checked = 0
+    for name in ("u11", "u21"):
+        form = form_action(name)
+        for mu in enumerate_orbits(catalog(form.entry).spec, 40):
+            g = diagonal_loop(name, (mu[0],) + (0,) * (form.n - 1))
+            assert (form.to_entry(k_orbit_invariant(g)), form.to_entry(r_orbit_invariant(g))) == (mu, mu), (name, mu)
+            checked += 1
+    assert checked == 21 + 11

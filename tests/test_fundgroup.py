@@ -23,7 +23,7 @@ from matsuki.realform import (
     restricted_coroot_generators,
     step_basis,
 )
-from matsuki.rootdata import height, vec_add, vec_scale, vec_sub
+from matsuki.rootdata import FiniteAbelianGroup, height, vec_add, vec_scale, vec_sub
 
 from oracles import decomposes
 
@@ -176,6 +176,27 @@ def test_slices_and_orbit_reports_build_no_pi1_group(monkeypatch, package_caches
     assert built == []
     assert main(["pi1", "pgl2_so21"]) == 0  # the report that prints both groups builds them
     assert built == ["pi1_of_group", "pi1_of_symmetric_space"]
+
+
+def test_an_infinite_image_index_is_a_theorem_violation(monkeypatch, cleared_caches, capsys):
+    # 2*lambda = lambda + theta(lambda) bounds the index, so a free factor in
+    # the image quotient is an internal fault, raised where the quotient is built
+    quotient = realform.quotient_group
+
+    def with_free_factor(rank, gens):
+        group = quotient(rank, gens)
+        return FiniteAbelianGroup((*group.invariant_factors, 0), (*group.projection, (0,) * rank))
+
+    monkeypatch.setattr(realform, "quotient_group", with_free_factor)
+    infinite = "infinite index in the fixed sublattice"
+    with pytest.raises(TheoremViolationError, match=infinite):
+        image_index(catalog("gl2_split").spec)
+    for argv in (["orbits", "pgl2_so21", "--height", "4"], ["poset", "pgl2_so21", "--height", "4"],
+                 ["dual", "pgl2_so21", "2"], ["core", "pgl2_so21", "2"], ["pi1", "pgl2_so21"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err, argv
+        assert captured.err == f"theorem violation: loop image of 'pgl2_so21' has {infinite}\n"
 
 
 def test_image_index_divides_torsion_order_when_finite():

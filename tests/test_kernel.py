@@ -331,3 +331,36 @@ def test_sums_scalings_and_reduction_steps_run_on_raw_dot(run, monkeypatch):
     calls = counted(monkeypatch, "_raw_dot")
     assert run() == want
     assert calls
+
+
+def two_loop_dot(plus, minus=()):
+    """``_raw_dot`` without its one-term path: every pair by two nested loops."""
+    out = {}
+    for sign, pairs in ((1, plus), (-1, minus)):
+        for p, q in pairs:
+            for e1, (a1, b1) in p.items():
+                a1, b1 = sign * a1, sign * b1
+                for e2, (a2, b2) in q.items():
+                    s = out.get(e := e1 + e2, (0, 0))
+                    out[e] = (s[0] + a1 * a2 - b1 * b2, s[1] + a1 * b2 + b1 * a2)
+    return {e: s for e, s in out.items() if s[0] or s[1]}
+
+
+def _raw_poly(rng, terms):
+    """A numerator dict of at most ``terms`` terms, exponents from -4 to 4."""
+    return {rng.randint(-4, 4): rng.choice([(1, 0), (-1, 0), (0, 1), (2, -3), (-5, 4)]) for _ in range(terms)}
+
+
+def test_one_term_operands_match_the_two_loop_product():
+    rng, one_term = random.Random(5), 0
+    for _ in range(400):
+        pairs = [(_raw_poly(rng, rng.randint(0, 4)), _raw_poly(rng, rng.choice((1, 1, 3))))
+                 for _ in range(rng.randint(1, 4))]
+        split = rng.randint(0, len(pairs))
+        plus, minus = pairs[:split], pairs[split:]
+        one_term += sum(len(q) == 1 for _, q in minus)
+        got = loopmatrix._raw_dot(plus, minus)
+        assert list(got.items()) == list(two_loop_dot(plus, minus).items()), (plus, minus)  # same insertion order
+    assert one_term > 300
+    p, q = {-3: (2, -1), 0: (1, 0), 4: (5, 7)}, {-2: (1, 3)}
+    assert loopmatrix._raw_dot([(p, q)], [(p, q)]) == {}  # a sum that cancels to zero

@@ -1,6 +1,7 @@
 """Orbit enumeration, the two orders, duality, Hasse edges and cores."""
 
 import copy
+import gc
 import random
 import tracemalloc
 from fractions import Fraction
@@ -36,6 +37,7 @@ from matsuki.rootdata import (
     vec_add,
     vec_scale,
 )
+from matsuki.textio import format_involution, parse_involution
 
 ALL_NAMES = list(catalog_names())
 
@@ -141,7 +143,7 @@ def test_a_refusal_walks_at_most_one_budget_per_level(monkeypatch, cleared_cache
         raise IndexBuilt
 
     monkeypatch.setattr(orbitposet, "_coefficient_range", counting)
-    monkeypatch.setattr(orbitposet, "_image_lattice", no_index)
+    monkeypatch.setattr(InvolutionSpec, "image_lattice", property(no_index))
     # admitted heights walk every level and reach the index
     for name, bound in [("gl2_split", 400), ("gl3_split", 60), ("sl3_split", 160), ("su21", 1001), ("sl3_split", 3000)]:
         with pytest.raises(IndexBuilt):
@@ -330,7 +332,7 @@ def test_enumeration_cache_is_bounded(cleared_caches, capsys):
     spec = catalog("sl2_split").spec
     for h in range(200):
         enumerate_orbits(spec, h)
-    assert enumerate_orbits.cache_info().currsize <= 16
+    assert enumerate_orbits.cache_info().currsize <= 1
     build_poset_slice(spec, 12, "K")
     hits = enumerate_orbits.cache_info().hits
     build_poset_slice(spec, 12, "R")  # a reslice
@@ -338,6 +340,37 @@ def test_enumeration_cache_is_bounded(cleared_caches, capsys):
     enumerate_orbits.cache_clear()
     assert main(["check", "pgl2_so21"]) == 0  # the duality and Hasse suites share height 10
     assert enumerate_orbits.cache_info()[:2] == (1, 2)
+
+
+def _traced_growth(run):
+    """Bytes that ``run()`` allocates and leaves alive, cycles collected."""
+    tracemalloc.start()
+    try:
+        run()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_distinct_involutions_leave_no_state_behind(cleared_caches):
+    # what is derived from a datum or an involution lives on it and goes with it
+    text = format_involution(catalog("gl2_split").spec)
+    texts = [text.replace("name: gl2_split", f"name: file{i}") for i in range(200)]
+    for t in texts[:50]:
+        build_poset_slice(parse_involution(t), 3)
+    grown = _traced_growth(lambda: [build_poset_slice(parse_involution(t), 3) for t in texts[50:]])
+    assert grown < 64 * 1024  # 150 involutions held about 500 KiB when they were cached by value
+
+
+def test_a_small_slice_releases_a_large_one(cleared_caches):
+    spec = catalog("sl3_split").spec
+
+    def large_then_small():
+        assert len(enumerate_orbits(spec, 600)) == 15_151
+        enumerate_orbits(spec, 0)
+
+    assert _traced_growth(large_then_small) < 256 * 1024  # the large slice alone is over 900 KiB
 
 
 def test_orders_reject_wrong_length():

@@ -25,7 +25,6 @@ from matsuki.rootdata import (
     pgl2_datum,
     pi1_of_group,
     positive_coroots,
-    positive_root_indices,
     quotient_group,
     simple_coroots,
     simple_roots,
@@ -33,7 +32,6 @@ from matsuki.rootdata import (
     sl2xsl2_datum,
     sl3_datum,
     smith_normal_form,
-    two_rho,
     validate_root_datum,
     vec_add,
     vec_scale,
@@ -110,7 +108,7 @@ def test_catalog_data_valid(datum):
 
 def test_positive_roots_of_sl3():
     datum = sl3_datum()
-    pos = {datum.roots[i] for i in positive_root_indices(datum)}
+    pos = {datum.roots[i] for i in datum.positive_root_indices}
     assert pos == {(2, -1), (-1, 2), (1, 1)}
     assert set(positive_coroots(datum)) == {(1, 0), (0, 1), (1, 1)}
 
@@ -508,7 +506,7 @@ def test_longest_element_a2_against_brute_force():
     assert mat_vec(w0, (1, 0)) == (0, -1)  # first simple coroot to minus the second
     assert mat_mul(w0, w0) == identity_matrix(2)
     # brute force: the element with the maximal number of inversions
-    pos = [datum.coroots[i] for i in positive_root_indices(datum)]
+    pos = [datum.coroots[i] for i in datum.positive_root_indices]
 
     def inversions(w):
         return sum(1 for b in pos if tuple(-x for x in mat_vec(w, b)) in pos)
@@ -528,11 +526,11 @@ def test_weyl_queries_reject_wrong_length():
 
 
 def test_height_functional():
-    assert two_rho(sl2_datum()) == (2,)
+    assert sl2_datum().two_rho == (2,)
     assert height(sl2_datum(), (1,)) == 2
-    assert two_rho(pgl2_datum()) == (1,)
-    assert two_rho(sl3_datum()) == (2, 2)
-    assert two_rho(gl_datum(3)) == (2, 0, -2)
+    assert pgl2_datum().two_rho == (1,)
+    assert sl3_datum().two_rho == (2, 2)
+    assert gl_datum(3).two_rho == (2, 0, -2)
 
 
 def solver_coordinates(solver, target):

@@ -135,57 +135,62 @@ def test_textio_reads_every_integer_through_one_reader():
     assert [node.lineno for node in ints + handlers if id(node) not in inside] == []
 
 
-# Unbounded caches allowed in the package.  Each is keyed by structure: a root
-# datum, an involution, or a catalog table or entry name, so its size is
-# bounded by the structures in use, never by the coweights compared, the
-# heights asked for or the loops classified.  A function whose callers are
+# Unbounded caches allowed in the package: the catalog tables and entries,
+# keyed by nothing or by a catalog entry name, so their size is fixed by the
+# catalog.  A value derived from one root datum or involution is a cached
+# property of that record and goes with it.  A function whose callers are
 # cached themselves, whose value is a tuple comprehension, or that no command
 # calls twice in one process, has none.
 STRUCTURE_CACHES = {
-    "fundgroup._image_lattice": "involution",
     "loopmatrix._form_table": "catalog table",
     "realform._catalog": "catalog table",
     "realform.catalog": "catalog entry name",
-    "realform.real_coweight_basis": "involution",
-    "realform.restricted_coroot_generators": "involution",
-    "rootdata.positive_root_indices": "root datum",
-    "rootdata.simple_roots": "root datum",
-    "rootdata.two_rho": "root datum",
 }
+# Every cache of the package with its maxsize, bounded ones included: beside
+# the catalog's, only the slice cache, which keeps the last slice.
+PACKAGE_CACHES = {**dict.fromkeys(STRUCTURE_CACHES), "orbitposet.enumerate_orbits": 1}
 
 
-def _is_unbounded_cache(decorator):
-    if isinstance(decorator, (ast.Name, ast.Attribute)):  # functools.cache
-        return getattr(decorator, "id", getattr(decorator, "attr", None)) == "cache"
+def _cache_sizes(decorator):
+    """``[maxsize]`` of a ``functools.cache`` or ``lru_cache`` decorator, None
+    meaning unbounded; ``[]`` for any other decorator."""
+    name = getattr(decorator, "id", getattr(decorator, "attr", None))
+    if name in ("cache", "lru_cache"):  # used bare
+        return [None if name == "cache" else 128]
     if not isinstance(decorator, ast.Call):
-        return False
-    func = decorator.func
-    if getattr(func, "id", getattr(func, "attr", None)) != "lru_cache":
-        return False
-    return any(
-        kw.arg == "maxsize" and isinstance(kw.value, ast.Constant) and kw.value.value is None
-        for kw in decorator.keywords
-    ) or any(isinstance(arg, ast.Constant) and arg.value is None for arg in decorator.args)
+        return []
+    if getattr(decorator.func, "id", getattr(decorator.func, "attr", None)) != "lru_cache":
+        return []
+    sizes = [kw.value for kw in decorator.keywords if kw.arg == "maxsize"] + decorator.args[:1]
+    return [ast.literal_eval(sizes[0]) if sizes else 128]
 
 
-def _unbounded_caches(node, prefix):
+def _caches(node, prefix):
+    """(qualified name, maxsize) of every cached function, methods included."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             name = prefix + child.name
-            if any(_is_unbounded_cache(d) for d in child.decorator_list):
-                yield name
-            yield from _unbounded_caches(child, name + ".")
+            yield from ((name, size) for d in child.decorator_list for size in _cache_sizes(d))
+            yield from _caches(child, name + ".")
         else:
-            yield from _unbounded_caches(child, prefix)
+            yield from _caches(child, prefix)
+
+
+def _package_caches():
+    return {name: size for path in SOURCES for name, size in _caches(_parse(path), path.stem + ".")}
 
 
 def test_unbounded_caches_are_keyed_by_structure():
-    found = {
-        name
-        for path in SOURCES
-        for name in _unbounded_caches(_parse(path), path.stem + ".")
-    }
-    assert found == set(STRUCTURE_CACHES)
+    assert {name for name, size in _package_caches().items() if size is None} == set(STRUCTURE_CACHES)
+
+
+def test_the_only_caches_are_the_catalog_and_the_last_slice(package_caches):
+    # a cache keyed by a datum or an involution, bounded or not, would hold
+    # per-structure state that a cached property of the record holds instead
+    assert _package_caches() == PACKAGE_CACHES
+    running = {f"{c.__module__.removeprefix('matsuki.')}.{c.__qualname__}": c.cache_parameters()["maxsize"]
+               for c in package_caches}
+    assert running == PACKAGE_CACHES
 
 
 # The only places that generate code: record initializers and the compiled
