@@ -108,41 +108,31 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+def _write(lines) -> None:
+    """Write a report's lines to stdout in one call."""
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
+
+
 def cmd_orbits(args) -> int:
     spec = resolve_spec(args.spec)
     elements = orbitposet.enumerate_orbits(spec, args.height)
-    print(f"spec: {spec.name}")
-    print(f"height: {args.height}")
-    print(f"image_index: {fundgroup.image_index(spec)}")
-    print(f"components: {orbitposet.component_count(spec, elements)}")
-    for line in _spec_note_lines(spec):
-        print(line)
-    print(f"count: {len(elements)}")
-    for lam in elements:
-        print(f"orbit: {fmt_coweight(lam)}")
+    _write([f"spec: {spec.name}", f"height: {args.height}", f"image_index: {fundgroup.image_index(spec)}",
+            f"components: {orbitposet.component_count(spec, elements)}", *_spec_note_lines(spec),
+            f"count: {len(elements)}", *(f"orbit: {fmt_coweight(lam)}" for lam in elements)])
     return 0
 
 
 def cmd_poset(args) -> int:
     spec = resolve_spec(args.spec)
     slice_ = orbitposet.build_poset_slice(spec, args.height, args.order)
+    edges = [f"{fmt_coweight(a)} -> {fmt_coweight(b)}" for a, b in slice_.hasse_edges]
     if args.format == "graph":
-        for a, b in slice_.hasse_edges:
-            print(f"{fmt_coweight(a)} -> {fmt_coweight(b)}")
+        _write(edges)
         return 0
-    print(f"spec: {slice_.spec_name}")
-    print(f"height: {slice_.height_bound}")
-    print(f"order: {slice_.order}")
-    print(f"image_index: {slice_.image_index}")
-    print(f"components: {slice_.component_count}")
-    for line in _spec_note_lines(spec):
-        print(line)
-    print(f"elements: {len(slice_.elements)}")
-    for lam in slice_.elements:
-        print(f"element: {fmt_coweight(lam)}")
-    print(f"edges: {len(slice_.hasse_edges)}")
-    for a, b in slice_.hasse_edges:
-        print(f"edge: {fmt_coweight(a)} -> {fmt_coweight(b)}")
+    _write([f"spec: {slice_.spec_name}", f"height: {slice_.height_bound}", f"order: {slice_.order}",
+            f"image_index: {slice_.image_index}", f"components: {slice_.component_count}", *_spec_note_lines(spec),
+            f"elements: {len(slice_.elements)}", *(f"element: {fmt_coweight(lam)}" for lam in slice_.elements),
+            f"edges: {len(edges)}", *(f"edge: {edge}" for edge in edges)])
     return 0
 
 

@@ -10,7 +10,8 @@ and meet along a finite-dimensional flag variety described by ``CoreData``.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from itertools import repeat
+from math import gcd, lcm
 from operator import index, le, mul
 
 from .errors import ValidationError
@@ -48,20 +49,21 @@ def require_orbit_index(spec: InvolutionSpec, coweight: Coweight) -> None:
 CANDIDATE_BUDGET = 10**6
 
 
-def _coefficient_range(rows, prefix: tuple[int, ...]) -> range:
-    """The integers c with a . (*prefix, c) + offset >= 0 for every row
-    (a, offset), each a one entry longer than the prefix; the rows must bound
-    c on both sides, as those of ``enumerate_orbits`` do."""
-    lo, hi = [], []
-    for a, offset in rows:
-        value, s = dot(a, prefix) + offset, a[len(prefix)]
-        if s > 0:
-            lo.append(-(value // s))
-        elif s < 0:
-            hi.append(value // -s)
-        elif value < 0:
-            return range(0)
-    return range(max(lo), min(hi) + 1)
+def _extend(rows, walk):
+    """The walk's next level: each prefix (*q, c), c in r, of the entries (q, r)
+    of the level before, with the range of its next coefficient x, the integers
+    with a . (*q, c, x) + offset >= 0 on every row (a, offset); the rows must
+    bound x on both sides.  A row's value is computed once per q and moved by
+    c.  Rows free of x hold on every prefix, as ``_eliminate`` keeps them."""
+    k = len(rows[0][0]) - 2
+    lower = [(a, offset, a[k], a[k + 1]) for a, offset in rows if a[k + 1] > 0]
+    upper = [(a, offset, a[k], -a[k + 1]) for a, offset in rows if a[k + 1] < 0]
+    for q, r in walk:  # a . q reads the first k entries of a
+        lo = [(sum(map(mul, a, q), offset), t, s) for a, offset, t, s in lower]
+        hi = [(sum(map(mul, a, q), offset), t, s) for a, offset, t, s in upper]
+        for c in r:
+            yield (*q, c), range(max([-((v + c * t) // s) for v, t, s in lo]),
+                                 min([(v + c * t) // s for v, t, s in hi]) + 1)
 
 
 def _eliminate(rows, j: int) -> list:
@@ -96,18 +98,23 @@ def enumerate_orbits(spec: InvolutionSpec, height_bound: int) -> tuple[Coweight,
     coefficient's range, meets every prefix of the output and few others.
     Each range comes from the rows alone: the box rows bound every lattice
     coordinate, so each system bounds the next coefficient on both sides, and
-    0 is always a solution.  The last range is exact; per prefix, the loop
-    class of c = 0 and the step of one more c are read off the class rows of
-    the image quotient (``InvolutionSpec.image_lattice``), and each c is tested
-    by base + c*step modulo the class moduli, with no solve.
+    0 is always a solution.  The last range is exact.  Along it, the class
+    test of the image quotient (``InvolutionSpec.image_lattice``) is one
+    congruence r + c*step = 0 (mod m) per class row, true on one residue class
+    modulo m // gcd(step, m) or on none; so all hold on one class modulo their
+    lcm, ``period`` (at most 2: 2 * lambda is in the image), or on none.  Per
+    prefix, the range's first ``period`` values are tested, and the indices
+    from the least solution on, ``period`` apart, are built by one arithmetic
+    progression per coordinate.
 
     One budget bounds the walk: each level's prefixes are generated from the
     ranges of the level before, each range's length is added to the level's
     count as it is computed, and the bound is refused once a count passes
     ``CANDIDATE_BUDGET`` (10**6).  So a refusal builds no index, holds fewer
     prefixes than that and computes at most 1 + (levels - 1) *
-    ``CANDIDATE_BUDGET`` ranges.  The last level's candidates are about twice
-    the output on large slices (gl2_split at H = 400: 241,001 for 120,801).
+    ``CANDIDATE_BUDGET`` ranges, and no prefix holds more than its range.  The
+    last level's candidates are about twice the output on large slices
+    (gl2_split at H = 400: 241,001 for 120,801).
 
     The cache holds the last slice, the one a reslice or a second suite on
     the same height asks for; a slice can take tens of megabytes.  Its key
@@ -131,25 +138,28 @@ def enumerate_orbits(spec: InvolutionSpec, height_bound: int) -> tuple[Coweight,
     systems = [[(tuple(dot(f, b) for b in basis), offset) for f, offset in constraints]]
     for j in range(len(basis) - 1, 0, -1):
         systems.insert(0, _eliminate(systems[0], j))
-    prefixes = [()]
+    first = systems[0]  # rows ((s,), o): the first range comes from the offsets alone
+    walk = [((), range(max(-(o // s) for (s,), o in first if s > 0), min(o // -s for (s,), o in first if s < 0) + 1))]
     for level, rows in enumerate(systems, 1):
-        walk, count = [], 0
-        for p in prefixes:
-            walk.append((p, r := _coefficient_range(rows, p)))
-            if (count := count + len(r)) > CANDIDATE_BUDGET:
+        entries, walk, count = walk if level == 1 else _extend(rows, walk), [], 0
+        for entry in entries:
+            walk.append(entry)
+            if (count := count + len(entry[1])) > CANDIDATE_BUDGET:
                 raise ValidationError(f"height bound {height_bound} leaves over {CANDIDATE_BUDGET} candidates"
                                       f" for coefficient {level} of {len(systems)}")
-        prefixes = ((*p, c) for p, r in walk for c in r)
     class_rows = [([dot(row, b) for b in basis], m) for row, m in spec.image_lattice[2]]
+    period = lcm(*(m // gcd(row[-1], m) for row, m in class_rows))  # 1 with no class rows
     *lead, last = basis
     columns = [tuple(b[i] for b in lead) for i in range(datum.rank)]
     found = []
     for p, last_range in walk:
-        base = [dot(col, p) for col in columns]
-        classes = [(dot(row, p), row[-1], m) for row, m in class_rows]
-        for c in last_range:
+        classes = [(sum(map(mul, row, p)), row[-1], m) for row, m in class_rows]
+        for c in last_range[:period]:
             if not any((r + c * step) % m for r, step, m in classes):
-                found.append(tuple(b + c * x for b, x in zip(base, last)))
+                n = len(range(c, last_range.stop, period))
+                starts = [sum(map(mul, col, p), c * x) for col, x in zip(columns, last)]
+                found += zip(*[range(b, b + n * d, d) if (d := period * x) else repeat(b) for b, x in zip(starts, last)])
+                break
     return tuple(sorted(found))
 
 
@@ -218,15 +228,28 @@ def _coroot_classes(spec: InvolutionSpec, elements: tuple[Coweight, ...]) -> lis
     return list(classes.values())
 
 
-def primitive_relations(
-    spec: InvolutionSpec, elements: tuple[Coweight, ...]
-) -> tuple[tuple[Coweight, Coweight], ...]:
+def _hasse_edges(classes) -> list[tuple[Coweight, Coweight]]:
+    """The covers within each class of ``_coroot_classes``, unsorted: each class
+    is taken in order of coordinate sum, and b covers a when it lies above a
+    and above no cover of a found earlier."""
+    edges = []
+    for members in classes:
+        ordered = sorted(members.items(), key=lambda m: sum(m[0]))
+        for i, (lo, a) in enumerate(ordered):
+            covers = []
+            for hi, b in ordered[i + 1 :]:
+                if all(map(le, lo, hi)) and not any(all(map(le, c, hi)) for c in covers):
+                    covers.append(hi)
+                    edges.append((a, b))
+    return edges
+
+
+def primitive_relations(spec: InvolutionSpec, elements: tuple[Coweight, ...]) -> tuple[tuple[Coweight, Coweight], ...]:
     """Hasse edges of the dominance order restricted to the given coweights.
 
-    Only coweights in one coroot class are comparable (``_coroot_classes``).
-    Each class is taken in order of coordinate sum, and b covers a when it
-    lies above a and above no cover of a found earlier.  No lattice point
-    outside the elements is visited.
+    Only coweights in one coroot class are comparable (``_coroot_classes``),
+    and the covers are found within each class (``_hasse_edges``).  No
+    lattice point outside the elements is visited.
 
     The edges are the covers in the whole orbit-index sub-semigroup whenever
     the elements are convex: every orbit index between two of them is one of
@@ -235,28 +258,16 @@ def primitive_relations(
     theirs, and the enumeration's coordinate box never cuts semisimple data;
     for ``gl_n``, c_1 <= b_1, c_n >= b_n and dominance keep c in the box.
     """
-    edges = []
-    for members in _coroot_classes(spec, elements):
-        ordered = sorted(members.items(), key=lambda m: sum(m[0]))
-        for i, (lo, a) in enumerate(ordered):
-            covers = []
-            for hi, b in ordered[i + 1 :]:
-                if all(map(le, lo, hi)) and not any(all(map(le, c, hi)) for c in covers):
-                    covers.append(hi)
-                    edges.append((a, b))
-    return tuple(sorted(edges))
+    return tuple(sorted(_hasse_edges(_coroot_classes(spec, elements))))
 
 
-def component_count(spec: InvolutionSpec, elements: tuple[Coweight, ...]) -> int:
-    """Connected components of the comparability graph on the given indices.
-
-    Comparable coweights share their coroot class (``_coroot_classes``).  A
-    class holding the componentwise minimum of its coordinates has a member
-    below all the others and is one component; only a class without one is
-    resolved pair by pair, by comparing coordinates.
-    """
+def _components(classes) -> int:
+    """Connected components over the classes of ``_coroot_classes``: a class
+    holding the componentwise minimum of its coordinates has a member below
+    all the others and is one component; only a class without one is
+    resolved pair by pair, by comparing coordinates."""
     count = 0
-    for members in _coroot_classes(spec, elements):
+    for members in classes:
         if tuple(map(min, zip(*members))) in members:
             count += 1
             continue
@@ -272,21 +283,25 @@ def component_count(spec: InvolutionSpec, elements: tuple[Coweight, ...]) -> int
     return count
 
 
+def component_count(spec: InvolutionSpec, elements: tuple[Coweight, ...]) -> int:
+    """Connected components of the comparability graph on the given indices;
+    comparable coweights share their coroot class (``_components``)."""
+    return _components(_coroot_classes(spec, elements))
+
+
 def build_poset_slice(spec: InvolutionSpec, height_bound: int, order: str = "K") -> PosetSlice:
     """Assemble a slice report for one of the two orders; edges point upward
     in the chosen order."""
     if order not in ("K", "R"):
         raise ValidationError("order must be 'K' or 'R'")
     elements = enumerate_orbits(spec, height_bound)
-    edges = primitive_relations(spec, elements)
-    if order == "R":
-        edges = tuple(sorted((b, a) for a, b in edges))
+    classes = _coroot_classes(spec, elements)  # once, for the edges and the components
     return PosetSlice(
         spec_name=spec.name,
         height_bound=height_bound,
         order=order,
         elements=elements,
-        hasse_edges=edges,
-        component_count=component_count(spec, elements),
+        hasse_edges=tuple(sorted(edge if order == "K" else edge[::-1] for edge in _hasse_edges(classes))),
+        component_count=_components(classes),
         image_index=image_index(spec),
     )

@@ -124,6 +124,9 @@ def real_coweight_coordinates(spec: InvolutionSpec, coweight: Coweight) -> tuple
     return tuple(c // den for c in scaled)
 
 
+MAX_RANK = 100  # theta squared takes rank**3 products, checked only up to this rank
+
+
 def validate_involution(spec: InvolutionSpec) -> list[str]:
     """Return violated invariants of the involution; empty means valid."""
     problems: list[str] = []
@@ -131,6 +134,8 @@ def validate_involution(spec: InvolutionSpec) -> list[str]:
     n = datum.rank
     if len(spec.theta) != n or any(len(row) != n for row in spec.theta):
         return [f"theta must be a {n}x{n} integer matrix"]
+    if n > MAX_RANK:
+        return [f"rank {n} is over the bound of {MAX_RANK}"]
 
     if mat_mul(spec.theta, spec.theta) != identity_matrix(n):
         problems.append("theta squared is not the identity")

@@ -49,7 +49,7 @@ def dot(u, v) -> int:
 
 
 def fmt_coweight(vec) -> str:
-    return "(" + ",".join(str(x) for x in vec) + ")"
+    return "(" + ",".join(map(str, vec)) + ")"
 
 
 def identity_matrix(n: int) -> IntMatrix:

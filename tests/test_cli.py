@@ -90,6 +90,32 @@ def test_orbits_over_the_budget_exit_one_at_once(capsys, spec, height, refusal):
     assert err == f"error: height bound {height} leaves over 1000000 candidates for coefficient {refusal}\n"
 
 
+def test_an_involution_over_the_rank_bound_exits_one(capsys, tmp_path):
+    path = tmp_path / "big.involution"
+    theta = "".join(f"{'0 ' * i}1{' 0' * (399 - i)}\n" for i in range(400))
+    path.write_text(f"name: big\nrank: 400\nsimple:\ntheta:\n{theta}")
+    rc, out, err = run(capsys, ["orbits", str(path)])
+    assert (rc, out, err) == (1, "", "error: invalid involution 'big': rank 400 is over the bound of 100\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["orbits", "gl2_split", "--height", "6"], ["poset", "gl3_split", "--height", "4", "--order", "R"],
+             ["poset", "pgl2_so21", "--height", "8", "--format", "graph"]],
+    ids=["orbits", "poset", "poset-graph"],
+)
+def test_a_slice_report_is_written_in_one_call(monkeypatch, argv):
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(argv) == 0
+    assert len(writes) == 1 and writes[0].count("\n") >= 4
+
+
 def test_poset_graph_chain(capsys):
     rc, out, _ = run(capsys, ["poset", "pgl2_so21", "--height", "8", "--format", "graph"])
     assert rc == 0

@@ -30,9 +30,10 @@ def test_a_step_order_with_swapped_arguments_is_caught(monkeypatch):
 
 
 def test_a_dropped_hasse_edge_is_caught(monkeypatch):
-    right = orbitposet.primitive_relations
-    for module in (laws, orbitposet):  # the Hasse law reads one, the slice the other
-        monkeypatch.setattr(module, "primitive_relations", lambda spec, elements: right(spec, elements)[:-1])
+    # the cover sweep under both primitive_relations, which the Hasse law
+    # reads, and the slice, which ``chain_structure`` reads
+    right = orbitposet._hasse_edges
+    monkeypatch.setattr(orbitposet, "_hasse_edges", lambda classes: right(classes)[:-1])
     assert _caught(laws.hasse_closure, _slice) == WITH_STRICT_PAIRS
     spec = catalog("pgl2_so21").spec
     slice_ = orbitposet.build_poset_slice(spec, 12, "K")

@@ -53,6 +53,26 @@ def split_gl_spec(n):
     return InvolutionSpec(datum=gl_datum(n), theta=identity_matrix(n), name=f"gl{n}_identity")
 
 
+def steep_torus_spec():
+    """Rootless rank-3 torus whose fixed lattice has the basis (1, 3, 0), (0, 0, 1)
+    and whose loop image is twice it: class period 2, and along (1, 3, 0) the
+    box leaves ranges of H // 3 * 2 + 1 values, a single one below height 3."""
+    datum = RootDatum(rank=3, roots=(), coroots=(), simple_indices=(), name="torus3")
+    return InvolutionSpec(datum=datum, theta=((1, 0, 0), (6, -1, 0), (0, 0, 1)), name="steep")
+
+
+def two_period_spec():
+    """Split gl_2 with two class rows planted in its image quotient, a + b
+    even and a - b divisible by 3: class periods 2 and 3 along the last
+    coefficient, whose period is their lcm, 6.  No involution has them (2 *
+    lambda lies in every image, so every period divides 2); they show a
+    period taken as the largest one instead."""
+    spec = InvolutionSpec(datum=gl_datum(2), theta=identity_matrix(2), name="gl2_periods_2_and_3")
+    gens, group, _ = spec.image_lattice
+    vars(spec)["image_lattice"] = (gens, group, (((1, 1), 2), ((1, -1), 3)))
+    return spec
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -83,10 +103,13 @@ def test_enumerate_always_contains_zero():
 def test_enumerate_matches_direct_filter():
     # heights 0-2 meet the empty and single-point projections; 13 runs the
     # loop-class arithmetic along longer parity chains; gl4 and gl5 project
-    # through three and four eliminations
+    # through three and four eliminations; the skewed torus and sl3_split
+    # have no class rows; the steep torus has last ranges shorter than its
+    # class period, and the planted gl2 a period of 6 from periods 2 and 3
     cases = [(catalog(name).spec, (0, 1, 2, 7, 9, 13, 16)) for name in ALL_NAMES]
     cases += [(skewed_torus_spec(), (0, 1, 2, 7, 9, 13, 16))]
     cases += [(split_gl_spec(n), range(5)) for n in (4, 5)]
+    cases += [(steep_torus_spec(), range(17)), (two_period_spec(), range(17))]
     for spec, bounds in cases:
         for bound in bounds:
             expected = sorted(
@@ -115,14 +138,15 @@ def test_enumeration_visits_few_prefixes_beyond_its_output(name, bound, ratio, m
     spec = split_gl_spec(5) if name == "gl5" else catalog(name).spec
     last = len(real_coweight_basis(spec)) - 1
     visited = []
-    coefficient_range = orbitposet._coefficient_range
+    extend = orbitposet._extend
 
-    def counting(rows, prefix):
-        if len(prefix) == last:
-            visited.append(prefix)
-        return coefficient_range(rows, prefix)
+    def counting(rows, walk):
+        for prefix, r in extend(rows, walk):
+            if len(prefix) == last:
+                visited.append(prefix)
+            yield prefix, r
 
-    monkeypatch.setattr(orbitposet, "_coefficient_range", counting)
+    monkeypatch.setattr(orbitposet, "_extend", counting)
     leading = {real_coweight_coordinates(spec, lam)[:last] for lam in enumerate_orbits(spec, bound)}
     assert len(visited) == len(set(visited)) <= ratio * len(leading)
 
@@ -132,17 +156,18 @@ class IndexBuilt(Exception):
 
 
 def test_a_refusal_walks_at_most_one_budget_per_level(monkeypatch, cleared_caches):
-    calls = []
-    coefficient_range = orbitposet._coefficient_range
+    calls = []  # the length of each prefix whose range the walk computes
+    extend = orbitposet._extend
 
-    def counting(rows, prefix):
-        calls.append(len(prefix))
-        return coefficient_range(rows, prefix)
+    def counting(rows, walk):
+        for prefix, r in extend(rows, walk):
+            calls.append(len(prefix))
+            yield prefix, r
 
     def no_index(spec):
         raise IndexBuilt
 
-    monkeypatch.setattr(orbitposet, "_coefficient_range", counting)
+    monkeypatch.setattr(orbitposet, "_extend", counting)
     monkeypatch.setattr(InvolutionSpec, "image_lattice", property(no_index))
     # admitted heights walk every level and reach the index
     for name, bound in [("gl2_split", 400), ("gl3_split", 60), ("sl3_split", 160), ("su21", 1001), ("sl3_split", 3000)]:
@@ -153,7 +178,7 @@ def test_a_refusal_walks_at_most_one_budget_per_level(monkeypatch, cleared_cache
     for name, bound, level in refused:
         spec = catalog(name).spec
         levels = len(real_coweight_basis(spec))
-        calls.clear()
+        calls[:] = [0]  # the first range, of the empty prefix, comes from the offsets alone
         with pytest.raises(ValidationError, match=f"over {CANDIDATE_BUDGET} candidates for coefficient {level} of {levels}$"):
             enumerate_orbits(spec, bound)
         assert len(calls) <= 1 + (levels - 1) * CANDIDATE_BUDGET, (name, bound)
@@ -544,6 +569,35 @@ def test_gl2_hasse_against_interval_oracle():
 
 # ---------------------------------------------------------------------------
 # slices
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_a_slice_agrees_with_the_public_edges_and_count(name, cleared_caches):
+    # the slice groups its coroot classes once; the public functions group
+    # them again from the elements alone
+    spec = catalog(name).spec
+    for bound in range(31):
+        elements = enumerate_orbits(spec, bound)
+        edges, count = primitive_relations(spec, elements), component_count(spec, elements)
+        for order, want in (("K", edges), ("R", tuple(sorted((b, a) for a, b in edges)))):
+            s = build_poset_slice(spec, bound, order)
+            assert (s.elements, s.hasse_edges, s.component_count) == (elements, want, count), (name, bound, order)
+
+
+def test_a_cold_slice_groups_its_coroot_classes_once(monkeypatch, cleared_caches):
+    calls = []
+    coroot_classes = orbitposet._coroot_classes
+
+    def counting(spec, elements):
+        calls.append(len(elements))
+        return coroot_classes(spec, elements)
+
+    monkeypatch.setattr(orbitposet, "_coroot_classes", counting)
+    for name in ALL_NAMES:
+        for order in "KR":
+            calls.clear()
+            slice_ = build_poset_slice(catalog(name).spec, 12, order)
+            assert calls == [len(slice_.elements)], (name, order)
 
 
 def test_poset_slice_report_fields():

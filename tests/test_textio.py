@@ -2,12 +2,13 @@
 
 import random
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from matsuki import rootdata, textio
+from matsuki import realform, rootdata, textio
 from matsuki.errors import ParseError, ValidationError
 from matsuki.loopmatrix import (
     FormAction,
@@ -21,7 +22,7 @@ from matsuki.loopmatrix import (
     random_polynomial_loop,
     random_real_loop,
 )
-from matsuki.realform import catalog, catalog_names
+from matsuki.realform import MAX_RANK, catalog, catalog_names
 from matsuki.textio import (
     format_involution,
     format_matrix,
@@ -89,6 +90,28 @@ def test_theta_shape_is_held_to_the_rank_before_the_datum_is_validated():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def identity_involution_text(rank):
+    """A valid involution file of the given rank: no roots, theta the identity."""
+    rows = "".join(" ".join("1" if i == j else "0" for j in range(rank)) + "\n" for i in range(rank))
+    return f"name: x\nrank: {rank}\nsimple:\ntheta:\n{rows}"
+
+
+def test_a_rank_over_the_bound_is_refused_before_theta_is_squared(monkeypatch):
+    # theta squared at rank 400 takes 64 million products, seconds of work;
+    # the 320 KB file itself is read in a fraction of the time allowed here
+    text = identity_involution_text(400)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=rf"^invalid involution 'x': rank 400 is over the bound of {MAX_RANK}$"):
+        parse_involution(text)
+    assert time.perf_counter() - start < 0.2
+    assert parse_involution(identity_involution_text(MAX_RANK)).datum.rank == MAX_RANK
+    for name in catalog_names():
+        assert parse_involution(format_involution(catalog(name))).theta == catalog(name).theta
+    monkeypatch.setattr(realform, "mat_mul", None)  # the refusal comes before any product
+    with pytest.raises(ValidationError, match=f"rank {MAX_RANK + 1} is over the bound"):
+        parse_involution(identity_involution_text(MAX_RANK + 1))
 
 
 def test_invalid_involution_rejected():
