@@ -25,15 +25,11 @@ from . import fundgroup, laws, orbitposet, textio
 from . import loopmatrix as lm
 from .errors import TheoremViolationError, ValidationError
 from .realform import InvolutionSpec, catalog, catalog_names, is_catalog_spec, restricted_coroot_generators
-from .rootdata import fmt_coweight
+from .rootdata import fmt_coweight, identity_matrix
 
 # loop-matrix names that callers still read as attributes of this module
 # (bench/tests does), as when it imported them by name
-_LOOP_NAMES = frozenset({
-    "FormAction", "form_action", "form_names", "geodesic_representative", "k_orbit_invariant", "mat_mul",
-    "r_orbit_invariant", "random_k_loop", "random_polynomial_loop", "random_real_loop", "splitting_type",
-    "stratum_invariant",
-})
+_LOOP_NAMES = frozenset({"k_orbit_invariant", "mat_mul"})
 
 
 def __getattr__(name: str):
@@ -96,11 +92,7 @@ def cmd_catalog(args) -> int:
         return 0
     for name in names:
         entry = catalog(name)
-        theta_kind = (
-            "identity"
-            if entry.theta == tuple(tuple(int(i == j) for j in range(entry.datum.rank)) for i in range(entry.datum.rank))
-            else "non-trivial"
-        )
+        theta_kind = "identity" if entry.theta == identity_matrix(entry.datum.rank) else "non-trivial"
         print(
             f"{entry.name}: rank {entry.datum.rank}, theta {theta_kind}, "
             f"expected_k_connected {str(entry.expected_k_connected).lower()}"
@@ -137,27 +129,26 @@ def cmd_poset(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    spec = resolve_spec(args.spec)
-    lam = _parse_coweight(args.coweight, spec.datum.rank)
-    dual, core = orbitposet.matsuki_dual(spec, lam)
-    print(f"spec: {spec.name}")
-    print(f"orbit: {fmt_coweight(lam)}")
-    print(f"dual: {fmt_coweight(dual)}")
-    roots = " ".join(str(i) for i in core.parabolic_simple_roots)
-    print(f"core_parabolic_simple_roots: {roots if roots else 'none'}")
-    print(f"core_flag_dimension: {core.flag_dimension}")
-    return 0
+    return _core_report(args, dual=True)
 
 
 def cmd_core(args) -> int:
+    return _core_report(args, dual=False)
+
+
+def _core_report(args, dual: bool) -> int:
+    """The report of ``dual`` (from ``matsuki_dual``) or ``core`` (from ``core_data``)."""
     spec = resolve_spec(args.spec)
     lam = _parse_coweight(args.coweight, spec.datum.rank)
-    core = orbitposet.core_data(spec, lam)
-    print(f"spec: {spec.name}")
-    print(f"orbit: {fmt_coweight(lam)}")
+    if dual:
+        image, core = orbitposet.matsuki_dual(spec, lam)
+        dual_lines, prefix = [f"dual: {fmt_coweight(image)}"], "core_"
+    else:
+        core, dual_lines, prefix = orbitposet.core_data(spec, lam), [], ""
     roots = " ".join(str(i) for i in core.parabolic_simple_roots)
-    print(f"parabolic_simple_roots: {roots if roots else 'none'}")
-    print(f"flag_dimension: {core.flag_dimension}")
+    _write([f"spec: {spec.name}", f"orbit: {fmt_coweight(lam)}", *dual_lines,
+            f"{prefix}parabolic_simple_roots: {roots if roots else 'none'}",
+            f"{prefix}flag_dimension: {core.flag_dimension}"])
     return 0
 
 

@@ -43,7 +43,6 @@ constants build no Fraction.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate, combinations
 from math import gcd, lcm, prod
 from operator import index
@@ -605,6 +604,9 @@ class FormAction(Record):
         return None if total else tuple(sums)
 
     def lattice_fixed(self, lam: Coweight) -> bool:
+        # theta(mu) == mu, not spec.is_real(mu): is_real builds a cold entry's fixed_solver (a
+        # Smith form, 33 us on su21 against 3 us for the product), and bench/run.py clears the
+        # catalog every round; through is_real `loops` read 0.2-2 % fewer ops/s in 3 of 3 pairs
         mu = self.to_entry(lam)
         return mu is not None and catalog(self.entry).spec.apply(mu) == mu
 
@@ -629,29 +631,25 @@ class FormAction(Record):
         return e, c
 
 
-@lru_cache(maxsize=None)
-def _form_table() -> dict[str, FormAction]:
-    forms = [
-        FormAction(name="gl1_split", n=1, family="split", special=False, entry="gl1_split"),
-        FormAction(name="gl2_split", n=2, family="split", special=False, entry="gl2_split"),
-        FormAction(name="gl3_split", n=3, family="split", special=False, entry="gl3_split"),
-        FormAction(name="sl2_split", n=2, family="split", special=True, entry="sl2_split"),
-        FormAction(name="sl3_split", n=3, family="split", special=True, entry="sl3_split"),
-        FormAction(name="u11", n=2, family="unitary", special=False, entry="su11"),
-        FormAction(name="u21", n=3, family="unitary", special=False, entry="su21"),
-    ]
-    return {f.name: f for f in forms}
+_FORMS = {f.name: f for f in (
+    FormAction(name="gl1_split", n=1, family="split", special=False, entry="gl1_split"),
+    FormAction(name="gl2_split", n=2, family="split", special=False, entry="gl2_split"),
+    FormAction(name="gl3_split", n=3, family="split", special=False, entry="gl3_split"),
+    FormAction(name="sl2_split", n=2, family="split", special=True, entry="sl2_split"),
+    FormAction(name="sl3_split", n=3, family="split", special=True, entry="sl3_split"),
+    FormAction(name="u11", n=2, family="unitary", special=False, entry="su11"),
+    FormAction(name="u21", n=3, family="unitary", special=False, entry="su21"),
+)}
 
 
 def form_names() -> tuple[str, ...]:
-    return tuple(_form_table())
+    return tuple(_FORMS)
 
 
 def form_action(name: str) -> FormAction:
-    table = _form_table()
-    if name not in table:
-        raise ValidationError(f"unsupported form {name!r}; available: {', '.join(table)}")
-    return table[name]
+    if name not in _FORMS:
+        raise ValidationError(f"unsupported form {name!r}; available: {', '.join(_FORMS)}")
+    return _FORMS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -793,25 +791,23 @@ def _splitting(cols: list[list[Raw]], exponent: int) -> Coweight:
 def k_orbit_invariant(g: LaurentMatrix) -> Coweight:
     """Stratum invariant of the symmetrized loop; guaranteed to be fixed by the
     form's lattice involution, and checked."""
-    form = form_action(g.form)
-    lam = _stratum(*form._anti_product(g, real=False))
-    if not form.lattice_fixed(lam):
-        raise TheoremViolationError(
-            f"k-orbit invariant {lam} is not fixed by the lattice involution of {form.name}; "
-            "the unique-real-representative law fails, so the form/matrix pair is inconsistent"
-        )
-    return lam
+    return _orbit_invariant(g, False, "the unique-real-representative law")
 
 
 def r_orbit_invariant(g: LaurentMatrix) -> Coweight:
     """Splitting type of the real-symmetrized loop; guaranteed to be a dominant
     real coweight, and checked."""
+    return _orbit_invariant(g, True, "the real double-coset law")
+
+
+def _orbit_invariant(g: LaurentMatrix, real: bool, law: str) -> Coweight:
+    # the splitting type (real) or the stratum invariant of a(g) * g, which the law makes lattice-fixed
     form = form_action(g.form)
-    lam = _splitting(*form._anti_product(g, real=True))
+    lam = (_splitting if real else _stratum)(*form._anti_product(g, real))
     if not form.lattice_fixed(lam):
         raise TheoremViolationError(
-            f"r-orbit invariant {lam} is not fixed by the lattice involution of {form.name}; "
-            "the real double-coset law fails, so the form/matrix pair is inconsistent"
+            f"{'r' if real else 'k'}-orbit invariant {lam} is not fixed by the lattice involution of {form.name}; "
+            f"{law} fails, so the form/matrix pair is inconsistent"
         )
     return lam
 

@@ -41,11 +41,6 @@ class PosetSlice(Record):
     image_index: int
 
 
-def require_orbit_index(spec: InvolutionSpec, coweight: Coweight) -> None:
-    if not in_image_semigroup(spec, coweight):
-        raise ValidationError(f"{coweight} is not in the image sub-semigroup")
-
-
 CANDIDATE_BUDGET = 10**6
 
 
@@ -178,10 +173,12 @@ def r_leq(spec: InvolutionSpec, lower: Coweight, upper: Coweight) -> bool:
 
 def core_data(spec: InvolutionSpec, coweight: Coweight) -> CoreData:
     """Parabolic type and flag dimension of the core at a given index."""
-    require_orbit_index(spec, coweight)
+    if not in_image_semigroup(spec, coweight):
+        raise ValidationError(f"{coweight} is not in the image sub-semigroup")
     datum = spec.datum
-    parabolic = tuple(i for i in datum.simple_indices if dot(datum.roots[i], coweight) == 0)
-    dim = sum(1 for i in datum.positive_root_indices if dot(datum.roots[i], coweight) > 0)
+    pairings = {i: dot(datum.roots[i], coweight) for i in datum.positive_root_indices}
+    parabolic = tuple(i for i in datum.simple_indices if pairings[i] == 0)
+    dim = sum(1 for p in pairings.values() if p > 0)
     return CoreData(coweight=coweight, parabolic_simple_roots=parabolic, flag_dimension=dim)
 
 

@@ -243,9 +243,7 @@ def dominant_involution(spec: InvolutionSpec, coweight: Coweight) -> Coweight:
 def real_criterion(spec: InvolutionSpec, coweight: Coweight) -> bool:
     """A dominant coweight is real iff it is fixed by the dominant involution
     and by the longest element of the Levi."""
-    if not is_dominant(spec.datum, coweight):
-        raise ValidationError(f"{coweight} is not dominant")
-    if dominant_involution(spec, coweight) != coweight:
+    if dominant_involution(spec, coweight) != coweight:  # rejects non-dominant input
         return False
     return mat_vec(levi_longest_element(spec), coweight) == coweight
 
@@ -274,10 +272,6 @@ def _entry(name, datum, theta, connected, notes) -> RealFormCatalogEntry:
     return RealFormCatalogEntry(name=name, spec=spec, expected_k_connected=connected, notes=notes)
 
 
-def _swap_matrix() -> IntMatrix:
-    return ((0, 1), (1, 0))
-
-
 @lru_cache(maxsize=None)
 def _catalog() -> dict[str, RealFormCatalogEntry]:
     entries = [
@@ -298,7 +292,7 @@ def _catalog() -> dict[str, RealFormCatalogEntry]:
             "omega index orbits.  The classical n-th orbit corresponds to the coweight 2n*omega.",
         ),
         _entry(
-            "sl2C_as_real", sl2xsl2_datum(), _swap_matrix(), True,
+            "sl2C_as_real", sl2xsl2_datum(), ((0, 1), (1, 0)), True,
             "SL2(C) viewed as a real group; complexification SL2 x SL2 with theta swapping the "
             "factors; symmetric subgroup a diagonal SL2(C), connected.",
         ),
@@ -314,7 +308,7 @@ def _catalog() -> dict[str, RealFormCatalogEntry]:
             "GL1(C), connected.",
         ),
         _entry(
-            "su21", sl3_datum(), _swap_matrix(), True,
+            "su21", sl3_datum(), ((0, 1), (1, 0)), True,
             "SU(2,1) inside SL3(C) with the anti-diagonal Hermitian form; on the stable maximally "
             "split torus theta swaps the two simple coroots (simple-coroot coordinates); split "
             "sublattice spanned by (1,1); symmetric subgroup S(GL2 x GL1), connected.",

@@ -446,20 +446,10 @@ def quotient_group(ambient_rank: int, sublattice_generators: tuple[Coweight, ...
     k = len(sublattice_generators)
     matrix = tuple(tuple(g[i] for g in sublattice_generators) for i in range(ambient_rank))
     u, d, _ = smith_normal_form(matrix)
-    factors = []
-    rows = []
-    for i in range(ambient_rank):
-        di = d[i][i] if i < min(ambient_rank, k) else 0
-        if di == 1:
-            continue
-        factors.append(di)
-        rows.append(u[i])
-    # zeros (free factors) sort after the torsion chain
-    order = sorted(range(len(factors)), key=lambda i: (factors[i] == 0, i))
-    return FiniteAbelianGroup(
-        tuple(factors[i] for i in order),
-        tuple(tuple(rows[i]) for i in order),
-    )
+    # the Smith diagonal is a divisibility chain, so its zeros (the free factors) come last
+    factors = [d[i][i] if i < k else 0 for i in range(ambient_rank)]
+    kept = [i for i, f in enumerate(factors) if f != 1]
+    return FiniteAbelianGroup(tuple(factors[i] for i in kept), tuple(u[i] for i in kept))
 
 
 def pi1_of_group(datum: RootDatum) -> FiniteAbelianGroup:

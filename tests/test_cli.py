@@ -187,6 +187,15 @@ def test_core_command(capsys):
     assert "parabolic_simple_roots: none" in out
 
 
+def test_dual_and_core_print_the_same_core(capsys):
+    assert run(capsys, ["dual", "gl3_split", "2", "0", "0"]) == (0, (
+        "spec: gl3_split\norbit: (2,0,0)\ndual: (2,0,0)\ncore_parabolic_simple_roots: 3\ncore_flag_dimension: 2\n"
+    ), "")
+    assert run(capsys, ["core", "gl3_split", "2", "0", "0"]) == (0, (
+        "spec: gl3_split\norbit: (2,0,0)\nparabolic_simple_roots: 3\nflag_dimension: 2\n"
+    ), "")
+
+
 def test_invariant_identity_file(capsys, tmp_path):
     path = tmp_path / "id.matrix"
     path.write_text(IDENTITY_FILE)
@@ -248,6 +257,7 @@ def test_a_line_the_format_does_not_read_exits_one(capsys, tmp_path, command, na
 
 SL2_FILE = "name: x\nrank: 1\nsimple: 0\nroots:\n2\n-2\ncoroots:\n1\n-1\ntheta:\n1\n"
 GL2_FILE = "name: g\nrank: 2\nsimple: 0\nroots:\n1 -1\n-1 1\ncoroots:\n1 -1\n-1 1\ntheta:\n1 0\n0 1\n"
+HALF_GL2_FILE = GL2_FILE.replace("name: g", "name: h").replace("-1 1\n", "-1 1\n1 1\n-1 -1\n")
 CATALOG = ", ".join(catalog_names())
 
 
@@ -280,6 +290,17 @@ CATALOG = ", ".join(catalog_names())
         (["pi1"], SL2_FILE.replace("coroots:\n1\n-1\n", "coroots:\n1\n1\n"),
          "invalid root datum 'x': coroot list contains duplicates; reflection at simple root 0 does not permute"
          " the coroot set (image of (1,) missing)"),
+        (["pi1"], HALF_GL2_FILE, "invalid root datum 'h': root (1, 1) lies outside the span of the simple roots;"
+         " root (-1, -1) lies outside the span of the simple roots"),
+        (["pi1"], SL2_FILE.replace("2\n-2\ncoroots:\n1\n-1\n", "2\n-2\n1\n-1\ncoroots:\n1\n-1\n2\n-2\n"),
+         "invalid root datum 'x': root (1,) is not a signed non-negative integer combination of simples;"
+         " root (-1,) is not a signed non-negative integer combination of simples"),
+        # an involution that validate_involution refuses, on a datum reference
+        (["pi1"], "name: bad\ndatum: sl3_split\ntheta:\n1 0 0\n0 1 0\n0 0 1\n",
+         "invalid involution 'bad': theta must be a 2x2 integer matrix"),
+        (["pi1"], "name: swap13\ndatum: gl3_split\ntheta:\n0 0 1\n0 1 0\n1 0 0\n",
+         "invalid involution 'swap13': transpose of theta does not permute the positive roots restricting"
+         " non-trivially to the fixed sublattice (image of (1, -1, 0) leaves the set)"),
         # command arguments
         (["dual", "sl3_split", "1", "x"], None, "coweight coordinates must be integers, got ['1', 'x']"),
         (["dual", "sl3_split", "1"], None, "expected 2 coordinates, got 1"),
@@ -293,6 +314,7 @@ CATALOG = ", ".join(catalog_names())
         "no-datum", "non-integer-size", "entry-outside", "duplicate-exponent", "rank-0", "unequal-counts",
         "vector-length", "duplicate-simple", "simple-out-of-range", "duplicate-coroots", "dual-non-integer",
         "dual-count", "core-non-integer", "core-count", "check-non-catalog", "orbits-negative-height",
+        "root-outside-span", "half-root", "theta-shape-on-reference", "positivity",
     ],
 )
 def test_each_refusal_exits_one_with_one_line(capsys, tmp_path, argv, text, message):
@@ -424,6 +446,15 @@ def test_help_exits_zero(capsys, argv):
         main(argv)
     assert raised.value.code == 0
     assert capsys.readouterr().out.startswith("usage: matsuki")
+
+
+def test_pi1_flags_a_non_catalog_file(capsys, tmp_path):
+    path = tmp_path / "renamed.involution"
+    path.write_text("name: renamed\ndatum: sl3_split\ntheta:\n1 0\n0 1\n")
+    rc, out, err = run(capsys, ["pi1", str(path)])
+    assert (rc, err) == (0, "")
+    assert out.startswith("spec: renamed\n")
+    assert out.endswith("image_index: 1\nnote: non-catalog involution; lattice-level models are best-effort\n")
 
 
 def test_non_catalog_file_is_flagged(capsys, tmp_path):

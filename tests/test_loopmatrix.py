@@ -128,6 +128,16 @@ def test_gaussian_normalization():
         half.a = 2
 
 
+def test_values_are_immutable_copyable_and_equal_only_to_their_kind():
+    g, p = Gaussian(Fraction(1, 2), -3), LaurentPoly({1: Gaussian(1), -3: Gaussian(1, -2)})
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and (twin.a, twin.b, twin.d) == (1, -6, 2)
+    with pytest.raises(AttributeError, match="^LaurentPoly values are immutable$"):
+        p._d = 2
+    assert g != (1, -6, 2) and Gaussian(1) != 1 and p != {1: 1} and LaurentPoly.one() != 1
+    assert repr(p) == "(1-2i)*t^-3 + (1+0i)*t"
+
+
 @pytest.mark.parametrize("re, im", [(0.1, 0), (1, 0.5), ("1/2", 0), (Gaussian(1), 0)])
 def test_gaussian_parts_are_ints_or_fractions(re, im):
     # a float would be read as its binary fraction: 0.1 is 3602879701896397/2**55
@@ -175,6 +185,20 @@ def test_poly_ring_laws():
         assert (p * q).conjugate() == p.conjugate() * q.conjugate()
 
     laws()
+
+
+def test_malformed_loops_are_refused():
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    for rows in ([], [[one], [one, zero]], [[one, zero]]):
+        with pytest.raises(ValidationError, match="^loop matrix must be square and non-empty$"):
+            lm_from_rows("gl2_split", rows)
+    with pytest.raises(ValidationError, match="^size mismatch in matrix product$"):
+        mat_mul(identity_loop("gl2_split", 2), identity_loop("gl3_split", 3))
+    nothing = lm_from_rows("gl2_split", [[zero, zero], [zero, zero]])
+    with pytest.raises(ValidationError, match="^zero matrix has no valuation$"):
+        min_valuation(nothing)
+    with pytest.raises(ValidationError, match="^zero matrix has no degree$"):
+        max_degree(nothing)
 
 
 def test_identity_inverse():
@@ -821,6 +845,12 @@ def test_geodesic_rejects_non_dominant_and_unitary_forms():
         geodesic_representative("gl2_split", (0, 2))
     with pytest.raises(ValidationError, match="split"):
         geodesic_representative("u11", (1, -1))
+
+
+def test_geodesic_refuses_a_coweight_of_the_wrong_length():
+    message = r"^\(1,\) is not an orbit index for gl2_split: coweight must have length 2$"
+    with pytest.raises(ValidationError, match=message):
+        geodesic_representative("gl2_split", (1,))
 
 
 def test_geodesic_respects_special_form():

@@ -26,7 +26,7 @@ from matsuki.orbitposet import (
 )
 from matsuki.fundgroup import in_image_semigroup, real_coweight_coordinates
 from matsuki.laws import hasse_closure, real_dominant_up_to
-from matsuki.realform import InvolutionSpec, catalog, catalog_names, real_coweight_basis
+from matsuki.realform import InvolutionSpec, catalog, catalog_names, real_coweight_basis, validate_involution
 from matsuki.rootdata import (
     RootDatum,
     gl_datum,
@@ -673,6 +673,24 @@ def test_classes_on_random_subsets_against_oracles(name):
         subset = tuple(rng.sample(elements, rng.randint(0, len(elements))))
         assert component_count(spec, subset) == comparability_components(spec, subset), (name, subset)
         assert primitive_relations(spec, subset) == transitive_reduction(spec, subset), (name, subset)
+
+
+def test_slices_with_classes_without_a_least_member_against_oracles():
+    # gl4 with theta swapping e2 and e3 is a valid involution whose slices at
+    # H = 6..10 hold 10..18 coroot classes with no least member, so the
+    # pair-by-pair branch of ``_components`` runs on whole slices, not only
+    # on subsets of them
+    swap = ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1))
+    spec = InvolutionSpec(gl_datum(4), swap, name="gl4_swap23")
+    assert validate_involution(spec) == []
+    without_least = []
+    for bound in range(11):
+        slice_ = build_poset_slice(spec, bound)
+        classes = orbitposet._coroot_classes(spec, slice_.elements)
+        without_least.append(sum(tuple(map(min, zip(*members))) not in members for members in classes))
+        assert slice_.component_count == comparability_components(spec, slice_.elements), bound
+        assert slice_.hasse_edges == brute_force_hasse(spec, slice_.elements), bound
+    assert without_least == [0] * 6 + [10, 12, 14, 16, 18]
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

@@ -239,6 +239,12 @@ def test_assignment_and_deletion_act_on_the_run_module():
     assert result.stdout.strip() == "['matsuki.laws', 'matsuki.orbitposet']"
 
 
+def test_importing_the_package_again_keeps_its_modules():
+    # the package's code run a second time finds each module registered
+    for stem in ("rootdata", "laws"):
+        assert matsuki._register(stem) is sys.modules[f"matsuki.{stem}"] is getattr(matsuki, stem)
+
+
 def test_module_run_of_the_cli_warns_nothing():
     # runpy warns if matsuki.cli is in sys.modules before it runs as __main__
     result = _python("-W", "error", "-m", "matsuki.cli", "catalog")

@@ -15,16 +15,20 @@ from matsuki.realform import (
     levi_longest_element,
     levi_simple_roots,
     real_coweight_basis,
+    real_coweight_coordinates,
     real_criterion,
+    step_basis,
     validate_involution,
 )
 from matsuki.rootdata import (
+    gl_datum,
     height,
     identity_matrix,
     is_dominant,
     mat_vec,
     sl2_datum,
     sl2xsl2_datum,
+    sl3_datum,
     smith_normal_form,
 )
 
@@ -59,6 +63,30 @@ def test_non_involutive_matrix_rejected():
     problems = validate_involution(spec)
     assert any("squared" in p for p in problems)
     assert any("permute" in p for p in problems)
+
+
+def test_theta_of_the_wrong_shape_is_refused_before_any_product():
+    for theta in (identity_matrix(3), ((1, 0), (0,))):
+        assert validate_involution(InvolutionSpec(sl3_datum(), theta)) == ["theta must be a 2x2 integer matrix"]
+
+
+def test_a_theta_that_breaks_positivity_is_refused():
+    # gl3 with e1 and e3 swapped: theta squares to 1 and permutes the roots, but
+    # its transpose sends the moving positive root e1 - e2 to e3 - e2
+    spec = InvolutionSpec(gl_datum(3), ((0, 0, 1), (0, 1, 0), (1, 0, 0)))
+    assert validate_involution(spec) == [
+        "transpose of theta does not permute the positive roots restricting non-trivially to the fixed "
+        "sublattice (image of (1, -1, 0) leaves the set)"
+    ]
+
+
+def test_step_basis_refuses_a_generator_of_non_positive_height():
+    # theta = -swap on sl3 is refused by validation; unvalidated, its sum
+    # (1, 0) + (0, -1) of a coroot and its image has height 0
+    spec = InvolutionSpec(sl3_datum(), ((0, -1), (-1, 0)))
+    assert validate_involution(spec) != []
+    with pytest.raises(ValidationError, match="^restricted coroot generator with non-positive height$"):
+        step_basis(spec)
 
 
 def test_catalog_entries_all_validate():
@@ -159,10 +187,10 @@ def test_dominant_involution_examples():
 
 
 def test_dominant_involution_rejects_non_dominant():
-    with pytest.raises(ValidationError, match="not dominant"):
-        dominant_involution(catalog("sl2_split").spec, (-1,))
-    with pytest.raises(ValidationError, match="not dominant"):
-        real_criterion(catalog("sl2_split").spec, (-1,))
+    # real_criterion refuses through dominant_involution, with its message
+    for query in (dominant_involution, real_criterion):
+        with pytest.raises(ValidationError, match=r"^\(-1,\) is not dominant$"):
+            query(catalog("sl2_split").spec, (-1,))
 
 
 def test_dominance_queries_reject_wrong_length():
@@ -170,6 +198,17 @@ def test_dominance_queries_reject_wrong_length():
     for query in (dominant_involution, real_criterion):
         with pytest.raises(ValidationError, match="does not have length rank=2"):
             query(spec, (1, 1, 1))
+
+
+def test_a_coweight_of_the_wrong_length_is_not_real():
+    assert not catalog("sl3_split").spec.is_real((1, 1, 1))
+
+
+def test_real_coordinates_of_a_moving_coweight_are_refused():
+    spec = catalog("su21").spec
+    assert real_coweight_coordinates(spec, (2, 2)) == (2,)
+    with pytest.raises(ValidationError, match=r"^\(1, 0\) is not in the theta-fixed sublattice$"):
+        real_coweight_coordinates(spec, (1, 0))
 
 
 def test_is_real_is_theta_fixed():

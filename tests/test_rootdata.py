@@ -1,5 +1,6 @@
 """Root-datum arithmetic: axioms, dominance, Weyl elements, Smith normal form."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -36,6 +37,7 @@ from matsuki.rootdata import (
     vec_add,
     vec_scale,
     vec_sub,
+    weyl_longest_element,
 )
 
 ALL_DATA = [sl2_datum(), pgl2_datum(), sl3_datum(), sl2xsl2_datum(), gl_datum(2), gl_datum(3)]
@@ -104,6 +106,32 @@ def test_reflection_closure_violation_reported():
 @pytest.mark.parametrize("datum", ALL_DATA, ids=lambda d: d.name)
 def test_catalog_data_valid(datum):
     assert validate_root_datum(datum) == []
+
+
+def test_a_root_outside_the_span_of_the_simple_roots_is_refused():
+    # gl2's roots with only one simple root named, and the sum roots +-(1, 1)
+    roots = ((1, -1), (-1, 1), (1, 1), (-1, -1))
+    datum = RootDatum(rank=2, roots=roots, coroots=roots, simple_indices=(0,), name="half")
+    assert validate_root_datum(datum) == [
+        "root (1, 1) lies outside the span of the simple roots",
+        "root (-1, -1) lies outside the span of the simple roots",
+    ]
+
+
+def test_a_root_off_the_integer_cone_of_the_simple_roots_is_refused():
+    # BC1: the half root alpha/2 is in the span of alpha but no integer multiple of it
+    datum = RootDatum(rank=1, roots=((2,), (-2,), (1,), (-1,)), coroots=((1,), (-1,), (2,), (-2,)),
+                      simple_indices=(0,), name="bc1")
+    assert validate_root_datum(datum) == [
+        "root (1,) is not a signed non-negative integer combination of simples",
+        "root (-1,) is not a signed non-negative integer combination of simples",
+    ]
+
+
+def test_dependent_simple_coroots_are_refused():
+    datum = RootDatum(rank=2, roots=((2, 0), (0, 2)), coroots=((1, 0), (2, 0)), simple_indices=(0, 1), name="x")
+    with pytest.raises(ValidationError, match="^simple coroots are linearly dependent$"):
+        datum.coroot_solver
 
 
 def test_positive_roots_of_sl3():
@@ -466,6 +494,11 @@ def test_kernel_basis_of_swap_difference():
     assert kernel_basis(((-1, 1), (1, -1))) == ((1, 1),)
 
 
+def test_the_kernel_of_a_matrix_with_no_columns_is_zero():
+    assert kernel_basis(()) == ()
+    assert kernel_basis(((), ())) == ()
+
+
 # ---------------------------------------------------------------------------
 # fundamental group of the ambient group
 
@@ -486,21 +519,39 @@ def test_quotient_group_classes():
     assert group.order() == 2
 
 
+def test_quotient_factors_form_a_divisibility_chain_with_the_free_ones_last():
+    # quotient_group keeps the Smith diagonal's order, which must list the
+    # torsion factors as a divisibility chain and then the zeros
+    rng = random.Random("quotient-order")
+    for _ in range(2000):
+        rank = rng.randint(1, 5)
+        gens = tuple(tuple(rng.randint(-6, 6) for _ in range(rank)) for _ in range(rng.randint(0, 6)))
+        group = quotient_group(rank, gens)
+        factors = group.invariant_factors
+        torsion = [f for f in factors if f]
+        assert all(f >= 2 for f in torsion), gens
+        assert all(b % a == 0 for a, b in zip(torsion, torsion[1:])), gens
+        assert list(factors) == torsion + [0] * (len(factors) - len(torsion)), gens
+        assert len(group.projection) == len(factors), gens
+        assert all(group.image(g) == (0,) * len(factors) for g in gens), gens
+
+
 # ---------------------------------------------------------------------------
 # longest Weyl elements
 
 
 def test_longest_element_empty_and_sl2():
     datum = sl2_datum()
-    from matsuki.rootdata import weyl_longest_element
-
     assert weyl_longest_element(datum, ()) == identity_matrix(1)
     assert weyl_longest_element(datum, (0,)) == ((-1,),)
 
 
-def test_longest_element_a2_against_brute_force():
-    from matsuki.rootdata import weyl_longest_element
+def test_longest_element_of_a_non_simple_subset_is_refused():
+    with pytest.raises(ValidationError, match=r"^subset \(2,\) is not a set of simple indices$"):
+        weyl_longest_element(sl3_datum(), (2,))
 
+
+def test_longest_element_a2_against_brute_force():
     datum = sl3_datum()
     w0 = weyl_longest_element(datum, (0, 1))
     assert mat_vec(w0, (1, 0)) == (0, -1)  # first simple coroot to minus the second

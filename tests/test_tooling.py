@@ -135,14 +135,14 @@ def test_textio_reads_every_integer_through_one_reader():
     assert [node.lineno for node in ints + handlers if id(node) not in inside] == []
 
 
-# Unbounded caches allowed in the package: the catalog tables and entries,
+# Unbounded caches allowed in the package: the catalog table and its entries,
 # keyed by nothing or by a catalog entry name, so their size is fixed by the
-# catalog.  A value derived from one root datum or involution is a cached
-# property of that record and goes with it.  A function whose callers are
-# cached themselves, whose value is a tuple comprehension, or that no command
-# calls twice in one process, has none.
+# catalog.  The matrix forms are a module constant, with no cache.  A value
+# derived from one root datum or involution is a cached property of that
+# record and goes with it.  A function whose callers are cached themselves,
+# whose value is a tuple comprehension, or that no command calls twice in one
+# process, has none.
 STRUCTURE_CACHES = {
-    "loopmatrix._form_table": "catalog table",
     "realform._catalog": "catalog table",
     "realform.catalog": "catalog entry name",
 }
