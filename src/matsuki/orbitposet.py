@@ -159,8 +159,8 @@ def enumerate_orbits(spec: InvolutionSpec, height_bound: int) -> tuple[Coweight,
 
 
 def k_leq(spec: InvolutionSpec, lower: Coweight, upper: Coweight) -> bool:
-    """Order of the symmetric-subgroup orbit poset: coroot dominance."""
-    return dominance_leq(spec.datum, lower, upper)
+    """Order of the symmetric-subgroup orbit poset: coroot dominance (``dominance_leq``)."""
+    return spec.datum.coroot_order(lower, upper)
 
 
 def r_leq(spec: InvolutionSpec, lower: Coweight, upper: Coweight) -> bool:

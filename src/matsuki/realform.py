@@ -81,8 +81,8 @@ class InvolutionSpec(Record):
 
     @cached_property
     def step_solver(self) -> tuple[int, IntMatrix, IntMatrix]:
-        """``integer_solver`` of ``step_basis``, built on first use."""
-        return integer_solver(step_basis(self), dim=self.datum.rank)
+        """``integer_solver`` of ``step_basis``, the one its search ends with, built on first use."""
+        return _step_monoid(self)[1]
 
     @cached_property
     def step_order(self):
@@ -93,20 +93,22 @@ class InvolutionSpec(Record):
     def image_lattice(self) -> tuple[tuple[Coweight, ...], FiniteAbelianGroup, tuple]:
         """The generators lambda + theta(lambda) of the loop image over a lattice
         basis, the quotient of the fixed sublattice by the preimage of that
-        image, which the restricted coroot generators and those sums generate
+        image, which the theta-fixed positive coroots and those sums generate
         (in fixed-basis coordinates), and that quotient's class test on the
         lattice itself: pairs (row, m), each a row of the projection times the
         solve rows of the fixed basis and den times its invariant factor, such
         that a theta-fixed coweight has class zero iff every row pairs with it
         to a multiple of m.  Built on first use.
 
-        Every factor is finite, since 2*lambda = lambda + theta(lambda) lies in
-        the image; a free one raises ``TheoremViolationError``."""
+        The other restricted coroot generators, the sums beta + theta(beta),
+        are lambda + theta(lambda) at lambda = beta, so they lie in the span of
+        the basis sums and are left out.  Every factor is finite, since
+        2*lambda = lambda + theta(lambda) lies in the image; a free one raises
+        ``TheoremViolationError``."""
         sums = (vec_add(e, self.apply(e)) for e in identity_matrix(self.datum.rank))
         image_gens = tuple(dict.fromkeys(v for v in sums if any(v)))
-        lattice_gens = tuple(
-            real_coweight_coordinates(self, g) for g in (*restricted_coroot_generators(self), *image_gens)
-        )
+        fixed_coroots = sorted(b for b in positive_coroots(self.datum) if self.apply(b) == b)
+        lattice_gens = tuple(real_coweight_coordinates(self, g) for g in (*fixed_coroots, *image_gens))
         group = quotient_group(len(self.fixed_basis), lattice_gens)
         if 0 in group.invariant_factors:
             raise TheoremViolationError(f"loop image of {self.name!r} has infinite index in the fixed sublattice")
@@ -196,9 +198,14 @@ def step_basis(spec: InvolutionSpec) -> tuple[Coweight, ...]:
     contains it; those have smaller height, so the kept ones are exactly the
     indecomposables.  They lie along the simple coroots of the restricted root
     system (Araki 1962; Helgason, ch. X), so they must be linearly
-    independent: the monoid is free, and ``spec.step_solver`` decides
-    membership in it by one scaled integer solve.
+    independent: the monoid is free, and ``spec.step_solver``, the solver the
+    search ends with, decides membership in it by one scaled integer solve.
     """
+    return _step_monoid(spec)[0]
+
+
+def _step_monoid(spec: InvolutionSpec) -> tuple[tuple[Coweight, ...], tuple[int, IntMatrix, IntMatrix]]:
+    """``step_basis`` and the ``integer_solver`` of it that its search ends with."""
     datum = spec.datum
     gens = sorted(restricted_coroot_generators(spec), key=lambda g: height(datum, g))
     if gens and height(datum, gens[0]) <= 0:
@@ -215,7 +222,7 @@ def step_basis(spec: InvolutionSpec) -> tuple[Coweight, ...]:
             raise TheoremViolationError(
                 f"restricted generator {g} is rationally dependent on {basis[:-1]}; the step monoid is not free"
             )
-    return basis
+    return basis, solver
 
 
 def levi_simple_roots(spec: InvolutionSpec) -> tuple[int, ...]:

@@ -5,7 +5,8 @@ in the dual copy and pair with coweights by the plain dot product.  All
 computations are integer exact: every solve in the lattice layer comes from
 one Smith normal form, and nothing here ever touches floats.  Each order on
 coweights is compiled once per solver (``monoid_order``) into straight-line
-integer tests, so a comparison does no solve and no loop.
+integer tests on the unpacked coordinates, so a comparison does no solve, no
+loop and no subscript.
 
 Weyl group elements are handled as integer matrices acting on the cocharacter
 lattice, except where an explicit reflection word is part of a result.
@@ -285,24 +286,25 @@ def _linear_form(row) -> str:
 
 def monoid_order(solver: tuple[int, IntMatrix, IntMatrix], rank: int) -> Callable[[Coweight, Coweight], bool]:
     """``free_monoid_leq`` of one solver as a function ``leq(lower, upper)`` of
-    straight-line code: after checking both lengths it binds the differences
-    d_i = upper[i] - lower[i] and returns the conjunction of form == 0 for
-    each consistency row and form >= 0 (and form % den == 0 when den > 1)
-    for each solve row, with the solver's integers written into the source."""
+    straight-line code: it unpacks the arguments into l_i and u_i (refusing a
+    length other than rank), binds d_i = u_i - l_i and returns the conjunction
+    of form == 0 for each consistency row and form >= 0 (and form % den == 0
+    when den > 1) for each solve row, with the solver's integers written into
+    the source."""
     den, rows, consistency = solver
     tests = [f"{_linear_form(row)} == 0" for row in consistency if any(row)]
     for j, row in enumerate(rows):
         if any(row):
             form = _linear_form(row)
             tests.append(f"(c{j} := {form}) >= 0 and c{j} % {den} == 0" if den > 1 else f"{form} >= 0")
+    lows, ups = ("".join(f"{v}{i}, " for i in range(rank)) for v in "lu")  # "l0, l1, " and "u0, u1, "
     source = (
-        "def leq(lower, upper):\n"
-        f"    if len(lower) != {rank} or len(upper) != {rank}:\n"
-        f"        raise ValidationError(f'{{lower}} and {{upper}} must both have length rank={rank}')\n"
-        + "".join(f"    d{i} = upper[{i}] - lower[{i}]\n" for i in range(rank))
+        f"def leq(lower, upper):\n    try:\n        ({lows}) = lower\n        ({ups}) = upper\n"
+        "    except ValueError:\n        raise refusal(lower, upper) from None\n"
+        + "".join(f"    d{i} = u{i} - l{i}\n" for i in range(rank))
         + f"    return {' and '.join(tests) or 'True'}\n"
     )
-    namespace = {"ValidationError": ValidationError}
+    namespace = {"refusal": lambda a, b: ValidationError(f"{a} and {b} must both have length rank={rank}")}
     exec(source, namespace)
     return namespace["leq"]
 

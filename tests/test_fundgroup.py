@@ -1,10 +1,13 @@
 """Fundamental-group models and the parameterizing sub-semigroup."""
 
+import copy
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matsuki import fundgroup, realform
+from matsuki import fundgroup, realform, rootdata
 from matsuki.cli import main
 from matsuki.errors import TheoremViolationError, ValidationError
 from matsuki.fundgroup import (
@@ -15,19 +18,41 @@ from matsuki.fundgroup import (
     real_coweight_coordinates,
 )
 from matsuki.laws import real_dominant_up_to
-from matsuki.orbitposet import build_poset_slice, r_leq, real_step_leq
+from matsuki.orbitposet import build_poset_slice, k_leq, r_leq, real_step_leq
 from matsuki.realform import (
+    InvolutionSpec,
     catalog,
     catalog_names,
     real_coweight_basis,
     restricted_coroot_generators,
     step_basis,
 )
-from matsuki.rootdata import FiniteAbelianGroup, height, vec_add, vec_scale, vec_sub
+from matsuki.rootdata import (
+    FiniteAbelianGroup,
+    dot,
+    gl_datum,
+    height,
+    identity_matrix,
+    integer_solver,
+    quotient_group,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
 
 from oracles import decomposes
 
 ALL_NAMES = list(catalog_names())
+
+
+def lattice_specs():
+    """Fresh specs of every catalog entry and of gl4 with theta swapping e2
+    and e3 or e3 and e4: fixed lattices of rank 3 whose sums e_i + theta(e_i)
+    are both 2 e_i and e_i + e_j."""
+    swaps = {"gl4_swap23": (0, 2, 1, 3), "gl4_swap34": (0, 1, 3, 2)}
+    gl4 = [InvolutionSpec(gl_datum(4), tuple(identity_matrix(4)[j] for j in perm), name=name)
+           for name, perm in swaps.items()]
+    return [copy.deepcopy(catalog(name).spec) for name in ALL_NAMES] + gl4
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +121,43 @@ def test_step_order_agrees_with_bounded_search(data):
         expected = decomposes(spec.datum, gens, vec_sub(upper, lower))
         assert real_step_leq(spec, lower, upper) == expected, (name, lower, upper)
         assert r_leq(spec, upper, lower) == expected, (name, lower, upper)
+
+
+def test_step_solver_is_the_solver_of_the_step_basis():
+    not_free = []
+    for spec in lattice_specs():
+        try:
+            expected = integer_solver(step_basis(spec), dim=spec.datum.rank)
+        except TheoremViolationError:
+            not_free.append(spec.name)
+            with pytest.raises(TheoremViolationError, match="not free"):
+                spec.step_solver
+            continue
+        assert spec.step_solver == expected, spec.name
+    # validation admits gl4 with e2 and e3 swapped, whose restricted generators
+    # (1,0,0,-1), (0,1,1,-2) and (2,-1,-1,0), all of height 6, span rank 2
+    assert not_free == ["gl4_swap23"]
+
+
+# Smith normal forms that one cold call each of k_leq, r_leq and real_step_leq
+# runs on a spec with no cached property: the simple coroots, the simple roots
+# (for the positive coroots; none without roots), the step basis search (one
+# for the empty basis and one per kept generator, the last of which is the
+# step solver), the kernel of theta - 1 and the fixed basis
+COLD_ORDER_SMITH_FORMS = {
+    "sl2_split": 6, "sl2_compact": 5, "pgl2_so21": 6, "sl2C_as_real": 6, "sl3_split": 7,
+    "su11": 6, "su21": 6, "gl1_split": 4, "gl2_split": 6, "gl3_split": 7,
+}
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_cold_orders_solve_the_step_basis_once(name, monkeypatch):
+    spec = copy.deepcopy(catalog(name).spec)
+    solved, snf = [], rootdata.smith_normal_form
+    monkeypatch.setattr(rootdata, "smith_normal_form", lambda m: solved.append(m) or snf(m))
+    zero = (0,) * spec.datum.rank
+    assert all(relation(spec, zero, zero) for relation in (k_leq, r_leq, real_step_leq))
+    assert len(solved) == COLD_ORDER_SMITH_FORMS[name] == 4 + bool(spec.datum.roots) + len(step_basis(spec))
 
 
 def test_non_free_generators_raise(monkeypatch, cleared_caches):
@@ -214,6 +276,31 @@ def test_image_generators_have_well_defined_classes():
         for g in pi1_model(spec).image_generators:
             coords = real_coweight_coordinates(spec, g)
             space.image(coords)  # must not raise; class is well defined
+
+
+def reference_image_quotient(spec):
+    """The image quotient of the fixed lattice by every restricted coroot
+    generator and the sums e_i + theta(e_i), in fixed-basis coordinates."""
+    sums = (vec_add(e, spec.apply(e)) for e in identity_matrix(spec.datum.rank))
+    gens = (*restricted_coroot_generators(spec), *(v for v in sums if any(v)))
+    return quotient_group(len(spec.fixed_basis), tuple(real_coweight_coordinates(spec, g) for g in gens))
+
+
+def test_image_quotient_matches_the_one_of_every_restricted_generator():
+    # the sums beta + theta(beta) among the restricted generators lie in the
+    # span of the basis sums, so leaving them out changes no class
+    for spec in lattice_specs():
+        reference = reference_image_quotient(spec)
+        _, group, class_rows = spec.image_lattice
+        assert group.invariant_factors == reference.invariant_factors, spec.name
+        zero = (0,) * len(reference.invariant_factors)
+        basis = spec.fixed_basis
+        for coeffs in product(range(-3, 4), repeat=len(basis)):
+            v = combination(spec, basis, coeffs)
+            coords = real_coweight_coordinates(spec, v)
+            in_image = reference.image(coords) == zero
+            assert (group.image(coords) == zero) == in_image, (spec.name, v)
+            assert (not any(dot(row, v) % m for row, m in class_rows)) == in_image, (spec.name, v)
 
 
 # ---------------------------------------------------------------------------

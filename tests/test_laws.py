@@ -41,6 +41,13 @@ def test_a_dropped_hasse_edge_is_caught(monkeypatch):
     assert laws.chain_structure(spec, slice_) == "Hasse edges are not the consecutive chain"
 
 
+def test_an_image_index_of_one_is_caught_on_the_adjoint_chain(monkeypatch):
+    # the index of a connected symmetric subgroup, read on pgl2_so21, whose O2(C) is not
+    monkeypatch.setattr(orbitposet, "image_index", lambda spec: 1)
+    spec = catalog("pgl2_so21").spec
+    assert laws.chain_structure(spec, orbitposet.build_poset_slice(spec, 12, "K")) == "image index 1, expected 2"
+
+
 def test_a_birkhoff_type_read_as_the_cartan_type_is_caught(monkeypatch):
     # on gl1_split both types are the exponent of the determinant
     monkeypatch.setattr(laws, "splitting_type", loopmatrix.stratum_invariant)

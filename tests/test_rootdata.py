@@ -296,6 +296,19 @@ def test_dominance_rejects_wrong_length():
         dominance_leq(gl_datum(2), (0, 0, 5), (1, -1))
     with pytest.raises(ValidationError, match="length"):
         dominance_leq(gl_datum(2), (1, -1), (0,))
+    with pytest.raises(ValidationError) as raised:
+        dominance_leq(gl_datum(2), [1, -1], [0, 0, 0])
+    assert raised.value.__cause__ is None and raised.value.__suppress_context__
+    for lower, upper in ((5, (1, -1)), ((1, -1), None)):  # not iterable: the unpacking's TypeError
+        with pytest.raises(TypeError):
+            dominance_leq(gl_datum(2), lower, upper)
+
+
+def test_a_rank_zero_order_compares_the_empty_coweight_alone():
+    leq = monoid_order(integer_solver((), 0), 0)
+    assert leq((), ()) and leq([], ())
+    with pytest.raises(ValidationError, match=r"^\(\) and \(0,\) must both have length rank=0$"):
+        leq((), (0,))
 
 
 @settings(max_examples=40, deadline=None)
@@ -646,6 +659,11 @@ def test_integer_solver_agrees_with_gauss_jordan(data):
     assert solver_coordinates(solver, member) == coeffs
 
 
+def coweights(length):
+    """Integer vectors as tuples or lists: a compiled order unpacks either."""
+    return st.tuples(*[st.integers(-20, 20)] * length).flatmap(lambda v: st.sampled_from((v, list(v))))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_monoid_order_agrees_with_free_monoid_leq(data):
@@ -656,8 +674,7 @@ def test_monoid_order_agrees_with_free_monoid_leq(data):
         return
     solver = integer_solver(columns, dim)
     leq = monoid_order(solver, dim)
-    vec = st.tuples(*[st.integers(-20, 20)] * dim)
-    lower, upper = data.draw(vec), data.draw(vec)
+    lower, upper = data.draw(coweights(dim)), data.draw(coweights(dim))
     assert leq(lower, upper) == free_monoid_leq(solver, lower, upper)
     # above lower by a drawn combination: in the order iff no coefficient is negative
     coeffs = data.draw(st.tuples(*[st.integers(-3, 3)] * len(columns)))
@@ -665,7 +682,7 @@ def test_monoid_order_agrees_with_free_monoid_leq(data):
     assert leq(lower, vec_add(lower, step)) == all(c >= 0 for c in coeffs)
     assert free_monoid_leq(solver, lower, vec_add(lower, step)) == all(c >= 0 for c in coeffs)
     wrong = data.draw(st.integers(0, dim + 1).filter(lambda n: n != dim))
-    misfit = data.draw(st.tuples(*[st.integers(-20, 20)] * wrong))
+    misfit = data.draw(coweights(wrong))
     for pair in ((misfit, upper), (lower, misfit)):
         with pytest.raises(ValidationError) as raised:
             leq(*pair)

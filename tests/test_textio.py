@@ -2,7 +2,6 @@
 
 import random
 import re
-import time
 import tracemalloc
 from fractions import Fraction
 
@@ -100,12 +99,14 @@ def identity_involution_text(rank):
 
 def test_a_rank_over_the_bound_is_refused_before_theta_is_squared(monkeypatch):
     # theta squared at rank 400 takes 64 million products, seconds of work;
-    # the 320 KB file itself is read in a fraction of the time allowed here
-    text = identity_involution_text(400)
-    start = time.perf_counter()
+    # the refusal squares nothing and reads each row of the 320 KB file once:
+    # the rank, then the 400 rows of theta
+    products, rows, ints = [], [], textio._ints
+    monkeypatch.setattr(realform, "mat_mul", lambda a, b: products.append(a) or rootdata.mat_mul(a, b))
+    monkeypatch.setattr(textio, "_ints", lambda tokens, *rest: rows.append(tokens) or ints(tokens, *rest))
     with pytest.raises(ValidationError, match=rf"^invalid involution 'x': rank 400 is over the bound of {MAX_RANK}$"):
-        parse_involution(text)
-    assert time.perf_counter() - start < 0.2
+        parse_involution(identity_involution_text(400))
+    assert (len(products), len(rows)) == (0, 1 + 400)
     assert parse_involution(identity_involution_text(MAX_RANK)).datum.rank == MAX_RANK
     for name in catalog_names():
         assert parse_involution(format_involution(catalog(name))).theta == catalog(name).theta

@@ -9,9 +9,12 @@ trace of every frame whose code lives in ``src/matsuki``, set with
 and ``def`` and ``class`` lines are left out: they run when the module is
 imported, not when the code they define is called.  Commands that tests run
 in a subprocess are not traced, so a line that only a subprocess reaches is
-listed too.  Tracing slows the suite down several times, so a test with a
-wall-clock bound may fail; the script reports the pytest exit code and
-still prints its list.  pytest does not collect this file.
+listed too.  Tracing slows the suite down several times; the rank-400
+refusal of ``test_textio.py`` counts products and rows instead of timing
+the parse, so the one wall-clock bound left is the second allowed to the
+``orbits`` refusals of ``test_cli.py``.  Should a test fail under the
+trace, the script reports the pytest exit code and still prints its list.
+pytest does not collect this file.
 """
 
 import ast
