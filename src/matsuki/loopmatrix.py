@@ -25,13 +25,15 @@ anti-diagonal J, and J X J is X turned by 180 degrees, never a product.
 All arithmetic on Gaussian-integer numerator dicts runs on one integer
 kernel: ``_int_rows`` clears each row or column of its denominators,
 ``_raw_dot`` is every product, sum and scaling (a sum or a scaling is a
-product with constants), ``_raw_det`` expands determinants with it, and only
-an entry that a public function returns becomes a ``LaurentPoly``.  A constant
-invertible diagonal lies in G(O) and in G[1/t], so scaling rows or columns by
-constants moves neither the valuation of a minor nor a column degree of the
-reduction.  Each invariant therefore clears its loop once and reads both the
-check that det g = c*t^e is a unit monomial and the minors or the reduction
-off those lines, for g and for its symmetrized loops.
+product with constants), ``_raw_det`` expands determinants and the cofactor
+minors of ``_adjugate`` with it, and only an entry that a public function
+returns becomes a ``LaurentPoly``.  A constant invertible diagonal lies in
+G(O) and in G[1/t], so scaling rows or columns by constants moves neither the
+valuation of a minor nor a column degree of the reduction.  Each invariant
+therefore clears its loop once and reads both the check that det g = c*t^e is
+a unit monomial (off the adjugate's first column where one is built) and the
+minors or the reduction off those lines, for g and for its symmetrized loops,
+whose products a(g)*g are built by halves where a(M) = M is an index symmetry.
 
 Two standard modules are imported only by the code that uses them, since
 every command and set-up pays for a module-level import in a fresh process:
@@ -451,12 +453,22 @@ def _raw_det(rows) -> Raw:
     return _raw_dot(*terms)
 
 
-def _adjugate(m: list[list[Raw]]) -> list[list[Raw]]:
-    """Entry (i, j) is the (j, i) cofactor of m: the determinant of m with row j
-    replaced by the unit row e_i, moved to the top and signed (-1)^j to match."""
+def _adjugate(m: list[list[Raw]]) -> tuple[list[list[Raw]], Raw]:
+    """The adjugate of m, and det m = sum_j m_0j adj_j0 read off it.  Entry (i, j)
+    is det of m without row j and column i, signed (-1)^(i+j) by swapping two
+    rows of that minor (n >= 3) or by negating its one entry (n = 2)."""
     n = len(m)
-    return [[_raw_det([[{0: ((-1) ** j, 0)} if k == i else {} for k in range(n)], *m[:j], *m[j + 1:]])
-             for j in range(n)] for i in range(n)]
+    if n == 1:
+        return [[{0: (1, 0)}]], m[0][0]
+
+    def cofactor(j, i):
+        minor = [r[:i] + r[i + 1:] for k, r in enumerate(m) if k != j]
+        if (i + j) % 2:
+            minor[:2] = minor[1::-1] if n > 2 else [[{x: (-a, -b) for x, (a, b) in minor[0][0].items()}]]
+        return _raw_det(minor)
+
+    adj = [[cofactor(j, i) for j in range(n)] for i in range(n)]
+    return adj, _raw_dot(zip(m[0], [row[0] for row in adj]))
 
 
 def determinant(g: LaurentMatrix) -> LaurentPoly:
@@ -467,10 +479,9 @@ def determinant(g: LaurentMatrix) -> LaurentPoly:
 Monomial = tuple[int, Gaussian]  # (e, c) standing for c * t^e
 
 
-def _unit_monomial(lines: list[list[Raw]], scales: list[int]) -> Monomial:
-    """Exponent and coefficient of the determinant of a loop, read off its
+def _unit_monomial(det: Raw, scales: list[int]) -> Monomial:
+    """Exponent and coefficient of the determinant of a loop, from that of its
     cleared rows or columns and their lcms; it must be a monomial."""
-    det = _raw_det(lines)
     if len(det) != 1:
         raise ValidationError("loop is not invertible: determinant is not a unit monomial")
     (e, (a, b)), = det.items()
@@ -482,11 +493,12 @@ def mat_inverse(g: LaurentMatrix) -> LaurentMatrix:
     For g's column lcms s, adj(g diag(s)) is diag(prod(s)/s) adj(g), so row i
     is divided by prod(s)/s_i."""
     cols, scales = _int_rows(zip(*g.entries))
-    e, c = _unit_monomial(cols, scales)
+    adj, det = _adjugate([*zip(*cols)])
+    e, c = _unit_monomial(det, scales)
     # t^-e/c is c.d t^-e times the conjugate of c.a + c.b*i over its norm
     inv, den = {-e: (c.d * c.a, -c.d * c.b)}, prod(scales) * (c.a * c.a + c.b * c.b)
     return lm_from_rows(g.form, [[_packed(_raw_dot([(r, inv)]), den // s) for r in row]
-                                 for row, s in zip(_adjugate([*zip(*cols)]), scales)])
+                                 for row, s in zip(adj, scales)])
 
 
 def mat_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
@@ -577,15 +589,24 @@ class FormAction(Record):
         real or symmetric anti-involution.  g is checked as ``validate`` does,
         on the columns cleared here."""
         cols, scales = _int_rows(zip(*g.entries))
-        e = self._checked_det(cols, scales)[0]
-        left = cols  # the rows of g^T
-        if (self.family == "split") == real:
-            left = [[p if not e else {x - e: v for x, v in p.items()} for p in row] for row in _adjugate([*zip(*cols)])]
+        n = len(cols)
+        inverse = (self.family == "split") == real  # a(g) is adj(g) t^-e / c on split R and unitary K, else g^T
+        left, det = _adjugate([*zip(*cols)]) if inverse else (cols, _raw_det(cols))
+        e = self._checked_det(det, scales)[0]
+        if inverse and e:
+            left = [[{x - e: v for x, v in p.items()} for p in row] for row in left]
         if real:
             left = [[{-x: (a, -b) for x, (a, b) in p.items()} for p in row] for row in left]
         if self.family != "split":
             left = [row[::-1] for row in reversed(left)]
-        return [[_raw_dot(zip(row, col)) for row in left] for col in cols], self.symmetrized_exponent(e)
+        # a(M) = M gives split K's M_rc = M_cr and unitary R's M_rc = bar-tau of M_(n-1-c)(n-1-r), so
+        # there n(n+1)/2 entries are products and the rest copies; split R and unitary K have no such symmetry
+        out = []
+        for c, col in enumerate(cols):
+            out.append([_raw_dot(zip(row, col)) if inverse or (r + c < n if real else r >= c)
+                        else {-x: (a, -b) for x, (a, b) in out[n - 1 - r][n - 1 - c].items()} if real else out[r][c]
+                        for r, row in enumerate(left)])
+        return out, self.symmetrized_exponent(e)
 
     def symmetrized_exponent(self, e: int) -> int:
         """The t-exponent of det ``symmetrize(g)`` and of det
@@ -598,7 +619,10 @@ class FormAction(Record):
     def to_entry(self, lam: Coweight) -> Coweight | None:
         """lam in the entry's coordinates: itself on a rank-n entry; on a rank n-1
         one its partial sums (simple-coroot coordinates) if it sums to zero, else None."""
-        if catalog(self.entry).datum.rank == self.n:
+        return self._coordinates(lam, catalog(self.entry))
+
+    def _coordinates(self, lam: Coweight, entry) -> Coweight | None:
+        if entry.datum.rank == self.n:
             return tuple(lam)
         *sums, total = accumulate(lam)
         return None if total else tuple(sums)
@@ -607,8 +631,8 @@ class FormAction(Record):
         # theta(mu) == mu, not spec.is_real(mu): is_real builds a cold entry's fixed_solver (a
         # Smith form, 33 us on su21 against 3 us for the product), and bench/run.py clears the
         # catalog every round; through is_real `loops` read 0.2-2 % fewer ops/s in 3 of 3 pairs
-        mu = self.to_entry(lam)
-        return mu is not None and catalog(self.entry).spec.apply(mu) == mu
+        mu = self._coordinates(lam, entry := catalog(self.entry))
+        return mu is not None and entry.spec.apply(mu) == mu
 
     # membership checks for the subgroup generators
     def is_real_loop(self, g: LaurentMatrix) -> bool:
@@ -619,13 +643,14 @@ class FormAction(Record):
 
     def validate(self, g: LaurentMatrix) -> Monomial:
         """Check the size and the unit determinant of g; returns det(g) as (e, c)."""
-        return self._checked_det(*_int_rows(g.entries))
+        rows, scales = _int_rows(g.entries)
+        return self._checked_det(_raw_det(rows), scales)
 
-    def _checked_det(self, lines: list[list[Raw]], scales: list[int]) -> Monomial:
-        # the checks of ``validate`` on a loop's cleared rows or columns
-        if len(lines) != self.n:
-            raise ValidationError(f"form {self.name} expects size {self.n}, got {len(lines)}")
-        e, c = _unit_monomial(lines, scales)
+    def _checked_det(self, det: Raw, scales: list[int]) -> Monomial:
+        # the checks of ``validate`` on the determinant of a loop's cleared rows or columns and their lcms
+        if len(scales) != self.n:
+            raise ValidationError(f"form {self.name} expects size {self.n}, got {len(scales)}")
+        e, c = _unit_monomial(det, scales)
         if self.special and (e != 0 or c != G_ONE):
             raise ValidationError(f"form {self.name} requires determinant 1")
         return e, c
@@ -665,27 +690,34 @@ def stratum_invariant(g: LaurentMatrix) -> Coweight:
     exponents decreasingly.
     """
     rows, scales = _int_rows(g.entries)
-    return _stratum(rows, _unit_monomial(rows, scales)[0])
+    return _stratum(rows, _unit_monomial(_raw_det(rows), scales)[0])
 
 
 def _stratum(rows: list[list[Raw]], exponent: int) -> Coweight:
     # scaling rows or columns by nonzero constants moves no minor's valuation
     n = len(rows)
-    divisors = [0]
-    for k in range(1, n):
-        divisors.append(min(
-            min(minor)
-            for sub in combinations(rows, k)
-            for cols in combinations(range(n), k)
-            if (minor := _raw_det([[row[j] for j in cols] for row in sub]))
-        ))
+    lows = [[min(p) if p else None for p in row] for row in rows]
+    divisors = [0, min(v for low in lows for v in low if v is not None)][:n]  # d_0 and, if n > 1, d_1
+    for k in range(2, n):
+        # a minor's valuation is at least the sum over its rows of their least valuation in
+        # its columns, and a row that is zero there makes it zero; minors are visited by
+        # increasing bound until the bound reaches the least valuation found
+        bounded = []
+        for cols in combinations(range(n), k):
+            row_lows = {i: min(v) for i, low in enumerate(lows) if (v := [low[j] for j in cols if low[j] is not None])}
+            bounded += [(sum(row_lows[i] for i in sub), sub, cols) for sub in combinations(row_lows, k)]
+        least = None
+        for bound, sub, cols in sorted(bounded):
+            if least is not None and bound >= least:
+                break
+            if minor := _raw_det([[rows[i][j] for j in cols] for i in sub]):
+                least = min(minor) if least is None else min(least, min(minor))
+        divisors.append(least)
     divisors.append(exponent)
     steps = [b - a for a, b in zip(divisors, divisors[1:])]
     # the elementary divisors divide one another, so the steps cannot decrease
     if steps != sorted(steps):
-        raise TheoremViolationError(
-            f"determinantal divisors {tuple(divisors)} do not form a divisibility chain"
-        )
+        raise TheoremViolationError(f"determinantal divisors {tuple(divisors)} do not form a divisibility chain")
     return tuple(reversed(steps))
 
 
@@ -701,12 +733,13 @@ def splitting_type(g: LaurentMatrix) -> Coweight:
     a polynomial matrix, and unimodular column operations over Q(i)[t] make
     its matrix of leading column coefficients nonsingular.  The column
     degrees minus N are then the partial indices (Gohberg, Kaashoek and
-    Spitkovsky, 2003), i.e. the splitting type.  Each step lowers the sum of
-    the column degrees, which ends at det exponent + n*N, so the loop is
-    bounded; a run past that bound raises TheoremViolationError.
+    Spitkovsky, 2003), i.e. the splitting type.  The leading coefficients are
+    singular exactly while the column degrees sum above the determinant's
+    exponent, so the reduction runs until they sum to it; a step that lowers
+    no column degree raises TheoremViolationError.
     """
     cols, scales = _int_rows(zip(*g.entries))
-    return _splitting(cols, _unit_monomial(cols, scales)[0])  # read before the reduction rewrites cols
+    return _splitting(cols, _unit_monomial(_raw_det(cols), scales)[0])  # read before the reduction rewrites cols
 
 
 def _kernel_vector(m: list[list[Pair]]) -> list[Pair] | None:
@@ -759,28 +792,26 @@ def _splitting(cols: list[list[Raw]], exponent: int) -> Coweight:
     # (Beelen, van den Hurk and Praagman, Syst. Control Lett. 11, 1988).
     n = len(cols)
     degs = [max(max(p) for p in col if p) for col in cols]
-    # each step lowers sum(degs), which ends at the determinant's exponent
-    steps_left = sum(degs) - exponent
-    while (v := _kernel_vector([[col[i].get(d, (0, 0)) for col, d in zip(cols, degs)] for i in range(n)])) is not None:
-        if steps_left <= 0:
-            raise TheoremViolationError(
-                f"column reduction ran past its step bound at column degrees {tuple(degs)}"
-            )
-        steps_left -= 1
+    # the t^sum(degs) coefficient of det g = c t^e is the determinant of the leading
+    # column coefficients, so they are singular exactly while sum(degs) > e
+    while sum(degs) > exponent:
+        if (v := _kernel_vector([[col[i].get(d, (0, 0)) for col, d in zip(cols, degs)] for i in range(n)])) is None:
+            raise TheoremViolationError(f"column reduction found nonsingular leading coefficients at column "
+                                        f"degrees {tuple(degs)}, above the determinant exponent {exponent}")
         # the sum of v_j * t^(top - d_j) * col_j over the support of v cancels the top column's lead
         support = [j for j in range(n) if v[j] != (0, 0)]
         top = max(support, key=degs.__getitem__)
         new = [_raw_dot([(cols[j][i], {degs[top] - degs[j]: v[j]}) for j in support]) for i in range(n)]
-        degs[top] = max(max(p) for p in new if p)
+        if (deg := max(max(p) for p in new if p)) >= degs[top]:
+            raise TheoremViolationError(f"column reduction did not lower column {top} at column degrees {tuple(degs)}")
+        degs[top] = deg
         # dividing out the content is unimodular too, and keeps the numerators from swelling
         if (content := _content(new)) > 1:
             new = [{e: (a // content, b // content) for e, (a, b) in p.items()} for p in new]
         cols[top] = new
     lam = tuple(sorted(degs, reverse=True))
     if sum(lam) != exponent:
-        raise TheoremViolationError(
-            f"partial indices {lam} do not sum to the determinant exponent {exponent}"
-        )
+        raise TheoremViolationError(f"partial indices {lam} do not sum to the determinant exponent {exponent}")
     return lam
 
 
@@ -819,11 +850,10 @@ def _orbit_invariant(g: LaurentMatrix, real: bool, law: str) -> Coweight:
 def _split_membership_error(form: FormAction, lam) -> str | None:
     if len(lam) != form.n:
         return f"coweight must have length {form.n}"
-    if (mu := form.to_entry(lam)) is None:
+    if (mu := form._coordinates(lam, entry := catalog(form.entry))) is None:
         return "special form requires coordinate sum zero"
-    spec = catalog(form.entry).spec
     try:
-        member = fundgroup.in_image_semigroup(spec, mu)
+        member = fundgroup.in_image_semigroup(entry.spec, mu)
     except ValidationError:  # theta is the identity, so only dominance can fail
         return "coweight must be dominant (non-increasing entries)"
     return None if member else "parity obstruction: an odd number of odd entries has no based loop"

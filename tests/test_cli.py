@@ -379,13 +379,15 @@ def test_theorem_violation_exit_code(capsys, tmp_path, monkeypatch):
 def test_splitting_failure_exits_two_without_traceback(capsys, tmp_path, monkeypatch):
     import matsuki.loopmatrix as loopmatrix
 
-    # a kernel step that never lowers a column degree exhausts the step bound
+    # a kernel step that never lowers a column degree, planted where the reduction needs a step
     monkeypatch.setattr(loopmatrix, "_kernel_vector", lambda m: [(1, 0)] + [(0, 0)] * (len(m) - 1))
-    path = tmp_path / "id.matrix"
-    path.write_text(IDENTITY_FILE)
-    rc, _, err = run(capsys, ["invariant", str(path)])
+    path = tmp_path / "shear.matrix"  # [[t, 1], [0, 1/t]]: column degrees 1 and 0 above the exponent 0
+    path.write_text("form: gl2_split\nsize: 2\n"
+                    "entry 1 1: (1, 1/1, 0/1)\nentry 1 2: (0, 1/1, 0/1)\nentry 2 2: (-1, 1/1, 0/1)\n")
+    rc, out, err = run(capsys, ["invariant", str(path)])
     assert rc == 2
     assert err.startswith("theorem violation: column reduction") and "Traceback" not in err
+    assert out.splitlines()[-1] == "cartan: (1,-1)"  # the Birkhoff line is the first to reduce
 
 
 def test_check_single_entry(capsys):

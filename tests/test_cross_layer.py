@@ -84,18 +84,19 @@ def test_the_law_holds_on_the_acceptance_loops(name):
 
 
 def test_a_wrong_map_to_the_entry_is_caught(monkeypatch):
-    right = FormAction.to_entry
+    # the map of ``to_entry``, which ``lattice_fixed`` reads with the catalog entry it already holds
+    right = FormAction._coordinates
 
-    def identity_on_u21(self, lam):
-        return tuple(lam) if self.name == "u21" else right(self, lam)
+    def identity_on_u21(self, lam, entry):
+        return tuple(lam) if self.name == "u21" else right(self, lam, entry)
 
-    monkeypatch.setattr(FormAction, "to_entry", identity_on_u21)
+    monkeypatch.setattr(FormAction, "_coordinates", identity_on_u21)
     assert _cross_layer_misses(form_action("u21"))
 
-    def entries_not_sums_on_sl3(self, lam):
-        return tuple(lam[:-1]) if self.name == "sl3_split" else right(self, lam)
+    def entries_not_sums_on_sl3(self, lam, entry):
+        return tuple(lam[:-1]) if self.name == "sl3_split" else right(self, lam, entry)
 
-    monkeypatch.setattr(FormAction, "to_entry", entries_not_sums_on_sl3)
+    monkeypatch.setattr(FormAction, "_coordinates", entries_not_sums_on_sl3)
     assert _cross_layer_misses(form_action("sl3_split"))
 
 

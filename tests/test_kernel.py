@@ -20,6 +20,7 @@ from matsuki.loopmatrix import (
     Gaussian,
     LaurentPoly,
     determinant,
+    diagonal_loop,
     form_action,
     form_names,
     identity_loop,
@@ -177,9 +178,9 @@ def outcome(f, *args):
 
 def reduction_trail(cols, exponent):
     """The column reduction of cols stopped after 0, 1, 2, ... steps.  A step
-    past the stop keeps every column degree, so the run ends at the step bound
-    and its error text prints the degrees reached; the last entry is the
-    reduction's own outcome."""
+    past the stop keeps every column degree, so the run raises there and its
+    error text prints the degrees reached; the last entry is the reduction's
+    own outcome."""
     real = loopmatrix._kernel_vector
     trail = []
     for stop in range(sum(max(max(p) for p in col if p) for col in cols) - exponent + 2):
@@ -364,3 +365,101 @@ def test_one_term_operands_match_the_two_loop_product():
     assert one_term > 300
     p, q = {-3: (2, -1), 0: (1, 0), 4: (5, 7)}, {-2: (1, 3)}
     assert loopmatrix._raw_dot([(p, q)], [(p, q)]) == {}  # a sum that cancels to zero
+
+
+# ---------------------------------------------------------------------------
+# the pruned minors of the stratum invariant
+
+
+def _gaussian_poly(rng, terms):
+    return LaurentPoly({rng.randint(-2, 3): Gaussian(rng.randint(-3, 3), rng.choice((0, 0, rng.randint(-2, 2))))
+                        for _ in range(terms)})
+
+
+def _constant_rows(rng, n):
+    """An invertible n x n matrix of small Gaussian integers, as LaurentPoly rows."""
+    while True:
+        rows = [[LaurentPoly.constant(Gaussian(rng.randint(-2, 2), rng.choice((0, 1)))) for _ in range(n)]
+                for _ in range(n)]
+        if not ref_det(rows).is_zero():
+            return rows
+
+
+def _pruning_matrices():
+    """Seeded matrices of size 2 to 5: sparse ones, and P t^lam Q with constant P and Q, whose
+    minors of least bound cancel; plus hand-picked cancellations."""
+    rng = random.Random("stratum-pruning")
+    for n in range(2, 6):
+        for _ in range(12 if n < 5 else 4):  # the all-minors reference is slow on a dense 5 x 5
+            yield lm_from_rows("m", [[_gaussian_poly(rng, rng.choice((0, 1, 1, 2, 3))) for _ in range(n)]
+                                     for _ in range(n)])
+            lam = [rng.randint(-2, 3) for _ in range(n)]
+            g = mat_mul(lm_from_rows("m", _constant_rows(rng, n)), diagonal_loop("m", lam))
+            yield mat_mul(g, lm_from_rows("m", _constant_rows(rng, n)))
+    t = LaurentPoly.t_power
+    one = LaurentPoly.one()
+    yield lm_from_rows("m", [[one, one], [one, one + t(1)]])  # det t, every entry of valuation 0
+    # the minor of least bound, rows and columns 1-2, cancels to t^2; rows and columns 1 and 3 give t
+    yield lm_from_rows("m", [[one, one, ZERO], [one, one + t(2), ZERO], [ZERO, ZERO, t(1)]])
+
+
+def test_pruned_minors_match_all_minors():
+    seen = 0
+    for h in _pruning_matrices():
+        det = ref_det(h.entries)
+        if det.is_zero():
+            continue
+        seen += 1
+        rows = loopmatrix._int_rows(h.entries)[0]
+        e = det.valuation()
+        assert outcome(loopmatrix._stratum, rows, e) == outcome(ref_stratum, h, e), h
+    assert seen > 60
+
+
+# ---------------------------------------------------------------------------
+# self-adjoint products by halves
+
+
+def full_anti_product(form, g, real):
+    """The numerator columns of a(g) * g as ``FormAction._anti_product`` builds them,
+    with each of the n^2 entries a product: the oracle for its half products."""
+    cols = loopmatrix._int_rows(zip(*g.entries))[0]
+    left = cols  # the rows of g^T
+    if (form.family == "split") == real:
+        e = form.validate(g)[0]
+        left = [[{x - e: v for x, v in p.items()} for p in row] for row in loopmatrix._adjugate([*zip(*cols)])[0]]
+    if real:
+        left = [[{-x: (a, -b) for x, (a, b) in p.items()} for p in row] for row in left]
+    if form.family != "split":
+        left = [row[::-1] for row in reversed(left)]
+    return [[loopmatrix._raw_dot(zip(row, col)) for row in left] for col in cols]
+
+
+@pytest.mark.parametrize("name", form_names())
+def test_anti_product_matches_the_full_product(name):
+    form = form_action(name)
+    for g in rational_loops(form):
+        for real in (False, True):
+            assert form._anti_product(g, real)[0] == full_anti_product(form, g, real)
+
+
+# ---------------------------------------------------------------------------
+# the work of the four invariants, pinned
+
+
+@pytest.mark.parametrize("name, raw_dots, kernel_vectors", [
+    ("gl3_split", (3, 4, 13, 22), (0, 0, 0, 1)),
+    ("u21", (3, 5, 20, 11), (0, 1, 0, 1)),
+])
+def test_the_invariants_make_a_pinned_number_of_products_and_kernel_solves(name, raw_dots, kernel_vectors, monkeypatch):
+    # splitting_type stops at the degree sum, the minors at their valuation bound, the
+    # adjugate yields the unit check, and a self-adjoint a(g) * g is built by halves
+    g = next(rational_loops(form_action(name), 1))
+    dots, kernels = counted(monkeypatch, "_raw_dot"), counted(monkeypatch, "_kernel_vector")
+    made = []
+    for invariant in (stratum_invariant, splitting_type, k_orbit_invariant, r_orbit_invariant):
+        dots.clear()
+        kernels.clear()
+        invariant(g)
+        made.append((len(dots), len(kernels)))
+    assert made == list(zip(raw_dots, kernel_vectors))

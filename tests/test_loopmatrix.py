@@ -424,14 +424,35 @@ def _no_progress_kernel(m):
     return [(1, 0)] + [(0, 0)] * (len(m) - 1)
 
 
-def test_splitting_past_step_bound_is_a_theorem_violation(monkeypatch):
+def test_splitting_step_without_progress_is_a_theorem_violation(monkeypatch):
     import matsuki.loopmatrix as loopmatrix
 
-    monkeypatch.setattr(loopmatrix, "_kernel_vector", _no_progress_kernel)
+    calls = []
+    monkeypatch.setattr(loopmatrix, "_kernel_vector", lambda m: calls.append(m) or _no_progress_kernel(m))
+    # column degrees that sum to the determinant's exponent need no kernel solve
+    assert splitting_type(identity_loop("gl2_split", 2)) == (0, 0)
+    assert splitting_type(diagonal_loop("gl3_split", (2, -1, 0))) == (2, 0, -1)
+    assert calls == []
+    # the shear's column degrees 1 and 0 sum above its exponent 0, so a step must lower one of them
     shear = lm_from_rows("gl2_split", [[t_pow(1), ONE], [ZERO, t_pow(-1)]])
-    for g in (identity_loop("gl2_split", 2), shear):  # step bounds 0 and 1
-        with pytest.raises(TheoremViolationError, match="step bound"):
-            splitting_type(g)
+    no_progress = r"^column reduction did not lower column 0 at column degrees \(1, 0\)$"
+    with pytest.raises(TheoremViolationError, match=no_progress):
+        splitting_type(shear)
+    assert len(calls) == 1
+    # a kernel solve that finds the leading coefficients nonsingular above the exponent is one too
+    monkeypatch.setattr(loopmatrix, "_kernel_vector", lambda m: None)
+    with pytest.raises(TheoremViolationError, match=r"^column reduction found nonsingular leading coefficients"):
+        splitting_type(shear)
+
+
+def test_a_reduction_that_ends_below_its_exponent_is_a_theorem_violation():
+    import matsuki.loopmatrix as loopmatrix
+
+    # [[t^2, 1], [0, t^-2]] reduces in one step that lowers its first column by 2, past the exponent 1
+    columns = [[{2: (1, 0)}, {}], [{0: (1, 0)}, {-2: (1, 0)}]]
+    below = r"^partial indices \(0, 0\) do not sum to the determinant exponent 1$"
+    with pytest.raises(TheoremViolationError, match=below):
+        loopmatrix._splitting(columns, 1)
 
 
 def gaussian_kernel_vector(m):
