@@ -145,6 +145,23 @@ def matrix_invariance(form: FormAction, seed: int, loops: int) -> str | None:
     return None
 
 
+def intersection(form: FormAction, seed: int, loops: int) -> str | None:
+    """On the first ``loops`` seeded loops, the R-orbit index lies below the
+    K-orbit index in the entry's K-order.  The two orbits through a loop
+    meet, and on flag varieties a K-orbit meets a real-group orbit exactly
+    when they stand in the closure order (Matsuki, Hiroshima Math. J. 12,
+    1982; Mirkovic, Uzawa and Vilonen, Invent. Math. 109, 1992).  Not a
+    suite of ``check``, whose output is pinned."""
+    spec = catalog(form.entry).spec
+    for i in range(loops):
+        g = seeded_loop(form, seed, i)
+        lam, mu = r_orbit_invariant(g), k_orbit_invariant(g)
+        r, k = form.to_entry(lam), form.to_entry(mu)
+        if r is None or k is None or not k_leq(spec, r, k):
+            return f"R-orbit invariant {fmt_coweight(lam)} not below K-orbit invariant {fmt_coweight(mu)} at loop {i}"
+    return None
+
+
 def run_suites(names, seed: int) -> int:
     matrix_forms = {form.entry: form for form in map(form_action, form_names())}
     failures = 0

@@ -194,8 +194,8 @@ class LaurentPoly:
     Gaussian-integer numerator pair ``(a, b)`` meaning (a + b*i)/d, over the
     least common denominator ``_d`` (d > 0, coprime to the numerators, 1 for
     zero).  The form is unique, so equality compares the fields.  Arithmetic
-    runs on the ints and normalizes once per result; ``items``, ``coeff`` and
-    ``monomial`` build ``Gaussian`` values on demand."""
+    runs on the ints and normalizes once per result; ``items`` builds
+    ``Gaussian`` values on demand."""
 
     __slots__ = ("_c", "_d")
 
@@ -237,10 +237,6 @@ class LaurentPoly:
         d = self._d
         return [(e, _norm(a, b, d)) for e, (a, b) in self._c.items()]
 
-    def coeff(self, e: int) -> Gaussian:
-        pair = self._c.get(e)
-        return G_ZERO if pair is None else _norm(*pair, self._d)
-
     def is_zero(self) -> bool:
         return not self._c
 
@@ -253,13 +249,6 @@ class LaurentPoly:
         if not self._c:
             raise ValidationError("degree of the zero polynomial")
         return max(self._c)
-
-    def monomial(self) -> tuple[int, Gaussian] | None:
-        """(exponent, coefficient) when the polynomial has a single term."""
-        if len(self._c) != 1:
-            return None
-        (e, (a, b)), = self._c.items()
-        return e, _norm(a, b, self._d)
 
     # arithmetic
     def _combine(self, other, sign: int) -> "LaurentPoly":
@@ -284,13 +273,6 @@ class LaurentPoly:
 
     def scale(self, factor: Gaussian) -> "LaurentPoly":
         return _packed(_raw_dot([(self._c, {0: (factor.a, factor.b)})]), self._d * factor.d)
-
-    def shift(self, k: int) -> "LaurentPoly":
-        try:
-            k = index(k)
-        except TypeError:
-            raise ValidationError(f"shift must be an integer, got {k!r}") from None
-        return _raw({e + k: pair for e, pair in self._c.items()}, self._d)
 
     def tau(self) -> "LaurentPoly":
         """Substitute t -> 1/t."""
@@ -555,11 +537,6 @@ class FormAction(Record):
     entry: str = ""  # the catalog entry this form models
 
     # involutions of the loop group; J X J is X turned by 180 degrees
-    def conjugation(self, g: LaurentMatrix) -> LaurentMatrix:
-        if self.family == "split":
-            return apply_conjugation(g)
-        return _turn(mat_inverse(transpose(apply_conjugation(g))))
-
     def symmetric_involution(self, g: LaurentMatrix) -> LaurentMatrix:
         if self.family == "split":
             return mat_inverse(transpose(g))
@@ -577,10 +554,6 @@ class FormAction(Record):
         if self.family == "split":
             return transpose(g)
         return _turn(mat_inverse(g))
-
-    def symmetrize(self, g: LaurentMatrix) -> LaurentMatrix:
-        """The loop-to-symmetric-space projection applied to g."""
-        return mat_mul(self.symmetric_antiinvolution(g), g)
 
     def _anti_product(self, g: LaurentMatrix, real: bool) -> tuple[list[list[Raw]], int]:
         """The numerator columns of a(g) * g up to constant factors of rows and
@@ -609,8 +582,8 @@ class FormAction(Record):
         return out, self.symmetrized_exponent(e)
 
     def symmetrized_exponent(self, e: int) -> int:
-        """The t-exponent of det ``symmetrize(g)`` and of det
-        ``real_antiinvolution(g) * g`` when det g = c t^e: 2e for split forms,
+        """The t-exponent of det ``symmetric_antiinvolution(g) * g`` and of
+        det ``real_antiinvolution(g) * g`` when det g = c t^e: 2e for split forms,
         whose anti-involutions keep the exponent e, and 0 for unitary ones,
         whose anti-involutions turn it into -e."""
         return 2 * e if self.family == "split" else 0

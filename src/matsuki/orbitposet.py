@@ -12,11 +12,11 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
-from operator import index, le, mul
+from operator import add, index, le, mul
 
 from .errors import ValidationError
 from .fundgroup import image_index, in_image_semigroup
-from .realform import InvolutionSpec
+from .realform import InvolutionSpec, restricted_coroot_generators
 from .record import Record
 from .rootdata import Coweight, dominance_leq, dot, identity_matrix, simple_roots, vec_neg
 
@@ -201,89 +201,75 @@ def real_step_leq(spec: InvolutionSpec, lower: Coweight, upper: Coweight) -> boo
     return leq
 
 
-def _coroot_classes(spec: InvolutionSpec, elements: tuple[Coweight, ...]) -> list[dict[Coweight, Coweight]]:
-    """The distinct elements grouped by coroot class, each class a dict from
-    scaled coordinates to element.
-
-    Coweights that differ by coroots share their consistency-row pairings and
-    their ``coroot_solver`` coordinates modulo ``den``.  Within a class the
-    coordinates are den times the simple-coroot coefficients up to a common
-    shift, so they determine the element, a <= b in dominance is a
-    componentwise comparison of coordinates, and the coordinate sum (the
-    height up to a constant) grows strictly along the order.
-    """
+def _require_lengths(spec: InvolutionSpec, elements) -> None:
     rank = spec.datum.rank
-    den, rows, consistency = spec.datum.coroot_solver
-    forms, k = rows + consistency, len(rows)
-    classes: dict[tuple, dict[Coweight, Coweight]] = {}
     for e in elements:
         if len(e) != rank:
             raise ValidationError(f"{e} does not have length rank={rank}")
-        values = tuple([sum(map(mul, f, e)) for f in forms])
-        coords = values[:k]
-        classes.setdefault((*[c % den for c in coords], *values[k:]), {})[coords] = e
-    return list(classes.values())
-
-
-def _hasse_edges(classes) -> list[tuple[Coweight, Coweight]]:
-    """The covers within each class of ``_coroot_classes``, unsorted: each class
-    is taken in order of coordinate sum, and b covers a when it lies above a
-    and above no cover of a found earlier."""
-    edges = []
-    for members in classes:
-        ordered = sorted(members.items(), key=lambda m: sum(m[0]))
-        for i, (lo, a) in enumerate(ordered):
-            covers = []
-            for hi, b in ordered[i + 1 :]:
-                if all(map(le, lo, hi)) and not any(all(map(le, c, hi)) for c in covers):
-                    covers.append(hi)
-                    edges.append((a, b))
-    return edges
 
 
 def primitive_relations(spec: InvolutionSpec, elements: tuple[Coweight, ...]) -> tuple[tuple[Coweight, Coweight], ...]:
-    """Hasse edges of the dominance order restricted to the given coweights.
+    """Hasse edges of the dominance order on a convex set of orbit indices
+    (every orbit index between two of them is one of them), such as a
+    down-set and so a slice of ``enumerate_orbits``.
 
-    Only coweights in one coroot class are comparable (``_coroot_classes``),
-    and the covers are found within each class (``_hasse_edges``).  No
-    lattice point outside the elements is visited.
+    b covers a exactly when b = a + d with d a restricted coroot generator
+    (``restricted_coroot_generators``), b is an element, and no element
+    a + d' has d' below d in dominance.  The generators lie in the coroot
+    lattice, where dominance compares ``coroot_solver`` coordinates
+    componentwise, so they are ordered once and no order is compiled.
 
-    The edges are the covers in the whole orbit-index sub-semigroup whenever
-    the elements are convex: every orbit index between two of them is one of
-    them.  Height slices from ``enumerate_orbits`` are convex.  Every simple
-    coroot has height 2, so any c between a and b has a height between
-    theirs, and the enumeration's coordinate box never cuts semisimple data;
-    for ``gl_n``, c_1 <= b_1, c_n >= b_n and dominance keep c in the box.
+    The argument: on a convex set the covers are those of the whole
+    sub-semigroup; on theta-fixed coweights dominance is the step order of
+    the generators (the step-order law), so the orbit indices of one coroot
+    class are dominant weights of the restricted root system in one lattice
+    coset, where a cover differs by a positive root (Stembridge, "The partial
+    order of dominant weights", Adv. Math. 136, 1998); and an element a + d'
+    with d' below d lies strictly between a and a + d.  That Stembridge's
+    theorem carries over to restricted root systems cut to the image lattice
+    (su21's is of type BC1) rests on the exhaustive tests, not on a proof:
+    the rule gives the class sweep's covers on the catalog and on the real
+    forms of gl2-gl5, B2, C2, G2, B3 and C3.  On a set that is not convex it
+    can miss an edge.
+
+    Height slices are down-sets (every orbit index below one of them is one
+    of them), so convex: every simple coroot has height 2, so any c below b
+    has a height at most b's, and the enumeration's coordinate box never cuts
+    semisimple data; for ``gl_n``, c_1 <= b_1, c_n >= b_n and dominance keep
+    c in the box.
     """
-    return tuple(sorted(_hasse_edges(_coroot_classes(spec, elements))))
-
-
-def _components(classes) -> int:
-    """Connected components over the classes of ``_coroot_classes``: a class
-    holding the componentwise minimum of its coordinates has a member below
-    all the others and is one component; only a class without one is
-    resolved pair by pair, by comparing coordinates."""
-    count = 0
-    for members in classes:
-        if tuple(map(min, zip(*members))) in members:
-            count += 1
-            continue
-        todo = set(members)
-        while todo:
-            count += 1
-            stack = [todo.pop()]
-            while stack:
-                a = stack.pop()
-                linked = {b for b in todo if all(map(le, a, b)) or all(map(le, b, a))}
-                todo -= linked
-                stack.extend(linked)
-    return count
+    _require_lengths(spec, elements)
+    present = set(elements)
+    steps = restricted_coroot_generators(spec)
+    coords = [[dot(row, d) for row in spec.datum.coroot_solver[1]] for d in steps]
+    below = [[j for j, c in enumerate(coords) if c != cd and all(map(le, c, cd))] for cd in coords]
+    edges = []
+    for a in present:
+        found = [b if (b := tuple(map(add, a, d))) in present else None for d in steps]
+        edges += [(a, b) for b, under in zip(found, below) if b and not any([found[j] for j in under])]
+    return tuple(sorted(edges))
 
 
 def component_count(spec: InvolutionSpec, elements: tuple[Coweight, ...]) -> int:
-    """Connected components of the comparability graph on the given indices;
-    comparable coweights share their coroot class (``_components``)."""
-    return _components(_coroot_classes(spec, elements))
+    """Connected components of the comparability graph on a down-set of
+    orbit indices, such as a slice (see ``primitive_relations``): the number
+    of coroot classes among them.
+
+    Comparable coweights differ by coroots, so they share their class key:
+    their ``coroot_solver`` solve values modulo ``den`` and their
+    consistency-row pairings.  A class of a down-set is one component, as it
+    holds the least member of its whole class, which lies below all the
+    others: the dominant weights of a coset have a least one (Stembridge
+    1998).  That this least member is an orbit index, for restricted root
+    systems cut to the image lattice, rests on the exhaustive tests, as in
+    ``primitive_relations``.  A convex set is not enough: two incomparable
+    members of one class with nothing between them are convex, yet two
+    components.
+    """
+    _require_lengths(spec, elements)
+    den, rows, consistency = spec.datum.coroot_solver
+    return len({(*[sum(map(mul, f, e)) % den for f in rows], *[sum(map(mul, f, e)) for f in consistency])
+                for e in elements})
 
 
 def build_poset_slice(spec: InvolutionSpec, height_bound: int, order: str = "K") -> PosetSlice:
@@ -292,13 +278,13 @@ def build_poset_slice(spec: InvolutionSpec, height_bound: int, order: str = "K")
     if order not in ("K", "R"):
         raise ValidationError("order must be 'K' or 'R'")
     elements = enumerate_orbits(spec, height_bound)
-    classes = _coroot_classes(spec, elements)  # once, for the edges and the components
+    edges = primitive_relations(spec, elements)
     return PosetSlice(
         spec_name=spec.name,
         height_bound=height_bound,
         order=order,
         elements=elements,
-        hasse_edges=tuple(sorted(edge if order == "K" else edge[::-1] for edge in _hasse_edges(classes))),
-        component_count=_components(classes),
+        hasse_edges=edges if order == "K" else tuple(sorted(edge[::-1] for edge in edges)),
+        component_count=component_count(spec, elements),
         image_index=image_index(spec),
     )

@@ -28,7 +28,6 @@ from .rootdata import (
     is_dominant,
     kernel_basis,
     mat_mul,
-    mat_transpose,
     mat_vec,
     monoid_order,
     pgl2_datum,
@@ -38,6 +37,7 @@ from .rootdata import (
     sl2_datum,
     sl2xsl2_datum,
     sl3_datum,
+    sub_two_rho_vee,
     vec_add,
     weyl_longest_element,
 )
@@ -130,7 +130,25 @@ MAX_RANK = 100  # theta squared takes rank**3 products, checked only up to this 
 
 
 def validate_involution(spec: InvolutionSpec) -> list[str]:
-    """Return violated invariants of the involution; empty means valid."""
+    """Return violated invariants of the involution; empty means valid.
+
+    theta must be an involution that permutes the coroots, and then pass
+    Araki's admissibility conditions (J. Math. Osaka City Univ. 13, 1962;
+    Helgason, ch. X), which make it the involution of a real form.  With M the
+    Levi simple roots (``levi_simple_roots``) and w_M their longest element:
+    varpi = w_M theta must permute the simple coroots, and <alpha, 2 rho_M^vee>
+    must be even for every simple root alpha outside M whose coroot varpi
+    fixes.
+
+    The first condition is the older positivity test, that theta^T keep
+    positive the positive roots not vanishing on the fixed lattice.  theta^T
+    negates exactly the roots that vanish there, so under that test they are
+    spanned by the simple ones among them, the roots of M, and varpi^T =
+    theta^T w_M^T keeps every positive root positive, since w_M^T swaps the
+    positive and negative roots of M and keeps the others positive.
+    Conversely, theta^T = varpi^T w_M^T keeps every positive root outside M
+    positive.
+    """
     problems: list[str] = []
     datum = spec.datum
     n = datum.rank
@@ -148,22 +166,23 @@ def validate_involution(spec: InvolutionSpec) -> list[str]:
             problems.append(f"theta does not permute the coroot set (image of {beta} missing)")
             break
 
-    # positivity compatibility: the transpose action must permute the positive
-    # roots that restrict non-trivially to the fixed sublattice
-    theta_t = mat_transpose(spec.theta)
-    moving = {
-        datum.roots[i]
-        for i in datum.positive_root_indices
-        if any(dot(datum.roots[i], b) != 0 for b in spec.fixed_basis)
-    }
-    for alpha in moving:
-        if mat_vec(theta_t, alpha) not in moving:
-            problems.append(
-                "transpose of theta does not permute the positive roots restricting "
-                f"non-trivially to the fixed sublattice (image of {alpha} leaves the set)"
-            )
-            break
-    return problems
+    if problems:
+        return problems
+
+    levi = levi_simple_roots(spec)
+    varpi = mat_mul(weyl_longest_element(datum, levi), spec.theta)
+    simple = {datum.coroots[i] for i in datum.simple_indices}
+    images = {i: mat_vec(varpi, datum.coroots[i]) for i in datum.simple_indices}
+    for i, image in images.items():
+        if image not in simple:
+            return [f"Araki's first condition fails: w_M theta sends the simple coroot {datum.coroots[i]} to {image},"
+                    " which is not simple"]
+    two_rho_levi = sub_two_rho_vee(datum, levi)
+    for i, image in images.items():
+        if image == datum.coroots[i] and i not in levi and dot(datum.roots[i], two_rho_levi) % 2:
+            return [f"Araki's second condition fails: w_M theta fixes the simple coroot {image} outside M,"
+                    f" and <alpha_{i}, 2 rho_M^vee> = {dot(datum.roots[i], two_rho_levi)} is odd"]
+    return []
 
 
 def require_valid_involution(spec: InvolutionSpec) -> None:

@@ -88,9 +88,6 @@ class RootDatum(Record):
     simple_indices: tuple[int, ...]
     name: str = ""
 
-    def pairing(self, root: Coweight, coweight: Coweight) -> int:
-        return dot(root, coweight)
-
     def reflect(self, simple_index: int, coweight: Coweight) -> Coweight:
         """Simple reflection on cocharacters: x -> x - <alpha, x> alpha_vee."""
         alpha = self.roots[simple_index]
@@ -315,11 +312,22 @@ def dominance_leq(datum: RootDatum, lower: Coweight, upper: Coweight) -> bool:
     return datum.coroot_order(lower, upper)
 
 
+def sub_two_rho_vee(datum: RootDatum, subset: tuple[int, ...]) -> Coweight:
+    """2 rho_M^vee: the sum of the positive coroots of the sub-system of the
+    given simple indices, whose roots have no simple root outside it."""
+    outside = [j for j, i in enumerate(datum.simple_indices) if i not in subset]
+    rows, x = datum.root_solver[1], (0,) * datum.rank
+    for idx in datum.positive_root_indices:
+        if not any(dot(rows[j], datum.roots[idx]) for j in outside):
+            x = vec_add(x, datum.coroots[idx])
+    return x
+
+
 def weyl_longest_element(datum: RootDatum, subset: frozenset[int] | tuple[int, ...]) -> IntMatrix:
     """Matrix of the longest element of the parabolic Weyl subgroup.
 
-    Drives a regular dominant vector of the sub-system (the sum of its
-    positive coroots) to the anti-dominant chamber; the accumulated product of
+    Drives a regular dominant vector of the sub-system (``sub_two_rho_vee``)
+    to the anti-dominant chamber; the accumulated product of
     reflections is the longest element.
     """
     subset = tuple(sorted(subset))
@@ -327,12 +335,7 @@ def weyl_longest_element(datum: RootDatum, subset: frozenset[int] | tuple[int, .
         raise ValidationError(f"subset {subset} is not a set of simple indices")
     if not subset:
         return identity_matrix(datum.rank)
-    outside = [j for j, i in enumerate(datum.simple_indices) if i not in subset]
-    rows, x = datum.root_solver[1], (0,) * datum.rank
-    for idx in datum.positive_root_indices:  # the positive coroots of the sub-system
-        if not any(dot(rows[j], datum.roots[idx]) for j in outside):
-            x = vec_add(x, datum.coroots[idx])
-    w = identity_matrix(datum.rank)
+    x, w = sub_two_rho_vee(datum, subset), identity_matrix(datum.rank)
     while True:
         pos = next((i for i in subset if dot(datum.roots[i], x) > 0), None)
         if pos is None:
@@ -414,16 +417,12 @@ class FiniteAbelianGroup(Record):
 
     invariant_factors lists the nontrivial factors (each >= 2, divisibility
     chain) followed by zeros for free summands.  projection maps an
-    ambient-lattice vector to its normal-form coordinates; reduce with
-    ``image`` to compare classes.
+    ambient-lattice vector to its normal-form coordinates; two vectors share
+    their class when those agree modulo every nonzero factor.
     """
 
     invariant_factors: tuple[int, ...]
     projection: IntMatrix
-
-    def image(self, vector) -> tuple[int, ...]:
-        coords = tuple(dot(row, vector) for row in self.projection)
-        return tuple(c % f if f else c for c, f in zip(coords, self.invariant_factors))
 
     def order(self) -> int | None:
         if any(f == 0 for f in self.invariant_factors):

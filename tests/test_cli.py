@@ -16,7 +16,9 @@ from matsuki import cli
 from matsuki.cli import main
 from matsuki.errors import TheoremViolationError
 from matsuki.loopmatrix import form_action, form_names
-from matsuki.realform import catalog_names
+from matsuki.realform import InvolutionSpec, catalog_names
+from matsuki.rootdata import gl_datum
+from matsuki.textio import format_involution
 
 IDENTITY_FILE = "form: gl2_split\nsize: 2\nentry 1 1: (0, 1/1, 0/1)\nentry 2 2: (0, 1/1, 0/1)\n"
 SHEAR_FILE = (
@@ -258,6 +260,8 @@ def test_a_line_the_format_does_not_read_exits_one(capsys, tmp_path, command, na
 SL2_FILE = "name: x\nrank: 1\nsimple: 0\nroots:\n2\n-2\ncoroots:\n1\n-1\ntheta:\n1\n"
 GL2_FILE = "name: g\nrank: 2\nsimple: 0\nroots:\n1 -1\n-1 1\ncoroots:\n1 -1\n-1 1\ntheta:\n1 0\n0 1\n"
 HALF_GL2_FILE = GL2_FILE.replace("name: g", "name: h").replace("-1 1\n", "-1 1\n1 1\n-1 -1\n")
+GL4_SWAP23_FILE = format_involution(
+    InvolutionSpec(gl_datum(4), ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)), name="gl4_swap23"))
 CATALOG = ", ".join(catalog_names())
 
 
@@ -299,8 +303,8 @@ CATALOG = ", ".join(catalog_names())
         (["pi1"], "name: bad\ndatum: sl3_split\ntheta:\n1 0 0\n0 1 0\n0 0 1\n",
          "invalid involution 'bad': theta must be a 2x2 integer matrix"),
         (["pi1"], "name: swap13\ndatum: gl3_split\ntheta:\n0 0 1\n0 1 0\n1 0 0\n",
-         "invalid involution 'swap13': transpose of theta does not permute the positive roots restricting"
-         " non-trivially to the fixed sublattice (image of (1, -1, 0) leaves the set)"),
+         "invalid involution 'swap13': Araki's first condition fails: w_M theta sends the simple coroot (1, -1, 0)"
+         " to (0, -1, 1), which is not simple"),
         # command arguments
         (["dual", "sl3_split", "1", "x"], None, "coweight coordinates must be integers, got ['1', 'x']"),
         (["dual", "sl3_split", "1"], None, "expected 2 coordinates, got 1"),
@@ -308,13 +312,16 @@ CATALOG = ", ".join(catalog_names())
         (["core", "sl3_split", "1", "2", "3"], None, "expected 2 coordinates, got 3"),
         (["check", "nosuch"], None, "check runs on catalog entries; unknown 'nosuch'"),
         (["orbits", "sl3_split", "--height", "-1"], None, "height bound must be non-negative"),
+        # an involution that passes every check but Araki's second: gl4 with e2 and e3 swapped
+        (["poset"], GL4_SWAP23_FILE, "invalid involution 'gl4_swap23': Araki's second condition fails: w_M theta"
+         " fixes the simple coroot (1, -1, 0, 0) outside M, and <alpha_0, 2 rho_M^vee> = -1 is odd"),
     ],
     ids=[
         "duplicate-key", "inline-block", "empty-block", "ragged-row", "roots-alone", "unknown-reference",
         "no-datum", "non-integer-size", "entry-outside", "duplicate-exponent", "rank-0", "unequal-counts",
         "vector-length", "duplicate-simple", "simple-out-of-range", "duplicate-coroots", "dual-non-integer",
         "dual-count", "core-non-integer", "core-count", "check-non-catalog", "orbits-negative-height",
-        "root-outside-span", "half-root", "theta-shape-on-reference", "positivity",
+        "root-outside-span", "half-root", "theta-shape-on-reference", "positivity", "araki-second",
     ],
 )
 def test_each_refusal_exits_one_with_one_line(capsys, tmp_path, argv, text, message):

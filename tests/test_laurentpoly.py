@@ -44,9 +44,6 @@ class DictLaurentPoly:
     def items(self):
         return self._c.items()
 
-    def coeff(self, e: int) -> Gaussian:
-        return self._c.get(e, G_ZERO)
-
     def is_zero(self) -> bool:
         return not self._c
 
@@ -59,12 +56,6 @@ class DictLaurentPoly:
         if not self._c:
             raise ValidationError("degree of the zero polynomial")
         return max(self._c)
-
-    def monomial(self):
-        if len(self._c) != 1:
-            return None
-        (e, c), = self._c.items()
-        return e, c
 
     def __add__(self, other):
         out = dict(self._c)
@@ -95,9 +86,6 @@ class DictLaurentPoly:
         if not factor:
             return DictLaurentPoly()
         return DictLaurentPoly._raw({e: c * factor for e, c in self._c.items()})
-
-    def shift(self, k):
-        return DictLaurentPoly._raw({e + k: c for e, c in self._c.items()})
 
     def tau(self):
         return DictLaurentPoly._raw({-e: c for e, c in self._c.items()})
@@ -142,14 +130,11 @@ def _term_maps(denominators=DENOMINATORS):
     return st.dictionaries(_exponents(), _gaussians(denominators), max_size=5)
 
 
-def _assert_agree(got, want, probes):
+def _assert_agree(got, want):
     _assert_packed(got)
     assert dict(got.items()) == want._c
     assert hash(got) == hash(want)
     assert got.is_zero() == want.is_zero()
-    assert got.monomial() == want.monomial()
-    for e in probes:
-        assert got.coeff(e) == want.coeff(e)
     if want.is_zero():
         for query in (got.valuation, got.degree):
             with pytest.raises(ValidationError):
@@ -162,12 +147,10 @@ def test_packed_matches_dict_oracle():
     from hypothesis import given, settings
 
     @settings(max_examples=300, deadline=None)
-    @given(_term_maps(), _term_maps(), _term_maps((1,)), _gaussians(), _exponents())
-    def agree(m1, m2, m3, factor, k):
+    @given(_term_maps(), _term_maps(), _term_maps((1,)), _gaussians())
+    def agree(m1, m2, m3, factor):
         p, q, r = LaurentPoly(m1), LaurentPoly(m2), LaurentPoly(m3)
         P, Q, R = DictLaurentPoly(m1), DictLaurentPoly(m2), DictLaurentPoly(m3)
-        probes = set(m1) | set(m2) | {k, 0, BIG, -BIG}
-        probes |= {e + k for e in m1} | {-e for e in m1} | {a + b for a in m1 for b in m2}
         cases = [
             (p, P),
             (q, Q),
@@ -176,7 +159,6 @@ def test_packed_matches_dict_oracle():
             (-p, -P),
             (p * q, P * Q),
             (p.scale(factor), P.scale(factor)),
-            (p.shift(k), P.shift(k)),
             (p.tau(), P.tau()),
             (p.conjugate(), P.conjugate()),
             (p - p, P - P),
@@ -184,7 +166,7 @@ def test_packed_matches_dict_oracle():
             (copy.deepcopy(q), Q),
         ]
         for got, want in cases:
-            _assert_agree(got, want, probes)
+            _assert_agree(got, want)
         assert (p == q) == (P == Q)
         assert (p - p)._d == 1 and (p - p) == LaurentPoly()
         # equal values reached by different routes have equal fields and hashes
@@ -208,14 +190,6 @@ def test_common_denominator_reduces():
     zero = half_t - half_t
     assert zero.is_zero() and zero._d == 1 and zero == LaurentPoly.zero()
     assert (half_t * LaurentPoly.zero()) is loopmatrix.LP_ZERO
-
-
-@pytest.mark.parametrize("k", [0.5, Fraction(3, 2), "1"], ids=["float", "Fraction", "str"])
-def test_non_integral_shift_is_rejected(k):
-    # t.shift(0.5) stored the exponent 1.5, and degree() returned it
-    with pytest.raises(ValidationError, match="integer"):
-        LaurentPoly.t_power(1).shift(k)
-    assert LaurentPoly.t_power(1).shift(True).degree() == 2  # any operator.index value is an integer
 
 
 @pytest.mark.parametrize("exponent", [1.9, Fraction(3, 2)], ids=["float", "Fraction"])
@@ -252,7 +226,7 @@ def test_arithmetic_builds_no_gaussian(monkeypatch):
     for p in polys:
         for q in polys:
             p * q, p + q, p - q
-        p.shift(3), p.tau(), p.conjugate(), p.scale(factor), -p
+        p.tau(), p.conjugate(), p.scale(factor), -p
     mat_mul(loop, loop), determinant(loop)
     # the guard bites at the API boundary, where Gaussians are built
     with pytest.raises(AssertionError, match="inside the arithmetic"):

@@ -1,6 +1,7 @@
-"""The laws behind ``matsuki check`` catch planted defects: run at the bounds
-of ``check`` with one name they read replaced by a wrong one, they return a
-counterexample on exactly the entries or forms that can show it."""
+"""The laws behind ``matsuki check``, and the intersection law beside them,
+catch planted defects: run at the bounds of ``check`` with one name they read
+replaced by a wrong one, they return a counterexample on exactly the entries
+or forms that can show it."""
 
 from matsuki import laws, loopmatrix, orbitposet
 from matsuki.loopmatrix import form_action, form_names
@@ -31,10 +32,11 @@ def test_a_step_order_with_swapped_arguments_is_caught(monkeypatch):
 
 
 def test_a_dropped_hasse_edge_is_caught(monkeypatch):
-    # the cover sweep under both primitive_relations, which the Hasse law
-    # reads, and the slice, which ``chain_structure`` reads
-    right = orbitposet._hasse_edges
-    monkeypatch.setattr(orbitposet, "_hasse_edges", lambda classes: right(classes)[:-1])
+    # the covers of primitive_relations, which the Hasse law reads and the
+    # slice that ``chain_structure`` reads takes, lose their last edge
+    right = orbitposet.primitive_relations
+    for module in (orbitposet, laws):
+        monkeypatch.setattr(module, "primitive_relations", lambda spec, elements: right(spec, elements)[:-1])
     assert _caught(laws.hasse_closure, _slice) == WITH_STRICT_PAIRS
     spec = catalog("pgl2_so21").spec
     slice_ = orbitposet.build_poset_slice(spec, 12, "K")
@@ -105,3 +107,38 @@ def test_a_geodesic_taken_as_the_diagonal_loop_is_caught(monkeypatch):
     assert _matrix_problems() == dict.fromkeys(
         ("gl2_split", "gl3_split", "sl2_split", "sl3_split"), "geodesic duality pairing fails"
     )
+
+
+# ---------------------------------------------------------------------------
+# the intersection law, a test and not a suite of ``check``
+
+
+def _intersection_problems(seed):
+    """The counterexample of ``intersection`` on 12 seeded loops, per form that shows one."""
+    problems = {name: laws.intersection(form_action(name), seed, 12) for name in form_names()}
+    return {name: problem for name, problem in problems.items() if problem is not None}
+
+
+def test_the_intersection_law_holds_on_every_form():
+    assert _intersection_problems(0) == _intersection_problems(7) == {}
+
+
+def test_a_k_r_swap_that_check_misses_is_caught_by_the_intersection_law(monkeypatch):
+    # each orbit invariant read as the other: at seed 0 ``matrix_invariance``
+    # sees it on two forms only; on gl1_split the two invariants agree
+    monkeypatch.setattr(laws, "k_orbit_invariant", loopmatrix.r_orbit_invariant)
+    monkeypatch.setattr(laws, "r_orbit_invariant", loopmatrix.k_orbit_invariant)
+    assert set(_matrix_problems()) == {"sl3_split", "u11"}
+    problems = _intersection_problems(0)
+    assert set(problems) == set(form_names()) - {"gl1_split"}
+    assert problems["gl2_split"] == "R-orbit invariant (2,-2) not below K-orbit invariant (0,0) at loop 1"
+
+
+def test_an_r_orbit_invariant_read_as_the_splitting_type_is_caught_by_the_intersection_law(monkeypatch):
+    # at seed 0 ``matrix_invariance`` misses it on u21, which runs no geodesic
+    # pairing, and sees it on the split forms through that pairing
+    monkeypatch.setattr(laws, "r_orbit_invariant", loopmatrix.splitting_type)
+    assert set(_matrix_problems()) == set(form_names()) - {"gl1_split", "u21"}
+    problems = _intersection_problems(0)
+    assert set(problems) == set(form_names()) - {"gl1_split"}
+    assert problems["u21"] == "R-orbit invariant (1,-2,-2) not below K-orbit invariant (4,0,-4) at loop 10"

@@ -29,6 +29,7 @@ from matsuki.laws import hasse_closure, real_dominant_up_to
 from matsuki.realform import InvolutionSpec, catalog, catalog_names, real_coweight_basis, validate_involution
 from matsuki.rootdata import (
     RootDatum,
+    dot,
     gl_datum,
     height,
     identity_matrix,
@@ -38,6 +39,8 @@ from matsuki.rootdata import (
     vec_scale,
 )
 from matsuki.textio import format_involution, parse_involution
+
+from oracles import real_form_specs, sweep_hasse
 
 ALL_NAMES = list(catalog_names())
 
@@ -438,7 +441,7 @@ def test_flag_dimension_zero_iff_central():
         for lam in enumerate_orbits(spec, 8):
             core = core_data(spec, lam)
             central = all(
-                spec.datum.pairing(spec.datum.roots[i], lam) == 0
+                dot(spec.datum.roots[i], lam) == 0
                 for i in range(len(spec.datum.roots))
             )
             assert (core.flag_dimension == 0) == central, (name, lam)
@@ -532,9 +535,10 @@ def test_hasse_against_semigroup_walk_on_every_entry(name):
 
 
 def test_hasse_is_taken_within_the_given_elements():
-    # (2,) lies between, but outside the input: covers are those of the input
+    # (4,) covers (2,) in the sub-semigroup but lies outside the input, a
+    # convex down-set of the slice: no edge leaves the given elements
     spec = catalog("pgl2_so21").spec
-    assert primitive_relations(spec, ((0,), (4,))) == (((0,), (4,)),)
+    assert primitive_relations(spec, ((0,), (2,))) == (((0,), (2,)),)
 
 
 def test_coroot_classes_refuse_an_element_of_the_wrong_length():
@@ -573,31 +577,38 @@ def test_gl2_hasse_against_interval_oracle():
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_a_slice_agrees_with_the_public_edges_and_count(name, cleared_caches):
-    # the slice groups its coroot classes once; the public functions group
-    # them again from the elements alone
+    # the slice's edges are the class sweep's, and its count that of the
+    # public function, at every height up to 30
     spec = catalog(name).spec
     for bound in range(31):
         elements = enumerate_orbits(spec, bound)
-        edges, count = primitive_relations(spec, elements), component_count(spec, elements)
+        edges, count = sweep_hasse(spec, elements), component_count(spec, elements)
         for order, want in (("K", edges), ("R", tuple(sorted((b, a) for a, b in edges)))):
             s = build_poset_slice(spec, bound, order)
             assert (s.elements, s.hasse_edges, s.component_count) == (elements, want, count), (name, bound, order)
 
 
 def test_a_cold_slice_groups_its_coroot_classes_once(monkeypatch, cleared_caches):
+    # the edges and the count are each taken once, from the slice's elements
     calls = []
-    coroot_classes = orbitposet._coroot_classes
-
-    def counting(spec, elements):
-        calls.append(len(elements))
-        return coroot_classes(spec, elements)
-
-    monkeypatch.setattr(orbitposet, "_coroot_classes", counting)
+    for name in ("primitive_relations", "component_count"):
+        monkeypatch.setattr(orbitposet, name, lambda spec, elements, f=getattr(orbitposet, name), name=name: (
+            calls.append((name, len(elements))) or f(spec, elements)))
     for name in ALL_NAMES:
         for order in "KR":
             calls.clear()
-            slice_ = build_poset_slice(catalog(name).spec, 12, order)
-            assert calls == [len(slice_.elements)], (name, order)
+            n = len(build_poset_slice(catalog(name).spec, 12, order).elements)
+            assert calls == [("primitive_relations", n), ("component_count", n)], (name, order)
+
+
+@pytest.mark.parametrize("name, bound, counts", [
+    ("sl2_split", 8000, (4001, 4000, 1)), ("sl3_split", 400, (6767, 13267, 1)), ("gl3_split", 60, (25056, 43719, 181)),
+])
+def test_large_slices_keep_the_counts_of_the_class_sweep(name, bound, counts, cleared_caches):
+    # elements, edges and components, read once from the class sweep that the
+    # difference rule replaced; the sweep took 8 to 20 s on each of these
+    slice_ = build_poset_slice(catalog(name).spec, bound)
+    assert (len(slice_.elements), len(slice_.hasse_edges), slice_.component_count) == counts
 
 
 def test_poset_slice_report_fields():
@@ -646,14 +657,6 @@ def test_component_count_matches_union_find_oracle():
             assert component_count(spec, elements) == comparability_components(spec, elements), (name, bound)
 
 
-def test_component_count_of_a_class_without_least_element():
-    spec = catalog("gl3_split").spec
-    pair = ((2, 1, -3), (3, -1, -2))  # same class, incomparable, equal height
-    assert component_count(spec, pair) == 2
-    assert component_count(spec, pair + ((0, 0, 0),)) == 1
-    assert component_count(spec, pair + ((0, 0, 0), (2, 0, 0))) == 2  # another class
-
-
 def transitive_reduction(spec, elements):
     """Hasse edges of k_leq on exactly the given elements: the oracle for
     primitive_relations on sets that need not be convex."""
@@ -664,33 +667,53 @@ def transitive_reduction(spec, elements):
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_classes_on_random_subsets_against_oracles(name):
-    # subsets of a slice need not be convex, and a class in them can lose its
-    # least element, which sends component_count to its pair-by-pair branch
+    # the subsets are the down-sets of random elements of a slice, as the
+    # contract asks, though neither slices nor unions of whole classes
     spec = catalog(name).spec
     elements = enumerate_orbits(spec, 8 if name == "gl3_split" else 12)
     rng = random.Random(f"subsets:{name}")
     for _ in range(20):
-        subset = tuple(rng.sample(elements, rng.randint(0, len(elements))))
+        tops = rng.sample(elements, rng.randint(0, len(elements)))
+        subset = tuple(a for a in elements if any(k_leq(spec, a, b) for b in tops))
         assert component_count(spec, subset) == comparability_components(spec, subset), (name, subset)
         assert primitive_relations(spec, subset) == transitive_reduction(spec, subset), (name, subset)
 
 
 def test_slices_with_classes_without_a_least_member_against_oracles():
-    # gl4 with theta swapping e2 and e3 is a valid involution whose slices at
-    # H = 6..10 hold 10..18 coroot classes with no least member, so the
-    # pair-by-pair branch of ``_components`` runs on whole slices, not only
-    # on subsets of them
+    # gl4 with theta swapping e2 and e3 is no real form: its slices at H = 6..10
+    # held 10..18 coroot classes with no least member, and validation refuses
+    # it; the rule is checked against the oracles on the real forms instead
     swap = ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1))
     spec = InvolutionSpec(gl_datum(4), swap, name="gl4_swap23")
-    assert validate_involution(spec) == []
-    without_least = []
+    assert validate_involution(spec) == [
+        "Araki's second condition fails: w_M theta fixes the simple coroot (1, -1, 0, 0) outside M,"
+        " and <alpha_0, 2 rho_M^vee> = -1 is odd"
+    ]
+    with pytest.raises(ValidationError, match="^invalid involution 'gl4_swap23': Araki's second condition fails"):
+        parse_involution(format_involution(spec))
+
+
+REAL_FORMS = real_form_specs()
+
+
+def test_the_real_form_population():
+    # the 10 catalog entries, the 16 real forms of gl2-gl5 and as many Levi
+    # involutions of B2, C2, G2, B3 and C3 as each type has real forms
+    counts = {}
+    for spec in REAL_FORMS:
+        counts[spec.datum.name] = counts.get(spec.datum.name, 0) + 1
+    assert counts == {"sl2": 3, "pgl2": 1, "sl2xsl2": 1, "sl3": 2, "gl1": 1, "gl2": 4 + 1, "gl3": 3 + 1,
+                      "gl4": 5, "gl5": 4, "B2": 3, "C2": 3, "G2": 2, "B3": 4, "C3": 3}
+
+
+@pytest.mark.parametrize("spec", REAL_FORMS, ids=[spec.name for spec in REAL_FORMS])
+def test_covers_and_components_against_oracles_on_every_real_form(spec, cleared_caches):
+    # the difference rule against the class sweep, and the class count against
+    # the all-pairs union-find, on every slice up to height 10
     for bound in range(11):
-        slice_ = build_poset_slice(spec, bound)
-        classes = orbitposet._coroot_classes(spec, slice_.elements)
-        without_least.append(sum(tuple(map(min, zip(*members))) not in members for members in classes))
-        assert slice_.component_count == comparability_components(spec, slice_.elements), bound
-        assert slice_.hasse_edges == brute_force_hasse(spec, slice_.elements), bound
-    assert without_least == [0] * 6 + [10, 12, 14, 16, 18]
+        elements = enumerate_orbits(spec, bound)
+        assert primitive_relations(spec, elements) == sweep_hasse(spec, elements), (spec.name, bound)
+        assert component_count(spec, elements) == comparability_components(spec, elements), (spec.name, bound)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

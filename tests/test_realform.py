@@ -1,5 +1,7 @@
 """Involution validation, fixed sublattices, Levi data, and the catalog."""
 
+import inspect
+import textwrap
 from itertools import product
 
 import pytest
@@ -21,16 +23,21 @@ from matsuki.realform import (
     validate_involution,
 )
 from matsuki.rootdata import (
+    dot,
     gl_datum,
     height,
     identity_matrix,
     is_dominant,
+    mat_mul,
+    mat_transpose,
     mat_vec,
     sl2_datum,
     sl2xsl2_datum,
     sl3_datum,
     smith_normal_form,
 )
+
+from oracles import CARTAN, REAL_FORM_COUNTS, cartan_datum, gl_permutation_involutions, levi_involutions
 
 ALL_NAMES = list(catalog_names())
 
@@ -72,12 +79,114 @@ def test_theta_of_the_wrong_shape_is_refused_before_any_product():
 
 def test_a_theta_that_breaks_positivity_is_refused():
     # gl3 with e1 and e3 swapped: theta squares to 1 and permutes the roots, but
-    # its transpose sends the moving positive root e1 - e2 to e3 - e2
+    # its transpose sends the moving positive root e1 - e2 to e3 - e2; M is
+    # empty, so w_M theta = theta, which sends the simple coroot e1 - e2 to e3 - e2
     spec = InvolutionSpec(gl_datum(3), ((0, 0, 1), (0, 1, 0), (1, 0, 0)))
     assert validate_involution(spec) == [
-        "transpose of theta does not permute the positive roots restricting non-trivially to the fixed "
-        "sublattice (image of (1, -1, 0) leaves the set)"
+        "Araki's first condition fails: w_M theta sends the simple coroot (1, -1, 0) to (0, -1, 1), which is not simple"
     ]
+
+
+# the real forms of gl2-gl5 among the involutions sign * P of gl_permutation_involutions,
+# by n, the permutation and the sign: GL_n(R), U(n), U(p, q) and GL_m(H)
+GL_REAL_FORMS = {
+    (2, (0, 1), 1): "GL2(R)", (2, (0, 1), -1): "U(2)", (2, (1, 0), -1): "U(1,1)", (2, (1, 0), 1): "GL1(H)",
+    (3, (0, 1, 2), 1): "GL3(R)", (3, (0, 1, 2), -1): "U(3)", (3, (2, 1, 0), -1): "U(2,1)",
+    (4, (0, 1, 2, 3), 1): "GL4(R)", (4, (0, 1, 2, 3), -1): "U(4)", (4, (3, 1, 2, 0), -1): "U(3,1)",
+    (4, (3, 2, 1, 0), -1): "U(2,2)", (4, (1, 0, 3, 2), 1): "GL2(H)",
+    (5, (0, 1, 2, 3, 4), 1): "GL5(R)", (5, (0, 1, 2, 3, 4), -1): "U(5)", (5, (4, 1, 2, 3, 0), -1): "U(4,1)",
+    (5, (4, 3, 2, 1, 0), -1): "U(3,2)",
+}
+
+
+def gl_verdicts():
+    """The first problem of each permutation involution of gl2-gl5 up to its
+    first colon, or "admitted", keyed as ``GL_REAL_FORMS``."""
+    verdicts = {}
+    for n in range(2, 6):
+        for spec in gl_permutation_involutions(n):
+            sign = sum(spec.theta[0])
+            perm = tuple(row.index(sign) for row in spec.theta)
+            problems = realform.validate_involution(spec)
+            verdicts[n, perm, sign] = problems[0].split(":")[0] if problems else "admitted"
+    return verdicts
+
+
+def test_exactly_the_real_forms_of_gl2_to_gl5_are_admitted():
+    verdicts = gl_verdicts()
+    assert {key for key, verdict in verdicts.items() if verdict == "admitted"} == set(GL_REAL_FORMS)
+    refused = sorted(verdict for verdict in verdicts.values() if verdict != "admitted")
+    assert refused == ["Araki's first condition fails"] * 56 + ["Araki's second condition fails"] * 12
+
+
+def test_the_gl4_swaps_of_e2_e3_and_e3_e4_are_refused_by_the_second_condition():
+    # the involution whose step monoid is not free and whose classes lack a
+    # least member, and the one that broke the difference rule of the covers
+    for perm, i, coroot in [((0, 2, 1, 3), 0, (1, -1, 0, 0)), ((0, 1, 3, 2), 4, (0, 1, -1, 0))]:
+        spec = InvolutionSpec(gl_datum(4), tuple(identity_matrix(4)[j] for j in perm), name="swap")
+        assert validate_involution(spec) == [
+            f"Araki's second condition fails: w_M theta fixes the simple coroot {coroot} outside M,"
+            f" and <alpha_{i}, 2 rho_M^vee> = -1 is odd"
+        ]
+
+
+@pytest.mark.parametrize("name", CARTAN)
+def test_each_type_admits_as_many_levi_involutions_as_it_has_real_forms(name):
+    admitted = [spec.name for spec in levi_involutions(name) if not validate_involution(spec)]
+    assert len(admitted) == REAL_FORM_COUNTS[name], admitted
+
+
+@pytest.mark.parametrize(
+    "condition, old, new",
+    [("first", "if image not in simple:", "if False:"), ("second", "and dot(datum.roots[i], two_rho_levi) % 2:", "and False:")],
+)
+def test_a_dropped_araki_condition_is_caught(condition, old, new, monkeypatch):
+    # validate_involution rebuilt from its source with one condition never failing
+    source = textwrap.dedent(inspect.getsource(realform.validate_involution))
+    assert source.count(old) == 1
+    namespace = dict(vars(realform))
+    exec(compile(source.replace(old, new), realform.__file__, "exec"), namespace)
+    monkeypatch.setattr(realform, "validate_involution", namespace["validate_involution"])
+    admitted = {key for key, verdict in gl_verdicts().items() if verdict == "admitted"}
+    assert len(admitted - set(GL_REAL_FORMS)) == {"first": 54, "second": 12}[condition]
+
+
+def positivity_problem(spec):
+    """The positivity test validation made before Araki's first condition: the
+    transpose of theta must keep the positive roots that do not vanish on the
+    fixed lattice positive."""
+    datum = spec.datum
+    moving = {datum.roots[i] for i in datum.positive_root_indices
+              if any(dot(datum.roots[i], b) for b in spec.fixed_basis)}
+    return any(mat_vec(mat_transpose(spec.theta), alpha) not in moving for alpha in moving)
+
+
+def signed_weyl_involutions(datum):
+    """The involutions +-w, w in the Weyl group: all of them permute the coroots."""
+    group, todo = {identity_matrix(datum.rank)}, [identity_matrix(datum.rank)]
+    while todo:
+        w = todo.pop()
+        for i in datum.simple_indices:
+            if (x := mat_mul(datum.reflection_matrix(i), w)) not in group:
+                group.add(x)
+                todo.append(x)
+    for w in group:
+        for theta in (w, tuple(tuple(-x for x in row) for row in w)):
+            if mat_mul(theta, theta) == identity_matrix(datum.rank):
+                yield InvolutionSpec(datum, theta)
+
+
+def test_the_first_condition_is_the_old_positivity_test():
+    specs = [spec for n in range(2, 6) for spec in gl_permutation_involutions(n)]
+    specs += [spec for name in ("B2", "G2", "B3", "C3") for spec in signed_weyl_involutions(cartan_datum(name))]
+    specs += list(signed_weyl_involutions(sl3_datum()))
+    first = 0
+    for spec in specs:
+        problems = validate_involution(spec)
+        refused = bool(problems) and problems[0].startswith("Araki's first condition")
+        assert refused == positivity_problem(spec), spec.theta
+        first += refused
+    assert (len(specs), first) == (200, 123)
 
 
 def test_step_basis_refuses_a_generator_of_non_positive_height():
