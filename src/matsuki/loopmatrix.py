@@ -178,7 +178,6 @@ def _norm(a: int, b: int, d: int) -> Gaussian:
     return _make(a, b, d)
 
 
-G_ZERO = Gaussian(0)
 G_ONE = Gaussian(1)
 G_I = Gaussian(0, 1)
 HALF = _make(1, 0, 2)
@@ -372,11 +371,6 @@ def transpose(g: LaurentMatrix) -> LaurentMatrix:
 def apply_tau(g: LaurentMatrix) -> LaurentMatrix:
     """Entrywise substitution t -> 1/t."""
     return lm_from_rows(g.form, [[p.tau() for p in row] for row in g.entries])
-
-
-def apply_conjugation(g: LaurentMatrix) -> LaurentMatrix:
-    """Entrywise coefficient conjugation."""
-    return lm_from_rows(g.form, [[p.conjugate() for p in row] for row in g.entries])
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .rootdata import (
     positive_coroots,
     quotient_group,
     require_valid,
+    simple_coroots,
     sl2_datum,
     sl2xsl2_datum,
     sl3_datum,
@@ -52,6 +53,9 @@ class InvolutionSpec(Record):
 
     def apply(self, coweight: Coweight) -> Coweight:
         return mat_vec(self.theta, coweight)
+
+    def _split(self) -> bool:  # theta = 1, the split real form: its lattice structures are read off the datum
+        return self.theta == identity_matrix(self.datum.rank)
 
     def is_real(self, coweight: Coweight) -> bool:
         """Whether theta fixes the coweight: it lies in the span of the saturated
@@ -76,18 +80,20 @@ class InvolutionSpec(Record):
 
     @cached_property
     def fixed_solver(self) -> tuple[int, IntMatrix, IntMatrix]:
-        """``integer_solver`` of ``fixed_basis``, built on first use."""
-        return integer_solver(self.fixed_basis, dim=self.datum.rank)
+        """``integer_solver`` of ``fixed_basis``, built on first use.  For theta = 1
+        the fixed basis is the unit basis, whose solve rows are the basis itself."""
+        return (1, self.fixed_basis, ()) if self._split() else integer_solver(self.fixed_basis, dim=self.datum.rank)
 
     @cached_property
     def step_solver(self) -> tuple[int, IntMatrix, IntMatrix]:
-        """``integer_solver`` of ``step_basis``, the one its search ends with, built on first use."""
+        """``integer_solver`` of ``step_basis`` (``_step_monoid``), built on first use."""
         return _step_monoid(self)[1]
 
     @cached_property
     def step_order(self):
-        """``monoid_order`` of ``step_solver``, compiled on first use."""
-        return monoid_order(self.step_solver, self.datum.rank)
+        """``monoid_order`` of ``step_solver``, compiled on first use: ``coroot_order`` if it is ``coroot_solver``."""
+        solver = self.step_solver
+        return self.datum.coroot_order if solver is self.datum.coroot_solver else monoid_order(solver, self.datum.rank)
 
     @cached_property
     def image_lattice(self) -> tuple[tuple[Coweight, ...], FiniteAbelianGroup, tuple]:
@@ -211,20 +217,24 @@ def restricted_coroot_generators(spec: InvolutionSpec) -> tuple[Coweight, ...]:
 
 
 def step_basis(spec: InvolutionSpec) -> tuple[Coweight, ...]:
-    """The indecomposable restricted coroot generators, in order of height.
-
-    A generator is kept unless the monoid of the ones kept before it already
-    contains it; those have smaller height, so the kept ones are exactly the
-    indecomposables.  They lie along the simple coroots of the restricted root
-    system (Araki 1962; Helgason, ch. X), so they must be linearly
-    independent: the monoid is free, and ``spec.step_solver``, the solver the
-    search ends with, decides membership in it by one scaled integer solve.
-    """
+    """The indecomposable restricted coroot generators (``_step_monoid``)."""
     return _step_monoid(spec)[0]
 
 
 def _step_monoid(spec: InvolutionSpec) -> tuple[tuple[Coweight, ...], tuple[int, IntMatrix, IntMatrix]]:
-    """``step_basis`` and the ``integer_solver`` of it that its search ends with."""
+    """``step_basis`` and its ``integer_solver``.  For theta = 1 the restricted root system is the root
+    system itself (Araki, J. Math. Osaka City Univ. 13, 1962): every positive coroot is fixed, the
+    generators are the positive coroots and their doubles, and their indecomposables are the simple
+    coroots, read off the datum with its ``coroot_solver``.  Other involutions run ``_step_search``."""
+    if spec._split():
+        return simple_coroots(spec.datum), spec.datum.coroot_solver
+    return _step_search(spec)
+
+
+def _step_search(spec: InvolutionSpec) -> tuple[tuple[Coweight, ...], tuple[int, IntMatrix, IntMatrix]]:
+    """The indecomposables in order of height, a generator kept unless the ones kept before it generate
+    it, and the solver the search ends with.  They lie along the simple restricted coroots (Araki; Helgason,
+    ch. X), so they are independent and one scaled integer solve decides membership in the free monoid."""
     datum = spec.datum
     gens = sorted(restricted_coroot_generators(spec), key=lambda g: height(datum, g))
     if gens and height(datum, gens[0]) <= 0:

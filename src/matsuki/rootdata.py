@@ -267,7 +267,7 @@ def free_monoid_leq(solver: tuple[int, IntMatrix, IntMatrix], lower: Coweight, u
     upper - lower pairs to 0 with every consistency row and to a non-negative
     multiple of den with every solve row.  The orders called per comparison
     are ``monoid_order`` compilations of the same test; this loop serves a
-    solver used a few times, as in ``realform.step_basis``."""
+    solver used a few times, as in ``realform._step_search``."""
     den, rows, consistency = solver
     diff = vec_sub(upper, lower)
     if any(dot(row, diff) for row in consistency):

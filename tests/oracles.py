@@ -3,6 +3,7 @@
 from itertools import combinations, permutations
 from operator import le
 
+from matsuki.loopmatrix import lm_from_rows
 from matsuki.realform import InvolutionSpec, catalog, catalog_names, validate_involution
 from matsuki.rootdata import RootDatum, dot, gl_datum, height, identity_matrix, weyl_longest_element
 
@@ -115,3 +116,8 @@ def group_class(group, vector):
     coordinate reduced modulo its invariant factor (a free one kept as is)."""
     coords = (dot(row, vector) for row in group.projection)
     return tuple(c % f if f else c for c, f in zip(coords, group.invariant_factors))
+
+
+def apply_conjugation(g):
+    """Entrywise coefficient conjugation of a Laurent loop."""
+    return lm_from_rows(g.form, [[p.conjugate() for p in row] for row in g.entries])

@@ -269,59 +269,68 @@ CATALOG = ", ".join(catalog_names())
     "argv, text, message",
     [
         # the file formats; every ParseError but the whole-file ones carries its line
-        (["pi1"], SL2_FILE.replace("rank: 1\n", "rank: 1\nname: y\n"), "line 3: duplicate key 'name'"),
-        (["pi1"], SL2_FILE.replace("theta:\n1\n", "theta: 1\n"),
-         "line 10: 'theta' must introduce a matrix block, not an inline value"),
-        (["pi1"], SL2_FILE.replace("theta:\n1\n", "theta:\n"), "line 10: matrix block 'theta' is empty"),
-        (["pi1"], GL2_FILE.replace("-1 1\n", "-1\n", 1), "line 6: ragged row in matrix block 'roots'"),
-        (["pi1"], SL2_FILE.replace("coroots:\n1\n-1\n", ""), "line 0: roots and coroots must be given together"),
-        (["pi1"], "name: x\ndatum: nosuch\ntheta:\n1\n", f"line 2: unknown catalog entry 'nosuch'; available: {CATALOG}"),
-        (["pi1"], "name: x\ntheta:\n1\n",
-         "line 0: involution file needs either inline datum fields or a datum reference"),
-        (["invariant"], "form: gl2_split\nsize: two\n", "line 2: size must be an integer, got 'two'"),
-        (["invariant"], IDENTITY_FILE + "entry 3 1: (0, 1/1, 0/1)\n", "line 5: entry (3, 1) outside a 2x2 matrix"),
-        (["invariant"], IDENTITY_FILE.replace("(0, 1/1, 0/1)", "(0, 1/1, 0/1) (0, 2/1, 0/1)", 1),
-         "line 3: duplicate exponent 0 in entry (1, 1)"),
+        pytest.param(["pi1"], SL2_FILE.replace("rank: 1\n", "rank: 1\nname: y\n"), "line 3: duplicate key 'name'",
+                     id="duplicate-key"),
+        pytest.param(["pi1"], SL2_FILE.replace("theta:\n1\n", "theta: 1\n"),
+                     "line 10: 'theta' must introduce a matrix block, not an inline value", id="inline-block"),
+        pytest.param(["pi1"], SL2_FILE.replace("theta:\n1\n", "theta:\n"), "line 10: matrix block 'theta' is empty",
+                     id="empty-block"),
+        pytest.param(["pi1"], GL2_FILE.replace("-1 1\n", "-1\n", 1), "line 6: ragged row in matrix block 'roots'",
+                     id="ragged-row"),
+        pytest.param(["pi1"], SL2_FILE.replace("coroots:\n1\n-1\n", ""),
+                     "line 0: roots and coroots must be given together", id="roots-alone"),
+        pytest.param(["pi1"], "name: x\ndatum: nosuch\ntheta:\n1\n",
+                     f"line 2: unknown catalog entry 'nosuch'; available: {CATALOG}", id="unknown-reference"),
+        pytest.param(["pi1"], "name: x\ntheta:\n1\n",
+                     "line 0: involution file needs either inline datum fields or a datum reference", id="no-datum"),
+        pytest.param(["invariant"], "form: gl2_split\nsize: two\n", "line 2: size must be an integer, got 'two'",
+                     id="non-integer-size"),
+        pytest.param(["invariant"], IDENTITY_FILE + "entry 3 1: (0, 1/1, 0/1)\n",
+                     "line 5: entry (3, 1) outside a 2x2 matrix", id="entry-outside"),
+        pytest.param(["invariant"], IDENTITY_FILE.replace("(0, 1/1, 0/1)", "(0, 1/1, 0/1) (0, 2/1, 0/1)", 1),
+                     "line 3: duplicate exponent 0 in entry (1, 1)", id="duplicate-exponent"),
         # an inline datum that validate_root_datum refuses
-        (["pi1"], "name: z\nrank: 0\nsimple:\ntheta:\n1\n", "invalid root datum 'z': rank must be a positive integer"),
-        (["pi1"], SL2_FILE.replace("coroots:\n1\n-1\n", "coroots:\n1\n"),
-         "invalid root datum 'x': roots and coroots must be index-paired lists of equal length"),
-        (["pi1"], GL2_FILE.replace("rank: 2", "rank: 3"),
-         "invalid root datum 'g': vector (1, -1) does not have length rank=3"),
-        (["pi1"], SL2_FILE.replace("simple: 0", "simple: 0 0"),
-         "invalid root datum 'x': simple_indices contains duplicates; simple roots are linearly dependent"),
-        (["pi1"], SL2_FILE.replace("simple: 0", "simple: 5"), "invalid root datum 'x': simple_indices out of range"),
-        (["pi1"], SL2_FILE.replace("coroots:\n1\n-1\n", "coroots:\n1\n1\n"),
-         "invalid root datum 'x': coroot list contains duplicates; reflection at simple root 0 does not permute"
-         " the coroot set (image of (1,) missing)"),
-        (["pi1"], HALF_GL2_FILE, "invalid root datum 'h': root (1, 1) lies outside the span of the simple roots;"
-         " root (-1, -1) lies outside the span of the simple roots"),
-        (["pi1"], SL2_FILE.replace("2\n-2\ncoroots:\n1\n-1\n", "2\n-2\n1\n-1\ncoroots:\n1\n-1\n2\n-2\n"),
-         "invalid root datum 'x': root (1,) is not a signed non-negative integer combination of simples;"
-         " root (-1,) is not a signed non-negative integer combination of simples"),
+        pytest.param(["pi1"], "name: z\nrank: 0\nsimple:\ntheta:\n1\n",
+                     "invalid root datum 'z': rank must be a positive integer", id="rank-0"),
+        pytest.param(["pi1"], SL2_FILE.replace("coroots:\n1\n-1\n", "coroots:\n1\n"),
+                     "invalid root datum 'x': roots and coroots must be index-paired lists of equal length",
+                     id="unequal-counts"),
+        pytest.param(["pi1"], GL2_FILE.replace("rank: 2", "rank: 3"),
+                     "invalid root datum 'g': vector (1, -1) does not have length rank=3", id="vector-length"),
+        pytest.param(["pi1"], SL2_FILE.replace("simple: 0", "simple: 0 0"),
+                     "invalid root datum 'x': simple_indices contains duplicates; simple roots are linearly dependent",
+                     id="duplicate-simple"),
+        pytest.param(["pi1"], SL2_FILE.replace("simple: 0", "simple: 5"),
+                     "invalid root datum 'x': simple_indices out of range", id="simple-out-of-range"),
+        pytest.param(["pi1"], SL2_FILE.replace("coroots:\n1\n-1\n", "coroots:\n1\n1\n"),
+                     "invalid root datum 'x': coroot list contains duplicates; reflection at simple root 0 does not"
+                     " permute the coroot set (image of (1,) missing)", id="duplicate-coroots"),
+        pytest.param(["pi1"], HALF_GL2_FILE, "invalid root datum 'h': root (1, 1) lies outside the span of the simple"
+                     " roots; root (-1, -1) lies outside the span of the simple roots", id="root-outside-span"),
+        pytest.param(["pi1"], SL2_FILE.replace("2\n-2\ncoroots:\n1\n-1\n", "2\n-2\n1\n-1\ncoroots:\n1\n-1\n2\n-2\n"),
+                     "invalid root datum 'x': root (1,) is not a signed non-negative integer combination of simples;"
+                     " root (-1,) is not a signed non-negative integer combination of simples", id="half-root"),
         # an involution that validate_involution refuses, on a datum reference
-        (["pi1"], "name: bad\ndatum: sl3_split\ntheta:\n1 0 0\n0 1 0\n0 0 1\n",
-         "invalid involution 'bad': theta must be a 2x2 integer matrix"),
-        (["pi1"], "name: swap13\ndatum: gl3_split\ntheta:\n0 0 1\n0 1 0\n1 0 0\n",
-         "invalid involution 'swap13': Araki's first condition fails: w_M theta sends the simple coroot (1, -1, 0)"
-         " to (0, -1, 1), which is not simple"),
+        pytest.param(["pi1"], "name: bad\ndatum: sl3_split\ntheta:\n1 0 0\n0 1 0\n0 0 1\n",
+                     "invalid involution 'bad': theta must be a 2x2 integer matrix", id="theta-shape-on-reference"),
+        pytest.param(["pi1"], "name: swap13\ndatum: gl3_split\ntheta:\n0 0 1\n0 1 0\n1 0 0\n",
+                     "invalid involution 'swap13': Araki's first condition fails: w_M theta sends the simple coroot"
+                     " (1, -1, 0) to (0, -1, 1), which is not simple", id="positivity"),
         # command arguments
-        (["dual", "sl3_split", "1", "x"], None, "coweight coordinates must be integers, got ['1', 'x']"),
-        (["dual", "sl3_split", "1"], None, "expected 2 coordinates, got 1"),
-        (["core", "sl3_split", "1", "x"], None, "coweight coordinates must be integers, got ['1', 'x']"),
-        (["core", "sl3_split", "1", "2", "3"], None, "expected 2 coordinates, got 3"),
-        (["check", "nosuch"], None, "check runs on catalog entries; unknown 'nosuch'"),
-        (["orbits", "sl3_split", "--height", "-1"], None, "height bound must be non-negative"),
+        pytest.param(["dual", "sl3_split", "1", "x"], None, "coweight coordinates must be integers, got ['1', 'x']",
+                     id="dual-non-integer"),
+        pytest.param(["dual", "sl3_split", "1"], None, "expected 2 coordinates, got 1", id="dual-count"),
+        pytest.param(["core", "sl3_split", "1", "x"], None, "coweight coordinates must be integers, got ['1', 'x']",
+                     id="core-non-integer"),
+        pytest.param(["core", "sl3_split", "1", "2", "3"], None, "expected 2 coordinates, got 3", id="core-count"),
+        pytest.param(["check", "nosuch"], None, "check runs on catalog entries; unknown 'nosuch'",
+                     id="check-non-catalog"),
+        pytest.param(["orbits", "sl3_split", "--height", "-1"], None, "height bound must be non-negative",
+                     id="orbits-negative-height"),
         # an involution that passes every check but Araki's second: gl4 with e2 and e3 swapped
-        (["poset"], GL4_SWAP23_FILE, "invalid involution 'gl4_swap23': Araki's second condition fails: w_M theta"
-         " fixes the simple coroot (1, -1, 0, 0) outside M, and <alpha_0, 2 rho_M^vee> = -1 is odd"),
-    ],
-    ids=[
-        "duplicate-key", "inline-block", "empty-block", "ragged-row", "roots-alone", "unknown-reference",
-        "no-datum", "non-integer-size", "entry-outside", "duplicate-exponent", "rank-0", "unequal-counts",
-        "vector-length", "duplicate-simple", "simple-out-of-range", "duplicate-coroots", "dual-non-integer",
-        "dual-count", "core-non-integer", "core-count", "check-non-catalog", "orbits-negative-height",
-        "root-outside-span", "half-root", "theta-shape-on-reference", "positivity", "araki-second",
+        pytest.param(["poset"], GL4_SWAP23_FILE, "invalid involution 'gl4_swap23': Araki's second condition fails:"
+                     " w_M theta fixes the simple coroot (1, -1, 0, 0) outside M, and <alpha_0, 2 rho_M^vee> = -1"
+                     " is odd", id="araki-second"),
     ],
 )
 def test_each_refusal_exits_one_with_one_line(capsys, tmp_path, argv, text, message):

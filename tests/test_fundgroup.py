@@ -40,7 +40,7 @@ from matsuki.rootdata import (
     vec_sub,
 )
 
-from oracles import decomposes, group_class
+from oracles import decomposes, group_class, real_form_specs
 
 ALL_NAMES = list(catalog_names())
 
@@ -139,14 +139,45 @@ def test_step_solver_is_the_solver_of_the_step_basis():
     assert not_free == ["gl4_swap23"]
 
 
+def read_off_mismatches(specs):
+    """Names of the specs, taken fresh, whose step basis, step solver or fixed
+    solver differ from the height-ordered search and the ``integer_solver`` of
+    the fixed basis; a step solve row is compared at its basis vector, since a
+    theta = 1 spec lists its basis in simple-index order."""
+    mismatched = []
+    for spec in map(copy.deepcopy, specs):
+        den, rows, consistency = spec.step_solver
+        searched, (search_den, search_rows, search_consistency) = realform._step_search(spec)
+        if ((den, dict(zip(step_basis(spec), rows)), consistency)
+                != (search_den, dict(zip(searched, search_rows)), search_consistency)
+                or spec.fixed_solver != integer_solver(spec.fixed_basis, dim=spec.datum.rank)):
+            mismatched.append(spec.name)
+    return mismatched
+
+
+def test_split_forms_read_off_what_the_search_finds():
+    specs = real_form_specs()
+    split = [s.name for s in specs if s.theta == identity_matrix(s.datum.rank)]
+    # the 7 split catalog entries, gl2-gl5 and the split forms of B2, C2, G2, B3 and C3
+    assert len(split) == 16
+    assert read_off_mismatches(specs) == []
+
+
+def test_a_read_off_admitting_non_split_forms_is_caught(monkeypatch):
+    split = realform.InvolutionSpec._split
+    monkeypatch.setattr(realform.InvolutionSpec, "_split", lambda s: s.name in ("sl2C_as_real", "su21") or split(s))
+    assert read_off_mismatches(real_form_specs()) == ["sl2C_as_real", "su21"]
+
+
 # Smith normal forms that one cold call each of k_leq, r_leq and real_step_leq
-# runs on a spec with no cached property: the simple coroots, the simple roots
-# (for the positive coroots; none without roots), the step basis search (one
-# for the empty basis and one per kept generator, the last of which is the
-# step solver), the kernel of theta - 1 and the fixed basis
+# runs on a spec with no cached property: the simple coroots and the kernel of
+# theta - 1; unless theta = 1, whose step solver and fixed solver are read off
+# the datum, also the simple roots (for the positive coroots; none without
+# roots), the step basis search (one for the empty basis and one per kept
+# generator, the last of which is the step solver) and the fixed basis
 COLD_ORDER_SMITH_FORMS = {
-    "sl2_split": 6, "sl2_compact": 5, "pgl2_so21": 6, "sl2C_as_real": 6, "sl3_split": 7,
-    "su11": 6, "su21": 6, "gl1_split": 4, "gl2_split": 6, "gl3_split": 7,
+    "sl2_split": 2, "sl2_compact": 5, "pgl2_so21": 2, "sl2C_as_real": 6, "sl3_split": 2,
+    "su11": 2, "su21": 6, "gl1_split": 2, "gl2_split": 2, "gl3_split": 2,
 }
 
 
@@ -155,14 +186,21 @@ def test_cold_orders_solve_the_step_basis_once(name, monkeypatch):
     spec = copy.deepcopy(catalog(name).spec)
     solved, snf = [], rootdata.smith_normal_form
     monkeypatch.setattr(rootdata, "smith_normal_form", lambda m: solved.append(m) or snf(m))
+    compiled, compile_order = [], rootdata.monoid_order
+    for module in (rootdata, realform):
+        monkeypatch.setattr(module, "monoid_order", lambda *a: compiled.append(a) or compile_order(*a))
     zero = (0,) * spec.datum.rank
     assert all(relation(spec, zero, zero) for relation in (k_leq, r_leq, real_step_leq))
-    assert len(solved) == COLD_ORDER_SMITH_FORMS[name] == 4 + bool(spec.datum.roots) + len(step_basis(spec))
+    smith_forms, split = len(solved), spec.theta == identity_matrix(spec.datum.rank)
+    searched = 4 + bool(spec.datum.roots) + len(step_basis(spec))
+    assert smith_forms == COLD_ORDER_SMITH_FORMS[name] == (2 if split else searched)
+    # one order serves k_leq, r_leq and real_step_leq of a split form
+    assert len(compiled) == (1 if split else 2)
 
 
 def test_non_free_generators_raise(monkeypatch, cleared_caches):
     monkeypatch.setattr(realform, "restricted_coroot_generators", lambda spec: ((2,), (3,)))
-    spec = catalog("pgl2_so21").spec
+    spec = catalog("sl2_compact").spec
     with pytest.raises(TheoremViolationError, match="not free"):
         step_basis(spec)
     with pytest.raises(TheoremViolationError, match="not free"):
@@ -171,10 +209,10 @@ def test_non_free_generators_raise(monkeypatch, cleared_caches):
 
 def test_non_free_generators_fail_the_check(monkeypatch, cleared_caches, capsys):
     monkeypatch.setattr(realform, "restricted_coroot_generators", lambda spec: ((2,), (3,)))
-    assert main(["check", "pgl2_so21"]) == 2
+    assert main(["check", "sl2_compact"]) == 2
     captured = capsys.readouterr()
     for suite in ("generation", "duality", "step-order"):
-        assert f"suite pgl2_so21/{suite}: FAIL (restricted generator (3,)" in captured.out
+        assert f"suite sl2_compact/{suite}: FAIL (restricted generator (3,)" in captured.out
     assert "check: " in captured.out and "suite(s) failed" in captured.out
     assert "Traceback" not in captured.out + captured.err
 

@@ -15,7 +15,7 @@ import pytest
 
 import matsuki.loopmatrix as loopmatrix
 from matsuki.errors import ValidationError
-from matsuki.loopmatrix import G_ZERO, Gaussian, LaurentPoly, determinant, lm_from_rows, mat_mul
+from matsuki.loopmatrix import Gaussian, LaurentPoly, determinant, lm_from_rows, mat_mul
 
 BIG = 10**9
 DENOMINATORS = (1, 2, 3, 5, 10, 25)
@@ -60,7 +60,7 @@ class DictLaurentPoly:
     def __add__(self, other):
         out = dict(self._c)
         for e, c in other._c.items():
-            s = out.get(e, G_ZERO) + c
+            s = out.get(e, Gaussian(0)) + c
             if s:
                 out[e] = s
             else:

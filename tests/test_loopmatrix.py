@@ -14,7 +14,6 @@ from matsuki.errors import TheoremViolationError, ValidationError
 from matsuki.loopmatrix import (
     Gaussian,
     LaurentPoly,
-    apply_conjugation,
     apply_tau,
     determinant,
     diagonal_loop,
@@ -38,6 +37,8 @@ from matsuki.loopmatrix import (
     transpose,
 )
 from matsuki.textio import format_matrix
+
+from oracles import apply_conjugation
 
 ONE = LaurentPoly.one()
 ZERO = LaurentPoly.zero()
