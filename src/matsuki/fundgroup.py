@@ -13,7 +13,7 @@ from __future__ import annotations
 from .errors import ValidationError
 from .realform import InvolutionSpec, real_coweight_coordinates, restricted_coroot_generators
 from .record import Record
-from .rootdata import Coweight, FiniteAbelianGroup, dot, is_dominant, pi1_of_group, quotient_group
+from .rootdata import Coweight, FiniteAbelianGroup, _require_rank, dot, pi1_of_group, quotient_group
 
 
 class PiOneModel(Record):
@@ -52,13 +52,18 @@ def pi1_model(spec: InvolutionSpec) -> PiOneModel:
 def in_image_semigroup(spec: InvolutionSpec, coweight: Coweight) -> bool:
     """Membership in the parameterizing sub-semigroup: dominant, theta-fixed,
     and with loop class in the image.  Rejects non-dominant or non-real input."""
-    if not is_dominant(spec.datum, coweight):
+    return _member_pairings(spec, coweight) is not None
+
+
+def _member_pairings(spec: InvolutionSpec, coweight: Coweight) -> list[int] | None:
+    """The simple-root pairings of a member of the sub-semigroup, or None for a
+    dominant theta-fixed coweight whose loop class is not in the image; refuses
+    a length other than rank, then a non-dominant, then a non-real coweight."""
+    datum = spec.datum
+    _require_rank(datum, coweight)
+    pairings = [dot(datum.roots[i], coweight) for i in datum.simple_indices]
+    if min(pairings, default=0) < 0:
         raise ValidationError(f"{coweight} is not dominant")
     if not spec.is_real(coweight):
         raise ValidationError(f"{coweight} is not theta-fixed")
-    return _in_image_class(spec, coweight)
-
-
-def _in_image_class(spec: InvolutionSpec, coweight: Coweight) -> bool:
-    """Whether a theta-fixed coweight has loop class zero, with no solve."""
-    return not any(dot(row, coweight) % m for row, m in spec.image_lattice[2])
+    return None if any(dot(row, coweight) % m for row, m in spec.image_lattice[2]) else pairings

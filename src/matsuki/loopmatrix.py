@@ -277,10 +277,6 @@ class LaurentPoly:
         """Substitute t -> 1/t."""
         return _raw({-e: pair for e, pair in self._c.items()}, self._d)
 
-    def conjugate(self) -> "LaurentPoly":
-        """Conjugate the coefficients; t stays t."""
-        return _raw({e: (a, -b) for e, (a, b) in self._c.items()}, self._d)
-
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented

@@ -15,7 +15,7 @@ from math import gcd, lcm
 from operator import add, index, le, mul
 
 from .errors import ValidationError
-from .fundgroup import image_index, in_image_semigroup
+from .fundgroup import _member_pairings, image_index
 from .realform import InvolutionSpec, restricted_coroot_generators
 from .record import Record
 from .rootdata import Coweight, dominance_leq, dot, identity_matrix, simple_roots, vec_neg
@@ -173,13 +173,15 @@ def r_leq(spec: InvolutionSpec, lower: Coweight, upper: Coweight) -> bool:
 
 def core_data(spec: InvolutionSpec, coweight: Coweight) -> CoreData:
     """Parabolic type and flag dimension of the core at a given index."""
-    if not in_image_semigroup(spec, coweight):
+    pairings = _member_pairings(spec, coweight)
+    if pairings is None:
         raise ValidationError(f"{coweight} is not in the image sub-semigroup")
     datum = spec.datum
-    pairings = {i: dot(datum.roots[i], coweight) for i in datum.positive_root_indices}
-    parabolic = tuple(i for i in datum.simple_indices if pairings[i] == 0)
-    dim = sum(1 for p in pairings.values() if p > 0)
-    return CoreData(coweight=coweight, parabolic_simple_roots=parabolic, flag_dimension=dim)
+    simple, roots = datum.simple_indices, datum.roots
+    parabolic = tuple([i for i, p in zip(simple, pairings) if not p])
+    dim = len(simple) - len(parabolic) + sum(  # positive roots positive on it, simple ones paired above
+        [dot(roots[i], coweight) > 0 for i in datum.positive_root_indices if i not in simple])
+    return CoreData(coweight, parabolic, dim)
 
 
 def matsuki_dual(spec: InvolutionSpec, coweight: Coweight) -> tuple[Coweight, CoreData]:
@@ -190,15 +192,9 @@ def matsuki_dual(spec: InvolutionSpec, coweight: Coweight) -> tuple[Coweight, Co
 
 
 def real_step_leq(spec: InvolutionSpec, lower: Coweight, upper: Coweight) -> bool:
-    """True when upper - lower is a non-negative integer combination of the
-    restricted coroot generators, decided by the compiled order of their
-    indecomposables; both arguments must be real coweights."""
-    leq = spec.step_order(lower, upper)  # checks both lengths first
-    if spec.fixed_solver[2]:  # theta is not the identity
-        for v in (lower, upper):
-            if not spec.is_real(v):
-                raise ValidationError(f"{v} is not theta-fixed")
-    return leq
+    """True when upper - lower is a non-negative integer combination of the restricted coroot
+    generators; both must be real coweights (``InvolutionSpec.real_step_order``)."""
+    return spec.real_step_order(lower, upper)
 
 
 def _require_lengths(spec: InvolutionSpec, elements) -> None:

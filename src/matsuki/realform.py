@@ -10,6 +10,7 @@ between the library, the CLI and the matrix model.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from operator import mul
 
 from .errors import TheoremViolationError, ValidationError
 from .record import Record
@@ -73,9 +74,11 @@ class InvolutionSpec(Record):
 
         Computed as the integer kernel of (theta - 1) via Smith normal form; the
         kernel of an integer matrix is automatically saturated.  May be empty
-        (anisotropic forms).
+        (anisotropic forms).  For theta = 1 it is read off: the unit basis, reversed as sorted.
         """
         n = self.datum.rank
+        if self._split():
+            return identity_matrix(n)[::-1]
         return kernel_basis(tuple(tuple(self.theta[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)))
 
     @cached_property
@@ -94,6 +97,23 @@ class InvolutionSpec(Record):
         """``monoid_order`` of ``step_solver``, compiled on first use: ``coroot_order`` if it is ``coroot_solver``."""
         solver = self.step_solver
         return self.datum.coroot_order if solver is self.datum.coroot_solver else monoid_order(solver, self.datum.rank)
+
+    @cached_property
+    def real_step_order(self):
+        """``step_order`` on theta-fixed coweights, built on first use: ``step_order`` itself for theta = 1, else
+        a closure that calls it (refusing a wrong length), then refuses lower, then upper, if theta moves it."""
+        leq, consistency = self.step_order, self.fixed_solver[2]
+        if not consistency:  # theta = 1
+            return leq
+
+        def real_leq(lower: Coweight, upper: Coweight) -> bool:
+            result = leq(lower, upper)
+            for v in (lower, upper):
+                for row in consistency:
+                    if sum(map(mul, row, v)):
+                        raise ValidationError(f"{v} is not theta-fixed")
+            return result
+        return real_leq
 
     @cached_property
     def image_lattice(self) -> tuple[tuple[Coweight, ...], FiniteAbelianGroup, tuple]:

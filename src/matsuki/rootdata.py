@@ -5,8 +5,8 @@ in the dual copy and pair with coweights by the plain dot product.  All
 computations are integer exact: every solve in the lattice layer comes from
 one Smith normal form, and nothing here ever touches floats.  Each order on
 coweights is compiled once per solver (``monoid_order``) into straight-line
-integer tests on the unpacked coordinates, so a comparison does no solve, no
-loop and no subscript.
+tests of side sums, a row's form at upper against its form at lower, so a
+comparison does no solve, no loop, no subscript and no difference vector.
 
 Weyl group elements are handled as integer matrices acting on the cocharacter
 lattice, except where an explicit reflection word is part of a result.
@@ -275,31 +275,29 @@ def free_monoid_leq(solver: tuple[int, IntMatrix, IntMatrix], lower: Coweight, u
     return all(c >= 0 and c % den == 0 for c in mat_vec(rows, diff))
 
 
-def _linear_form(row) -> str:
-    """Source of the integer form sum(row[i] * d_i), zero terms left out."""
-    terms = (f"{'-' if c < 0 else '+'} {f'{abs(c)} * ' if abs(c) != 1 else ''}d{i}" for i, c in enumerate(row) if c)
+def _linear_form(row, var: str) -> str:
+    """Source of the integer form sum(row[i] * var_i), zero terms left out."""
+    terms = (f"{'-' if c < 0 else '+'} {f'{abs(c)} * ' if abs(c) != 1 else ''}{var}{i}" for i, c in enumerate(row) if c)
     return " ".join(terms).removeprefix("+ ")
 
 
 def monoid_order(solver: tuple[int, IntMatrix, IntMatrix], rank: int) -> Callable[[Coweight, Coweight], bool]:
     """``free_monoid_leq`` of one solver as a function ``leq(lower, upper)`` of
-    straight-line code: it unpacks the arguments into l_i and u_i (refusing a
-    length other than rank), binds d_i = u_i - l_i and returns the conjunction
-    of form == 0 for each consistency row and form >= 0 (and form % den == 0
-    when den > 1) for each solve row, with the solver's integers written into
-    the source."""
+    straight-line code with the solver's integers written in: it unpacks the
+    arguments into l_i and u_i, refusing a length other than rank, and returns
+    U == L for each consistency row and U >= L (and (U - L) % den == 0 if den > 1)
+    for each solve row, joined by ``and``, U and L the row's forms at upper and lower."""
     den, rows, consistency = solver
-    tests = [f"{_linear_form(row)} == 0" for row in consistency if any(row)]
+    tests = [f"{_linear_form(row, 'u')} == {_linear_form(row, 'l')}" for row in consistency if any(row)]
     for j, row in enumerate(rows):
         if any(row):
-            form = _linear_form(row)
-            tests.append(f"(c{j} := {form}) >= 0 and c{j} % {den} == 0" if den > 1 else f"{form} >= 0")
+            up, low = _linear_form(row, "u"), _linear_form(row, "l")
+            tests.append(f"(c{j} := {up} - ({low})) >= 0 and c{j} % {den} == 0" if den > 1 else f"{up} >= {low}")
     lows, ups = ("".join(f"{v}{i}, " for i in range(rank)) for v in "lu")  # "l0, l1, " and "u0, u1, "
     source = (
         f"def leq(lower, upper):\n    try:\n        ({lows}) = lower\n        ({ups}) = upper\n"
         "    except ValueError:\n        raise refusal(lower, upper) from None\n"
-        + "".join(f"    d{i} = u{i} - l{i}\n" for i in range(rank))
-        + f"    return {' and '.join(tests) or 'True'}\n"
+        f"    return {' and '.join(tests) or 'True'}\n"
     )
     namespace = {"refusal": lambda a, b: ValidationError(f"{a} and {b} must both have length rank={rank}")}
     exec(source, namespace)

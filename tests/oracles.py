@@ -3,7 +3,7 @@
 from itertools import combinations, permutations
 from operator import le
 
-from matsuki.loopmatrix import lm_from_rows
+from matsuki.loopmatrix import LaurentPoly, lm_from_rows
 from matsuki.realform import InvolutionSpec, catalog, catalog_names, validate_involution
 from matsuki.rootdata import RootDatum, dot, gl_datum, height, identity_matrix, weyl_longest_element
 
@@ -118,6 +118,11 @@ def group_class(group, vector):
     return tuple(c % f if f else c for c, f in zip(coords, group.invariant_factors))
 
 
+def conjugate_poly(p):
+    """Coefficient conjugation of a Laurent polynomial, Gaussian by Gaussian; t stays t."""
+    return LaurentPoly({e: c.conjugate() for e, c in p.items()})
+
+
 def apply_conjugation(g):
     """Entrywise coefficient conjugation of a Laurent loop."""
-    return lm_from_rows(g.form, [[p.conjugate() for p in row] for row in g.entries])
+    return lm_from_rows(g.form, [[conjugate_poly(p) for p in row] for row in g.entries])

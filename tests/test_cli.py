@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -464,6 +465,48 @@ def test_help_exits_zero(capsys, argv):
         main(argv)
     assert raised.value.code == 0
     assert capsys.readouterr().out.startswith("usage: matsuki")
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader went away: each write raises BrokenPipeError, and
+    so does close when ``close_fails``, as a buffered stream flushing on close."""
+
+    def __init__(self, close_fails):
+        super().__init__()
+        self.close_fails = close_fails
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def close(self):
+        super().close()
+        if self.close_fails:
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("close_fails", [False, True], ids=["closes", "close-fails"])
+def test_a_reader_that_went_away_ends_the_command_with_exit_zero(capsys, monkeypatch, close_fails):
+    pipe = ClosedPipe(close_fails)
+    monkeypatch.setattr(sys, "stdout", pipe)
+    assert main(["catalog"]) == 0
+    assert pipe.closed
+    assert capsys.readouterr().err == ""
+
+
+def test_the_console_script_and_the_module_exit_with_the_code_of_main(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["matsuki", "core", "sl3_split", "1", "1"])
+    with pytest.raises(SystemExit) as raised:
+        cli.entry_point()
+    script = capsys.readouterr()
+    assert raised.value.code == 0 and script.out and not script.err
+    monkeypatch.delitem(sys.modules, "matsuki.cli")  # runpy warns when it runs an imported module
+    with pytest.raises(SystemExit) as raised:
+        runpy.run_module("matsuki.cli", run_name="__main__")
+    assert raised.value.code == 0 and capsys.readouterr() == script
+    monkeypatch.setattr(sys, "argv", ["matsuki", "core", "sl3_split", "1", "0"])
+    with pytest.raises(SystemExit) as raised:
+        cli.entry_point()
+    assert raised.value.code == 1 and capsys.readouterr().err == "error: (1, 0) is not dominant\n"
 
 
 def test_pi1_flags_a_non_catalog_file(capsys, tmp_path):

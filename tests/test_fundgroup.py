@@ -169,15 +169,16 @@ def test_a_read_off_admitting_non_split_forms_is_caught(monkeypatch):
     assert read_off_mismatches(real_form_specs()) == ["sl2C_as_real", "su21"]
 
 
-# Smith normal forms that one cold call each of k_leq, r_leq and real_step_leq
-# runs on a spec with no cached property: the simple coroots and the kernel of
-# theta - 1; unless theta = 1, whose step solver and fixed solver are read off
-# the datum, also the simple roots (for the positive coroots; none without
-# roots), the step basis search (one for the empty basis and one per kept
-# generator, the last of which is the step solver) and the fixed basis
+# Smith normal forms that one cold call each of k_leq, r_leq and real_step_leq,
+# and the fixed solver, run on a spec with no cached property: the simple
+# coroots; unless theta = 1, whose step solver, fixed basis and fixed solver
+# are read off the datum, also the kernel of theta - 1 (the fixed basis), its
+# solver, the simple roots (for the positive coroots; none without roots) and
+# the step basis search (one for the empty basis and one per kept generator,
+# the last of which is the step solver)
 COLD_ORDER_SMITH_FORMS = {
-    "sl2_split": 2, "sl2_compact": 5, "pgl2_so21": 2, "sl2C_as_real": 6, "sl3_split": 2,
-    "su11": 2, "su21": 6, "gl1_split": 2, "gl2_split": 2, "gl3_split": 2,
+    "sl2_split": 1, "sl2_compact": 5, "pgl2_so21": 1, "sl2C_as_real": 6, "sl3_split": 1,
+    "su11": 1, "su21": 6, "gl1_split": 1, "gl2_split": 1, "gl3_split": 1,
 }
 
 
@@ -191,9 +192,10 @@ def test_cold_orders_solve_the_step_basis_once(name, monkeypatch):
         monkeypatch.setattr(module, "monoid_order", lambda *a: compiled.append(a) or compile_order(*a))
     zero = (0,) * spec.datum.rank
     assert all(relation(spec, zero, zero) for relation in (k_leq, r_leq, real_step_leq))
+    assert spec.fixed_solver
     smith_forms, split = len(solved), spec.theta == identity_matrix(spec.datum.rank)
     searched = 4 + bool(spec.datum.roots) + len(step_basis(spec))
-    assert smith_forms == COLD_ORDER_SMITH_FORMS[name] == (2 if split else searched)
+    assert smith_forms == COLD_ORDER_SMITH_FORMS[name] == (1 if split else searched)
     # one order serves k_leq, r_leq and real_step_leq of a split form
     assert len(compiled) == (1 if split else 2)
 

@@ -37,6 +37,8 @@ from matsuki.loopmatrix import (
     transpose,
 )
 
+from oracles import conjugate_poly
+
 ZERO = LaurentPoly.zero()
 
 
@@ -90,7 +92,7 @@ def _turn(g):
 
 
 def _bar(g):
-    return lm_from_rows(g.form, [[p.tau().conjugate() for p in row] for row in g.entries])
+    return lm_from_rows(g.form, [[conjugate_poly(p.tau()) for p in row] for row in g.entries])
 
 
 def ref_symmetrize(form, g):

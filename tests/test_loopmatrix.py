@@ -38,7 +38,7 @@ from matsuki.loopmatrix import (
 )
 from matsuki.textio import format_matrix
 
-from oracles import apply_conjugation
+from oracles import apply_conjugation, conjugate_poly
 
 ONE = LaurentPoly.one()
 ZERO = LaurentPoly.zero()
@@ -183,7 +183,7 @@ def test_poly_ring_laws():
         assert p * q == q * p
         assert (p + q).tau() == p.tau() + q.tau()
         assert (p * q).tau() == p.tau() * q.tau()
-        assert (p * q).conjugate() == p.conjugate() * q.conjugate()
+        assert conjugate_poly(p * q) == conjugate_poly(p) * conjugate_poly(q)
 
     laws()
 

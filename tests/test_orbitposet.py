@@ -14,6 +14,7 @@ from matsuki.cli import main
 from matsuki.errors import ValidationError
 from matsuki.orbitposet import (
     CANDIDATE_BUDGET,
+    CoreData,
     build_poset_slice,
     component_count,
     core_data,
@@ -24,18 +25,28 @@ from matsuki.orbitposet import (
     r_leq,
     real_step_leq,
 )
-from matsuki.fundgroup import in_image_semigroup, real_coweight_coordinates
+from matsuki.fundgroup import image_index, in_image_semigroup, real_coweight_coordinates
 from matsuki.laws import hasse_closure, real_dominant_up_to
-from matsuki.realform import InvolutionSpec, catalog, catalog_names, real_coweight_basis, validate_involution
+from matsuki.realform import (
+    InvolutionSpec,
+    catalog,
+    catalog_names,
+    real_coweight_basis,
+    step_basis,
+    validate_involution,
+)
 from matsuki.rootdata import (
     RootDatum,
     dot,
+    free_monoid_leq,
     gl_datum,
     height,
     identity_matrix,
     is_dominant,
+    monoid_order,
     simple_coroots,
     vec_add,
+    vec_neg,
     vec_scale,
 )
 from matsuki.textio import format_involution, parse_involution
@@ -340,6 +351,60 @@ def test_zero_is_minimal_in_its_component():
                 assert not k_leq(spec, a, zero), (name, a)
 
 
+def catalog_solvers():
+    """(entry, solver, columns) for the coroot, step and fixed solvers of every entry."""
+    for name in ALL_NAMES:
+        spec = catalog(name).spec
+        yield name, spec.datum.coroot_solver, simple_coroots(spec.datum)
+        yield name, spec.step_solver, step_basis(spec)
+        yield name, spec.fixed_solver, spec.fixed_basis
+
+
+def order_mismatches(leq, solver, columns, rank, seed=0):
+    """Pairs on which a compiled order disagrees with ``free_monoid_leq``:
+    random pairs in a box, and pairs a step apart along a random integer
+    combination of the solver's columns, which meet every consistency row."""
+    rng = random.Random(seed)
+
+    def box():
+        return tuple(rng.randint(-6, 6) for _ in range(rank))
+
+    pairs = [(box(), box()) for _ in range(300)]
+    for _ in range(300):
+        lower, coeffs = box(), [rng.randint(-3, 3) for _ in columns]
+        step = tuple(sum(c * col[i] for c, col in zip(coeffs, columns)) for i in range(rank))
+        pairs.append((lower, vec_add(lower, step)))
+    return [pair for pair in pairs if leq(*pair) != free_monoid_leq(solver, *pair)]
+
+
+def test_compiled_orders_agree_with_the_free_monoid_on_every_catalog_solver():
+    dens = set()
+    for name, solver, columns in catalog_solvers():
+        rank = catalog(name).spec.datum.rank
+        assert order_mismatches(monoid_order(solver, rank), solver, columns, rank) == [], name
+        dens.add(solver[0])
+    assert max(dens) > 1  # the coroot and step solvers of pgl2_so21 have den 2
+    for name in ALL_NAMES:
+        spec = catalog(name).spec
+        for leq, solver, columns in ((spec.datum.coroot_order, spec.datum.coroot_solver, simple_coroots(spec.datum)),
+                                     (spec.step_order, spec.step_solver, step_basis(spec))):
+            assert order_mismatches(leq, solver, columns, spec.datum.rank, seed=1) == [], name
+
+
+def _swapped_sides(solver, rank):
+    """A mutant ``monoid_order``: the test of the last solve row with its sides
+    swapped, U >= L read as L >= U, by compiling the row negated."""
+    den, rows, consistency = solver
+    return monoid_order((den, (*rows[:-1], vec_neg(rows[-1])), consistency), rank)
+
+
+def test_the_comparison_catches_an_order_with_one_test_swapped():
+    for name, solver, columns in catalog_solvers():
+        if solver[1]:  # an order with no solve row has no side to swap
+            rank = catalog(name).spec.datum.rank
+            assert order_mismatches(_swapped_sides(solver, rank), solver, columns, rank), name
+
+
 def test_order_comparisons_leave_the_caches_unchanged(package_caches):
     # the orders are solves over per-structure data: comparing coweights must
     # not grow any cache, however many pairs are compared
@@ -447,6 +512,50 @@ def test_flag_dimension_zero_iff_central():
             assert (core.flag_dimension == 0) == central, (name, lam)
 
 
+def core_by_definition(spec, coweight):
+    """``core_data`` in two steps: the membership test, its refusals in order
+    (length, dominance, theta-fixed) and then the loop class
+    (``in_image_semigroup``), and then the pairing of every positive root."""
+    datum = spec.datum
+    if not is_dominant(datum, coweight):  # refuses a length other than rank first
+        raise ValidationError(f"{coweight} is not dominant")
+    if spec.apply(coweight) != coweight:
+        raise ValidationError(f"{coweight} is not theta-fixed")
+    if not in_image_semigroup(spec, coweight):
+        raise ValidationError(f"{coweight} is not in the image sub-semigroup")
+    pairings = {i: dot(datum.roots[i], coweight) for i in datum.positive_root_indices}
+    parabolic = tuple(i for i in datum.simple_indices if pairings[i] == 0)
+    return CoreData(coweight, parabolic, sum(p > 0 for p in pairings.values()))
+
+
+def outcome(function, *args):
+    """The result of a call, or the type and text of what it raised."""
+    try:
+        return function(*args)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+CORE_REFUSALS = ("does not have length", "is not dominant", "is not theta-fixed", "is not in the image sub-semigroup")
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_core_data_agrees_with_its_two_step_definition(name):
+    # the orbit indices of heights 0-24, a box around zero and two wrong lengths
+    spec = catalog(name).spec
+    rank = spec.datum.rank
+    misfits = [(0,) * (rank + 1), (1,) * (rank - 1)]
+    seen = set()
+    for v in (*enumerate_orbits(spec, 24), *product(range(-4, 5), repeat=rank), *misfits):
+        want = outcome(core_by_definition, spec, v)
+        assert outcome(core_data, spec, v) == want, (name, v)
+        seen.add(next(r for r in CORE_REFUSALS if r in want[1]) if isinstance(want, tuple) else "member")
+    length, dominant, real, image = CORE_REFUSALS
+    assert seen >= {"member", length} | ({dominant} if spec.datum.roots else set()), seen
+    assert (real in seen) == (spec.theta != identity_matrix(rank)), seen
+    assert (image in seen) == (image_index(spec) > 1), seen
+
+
 def test_core_rejects_non_indices():
     so21 = catalog("pgl2_so21").spec
     with pytest.raises(ValidationError, match="image"):
@@ -472,6 +581,60 @@ def test_real_step_rejects_non_real():
     compact = catalog("sl2_compact").spec
     with pytest.raises(ValidationError, match="theta-fixed"):
         real_step_leq(compact, (0,), (1,))
+
+
+def test_a_split_form_compares_real_steps_with_its_step_order():
+    for name in ALL_NAMES:
+        spec = catalog(name).spec
+        assert (spec.real_step_order is spec.step_order) == (spec.theta == identity_matrix(spec.datum.rank)), name
+
+
+def real_step_refusal_problems(spec):
+    """How ``real_step_leq`` strays from its refusal order: a length other than
+    rank first, then lower if theta moves it, then upper."""
+    rank, problems = spec.datum.rank, []
+    box = list(product(range(-2, 3), repeat=rank))
+    real = next((v for v in box if any(v) and spec.apply(v) == v), None)  # none on an anisotropic form
+    moved = [v for v in box if spec.apply(v) != v][:2]
+    cases = [(((0,) * (rank + 1), moved[0]), f"{(0,) * (rank + 1)} and {moved[0]} must both have length rank={rank}"),
+             ((moved[0], moved[1]), f"{moved[0]} is not theta-fixed"),
+             ((moved[1], moved[0]), f"{moved[1]} is not theta-fixed")]
+    for v in filter(None, (real, (0,) * rank)):
+        cases += [((v, moved[1]), f"{moved[1]} is not theta-fixed"), ((moved[0], v), f"{moved[0]} is not theta-fixed")]
+        if outcome(real_step_leq, spec, v, v) is not True:
+            problems.append(f"{v} <= {v} is not True")
+    for pair, text in cases:
+        if (got := outcome(real_step_leq, spec, *pair)) != (ValidationError, text):
+            problems.append(f"{pair}: {got}")
+    return problems
+
+
+NON_SPLIT = [name for name in ALL_NAMES if catalog(name).spec.theta != identity_matrix(catalog(name).spec.datum.rank)]
+
+
+@pytest.mark.parametrize("name", NON_SPLIT)
+def test_real_step_refuses_length_then_lower_then_upper(name):
+    assert real_step_refusal_problems(catalog(name).spec) == []
+
+
+def _upper_unchecked(spec):
+    """A mutant ``real_step_order`` that skips the theta-fixed check on upper."""
+    leq, consistency = spec.step_order, spec.fixed_solver[2]
+
+    def real_leq(lower, upper):
+        result = leq(lower, upper)
+        if any(dot(row, lower) for row in consistency):
+            raise ValidationError(f"{lower} is not theta-fixed")
+        return result
+
+    return real_leq
+
+
+@pytest.mark.parametrize("name", NON_SPLIT)
+def test_the_refusal_check_catches_an_unchecked_upper(name):
+    spec = copy.deepcopy(catalog(name).spec)
+    spec.__dict__["real_step_order"] = _upper_unchecked(spec)  # where the cached property keeps its value
+    assert real_step_refusal_problems(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -269,8 +269,9 @@ def test_cold_catalog_lookup_solves_the_simple_roots_once(monkeypatch, cleared_c
     snf = rootdata.smith_normal_form
     monkeypatch.setattr(rootdata, "smith_normal_form", lambda m: solved.append(m) or snf(m))
     datum = catalog("gl3_split").datum
-    # the simple roots, shared by validation and the positive roots, and the kernel of theta - 1
-    assert len(solved) == len(set(solved)) == 2
+    # the simple roots, shared by validation and the positive roots; theta = 1, so the
+    # fixed basis of the involution check is the unit basis, with no kernel of theta - 1
+    assert len(solved) == len(set(solved)) == 1
     assert datum.root_solver is datum.root_solver
     dependent = RootDatum(rank=1, roots=((2,), (-2,)), coroots=((1,), (-1,)), simple_indices=(0, 1))
     assert "simple roots are linearly dependent" in validate_root_datum(dependent)
