@@ -10,10 +10,12 @@ dominant theta-fixed coweights whose class lies in that image.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import ValidationError
 from .realform import InvolutionSpec, real_coweight_coordinates, restricted_coroot_generators
 from .record import Record
-from .rootdata import Coweight, FiniteAbelianGroup, _require_rank, dot, pi1_of_group, quotient_group
+from .rootdata import Coweight, FiniteAbelianGroup, pi1_of_group, quotient_group
 
 
 class PiOneModel(Record):
@@ -56,14 +58,20 @@ def in_image_semigroup(spec: InvolutionSpec, coweight: Coweight) -> bool:
 
 
 def _member_pairings(spec: InvolutionSpec, coweight: Coweight) -> list[int] | None:
-    """The simple-root pairings of a member of the sub-semigroup, or None for a
-    dominant theta-fixed coweight whose loop class is not in the image; refuses
-    a length other than rank, then a non-dominant, then a non-real coweight."""
+    """The pairings of a member of the sub-semigroup with ``positive_roots``, the
+    simple ones first, or None for a dominant theta-fixed coweight whose loop class
+    is not in the image; refuses a length other than rank, then a non-dominant,
+    then a non-real coweight."""
     datum = spec.datum
-    _require_rank(datum, coweight)
-    pairings = [dot(datum.roots[i], coweight) for i in datum.simple_indices]
-    if min(pairings, default=0) < 0:
+    if len(coweight) != datum.rank:
+        raise ValidationError(f"{coweight} does not have length rank={datum.rank}")
+    pairings = [sum(map(mul, root, coweight)) for root in datum.positive_roots]
+    if min(pairings[:len(datum.simple_indices)], default=0) < 0:
         raise ValidationError(f"{coweight} is not dominant")
-    if not spec.is_real(coweight):
-        raise ValidationError(f"{coweight} is not theta-fixed")
-    return None if any(dot(row, coweight) % m for row, m in spec.image_lattice[2]) else pairings
+    for row in spec.fixed_solver[2]:
+        if sum(map(mul, row, coweight)):
+            raise ValidationError(f"{coweight} is not theta-fixed")
+    for row, m in spec.image_lattice[2]:
+        if sum(map(mul, row, coweight)) % m:
+            return None
+    return pairings

@@ -176,12 +176,8 @@ def core_data(spec: InvolutionSpec, coweight: Coweight) -> CoreData:
     pairings = _member_pairings(spec, coweight)
     if pairings is None:
         raise ValidationError(f"{coweight} is not in the image sub-semigroup")
-    datum = spec.datum
-    simple, roots = datum.simple_indices, datum.roots
-    parabolic = tuple([i for i, p in zip(simple, pairings) if not p])
-    dim = len(simple) - len(parabolic) + sum(  # positive roots positive on it, simple ones paired above
-        [dot(roots[i], coweight) > 0 for i in datum.positive_root_indices if i not in simple])
-    return CoreData(coweight, parabolic, dim)
+    parabolic = tuple([i for i, p in zip(spec.datum.simple_indices, pairings) if not p])
+    return CoreData(coweight, parabolic, len(pairings) - pairings.count(0))  # dominant: no pairing is negative
 
 
 def matsuki_dual(spec: InvolutionSpec, coweight: Coweight) -> tuple[Coweight, CoreData]:
@@ -260,10 +256,15 @@ def component_count(spec: InvolutionSpec, elements: tuple[Coweight, ...]) -> int
     systems cut to the image lattice, rests on the exhaustive tests, as in
     ``primitive_relations``.  A convex set is not enough: two incomparable
     members of one class with nothing between them are convex, yet two
-    components.
+    components.  Solve values modulo den = 1 are all 0, so the key keeps the
+    solve rows only when den > 1; with no row left there is one class, or
+    none on no elements.
     """
     _require_lengths(spec, elements)
     den, rows, consistency = spec.datum.coroot_solver
+    rows = rows if den > 1 else ()
+    if not rows and not consistency:
+        return min(len(elements), 1)
     return len({(*[sum(map(mul, f, e)) % den for f in rows], *[sum(map(mul, f, e)) for f in consistency])
                 for e in elements})
 

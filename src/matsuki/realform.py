@@ -10,6 +10,7 @@ between the library, the CLI and the matrix model.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from math import gcd
 from operator import mul
 
 from .errors import TheoremViolationError, ValidationError
@@ -26,6 +27,7 @@ from .rootdata import (
     height,
     identity_matrix,
     integer_solver,
+    invariant_quotient,
     is_dominant,
     kernel_basis,
     mat_mul,
@@ -128,19 +130,34 @@ class InvolutionSpec(Record):
 
         The other restricted coroot generators, the sums beta + theta(beta),
         are lambda + theta(lambda) at lambda = beta, so they lie in the span of
-        the basis sums and are left out.  Every factor is finite, since
+        the basis sums and are left out.  For theta = 1 the quotient is read off
+        the datum (``_split_image_group``).  Every factor is finite, since
         2*lambda = lambda + theta(lambda) lies in the image; a free one raises
         ``TheoremViolationError``."""
         sums = (vec_add(e, self.apply(e)) for e in identity_matrix(self.datum.rank))
         image_gens = tuple(dict.fromkeys(v for v in sums if any(v)))
-        fixed_coroots = sorted(b for b in positive_coroots(self.datum) if self.apply(b) == b)
-        lattice_gens = tuple(real_coweight_coordinates(self, g) for g in (*fixed_coroots, *image_gens))
-        group = quotient_group(len(self.fixed_basis), lattice_gens)
+        if self._split():
+            group = _split_image_group(self.datum)
+        else:
+            fixed_coroots = sorted(b for b in positive_coroots(self.datum) if self.apply(b) == b)
+            lattice_gens = tuple(real_coweight_coordinates(self, g) for g in (*fixed_coroots, *image_gens))
+            group = quotient_group(len(self.fixed_basis), lattice_gens)
         if 0 in group.invariant_factors:
             raise TheoremViolationError(f"loop image of {self.name!r} has infinite index in the fixed sublattice")
         den, rows, _ = self.fixed_solver
         class_rows = tuple(zip(mat_mul(group.projection, rows), (den * f for f in group.invariant_factors)))
         return image_gens, group, class_rows
+
+
+def _split_image_group(datum: RootDatum) -> FiniteAbelianGroup:
+    """The image quotient for theta = 1, Lambda / (Q^vee + 2 Lambda): every coroot is fixed and
+    lambda + theta(lambda) = 2 lambda.  With U C V = D the Smith normal form of the simple coroots
+    (``RootDatum.coroot_smith_form``), row i of U maps Q^vee onto d_i Z (0 past the rank) and 2 Lambda
+    onto 2 Z, so the factors are gcd(d_i, 2), then 2 on each free direction, on the rows of U, each
+    reversed into fixed-basis coordinates (the fixed basis is the reversed unit basis)."""
+    u, d, _ = datum.coroot_smith_form
+    k = len(datum.simple_indices)
+    return invariant_quotient([gcd(d[i][i], 2) if i < k else 2 for i in range(datum.rank)], [r[::-1] for r in u])
 
 
 def real_coweight_coordinates(spec: InvolutionSpec, coweight: Coweight) -> tuple[int, ...]:

@@ -111,10 +111,17 @@ class RootDatum(Record):
             raise ValidationError("simple roots are linearly dependent")
 
     @cached_property
+    def coroot_smith_form(self) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+        """``smith_normal_form`` U C V = D of the matrix C whose columns are the simple
+        coroots, built on first use: ``coroot_solver`` and the image lattice of a
+        split real form are both read off it."""
+        return smith_normal_form(column_matrix(simple_coroots(self), self.rank))
+
+    @cached_property
     def coroot_solver(self) -> tuple[int, IntMatrix, IntMatrix]:
-        """``integer_solver`` of the simple coroots, built on first use."""
+        """``integer_solver`` of the simple coroots, read off ``coroot_smith_form``."""
         try:
-            return integer_solver(simple_coroots(self), dim=self.rank)
+            return solver_of_smith_form(self.coroot_smith_form, len(self.simple_indices))
         except ValidationError:
             raise ValidationError("simple coroots are linearly dependent")
 
@@ -128,6 +135,12 @@ class RootDatum(Record):
         """Indices of roots expressible as non-negative integer combinations of simples."""
         zero = (0,) * self.rank
         return tuple(idx for idx, root in enumerate(self.roots) if free_monoid_leq(self.root_solver, zero, root))
+
+    @cached_property
+    def positive_roots(self) -> tuple[Coweight, ...]:
+        """The positive roots, the simple ones first in ``simple_indices`` order."""
+        simple = self.simple_indices
+        return (*simple_roots(self), *(self.roots[i] for i in self.positive_root_indices if i not in simple))
 
     @cached_property
     def two_rho(self) -> Coweight:
@@ -238,24 +251,33 @@ def dominant_representative(datum: RootDatum, coweight: Coweight) -> tuple[Cowei
         word.append(neg)
 
 
+def column_matrix(columns: tuple[Coweight, ...], dim: int) -> IntMatrix:
+    """The dim x len(columns) matrix with the given columns."""
+    return tuple(zip(*columns)) if columns else ((),) * dim
+
+
 def integer_solver(columns: tuple[Coweight, ...], dim: int | None = None) -> tuple[int, IntMatrix, IntMatrix]:
     """Integer data (den, rows, consistency) for writing a vector in the given
-    independent columns, read off the Smith normal form U A V = D of their
-    matrix A.
+    independent columns, read off the Smith normal form of their matrix
+    (``solver_of_smith_form``).  ``dim`` is required when the column list is
+    empty."""
+    if not columns and dim is None:
+        raise ValidationError("integer_solver needs the ambient dimension for no columns")
+    return solver_of_smith_form(smith_normal_form(column_matrix(columns, dim)), len(columns))
+
+
+def solver_of_smith_form(smith: tuple[IntMatrix, IntMatrix, IntMatrix], k: int) -> tuple[int, IntMatrix, IntMatrix]:
+    """``integer_solver`` data of k columns read off the Smith normal form
+    U A V = D of their matrix A.
 
     A vector v is in the span of the columns iff every consistency row (the
     rows of U past the rank) pairs to 0 with it; its coordinates V D^-1 U v
     are then rows @ v divided by den, the last invariant factor, with
-    rows = V diag(den / d_i) U[:k].  ``dim`` is required when the column
-    list is empty.
+    rows = V diag(den / d_i) U[:k].
     """
-    k = len(columns)
-    if not k and dim is None:
-        raise ValidationError("integer_solver needs the ambient dimension for no columns")
-    matrix = tuple(zip(*columns)) if k else ((),) * dim
-    if k > len(matrix):
+    u, d, v = smith
+    if k > len(u):
         raise ValidationError("more columns than the dimension passed to integer_solver")
-    u, d, v = smith_normal_form(matrix)
     den = d[k - 1][k - 1] if k else 1  # d_1 | d_2 | ...: zero iff the columns are dependent
     if not den:
         raise ValidationError("dependent columns passed to integer_solver")
@@ -446,9 +468,13 @@ def quotient_group(ambient_rank: int, sublattice_generators: tuple[Coweight, ...
     matrix = tuple(tuple(g[i] for g in sublattice_generators) for i in range(ambient_rank))
     u, d, _ = smith_normal_form(matrix)
     # the Smith diagonal is a divisibility chain, so its zeros (the free factors) come last
-    factors = [d[i][i] if i < k else 0 for i in range(ambient_rank)]
+    return invariant_quotient([d[i][i] if i < k else 0 for i in range(ambient_rank)], u)
+
+
+def invariant_quotient(factors: list[int], rows) -> FiniteAbelianGroup:
+    """The group with the given factors on the given projection rows, the factors 1 dropped."""
     kept = [i for i, f in enumerate(factors) if f != 1]
-    return FiniteAbelianGroup(tuple(factors[i] for i in kept), tuple(u[i] for i in kept))
+    return FiniteAbelianGroup(tuple(factors[i] for i in kept), tuple(rows[i] for i in kept))
 
 
 def pi1_of_group(datum: RootDatum) -> FiniteAbelianGroup:

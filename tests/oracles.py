@@ -57,6 +57,10 @@ CARTAN = {
     "F4": ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
 }
 
+# type A, left out of CARTAN: its diagram automorphism gives real forms that
+# no Levi involution reaches; its data serve the split forms of PGL3 and PGL4
+TYPE_A = {"A2": ((2, -1), (-1, 2)), "A3": ((2, -1, 0), (-1, 2, -1), (0, -1, 2))}
+
 # real forms per type: B2 so(5), so(4,1), so(3,2); C2 sp(2), sp(1,1),
 # sp(4,R); G2 compact and split; B3 so(7-q,q), q = 0..3; C3 sp(3), sp(2,1),
 # sp(6,R); F4 compact, F4(-20) and split
@@ -68,7 +72,7 @@ def cartan_datum(name):
     simple-coroot coordinates: the simple coroots are the unit vectors and
     root j pairs with them by column j; the other roots and coroots are
     their images under the simple reflections, generated in pairs."""
-    a = CARTAN[name]
+    a = CARTAN[name] if name in CARTAN else TYPE_A[name]
     n = len(a)
     simple = [(tuple(a[k][j] for k in range(n)), identity_matrix(n)[j]) for j in range(n)]
     pairs, todo = list(simple), list(simple)

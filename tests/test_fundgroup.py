@@ -1,6 +1,7 @@
 """Fundamental-group models and the parameterizing sub-semigroup."""
 
 import copy
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -18,7 +19,15 @@ from matsuki.fundgroup import (
     real_coweight_coordinates,
 )
 from matsuki.laws import real_dominant_up_to
-from matsuki.orbitposet import build_poset_slice, k_leq, r_leq, real_step_leq
+from matsuki.orbitposet import (
+    build_poset_slice,
+    core_data,
+    enumerate_orbits,
+    k_leq,
+    primitive_relations,
+    r_leq,
+    real_step_leq,
+)
 from matsuki.realform import (
     InvolutionSpec,
     catalog,
@@ -26,21 +35,27 @@ from matsuki.realform import (
     real_coweight_basis,
     restricted_coroot_generators,
     step_basis,
+    validate_involution,
 )
 from matsuki.rootdata import (
     FiniteAbelianGroup,
+    RootDatum,
+    column_matrix,
     dot,
     gl_datum,
     height,
     identity_matrix,
     integer_solver,
     quotient_group,
+    simple_coroots,
+    simple_roots,
+    validate_root_datum,
     vec_add,
     vec_scale,
     vec_sub,
 )
 
-from oracles import decomposes, group_class, real_form_specs
+from oracles import cartan_datum, decomposes, group_class, real_form_specs
 
 ALL_NAMES = list(catalog_names())
 
@@ -200,6 +215,24 @@ def test_cold_orders_solve_the_step_basis_once(name, monkeypatch):
     assert len(compiled) == (1 if split else 2)
 
 
+@pytest.mark.parametrize("name", ["gl3_split", "pgl2_so21"])
+def test_a_cold_split_slice_and_core_eliminate_the_simple_roots_and_coroots_only(name, monkeypatch, cleared_caches):
+    # the image quotient is read off the simple coroots' Smith form, which the
+    # coroot solver shares; the simple roots give the height (positive roots)
+    spec = copy.deepcopy(catalog(name).spec)
+    solved, snf = [], rootdata.smith_normal_form
+    monkeypatch.setattr(rootdata, "smith_normal_form", lambda m: solved.append(m) or snf(m))
+    quotients = []
+    monkeypatch.setattr(realform, "quotient_group", lambda *a: quotients.append(a) or quotient_group(*a))
+    elements = enumerate_orbits(spec, 6)
+    assert primitive_relations(spec, elements)
+    assert core_data(spec, elements[-1])
+    datum = spec.datum
+    assert quotients == []
+    expected = [column_matrix(simple_coroots(datum), datum.rank), column_matrix(simple_roots(datum), datum.rank)]
+    assert Counter(solved) == Counter(expected)
+
+
 def test_non_free_generators_raise(monkeypatch, cleared_caches):
     monkeypatch.setattr(realform, "restricted_coroot_generators", lambda spec: ((2,), (3,)))
     spec = catalog("sl2_compact").spec
@@ -280,25 +313,39 @@ def test_slices_and_orbit_reports_build_no_pi1_group(monkeypatch, package_caches
     assert built == ["pi1_of_group", "pi1_of_symmetric_space"]
 
 
-def test_an_infinite_image_index_is_a_theorem_violation(monkeypatch, cleared_caches, capsys):
+# where each path of InvolutionSpec.image_lattice builds its quotient, the
+# width of that quotient's rows, two entries that take the path (the second
+# for the commands, with a coweight for `dual` and `core`) and one that does not
+IMAGE_QUOTIENT_PATHS = (
+    ("_split_image_group", lambda datum: datum.rank, "gl2_split", "pgl2_so21", ["2"], "su21"),
+    ("quotient_group", lambda rank, gens: rank, "sl2C_as_real", "su21", ["1", "1"], "gl2_split"),
+)
+
+
+def test_an_infinite_image_index_is_a_theorem_violation(monkeypatch, package_caches, cleared_caches, capsys):
     # 2*lambda = lambda + theta(lambda) bounds the index, so a free factor in
     # the image quotient is an internal fault, raised where the quotient is built
-    quotient = realform.quotient_group
-
-    def with_free_factor(rank, gens):
-        group = quotient(rank, gens)
-        return FiniteAbelianGroup((*group.invariant_factors, 0), (*group.projection, (0,) * rank))
-
-    monkeypatch.setattr(realform, "quotient_group", with_free_factor)
     infinite = "infinite index in the fixed sublattice"
-    with pytest.raises(TheoremViolationError, match=infinite):
-        image_index(catalog("gl2_split").spec)
-    for argv in (["orbits", "pgl2_so21", "--height", "4"], ["poset", "pgl2_so21", "--height", "4"],
-                 ["dual", "pgl2_so21", "2"], ["core", "pgl2_so21", "2"], ["pi1", "pgl2_so21"]):
-        assert main(argv) == 2, argv
-        captured = capsys.readouterr()
-        assert captured.out == "" and "Traceback" not in captured.err, argv
-        assert captured.err == f"theorem violation: loop image of 'pgl2_so21' has {infinite}\n"
+    for name, width, first, entry, coweight, other in IMAGE_QUOTIENT_PATHS:
+        build = getattr(realform, name)
+
+        def with_free_factor(*args, build=build, width=width):
+            group = build(*args)
+            return FiniteAbelianGroup((*group.invariant_factors, 0), (*group.projection, (0,) * width(*args)))
+
+        for cache in package_caches:
+            cache.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(realform, name, with_free_factor)
+            with pytest.raises(TheoremViolationError, match=infinite):
+                image_index(catalog(first).spec)
+            assert image_index(catalog(other).spec) == IMAGE_INDEX[other]  # the other path is untouched
+            for argv in (["orbits", entry, "--height", "4"], ["poset", entry, "--height", "4"],
+                         ["dual", entry, *coweight], ["core", entry, *coweight], ["pi1", entry]):
+                assert main(argv) == 2, argv
+                captured = capsys.readouterr()
+                assert captured.out == "" and "Traceback" not in captured.err, argv
+                assert captured.err == f"theorem violation: loop image of {entry!r} has {infinite}\n"
 
 
 def test_image_index_divides_torsion_order_when_finite():
@@ -326,16 +373,49 @@ def reference_image_quotient(spec):
     return quotient_group(len(spec.fixed_basis), tuple(real_coweight_coordinates(spec, g) for g in gens))
 
 
+def extra_split_specs():
+    """The split forms of PGL3, PGL4 and SL2 x PGL2: the data of A2 and A3 with
+    roots and coroots swapped, whose simple coroots have the Smith diagonals
+    (1, 3) and (1, 1, 4), so a split image quotient takes gcd(d_i, 2), not d_i;
+    and SL2 x PGL2, whose class row (0, 1) changes when its coordinates are
+    reversed, so the quotient must be taken in fixed-basis coordinates (the
+    fixed basis of theta = 1 is the reversed unit basis)."""
+    data = []
+    for name in ("A2", "A3"):
+        datum = cartan_datum(name)
+        data.append(RootDatum(datum.rank, datum.coroots, datum.roots, datum.simple_indices, name=f"adjoint {name}"))
+    data.append(RootDatum(2, ((2, 0), (0, 1), (-2, 0), (0, -1)), ((1, 0), (0, 2), (-1, 0), (0, -2)), (0, 1),
+                          name="sl2xpgl2"))
+    return [InvolutionSpec(datum, identity_matrix(datum.rank), name=f"{datum.name} split") for datum in data]
+
+
+def test_the_extra_split_forms_are_the_cases_they_stand_for():
+    specs = extra_split_specs()
+    assert [validate_root_datum(spec.datum) + validate_involution(spec) for spec in specs] == [[], [], []]
+    diagonals = []
+    for spec in specs:
+        _, d, _ = spec.datum.coroot_smith_form
+        diagonals.append([d[i][i] for i in range(spec.datum.rank)])
+    assert diagonals == [[1, 3], [1, 1, 4], [1, 2]]
+    assert [image_index(spec) for spec in specs] == [1, 2, 2]
+    assert in_image_semigroup(specs[2], (1, 2)) and not in_image_semigroup(specs[2], (2, 1))
+
+
 def test_image_quotient_matches_the_one_of_every_restricted_generator():
     # the sums beta + theta(beta) among the restricted generators lie in the
-    # span of the basis sums, so leaving them out changes no class
-    for spec in lattice_specs():
+    # span of the basis sums, so leaving them out changes no class; beyond the
+    # catalog, the real forms of gl2-gl5, B2, C2, G2, B3 and C3 (their split
+    # forms read the quotient off the simple coroots, gl_n's interleaved) and
+    # the split forms of PGL3, PGL4 and SL2 x PGL2
+    beyond = [copy.deepcopy(s) for s in real_form_specs() if s.name not in ALL_NAMES]
+    for spec in lattice_specs() + beyond + extra_split_specs():
         reference = reference_image_quotient(spec)
         _, group, class_rows = spec.image_lattice
         assert group.invariant_factors == reference.invariant_factors, spec.name
         zero = (0,) * len(reference.invariant_factors)
         basis = spec.fixed_basis
-        for coeffs in product(range(-3, 4), repeat=len(basis)):
+        radius = 3 if len(basis) <= 3 else 2
+        for coeffs in product(range(-radius, radius + 1), repeat=len(basis)):
             v = combination(spec, basis, coeffs)
             coords = real_coweight_coordinates(spec, v)
             in_image = group_class(reference, coords) == zero

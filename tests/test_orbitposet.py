@@ -539,14 +539,17 @@ def outcome(function, *args):
 CORE_REFUSALS = ("does not have length", "is not dominant", "is not theta-fixed", "is not in the image sub-semigroup")
 
 
-@pytest.mark.parametrize("name", ALL_NAMES)
-def test_core_data_agrees_with_its_two_step_definition(name):
-    # the orbit indices of heights 0-24, a box around zero and two wrong lengths
-    spec = catalog(name).spec
+@pytest.mark.parametrize("spec", real_form_specs(), ids=lambda spec: spec.name)
+def test_core_data_agrees_with_its_two_step_definition(spec):
+    # the orbit indices of heights 0-24, a box around zero (of radius 2 from
+    # rank 4 on) and two wrong lengths, on the catalog and the real forms of
+    # gl2-gl5, B2, C2, G2, B3 and C3
+    spec, name = copy.deepcopy(spec), spec.name
     rank = spec.datum.rank
     misfits = [(0,) * (rank + 1), (1,) * (rank - 1)]
+    radius = 4 if rank <= 3 else 2
     seen = set()
-    for v in (*enumerate_orbits(spec, 24), *product(range(-4, 5), repeat=rank), *misfits):
+    for v in (*enumerate_orbits(spec, 24), *product(range(-radius, radius + 1), repeat=rank), *misfits):
         want = outcome(core_by_definition, spec, v)
         assert outcome(core_data, spec, v) == want, (name, v)
         seen.add(next(r for r in CORE_REFUSALS if r in want[1]) if isinstance(want, tuple) else "member")
@@ -815,6 +818,7 @@ def comparability_components(spec, elements):
 def test_component_count_matches_union_find_oracle():
     for name in ALL_NAMES:
         spec = catalog(name).spec
+        assert component_count(spec, ()) == comparability_components(spec, ()) == 0, name
         for bound in (0, 3, 8, 13, 20):
             elements = enumerate_orbits(spec, bound)
             assert component_count(spec, elements) == comparability_components(spec, elements), (name, bound)
