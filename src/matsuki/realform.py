@@ -22,9 +22,7 @@ from .rootdata import (
     RootDatum,
     dominant_representative,
     dot,
-    free_monoid_leq,
     gl_datum,
-    height,
     identity_matrix,
     integer_solver,
     invariant_quotient,
@@ -91,8 +89,16 @@ class InvolutionSpec(Record):
 
     @cached_property
     def step_solver(self) -> tuple[int, IntMatrix, IntMatrix]:
-        """``integer_solver`` of ``step_basis`` (``_step_monoid``), built on first use."""
-        return _step_monoid(self)[1]
+        """``integer_solver`` of ``step_basis``, built on first use: ``coroot_solver`` if the basis is the
+        simple coroots, as for theta = 1.  A dependent basis raises ``TheoremViolationError``."""
+        basis, datum = step_basis(self), self.datum
+        if basis == simple_coroots(datum):
+            return datum.coroot_solver
+        try:
+            return integer_solver(basis, dim=datum.rank)
+        except ValidationError:
+            raise TheoremViolationError(f"the step basis {basis} of {self.name!r} is dependent;"
+                                        " the step monoid is not free")
 
     @cached_property
     def step_order(self):
@@ -254,41 +260,15 @@ def restricted_coroot_generators(spec: InvolutionSpec) -> tuple[Coweight, ...]:
 
 
 def step_basis(spec: InvolutionSpec) -> tuple[Coweight, ...]:
-    """The indecomposable restricted coroot generators (``_step_monoid``)."""
-    return _step_monoid(spec)[0]
-
-
-def _step_monoid(spec: InvolutionSpec) -> tuple[tuple[Coweight, ...], tuple[int, IntMatrix, IntMatrix]]:
-    """``step_basis`` and its ``integer_solver``.  For theta = 1 the restricted root system is the root
-    system itself (Araki, J. Math. Osaka City Univ. 13, 1962): every positive coroot is fixed, the
-    generators are the positive coroots and their doubles, and their indecomposables are the simple
-    coroots, read off the datum with its ``coroot_solver``.  Other involutions run ``_step_search``."""
-    if spec._split():
-        return simple_coroots(spec.datum), spec.datum.coroot_solver
-    return _step_search(spec)
-
-
-def _step_search(spec: InvolutionSpec) -> tuple[tuple[Coweight, ...], tuple[int, IntMatrix, IntMatrix]]:
-    """The indecomposables in order of height, a generator kept unless the ones kept before it generate
-    it, and the solver the search ends with.  They lie along the simple restricted coroots (Araki; Helgason,
-    ch. X), so they are independent and one scaled integer solve decides membership in the free monoid."""
-    datum = spec.datum
-    gens = sorted(restricted_coroot_generators(spec), key=lambda g: height(datum, g))
-    if gens and height(datum, gens[0]) <= 0:
-        raise ValidationError("restricted coroot generator with non-positive height")
-    zero, basis = (0,) * datum.rank, ()
-    solver = integer_solver(basis, dim=datum.rank)
-    for g in gens:
-        if free_monoid_leq(solver, zero, g):
-            continue
-        basis += (g,)
-        try:
-            solver = integer_solver(basis)
-        except ValidationError:
-            raise TheoremViolationError(
-                f"restricted generator {g} is rationally dependent on {basis[:-1]}; the step monoid is not free"
-            )
-    return basis, solver
+    """The indecomposable restricted coroot generators, read off theta's images of the simple coroots:
+    for each simple coroot beta, beta if theta fixes it, else beta + theta(beta), the zeros dropped and a
+    repeat kept once.  The restricted root system has one simple coroot per orbit of varpi = w_M theta on
+    the simple roots outside the Levi M (Araki, J. Math. Osaka City Univ. 13, 1962; Helgason, ch. X):
+    theta negates exactly the coroots of M, whose sums are the zeros, the two coroots of one orbit give
+    the same sum, and a coroot theta fixes is a generator, its sum its double.  The generators are
+    independent (``InvolutionSpec.step_solver`` checks it); for theta = 1 they are the simple coroots."""
+    sums = (b if (image := spec.apply(b)) == b else vec_add(b, image) for b in simple_coroots(spec.datum))
+    return tuple(dict.fromkeys(v for v in sums if any(v)))
 
 
 def levi_simple_roots(spec: InvolutionSpec) -> tuple[int, ...]:

@@ -66,10 +66,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def mat_transpose(m: IntMatrix) -> IntMatrix:
-    return tuple(zip(*m)) if m else ()
-
-
 # ---------------------------------------------------------------------------
 # root data
 
@@ -212,11 +208,11 @@ def validate_root_datum(datum: RootDatum) -> list[str]:
         solver = datum.root_solver
     except ValidationError as exc:
         return problems + [str(exc)]
-    zero = (0,) * datum.rank
-    for root in datum.roots:
+    zero, positive = (0,) * datum.rank, set(datum.positive_root_indices)
+    for i, root in enumerate(datum.roots):
         if any(dot(row, root) for row in solver[2]):
             problems.append(f"root {root} lies outside the span of the simple roots")
-        elif not (free_monoid_leq(solver, zero, root) or free_monoid_leq(solver, root, zero)):
+        elif i not in positive and not free_monoid_leq(solver, root, zero):
             problems.append(
                 f"root {root} is not a signed non-negative integer combination of simples"
             )
@@ -289,7 +285,8 @@ def free_monoid_leq(solver: tuple[int, IntMatrix, IntMatrix], lower: Coweight, u
     upper - lower pairs to 0 with every consistency row and to a non-negative
     multiple of den with every solve row.  The orders called per comparison
     are ``monoid_order`` compilations of the same test; this loop serves a
-    solver used a few times, as in ``realform._step_search``."""
+    solver used once per root: ``RootDatum.positive_root_indices`` and
+    ``validate_root_datum``, on the roots that are not positive."""
     den, rows, consistency = solver
     diff = vec_sub(upper, lower)
     if any(dot(row, diff) for row in consistency):

@@ -4,8 +4,24 @@ from itertools import combinations, permutations
 from operator import le
 
 from matsuki.loopmatrix import LaurentPoly, lm_from_rows
-from matsuki.realform import InvolutionSpec, catalog, catalog_names, validate_involution
-from matsuki.rootdata import RootDatum, dot, gl_datum, height, identity_matrix, weyl_longest_element
+from matsuki.realform import (
+    InvolutionSpec,
+    catalog,
+    catalog_names,
+    restricted_coroot_generators,
+    validate_involution,
+)
+from matsuki.rootdata import (
+    RootDatum,
+    dot,
+    free_monoid_leq,
+    gl_datum,
+    height,
+    identity_matrix,
+    integer_solver,
+    mat_mul,
+    weyl_longest_element,
+)
 
 
 def decomposes(datum, generators, target):
@@ -59,7 +75,13 @@ CARTAN = {
 
 # type A, left out of CARTAN: its diagram automorphism gives real forms that
 # no Levi involution reaches; its data serve the split forms of PGL3 and PGL4
+# and ``satake_involutions``
 TYPE_A = {"A2": ((2, -1), (-1, 2)), "A3": ((2, -1, 0), (-1, 2, -1), (0, -1, 2))}
+
+# type D, left out of CARTAN for the same reason, for ``satake_involutions``;
+# node 1 is the branch node
+TYPE_D = {"D4": ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))}
+ALL_CARTAN = {**CARTAN, **TYPE_A, **TYPE_D}
 
 # real forms per type: B2 so(5), so(4,1), so(3,2); C2 sp(2), sp(1,1),
 # sp(4,R); G2 compact and split; B3 so(7-q,q), q = 0..3; C3 sp(3), sp(2,1),
@@ -72,7 +94,7 @@ def cartan_datum(name):
     simple-coroot coordinates: the simple coroots are the unit vectors and
     root j pairs with them by column j; the other roots and coroots are
     their images under the simple reflections, generated in pairs."""
-    a = CARTAN[name] if name in CARTAN else TYPE_A[name]
+    a = ALL_CARTAN[name]
     n = len(a)
     simple = [(tuple(a[k][j] for k in range(n)), identity_matrix(n)[j]) for j in range(n)]
     pairs, todo = list(simple), list(simple)
@@ -113,6 +135,40 @@ def real_form_specs():
     candidates = [spec for n in range(2, 6) for spec in gl_permutation_involutions(n)]
     candidates += [spec for name in ("B2", "C2", "G2", "B3", "C3") for spec in levi_involutions(name)]
     return [catalog(name).spec for name in catalog_names()] + [s for s in candidates if not validate_involution(s)]
+
+
+def satake_involutions():
+    """theta = w_M varpi for every set M of simple roots and every involutive
+    diagram automorphism varpi (a permutation of the simple coroots, the unit
+    vectors, that keeps the Cartan matrix) of A2, A3, B2, C2, G2, B3, C3 and D4:
+    the candidates among which the Satake diagrams pick the real forms."""
+    for name in ("A2", "A3", "B2", "C2", "G2", "B3", "C3", "D4"):
+        datum, a = cartan_datum(name), ALL_CARTAN[name]
+        n = datum.rank
+        for perm in permutations(range(n)):
+            if all(perm[perm[i]] == i and a[perm[i]][perm[j]] == a[i][j] for i in range(n) for j in range(n)):
+                varpi = tuple(tuple(int(i == perm[j]) for j in range(n)) for i in range(n))
+                for k in range(n + 1):
+                    for subset in combinations(range(n), k):
+                        theta = mat_mul(weyl_longest_element(datum, subset), varpi)
+                        label = f"{name}_{''.join(map(str, perm))}_{''.join(map(str, subset))}"
+                        yield InvolutionSpec(datum, theta, name=label)
+
+
+def step_search(spec):
+    """The indecomposable restricted coroot generators by search: the
+    generators in order of height, each kept unless the ones kept before it
+    generate it (one ``integer_solver`` per kept generator).  The reference
+    for ``realform.step_basis``, which reads them off theta."""
+    datum = spec.datum
+    gens = sorted(restricted_coroot_generators(spec), key=lambda g: height(datum, g))
+    zero, basis = (0,) * datum.rank, ()
+    solver = integer_solver(basis, dim=datum.rank)
+    for g in gens:
+        if not free_monoid_leq(solver, zero, g):
+            basis += (g,)
+            solver = integer_solver(basis)
+    return basis
 
 
 def group_class(group, vector):

@@ -46,6 +46,7 @@ from matsuki.rootdata import (
     height,
     identity_matrix,
     integer_solver,
+    kernel_basis,
     quotient_group,
     simple_coroots,
     simple_roots,
@@ -55,7 +56,7 @@ from matsuki.rootdata import (
     vec_sub,
 )
 
-from oracles import cartan_datum, decomposes, group_class, real_form_specs
+from oracles import cartan_datum, decomposes, group_class, real_form_specs, satake_involutions, step_search
 
 ALL_NAMES = list(catalog_names())
 
@@ -139,43 +140,59 @@ def test_step_order_agrees_with_bounded_search(data):
 
 
 def test_step_solver_is_the_solver_of_the_step_basis():
-    not_free = []
     for spec in lattice_specs():
-        try:
-            expected = integer_solver(step_basis(spec), dim=spec.datum.rank)
-        except TheoremViolationError:
-            not_free.append(spec.name)
-            with pytest.raises(TheoremViolationError, match="not free"):
-                spec.step_solver
-            continue
-        assert spec.step_solver == expected, spec.name
-    # validation admits gl4 with e2 and e3 swapped, whose restricted generators
-    # (1,0,0,-1), (0,1,1,-2) and (2,-1,-1,0), all of height 6, span rank 2
-    assert not_free == ["gl4_swap23"]
+        assert spec.step_solver == integer_solver(step_basis(spec), dim=spec.datum.rank), spec.name
+        if spec.name == "gl4_swap23":
+            # not a real form (validation refuses it), yet its read-off basis is independent
+            assert step_basis(spec) == ((2, -1, -1, 0), (0, 1, 1, -2))
+
+
+def step_population():
+    """Every real form of ``real_form_specs`` and the admitted ``satake_involutions``."""
+    return real_form_specs() + [s for s in satake_involutions() if not validate_involution(s)]
 
 
 def read_off_mismatches(specs):
-    """Names of the specs, taken fresh, whose step basis, step solver or fixed
-    solver differ from the height-ordered search and the ``integer_solver`` of
-    the fixed basis; a step solve row is compared at its basis vector, since a
-    theta = 1 spec lists its basis in simple-index order."""
+    """Names of the specs, taken fresh, whose step basis differs from the
+    height-ordered search as a set or in length, whose step solver differs
+    from the search's ``integer_solver`` or refuses the basis as dependent (a
+    solve row is compared at its basis vector, since the read-off lists the
+    basis in simple-index order), or whose fixed basis or fixed solver differ
+    from the kernel of theta - 1 and its ``integer_solver``."""
     mismatched = []
     for spec in map(copy.deepcopy, specs):
-        den, rows, consistency = spec.step_solver
-        searched, (search_den, search_rows, search_consistency) = realform._step_search(spec)
-        if ((den, dict(zip(step_basis(spec), rows)), consistency)
+        n, searched = spec.datum.rank, step_search(spec)
+        basis = step_basis(spec)
+        try:
+            den, rows, consistency = spec.step_solver
+        except TheoremViolationError:  # a dependent basis
+            mismatched.append(spec.name)
+            continue
+        search_den, search_rows, search_consistency = integer_solver(searched, dim=n)
+        fixed = kernel_basis(tuple(tuple(spec.theta[i][j] - (i == j) for j in range(n)) for i in range(n)))
+        if ((len(basis), set(basis)) != (len(searched), set(searched))
+                or (den, dict(zip(basis, rows)), consistency)
                 != (search_den, dict(zip(searched, search_rows)), search_consistency)
-                or spec.fixed_solver != integer_solver(spec.fixed_basis, dim=spec.datum.rank)):
+                or spec.fixed_basis != fixed or spec.fixed_solver != integer_solver(fixed, dim=n)):
             mismatched.append(spec.name)
     return mismatched
 
 
-def test_split_forms_read_off_what_the_search_finds():
-    specs = real_form_specs()
+def test_every_real_form_reads_off_what_the_search_finds():
+    specs = step_population()
     split = [s.name for s in specs if s.theta == identity_matrix(s.datum.rank)]
-    # the 7 split catalog entries, gl2-gl5 and the split forms of B2, C2, G2, B3 and C3
-    assert len(split) == 16
+    # the 7 split catalog entries, gl2-gl5, the split forms of B2, C2, G2, B3
+    # and C3, and those of A2, A3, B2, C2, G2, B3, C3 and D4 once more
+    assert (len(specs), len(split)) == (75, 24)
     assert read_off_mismatches(specs) == []
+
+
+def test_the_zero_sums_are_the_levi_simple_roots():
+    for spec in step_population():
+        datum = spec.datum
+        zeros = tuple(i for i in datum.simple_indices
+                      if not any(vec_add(datum.coroots[i], spec.apply(datum.coroots[i]))))
+        assert zeros == realform.levi_simple_roots(spec), spec.name
 
 
 def test_a_read_off_admitting_non_split_forms_is_caught(monkeypatch):
@@ -184,22 +201,53 @@ def test_a_read_off_admitting_non_split_forms_is_caught(monkeypatch):
     assert read_off_mismatches(real_form_specs()) == ["sl2C_as_real", "su21"]
 
 
+# mutants of the read-off, for the comparisons to catch
+
+
+def _images(spec):
+    return [(beta, spec.apply(beta)) for beta in simple_coroots(spec.datum)]
+
+
+def _always_the_sum(spec):
+    """``step_basis`` with beta + theta(beta) also where theta fixes beta."""
+    return tuple(dict.fromkeys(v for v in (vec_add(b, t) for b, t in _images(spec)) if any(v)))
+
+
+def _zeros_kept(spec):
+    """``step_basis`` without dropping the zero sums."""
+    return tuple(dict.fromkeys(b if b == t else vec_add(b, t) for b, t in _images(spec)))
+
+
+def _repeats_kept(spec):
+    """``step_basis`` listing the sum of each coroot of an orbit."""
+    return tuple(v for v in (b if b == t else vec_add(b, t) for b, t in _images(spec)) if any(v))
+
+
+@pytest.mark.parametrize("mutant, caught", [
+    (_always_the_sum, {"sl2_split", "pgl2_so21", "sl3_split", "su11", "gl2_split", "gl3_split"}),
+    (_zeros_kept, {"sl2_compact"}),
+    (_repeats_kept, {"sl2C_as_real", "su21"}),
+])
+def test_the_comparison_catches_step_basis_mutants(mutant, caught, monkeypatch):
+    monkeypatch.setattr(realform, "step_basis", mutant)
+    assert caught <= set(read_off_mismatches([catalog(name).spec for name in ALL_NAMES]))
+
+
 # Smith normal forms that one cold call each of k_leq, r_leq and real_step_leq,
 # and the fixed solver, run on a spec with no cached property: the simple
-# coroots; unless theta = 1, whose step solver, fixed basis and fixed solver
-# are read off the datum, also the kernel of theta - 1 (the fixed basis), its
-# solver, the simple roots (for the positive coroots; none without roots) and
-# the step basis search (one for the empty basis and one per kept generator,
-# the last of which is the step solver)
+# coroots; unless theta = 1, whose step basis is the simple coroots, with
+# their solver, and whose fixed basis and fixed solver are read off the datum,
+# also the kernel of theta - 1 (the fixed basis), its solver and the solver
+# of the step basis
 COLD_ORDER_SMITH_FORMS = {
-    "sl2_split": 1, "sl2_compact": 5, "pgl2_so21": 1, "sl2C_as_real": 6, "sl3_split": 1,
-    "su11": 1, "su21": 6, "gl1_split": 1, "gl2_split": 1, "gl3_split": 1,
+    "sl2_split": 1, "sl2_compact": 4, "pgl2_so21": 1, "sl2C_as_real": 4, "sl3_split": 1,
+    "su11": 1, "su21": 4, "gl1_split": 1, "gl2_split": 1, "gl3_split": 1,
 }
 
 
-@pytest.mark.parametrize("name", ALL_NAMES)
-def test_cold_orders_solve_the_step_basis_once(name, monkeypatch):
-    spec = copy.deepcopy(catalog(name).spec)
+def cold_order_counts(spec, monkeypatch):
+    """Smith normal forms and compiled orders of one cold call each of k_leq,
+    r_leq and real_step_leq, and of the fixed solver, on the spec."""
     solved, snf = [], rootdata.smith_normal_form
     monkeypatch.setattr(rootdata, "smith_normal_form", lambda m: solved.append(m) or snf(m))
     compiled, compile_order = [], rootdata.monoid_order
@@ -208,11 +256,28 @@ def test_cold_orders_solve_the_step_basis_once(name, monkeypatch):
     zero = (0,) * spec.datum.rank
     assert all(relation(spec, zero, zero) for relation in (k_leq, r_leq, real_step_leq))
     assert spec.fixed_solver
-    smith_forms, split = len(solved), spec.theta == identity_matrix(spec.datum.rank)
-    searched = 4 + bool(spec.datum.roots) + len(step_basis(spec))
-    assert smith_forms == COLD_ORDER_SMITH_FORMS[name] == (1 if split else searched)
+    return len(solved), len(compiled)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_cold_orders_solve_the_step_basis_once(name, monkeypatch):
+    spec = copy.deepcopy(catalog(name).spec)
+    smith_forms, compiled = cold_order_counts(spec, monkeypatch)
+    split = spec.theta == identity_matrix(spec.datum.rank)
+    assert smith_forms == COLD_ORDER_SMITH_FORMS[name] == (1 if split else 4)
     # one order serves k_leq, r_leq and real_step_leq of a split form
-    assert len(compiled) == (1 if split else 2)
+    assert compiled == (1 if split else 2)
+
+
+def test_the_compile_count_catches_a_step_solver_not_shared(monkeypatch):
+    # a mutant step solver that solves the step basis afresh, never the
+    # datum's coroot solver: a split form then compiles a second order
+    own = property(lambda s: integer_solver(step_basis(s), dim=s.datum.rank))
+    monkeypatch.setattr(realform.InvolutionSpec, "step_solver", own)
+    for name in ALL_NAMES:
+        spec = copy.deepcopy(catalog(name).spec)
+        if spec.theta == identity_matrix(spec.datum.rank):
+            assert cold_order_counts(spec, monkeypatch) == (2, 2), name
 
 
 @pytest.mark.parametrize("name", ["gl3_split", "pgl2_so21"])
@@ -234,20 +299,22 @@ def test_a_cold_split_slice_and_core_eliminate_the_simple_roots_and_coroots_only
 
 
 def test_non_free_generators_raise(monkeypatch, cleared_caches):
-    monkeypatch.setattr(realform, "restricted_coroot_generators", lambda spec: ((2,), (3,)))
-    spec = catalog("sl2_compact").spec
-    with pytest.raises(TheoremViolationError, match="not free"):
-        step_basis(spec)
+    spec = copy.deepcopy(catalog("sl2_compact").spec)
+    monkeypatch.setattr(realform, "step_basis", lambda spec: ((2,), (3,)))
+    with pytest.raises(TheoremViolationError, match=r"^the step basis \(\(2,\), \(3,\)\) of 'sl2_compact' is dependent;"
+                                                    " the step monoid is not free$"):
+        spec.step_solver
     with pytest.raises(TheoremViolationError, match="not free"):
         real_step_leq(spec, (0,), (2,))
 
 
 def test_non_free_generators_fail_the_check(monkeypatch, cleared_caches, capsys):
-    monkeypatch.setattr(realform, "restricted_coroot_generators", lambda spec: ((2,), (3,)))
+    monkeypatch.setattr(realform, "step_basis", lambda spec: ((2,), (3,)))
     assert main(["check", "sl2_compact"]) == 2
     captured = capsys.readouterr()
     for suite in ("generation", "duality", "step-order"):
-        assert f"suite sl2_compact/{suite}: FAIL (restricted generator (3,)" in captured.out
+        assert (f"suite sl2_compact/{suite}: FAIL (the step basis ((2,), (3,)) of 'sl2_compact' is dependent;"
+                " the step monoid is not free)") in captured.out
     assert "check: " in captured.out and "suite(s) failed" in captured.out
     assert "Traceback" not in captured.out + captured.err
 
