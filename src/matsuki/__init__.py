@@ -39,7 +39,7 @@ _EXPORTS = {
     ),
     "realform": (
         "InvolutionSpec", "RealFormCatalogEntry", "catalog", "catalog_names", "dominant_involution",
-        "levi_longest_element", "levi_simple_roots", "real_coweight_basis", "real_criterion",
+        "levi_longest_element", "levi_simple_roots", "real_criterion",
         "restricted_coroot_generators", "validate_involution",
     ),
     "fundgroup": ("PiOneModel", "in_image_semigroup", "pi1_model", "pi1_of_symmetric_space"),

@@ -122,14 +122,10 @@ class Gaussian:
 
     def __add__(self, other):
         d, e = self.d, other.d
-        if d == e:
-            return _norm(self.a + other.a, self.b + other.b, d)
         return _norm(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     def __sub__(self, other):
         d, e = self.d, other.d
-        if d == e:
-            return _norm(self.a - other.a, self.b - other.b, d)
         return _norm(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __neg__(self):
@@ -580,8 +576,10 @@ class FormAction(Record):
 
     # the lattice side is the catalog entry's
     def to_entry(self, lam: Coweight) -> Coweight | None:
-        """lam in the entry's coordinates: itself on a rank-n entry; on a rank n-1
-        one its partial sums (simple-coroot coordinates) if it sums to zero, else None."""
+        """lam, of length n, in the entry's coordinates: itself on a rank-n entry; on a rank n-1 one its partial
+        sums (simple-coroot coordinates) if it sums to zero, else None.  Another length raises ``ValidationError``."""
+        if len(lam) != self.n:
+            raise ValidationError(f"coweight must have length {self.n}, got {tuple(lam)}")
         return self._coordinates(lam, catalog(self.entry))
 
     def _coordinates(self, lam: Coweight, entry) -> Coweight | None:
@@ -841,18 +839,15 @@ def geodesic_representative(form: FormAction | str, lam: Coweight) -> LaurentMat
     if reason is not None:
         raise ValidationError(f"{tuple(lam)} is not an orbit index for {form.name}: {reason}")
 
-    rows = _zero_rows(form.n)
+    entries = {(i, i): LaurentPoly.t_power(a // 2) for i, a in enumerate(lam) if a % 2 == 0}
     odd_positions = [i for i, a in enumerate(lam) if a % 2]
-    for i, a in enumerate(lam):
-        if a % 2 == 0:
-            rows[i][i] = LaurentPoly.t_power(a // 2)
     for i, j in zip(odd_positions[::2], odd_positions[1::2]):
         a, b = lam[i], lam[j]  # [[cos, sin], [-sin, cos]] of the half angles a/2 and b/2
-        rows[i][i] = LaurentPoly({(a + 1) // 2: HALF, (a - 1) // 2: HALF})
-        rows[i][j] = LaurentPoly({(b + 1) // 2: HALF_OVER_I, (b - 1) // 2: -HALF_OVER_I})
-        rows[j][i] = LaurentPoly({(a + 1) // 2: -HALF_OVER_I, (a - 1) // 2: HALF_OVER_I})
-        rows[j][j] = LaurentPoly({(b + 1) // 2: HALF, (b - 1) // 2: HALF})
-    loop = lm_from_rows(form.name, rows)
+        entries[i, i] = LaurentPoly({(a + 1) // 2: HALF, (a - 1) // 2: HALF})
+        entries[i, j] = LaurentPoly({(b + 1) // 2: HALF_OVER_I, (b - 1) // 2: -HALF_OVER_I})
+        entries[j, i] = LaurentPoly({(a + 1) // 2: -HALF_OVER_I, (a - 1) // 2: HALF_OVER_I})
+        entries[j, j] = LaurentPoly({(b + 1) // 2: HALF, (b - 1) // 2: HALF})
+    loop = lm_from_rows(form.name, _rows(form.n, LP_ZERO, entries))
     target = diagonal_loop(form.name, lam)
     if not loops_equal(mat_mul(form.real_antiinvolution(loop), loop), target):
         raise TheoremViolationError(
@@ -865,26 +860,26 @@ def geodesic_representative(form: FormAction | str, lam: Coweight) -> LaurentMat
 # seeded random loops
 
 
-def _exp_nilpotent(form_name: str, n: int, entries) -> LaurentMatrix:
-    """exp of a strictly triangular Laurent matrix, exact since X^n = 0."""
-    x = lm_from_rows(form_name, entries)
-    total = power = identity_loop(form_name, n)
+def _rows(n: int, diagonal: LaurentPoly, entries: dict[tuple[int, int], LaurentPoly]) -> list[list[LaurentPoly]]:
+    """The n x n rows with ``diagonal`` on the diagonal and zeros off it, then the (i, j) entries of ``entries``."""
+    rows = [[diagonal if i == j else LP_ZERO for j in range(n)] for i in range(n)]
+    for (i, j), p in entries.items():
+        rows[i][j] = p
+    return rows
+
+
+def _exp_nilpotent(form_name: str, rows) -> tuple[tuple[LaurentPoly, ...], ...]:
+    """The rows of exp of a strictly triangular Laurent matrix, exact since X^n = 0."""
+    x = lm_from_rows(form_name, rows)
+    total = power = identity_loop(form_name, x.n)
     fact = 1
-    for k in range(1, n):
+    for k in range(1, x.n):
         power, fact = mat_mul(power, x), fact * k
         c = _make(1, 0, fact)
         total = lm_from_rows(
             form_name, [[a + b.scale(c) for a, b in zip(r, s)] for r, s in zip(total.entries, power.entries)]
         )
-    return total
-
-
-def _zero_rows(n):
-    return [[LP_ZERO for _ in range(n)] for _ in range(n)]
-
-
-def _constant_diagonal(form_name: str, values) -> LaurentMatrix:
-    return _diagonal(form_name, [LaurentPoly.constant(x) for x in values])
+    return total.entries
 
 
 def _rng(form: FormAction, kind: str, seed: int):
@@ -894,105 +889,101 @@ def _rng(form: FormAction, kind: str, seed: int):
     return random.Random(f"{form.name}:{kind}:{seed}")
 
 
-def _strict_positions(n, rng, upper=True):
+def _strict_positions(n, rng, upper):
     pairs = [(i, j) for i in range(n) for j in range(n) if (j > i if upper else j < i)]
     return rng.choice(pairs)
 
 
-def random_real_loop(form: FormAction | str, seed: int) -> LaurentMatrix:
-    """Deterministic product of generators of the real polynomial loop group."""
+def _product(form: FormAction | str, kind: str, seed: int, factor) -> LaurentMatrix:
+    """The seeded product of one family of loops of a form: up to 3 (n = 2) or 2
+    factors, each the rows that ``factor(form, rng)`` draws."""
     if isinstance(form, str):
         form = form_action(form)
-    rng = _rng(form, "real", seed)
-    n = form.n
-    g = identity_loop(form.name, n)
-    for _ in range(rng.randint(0, 3 if n == 2 else 2)):
-        kind = rng.random()
-        if form.family == "split":
-            if kind < 0.4 and n > 1:
-                # exp(N * (t^k + t^-k)) with N strictly triangular real
-                i, j = _strict_positions(n, rng, upper=rng.random() < 0.5)
-                c = Gaussian(rng.choice([-1, 1, 2]))
-                k = rng.choice([0, 1])
-                rows = _zero_rows(n)
-                rows[i][j] = LaurentPoly({k: c, -k: c} if k else {0: c})
-                g = mat_mul(g, _exp_nilpotent(form.name, n, rows))
-            elif kind < 0.8 and n > 1 and not form.special:
-                # constant real elementary matrix
-                i, j = _strict_positions(n, rng, upper=rng.random() < 0.5)
-                rows = [[LP_ONE if a == b else LP_ZERO for b in range(n)] for a in range(n)]
-                rows[i][j] = LaurentPoly.constant(rng.choice([-2, -1, 1, 2]))
-                g = mat_mul(g, lm_from_rows(form.name, rows))
-            else:
-                signs = [rng.choice([1, -1]) for _ in range(n)]
-                if form.special and len([s for s in signs if s < 0]) % 2:
-                    signs[0] = -signs[0]
-                g = mat_mul(g, _constant_diagonal(form.name, signs))
+    rng = _rng(form, kind, seed)
+    g = identity_loop(form.name, form.n)
+    for _ in range(rng.randint(0, 3 if form.n == 2 else 2)):
+        g = mat_mul(g, lm_from_rows(form.name, factor(form, rng)))
+    return g
+
+
+def _real_factor(form: FormAction, rng) -> list[list[LaurentPoly]]:
+    n, kind = form.n, rng.random()
+    if form.family == "split":
+        if kind < 0.4 and n > 1:
+            # exp(N * (t^k + t^-k)) with N real and one off-diagonal entry, so N^2 = 0 and exp is 1 + N
+            i, j = _strict_positions(n, rng, upper=rng.random() < 0.5)
+            c = Gaussian(rng.choice([-1, 1, 2]))
+            k = rng.choice([0, 1])
+            return _rows(n, LP_ONE, {(i, j): LaurentPoly({k: c, -k: c} if k else {0: c})})
+        if kind < 0.8 and n > 1 and not form.special:
+            # constant real elementary matrix
+            i, j = _strict_positions(n, rng, upper=rng.random() < 0.5)
+            return _rows(n, LP_ONE, {(i, j): LaurentPoly.constant(rng.choice([-2, -1, 1, 2]))})
+        signs = [rng.choice([1, -1]) for _ in range(n)]
+        if form.special and len([s for s in signs if s < 0]) % 2:
+            signs[0] = -signs[0]
+        return _rows(n, LP_ZERO, {(i, i): LaurentPoly.constant(x) for i, x in enumerate(signs)})
+    if kind < 0.6 and n > 1:
+        # exp(N t^k - J conj(N)^T J t^-k), strictly upper hence nilpotent: the J-twisted transpose stays strictly upper
+        i, j = _strict_positions(n, rng, upper=True)
+        c = Gaussian(rng.choice([-1, 0, 1]), rng.choice([-1, 0, 1])) or G_ONE
+        k = rng.choice([0, 1])
+        rows = _rows(n, LP_ZERO, {(i, j): LaurentPoly.t_power(k, c)})
+        rows[n - 1 - j][n - 1 - i] += LaurentPoly.t_power(-k, -c.conjugate())
+        return _exp_nilpotent(form.name, rows)
+    if kind < 0.8:
+        return _rows(n, LP_ZERO, {(i, n - 1 - i): LP_ONE for i in range(n)})  # J
+    units = [G_I, -G_I, G_ONE, -G_ONE]
+    d = [rng.choice(units) for _ in range(n)]
+    for i in range(n):  # anti-diagonal pairing conj(d_i) d_{n-1-i} = 1, and 1/conj(u) = u for a unit u of Z[i]
+        d[n - 1 - i] = d[i]
+    return _rows(n, LP_ZERO, {(i, i): LaurentPoly.constant(x) for i, x in enumerate(d)})
+
+
+def _k_factor(form: FormAction, rng) -> list[list[LaurentPoly]]:
+    n, kind = form.n, rng.random()
+    if form.family == "split":
+        if n == 1:
+            return _rows(1, LP_ZERO, {(0, 0): LaurentPoly.constant(rng.choice([1, -1]))})
+        i, j = _strict_positions(n, rng, upper=True)
+        if kind < 0.5:  # cos/sin pair (t + 1/t)/2 and (t - 1/t)/(2i), orthogonal and based
+            c, s = LaurentPoly({1: HALF, -1: HALF}), LaurentPoly({1: HALF_OVER_I, -1: -HALF_OVER_I})
         else:
-            if kind < 0.6 and n > 1:
-                # exp(N t^k - J conj(N)^T J t^-k), strictly upper hence nilpotent
-                i, j = _strict_positions(n, rng, upper=True)
-                c = Gaussian(rng.choice([-1, 0, 1]), rng.choice([-1, 0, 1]))
-                if not c:
-                    c = G_ONE
-                k = rng.choice([0, 1])
-                rows = _zero_rows(n)
-                rows[i][j] = LaurentPoly.t_power(k, c)
-                ri, rj = n - 1 - j, n - 1 - i  # J-twisted transpose stays strictly upper
-                mirrored = LaurentPoly.t_power(-k, -c.conjugate())
-                rows[ri][rj] = rows[ri][rj] + mirrored
-                g = mat_mul(g, _exp_nilpotent(form.name, n, rows))
-            elif kind < 0.8:
-                g = lm_from_rows(form.name, [row[::-1] for row in g.entries])  # g J
-            else:
-                units = [G_I, -G_I, G_ONE, -G_ONE]
-                d = [rng.choice(units) for _ in range(n)]
-                for i in range(n):  # anti-diagonal pairing: conj(d_i) d_{n-1-i} = 1
-                    d[n - 1 - i] = G_ONE / d[i].conjugate()
-                g = mat_mul(g, _constant_diagonal(form.name, d))
-    if not form.is_real_loop(g):
+            c, s = LaurentPoly.constant(_make(3, 0, 5)), LaurentPoly.constant(_make(4, 0, 5))
+        if kind > 0.85 and not form.special:  # the rotation times the reflection at i: column i negated
+            return _rows(n, LP_ONE, {(i, i): -c, (i, j): s, (j, i): s, (j, j): c})
+        return _rows(n, LP_ONE, {(i, i): c, (i, j): s, (j, i): -s, (j, j): c})
+    # loops commuting with the anti-diagonal J: a*I + b*J patterns
+    e1, e2 = rng.choice([0, 1]), rng.choice([0, -1, 1])
+    u = LaurentPoly.t_power(e1, rng.choice([G_ONE, -G_ONE]))
+    v = LaurentPoly.t_power(e2, rng.choice([G_ONE, G_I]))
+    a = (u + v).scale(HALF)
+    b = (v - u).scale(HALF)
+    return _rows(n, a, {(i, n - 1 - i): a + b if 2 * i == n - 1 else b for i in range(n)})
+
+
+def _polynomial_factor(form: FormAction, rng) -> list[list[LaurentPoly]]:
+    n, kind = form.n, rng.random()
+    if kind < 0.7 and n > 1:
+        i, j = _strict_positions(n, rng, upper=rng.random() < 0.5)
+        coeff = Gaussian(rng.choice([-1, 1]), rng.choice([-1, 0, 1]))
+        return _rows(n, LP_ONE, {(i, j): LaurentPoly.t_power(rng.choice([0, 1]), coeff)})
+    units = [G_ONE, -G_ONE, G_I] if not form.special else [G_ONE]
+    return _rows(n, LP_ZERO, {(i, i): LaurentPoly.constant(rng.choice(units)) for i in range(n)})
+
+
+def random_real_loop(form: FormAction | str, seed: int) -> LaurentMatrix:
+    """Deterministic product of generators of the real polynomial loop group."""
+    g = _product(form, "real", seed, _real_factor)
+    if not form_action(g.form).is_real_loop(g):
         raise TheoremViolationError("generated loop failed its real symmetry postcondition")
     return g
 
 
 def random_k_loop(form: FormAction | str, seed: int) -> LaurentMatrix:
     """Deterministic product of generators of the symmetric-subgroup loop group."""
-    if isinstance(form, str):
-        form = form_action(form)
-    rng = _rng(form, "k", seed)
-    n = form.n
-    g = identity_loop(form.name, n)
-    for _ in range(rng.randint(0, 3 if n == 2 else 2)):
-        kind = rng.random()
-        if form.family == "split":
-            if n == 1:
-                g = mat_mul(g, _constant_diagonal(form.name, [rng.choice([1, -1])]))
-                continue
-            i, j = _strict_positions(n, rng, upper=True)
-            if kind < 0.5:  # cos/sin pair (t + 1/t)/2 and (t - 1/t)/(2i), orthogonal and based
-                c, s = LaurentPoly({1: HALF, -1: HALF}), LaurentPoly({1: HALF_OVER_I, -1: -HALF_OVER_I})
-            else:
-                c = LaurentPoly.constant(_make(3, 0, 5))
-                s = LaurentPoly.constant(_make(4, 0, 5))
-            rows = [[LP_ONE if a == b else LP_ZERO for b in range(n)] for a in range(n)]
-            rows[i][i], rows[i][j] = c, s
-            rows[j][i], rows[j][j] = -s, c
-            g = mat_mul(g, lm_from_rows(form.name, rows))
-            if kind > 0.85 and not form.special:
-                g = mat_mul(g, _constant_diagonal(form.name, [-1 if a == i else 1 for a in range(n)]))
-        else:
-            # loops commuting with the anti-diagonal J: a*I + b*J patterns
-            e1, e2 = rng.choice([0, 1]), rng.choice([0, -1, 1])
-            u = LaurentPoly.t_power(e1, rng.choice([G_ONE, -G_ONE]))
-            v = LaurentPoly.t_power(e2, rng.choice([G_ONE, G_I]))
-            a = (u + v).scale(HALF)
-            b = (v - u).scale(HALF)
-            rows = _zero_rows(n)
-            for i in range(n):
-                rows[i][i] = a
-                rows[i][n - 1 - i] = rows[i][n - 1 - i] + b
-            g = mat_mul(g, lm_from_rows(form.name, rows))
-    if not form.is_symmetric_subgroup_loop(g):
+    g = _product(form, "k", seed, _k_factor)
+    if not form_action(g.form).is_symmetric_subgroup_loop(g):
         raise TheoremViolationError("generated loop failed its symmetric-subgroup postcondition")
     return g
 
@@ -1000,22 +991,7 @@ def random_k_loop(form: FormAction | str, seed: int) -> LaurentMatrix:
 def random_polynomial_loop(form: FormAction | str, seed: int, negative: bool = False) -> LaurentMatrix:
     """Deterministic polynomial loop: unipotents with polynomial entries times
     constant invertibles; with ``negative`` the loop lives in t^-1 instead."""
-    if isinstance(form, str):
-        form = form_action(form)
-    rng = _rng(form, "poly", seed)
-    n = form.n
-    g = identity_loop(form.name, n)
-    for _ in range(rng.randint(0, 3 if n == 2 else 2)):
-        kind = rng.random()
-        if kind < 0.7 and n > 1:
-            i, j = _strict_positions(n, rng, upper=rng.random() < 0.5)
-            rows = [[LP_ONE if a == b else LP_ZERO for b in range(n)] for a in range(n)]
-            coeff = Gaussian(rng.choice([-1, 1]), rng.choice([-1, 0, 1]))
-            rows[i][j] = LaurentPoly.t_power(rng.choice([0, 1]), coeff)
-            g = mat_mul(g, lm_from_rows(form.name, rows))
-        else:
-            units = [G_ONE, -G_ONE, G_I] if not form.special else [G_ONE]
-            g = mat_mul(g, _constant_diagonal(form.name, [rng.choice(units) for _ in range(n)]))
+    g = _product(form, "poly", seed, _polynomial_factor)
     if negative:
         g = apply_tau(g)
         if max_degree(g) > 0:

@@ -168,9 +168,9 @@ def _split_image_group(datum: RootDatum) -> FiniteAbelianGroup:
 
 def real_coweight_coordinates(spec: InvolutionSpec, coweight: Coweight) -> tuple[int, ...]:
     """Coordinates of a theta-fixed coweight in the fixed-sublattice basis."""
-    den, rows, consistency = spec.fixed_solver
+    den, rows, _ = spec.fixed_solver
     scaled = tuple(dot(row, coweight) for row in rows)
-    if any(dot(row, coweight) for row in consistency) or any(c % den for c in scaled):
+    if not spec.is_real(coweight) or any(c % den for c in scaled):
         raise ValidationError(f"{coweight} is not in the theta-fixed sublattice")
     return tuple(c // den for c in scaled)
 
@@ -239,11 +239,6 @@ def require_valid_involution(spec: InvolutionSpec) -> None:
     problems = validate_involution(spec)
     if problems:
         raise ValidationError(f"invalid involution {spec.name!r}: " + "; ".join(problems))
-
-
-def real_coweight_basis(spec: InvolutionSpec) -> tuple[Coweight, ...]:
-    """``spec.fixed_basis``, the basis of the theta-fixed sublattice."""
-    return spec.fixed_basis
 
 
 def restricted_coroot_generators(spec: InvolutionSpec) -> tuple[Coweight, ...]:

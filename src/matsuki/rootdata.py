@@ -252,13 +252,10 @@ def column_matrix(columns: tuple[Coweight, ...], dim: int) -> IntMatrix:
     return tuple(zip(*columns)) if columns else ((),) * dim
 
 
-def integer_solver(columns: tuple[Coweight, ...], dim: int | None = None) -> tuple[int, IntMatrix, IntMatrix]:
-    """Integer data (den, rows, consistency) for writing a vector in the given
-    independent columns, read off the Smith normal form of their matrix
-    (``solver_of_smith_form``).  ``dim`` is required when the column list is
-    empty."""
-    if not columns and dim is None:
-        raise ValidationError("integer_solver needs the ambient dimension for no columns")
+def integer_solver(columns: tuple[Coweight, ...], dim: int) -> tuple[int, IntMatrix, IntMatrix]:
+    """Integer data (den, rows, consistency) for writing a vector of length dim in
+    the given independent columns, read off the Smith normal form of their matrix
+    (``solver_of_smith_form``)."""
     return solver_of_smith_form(smith_normal_form(column_matrix(columns, dim)), len(columns))
 
 
@@ -350,8 +347,6 @@ def weyl_longest_element(datum: RootDatum, subset: frozenset[int] | tuple[int, .
     subset = tuple(sorted(subset))
     if any(i not in datum.simple_indices for i in subset):
         raise ValidationError(f"subset {subset} is not a set of simple indices")
-    if not subset:
-        return identity_matrix(datum.rank)
     x, w = sub_two_rho_vee(datum, subset), identity_matrix(datum.rank)
     while True:
         pos = next((i for i in subset if dot(datum.roots[i], x) > 0), None)
@@ -416,8 +411,6 @@ def kernel_basis(matrix) -> tuple[Coweight, ...]:
     """Basis of the integer kernel, a saturated sublattice of the column domain."""
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    if n == 0:
-        return ()
     _, d, v = smith_normal_form(matrix)
     basis = []
     for j in range(n):
@@ -457,10 +450,6 @@ class FiniteAbelianGroup(Record):
 
 def quotient_group(ambient_rank: int, sublattice_generators: tuple[Coweight, ...]) -> FiniteAbelianGroup:
     """The quotient of Z^ambient_rank by the span of the given generators."""
-    if ambient_rank == 0:
-        return FiniteAbelianGroup((), ())
-    if not sublattice_generators:
-        return FiniteAbelianGroup((0,) * ambient_rank, identity_matrix(ambient_rank))
     k = len(sublattice_generators)
     matrix = tuple(tuple(g[i] for g in sublattice_generators) for i in range(ambient_rank))
     u, d, _ = smith_normal_form(matrix)

@@ -167,7 +167,7 @@ def step_search(spec):
     for g in gens:
         if not free_monoid_leq(solver, zero, g):
             basis += (g,)
-            solver = integer_solver(basis)
+            solver = integer_solver(basis, dim=datum.rank)
     return basis
 
 

@@ -31,7 +31,6 @@ from matsuki.realform import (
     InvolutionSpec,
     catalog,
     catalog_names,
-    real_coweight_basis,
     step_basis,
     validate_involution,
 )
@@ -150,7 +149,7 @@ def test_elimination_rounds_each_row_down_and_keeps_the_least_offset():
 )
 def test_enumeration_visits_few_prefixes_beyond_its_output(name, bound, ratio, monkeypatch, cleared_caches):
     spec = split_gl_spec(5) if name == "gl5" else catalog(name).spec
-    last = len(real_coweight_basis(spec)) - 1
+    last = len(spec.fixed_basis) - 1
     visited = []
     extend = orbitposet._extend
 
@@ -191,7 +190,7 @@ def test_a_refusal_walks_at_most_one_budget_per_level(monkeypatch, cleared_cache
     refused += [("sl2_split", 4_999_999, 1), ("gl2_split", 2000, 2)]
     for name, bound, level in refused:
         spec = catalog(name).spec
-        levels = len(real_coweight_basis(spec))
+        levels = len(spec.fixed_basis)
         calls[:] = [0]  # the first range, of the empty prefix, comes from the offsets alone
         with pytest.raises(ValidationError, match=f"over {CANDIDATE_BUDGET} candidates for coefficient {level} of {levels}$"):
             enumerate_orbits(spec, bound)
@@ -280,7 +279,7 @@ def quasi_polynomial(counts, start, period, degree):
 
 # name: orbit counts (period, degree), component counts (from, period, degree),
 # and two heights past both fits, each a slice that costs under 0.1 s; the
-# orbit degree is len(real_coweight_basis), and components grow along the
+# orbit degree is len(spec.fixed_basis), and components grow along the
 # centre of the gl entries only
 LARGE_HEIGHTS = {
     "sl2_split": ((2, 1), (0, 1, 0), (1000, 1001)),
@@ -302,7 +301,7 @@ def test_orbit_and_component_counts_at_large_heights_follow_their_fits(name, cle
     # all-pairs union-find on its slices, so neither fit runs the code checked
     spec = catalog(name).spec
     (period, degree), (start, comp_period, comp_degree), targets = LARGE_HEIGHTS[name]
-    assert degree == len(real_coweight_basis(spec))
+    assert degree == len(spec.fixed_basis)
     orbits = quasi_polynomial(box_scan_counts(spec, period * (degree + 2) - 1), 0, period, degree)
     slices = box_scan_slices(spec, start + comp_period * (comp_degree + 3) - 1)
     components = quasi_polynomial([comparability_components(spec, s) for s in slices], start, comp_period, comp_degree)
@@ -906,8 +905,6 @@ def test_enumeration_over_skewed_fixed_basis():
     # rootless rank-2 torus with a non-diagonal involution: the fixed lattice
     # has the skewed basis (2,1), so coefficient bounds must come from the
     # solve matrix, not from coordinate sizes
-    from matsuki.realform import real_coweight_basis
-
     spec = skewed_torus_spec()
-    assert real_coweight_basis(spec) == ((2, 1),)
+    assert spec.fixed_basis == ((2, 1),)
     assert enumerate_orbits(spec, 4) == ((-4, -2), (-2, -1), (0, 0), (2, 1), (4, 2))

@@ -16,7 +16,6 @@ from matsuki.realform import (
     dominant_involution,
     levi_longest_element,
     levi_simple_roots,
-    real_coweight_basis,
     real_coweight_coordinates,
     real_criterion,
     validate_involution,
@@ -225,15 +224,15 @@ def test_failing_catalog_validation_still_raises(monkeypatch, cleared_caches, ca
 
 
 def test_real_coweight_basis_examples():
-    assert real_coweight_basis(catalog("sl2_split").spec) == ((1,),)
-    assert real_coweight_basis(catalog("sl2_compact").spec) == ()
-    assert real_coweight_basis(catalog("sl2C_as_real").spec) == ((1, 1),)
-    assert real_coweight_basis(catalog("su21").spec) == ((1, 1),)
+    assert catalog("sl2_split").spec.fixed_basis == ((1,),)
+    assert catalog("sl2_compact").spec.fixed_basis == ()
+    assert catalog("sl2C_as_real").spec.fixed_basis == ((1, 1),)
+    assert catalog("su21").spec.fixed_basis == ((1, 1),)
 
 
 def test_real_coweight_basis_is_saturated():
     for name in ALL_NAMES:
-        basis = real_coweight_basis(catalog(name).spec)
+        basis = catalog(name).spec.fixed_basis
         if not basis:
             continue
         columns = tuple(tuple(b[i] for b in basis) for i in range(len(basis[0])))
@@ -305,6 +304,12 @@ def test_real_coordinates_of_a_moving_coweight_are_refused():
     assert real_coweight_coordinates(spec, (2, 2)) == (2,)
     with pytest.raises(ValidationError, match=r"^\(1, 0\) is not in the theta-fixed sublattice$"):
         real_coweight_coordinates(spec, (1, 0))
+
+
+def test_real_coordinates_of_a_coweight_of_the_wrong_length_are_refused():
+    for name, coweight in (("su21", (1, 1, 0)), ("gl2_split", (2,))):
+        with pytest.raises(ValidationError, match=r"is not in the theta-fixed sublattice$"):
+            real_coweight_coordinates(catalog(name).spec, coweight)
 
 
 def test_is_real_is_theta_fixed():
