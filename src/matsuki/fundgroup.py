@@ -13,9 +13,9 @@ from __future__ import annotations
 from operator import mul
 
 from .errors import ValidationError
-from .realform import InvolutionSpec, real_coweight_coordinates, restricted_coroot_generators
+from .realform import InvolutionSpec, restricted_coroot_generators
 from .record import Record
-from .rootdata import Coweight, FiniteAbelianGroup, pi1_of_group, quotient_group
+from .rootdata import Coweight, FiniteAbelianGroup, integer_solver, mat_vec, pi1_of_group, quotient_group
 
 
 class PiOneModel(Record):
@@ -31,9 +31,10 @@ class PiOneModel(Record):
 
 def pi1_of_symmetric_space(spec: InvolutionSpec) -> FiniteAbelianGroup:
     """Quotient of the theta-fixed sublattice by the restricted coroot generators,
-    in fixed-basis coordinates.  The zero lattice gives the trivial group."""
-    gens = tuple(real_coweight_coordinates(spec, g) for g in restricted_coroot_generators(spec))
-    return quotient_group(len(spec.fixed_basis), gens)
+    in fixed-basis coordinates, which its free part needs: the solve rows of the
+    saturated basis (den 1).  The zero lattice gives the trivial group."""
+    _, rows, _ = integer_solver(spec.fixed_basis, dim=spec.datum.rank)
+    return quotient_group(len(spec.fixed_basis), tuple(mat_vec(rows, g) for g in restricted_coroot_generators(spec)))
 
 
 def image_index(spec: InvolutionSpec) -> int:
@@ -68,7 +69,7 @@ def _member_pairings(spec: InvolutionSpec, coweight: Coweight) -> list[int] | No
     pairings = [sum(map(mul, root, coweight)) for root in datum.positive_roots]
     if min(pairings[:len(datum.simple_indices)], default=0) < 0:
         raise ValidationError(f"{coweight} is not dominant")
-    for row in spec.fixed_solver[2]:
+    for row in spec.moving_rows:
         if sum(map(mul, row, coweight)):
             raise ValidationError(f"{coweight} is not theta-fixed")
     for row, m in spec.image_lattice[2]:

@@ -589,11 +589,8 @@ class FormAction(Record):
         return None if total else tuple(sums)
 
     def lattice_fixed(self, lam: Coweight) -> bool:
-        # theta(mu) == mu, not spec.is_real(mu): is_real builds a cold entry's fixed_solver (a
-        # Smith form, 33 us on su21 against 3 us for the product), and bench/run.py clears the
-        # catalog every round; through is_real `loops` read 0.2-2 % fewer ops/s in 3 of 3 pairs
         mu = self._coordinates(lam, entry := catalog(self.entry))
-        return mu is not None and entry.spec.apply(mu) == mu
+        return mu is not None and entry.spec.is_real(mu)
 
     # membership checks for the subgroup generators
     def is_real_loop(self, g: LaurentMatrix) -> bool:

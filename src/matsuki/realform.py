@@ -41,6 +41,7 @@ from .rootdata import (
     sl3_datum,
     sub_two_rho_vee,
     vec_add,
+    vec_neg,
     weyl_longest_element,
 )
 
@@ -53,20 +54,24 @@ class InvolutionSpec(Record):
     name: str = ""
 
     def apply(self, coweight: Coweight) -> Coweight:
+        if len(coweight) != self.datum.rank:
+            raise ValidationError(f"{coweight} does not have length rank={self.datum.rank}")
         return mat_vec(self.theta, coweight)
 
     def _split(self) -> bool:  # theta = 1, the split real form: its lattice structures are read off the datum
         return self.theta == identity_matrix(self.datum.rank)
 
     def is_real(self, coweight: Coweight) -> bool:
-        """Whether theta fixes the coweight: it lies in the span of the saturated
-        fixed basis, so every consistency row of ``fixed_solver`` pairs to 0."""
-        if len(coweight) != self.datum.rank:
-            return False
-        for row in self.fixed_solver[2]:
-            if dot(row, coweight):
-                return False
-        return True
+        """Whether theta fixes the coweight: of length rank, every row of ``moving_rows`` pairs to 0 with it."""
+        return len(coweight) == self.datum.rank and not any(dot(row, coweight) for row in self.moving_rows)
+
+    @cached_property
+    def moving_rows(self) -> IntMatrix:
+        """The nonzero rows of theta - 1, each once up to sign: theta v = v exactly
+        when every one pairs to 0 with v.  Empty for theta = 1."""
+        n = self.datum.rank
+        rows = (tuple(self.theta[i][j] - (i == j) for j in range(n)) for i in range(n))
+        return tuple(dict.fromkeys(max(r, vec_neg(r)) for r in rows if any(r)))
 
     @cached_property
     def fixed_basis(self) -> tuple[Coweight, ...]:
@@ -80,12 +85,6 @@ class InvolutionSpec(Record):
         if self._split():
             return identity_matrix(n)[::-1]
         return kernel_basis(tuple(tuple(self.theta[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)))
-
-    @cached_property
-    def fixed_solver(self) -> tuple[int, IntMatrix, IntMatrix]:
-        """``integer_solver`` of ``fixed_basis``, built on first use.  For theta = 1
-        the fixed basis is the unit basis, whose solve rows are the basis itself."""
-        return (1, self.fixed_basis, ()) if self._split() else integer_solver(self.fixed_basis, dim=self.datum.rank)
 
     @cached_property
     def step_solver(self) -> tuple[int, IntMatrix, IntMatrix]:
@@ -110,14 +109,14 @@ class InvolutionSpec(Record):
     def real_step_order(self):
         """``step_order`` on theta-fixed coweights, built on first use: ``step_order`` itself for theta = 1, else
         a closure that calls it (refusing a wrong length), then refuses lower, then upper, if theta moves it."""
-        leq, consistency = self.step_order, self.fixed_solver[2]
-        if not consistency:  # theta = 1
+        leq, moving = self.step_order, self.moving_rows
+        if not moving:  # theta = 1
             return leq
 
         def real_leq(lower: Coweight, upper: Coweight) -> bool:
             result = leq(lower, upper)
             for v in (lower, upper):
-                for row in consistency:
+                for row in moving:
                     if sum(map(mul, row, v)):
                         raise ValidationError(f"{v} is not theta-fixed")
             return result
@@ -126,53 +125,43 @@ class InvolutionSpec(Record):
     @cached_property
     def image_lattice(self) -> tuple[tuple[Coweight, ...], FiniteAbelianGroup, tuple]:
         """The generators lambda + theta(lambda) of the loop image over a lattice
-        basis, the quotient of the fixed sublattice by the preimage of that
-        image, which the theta-fixed positive coroots and those sums generate
-        (in fixed-basis coordinates), and that quotient's class test on the
-        lattice itself: pairs (row, m), each a row of the projection times the
-        solve rows of the fixed basis and den times its invariant factor, such
-        that a theta-fixed coweight has class zero iff every row pairs with it
-        to a multiple of m.  Built on first use.
+        basis, the quotient of the fixed sublattice by the preimage of that image,
+        which the theta-fixed positive coroots and those sums generate, and its
+        class test: pairs (row, m), a projection row and its factor, such that a
+        theta-fixed coweight has class zero iff each row pairs with it to a
+        multiple of m.  Built on first use.
 
-        The other restricted coroot generators, the sums beta + theta(beta),
-        are lambda + theta(lambda) at lambda = beta, so they lie in the span of
-        the basis sums and are left out.  For theta = 1 the quotient is read off
-        the datum (``_split_image_group``).  Every factor is finite, since
-        2*lambda = lambda + theta(lambda) lies in the image; a free one raises
-        ``TheoremViolationError``."""
-        sums = (vec_add(e, self.apply(e)) for e in identity_matrix(self.datum.rank))
+        The other restricted coroot generators, the sums beta + theta(beta), are
+        lambda + theta(lambda) at lambda = beta, so they are left out.  The fixed
+        sublattice (rank k) is saturated, so a direct summand of Z^rank (Newman,
+        Integral Matrices, 1972, ch. II): Z^rank modulo the preimage is the image
+        quotient plus rank - k free factors, the last, which are dropped.  For
+        theta = 1 it is read off the datum (``_split_image_group``).  Each factor
+        is finite, as 2*lambda = lambda + theta(lambda) is in the image: a free
+        one left raises ``TheoremViolationError``."""
+        rank = self.datum.rank
+        sums = (vec_add(e, self.apply(e)) for e in identity_matrix(rank))
         image_gens = tuple(dict.fromkeys(v for v in sums if any(v)))
         if self._split():
             group = _split_image_group(self.datum)
         else:
             fixed_coroots = sorted(b for b in positive_coroots(self.datum) if self.apply(b) == b)
-            lattice_gens = tuple(real_coweight_coordinates(self, g) for g in (*fixed_coroots, *image_gens))
-            group = quotient_group(len(self.fixed_basis), lattice_gens)
+            group = quotient_group(rank, (*fixed_coroots, *image_gens))
+            kept = len(group.invariant_factors) - (rank - len(self.fixed_basis))
+            group = FiniteAbelianGroup(group.invariant_factors[:kept], group.projection[:kept])
         if 0 in group.invariant_factors:
             raise TheoremViolationError(f"loop image of {self.name!r} has infinite index in the fixed sublattice")
-        den, rows, _ = self.fixed_solver
-        class_rows = tuple(zip(mat_mul(group.projection, rows), (den * f for f in group.invariant_factors)))
-        return image_gens, group, class_rows
+        return image_gens, group, tuple(zip(group.projection, group.invariant_factors))
 
 
 def _split_image_group(datum: RootDatum) -> FiniteAbelianGroup:
     """The image quotient for theta = 1, Lambda / (Q^vee + 2 Lambda): every coroot is fixed and
     lambda + theta(lambda) = 2 lambda.  With U C V = D the Smith normal form of the simple coroots
     (``RootDatum.coroot_smith_form``), row i of U maps Q^vee onto d_i Z (0 past the rank) and 2 Lambda
-    onto 2 Z, so the factors are gcd(d_i, 2), then 2 on each free direction, on the rows of U, each
-    reversed into fixed-basis coordinates (the fixed basis is the reversed unit basis)."""
+    onto 2 Z, so the factors are gcd(d_i, 2), then 2 on each free direction, on the rows of U."""
     u, d, _ = datum.coroot_smith_form
     k = len(datum.simple_indices)
-    return invariant_quotient([gcd(d[i][i], 2) if i < k else 2 for i in range(datum.rank)], [r[::-1] for r in u])
-
-
-def real_coweight_coordinates(spec: InvolutionSpec, coweight: Coweight) -> tuple[int, ...]:
-    """Coordinates of a theta-fixed coweight in the fixed-sublattice basis."""
-    den, rows, _ = spec.fixed_solver
-    scaled = tuple(dot(row, coweight) for row in rows)
-    if not spec.is_real(coweight) or any(c % den for c in scaled):
-        raise ValidationError(f"{coweight} is not in the theta-fixed sublattice")
-    return tuple(c // den for c in scaled)
+    return invariant_quotient([gcd(d[i][i], 2) if i < k else 2 for i in range(datum.rank)], u)
 
 
 MAX_RANK = 100  # theta squared takes rank**3 products, checked only up to this rank

@@ -155,6 +155,11 @@ def satake_involutions():
                         yield InvolutionSpec(datum, theta, name=label)
 
 
+def valid_specs():
+    """Every real form of ``real_form_specs`` and the admitted ``satake_involutions``: 75 specs."""
+    return real_form_specs() + [s for s in satake_involutions() if not validate_involution(s)]
+
+
 def step_search(spec):
     """The indecomposable restricted coroot generators by search: the
     generators in order of height, each kept unless the ones kept before it
@@ -169,6 +174,15 @@ def step_search(spec):
             basis += (g,)
             solver = integer_solver(basis, dim=datum.rank)
     return basis
+
+
+def real_coweight_coordinates(spec, coweight):
+    """Coordinates of a theta-fixed coweight in ``spec.fixed_basis``, by the
+    basis's ``integer_solver``: den is 1, the basis being saturated, and a
+    coweight off the span (theta moves it) is refused."""
+    den, rows, consistency = integer_solver(spec.fixed_basis, dim=spec.datum.rank)
+    assert den == 1 and not any(dot(row, coweight) for row in consistency), (spec.name, coweight)
+    return tuple(dot(row, coweight) for row in rows)
 
 
 def group_class(group, vector):

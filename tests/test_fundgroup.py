@@ -16,7 +16,6 @@ from matsuki.fundgroup import (
     in_image_semigroup,
     pi1_model,
     pi1_of_symmetric_space,
-    real_coweight_coordinates,
 )
 from matsuki.laws import real_dominant_up_to
 from matsuki.orbitposet import (
@@ -55,7 +54,15 @@ from matsuki.rootdata import (
     vec_sub,
 )
 
-from oracles import cartan_datum, decomposes, group_class, real_form_specs, satake_involutions, step_search
+from oracles import (
+    cartan_datum,
+    decomposes,
+    group_class,
+    real_coweight_coordinates,
+    real_form_specs,
+    step_search,
+    valid_specs,
+)
 
 ALL_NAMES = list(catalog_names())
 
@@ -146,18 +153,13 @@ def test_step_solver_is_the_solver_of_the_step_basis():
             assert step_basis(spec) == ((2, -1, -1, 0), (0, 1, 1, -2))
 
 
-def step_population():
-    """Every real form of ``real_form_specs`` and the admitted ``satake_involutions``."""
-    return real_form_specs() + [s for s in satake_involutions() if not validate_involution(s)]
-
-
 def read_off_mismatches(specs):
     """Names of the specs, taken fresh, whose step basis differs from the
     height-ordered search as a set or in length, whose step solver differs
     from the search's ``integer_solver`` or refuses the basis as dependent (a
     solve row is compared at its basis vector, since the read-off lists the
-    basis in simple-index order), or whose fixed basis or fixed solver differ
-    from the kernel of theta - 1 and its ``integer_solver``."""
+    basis in simple-index order), or whose fixed basis differs from the kernel
+    of theta - 1."""
     mismatched = []
     for spec in map(copy.deepcopy, specs):
         n, searched = spec.datum.rank, step_search(spec)
@@ -172,13 +174,13 @@ def read_off_mismatches(specs):
         if ((len(basis), set(basis)) != (len(searched), set(searched))
                 or (den, dict(zip(basis, rows)), consistency)
                 != (search_den, dict(zip(searched, search_rows)), search_consistency)
-                or spec.fixed_basis != fixed or spec.fixed_solver != integer_solver(fixed, dim=n)):
+                or spec.fixed_basis != fixed):
             mismatched.append(spec.name)
     return mismatched
 
 
 def test_every_real_form_reads_off_what_the_search_finds():
-    specs = step_population()
+    specs = valid_specs()
     split = [s.name for s in specs if s.theta == identity_matrix(s.datum.rank)]
     # the 7 split catalog entries, gl2-gl5, the split forms of B2, C2, G2, B3
     # and C3, and those of A2, A3, B2, C2, G2, B3, C3 and D4 once more
@@ -187,7 +189,7 @@ def test_every_real_form_reads_off_what_the_search_finds():
 
 
 def test_the_zero_sums_are_the_levi_simple_roots():
-    for spec in step_population():
+    for spec in valid_specs():
         datum = spec.datum
         zeros = tuple(i for i in datum.simple_indices
                       if not any(vec_add(datum.coroots[i], spec.apply(datum.coroots[i]))))
@@ -232,21 +234,20 @@ def test_the_comparison_catches_step_basis_mutants(mutant, caught, monkeypatch):
     assert caught <= set(read_off_mismatches([catalog(name).spec for name in ALL_NAMES]))
 
 
-# Smith normal forms that one cold call each of k_leq, r_leq and real_step_leq,
-# and the fixed solver, run on a spec with no cached property: the simple
-# coroots; unless theta = 1, whose step basis is the simple coroots, with
-# their solver, and whose fixed basis and fixed solver are read off the datum,
-# also the kernel of theta - 1 (the fixed basis), its solver and the solver
-# of the step basis
+# Smith normal forms that one cold call each of k_leq, r_leq, real_step_leq
+# and is_real run on a spec with no cached property: the simple coroots;
+# unless theta = 1, whose step basis is the simple coroots, with their solver,
+# also the solver of the step basis.  The theta-fixed tests read the rows of
+# theta - 1 and solve nothing
 COLD_ORDER_SMITH_FORMS = {
-    "sl2_split": 1, "sl2_compact": 4, "pgl2_so21": 1, "sl2C_as_real": 4, "sl3_split": 1,
-    "su11": 1, "su21": 4, "gl1_split": 1, "gl2_split": 1, "gl3_split": 1,
+    "sl2_split": 1, "sl2_compact": 2, "pgl2_so21": 1, "sl2C_as_real": 2, "sl3_split": 1,
+    "su11": 1, "su21": 2, "gl1_split": 1, "gl2_split": 1, "gl3_split": 1,
 }
 
 
 def cold_order_counts(spec, monkeypatch):
     """Smith normal forms and compiled orders of one cold call each of k_leq,
-    r_leq and real_step_leq, and of the fixed solver, on the spec."""
+    r_leq, real_step_leq and is_real on the spec."""
     solved, snf = [], rootdata.smith_normal_form
     monkeypatch.setattr(rootdata, "smith_normal_form", lambda m: solved.append(m) or snf(m))
     compiled, compile_order = [], rootdata.monoid_order
@@ -254,7 +255,7 @@ def cold_order_counts(spec, monkeypatch):
         monkeypatch.setattr(module, "monoid_order", lambda *a: compiled.append(a) or compile_order(*a))
     zero = (0,) * spec.datum.rank
     assert all(relation(spec, zero, zero) for relation in (k_leq, r_leq, real_step_leq))
-    assert spec.fixed_solver
+    assert spec.is_real(zero)
     return len(solved), len(compiled)
 
 
@@ -263,7 +264,7 @@ def test_cold_orders_solve_the_step_basis_once(name, monkeypatch):
     spec = copy.deepcopy(catalog(name).spec)
     smith_forms, compiled = cold_order_counts(spec, monkeypatch)
     split = spec.theta == identity_matrix(spec.datum.rank)
-    assert smith_forms == COLD_ORDER_SMITH_FORMS[name] == (1 if split else 4)
+    assert smith_forms == COLD_ORDER_SMITH_FORMS[name] == (1 if split else 2)
     # one order serves k_leq, r_leq and real_step_leq of a split form
     assert compiled == (1 if split else 2)
 
@@ -444,8 +445,9 @@ def extra_split_specs():
     roots and coroots swapped, whose simple coroots have the Smith diagonals
     (1, 3) and (1, 1, 4), so a split image quotient takes gcd(d_i, 2), not d_i;
     and SL2 x PGL2, whose class row (0, 1) changes when its coordinates are
-    reversed, so the quotient must be taken in fixed-basis coordinates (the
-    fixed basis of theta = 1 is the reversed unit basis)."""
+    reversed, so the quotient's rows must be read in the coordinates of the
+    coweights they class (the fixed basis of theta = 1 is the reversed unit
+    basis)."""
     data = []
     for name in ("A2", "A3"):
         datum = cartan_datum(name)
@@ -482,10 +484,9 @@ def test_image_quotient_matches_the_one_of_every_restricted_generator():
         basis = spec.fixed_basis
         radius = 3 if len(basis) <= 3 else 2
         for coeffs in product(range(-radius, radius + 1), repeat=len(basis)):
-            v = combination(spec, basis, coeffs)
-            coords = real_coweight_coordinates(spec, v)
-            in_image = group_class(reference, coords) == zero
-            assert (group_class(group, coords) == zero) == in_image, (spec.name, v)
+            v = combination(spec, basis, coeffs)  # whose fixed-basis coordinates are coeffs
+            in_image = group_class(reference, coeffs) == zero
+            assert (group_class(group, v) == zero) == in_image, (spec.name, v)
             assert (not any(dot(row, v) % m for row, m in class_rows)) == in_image, (spec.name, v)
 
 

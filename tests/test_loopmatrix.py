@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from matsuki import loopmatrix
 from matsuki.errors import TheoremViolationError, ValidationError
 from matsuki.loopmatrix import (
     Gaussian,
@@ -799,6 +800,36 @@ def test_r_orbit_examples():
     # right polynomial-loop invariance
     g = mat_mul(diagonal_loop("gl2_split", (2, 0)), upper_unipotent("gl2_split", t_pow(1)))
     assert r_orbit_invariant(g) == r_orbit_invariant(diagonal_loop("gl2_split", (2, 0)))
+
+
+# K-orbit indices of the real loop u = 1 + (t + 1/t) E_1n, whose R-orbit index
+# is 0 as u lies in LG_R: the seeded K loops all have R-orbit index 0, so
+# neither they nor the laws tell the K-orbit invariant from the R-orbit one
+REAL_LOOP_K_INDEX = {"gl2_split": (2, -2), "sl2_split": (2, -2), "gl3_split": (2, 0, -2), "sl3_split": (2, 0, -2)}
+
+
+def real_loop_misses():
+    """The forms of ``REAL_LOOP_K_INDEX`` on which u is not real, or its R-orbit
+    index is not 0, or its K-orbit index is not the one listed."""
+    missed = []
+    for name, k_index in REAL_LOOP_K_INDEX.items():
+        form = form_action(name)
+        rows = [[ONE if i == j else ZERO for j in range(form.n)] for i in range(form.n)]
+        rows[0][-1] = t_pow(1) + t_pow(-1)
+        u = lm_from_rows(name, rows)
+        if (not form.is_real_loop(u) or loopmatrix.r_orbit_invariant(u) != (0,) * form.n
+                or loopmatrix.k_orbit_invariant(u) != k_index):
+            missed.append(name)
+    return missed
+
+
+def test_a_real_loop_has_r_orbit_index_zero_and_its_own_k_orbit_index():
+    assert real_loop_misses() == []
+
+
+def test_the_real_loop_catches_k_read_as_r(monkeypatch):
+    monkeypatch.setattr(loopmatrix, "k_orbit_invariant", loopmatrix.r_orbit_invariant)
+    assert real_loop_misses() == list(REAL_LOOP_K_INDEX)
 
 
 def test_su21_catalog_involution_matches_u21_matrix_model():

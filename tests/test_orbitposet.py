@@ -25,7 +25,7 @@ from matsuki.orbitposet import (
     r_leq,
     real_step_leq,
 )
-from matsuki.fundgroup import image_index, in_image_semigroup, real_coweight_coordinates
+from matsuki.fundgroup import image_index, in_image_semigroup
 from matsuki.laws import hasse_closure, real_dominant_up_to
 from matsuki.realform import (
     InvolutionSpec,
@@ -41,6 +41,7 @@ from matsuki.rootdata import (
     gl_datum,
     height,
     identity_matrix,
+    integer_solver,
     is_dominant,
     monoid_order,
     simple_coroots,
@@ -50,7 +51,7 @@ from matsuki.rootdata import (
 )
 from matsuki.textio import format_involution, parse_involution
 
-from oracles import real_form_specs, sweep_hasse
+from oracles import real_coweight_coordinates, real_form_specs, sweep_hasse
 
 ALL_NAMES = list(catalog_names())
 
@@ -351,12 +352,12 @@ def test_zero_is_minimal_in_its_component():
 
 
 def catalog_solvers():
-    """(entry, solver, columns) for the coroot, step and fixed solvers of every entry."""
+    """(entry, solver, columns) for the coroot and step solvers of every entry and the solver of its fixed basis."""
     for name in ALL_NAMES:
         spec = catalog(name).spec
         yield name, spec.datum.coroot_solver, simple_coroots(spec.datum)
         yield name, spec.step_solver, step_basis(spec)
-        yield name, spec.fixed_solver, spec.fixed_basis
+        yield name, integer_solver(spec.fixed_basis, dim=spec.datum.rank), spec.fixed_basis
 
 
 def order_mismatches(leq, solver, columns, rank, seed=0):
@@ -621,11 +622,11 @@ def test_real_step_refuses_length_then_lower_then_upper(name):
 
 def _upper_unchecked(spec):
     """A mutant ``real_step_order`` that skips the theta-fixed check on upper."""
-    leq, consistency = spec.step_order, spec.fixed_solver[2]
+    leq, moving = spec.step_order, spec.moving_rows
 
     def real_leq(lower, upper):
         result = leq(lower, upper)
-        if any(dot(row, lower) for row in consistency):
+        if any(dot(row, lower) for row in moving):
             raise ValidationError(f"{lower} is not theta-fixed")
         return result
 

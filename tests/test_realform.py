@@ -1,6 +1,7 @@
 """Involution validation, fixed sublattices, Levi data, and the catalog."""
 
 import inspect
+import re
 import textwrap
 from itertools import product
 
@@ -16,7 +17,6 @@ from matsuki.realform import (
     dominant_involution,
     levi_longest_element,
     levi_simple_roots,
-    real_coweight_coordinates,
     real_criterion,
     validate_involution,
 )
@@ -34,7 +34,14 @@ from matsuki.rootdata import (
     smith_normal_form,
 )
 
-from oracles import CARTAN, REAL_FORM_COUNTS, cartan_datum, gl_permutation_involutions, levi_involutions
+from oracles import (
+    CARTAN,
+    REAL_FORM_COUNTS,
+    cartan_datum,
+    gl_permutation_involutions,
+    levi_involutions,
+    valid_specs,
+)
 
 ALL_NAMES = list(catalog_names())
 
@@ -289,34 +296,27 @@ def test_dominant_involution_rejects_non_dominant():
 
 
 def test_dominance_queries_reject_wrong_length():
-    spec = catalog("sl3_split").spec
-    for query in (dominant_involution, real_criterion):
-        with pytest.raises(ValidationError, match="does not have length rank=2"):
-            query(spec, (1, 1, 1))
+    # theta itself too: its products would otherwise zip a coweight of another length to the shorter one
+    for name in ("sl3_split", "su21"):
+        for query in (dominant_involution, real_criterion, InvolutionSpec.apply):
+            for coweight in ((1,), (1, 2, 3)):
+                with pytest.raises(ValidationError, match=rf"^{re.escape(str(coweight))} does not have length rank=2$"):
+                    query(catalog(name).spec, coweight)
 
 
 def test_a_coweight_of_the_wrong_length_is_not_real():
     assert not catalog("sl3_split").spec.is_real((1, 1, 1))
 
 
-def test_real_coordinates_of_a_moving_coweight_are_refused():
-    spec = catalog("su21").spec
-    assert real_coweight_coordinates(spec, (2, 2)) == (2,)
-    with pytest.raises(ValidationError, match=r"^\(1, 0\) is not in the theta-fixed sublattice$"):
-        real_coweight_coordinates(spec, (1, 0))
-
-
-def test_real_coordinates_of_a_coweight_of_the_wrong_length_are_refused():
-    for name, coweight in (("su21", (1, 1, 0)), ("gl2_split", (2,))):
-        with pytest.raises(ValidationError, match=r"is not in the theta-fixed sublattice$"):
-            real_coweight_coordinates(catalog(name).spec, coweight)
-
-
 def test_is_real_is_theta_fixed():
-    for name in ALL_NAMES:
-        spec = catalog(name).spec
-        for v in product(range(-3, 4), repeat=spec.datum.rank):
-            assert spec.is_real(v) == (spec.apply(v) == v), (name, v)
+    # the catalog and every other valid spec: theta moves a coweight iff some
+    # moving row pairs nonzero with it, and theta - 1 has rank - k such rows
+    for spec in valid_specs():
+        rank = spec.datum.rank
+        assert len(spec.moving_rows) == rank - len(spec.fixed_basis), spec.name
+        radius = 3 if rank <= 3 else 2
+        for v in product(range(-radius, radius + 1), repeat=rank):
+            assert spec.is_real(v) == (spec.apply(v) == v), (spec.name, v)
 
 
 def test_real_criterion_examples():
