@@ -25,9 +25,10 @@ anti-diagonal J, and J X J is X turned by 180 degrees, never a product.
 All arithmetic on Gaussian-integer numerator dicts runs on one integer
 kernel: ``_int_rows`` clears each row or column of its denominators,
 ``_raw_dot`` is every product, sum and scaling (a sum or a scaling is a
-product with constants), ``_raw_det`` expands determinants and the cofactor
-minors of ``_adjugate`` with it, and only an entry that a public function
-returns becomes a ``LaurentPoly``.  A constant invertible diagonal lies in
+product with constants), ``_raw_det`` and ``_adjugate`` build determinants
+and cofactors with it, in closed form up to 3 x 3 and by cofactor expansion
+above, and only an entry that a public function returns becomes a
+``LaurentPoly``.  A constant invertible diagonal lies in
 G(O) and in G[1/t], so scaling rows or columns by constants moves neither the
 valuation of a minor nor a column degree of the reduction.  Each invariant
 therefore clears its loop once and reads both the check that det g = c*t^e is
@@ -377,7 +378,8 @@ def _int_rows(rows) -> tuple[list[list[Raw]], list[int]]:
     out, scales = [], []
     for row in rows:
         s = lcm(*[p._d for p in row])
-        out.append([p._c if p._d == s else {e: (a * (s // p._d), b * (s // p._d)) for e, (a, b) in p._c.items()}
+        out.append([p._c for p in row] if s == 1 else
+                   [p._c if p._d == s else {e: (a * (s // p._d), b * (s // p._d)) for e, (a, b) in p._c.items()}
                     for p in row])
         scales.append(s)
     return out, scales
@@ -385,35 +387,39 @@ def _int_rows(rows) -> tuple[list[list[Raw]], list[int]]:
 
 def _raw_dot(plus, minus=()) -> Raw:
     """The sum of p*q over the pairs (p, q) of ``plus`` minus that over ``minus``,
-    fused into one dict: zero pairs are dropped, nothing is normalized."""
+    fused into one dict, p's terms outer: zero pairs are dropped, nothing is normalized."""
     out: Raw = {}
-    for sign, pairs in ((1, plus), (-1, minus)):
-        for p, q in pairs:
-            if not q:
-                continue
-            if len(q) == 1:  # every scaling and reduction step: one pass over p
-                ((e2, (a2, b2)),) = q.items()
-                a2, b2 = sign * a2, sign * b2
-                for e1, (a1, b1) in p.items():
-                    s = out.get(e := e1 + e2, (0, 0))
+    get = out.get
+    for p, q in plus:
+        for e1, (a1, b1) in p.items():
+            for e2, (a2, b2) in q.items():
+                if (s := get(e := e1 + e2)) is None:
+                    out[e] = (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
+                else:
                     out[e] = (s[0] + a1 * a2 - b1 * b2, s[1] + a1 * b2 + b1 * a2)
-                continue
-            for e1, (a1, b1) in p.items():
-                a1, b1 = sign * a1, sign * b1
-                for e2, (a2, b2) in q.items():
-                    s = out.get(e := e1 + e2, (0, 0))
-                    out[e] = (s[0] + a1 * a2 - b1 * b2, s[1] + a1 * b2 + b1 * a2)
-    return {e: s for e, s in out.items() if s[0] or s[1]}
+    for p, q in minus:
+        for e1, (a1, b1) in p.items():
+            for e2, (a2, b2) in q.items():
+                if (s := get(e := e1 + e2)) is None:
+                    out[e] = (b1 * b2 - a1 * a2, -a1 * b2 - b1 * a2)
+                else:
+                    out[e] = (s[0] - a1 * a2 + b1 * b2, s[1] - a1 * b2 - b1 * a2)
+    # a first product of two nonzero Gaussian integers is nonzero, so only a sum can cancel
+    return {e: s for e, s in out.items() if s[0] or s[1]} if (0, 0) in out.values() else out
 
 
 def _raw_det(rows) -> Raw:
-    """Determinant of a square list of numerator rows: closed forms up to 2x2,
-    cofactor expansion along the first row above that; fine at desk scale."""
+    """Determinant of a square list of numerator rows: closed forms up to 3x3 (the first
+    row against the cyclic 2x2 minors of the other two), cofactor expansion along the
+    first row above that; a zero entry's minor is skipped.  Fine at desk scale."""
     if len(rows) == 1:
         return rows[0][0]
     if len(rows) == 2:
         (a, b), (c, d) = rows
         return _raw_dot([(a, d)], [(b, c)])
+    if len(rows) == 3:
+        r, s, u = rows  # j - 2 and j - 1 are j + 1 and j + 2 mod 3
+        return _raw_dot([(p, _raw_dot([(s[j - 2], u[j - 1])], [(s[j - 1], u[j - 2])])) for j, p in enumerate(r) if p])
     terms = ([], [])
     for j, p in enumerate(rows[0]):
         if p:
@@ -422,20 +428,27 @@ def _raw_det(rows) -> Raw:
 
 
 def _adjugate(m: list[list[Raw]]) -> tuple[list[list[Raw]], Raw]:
-    """The adjugate of m, and det m = sum_j m_0j adj_j0 read off it.  Entry (i, j)
-    is det of m without row j and column i, signed (-1)^(i+j) by swapping two
-    rows of that minor (n >= 3) or by negating its one entry (n = 2)."""
+    """The adjugate of m, and det m = sum_j m_0j adj_j0 read off it.  Entry (i, j) is det of m
+    without row j and column i, signed (-1)^(i+j): closed forms at n = 2 (swap and negate) and n = 3
+    (m[j+1][i+1] m[j+2][i+2] - m[j+1][i+2] m[j+2][i+1], indices mod 3, unsigned: a cyclic shift of
+    three rows is even), above that the minor with two of its rows swapped."""
     n = len(m)
     if n == 1:
         return [[{0: (1, 0)}]], m[0][0]
+    if n == 2:
+        (a, b), (c, d) = m
+        adj = [[d, {x: (-u, -v) for x, (u, v) in b.items()}], [{x: (-u, -v) for x, (u, v) in c.items()}, a]]
+    elif n == 3:
+        adj = [[_raw_dot([(m[j - 2][i - 2], m[j - 1][i - 1])], [(m[j - 2][i - 1], m[j - 1][i - 2])])
+                for j in range(3)] for i in range(3)]
+    else:
+        def cofactor(j, i):
+            minor = [r[:i] + r[i + 1:] for k, r in enumerate(m) if k != j]
+            if (i + j) % 2:
+                minor[:2] = minor[1::-1]
+            return _raw_det(minor)
 
-    def cofactor(j, i):
-        minor = [r[:i] + r[i + 1:] for k, r in enumerate(m) if k != j]
-        if (i + j) % 2:
-            minor[:2] = minor[1::-1] if n > 2 else [[{x: (-a, -b) for x, (a, b) in minor[0][0].items()}]]
-        return _raw_det(minor)
-
-    adj = [[cofactor(j, i) for j in range(n)] for i in range(n)]
+        adj = [[cofactor(j, i) for j in range(n)] for i in range(n)]
     return adj, _raw_dot(zip(m[0], [row[0] for row in adj]))
 
 
@@ -552,10 +565,11 @@ class FormAction(Record):
         inverse = (self.family == "split") == real  # a(g) is adj(g) t^-e / c on split R and unitary K, else g^T
         left, det = _adjugate([*zip(*cols)]) if inverse else (cols, _raw_det(cols))
         e = self._checked_det(det, scales)[0]
-        if inverse and e:
-            left = [[{x - e: v for x, v in p.items()} for p in row] for row in left]
-        if real:
-            left = [[{-x: (a, -b) for x, (a, b) in p.items()} for p in row] for row in left]
+        shift = e if inverse else 0
+        if real:  # t^-shift, then bar: x goes to shift - x
+            left = [[{shift - x: (a, -b) for x, (a, b) in p.items()} for p in row] for row in left]
+        elif shift:
+            left = [[{x - shift: v for x, v in p.items()} for p in row] for row in left]
         if self.family != "split":
             left = [row[::-1] for row in reversed(left)]
         # a(M) = M gives split K's M_rc = M_cr and unitary R's M_rc = bar-tau of M_(n-1-c)(n-1-r), so
@@ -759,7 +773,8 @@ def _splitting(cols: list[list[Raw]], exponent: int) -> Coweight:
         # the sum of v_j * t^(top - d_j) * col_j over the support of v cancels the top column's lead
         support = [j for j in range(n) if v[j] != (0, 0)]
         top = max(support, key=degs.__getitem__)
-        new = [_raw_dot([(cols[j][i], {degs[top] - degs[j]: v[j]}) for j in support]) for i in range(n)]
+        monomials = [(j, {degs[top] - degs[j]: v[j]}) for j in support]
+        new = [_raw_dot([(cols[j][i], q) for j, q in monomials]) for i in range(n)]
         if (deg := max(max(p) for p in new if p)) >= degs[top]:
             raise TheoremViolationError(f"column reduction did not lower column {top} at column degrees {tuple(degs)}")
         degs[top] = deg

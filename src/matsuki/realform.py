@@ -87,6 +87,17 @@ class InvolutionSpec(Record):
         return kernel_basis(tuple(tuple(self.theta[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)))
 
     @cached_property
+    def restricted_coroot_generators(self) -> tuple[Coweight, ...]:
+        """``restricted_coroot_generators``, built on first use, theta applied once per positive coroot."""
+        gens: set[Coweight] = set()
+        for beta in positive_coroots(self.datum):
+            if (image := self.apply(beta)) == beta:
+                gens.add(beta)
+            if any(total := vec_add(beta, image)):
+                gens.add(total)
+        return tuple(sorted(gens))
+
+    @cached_property
     def step_solver(self) -> tuple[int, IntMatrix, IntMatrix]:
         """``integer_solver`` of ``step_basis``, built on first use: ``coroot_solver`` if the basis is the
         simple coroots, as for theta = 1.  A dependent basis raises ``TheoremViolationError``."""
@@ -232,15 +243,9 @@ def require_valid_involution(spec: InvolutionSpec) -> None:
 
 def restricted_coroot_generators(spec: InvolutionSpec) -> tuple[Coweight, ...]:
     """Theta-fixed positive coroots and the sums beta + theta(beta), deduplicated,
-    zero vectors removed.  These generate the positive cone of the fixed lattice."""
-    gens: set[Coweight] = set()
-    for beta in positive_coroots(spec.datum):
-        if spec.apply(beta) == beta:
-            gens.add(beta)
-        total = vec_add(beta, spec.apply(beta))
-        if any(x != 0 for x in total):
-            gens.add(total)
-    return tuple(sorted(gens))
+    zero vectors removed.  These generate the positive cone of the fixed lattice.
+    Built once per spec (``InvolutionSpec.restricted_coroot_generators``)."""
+    return spec.restricted_coroot_generators
 
 
 def step_basis(spec: InvolutionSpec) -> tuple[Coweight, ...]:

@@ -45,6 +45,7 @@ from matsuki.rootdata import (
     identity_matrix,
     integer_solver,
     kernel_basis,
+    positive_coroots,
     quotient_group,
     simple_coroots,
     simple_roots,
@@ -95,6 +96,17 @@ def test_generators_are_theta_fixed_and_nonzero():
             assert spec.is_real(g)
             assert any(x != 0 for x in g)
             assert height(spec.datum, g) > 0
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_the_generators_are_built_once_applying_theta_once_per_positive_coroot(name, monkeypatch):
+    # ``matsuki pi1`` prints the generators and quotients the fixed lattice by them: one build serves both
+    spec, applied, apply = copy.deepcopy(catalog(name).spec), [], InvolutionSpec.apply
+    monkeypatch.setattr(InvolutionSpec, "apply", lambda self, v: applied.append(v) or apply(self, v))
+    gens = restricted_coroot_generators(spec)
+    pi1_of_symmetric_space(spec)
+    assert restricted_coroot_generators(spec) is gens
+    assert applied == list(positive_coroots(spec.datum))
 
 
 # ---------------------------------------------------------------------------

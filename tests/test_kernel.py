@@ -1,6 +1,7 @@
 """The integer kernel of the matrix layer against the LaurentPoly-level
 reference it replaced: cofactor determinants and sums of products, here on
-``Gaussian`` coefficients so that no kernel code runs on the reference side.
+``Gaussian`` coefficients so that no kernel code runs on the reference side
+(``test_the_reference_runs_without_the_kernel`` checks it).
 
 The loops carry coefficients with denominators 1 to 25, so rows and columns
 are cleared with different lcms; the comparison is exact, down to the
@@ -46,11 +47,15 @@ ZERO = LaurentPoly.zero()
 # the reference
 
 
-def ref_mul(p, q):
+def ref_dot(plus, minus=()):
+    """The sum of p*q over the pairs of ``plus`` minus that over ``minus``, summed on ``Gaussian``
+    coefficients: no ``LaurentPoly`` arithmetic, which runs on the kernel's ``_raw_dot``."""
     out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            out[e1 + e2] = out.get(e1 + e2, Gaussian(0)) + c1 * c2
+    for sign, pairs in ((Gaussian(1), plus), (Gaussian(-1), minus)):
+        for p, q in pairs:
+            for e1, c1 in p.items():
+                for e2, c2 in q.items():
+                    out[e1 + e2] = out.get(e1 + e2, Gaussian(0)) + sign * c1 * c2
     return LaurentPoly(out)
 
 
@@ -59,19 +64,17 @@ def ref_det(rows):
     if m == 1:
         return rows[0][0]
     if m == 2:
-        return ref_mul(rows[0][0], rows[1][1]) - ref_mul(rows[0][1], rows[1][0])
-    acc = ZERO
+        return ref_dot([(rows[0][0], rows[1][1])], [(rows[0][1], rows[1][0])])
+    terms = ([], [])
     for j in range(m):
-        if rows[0][j].is_zero():
-            continue
-        term = ref_mul(rows[0][j], ref_det([row[:j] + row[j + 1:] for row in rows[1:]]))
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+        if not rows[0][j].is_zero():
+            terms[j % 2].append((rows[0][j], ref_det([row[:j] + row[j + 1:] for row in rows[1:]])))
+    return ref_dot(*terms)
 
 
 def ref_matmul(a, b):
     cols = list(zip(*b.entries))
-    return lm_from_rows(a.form, [[sum(map(ref_mul, row, col), ZERO) for col in cols] for row in a.entries])
+    return lm_from_rows(a.form, [[ref_dot(zip(row, col)) for col in cols] for row in a.entries])
 
 
 def ref_inverse(g):
@@ -80,8 +83,8 @@ def ref_inverse(g):
     if n == 1:
         return lm_from_rows(g.form, [[LaurentPoly.t_power(-e, Gaussian(1) / c)]])
     adjugate = [
-        [ref_mul(ref_det([r[:i] + r[i + 1:] for k, r in enumerate(g.entries) if k != j]),
-                 LaurentPoly.t_power(-e, Gaussian((-1) ** (i + j)) / c)) for j in range(n)]
+        [ref_dot([(ref_det([r[:i] + r[i + 1:] for k, r in enumerate(g.entries) if k != j]),
+                   LaurentPoly.t_power(-e, Gaussian((-1) ** (i + j)) / c))]) for j in range(n)]
         for i in range(n)
     ]
     return lm_from_rows(g.form, adjugate)
@@ -243,6 +246,22 @@ def mismatches(form, g):
 
 
 @pytest.mark.parametrize("name", form_names())
+def test_the_reference_runs_without_the_kernel(name, monkeypatch):
+    # a fault in the kernel's products and sums must not reach both sides of the comparison
+    form = form_action(name)
+    g = next(rational_loops(form, 1))
+    [(e, _)] = ref_det(g.entries).items()
+
+    def refused(*_):
+        raise AssertionError("the reference called _raw_dot")
+
+    monkeypatch.setattr(loopmatrix, "_raw_dot", refused)
+    ref_det(g.entries)
+    ref_inverse(g)
+    ref_stratum(g, e)
+
+
+@pytest.mark.parametrize("name", form_names())
 def test_kernel_matches_the_laurentpoly_reference(name):
     form = form_action(name)
     loops = list(rational_loops(form))
@@ -256,6 +275,7 @@ def test_kernel_matches_the_laurentpoly_reference(name):
 # the kernel as it is, for the mutants to call
 _int_rows = loopmatrix._int_rows
 _raw_det = loopmatrix._raw_det
+_adjugate = loopmatrix._adjugate
 
 
 def _one_row_unscaled(rows):
@@ -277,9 +297,38 @@ def _flipped_two_by_two(rows):
     return _raw_det(rows)
 
 
-@pytest.mark.parametrize("target, mutant", [("_int_rows", _one_row_unscaled), ("_raw_det", _flipped_two_by_two)])
+def _flipped_cyclic_minor(rows):
+    """``_raw_det`` with the sign of the 3x3 closed form's first cyclic minor flipped."""
+    if len(rows) == 3:
+        r, s, u = rows
+        minors = [_raw_det([u[1:], s[1:]]), _raw_det([[s[2], s[0]], [u[2], u[0]]]), _raw_det([s[:2], u[:2]])]
+        return loopmatrix._raw_dot([(p, q) for p, q in zip(r, minors) if p])
+    return _raw_det(rows)
+
+
+def _swapped_cofactor(m):
+    """``_adjugate`` with the row and column indices of the 3x3 closed form's entry (1, 0) swapped,
+    and the determinant read off the result."""
+    adj, det = _adjugate(m)
+    if len(m) == 3:
+        adj[1][0] = adj[0][1]
+        det = loopmatrix._raw_dot(zip(m[0], [row[0] for row in adj]))
+    return adj, det
+
+
+# the forms on which each mutant must be caught: a closed form serves one size, so its mutants reach that size only
+_CAUGHT_ON = {
+    _one_row_unscaled: ("gl2_split", "gl3_split", "sl2_split", "sl3_split", "u11", "u21"),
+    _flipped_two_by_two: ("gl2_split", "sl2_split", "u11"),
+    _flipped_cyclic_minor: ("gl3_split", "sl3_split", "u21"),
+    _swapped_cofactor: ("gl3_split", "sl3_split", "u21"),
+}
+
+
+@pytest.mark.parametrize("target, mutant", [("_int_rows", _one_row_unscaled), ("_raw_det", _flipped_two_by_two),
+                                            ("_raw_det", _flipped_cyclic_minor), ("_adjugate", _swapped_cofactor)])
 def test_the_comparison_catches_kernel_mutants(target, mutant, monkeypatch):
-    loops = {name: list(rational_loops(form_action(name), 2)) for name in form_names()}
+    loops = {name: list(rational_loops(form_action(name), 2)) for name in _CAUGHT_ON[mutant]}
     monkeypatch.setattr(loopmatrix, target, mutant)
     for name, gs in loops.items():
         form = form_action(name)
@@ -289,7 +338,7 @@ def test_the_comparison_catches_kernel_mutants(target, mutant, monkeypatch):
                 caught.append(bool(mismatches(form, g)))
             except (ArithmeticError, LookupError, ValueError):  # a mutant may also crash the kernel
                 caught.append(True)
-        assert any(caught) or form.n == 1, name
+        assert any(caught), name
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +388,8 @@ def test_sums_scalings_and_reduction_steps_run_on_raw_dot(run, monkeypatch):
 
 
 def two_loop_dot(plus, minus=()):
-    """``_raw_dot`` without its one-term path: every pair by two nested loops."""
+    """``_raw_dot`` as it was before its shortcuts: every pair by two nested loops, each
+    product added to a ``(0, 0)`` default and the zero pairs filtered at the end."""
     out = {}
     for sign, pairs in ((1, plus), (-1, minus)):
         for p, q in pairs:
@@ -418,6 +468,16 @@ def test_pruned_minors_match_all_minors():
         e = det.valuation()
         assert outcome(loopmatrix._stratum, rows, e) == outcome(ref_stratum, h, e), h
     assert seen > 60
+
+
+def test_the_adjugate_above_three_by_three_matches_the_reference():
+    # no form is larger than 3 x 3, so only these products P t^lam Q reach the signed-minor recursion
+    rng = random.Random("adjugate")
+    for n in (4, 5):
+        lam = [rng.randint(-2, 3) for _ in range(n)]
+        g = mat_mul(lm_from_rows("m", _constant_rows(rng, n)), diagonal_loop("m", lam))
+        g = mat_mul(g, lm_from_rows("m", _constant_rows(rng, n)))
+        assert mat_inverse(g).entries == ref_inverse(g).entries
 
 
 # ---------------------------------------------------------------------------
