@@ -25,7 +25,7 @@ from . import fundgroup, laws, orbitposet, textio
 from . import loopmatrix as lm
 from .errors import TheoremViolationError, ValidationError
 from .realform import InvolutionSpec, catalog, catalog_names, is_catalog_spec, restricted_coroot_generators
-from .rootdata import fmt_coweight, identity_matrix
+from .rootdata import fmt_coweight
 
 # loop-matrix names that callers still read as attributes of this module
 # (bench/tests does), as when it imported them by name
@@ -92,7 +92,7 @@ def cmd_catalog(args) -> int:
         return 0
     for name in names:
         entry = catalog(name)
-        theta_kind = "identity" if entry.theta == identity_matrix(entry.datum.rank) else "non-trivial"
+        theta_kind = "non-trivial" if entry.spec.moving_rows else "identity"
         print(
             f"{entry.name}: rank {entry.datum.rank}, theta {theta_kind}, "
             f"expected_k_connected {str(entry.expected_k_connected).lower()}"

@@ -345,16 +345,21 @@ def lm_from_rows(form: str, rows) -> LaurentMatrix:
     return LaurentMatrix(n=n, entries=rows, form=form)
 
 
-def _diagonal(form: str, polys) -> LaurentMatrix:
-    return lm_from_rows(form, [[p if i == j else LP_ZERO for j in range(len(polys))] for i, p in enumerate(polys)])
+def _rows(n: int, diagonal: LaurentPoly, entries: dict[tuple[int, int], LaurentPoly]) -> list[list[LaurentPoly]]:
+    """The n x n rows with ``diagonal`` on the diagonal and zeros off it, then the (i, j) entries of ``entries``."""
+    rows = [[diagonal if i == j else LP_ZERO for j in range(n)] for i in range(n)]
+    for (i, j), p in entries.items():
+        rows[i][j] = p
+    return rows
 
 
 def identity_loop(form: str, n: int) -> LaurentMatrix:
-    return _diagonal(form, [LP_ONE] * n)
+    return lm_from_rows(form, _rows(n, LP_ONE, {}))
 
 
 def diagonal_loop(form: str, exponents) -> LaurentMatrix:
-    return _diagonal(form, [LaurentPoly.t_power(e) for e in exponents])
+    diagonal = {(i, i): LaurentPoly.t_power(e) for i, e in enumerate(exponents)}
+    return lm_from_rows(form, _rows(len(diagonal), LP_ZERO, diagonal))
 
 
 def transpose(g: LaurentMatrix) -> LaurentMatrix:
@@ -870,14 +875,6 @@ def geodesic_representative(form: FormAction | str, lam: Coweight) -> LaurentMat
 
 # ---------------------------------------------------------------------------
 # seeded random loops
-
-
-def _rows(n: int, diagonal: LaurentPoly, entries: dict[tuple[int, int], LaurentPoly]) -> list[list[LaurentPoly]]:
-    """The n x n rows with ``diagonal`` on the diagonal and zeros off it, then the (i, j) entries of ``entries``."""
-    rows = [[diagonal if i == j else LP_ZERO for j in range(n)] for i in range(n)]
-    for (i, j), p in entries.items():
-        rows[i][j] = p
-    return rows
 
 
 def _exp_nilpotent(form_name: str, rows) -> tuple[tuple[LaurentPoly, ...], ...]:

@@ -58,9 +58,6 @@ class InvolutionSpec(Record):
             raise ValidationError(f"{coweight} does not have length rank={self.datum.rank}")
         return mat_vec(self.theta, coweight)
 
-    def _split(self) -> bool:  # theta = 1, the split real form: its lattice structures are read off the datum
-        return self.theta == identity_matrix(self.datum.rank)
-
     def is_real(self, coweight: Coweight) -> bool:
         """Whether theta fixes the coweight: of length rank, every row of ``moving_rows`` pairs to 0 with it."""
         return len(coweight) == self.datum.rank and not any(dot(row, coweight) for row in self.moving_rows)
@@ -77,14 +74,13 @@ class InvolutionSpec(Record):
     def fixed_basis(self) -> tuple[Coweight, ...]:
         """Basis of the saturated sublattice of theta-fixed cocharacters.
 
-        Computed as the integer kernel of (theta - 1) via Smith normal form; the
-        kernel of an integer matrix is automatically saturated.  May be empty
-        (anisotropic forms).  For theta = 1 it is read off: the unit basis, reversed as sorted.
+        Computed as the integer kernel of ``moving_rows`` via Smith normal form;
+        the kernel of an integer matrix is automatically saturated.  May be empty
+        (anisotropic forms).  With no moving rows (theta = 1) it is read off: the
+        unit basis, reversed as sorted.
         """
-        n = self.datum.rank
-        if self._split():
-            return identity_matrix(n)[::-1]
-        return kernel_basis(tuple(tuple(self.theta[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)))
+        moving = self.moving_rows
+        return kernel_basis(moving) if moving else identity_matrix(self.datum.rank)[::-1]
 
     @cached_property
     def restricted_coroot_generators(self) -> tuple[Coweight, ...]:
@@ -146,17 +142,18 @@ class InvolutionSpec(Record):
         lambda + theta(lambda) at lambda = beta, so they are left out.  The fixed
         sublattice (rank k) is saturated, so a direct summand of Z^rank (Newman,
         Integral Matrices, 1972, ch. II): Z^rank modulo the preimage is the image
-        quotient plus rank - k free factors, the last, which are dropped.  For
-        theta = 1 it is read off the datum (``_split_image_group``).  Each factor
-        is finite, as 2*lambda = lambda + theta(lambda) is in the image: a free
-        one left raises ``TheoremViolationError``."""
+        quotient plus rank - k free factors, the last, which are dropped; the
+        fixed coroots are those ``is_real`` accepts.  For theta = 1 (no moving
+        rows) it is read off the datum (``_split_image_group``).  Each factor is
+        finite, as 2*lambda = lambda + theta(lambda) is in the image: a free one
+        left raises ``TheoremViolationError``."""
         rank = self.datum.rank
         sums = (vec_add(e, self.apply(e)) for e in identity_matrix(rank))
         image_gens = tuple(dict.fromkeys(v for v in sums if any(v)))
-        if self._split():
+        if not self.moving_rows:
             group = _split_image_group(self.datum)
         else:
-            fixed_coroots = sorted(b for b in positive_coroots(self.datum) if self.apply(b) == b)
+            fixed_coroots = sorted(b for b in positive_coroots(self.datum) if self.is_real(b))
             group = quotient_group(rank, (*fixed_coroots, *image_gens))
             kept = len(group.invariant_factors) - (rank - len(self.fixed_basis))
             group = FiniteAbelianGroup(group.invariant_factors[:kept], group.projection[:kept])

@@ -109,6 +109,17 @@ def test_the_generators_are_built_once_applying_theta_once_per_positive_coroot(n
     assert applied == list(positive_coroots(spec.datum))
 
 
+@pytest.mark.parametrize("name", ["sl2_compact", "sl2C_as_real", "su21"])
+def test_the_image_lattice_applies_theta_once_per_unit_vector(name, monkeypatch):
+    # theta is applied only for the sums lambda + theta(lambda); the fixed
+    # coroots are picked by ``is_real``.  A new spec, so no property is cached
+    entry = catalog(name).spec
+    spec, applied, apply = InvolutionSpec(entry.datum, entry.theta, name), [], InvolutionSpec.apply
+    monkeypatch.setattr(InvolutionSpec, "apply", lambda self, v: applied.append(v) or apply(self, v))
+    _ = spec.image_lattice
+    assert applied == list(identity_matrix(spec.datum.rank))
+
+
 # ---------------------------------------------------------------------------
 # the step monoid: indecomposable generators and one solve
 
@@ -209,8 +220,11 @@ def test_the_zero_sums_are_the_levi_simple_roots():
 
 
 def test_a_read_off_admitting_non_split_forms_is_caught(monkeypatch):
-    split = realform.InvolutionSpec._split
-    monkeypatch.setattr(realform.InvolutionSpec, "_split", lambda s: s.name in ("sl2C_as_real", "su21") or split(s))
+    # theta = 1 is "no moving rows": a decoding that reports none for two
+    # non-split forms reads their fixed basis off as the unit basis
+    rows = InvolutionSpec.moving_rows.func
+    monkeypatch.setattr(InvolutionSpec, "moving_rows",
+                        property(lambda s: () if s.name in ("sl2C_as_real", "su21") else rows(s)))
     assert read_off_mismatches(real_form_specs()) == ["sl2C_as_real", "su21"]
 
 

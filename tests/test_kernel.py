@@ -170,6 +170,19 @@ def _diagonal(form, polys):
     return lm_from_rows(form.name, [[polys[i] if i == j else ZERO for j in range(n)] for i in range(n)])
 
 
+def cancelling_minor_loop(form):
+    """A 3 x 3 loop of determinant 1, h diag(1, 1, t^-2) with h = [[1, 1, 1], [1, 1 + t, 1],
+    [1, 1, 1 + t]] of rank 1 at t = 0: every 2 x 2 minor of h loses its constant term to
+    cancellation, as [[1, 1], [1, 1 + t]] does, so a 2 x 2 determinant of the wrong sign moves d_2."""
+    t, one = LaurentPoly.t_power, LaurentPoly.one()
+    return lm_from_rows(form.name, [[one, one, t(-2)], [one, one + t(1), t(-2)], [one, one, t(-2) + t(-1)]])
+
+
+def kernel_loops(form, count=5):
+    """``rational_loops``, and on a 3 x 3 form ``cancelling_minor_loop`` after them."""
+    return [*rational_loops(form, count), *([cancelling_minor_loop(form)] if form.n == 3 else [])]
+
+
 # ---------------------------------------------------------------------------
 # the comparison
 
@@ -264,7 +277,7 @@ def test_the_reference_runs_without_the_kernel(name, monkeypatch):
 @pytest.mark.parametrize("name", form_names())
 def test_kernel_matches_the_laurentpoly_reference(name):
     form = form_action(name)
-    loops = list(rational_loops(form))
+    loops = kernel_loops(form)
     # rows and columns mix denominators, so each is cleared with its own lcm
     assert form.n == 1 or any(len({p._d for p in row}) > 1 for g in loops for row in g.entries)
     assert form.n == 1 or any(len({p._d for p in col}) > 1 for g in loops for col in zip(*g.entries))
@@ -316,10 +329,11 @@ def _swapped_cofactor(m):
     return adj, det
 
 
-# the forms on which each mutant must be caught: a closed form serves one size, so its mutants reach that size only
+# the forms on which each mutant must be caught: a closed form serves one size, so its mutants reach that size
+# only, except that the 2 x 2 one also takes the 3 x 3 forms' minors, which ``cancelling_minor_loop`` cancels
 _CAUGHT_ON = {
     _one_row_unscaled: ("gl2_split", "gl3_split", "sl2_split", "sl3_split", "u11", "u21"),
-    _flipped_two_by_two: ("gl2_split", "sl2_split", "u11"),
+    _flipped_two_by_two: ("gl2_split", "gl3_split", "sl2_split", "sl3_split", "u11", "u21"),
     _flipped_cyclic_minor: ("gl3_split", "sl3_split", "u21"),
     _swapped_cofactor: ("gl3_split", "sl3_split", "u21"),
 }
@@ -328,7 +342,7 @@ _CAUGHT_ON = {
 @pytest.mark.parametrize("target, mutant", [("_int_rows", _one_row_unscaled), ("_raw_det", _flipped_two_by_two),
                                             ("_raw_det", _flipped_cyclic_minor), ("_adjugate", _swapped_cofactor)])
 def test_the_comparison_catches_kernel_mutants(target, mutant, monkeypatch):
-    loops = {name: list(rational_loops(form_action(name), 2)) for name in _CAUGHT_ON[mutant]}
+    loops = {name: kernel_loops(form_action(name), 2) for name in _CAUGHT_ON[mutant]}
     monkeypatch.setattr(loopmatrix, target, mutant)
     for name, gs in loops.items():
         form = form_action(name)
