@@ -74,13 +74,9 @@ def cmd_catalog(args) -> int:
     names = catalog_names()
     if args.name is not None:
         entry = catalog(args.name)
-        print(f"name: {entry.name}")
-        print(f"rank: {entry.datum.rank}")
-        print(f"expected_k_connected: {str(entry.expected_k_connected).lower()}")
-        print("theta:")
-        for row in entry.theta:
-            print("  " + " ".join(str(x) for x in row))
-        print(f"notes: {entry.notes}")
+        _write([f"name: {entry.name}", f"rank: {entry.datum.rank}",
+                f"expected_k_connected: {str(entry.expected_k_connected).lower()}", "theta:",
+                *("  " + " ".join(str(x) for x in row) for row in entry.theta), f"notes: {entry.notes}"])
         return 0
     if args.export is not None:
         os.makedirs(args.export, exist_ok=True)
@@ -90,13 +86,8 @@ def cmd_catalog(args) -> int:
                 fh.write(textio.format_involution(catalog(name)))
             print(f"wrote: {path}")
         return 0
-    for name in names:
-        entry = catalog(name)
-        theta_kind = "non-trivial" if entry.spec.moving_rows else "identity"
-        print(
-            f"{entry.name}: rank {entry.datum.rank}, theta {theta_kind}, "
-            f"expected_k_connected {str(entry.expected_k_connected).lower()}"
-        )
+    _write(f"{entry.name}: rank {entry.datum.rank}, theta {'non-trivial' if entry.spec.moving_rows else 'identity'}, "
+           f"expected_k_connected {str(entry.expected_k_connected).lower()}" for entry in map(catalog, names))
     return 0
 
 
@@ -155,24 +146,21 @@ def _core_report(args, dual: bool) -> int:
 def cmd_pi1(args) -> int:
     spec = resolve_spec(args.spec)
     model = fundgroup.pi1_model(spec)
-    print(f"spec: {spec.name}")
-    print(f"pi1_group: {model.group_pi1.describe()}")
-    print(f"pi1_group_factors: {' '.join(str(f) for f in model.group_pi1.invariant_factors) or 'none'}")
-    print(f"pi1_space: {model.space_pi1.describe()}")
-    print(f"pi1_space_factors: {' '.join(str(f) for f in model.space_pi1.invariant_factors) or 'none'}")
     gens = " ".join(fmt_coweight(g) for g in model.image_generators)
-    print(f"image_generators: {gens if gens else 'none'}")
     restricted = " ".join(fmt_coweight(g) for g in restricted_coroot_generators(spec))
-    print(f"restricted_coroot_generators: {restricted if restricted else 'none'}")
-    print(f"image_index: {model.image_index}")
-    for line in _spec_note_lines(spec):
-        print(line)
+    _write([f"spec: {spec.name}", f"pi1_group: {model.group_pi1.describe()}",
+            f"pi1_group_factors: {' '.join(str(f) for f in model.group_pi1.invariant_factors) or 'none'}",
+            f"pi1_space: {model.space_pi1.describe()}",
+            f"pi1_space_factors: {' '.join(str(f) for f in model.space_pi1.invariant_factors) or 'none'}",
+            f"image_generators: {gens or 'none'}", f"restricted_coroot_generators: {restricted or 'none'}",
+            f"image_index: {model.image_index}", *_spec_note_lines(spec)])
     return 0
 
 
 def cmd_invariant(args) -> int:
     with open(args.matrix, encoding="utf-8") as fh:
         g = textio.parse_matrix(fh.read())
+    # line by line, not in one write: a theorem violation keeps the invariants printed before it
     print(f"form: {g.form}")
     print(f"size: {g.n}")
     print(f"cartan: {fmt_coweight(lm.stratum_invariant(g))}")

@@ -923,7 +923,7 @@ def _real_factor(form: FormAction, rng) -> list[list[LaurentPoly]]:
             i, j = _strict_positions(n, rng, upper=rng.random() < 0.5)
             c = Gaussian(rng.choice([-1, 1, 2]))
             k = rng.choice([0, 1])
-            return _rows(n, LP_ONE, {(i, j): LaurentPoly({k: c, -k: c} if k else {0: c})})
+            return _rows(n, LP_ONE, {(i, j): LaurentPoly({k: c, -k: c})})
         if kind < 0.8 and n > 1 and not form.special:
             # constant real elementary matrix
             i, j = _strict_positions(n, rng, upper=rng.random() < 0.5)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from math import gcd
-from operator import mul
 
 from .errors import TheoremViolationError, ValidationError
 from .record import Record
@@ -20,6 +19,7 @@ from .rootdata import (
     FiniteAbelianGroup,
     IntMatrix,
     RootDatum,
+    _require_rank,
     dominant_representative,
     dot,
     gl_datum,
@@ -54,8 +54,7 @@ class InvolutionSpec(Record):
     name: str = ""
 
     def apply(self, coweight: Coweight) -> Coweight:
-        if len(coweight) != self.datum.rank:
-            raise ValidationError(f"{coweight} does not have length rank={self.datum.rank}")
+        _require_rank(self.datum, coweight)
         return mat_vec(self.theta, coweight)
 
     def is_real(self, coweight: Coweight) -> bool:
@@ -76,11 +75,9 @@ class InvolutionSpec(Record):
 
         Computed as the integer kernel of ``moving_rows`` via Smith normal form;
         the kernel of an integer matrix is automatically saturated.  May be empty
-        (anisotropic forms).  With no moving rows (theta = 1) it is read off: the
-        unit basis, reversed as sorted.
+        (anisotropic forms).  With no moving rows (theta = 1) it is the unit basis.
         """
-        moving = self.moving_rows
-        return kernel_basis(moving) if moving else identity_matrix(self.datum.rank)[::-1]
+        return kernel_basis(self.moving_rows, self.datum.rank)
 
     @cached_property
     def restricted_coroot_generators(self) -> tuple[Coweight, ...]:
@@ -116,16 +113,15 @@ class InvolutionSpec(Record):
     def real_step_order(self):
         """``step_order`` on theta-fixed coweights, built on first use: ``step_order`` itself for theta = 1, else
         a closure that calls it (refusing a wrong length), then refuses lower, then upper, if theta moves it."""
-        leq, moving = self.step_order, self.moving_rows
-        if not moving:  # theta = 1
+        leq = self.step_order
+        if not self.moving_rows:  # theta = 1
             return leq
 
         def real_leq(lower: Coweight, upper: Coweight) -> bool:
             result = leq(lower, upper)
             for v in (lower, upper):
-                for row in moving:
-                    if sum(map(mul, row, v)):
-                        raise ValidationError(f"{v} is not theta-fixed")
+                if not self.is_real(v):
+                    raise ValidationError(f"{v} is not theta-fixed")
             return result
         return real_leq
 
@@ -390,14 +386,9 @@ def catalog(name: str) -> RealFormCatalogEntry:
 def is_catalog_spec(spec: InvolutionSpec) -> bool:
     """Structural match against the shipped entry of the same name; the datum's
     own name is ignored so exported files still count as catalog data."""
-    table = _catalog()
-    if spec.name not in table:
+    known = _catalog().get(spec.name)
+    if known is None:
         return False
-    known = table[spec.name]
-    return (
-        known.theta == spec.theta
-        and known.datum.rank == spec.datum.rank
-        and known.datum.roots == spec.datum.roots
-        and known.datum.coroots == spec.datum.coroots
-        and known.datum.simple_indices == spec.datum.simple_indices
-    )
+    a, b = known.datum, spec.datum
+    return (known.theta, a.rank, a.roots, a.coroots, a.simple_indices) == (
+        spec.theta, b.rank, b.roots, b.coroots, b.simple_indices)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from functools import cached_property
+from math import prod
 from operator import add, mul, sub
 
 from .errors import ValidationError
@@ -407,16 +408,18 @@ def smith_normal_form(matrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return tuple(tuple(r[n:]) for r in a[:m]), tuple(tuple(r[:n]) for r in a[:m]), tuple(map(tuple, a[m:]))
 
 
-def kernel_basis(matrix) -> tuple[Coweight, ...]:
-    """Basis of the integer kernel, a saturated sublattice of the column domain."""
+def kernel_basis(matrix, dim: int) -> tuple[Coweight, ...]:
+    """Sorted basis of the integer kernel of a matrix with dim columns, a saturated
+    sublattice of Z^dim: the unit basis, with no Smith normal form, if it has no rows."""
+    if not matrix:
+        return identity_matrix(dim)[::-1]
     m = len(matrix)
-    n = len(matrix[0]) if m else 0
     _, d, v = smith_normal_form(matrix)
     basis = []
-    for j in range(n):
-        dj = d[j][j] if j < min(m, n) else 0
+    for j in range(dim):
+        dj = d[j][j] if j < min(m, dim) else 0
         if dj == 0:
-            col = tuple(v[i][j] for i in range(n))
+            col = tuple(v[i][j] for i in range(dim))
             first = next((x for x in col if x != 0), 0)
             basis.append(vec_neg(col) if first < 0 else col)
     return tuple(sorted(basis))
@@ -435,12 +438,7 @@ class FiniteAbelianGroup(Record):
     projection: IntMatrix
 
     def order(self) -> int | None:
-        if any(f == 0 for f in self.invariant_factors):
-            return None
-        total = 1
-        for f in self.invariant_factors:
-            total *= f
-        return total
+        return None if 0 in self.invariant_factors else prod(self.invariant_factors)
 
     def describe(self) -> str:
         if not self.invariant_factors:

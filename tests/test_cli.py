@@ -103,10 +103,11 @@ def test_an_involution_over_the_rank_bound_exits_one(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "argv", [["orbits", "gl2_split", "--height", "6"], ["poset", "gl3_split", "--height", "4", "--order", "R"],
-             ["poset", "pgl2_so21", "--height", "8", "--format", "graph"]],
-    ids=["orbits", "poset", "poset-graph"],
+             ["poset", "pgl2_so21", "--height", "8", "--format", "graph"], ["pi1", "su21"], ["catalog"],
+             ["catalog", "--name", "gl2_split"]],
+    ids=["orbits", "poset", "poset-graph", "pi1", "catalog", "catalog-name"],
 )
-def test_a_slice_report_is_written_in_one_call(monkeypatch, argv):
+def test_a_report_is_written_in_one_call(monkeypatch, argv):
     writes = []
 
     class Recorder:
@@ -391,6 +392,18 @@ def test_theorem_violation_exit_code(capsys, tmp_path, monkeypatch):
     rc, _, err = run(capsys, ["invariant", str(path)])
     assert rc == 2
     assert "theorem violation" in err
+
+
+def test_a_broken_divisibility_chain_exits_two_with_one_line(capsys, tmp_path, monkeypatch):
+    import matsuki.loopmatrix as loopmatrix
+
+    raw_det = loopmatrix._raw_det  # a determinant one power of t too low
+    monkeypatch.setattr(loopmatrix, "_raw_det", lambda rows: {e - 1: c for e, c in raw_det(rows).items()})
+    path = tmp_path / "id.matrix"
+    path.write_text(IDENTITY_FILE)
+    rc, out, err = run(capsys, ["invariant", str(path)])
+    assert (rc, out) == (2, "form: gl2_split\nsize: 2\n")  # the lines before the refusal stay
+    assert err == "theorem violation: determinantal divisors (0, 0, -1) do not form a divisibility chain\n"
 
 
 def test_splitting_failure_exits_two_without_traceback(capsys, tmp_path, monkeypatch):

@@ -193,7 +193,7 @@ def read_off_mismatches(specs):
             mismatched.append(spec.name)
             continue
         search_den, search_rows, search_consistency = integer_solver(searched, dim=n)
-        fixed = kernel_basis(tuple(tuple(spec.theta[i][j] - (i == j) for j in range(n)) for i in range(n)))
+        fixed = kernel_basis(tuple(tuple(spec.theta[i][j] - (i == j) for j in range(n)) for i in range(n)), n)
         if ((len(basis), set(basis)) != (len(searched), set(searched))
                 or (den, dict(zip(basis, rows)), consistency)
                 != (search_den, dict(zip(searched, search_rows)), search_consistency)

@@ -455,6 +455,15 @@ def test_a_reduction_that_ends_below_its_exponent_is_a_theorem_violation():
         loopmatrix._splitting(columns, 1)
 
 
+def test_determinantal_divisors_out_of_chain_are_a_theorem_violation(monkeypatch):
+    raw_det = loopmatrix._raw_det  # a determinant one power of t too low
+    monkeypatch.setattr(loopmatrix, "_raw_det", lambda rows: {e - 1: c for e, c in raw_det(rows).items()})
+    # the identity's least entry valuation d_1 = 0 is now above its exponent d_2 = -1
+    chain = r"^determinantal divisors \(0, 0, -1\) do not form a divisibility chain$"
+    with pytest.raises(TheoremViolationError, match=chain):
+        stratum_invariant(identity_loop("gl2_split", 2))
+
+
 def gaussian_kernel_vector(m):
     """A nonzero v with m v = 0 for a square matrix m over Q(i), or None when
     m is nonsingular (Gauss-Jordan elimination up to the first free column)."""
@@ -911,6 +920,15 @@ def test_geodesic_refuses_a_coweight_of_the_wrong_length():
         geodesic_representative("gl2_split", (1,))
 
 
+def test_a_geodesic_that_fails_its_multiplication_check_is_a_theorem_violation(monkeypatch):
+    diagonal = loopmatrix.diagonal_loop
+    # the check compares against t^(lam + (2, 0)): the construction is exact, so it must refuse
+    monkeypatch.setattr(loopmatrix, "diagonal_loop", lambda name, lam: diagonal(name, (lam[0] + 2, *lam[1:])))
+    failed = r"^geodesic construction for \(1, 1\) failed its exact multiplication check$"
+    with pytest.raises(TheoremViolationError, match=failed):
+        geodesic_representative("gl2_split", (1, 1))
+
+
 def test_geodesic_respects_special_form():
     c = geodesic_representative("sl2_split", (1, -1))
     assert r_orbit_invariant(c) == (1, -1)
@@ -934,6 +952,28 @@ def test_random_loop_postconditions(name):
         assert min_valuation(p) >= 0 or loops_equal(p, identity_loop(name, form.n))
         m = random_polynomial_loop(form, seed, negative=True)
         assert max_degree(m) <= 0
+
+
+def _negative_powers(factor):
+    """A factor drawer whose factors are those of ``factor`` with t replaced by 1/t."""
+    return lambda form, rng: apply_tau(lm_from_rows(form.name, factor(form, rng))).entries
+
+
+@pytest.mark.parametrize("seed, make, target, fault, message", [
+    (2, random_real_loop, "_real_factor", loopmatrix._polynomial_factor,
+     "generated loop failed its real symmetry postcondition"),
+    (1, random_k_loop, "_k_factor", loopmatrix._polynomial_factor,
+     "generated loop failed its symmetric-subgroup postcondition"),
+    (0, lambda name, seed: random_polynomial_loop(name, seed, negative=True), "apply_tau", lambda g: g,
+     "negative polynomial loop has positive powers"),
+    (0, random_polynomial_loop, "_polynomial_factor", _negative_powers(loopmatrix._polynomial_factor),
+     "polynomial loop has negative powers"),
+], ids=["real", "k", "negative", "polynomial"])
+def test_a_seeded_loop_that_fails_its_postcondition_is_a_theorem_violation(monkeypatch, seed, make, target, fault,
+                                                                          message):
+    monkeypatch.setattr(loopmatrix, target, fault)
+    with pytest.raises(TheoremViolationError, match=f"^{message}$"):
+        make("gl2_split", seed)
 
 
 def test_random_loops_are_deterministic():

@@ -507,12 +507,19 @@ def test_snf_matches_reference_on_every_matrix_the_package_builds(monkeypatch, c
 
 def test_kernel_basis_of_swap_difference():
     # theta - id for the swap involution on Z^2
-    assert kernel_basis(((-1, 1), (1, -1))) == ((1, 1),)
+    assert kernel_basis(((-1, 1), (1, -1)), 2) == ((1, 1),)
 
 
 def test_the_kernel_of_a_matrix_with_no_columns_is_zero():
-    assert kernel_basis(()) == ()
-    assert kernel_basis(((), ())) == ()
+    assert kernel_basis((), 0) == ()
+    assert kernel_basis(((), ()), 0) == ()
+
+
+def test_the_kernel_of_a_matrix_with_no_rows_is_everything(monkeypatch):
+    from matsuki import rootdata
+
+    monkeypatch.setattr(rootdata, "smith_normal_form", None)  # read off, with no Smith normal form
+    assert kernel_basis((), 2) == ((0, 1), (1, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -306,9 +306,37 @@ def test_every_top_level_definition_is_referenced():
 
 
 def test_every_constant_the_readme_names_exists():
-    # a deleted constant cannot stay documented: each backticked ALL-CAPS name
-    # in README.md is assigned at module level in some package module
-    named = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", (ROOT / "README.md").read_text(encoding="utf-8")))
+    # a deleted constant or attribute cannot stay documented: each backticked
+    # ALL-CAPS name in README.md is assigned at module level in some package
+    # module, and each backticked dotted name whose head is the package, one of
+    # its modules or one of its classes resolves, a record field counting
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    stems = {path.stem for path in SOURCES} - {"__init__"}
+    classes = {node.name: path.stem for path in SOURCES for node in _parse(path).body if isinstance(node, ast.ClassDef)}
+    dotted = re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", readme)
+    checked, unresolved = [], []
+    for name in dotted:
+        head, *rest = name.split(".")
+        if head in classes:
+            module, rest = classes[head], [head, *rest]
+        elif head == "matsuki" and rest[0] in stems:
+            module, rest = rest[0], rest[1:]
+        elif head in stems or head == "matsuki":
+            module = head
+        else:
+            continue
+        checked.append(name)
+        owner = importlib.import_module("matsuki" if module == "matsuki" else f"matsuki.{module}")
+        for attr in rest:
+            if attr in getattr(owner, "_fields", ()):
+                break
+            if not hasattr(owner, attr):
+                unresolved.append(name)
+                break
+            owner = getattr(owner, attr)
+    assert "InvolutionSpec.moving_rows" in checked
+    assert unresolved == []
+    named = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", readme))
     defined = {
         target.id
         for path in SOURCES
