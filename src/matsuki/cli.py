@@ -309,12 +309,6 @@ def main(argv=None) -> int:
             raise
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except TheoremViolationError as exc:
-        print(f"theorem violation: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # reader went away (e.g. piped into head); not an error
         try:
@@ -322,10 +316,12 @@ def main(argv=None) -> int:
         except OSError:
             pass
         return 0
-    except (OSError, UnicodeDecodeError) as exc:
-        # after BrokenPipeError, which is itself an OSError
+    except (ValidationError, OSError, UnicodeDecodeError) as exc:  # after BrokenPipeError, itself an OSError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except TheoremViolationError as exc:
+        print(f"theorem violation: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry_point() -> None:

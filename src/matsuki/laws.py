@@ -26,7 +26,7 @@ from .loopmatrix import (
 )
 from .orbitposet import build_poset_slice, enumerate_orbits, k_leq, primitive_relations, r_leq, real_step_leq
 from .realform import catalog
-from .rootdata import dominance_leq, fmt_coweight, gl_datum, height, is_dominant, simple_coroots, vec_add, vec_scale
+from .rootdata import column_matrix, dominance_leq, fmt_coweight, gl_datum, height, is_dominant, mat_vec, simple_coroots
 
 
 def real_dominant_up_to(spec, bound):
@@ -39,11 +39,10 @@ def positive_cone_reals(spec, bound):
     """The theta-fixed vectors of the positive coroot cone of height at most
     bound, in the order of their simple-coroot coefficients."""
     simples = simple_coroots(spec.datum)
+    columns = column_matrix(simples, spec.datum.rank)
     out = []
     for coeffs in product(*[range(bound // height(spec.datum, b) + 1) for b in simples]):
-        vec = (0,) * spec.datum.rank
-        for c, b in zip(coeffs, simples):
-            vec = vec_add(vec, vec_scale(c, b))
+        vec = mat_vec(columns, coeffs)
         if height(spec.datum, vec) <= bound and spec.is_real(vec):
             out.append(vec)
     return out

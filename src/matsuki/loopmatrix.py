@@ -90,7 +90,7 @@ class Gaussian:
                 raise ValidationError(f"Gaussian parts must be int or Fraction, got {re!r} and {im!r}")
             re, im = Fraction(re), Fraction(im)
             q, s = re.denominator, im.denominator
-            d = q * s // gcd(q, s)  # lcm; both parts are in lowest terms, so gcd(a, b, d) = 1
+            d = lcm(q, s)  # both parts are in lowest terms, so gcd(a, b, d) = 1
             a, b = re.numerator * (d // q), im.numerator * (d // s)
         _set_a(self, a)
         _set_b(self, b)

@@ -18,7 +18,7 @@ from .errors import ValidationError
 from .fundgroup import _member_pairings, image_index
 from .realform import InvolutionSpec, restricted_coroot_generators
 from .record import Record
-from .rootdata import Coweight, dominance_leq, dot, identity_matrix, simple_roots, vec_neg
+from .rootdata import Coweight, _require_rank, dominance_leq, dot, identity_matrix, simple_roots, vec_neg
 
 
 class CoreData(Record):
@@ -139,7 +139,7 @@ def enumerate_orbits(spec: InvolutionSpec, height_bound: int) -> tuple[Coweight,
         entries, walk, count = walk if level == 1 else _extend(rows, walk), [], 0
         for entry in entries:
             walk.append(entry)
-            if (count := count + len(entry[1])) > CANDIDATE_BUDGET:
+            if (count := count + max(entry[1].stop - entry[1].start, 0)) > CANDIDATE_BUDGET:
                 raise ValidationError(f"height bound {height_bound} leaves over {CANDIDATE_BUDGET} candidates"
                                       f" for coefficient {level} of {len(systems)}")
     class_rows = [([dot(row, b) for b in basis], m) for row, m in spec.image_lattice[2]]
@@ -193,13 +193,6 @@ def real_step_leq(spec: InvolutionSpec, lower: Coweight, upper: Coweight) -> boo
     return spec.real_step_order(lower, upper)
 
 
-def _require_lengths(spec: InvolutionSpec, elements) -> None:
-    rank = spec.datum.rank
-    for e in elements:
-        if len(e) != rank:
-            raise ValidationError(f"{e} does not have length rank={rank}")
-
-
 def primitive_relations(spec: InvolutionSpec, elements: tuple[Coweight, ...]) -> tuple[tuple[Coweight, Coweight], ...]:
     """Hasse edges of the dominance order on a convex set of orbit indices
     (every orbit index between two of them is one of them), such as a
@@ -230,7 +223,7 @@ def primitive_relations(spec: InvolutionSpec, elements: tuple[Coweight, ...]) ->
     semisimple data; for ``gl_n``, c_1 <= b_1, c_n >= b_n and dominance keep
     c in the box.
     """
-    _require_lengths(spec, elements)
+    _require_rank(spec.datum, elements)
     present = set(elements)
     steps = restricted_coroot_generators(spec)
     coords = [[dot(row, d) for row in spec.datum.coroot_solver[1]] for d in steps]
@@ -260,7 +253,7 @@ def component_count(spec: InvolutionSpec, elements: tuple[Coweight, ...]) -> int
     solve rows only when den > 1; with no row left there is one class, or
     none on no elements.
     """
-    _require_lengths(spec, elements)
+    _require_rank(spec.datum, elements)
     den, rows, consistency = spec.datum.coroot_solver
     rows = rows if den > 1 else ()
     if not rows and not consistency:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from math import gcd
+from operator import mul
 
 from .errors import TheoremViolationError, ValidationError
 from .record import Record
@@ -54,7 +55,7 @@ class InvolutionSpec(Record):
     name: str = ""
 
     def apply(self, coweight: Coweight) -> Coweight:
-        _require_rank(self.datum, coweight)
+        _require_rank(self.datum, (coweight,))
         return mat_vec(self.theta, coweight)
 
     def is_real(self, coweight: Coweight) -> bool:
@@ -112,16 +113,18 @@ class InvolutionSpec(Record):
     @cached_property
     def real_step_order(self):
         """``step_order`` on theta-fixed coweights, built on first use: ``step_order`` itself for theta = 1, else
-        a closure that calls it (refusing a wrong length), then refuses lower, then upper, if theta moves it."""
-        leq = self.step_order
-        if not self.moving_rows:  # theta = 1
+        a closure that calls it (refusing a wrong length), then refuses lower, then upper, if theta moves it.
+        The closure holds the rows of ``moving_rows``, not the spec, so the two form no reference cycle."""
+        leq, moving = self.step_order, self.moving_rows
+        if not moving:  # theta = 1
             return leq
 
         def real_leq(lower: Coweight, upper: Coweight) -> bool:
             result = leq(lower, upper)
             for v in (lower, upper):
-                if not self.is_real(v):
-                    raise ValidationError(f"{v} is not theta-fixed")
+                for row in moving:
+                    if sum(map(mul, row, v)):
+                        raise ValidationError(f"{v} is not theta-fixed")
             return result
         return real_leq
 

@@ -92,12 +92,7 @@ class RootDatum(Record):
         return vec_sub(coweight, vec_scale(dot(alpha, coweight), avee))
 
     def reflection_matrix(self, simple_index: int) -> IntMatrix:
-        alpha = self.roots[simple_index]
-        avee = self.coroots[simple_index]
-        return tuple(
-            tuple((1 if i == j else 0) - avee[i] * alpha[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
+        return column_matrix(tuple(self.reflect(simple_index, e) for e in identity_matrix(self.rank)), self.rank)
 
     @cached_property
     def root_solver(self) -> tuple[int, IntMatrix, IntMatrix]:
@@ -160,18 +155,21 @@ def positive_coroots(datum: RootDatum) -> tuple[Coweight, ...]:
     return tuple(datum.coroots[i] for i in datum.positive_root_indices)
 
 
-def _require_rank(datum: RootDatum, coweight: Coweight) -> None:
-    if len(coweight) != datum.rank:
-        raise ValidationError(f"{coweight} does not have length rank={datum.rank}")
+def _require_rank(datum: RootDatum, coweights) -> None:
+    """Refuse a coweight whose length is not the rank; one iterable, as ``*args`` would copy a slice."""
+    rank = datum.rank
+    for coweight in coweights:
+        if len(coweight) != rank:
+            raise ValidationError(f"{coweight} does not have length rank={rank}")
 
 
 def height(datum: RootDatum, coweight: Coweight) -> int:
-    _require_rank(datum, coweight)
+    _require_rank(datum, (coweight,))
     return dot(datum.two_rho, coweight)
 
 
 def is_dominant(datum: RootDatum, coweight: Coweight) -> bool:
-    _require_rank(datum, coweight)
+    _require_rank(datum, (coweight,))
     return all(dot(datum.roots[i], coweight) >= 0 for i in datum.simple_indices)
 
 
@@ -237,7 +235,7 @@ def dominant_representative(datum: RootDatum, coweight: Coweight) -> tuple[Cowei
     s_{w[-1]} ... s_{w[0]} applied to the input.  Each step strictly increases
     the height pairing, which bounds the loop by the (finite) orbit.
     """
-    _require_rank(datum, coweight)
+    _require_rank(datum, (coweight,))
     x = coweight
     word: list[int] = []
     while True:
@@ -449,8 +447,7 @@ class FiniteAbelianGroup(Record):
 def quotient_group(ambient_rank: int, sublattice_generators: tuple[Coweight, ...]) -> FiniteAbelianGroup:
     """The quotient of Z^ambient_rank by the span of the given generators."""
     k = len(sublattice_generators)
-    matrix = tuple(tuple(g[i] for g in sublattice_generators) for i in range(ambient_rank))
-    u, d, _ = smith_normal_form(matrix)
+    u, d, _ = smith_normal_form(column_matrix(sublattice_generators, ambient_rank))
     # the Smith diagonal is a divisibility chain, so its zeros (the free factors) come last
     return invariant_quotient([d[i][i] if i < k else 0 for i in range(ambient_rank)], u)
 

@@ -82,8 +82,12 @@ def test_orbits_split_height_four(capsys):
 @pytest.mark.parametrize(
     "spec, height, refusal",
     [("gl3_split", "400", "3 of 3"), ("gl3_split", "1000", "3 of 3"), ("sl3_split", "100000000", "1 of 2"),
-     ("sl2_split", "4999999", "1 of 1")],
-    ids=["gl3_split-400", "gl3_split-1000", "sl3_split-1e8", "sl2_split-4999999"],
+     ("sl2_split", "4999999", "1 of 1"),
+     # ranges longer than 2**63 - 1, whose len() overflows
+     ("sl2_split", "100000000000000000000", "1 of 1"), ("sl3_split", "100000000000000000000", "1 of 2"),
+     ("gl3_split", "100000000000000000000", "1 of 3"), ("su21", "100000000000000000000", "1 of 1")],
+    ids=["gl3_split-400", "gl3_split-1000", "sl3_split-1e8", "sl2_split-4999999", "sl2_split-1e20", "sl3_split-1e20",
+         "gl3_split-1e20", "su21-1e20"],
 )
 def test_orbits_over_the_budget_exit_one_at_once(capsys, spec, height, refusal):
     start = time.perf_counter()
@@ -329,6 +333,9 @@ CATALOG = ", ".join(catalog_names())
                      id="check-non-catalog"),
         pytest.param(["orbits", "sl3_split", "--height", "-1"], None, "height bound must be non-negative",
                      id="orbits-negative-height"),
+        pytest.param(["poset", "gl2_split", "--height", "100000000000000000000"], None,
+                     "height bound 100000000000000000000 leaves over 1000000 candidates for coefficient 1 of 2",
+                     id="poset-huge-height"),
         # an involution that passes every check but Araki's second: gl4 with e2 and e3 swapped
         pytest.param(["poset"], GL4_SWAP23_FILE, "invalid involution 'gl4_swap23': Araki's second condition fails:"
                      " w_M theta fixes the simple coroot (1, -1, 0, 0) outside M, and <alpha_0, 2 rho_M^vee> = -1"

@@ -1,8 +1,10 @@
 """Involution validation, fixed sublattices, Levi data, and the catalog."""
 
+import gc
 import inspect
 import re
 import textwrap
+import weakref
 from itertools import product
 
 import pytest
@@ -317,6 +319,25 @@ def test_is_real_is_theta_fixed():
         radius = 3 if rank <= 3 else 2
         for v in product(range(-radius, radius + 1), repeat=rank):
             assert spec.is_real(v) == (spec.apply(v) == v), (spec.name, v)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_a_spec_is_freed_by_reference_counting(name):
+    # no cached property, closures included, refers back to its spec, so the
+    # spec goes with its last reference, without the cyclic collector
+    entry = catalog(name)
+    spec = InvolutionSpec(entry.datum, entry.spec.theta, name)
+    for attribute in ("moving_rows", "fixed_basis", "restricted_coroot_generators", "step_solver", "step_order",
+                      "real_step_order", "image_lattice"):
+        getattr(spec, attribute)
+    ref, enabled = weakref.ref(spec), gc.isenabled()
+    gc.disable()
+    try:
+        del spec
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_real_criterion_examples():
