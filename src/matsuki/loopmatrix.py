@@ -26,9 +26,9 @@ All arithmetic on Gaussian-integer numerator dicts runs on one integer
 kernel: ``_int_rows`` clears each row or column of its denominators,
 ``_raw_dot`` is every product, sum and scaling (a sum or a scaling is a
 product with constants), ``_raw_det`` and ``_adjugate`` build determinants
-and cofactors with it, in closed form up to 3 x 3 and by cofactor expansion
-above, and only an entry that a public function returns becomes a
-``LaurentPoly``.  A constant invertible diagonal lies in
+and cofactors with it in closed form, since every loop is at most 3 x 3, as
+``lm_from_rows`` enforces, and only an entry that a public function returns
+becomes a ``LaurentPoly``.  A constant invertible diagonal lies in
 G(O) and in G[1/t], so scaling rows or columns by constants moves neither the
 valuation of a minor nor a column degree of the reduction.  Each invariant
 therefore clears its loop once and reads both the check that det g = c*t^e is
@@ -342,6 +342,8 @@ def lm_from_rows(form: str, rows) -> LaurentMatrix:
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValidationError("loop matrix must be square and non-empty")
+    if n > 3:
+        raise ValidationError(f"loop matrix must be at most 3 x 3, as every form is; got {n} x {n}")
     return LaurentMatrix(n=n, entries=rows, form=form)
 
 
@@ -383,8 +385,7 @@ def _int_rows(rows) -> tuple[list[list[Raw]], list[int]]:
     out, scales = [], []
     for row in rows:
         s = lcm(*[p._d for p in row])
-        out.append([p._c for p in row] if s == 1 else
-                   [p._c if p._d == s else {e: (a * (s // p._d), b * (s // p._d)) for e, (a, b) in p._c.items()}
+        out.append([p._c if p._d == s else {e: (a * (s // p._d), b * (s // p._d)) for e, (a, b) in p._c.items()}
                     for p in row])
         scales.append(s)
     return out, scales
@@ -414,46 +415,32 @@ def _raw_dot(plus, minus=()) -> Raw:
 
 
 def _raw_det(rows) -> Raw:
-    """Determinant of a square list of numerator rows: closed forms up to 3x3 (the first
-    row against the cyclic 2x2 minors of the other two), cofactor expansion along the
-    first row above that; a zero entry's minor is skipped.  Fine at desk scale."""
+    """Determinant of a square list of numerator rows, at most 3x3 as every loop is
+    (``lm_from_rows``), in closed form: at 3x3 the first row against the cyclic 2x2
+    minors of the other two, a zero entry's minor skipped."""
     if len(rows) == 1:
         return rows[0][0]
     if len(rows) == 2:
         (a, b), (c, d) = rows
         return _raw_dot([(a, d)], [(b, c)])
-    if len(rows) == 3:
-        r, s, u = rows  # j - 2 and j - 1 are j + 1 and j + 2 mod 3
-        return _raw_dot([(p, _raw_dot([(s[j - 2], u[j - 1])], [(s[j - 1], u[j - 2])])) for j, p in enumerate(r) if p])
-    terms = ([], [])
-    for j, p in enumerate(rows[0]):
-        if p:
-            terms[j % 2].append((p, _raw_det([r[:j] + r[j + 1:] for r in rows[1:]])))
-    return _raw_dot(*terms)
+    r, s, u = rows  # j - 2 and j - 1 are j + 1 and j + 2 mod 3
+    return _raw_dot([(p, _raw_dot([(s[j - 2], u[j - 1])], [(s[j - 1], u[j - 2])])) for j, p in enumerate(r) if p])
 
 
 def _adjugate(m: list[list[Raw]]) -> tuple[list[list[Raw]], Raw]:
-    """The adjugate of m, and det m = sum_j m_0j adj_j0 read off it.  Entry (i, j) is det of m
-    without row j and column i, signed (-1)^(i+j): closed forms at n = 2 (swap and negate) and n = 3
-    (m[j+1][i+1] m[j+2][i+2] - m[j+1][i+2] m[j+2][i+1], indices mod 3, unsigned: a cyclic shift of
-    three rows is even), above that the minor with two of its rows swapped."""
+    """The adjugate of m, at most 3x3 as every loop is, and det m = sum_j m_0j adj_j0 read off
+    it.  Entry (i, j) is det of m without row j and column i, signed (-1)^(i+j), in closed form:
+    at n = 2 swap and negate, at n = 3 m[j+1][i+1] m[j+2][i+2] - m[j+1][i+2] m[j+2][i+1],
+    indices mod 3, unsigned: a cyclic shift of three rows is even."""
     n = len(m)
     if n == 1:
         return [[{0: (1, 0)}]], m[0][0]
     if n == 2:
         (a, b), (c, d) = m
         adj = [[d, {x: (-u, -v) for x, (u, v) in b.items()}], [{x: (-u, -v) for x, (u, v) in c.items()}, a]]
-    elif n == 3:
+    else:
         adj = [[_raw_dot([(m[j - 2][i - 2], m[j - 1][i - 1])], [(m[j - 2][i - 1], m[j - 1][i - 2])])
                 for j in range(3)] for i in range(3)]
-    else:
-        def cofactor(j, i):
-            minor = [r[:i] + r[i + 1:] for k, r in enumerate(m) if k != j]
-            if (i + j) % 2:
-                minor[:2] = minor[1::-1]
-            return _raw_det(minor)
-
-        adj = [[cofactor(j, i) for j in range(n)] for i in range(n)]
     return adj, _raw_dot(zip(m[0], [row[0] for row in adj]))
 
 

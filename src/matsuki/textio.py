@@ -13,7 +13,7 @@ from math import gcd
 
 from . import loopmatrix as lm  # read at call time: only matrix files run it
 from .errors import ParseError, ValidationError
-from .realform import InvolutionSpec, RealFormCatalogEntry, catalog, require_valid_involution
+from .realform import MAX_RANK, InvolutionSpec, RealFormCatalogEntry, catalog, require_valid_involution
 from .rootdata import RootDatum, require_valid
 
 _BLOCK_KEYS = frozenset({"roots", "coroots", "theta"})
@@ -128,6 +128,8 @@ def _root_datum(sections) -> RootDatum:
 
 def parse_root_datum(text: str) -> RootDatum:
     datum = _root_datum(_parse_sections(text, "root datum", _DATUM_KEYS))
+    if datum.rank > MAX_RANK:  # validation builds rank x rank matrices; no involution fits above
+        raise ValidationError(f"invalid root datum {datum.name!r}: rank {datum.rank} is over the bound of {MAX_RANK}")
     require_valid(datum)
     return datum
 

@@ -454,11 +454,11 @@ def _constant_rows(rng, n):
 
 
 def _pruning_matrices():
-    """Seeded matrices of size 2 to 5: sparse ones, and P t^lam Q with constant P and Q, whose
-    minors of least bound cancel; plus hand-picked cancellations."""
+    """Seeded matrices of size 2 and 3, as every loop is: sparse ones, and P t^lam Q with constant
+    P and Q, whose minors of least bound cancel; plus hand-picked cancellations."""
     rng = random.Random("stratum-pruning")
-    for n in range(2, 6):
-        for _ in range(12 if n < 5 else 4):  # the all-minors reference is slow on a dense 5 x 5
+    for n in (2, 3):
+        for _ in range(20):
             yield lm_from_rows("m", [[_gaussian_poly(rng, rng.choice((0, 1, 1, 2, 3))) for _ in range(n)]
                                      for _ in range(n)])
             lam = [rng.randint(-2, 3) for _ in range(n)]
@@ -482,16 +482,6 @@ def test_pruned_minors_match_all_minors():
         e = det.valuation()
         assert outcome(loopmatrix._stratum, rows, e) == outcome(ref_stratum, h, e), h
     assert seen > 60
-
-
-def test_the_adjugate_above_three_by_three_matches_the_reference():
-    # no form is larger than 3 x 3, so only these products P t^lam Q reach the signed-minor recursion
-    rng = random.Random("adjugate")
-    for n in (4, 5):
-        lam = [rng.randint(-2, 3) for _ in range(n)]
-        g = mat_mul(lm_from_rows("m", _constant_rows(rng, n)), diagonal_loop("m", lam))
-        g = mat_mul(g, lm_from_rows("m", _constant_rows(rng, n)))
-        assert mat_inverse(g).entries == ref_inverse(g).entries
 
 
 # ---------------------------------------------------------------------------

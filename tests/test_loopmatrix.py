@@ -195,6 +195,9 @@ def test_malformed_loops_are_refused():
     for rows in ([], [[one], [one, zero]], [[one, zero]]):
         with pytest.raises(ValidationError, match="^loop matrix must be square and non-empty$"):
             lm_from_rows("gl2_split", rows)
+    for n in (4, 5):  # no form is larger than 3 x 3
+        with pytest.raises(ValidationError, match=rf"^loop matrix must be at most 3 x 3, as every form is; got {n} x {n}$"):
+            lm_from_rows("gl3_split", [[one if i == j else zero for j in range(n)] for i in range(n)])
     with pytest.raises(ValidationError, match="^size mismatch in matrix product$"):
         mat_mul(identity_loop("gl2_split", 2), identity_loop("gl3_split", 3))
     nothing = lm_from_rows("gl2_split", [[zero, zero], [zero, zero]])

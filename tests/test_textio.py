@@ -64,6 +64,17 @@ def test_root_datum_parse_errors_carry_line_numbers():
         parse_root_datum("name: x\ntheta:\n1\n")
 
 
+def test_a_root_datum_over_the_rank_bound_is_refused_before_any_smith_form(monkeypatch):
+    # validation builds rank x rank matrices, so a few bytes could state a rank that costs seconds
+    text = "name: x\nrank: {}\nsimple:\n".format
+    refusal = rf"^invalid root datum 'x': rank {MAX_RANK + 1} is over the bound of {MAX_RANK}$"
+    monkeypatch.setattr(rootdata, "smith_normal_form", None)
+    with pytest.raises(ValidationError, match=refusal):
+        parse_root_datum(text(MAX_RANK + 1))
+    monkeypatch.undo()
+    assert parse_root_datum(text(MAX_RANK)).rank == MAX_RANK
+
+
 def test_involution_with_inline_datum():
     text = SL2_TEXT.replace("name: sl2", "name: my_split") + "theta:\n1\n"
     spec = parse_involution(text)

@@ -15,7 +15,8 @@ the parse, so the one wall-clock bound left is the second allowed to the
 ``orbits`` refusals of ``test_cli.py``.  Should a test fail under the
 trace, the script reports the pytest exit code and still prints its list.
 It exits 1 if it lists any statement, else 0.  pytest does not collect this
-file.
+file.  ``tests/traffic.py`` runs the same trace (``line_trace``) over the
+benchmark's operations and lists with the same ``report``.
 """
 
 import ast
@@ -52,10 +53,10 @@ def statement_lines(path):
     return lines & with_code
 
 
-def main(argv):
-    import pytest
-
-    sys.path.insert(0, str(ROOT / "src"))
+def line_trace(run):
+    """Call ``run()`` under a line trace of every frame whose code lives in
+    ``src/matsuki``, set with ``sys.settrace`` and ``threading.settrace``;
+    return its result and the set of lines that ran, keyed by file name."""
     prefix = str(PACKAGE) + "/"
     ran: dict[str, set[int]] = {}
 
@@ -74,11 +75,15 @@ def main(argv):
     threading.settrace(trace)
     sys.settrace(trace)
     try:
-        code = pytest.main([str(ROOT / "tests"), "-q", "-p", "no:cacheprovider", *argv])
+        return run(), ran
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    print(f"pytest exit code: {int(code)}")
+
+
+def report(ran) -> int:
+    """Print ``module.py:line: source`` for each statement of ``src/matsuki``
+    not in ``ran``, then their number; return that number."""
     missed = 0
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text(encoding="utf-8").splitlines()
@@ -86,7 +91,16 @@ def main(argv):
             print(f"{path.name}:{line}: {text[line - 1].strip()}")
             missed += 1
     print(f"unreached statements: {missed}")
-    return 1 if missed else 0
+    return missed
+
+
+def main(argv):
+    import pytest
+
+    sys.path.insert(0, str(ROOT / "src"))
+    code, ran = line_trace(lambda: pytest.main([str(ROOT / "tests"), "-q", "-p", "no:cacheprovider", *argv]))
+    print(f"pytest exit code: {int(code)}")
+    return 1 if report(ran) else 0
 
 
 if __name__ == "__main__":
