@@ -39,9 +39,9 @@ whose products a(g)*g are built by halves where a(M) = M is an index symmetry.
 Two standard modules are imported only by the code that uses them, since
 every command and set-up pays for a module-level import in a fresh process:
 ``fractions`` (which loads ``decimal``, ``numbers`` and ``re``) by ``_fraction``
-for the Fraction-facing API of ``Gaussian``, and ``random`` by ``_rng`` for the
-seeded generators.  The arithmetic, the four invariants and the module's own
-constants build no Fraction.
+for the Fraction-facing API of ``Gaussian``, and ``random`` by ``_product``
+for the seeded generators.  The arithmetic, the four invariants and the
+module's own constants build no Fraction.
 """
 
 from __future__ import annotations
@@ -864,27 +864,6 @@ def geodesic_representative(form: FormAction | str, lam: Coweight) -> LaurentMat
 # seeded random loops
 
 
-def _exp_nilpotent(form_name: str, rows) -> tuple[tuple[LaurentPoly, ...], ...]:
-    """The rows of exp of a strictly triangular Laurent matrix, exact since X^n = 0."""
-    x = lm_from_rows(form_name, rows)
-    total = power = identity_loop(form_name, x.n)
-    fact = 1
-    for k in range(1, x.n):
-        power, fact = mat_mul(power, x), fact * k
-        c = _make(1, 0, fact)
-        total = lm_from_rows(
-            form_name, [[a + b.scale(c) for a, b in zip(r, s)] for r, s in zip(total.entries, power.entries)]
-        )
-    return total.entries
-
-
-def _rng(form: FormAction, kind: str, seed: int):
-    """The generator of one seeded family of loops of a form."""
-    import random
-
-    return random.Random(f"{form.name}:{kind}:{seed}")
-
-
 def _strict_positions(n, rng, upper):
     pairs = [(i, j) for i in range(n) for j in range(n) if (j > i if upper else j < i)]
     return rng.choice(pairs)
@@ -893,9 +872,11 @@ def _strict_positions(n, rng, upper):
 def _product(form: FormAction | str, kind: str, seed: int, factor) -> LaurentMatrix:
     """The seeded product of one family of loops of a form: up to 3 (n = 2) or 2
     factors, each the rows that ``factor(form, rng)`` draws."""
+    import random
+
     if isinstance(form, str):
         form = form_action(form)
-    rng = _rng(form, kind, seed)
+    rng = random.Random(f"{form.name}:{kind}:{seed}")
     g = identity_loop(form.name, form.n)
     for _ in range(rng.randint(0, 3 if form.n == 2 else 2)):
         g = mat_mul(g, lm_from_rows(form.name, factor(form, rng)))
@@ -906,7 +887,7 @@ def _real_factor(form: FormAction, rng) -> list[list[LaurentPoly]]:
     n, kind = form.n, rng.random()
     if form.family == "split":
         if kind < 0.4 and n > 1:
-            # exp(N * (t^k + t^-k)) with N real and one off-diagonal entry, so N^2 = 0 and exp is 1 + N
+            # 1 + N = exp(N), N real with one off-diagonal entry c*(t + 1/t) at k = 1 and c at k = 0, so N^2 = 0
             i, j = _strict_positions(n, rng, upper=rng.random() < 0.5)
             c = Gaussian(rng.choice([-1, 1, 2]))
             k = rng.choice([0, 1])
@@ -920,13 +901,16 @@ def _real_factor(form: FormAction, rng) -> list[list[LaurentPoly]]:
             signs[0] = -signs[0]
         return _rows(n, LP_ZERO, {(i, i): LaurentPoly.constant(x) for i, x in enumerate(signs)})
     if kind < 0.6 and n > 1:
-        # exp(N t^k - J conj(N)^T J t^-k), strictly upper hence nilpotent: the J-twisted transpose stays strictly upper
+        # exp(X) for X = N t^k - J conj(N)^T J t^-k, strictly upper with entries at (i, j) and (n-1-j, n-1-i):
+        # one entry when they meet, so X^2 = 0; else n = 3 and X = x E01 + y E12, so exp is 1 + X + xy/2 E02
         i, j = _strict_positions(n, rng, upper=True)
         c = Gaussian(rng.choice([-1, 0, 1]), rng.choice([-1, 0, 1])) or G_ONE
         k = rng.choice([0, 1])
-        rows = _rows(n, LP_ZERO, {(i, j): LaurentPoly.t_power(k, c)})
+        rows = _rows(n, LP_ONE, {(i, j): LaurentPoly.t_power(k, c)})
         rows[n - 1 - j][n - 1 - i] += LaurentPoly.t_power(-k, -c.conjugate())
-        return _exp_nilpotent(form.name, rows)
+        if i + j != n - 1:
+            rows[0][2] = (rows[0][1] * rows[1][2]).scale(HALF)
+        return rows
     if kind < 0.8:
         return _rows(n, LP_ZERO, {(i, n - 1 - i): LP_ONE for i in range(n)})  # J
     units = [G_I, -G_I, G_ONE, -G_ONE]

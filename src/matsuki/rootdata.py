@@ -215,6 +215,10 @@ def validate_root_datum(datum: RootDatum) -> list[str]:
             problems.append(
                 f"root {root} is not a signed non-negative integer combination of simples"
             )
+    roots = set(datum.roots)
+    double = next((r for r in datum.roots if vec_scale(2, r) in roots), None)
+    if double is not None and not problems:  # checked last: no reductive group has a non-reduced root system
+        problems.append(f"root {double} and its double are both roots: the root system is not reduced")
     return problems
 
 
@@ -340,19 +344,19 @@ def weyl_longest_element(datum: RootDatum, subset: frozenset[int] | tuple[int, .
     """Matrix of the longest element of the parabolic Weyl subgroup.
 
     Drives a regular dominant vector of the sub-system (``sub_two_rho_vee``)
-    to the anti-dominant chamber; the accumulated product of
-    reflections is the longest element.
+    to the anti-dominant chamber; the product of the reflections, kept as
+    its columns and reflecting each in turn, is the longest element.
     """
     subset = tuple(sorted(subset))
     if any(i not in datum.simple_indices for i in subset):
         raise ValidationError(f"subset {subset} is not a set of simple indices")
-    x, w = sub_two_rho_vee(datum, subset), identity_matrix(datum.rank)
+    x, columns = sub_two_rho_vee(datum, subset), identity_matrix(datum.rank)
     while True:
         pos = next((i for i in subset if dot(datum.roots[i], x) > 0), None)
         if pos is None:
-            return w
+            return column_matrix(columns, datum.rank)
         x = datum.reflect(pos, x)
-        w = mat_mul(datum.reflection_matrix(pos), w)
+        columns = tuple(datum.reflect(pos, c) for c in columns)
 
 
 # ---------------------------------------------------------------------------

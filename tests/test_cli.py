@@ -316,6 +316,10 @@ CATALOG = ", ".join(catalog_names())
         pytest.param(["pi1"], SL2_FILE.replace("2\n-2\ncoroots:\n1\n-1\n", "2\n-2\n1\n-1\ncoroots:\n1\n-1\n2\n-2\n"),
                      "invalid root datum 'x': root (1,) is not a signed non-negative integer combination of simples;"
                      " root (-1,) is not a signed non-negative integer combination of simples", id="half-root"),
+        # BC1: roots 1 and 2 with coroots 2 and 1 pass every other check
+        pytest.param(["pi1"], SL2_FILE.replace("2\n-2\ncoroots:\n1\n-1\n", "1\n-1\n2\n-2\ncoroots:\n2\n-2\n1\n-1\n"),
+                     "invalid root datum 'x': root (1,) and its double are both roots: the root system is not reduced",
+                     id="non-reduced"),
         # an involution that validate_involution refuses, on a datum reference
         pytest.param(["pi1"], "name: bad\ndatum: sl3_split\ntheta:\n1 0 0\n0 1 0\n0 0 1\n",
                      "invalid involution 'bad': theta must be a 2x2 integer matrix", id="theta-shape-on-reference"),

@@ -5,7 +5,7 @@ import hashlib
 import pickle
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 from pathlib import Path
 
@@ -995,6 +995,44 @@ def test_seeded_loops_are_pinned_beyond_the_golden_seeds():
                       random_polynomial_loop(name, seed, negative=True)):
                 digest.update(format_matrix(g).encode())
     assert digest.hexdigest() == "621e982469d5fb3d6a010976cbab674fb489269aae4a84133ef860dcd03163c3"
+
+
+class _ScriptedRng:
+    """An rng whose ``random`` opens the first branch and whose ``choice`` returns the scripted picks in turn."""
+
+    def __init__(self, *picks):
+        self.picks = list(picks)
+
+    def random(self):
+        return 0.0
+
+    def choice(self, options):
+        pick = self.picks.pop(0)
+        assert pick in options
+        return pick
+
+
+@pytest.mark.parametrize("name, position", [("u11", (0, 1)), ("u21", (0, 1)), ("u21", (0, 2)), ("u21", (1, 2))])
+def test_unitary_real_factor_is_the_exponential_of_its_nilpotent(name, position):
+    # X = c t^k E_ij - conj(c) t^-k E_(n-1-j)(n-1-i) for every c and k the factor draws; X^3 = 0, so exp(X) is exact
+    form, (i, j) = form_action(name), position
+    n, half = form.n, Gaussian(Fraction(1, 2))
+    for re, im, k in product((-1, 0, 1), (-1, 0, 1), (0, 1)):
+        rng = _ScriptedRng(position, re, im, k)
+        factor = lm_from_rows(name, loopmatrix._real_factor(form, rng))
+        assert rng.picks == []
+        a, b = (re, im) if re or im else (1, 0)  # c = 0 is drawn as 1
+        rows = [[ZERO] * n for _ in range(n)]
+        rows[i][j] = t_pow(k, a, b)
+        rows[n - 1 - j][n - 1 - i] += t_pow(-k, -a, b)
+        x = lm_from_rows(name, rows)
+        x2 = mat_mul(x, x)
+        assert loops_equal(mat_mul(x2, x), lm_from_rows(name, [[ZERO] * n] * n))
+        exp_x = [
+            [(ONE if r == s else ZERO) + x.entries[r][s] + x2.entries[r][s].scale(half) for s in range(n)]
+            for r in range(n)
+        ]
+        assert loops_equal(factor, lm_from_rows(name, exp_x)), (re, im, k)
 
 
 def test_zero_factor_seed_gives_identity():

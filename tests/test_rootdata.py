@@ -13,6 +13,7 @@ from matsuki.rootdata import (
     RootDatum,
     dominance_leq,
     dominant_representative,
+    dot,
     free_monoid_leq,
     gl_datum,
     height,
@@ -33,6 +34,7 @@ from matsuki.rootdata import (
     sl2xsl2_datum,
     sl3_datum,
     smith_normal_form,
+    sub_two_rho_vee,
     validate_root_datum,
     vec_add,
     vec_scale,
@@ -588,6 +590,26 @@ def test_longest_element_a2_against_brute_force():
     best = max(weyl_group_matrices(datum), key=inversions)
     assert inversions(best) == len(pos)
     assert best == w0
+
+
+def test_longest_element_reflects_columns_and_multiplies_no_matrices(monkeypatch):
+    from matsuki import rootdata
+
+    datum = gl_datum(12)
+    subset = datum.simple_indices
+    start = sub_two_rho_vee(datum, subset)  # builds the cached root solver, whose Smith form multiplies
+    products, real_mul = [], rootdata.mat_mul
+    monkeypatch.setattr(rootdata, "mat_mul", lambda a, b: products.append(a) or real_mul(a, b))
+    w0 = weyl_longest_element(datum, subset)
+    monkeypatch.undo()
+    assert products == []
+    # reference: the product of reflection matrices along the word that drives 2 rho^vee anti-dominant
+    x, w, word = start, identity_matrix(12), []
+    while (pos := next((i for i in subset if dot(datum.roots[i], x) > 0), None)) is not None:
+        x, w = datum.reflect(pos, x), mat_mul(datum.reflection_matrix(pos), w)
+        word.append(pos)
+    assert len(word) == 66  # the length of w_0 in S_12
+    assert w0 == w == tuple(tuple(int(i + j == 11) for j in range(12)) for i in range(12))
 
 
 def test_weyl_queries_reject_wrong_length():

@@ -229,7 +229,7 @@ def test_code_generation_only_in_known_places():
 # locale) for help and usage errors, ``fractions`` (which loads decimal,
 # numbers and re) for the Fraction-facing API of ``Gaussian``, and ``random``
 # for the seeded loop generators.
-FUNCTION_IMPORTS = {"cli.build_parser": "argparse", "loopmatrix._fraction": "fractions", "loopmatrix._rng": "random"}
+FUNCTION_IMPORTS = {"cli.build_parser": "argparse", "loopmatrix._fraction": "fractions", "loopmatrix._product": "random"}
 DEFERRED_MODULES = {"argparse", "fractions", "decimal", "random"}
 
 
