@@ -46,7 +46,7 @@ module's own constants build no Fraction.
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import gcd, lcm, prod
 from operator import index
 
@@ -662,19 +662,21 @@ def _stratum(rows: list[list[Raw]], exponent: int) -> Coweight:
     n = len(rows)
     lows = [[min(p) if p else None for p in row] for row in rows]
     divisors = [0, min(v for low in lows for v in low if v is not None)][:n]  # d_0 and, if n > 1, d_1
-    for k in range(2, n):
-        # a minor's valuation is at least the sum over its rows of their least valuation in
-        # its columns, and a row that is zero there makes it zero; minors are visited by
-        # increasing bound until the bound reaches the least valuation found
-        bounded = []
-        for cols in combinations(range(n), k):
-            row_lows = {i: min(v) for i, low in enumerate(lows) if (v := [low[j] for j in cols if low[j] is not None])}
-            bounded += [(sum(row_lows[i] for i in sub), sub, cols) for sub in combinations(row_lows, k)]
+    if n == 3:
+        # d_2: the minor on rows r < s and columns c < e is m_rc m_se - m_re m_sc, of valuation at least the
+        # lesser of its nonzero products', a product's valuation being the sum of its factors', and zero when
+        # both products are; minors are visited by increasing bound until it reaches the least valuation found
+        pairs, bounded = ((0, 1), (0, 2), (1, 2)), []
+        for r, s in pairs:
+            for c, e in pairs:
+                ends = [lows[r][x] + lows[s][y] for x, y in ((c, e), (e, c)) if None not in (lows[r][x], lows[s][y])]
+                if ends:
+                    bounded.append((min(ends), r, s, c, e))
         least = None
-        for bound, sub, cols in sorted(bounded):
+        for bound, r, s, c, e in sorted(bounded):
             if least is not None and bound >= least:
                 break
-            if minor := _raw_det([[rows[i][j] for j in cols] for i in sub]):
+            if minor := _raw_det([[rows[r][c], rows[r][e]], [rows[s][c], rows[s][e]]]):
                 least = min(minor) if least is None else min(least, min(minor))
         divisors.append(least)
     divisors.append(exponent)

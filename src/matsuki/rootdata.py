@@ -196,7 +196,8 @@ def validate_root_datum(datum: RootDatum) -> list[str]:
         if p != 2:
             problems.append(f"pairing <alpha_{i}, alpha_{i}^vee> = {p}, expected 2")
             continue  # reflection is meaningless without the pairing axiom
-        beta = next((b for b in datum.coroots if datum.reflect(i, b) not in coroot_set), None)
+        beta = next((b for b in datum.coroots  # a coroot pairing to 0 is fixed
+                     if dot(datum.roots[i], b) and datum.reflect(i, b) not in coroot_set), None)
         if beta is not None:
             reflection_problems.append(
                 f"reflection at simple root {i} does not permute the coroot set (image of {beta} missing)"
@@ -219,6 +220,13 @@ def validate_root_datum(datum: RootDatum) -> list[str]:
     double = next((r for r in datum.roots if vec_scale(2, r) in roots), None)
     if double is not None and not problems:  # checked last: no reductive group has a non-reduced root system
         problems.append(f"root {double} and its double are both roots: the root system is not reduced")
+    if not problems:  # every coroot is W-conjugate to a simple one; a reflection fixing c is skipped
+        reached, frontier = set(), list(simple_coroots(datum))
+        while frontier:
+            if (c := frontier.pop()) not in reached:
+                reached.add(c)
+                frontier += [datum.reflect(i, c) for i in datum.simple_indices if dot(datum.roots[i], c)]
+        problems += [f"coroot {c} is not W-conjugate to a simple coroot" for c in datum.coroots if c not in reached][:1]
     return problems
 
 
@@ -463,8 +471,9 @@ def invariant_quotient(factors: list[int], rows) -> FiniteAbelianGroup:
 
 
 def pi1_of_group(datum: RootDatum) -> FiniteAbelianGroup:
-    """Fundamental group of the reductive group: cocharacters modulo all coroots."""
-    return quotient_group(datum.rank, tuple(dict.fromkeys(datum.coroots)))
+    """Fundamental group: cocharacters modulo the coroots, whose span the simple ones span (``validate_root_datum``)."""
+    u, d, _ = datum.coroot_smith_form
+    return invariant_quotient([d[i][i] if i < len(datum.simple_indices) else 0 for i in range(datum.rank)], u)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Brute-force oracles and populations shared by more than one test file."""
 
+import random
+from fractions import Fraction
 from itertools import combinations, permutations
 from operator import le
 
-from matsuki.loopmatrix import LaurentPoly, lm_from_rows
+from matsuki.loopmatrix import Gaussian, LaurentPoly, lm_from_rows
 from matsuki.realform import (
     InvolutionSpec,
     catalog,
@@ -200,3 +202,18 @@ def conjugate_poly(p):
 def apply_conjugation(g):
     """Entrywise coefficient conjugation of a Laurent loop."""
     return lm_from_rows(g.form, [[conjugate_poly(p) for p in row] for row in g.entries])
+
+
+def dense_unipotent(terms):
+    """A seeded upper unitriangular gl3_split loop whose three entries above the diagonal
+    each have ``terms`` nonzero coefficients."""
+    rng = random.Random(f"dense:{terms}")
+
+    def entry():
+        return LaurentPoly({
+            e: Gaussian(Fraction(rng.randint(1, 9), rng.choice((1, 2, 3))), rng.randint(-9, 9))
+            for e in range(-(terms // 2), terms - terms // 2)
+        })
+
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    return lm_from_rows("gl3_split", [[one, entry(), entry()], [zero, one, entry()], [zero, zero, one]])

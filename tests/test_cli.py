@@ -320,6 +320,10 @@ CATALOG = ", ".join(catalog_names())
         pytest.param(["pi1"], SL2_FILE.replace("2\n-2\ncoroots:\n1\n-1\n", "1\n-1\n2\n-2\ncoroots:\n2\n-2\n1\n-1\n"),
                      "invalid root datum 'x': root (1,) and its double are both roots: the root system is not reduced",
                      id="non-reduced"),
+        # coroots +-(1, 0) and +-(0, 1), closed under the simple reflections but off the lattice of the simple ones
+        pytest.param(["pi1"], "name: x\nrank: 2\nsimple: 0 1\nroots:\n1 1\n1 -1\n-1 -1\n-1 1\n2 0\n-2 0\n1 1\n-1 -1\n"
+                     "coroots:\n1 1\n1 -1\n-1 -1\n-1 1\n1 0\n-1 0\n0 1\n0 -1\ntheta:\n1 0\n0 1\n",
+                     "invalid root datum 'x': coroot (1, 0) is not W-conjugate to a simple coroot", id="stray-coroot"),
         # an involution that validate_involution refuses, on a datum reference
         pytest.param(["pi1"], "name: bad\ndatum: sl3_split\ntheta:\n1 0 0\n0 1 0\n0 0 1\n",
                      "invalid involution 'bad': theta must be a 2x2 integer matrix", id="theta-shape-on-reference"),

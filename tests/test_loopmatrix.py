@@ -3,7 +3,6 @@
 import copy
 import hashlib
 import pickle
-import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -40,7 +39,7 @@ from matsuki.loopmatrix import (
 )
 from matsuki.textio import format_matrix
 
-from oracles import apply_conjugation, conjugate_poly
+from oracles import apply_conjugation, conjugate_poly, dense_unipotent
 
 ONE = LaurentPoly.one()
 ZERO = LaurentPoly.zero()
@@ -541,18 +540,6 @@ def test_kernel_vector_matches_gaussian_oracle():
     agree()
 
 
-def _dense_unipotent(terms):
-    rng = random.Random(f"dense:{terms}")
-
-    def entry():
-        return LaurentPoly({
-            e: Gaussian(Fraction(rng.randint(1, 9), rng.choice((1, 2, 3))), rng.randint(-9, 9))
-            for e in range(-(terms // 2), terms - terms // 2)
-        })
-
-    return lm_from_rows("gl3_split", [[ONE, entry(), entry()], [ZERO, ONE, entry()], [ZERO, ZERO, ONE]])
-
-
 def test_column_reduction_builds_no_gaussian_per_step(monkeypatch):
     import matsuki.loopmatrix as loopmatrix
 
@@ -567,7 +554,7 @@ def test_column_reduction_builds_no_gaussian_per_step(monkeypatch):
     monkeypatch.setattr(loopmatrix, "_make", counting_make)
     counts = []
     for terms in (10, 50):
-        g = _dense_unipotent(terms)
+        g = dense_unipotent(terms)
         made = 0
         assert splitting_type(g) == (0, 0, 0) and r_orbit_invariant(g) == (0, 0, 0)
         counts.append(made)
@@ -587,7 +574,7 @@ def test_column_reduction_keeps_numerators_small(monkeypatch):
         return kernel(m)
 
     monkeypatch.setattr(loopmatrix, "_kernel_vector", recording_kernel)
-    form, h = form_action("gl3_split"), _dense_unipotent(20)
+    form, h = form_action("gl3_split"), dense_unipotent(20)
     g = mat_mul(form.symmetric_antiinvolution(h), h)
     assert splitting_type(g) == (0, 0, 0)
     # without dividing out each updated column's content the leads reach 10,025 bits

@@ -42,7 +42,7 @@ from matsuki.rootdata import (
     weyl_longest_element,
 )
 
-from oracles import group_class
+from oracles import group_class, valid_specs
 
 ALL_DATA = [sl2_datum(), pgl2_datum(), sl3_datum(), sl2xsl2_datum(), gl_datum(2), gl_datum(3)]
 SKEWED_TORUS = RootDatum(rank=2, roots=(), coroots=(), simple_indices=(), name="torus2")
@@ -130,6 +130,19 @@ def test_a_root_off_the_integer_cone_of_the_simple_roots_is_refused():
         "root (1,) is not a signed non-negative integer combination of simples",
         "root (-1,) is not a signed non-negative integer combination of simples",
     ]
+
+
+def test_a_coroot_off_the_w_orbits_of_the_simple_coroots_is_refused():
+    # the simple coroots (1, 1) and (1, -1) span an index-2 lattice without the coroots +-(1, 0) and +-(0, 1),
+    # though every coroot set below is closed under the simple reflections; the last two roots range freely
+    roots = ((1, 1), (1, -1), (-1, -1), (-1, 1), (2, 0), (-2, 0))
+    coroots = ((1, 1), (1, -1), (-1, -1), (-1, 1), (1, 0), (-1, 0), (0, 1), (0, -1))
+    nonzero = [v for v in product(range(-2, 3), repeat=2) if v != (0, 0)]
+    for last in product(nonzero, repeat=2):
+        datum = RootDatum(rank=2, roots=(*roots, *last), coroots=coroots, simple_indices=(0, 1), name="x")
+        assert validate_root_datum(datum), last
+    datum = RootDatum(rank=2, roots=(*roots, (1, 1), (-1, -1)), coroots=coroots, simple_indices=(0, 1), name="x")
+    assert validate_root_datum(datum) == ["coroot (1, 0) is not W-conjugate to a simple coroot"]
 
 
 def test_dependent_simple_coroots_are_refused():
@@ -535,6 +548,23 @@ def test_pi1_examples():
     free = pi1_of_group(gl_datum(1))
     assert free.invariant_factors == (0,)
     assert free.describe() == "Z"
+
+
+def test_pi1_of_group_is_the_quotient_by_all_coroots():
+    data = {spec.datum for spec in valid_specs()}  # the catalog and the Satake population
+    assert len(data) > 10
+    for datum in data:
+        assert pi1_of_group(datum) == quotient_group(datum.rank, tuple(dict.fromkeys(datum.coroots))), datum.name
+
+
+def test_pi1_of_group_solves_the_simple_coroots_only(monkeypatch):
+    from matsuki import rootdata
+
+    solved, snf = [], rootdata.smith_normal_form
+    monkeypatch.setattr(rootdata, "smith_normal_form", lambda m: solved.append(m) or snf(m))
+    datum = gl_datum(12)
+    assert pi1_of_group(datum).invariant_factors == (0,)
+    assert solved and all(len(row) <= len(datum.simple_indices) for m in solved for row in m)
 
 
 def test_quotient_group_classes():
