@@ -34,13 +34,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("ParseError", "TheoremViolationError", "ValidationError"),
     "rootdata": (
-        "Coweight", "FiniteAbelianGroup", "RootDatum", "dominance_leq", "dominant_representative", "height",
-        "pi1_of_group", "smith_normal_form", "validate_root_datum", "weyl_longest_element",
+        "Coweight", "FiniteAbelianGroup", "RootDatum", "dominance_leq", "height", "pi1_of_group",
+        "smith_normal_form", "validate_root_datum", "weyl_longest_element",
     ),
     "realform": (
-        "InvolutionSpec", "RealFormCatalogEntry", "catalog", "catalog_names", "dominant_involution",
-        "levi_longest_element", "levi_simple_roots", "real_criterion",
-        "restricted_coroot_generators", "validate_involution",
+        "InvolutionSpec", "RealFormCatalogEntry", "catalog", "catalog_names", "levi_simple_roots",
+        "validate_involution",
     ),
     "fundgroup": ("PiOneModel", "in_image_semigroup", "pi1_model", "pi1_of_symmetric_space"),
     "orbitposet": (

@@ -24,7 +24,7 @@ import types
 from . import fundgroup, laws, orbitposet, textio
 from . import loopmatrix as lm
 from .errors import TheoremViolationError, ValidationError
-from .realform import InvolutionSpec, catalog, catalog_names, is_catalog_spec, restricted_coroot_generators
+from .realform import InvolutionSpec, catalog, catalog_names, is_catalog_spec
 from .rootdata import fmt_coweight
 
 # loop-matrix names that callers still read as attributes of this module
@@ -147,7 +147,7 @@ def cmd_pi1(args) -> int:
     spec = resolve_spec(args.spec)
     model = fundgroup.pi1_model(spec)
     gens = " ".join(fmt_coweight(g) for g in model.image_generators)
-    restricted = " ".join(fmt_coweight(g) for g in restricted_coroot_generators(spec))
+    restricted = " ".join(fmt_coweight(g) for g in spec.restricted_coroot_generators)
     _write([f"spec: {spec.name}", f"pi1_group: {model.group_pi1.describe()}",
             f"pi1_group_factors: {' '.join(str(f) for f in model.group_pi1.invariant_factors) or 'none'}",
             f"pi1_space: {model.space_pi1.describe()}",

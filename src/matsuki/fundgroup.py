@@ -13,7 +13,7 @@ from __future__ import annotations
 from operator import mul
 
 from .errors import ValidationError
-from .realform import InvolutionSpec, restricted_coroot_generators
+from .realform import InvolutionSpec
 from .record import Record
 from .rootdata import Coweight, FiniteAbelianGroup, integer_solver, mat_vec, pi1_of_group, quotient_group
 
@@ -34,7 +34,7 @@ def pi1_of_symmetric_space(spec: InvolutionSpec) -> FiniteAbelianGroup:
     in fixed-basis coordinates, which its free part needs: the solve rows of the
     saturated basis (den 1).  The zero lattice gives the trivial group."""
     _, rows, _ = integer_solver(spec.fixed_basis, dim=spec.datum.rank)
-    return quotient_group(len(spec.fixed_basis), tuple(mat_vec(rows, g) for g in restricted_coroot_generators(spec)))
+    return quotient_group(len(spec.fixed_basis), tuple(mat_vec(rows, g) for g in spec.restricted_coroot_generators))
 
 
 def image_index(spec: InvolutionSpec) -> int:

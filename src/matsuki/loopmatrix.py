@@ -452,13 +452,14 @@ def determinant(g: LaurentMatrix) -> LaurentPoly:
 Monomial = tuple[int, Gaussian]  # (e, c) standing for c * t^e
 
 
-def _unit_monomial(det: Raw, scales: list[int]) -> Monomial:
-    """Exponent and coefficient of the determinant of a loop, from that of its
-    cleared rows or columns and their lcms; it must be a monomial."""
+def _exponent(det: Raw) -> int:
+    """The exponent e of the determinant c t^e of a loop, read off that of its
+    cleared rows or columns, which must be a monomial; c is the numerator pair
+    ``det[e]`` over the product of their lcms."""
     if len(det) != 1:
         raise ValidationError("loop is not invertible: determinant is not a unit monomial")
-    (e, (a, b)), = det.items()
-    return e, _norm(a, b, prod(scales))
+    (e,) = det
+    return e
 
 
 def mat_inverse(g: LaurentMatrix) -> LaurentMatrix:
@@ -467,7 +468,8 @@ def mat_inverse(g: LaurentMatrix) -> LaurentMatrix:
     is divided by prod(s)/s_i."""
     cols, scales = _int_rows(zip(*g.entries))
     adj, det = _adjugate([*zip(*cols)])
-    e, c = _unit_monomial(det, scales)
+    e = _exponent(det)
+    c = _norm(*det[e], prod(scales))
     # t^-e/c is c.d t^-e times the conjugate of c.a + c.b*i over its norm
     inv, den = {-e: (c.d * c.a, -c.d * c.b)}, prod(scales) * (c.a * c.a + c.b * c.b)
     return lm_from_rows(g.form, [[_packed(_raw_dot([(r, inv)]), den // s) for r in row]
@@ -541,11 +543,6 @@ class FormAction(Record):
         return lm_from_rows(g.form, [[_raw({-e: (a, -b) for e, (a, b) in p._c.items()}, p._d) for p in row]
                                      for row in h.entries])
 
-    def symmetric_antiinvolution(self, g: LaurentMatrix) -> LaurentMatrix:
-        if self.family == "split":
-            return transpose(g)
-        return _turn(mat_inverse(g))
-
     def _anti_product(self, g: LaurentMatrix, real: bool) -> tuple[list[list[Raw]], int]:
         """The numerator columns of a(g) * g up to constant factors of rows and
         columns, and the exponent of its determinant, where a(g) is
@@ -556,7 +553,7 @@ class FormAction(Record):
         n = len(cols)
         inverse = (self.family == "split") == real  # a(g) is adj(g) t^-e / c on split R and unitary K, else g^T
         left, det = _adjugate([*zip(*cols)]) if inverse else (cols, _raw_det(cols))
-        e = self._checked_det(det, scales)[0]
+        e = self._checked_det(det, scales)
         shift = e if inverse else 0
         if real:  # t^-shift, then bar: x goes to shift - x
             left = [[{shift - x: (a, -b) for x, (a, b) in p.items()} for p in row] for row in left]
@@ -574,8 +571,9 @@ class FormAction(Record):
         return out, self.symmetrized_exponent(e)
 
     def symmetrized_exponent(self, e: int) -> int:
-        """The t-exponent of det ``symmetric_antiinvolution(g) * g`` and of
-        det ``real_antiinvolution(g) * g`` when det g = c t^e: 2e for split forms,
+        """The t-exponent of det a(g) * g for either anti-involution a, the
+        symmetric one (g^T for split forms, J g^-1 J for unitary ones) or
+        ``real_antiinvolution``, when det g = c t^e: 2e for split forms,
         whose anti-involutions keep the exponent e, and 0 for unitary ones,
         whose anti-involutions turn it into -e."""
         return 2 * e if self.family == "split" else 0
@@ -608,16 +606,19 @@ class FormAction(Record):
     def validate(self, g: LaurentMatrix) -> Monomial:
         """Check the size and the unit determinant of g; returns det(g) as (e, c)."""
         rows, scales = _int_rows(g.entries)
-        return self._checked_det(_raw_det(rows), scales)
+        det = _raw_det(rows)
+        e = self._checked_det(det, scales)
+        return e, _norm(*det[e], prod(scales))
 
-    def _checked_det(self, det: Raw, scales: list[int]) -> Monomial:
-        # the checks of ``validate`` on the determinant of a loop's cleared rows or columns and their lcms
+    def _checked_det(self, det: Raw, scales: list[int]) -> int:
+        # the checks of ``validate`` on the determinant of a loop's cleared rows or columns and their lcms,
+        # made on its numerator pair (a, b) over prod(scales): c = 1 when a is that product and b is 0
         if len(scales) != self.n:
             raise ValidationError(f"form {self.name} expects size {self.n}, got {len(scales)}")
-        e, c = _unit_monomial(det, scales)
-        if self.special and (e != 0 or c != G_ONE):
+        e = _exponent(det)
+        if self.special and (e or det[e] != (prod(scales), 0)):
             raise ValidationError(f"form {self.name} requires determinant 1")
-        return e, c
+        return e
 
 
 _FORMS = {f.name: f for f in (
@@ -653,8 +654,8 @@ def stratum_invariant(g: LaurentMatrix) -> Coweight:
     elementary divisors at t = 0 are t^(d_k - d_(k-1)), and lam lists their
     exponents decreasingly.
     """
-    rows, scales = _int_rows(g.entries)
-    return _stratum(rows, _unit_monomial(_raw_det(rows), scales)[0])
+    rows, _ = _int_rows(g.entries)
+    return _stratum(rows, _exponent(_raw_det(rows)))
 
 
 def _stratum(rows: list[list[Raw]], exponent: int) -> Coweight:
@@ -704,8 +705,8 @@ def splitting_type(g: LaurentMatrix) -> Coweight:
     exponent, so the reduction runs until they sum to it; a step that lowers
     no column degree raises TheoremViolationError.
     """
-    cols, scales = _int_rows(zip(*g.entries))
-    return _splitting(cols, _unit_monomial(_raw_det(cols), scales)[0])  # read before the reduction rewrites cols
+    cols, _ = _int_rows(zip(*g.entries))
+    return _splitting(cols, _exponent(_raw_det(cols)))  # read before the reduction rewrites cols
 
 
 def _kernel_vector(m: list[list[Pair]]) -> list[Pair] | None:

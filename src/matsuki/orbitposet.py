@@ -16,7 +16,7 @@ from operator import add, index, le, mul
 
 from .errors import ValidationError
 from .fundgroup import _member_pairings, image_index
-from .realform import InvolutionSpec, restricted_coroot_generators
+from .realform import InvolutionSpec
 from .record import Record
 from .rootdata import Coweight, _require_rank, dominance_leq, dot, identity_matrix, simple_roots, vec_neg
 
@@ -199,10 +199,11 @@ def primitive_relations(spec: InvolutionSpec, elements: tuple[Coweight, ...]) ->
     down-set and so a slice of ``enumerate_orbits``.
 
     b covers a exactly when b = a + d with d a restricted coroot generator
-    (``restricted_coroot_generators``), b is an element, and no element
-    a + d' has d' below d in dominance.  The generators lie in the coroot
-    lattice, where dominance compares ``coroot_solver`` coordinates
-    componentwise, so they are ordered once and no order is compiled.
+    (``InvolutionSpec.restricted_coroot_generators``), b is an element, and
+    no element a + d' has d' below d in dominance.  The generators lie in
+    the coroot lattice, where dominance compares ``coroot_solver``
+    coordinates componentwise, so they are ordered once and no order is
+    compiled.
 
     The argument: on a convex set the covers are those of the whole
     sub-semigroup; on theta-fixed coweights dominance is the step order of
@@ -225,7 +226,7 @@ def primitive_relations(spec: InvolutionSpec, elements: tuple[Coweight, ...]) ->
     """
     _require_rank(spec.datum, elements)
     present = set(elements)
-    steps = restricted_coroot_generators(spec)
+    steps = spec.restricted_coroot_generators
     coords = [[dot(row, d) for row in spec.datum.coroot_solver[1]] for d in steps]
     below = [[j for j, c in enumerate(coords) if c != cd and all(map(le, c, cd))] for cd in coords]
     edges = []

@@ -21,13 +21,11 @@ from .rootdata import (
     IntMatrix,
     RootDatum,
     _require_rank,
-    dominant_representative,
     dot,
     gl_datum,
     identity_matrix,
     integer_solver,
     invariant_quotient,
-    is_dominant,
     kernel_basis,
     mat_mul,
     mat_vec,
@@ -82,7 +80,8 @@ class InvolutionSpec(Record):
 
     @cached_property
     def restricted_coroot_generators(self) -> tuple[Coweight, ...]:
-        """``restricted_coroot_generators``, built on first use, theta applied once per positive coroot."""
+        """Theta-fixed positive coroots and the nonzero sums beta + theta(beta), each once: the generators of
+        the positive cone of the fixed lattice.  Built on first use, theta applied once per positive coroot."""
         gens: set[Coweight] = set()
         for beta in positive_coroots(self.datum):
             if (image := self.apply(beta)) == beta:
@@ -237,13 +236,6 @@ def require_valid_involution(spec: InvolutionSpec) -> None:
         raise ValidationError(f"invalid involution {spec.name!r}: " + "; ".join(problems))
 
 
-def restricted_coroot_generators(spec: InvolutionSpec) -> tuple[Coweight, ...]:
-    """Theta-fixed positive coroots and the sums beta + theta(beta), deduplicated,
-    zero vectors removed.  These generate the positive cone of the fixed lattice.
-    Built once per spec (``InvolutionSpec.restricted_coroot_generators``)."""
-    return spec.restricted_coroot_generators
-
-
 def step_basis(spec: InvolutionSpec) -> tuple[Coweight, ...]:
     """The indecomposable restricted coroot generators, read off theta's images of the simple coroots:
     for each simple coroot beta, beta if theta fixes it, else beta + theta(beta), the zeros dropped and a
@@ -263,27 +255,6 @@ def levi_simple_roots(spec: InvolutionSpec) -> tuple[int, ...]:
         i for i in spec.datum.simple_indices
         if all(dot(spec.datum.roots[i], b) == 0 for b in spec.fixed_basis)
     )
-
-
-def levi_longest_element(spec: InvolutionSpec) -> IntMatrix:
-    return weyl_longest_element(spec.datum, levi_simple_roots(spec))
-
-
-def dominant_involution(spec: InvolutionSpec, coweight: Coweight) -> Coweight:
-    """The induced involution on the dominant cone: theta followed by the
-    dominant representative.  Rejects non-dominant input."""
-    if not is_dominant(spec.datum, coweight):
-        raise ValidationError(f"{coweight} is not dominant")
-    image, _ = dominant_representative(spec.datum, spec.apply(coweight))
-    return image
-
-
-def real_criterion(spec: InvolutionSpec, coweight: Coweight) -> bool:
-    """A dominant coweight is real iff it is fixed by the dominant involution
-    and by the longest element of the Levi."""
-    if dominant_involution(spec, coweight) != coweight:  # rejects non-dominant input
-        return False
-    return mat_vec(levi_longest_element(spec), coweight) == coweight
 
 
 # ---------------------------------------------------------------------------

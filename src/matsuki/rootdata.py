@@ -9,7 +9,7 @@ tests of side sums, a row's form at upper against its form at lower, so a
 comparison does no solve, no loop, no subscript and no difference vector.
 
 Weyl group elements are handled as integer matrices acting on the cocharacter
-lattice, except where an explicit reflection word is part of a result.
+lattice.
 """
 
 from __future__ import annotations
@@ -86,10 +86,11 @@ class RootDatum(Record):
     name: str = ""
 
     def reflect(self, simple_index: int, coweight: Coweight) -> Coweight:
-        """Simple reflection on cocharacters: x -> x - <alpha, x> alpha_vee."""
-        alpha = self.roots[simple_index]
-        avee = self.coroots[simple_index]
-        return vec_sub(coweight, vec_scale(dot(alpha, coweight), avee))
+        """Simple reflection on cocharacters: x -> x - <alpha, x> alpha_vee, x itself when the pairing is 0."""
+        pairing = dot(self.roots[simple_index], coweight)
+        if not pairing:
+            return coweight
+        return tuple(x - pairing * a for x, a in zip(coweight, self.coroots[simple_index]))
 
     def reflection_matrix(self, simple_index: int) -> IntMatrix:
         return column_matrix(tuple(self.reflect(simple_index, e) for e in identity_matrix(self.rank)), self.rank)
@@ -238,24 +239,6 @@ def require_valid(datum: RootDatum) -> None:
 
 # ---------------------------------------------------------------------------
 # dominance and Weyl combinatorics
-
-
-def dominant_representative(datum: RootDatum, coweight: Coweight) -> tuple[Coweight, tuple[int, ...]]:
-    """Dominant member of the Weyl orbit, with the reflection word that reaches it.
-
-    The word lists simple root indices in application order, so the result is
-    s_{w[-1]} ... s_{w[0]} applied to the input.  Each step strictly increases
-    the height pairing, which bounds the loop by the (finite) orbit.
-    """
-    _require_rank(datum, (coweight,))
-    x = coweight
-    word: list[int] = []
-    while True:
-        neg = next((i for i in datum.simple_indices if dot(datum.roots[i], x) < 0), None)
-        if neg is None:
-            return x, tuple(word)
-        x = datum.reflect(neg, x)
-        word.append(neg)
 
 
 def column_matrix(columns: tuple[Coweight, ...], dim: int) -> IntMatrix:

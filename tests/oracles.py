@@ -5,25 +5,86 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from operator import le
 
-from matsuki.loopmatrix import Gaussian, LaurentPoly, lm_from_rows
+from matsuki.errors import ValidationError
+from matsuki.loopmatrix import Gaussian, LaurentPoly, _turn, lm_from_rows, mat_inverse, transpose
 from matsuki.realform import (
     InvolutionSpec,
     catalog,
     catalog_names,
-    restricted_coroot_generators,
+    levi_simple_roots,
     validate_involution,
 )
 from matsuki.rootdata import (
     RootDatum,
+    _require_rank,
     dot,
     free_monoid_leq,
     gl_datum,
     height,
     identity_matrix,
     integer_solver,
+    is_dominant,
     mat_mul,
+    mat_vec,
+    positive_coroots,
+    vec_add,
     weyl_longest_element,
 )
+
+
+def dominant_representative(datum, coweight):
+    """Dominant member of the Weyl orbit, with the reflection word that reaches it.
+
+    The word lists simple root indices in application order, so the result is
+    s_{w[-1]} ... s_{w[0]} applied to the input.  Each step strictly increases
+    the height pairing, which bounds the loop by the (finite) orbit.
+    """
+    _require_rank(datum, (coweight,))
+    x = coweight
+    word = []
+    while True:
+        neg = next((i for i in datum.simple_indices if dot(datum.roots[i], x) < 0), None)
+        if neg is None:
+            return x, tuple(word)
+        x = datum.reflect(neg, x)
+        word.append(neg)
+
+
+def levi_longest_element(spec):
+    """The longest element w_M of the Levi of the minimal parabolic (``levi_simple_roots``)."""
+    return weyl_longest_element(spec.datum, levi_simple_roots(spec))
+
+
+def dominant_involution(spec, coweight):
+    """The induced involution on the dominant cone: theta followed by the
+    dominant representative.  Rejects non-dominant input."""
+    if not is_dominant(spec.datum, coweight):
+        raise ValidationError(f"{coweight} is not dominant")
+    image, _ = dominant_representative(spec.datum, spec.apply(coweight))
+    return image
+
+
+def real_criterion(spec, coweight):
+    """A dominant coweight is real iff it is fixed by the dominant involution
+    and by the longest element of the Levi: the reference for ``is_real`` on
+    the dominant cone."""
+    if dominant_involution(spec, coweight) != coweight:  # rejects non-dominant input
+        return False
+    return mat_vec(levi_longest_element(spec), coweight) == coweight
+
+
+def restricted_coroot_generators(spec):
+    """The theta-fixed positive coroots and the nonzero sums beta + theta(beta)
+    over the positive coroots, each once and sorted, by their definition: the
+    reference for ``InvolutionSpec.restricted_coroot_generators``."""
+    images = [(beta, mat_vec(spec.theta, beta)) for beta in positive_coroots(spec.datum)]
+    gens = {beta for beta, image in images if image == beta} | {vec_add(beta, image) for beta, image in images}
+    return tuple(sorted(g for g in gens if any(g)))
+
+
+def symmetric_antiinvolution(form, g):
+    """The symmetric anti-involution of a matrix form: g^T on a split form, J g^-1 J on a unitary one."""
+    return transpose(g) if form.family == "split" else _turn(mat_inverse(g))
 
 
 def decomposes(datum, generators, target):

@@ -18,7 +18,7 @@ import pytest
 
 from matsuki.cli import main
 from matsuki.errors import ValidationError
-from matsuki.fundgroup import in_image_semigroup, pi1_model, restricted_coroot_generators
+from matsuki.fundgroup import in_image_semigroup, pi1_model
 from matsuki.laws import (
     chain_structure,
     duality,
@@ -43,10 +43,10 @@ from matsuki.loopmatrix import (
     stratum_invariant,
 )
 from matsuki.orbitposet import build_poset_slice, enumerate_orbits
-from matsuki.realform import catalog, catalog_names, real_criterion
+from matsuki.realform import catalog, catalog_names
 from matsuki.rootdata import height, is_dominant
 
-from oracles import decomposes
+from oracles import decomposes, real_criterion, restricted_coroot_generators
 
 ACCEPTANCE_SEED = 7
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")

@@ -31,7 +31,6 @@ from matsuki.realform import (
     InvolutionSpec,
     catalog,
     catalog_names,
-    restricted_coroot_generators,
     step_basis,
     validate_involution,
 )
@@ -61,6 +60,7 @@ from oracles import (
     group_class,
     real_coweight_coordinates,
     real_form_specs,
+    restricted_coroot_generators,
     step_search,
     valid_specs,
 )
@@ -83,19 +83,24 @@ def lattice_specs():
 
 
 def test_generator_examples():
-    assert restricted_coroot_generators(catalog("sl2_split").spec) == ((1,), (2,))
-    assert restricted_coroot_generators(catalog("pgl2_so21").spec) == ((2,), (4,))
-    assert restricted_coroot_generators(catalog("sl2C_as_real").spec) == ((1, 1),)
-    assert restricted_coroot_generators(catalog("sl2_compact").spec) == ()
+    assert catalog("sl2_split").spec.restricted_coroot_generators == ((1,), (2,))
+    assert catalog("pgl2_so21").spec.restricted_coroot_generators == ((2,), (4,))
+    assert catalog("sl2C_as_real").spec.restricted_coroot_generators == ((1, 1),)
+    assert catalog("sl2_compact").spec.restricted_coroot_generators == ()
 
 
 def test_generators_are_theta_fixed_and_nonzero():
     for name in ALL_NAMES:
         spec = catalog(name).spec
-        for g in restricted_coroot_generators(spec):
+        for g in spec.restricted_coroot_generators:
             assert spec.is_real(g)
             assert any(x != 0 for x in g)
             assert height(spec.datum, g) > 0
+
+
+def test_the_generators_match_their_definition():
+    for spec in valid_specs():
+        assert spec.restricted_coroot_generators == restricted_coroot_generators(spec), spec.name
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -103,9 +108,9 @@ def test_the_generators_are_built_once_applying_theta_once_per_positive_coroot(n
     # ``matsuki pi1`` prints the generators and quotients the fixed lattice by them: one build serves both
     spec, applied, apply = copy.deepcopy(catalog(name).spec), [], InvolutionSpec.apply
     monkeypatch.setattr(InvolutionSpec, "apply", lambda self, v: applied.append(v) or apply(self, v))
-    gens = restricted_coroot_generators(spec)
+    gens = spec.restricted_coroot_generators
     pi1_of_symmetric_space(spec)
-    assert restricted_coroot_generators(spec) is gens
+    assert spec.restricted_coroot_generators is gens
     assert applied == list(positive_coroots(spec.datum))
 
 
@@ -136,7 +141,7 @@ def test_step_basis_generates_the_same_monoid():
     for name in ALL_NAMES:
         spec = catalog(name).spec
         basis = step_basis(spec)
-        for g in restricted_coroot_generators(spec):
+        for g in spec.restricted_coroot_generators:
             assert decomposes(spec.datum, basis, g), (name, g)
         for i, b in enumerate(basis):
             assert not decomposes(spec.datum, basis[:i] + basis[i + 1:], b), (name, b)
@@ -156,7 +161,7 @@ def test_step_order_agrees_with_bounded_search(data):
     # known combination of the generators
     for name in ALL_NAMES:
         spec = catalog(name).spec
-        basis, gens = spec.fixed_basis, restricted_coroot_generators(spec)
+        basis, gens = spec.fixed_basis, spec.restricted_coroot_generators
         lower = combination(spec, basis, data.draw(st.tuples(*[st.integers(-4, 4)] * len(basis))))
         if data.draw(st.booleans()):
             upper = combination(spec, basis, data.draw(st.tuples(*[st.integers(-4, 4)] * len(basis))))
@@ -462,7 +467,7 @@ def reference_image_quotient(spec):
     """The image quotient of the fixed lattice by every restricted coroot
     generator and the sums e_i + theta(e_i), in fixed-basis coordinates."""
     sums = (vec_add(e, spec.apply(e)) for e in identity_matrix(spec.datum.rank))
-    gens = (*restricted_coroot_generators(spec), *(v for v in sums if any(v)))
+    gens = (*spec.restricted_coroot_generators, *(v for v in sums if any(v)))
     return quotient_group(len(spec.fixed_basis), tuple(real_coweight_coordinates(spec, g) for g in gens))
 
 

@@ -38,7 +38,7 @@ from matsuki.loopmatrix import (
     transpose,
 )
 
-from oracles import conjugate_poly, dense_unipotent
+from oracles import conjugate_poly, dense_unipotent, symmetric_antiinvolution
 
 ZERO = LaurentPoly.zero()
 
@@ -238,7 +238,7 @@ def mismatches(form, g):
     x = form.symmetrized_exponent(e)
     inverse = ref_inverse(g)
     compare("inverse", outcome(lambda: mat_inverse(g).entries), inverse.entries)
-    symmetrized = outcome(lambda: mat_mul(form.symmetric_antiinvolution(g), g).entries)
+    symmetrized = outcome(lambda: mat_mul(symmetric_antiinvolution(form, g), g).entries)
     compare("symmetrize", symmetrized, ref_symmetrize(form, g).entries)
     compare("product", outcome(lambda: mat_mul(g, inverse).entries), identity_loop(form.name, form.n).entries)
     compare("product", outcome(lambda: mat_mul(inverse, g).entries), ref_matmul(inverse, g).entries)

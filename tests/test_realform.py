@@ -16,10 +16,7 @@ from matsuki.realform import (
     InvolutionSpec,
     catalog,
     catalog_names,
-    dominant_involution,
-    levi_longest_element,
     levi_simple_roots,
-    real_criterion,
     validate_involution,
 )
 from matsuki.rootdata import (
@@ -34,14 +31,18 @@ from matsuki.rootdata import (
     sl2xsl2_datum,
     sl3_datum,
     smith_normal_form,
+    validate_root_datum,
 )
 
 from oracles import (
     CARTAN,
     REAL_FORM_COUNTS,
     cartan_datum,
+    dominant_involution,
     gl_permutation_involutions,
     levi_involutions,
+    levi_longest_element,
+    real_criterion,
     valid_specs,
 )
 
@@ -197,7 +198,9 @@ def test_the_first_condition_is_the_old_positivity_test():
 
 def test_catalog_entries_all_validate():
     for name in ALL_NAMES:
-        assert validate_involution(catalog(name).spec) == []
+        entry = catalog(name)
+        assert validate_root_datum(entry.datum) == [], name
+        assert validate_involution(entry.spec) == [], name
 
 
 def test_unknown_catalog_name():

@@ -12,7 +12,6 @@ from matsuki.errors import ValidationError
 from matsuki.rootdata import (
     RootDatum,
     dominance_leq,
-    dominant_representative,
     dot,
     free_monoid_leq,
     gl_datum,
@@ -42,7 +41,7 @@ from matsuki.rootdata import (
     weyl_longest_element,
 )
 
-from oracles import group_class, valid_specs
+from oracles import dominant_representative, group_class, valid_specs
 
 ALL_DATA = [sl2_datum(), pgl2_datum(), sl3_datum(), sl2xsl2_datum(), gl_datum(2), gl_datum(3)]
 SKEWED_TORUS = RootDatum(rank=2, roots=(), coroots=(), simple_indices=(), name="torus2")
