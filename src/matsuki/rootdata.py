@@ -8,8 +8,9 @@ coweights is compiled once per solver (``monoid_order``) into straight-line
 tests of side sums, a row's form at upper against its form at lower, so a
 comparison does no solve, no loop, no subscript and no difference vector.
 
-Weyl group elements are handled as integer matrices acting on the cocharacter
-lattice.
+A root datum is checked by one walk over the W-orbits of its simple (root,
+coroot) pairs, which gives each root's coefficients in the simple roots with
+no solve.  Weyl group elements are integer matrices on the cocharacter lattice.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import cached_property
 from math import prod
-from operator import add, mul, sub
+from operator import add, mul
 
 from .errors import ValidationError
 from .record import Record
@@ -32,10 +33,6 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 def vec_add(u: Coweight, v: Coweight) -> Coweight:
     return tuple(map(add, u, v))
-
-
-def vec_sub(u: Coweight, v: Coweight) -> Coweight:
-    return tuple(map(sub, u, v))
 
 
 def vec_neg(u: Coweight) -> Coweight:
@@ -92,16 +89,34 @@ class RootDatum(Record):
             return coweight
         return tuple(x - pairing * a for x, a in zip(coweight, self.coroots[simple_index]))
 
-    def reflection_matrix(self, simple_index: int) -> IntMatrix:
-        return column_matrix(tuple(self.reflect(simple_index, e) for e in identity_matrix(self.rank)), self.rank)
-
     @cached_property
-    def root_solver(self) -> tuple[int, IntMatrix, IntMatrix]:
-        """``integer_solver`` of the simple roots, built on first use."""
-        try:
-            return integer_solver(simple_roots(self), dim=self.rank)
-        except ValidationError:
-            raise ValidationError("simple roots are linearly dependent")
+    def root_coefficients(self) -> tuple[Coweight, ...]:
+        """Each root's coefficients in the simple roots, built on first use by walking the W-orbits
+        of the simple pairs (alpha_j, alpha_j^vee): s_j maps a pair (a, b) to (a - <a, alpha_j^vee> alpha_j,
+        b - <alpha_j, b> alpha_j^vee) and lowers coefficient j by <a, alpha_j^vee>, unless both pairings
+        are 0.  Refuses the first image that is not a listed pair, then the first pair never reached.
+        ``validate_root_datum`` first finds the simple roots independent, so the coefficients are unique."""
+        listed = {pair: i for i, pair in enumerate(zip(self.roots, self.coroots))}
+        simple = tuple((s, self.roots[s], self.coroots[s]) for s in self.simple_indices)
+        coefficients = dict(zip(self.simple_indices, identity_matrix(len(simple))))
+        queue = list(coefficients)
+        for i in queue:
+            a, b, c = self.roots[i], self.coroots[i], coefficients[i]
+            for j, (s, alpha, alpha_vee) in enumerate(simple):
+                p, q = dot(a, alpha_vee), dot(alpha, b)
+                if not (p or q):
+                    continue
+                image = (tuple(x - p * y for x, y in zip(a, alpha)), tuple(x - q * y for x, y in zip(b, alpha_vee)))
+                if (m := listed.get(image)) is None:
+                    raise ValidationError(f"reflection at simple root {s} does not permute the root-coroot pairs"
+                                          f" (root {image[0]} with coroot {image[1]} missing)")
+                if m not in coefficients:
+                    coefficients[m] = (*c[:j], c[j] - p, *c[j + 1:])
+                    queue.append(m)
+        if unreached := [i for i in range(len(self.roots)) if i not in coefficients]:
+            raise ValidationError(f"root {self.roots[unreached[0]]} with coroot {self.coroots[unreached[0]]}"
+                                  " is not W-conjugate to a simple root with its coroot")
+        return tuple(coefficients[i] for i in range(len(self.roots)))
 
     @cached_property
     def coroot_smith_form(self) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -125,9 +140,8 @@ class RootDatum(Record):
 
     @cached_property
     def positive_root_indices(self) -> tuple[int, ...]:
-        """Indices of roots expressible as non-negative integer combinations of simples."""
-        zero = (0,) * self.rank
-        return tuple(idx for idx, root in enumerate(self.roots) if free_monoid_leq(self.root_solver, zero, root))
+        """Indices of the roots whose ``root_coefficients`` are all non-negative."""
+        return tuple(i for i, c in enumerate(self.root_coefficients) if min(c) >= 0)
 
     @cached_property
     def positive_roots(self) -> tuple[Coweight, ...]:
@@ -190,45 +204,27 @@ def validate_root_datum(datum: RootDatum) -> list[str]:
         return ["simple_indices out of range"]
     if len(set(datum.coroots)) != len(datum.coroots):
         problems.append("coroot list contains duplicates")
-
-    coroot_set, reflection_problems = set(datum.coroots), []
-    for i in datum.simple_indices:
-        p = dot(datum.roots[i], datum.coroots[i])
-        if p != 2:
-            problems.append(f"pairing <alpha_{i}, alpha_{i}^vee> = {p}, expected 2")
-            continue  # reflection is meaningless without the pairing axiom
-        beta = next((b for b in datum.coroots  # a coroot pairing to 0 is fixed
-                     if dot(datum.roots[i], b) and datum.reflect(i, b) not in coroot_set), None)
-        if beta is not None:
-            reflection_problems.append(
-                f"reflection at simple root {i} does not permute the coroot set (image of {beta} missing)"
-            )
-    problems += reflection_problems  # every pairing problem is listed first
-
-    try:
-        solver = datum.root_solver
-    except ValidationError as exc:
-        return problems + [str(exc)]
-    zero, positive = (0,) * datum.rank, set(datum.positive_root_indices)
-    for i, root in enumerate(datum.roots):
-        if any(dot(row, root) for row in solver[2]):
-            problems.append(f"root {root} lies outside the span of the simple roots")
-        elif i not in positive and not free_monoid_leq(solver, root, zero):
-            problems.append(
-                f"root {root} is not a signed non-negative integer combination of simples"
-            )
+    simple = datum.simple_indices
+    pairings = [f"pairing <alpha_{i}, alpha_{i}^vee> = {p}, expected 2"
+                for i in simple if (p := dot(datum.roots[i], datum.coroots[i])) != 2]
+    problems += pairings
+    if len(simple) > datum.rank:  # dependent on their face, with no k x k Smith form
+        return problems + ["simple roots are linearly dependent"]
+    cartan = tuple(tuple(dot(datum.roots[j], datum.coroots[i]) for j in simple) for i in simple)
+    if simple and not smith_normal_form(cartan)[1][-1][-1]:  # d_k = 0 iff the Cartan matrix is singular
+        return problems + ["simple roots are linearly dependent"]
+    if pairings:  # reflections are meaningless without the pairing axiom
+        return problems
     roots = set(datum.roots)
     double = next((r for r in datum.roots if vec_scale(2, r) in roots), None)
-    if double is not None and not problems:  # checked last: no reductive group has a non-reduced root system
-        problems.append(f"root {double} and its double are both roots: the root system is not reduced")
-    if not problems:  # every coroot is W-conjugate to a simple one; a reflection fixing c is skipped
-        reached, frontier = set(), list(simple_coroots(datum))
-        while frontier:
-            if (c := frontier.pop()) not in reached:
-                reached.add(c)
-                frontier += [datum.reflect(i, c) for i in datum.simple_indices if dot(datum.roots[i], c)]
-        problems += [f"coroot {c} is not W-conjugate to a simple coroot" for c in datum.coroots if c not in reached][:1]
-    return problems
+    if double is not None:  # no reductive group has one; the walk would leave a root or its double unreached
+        return problems + [f"root {double} and its double are both roots: the root system is not reduced"]
+    try:
+        coefficients = datum.root_coefficients
+    except ValidationError as exc:
+        return problems + [str(exc)]
+    return problems + [f"root {root} is not a signed non-negative integer combination of simples"
+                       for root, c in zip(datum.roots, coefficients) if min(c) < 0 < max(c)]
 
 
 def require_valid(datum: RootDatum) -> None:
@@ -271,20 +267,6 @@ def solver_of_smith_form(smith: tuple[IntMatrix, IntMatrix, IntMatrix], k: int) 
     return den, mat_mul(v, tuple(vec_scale(den // d[i][i], u[i]) for i in range(k))), u[k:]
 
 
-def free_monoid_leq(solver: tuple[int, IntMatrix, IntMatrix], lower: Coweight, upper: Coweight) -> bool:
-    """The order of the free monoid on the columns of an ``integer_solver``:
-    upper - lower pairs to 0 with every consistency row and to a non-negative
-    multiple of den with every solve row.  The orders called per comparison
-    are ``monoid_order`` compilations of the same test; this loop serves a
-    solver used once per root: ``RootDatum.positive_root_indices`` and
-    ``validate_root_datum``, on the roots that are not positive."""
-    den, rows, consistency = solver
-    diff = vec_sub(upper, lower)
-    if any(dot(row, diff) for row in consistency):
-        return False
-    return all(c >= 0 and c % den == 0 for c in mat_vec(rows, diff))
-
-
 def _linear_form(row, var: str) -> str:
     """Source of the integer form sum(row[i] * var_i), zero terms left out."""
     terms = (f"{'-' if c < 0 else '+'} {f'{abs(c)} * ' if abs(c) != 1 else ''}{var}{i}" for i, c in enumerate(row) if c)
@@ -292,7 +274,9 @@ def _linear_form(row, var: str) -> str:
 
 
 def monoid_order(solver: tuple[int, IntMatrix, IntMatrix], rank: int) -> Callable[[Coweight, Coweight], bool]:
-    """``free_monoid_leq`` of one solver as a function ``leq(lower, upper)`` of
+    """The order of the free monoid on the columns of an ``integer_solver`` (upper -
+    lower pairs to 0 with every consistency row and to a non-negative multiple of
+    den with every solve row) as a function ``leq(lower, upper)`` of
     straight-line code with the solver's integers written in: it unpacks the
     arguments into l_i and u_i, refusing a length other than rank, and returns
     U == L for each consistency row and U >= L (and (U - L) % den == 0 if den > 1)
@@ -322,11 +306,12 @@ def dominance_leq(datum: RootDatum, lower: Coweight, upper: Coweight) -> bool:
 
 def sub_two_rho_vee(datum: RootDatum, subset: tuple[int, ...]) -> Coweight:
     """2 rho_M^vee: the sum of the positive coroots of the sub-system of the
-    given simple indices, whose roots have no simple root outside it."""
+    given simple indices, whose roots have coefficient 0 (``root_coefficients``)
+    at every simple root outside it."""
     outside = [j for j, i in enumerate(datum.simple_indices) if i not in subset]
-    rows, x = datum.root_solver[1], (0,) * datum.rank
+    x, coefficients = (0,) * datum.rank, datum.root_coefficients
     for idx in datum.positive_root_indices:
-        if not any(dot(rows[j], datum.roots[idx]) for j in outside):
+        if not any(coefficients[idx][j] for j in outside):
             x = vec_add(x, datum.coroots[idx])
     return x
 

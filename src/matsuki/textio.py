@@ -128,7 +128,7 @@ def _root_datum(sections) -> RootDatum:
 
 def parse_root_datum(text: str) -> RootDatum:
     datum = _root_datum(_parse_sections(text, "root datum", _DATUM_KEYS))
-    if datum.rank > MAX_RANK:  # validation builds rank x rank matrices; no involution fits above
+    if datum.rank > MAX_RANK:  # no involution fits above
         raise ValidationError(f"invalid root datum {datum.name!r}: rank {datum.rank} is over the bound of {MAX_RANK}")
     require_valid(datum)
     return datum
@@ -155,8 +155,8 @@ def parse_involution(text: str) -> InvolutionSpec:
         raise ParseError(0, "involution file needs either inline datum fields or a datum reference")
     theta = _matrix_block(sections, "theta", "involution")
     if "datum" not in sections:
-        # theta's shape is held to the rank before the datum's validation, whose Smith
-        # form costs rank x rank; only a rank or vector wrong on its face goes first
+        # theta's shape is held to the rank before the datum's validation, whose walk
+        # costs pairs x simple roots x rank; only a rank or vector wrong on its face goes first
         n = base.rank
         if n > 0 and all(len(v) == n for v in base.roots + base.coroots) and any(len(r) != n for r in (theta, *theta)):
             raise ValidationError(f"invalid involution {name!r}: theta must be a {n}x{n} integer matrix")

@@ -17,8 +17,8 @@ from matsuki.realform import (
 from matsuki.rootdata import (
     RootDatum,
     _require_rank,
+    column_matrix,
     dot,
-    free_monoid_leq,
     gl_datum,
     height,
     identity_matrix,
@@ -27,9 +27,118 @@ from matsuki.rootdata import (
     mat_mul,
     mat_vec,
     positive_coroots,
+    simple_coroots,
+    simple_roots,
     vec_add,
+    vec_scale,
     weyl_longest_element,
 )
+
+
+def vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def reflection_matrix(datum, simple_index):
+    """The matrix of a simple reflection on the cocharacter lattice, its columns the reflected unit vectors."""
+    return column_matrix(tuple(datum.reflect(simple_index, e) for e in identity_matrix(datum.rank)), datum.rank)
+
+
+def free_monoid_leq(solver, lower, upper):
+    """The order of the free monoid on the columns of an ``integer_solver``:
+    upper - lower pairs to 0 with every consistency row and to a non-negative
+    multiple of den with every solve row.  The reference for ``monoid_order``,
+    which compiles the same test per solver."""
+    den, rows, consistency = solver
+    diff = vec_sub(upper, lower)
+    if any(dot(row, diff) for row in consistency):
+        return False
+    return all(c >= 0 and c % den == 0 for c in mat_vec(rows, diff))
+
+
+def reference_positive_root_indices(datum):
+    """Indices of the roots that are non-negative integer combinations of the
+    simple roots, by ``free_monoid_leq`` on their ``integer_solver``; refuses
+    dependent simple roots."""
+    try:
+        solver = integer_solver(simple_roots(datum), dim=datum.rank)
+    except ValidationError:
+        raise ValidationError("simple roots are linearly dependent")
+    zero = (0,) * datum.rank
+    return tuple(i for i, root in enumerate(datum.roots) if free_monoid_leq(solver, zero, root))
+
+
+def reference_validate_root_datum(datum):
+    """The validator that the W-orbit walk of the simple (root, coroot) pairs
+    replaced, one mechanism per axiom: the simple pairings, closure of the
+    coroot set under the simple reflections, span and sign of each root by
+    the simple roots' ``integer_solver``, reducedness and a W-orbit walk over
+    the coroots.  It admits data whose roots and coroots are paired wrongly."""
+    problems = []
+    if datum.rank < 1:
+        return ["rank must be a positive integer"]
+    if len(datum.roots) != len(datum.coroots):
+        return ["roots and coroots must be index-paired lists of equal length"]
+    for vec in (*datum.roots, *datum.coroots):
+        if len(vec) != datum.rank:
+            return [f"vector {vec} does not have length rank={datum.rank}"]
+    if len(set(datum.simple_indices)) != len(datum.simple_indices):
+        problems.append("simple_indices contains duplicates")
+    if any(i < 0 or i >= len(datum.roots) for i in datum.simple_indices):
+        return ["simple_indices out of range"]
+    if len(set(datum.coroots)) != len(datum.coroots):
+        problems.append("coroot list contains duplicates")
+
+    coroot_set, reflection_problems = set(datum.coroots), []
+    for i in datum.simple_indices:
+        p = dot(datum.roots[i], datum.coroots[i])
+        if p != 2:
+            problems.append(f"pairing <alpha_{i}, alpha_{i}^vee> = {p}, expected 2")
+            continue
+        beta = next((b for b in datum.coroots
+                     if dot(datum.roots[i], b) and datum.reflect(i, b) not in coroot_set), None)
+        if beta is not None:
+            reflection_problems.append(
+                f"reflection at simple root {i} does not permute the coroot set (image of {beta} missing)"
+            )
+    problems += reflection_problems
+
+    try:
+        solver = integer_solver(simple_roots(datum), dim=datum.rank)
+    except ValidationError:
+        return problems + ["simple roots are linearly dependent"]
+    zero, positive = (0,) * datum.rank, set(reference_positive_root_indices(datum))
+    for i, root in enumerate(datum.roots):
+        if any(dot(row, root) for row in solver[2]):
+            problems.append(f"root {root} lies outside the span of the simple roots")
+        elif i not in positive and not free_monoid_leq(solver, root, zero):
+            problems.append(f"root {root} is not a signed non-negative integer combination of simples")
+    roots = set(datum.roots)
+    double = next((r for r in datum.roots if vec_scale(2, r) in roots), None)
+    if double is not None and not problems:
+        problems.append(f"root {double} and its double are both roots: the root system is not reduced")
+    if not problems:
+        reached, frontier = set(), list(simple_coroots(datum))
+        while frontier:
+            if (c := frontier.pop()) not in reached:
+                reached.add(c)
+                frontier += [datum.reflect(i, c) for i in datum.simple_indices if dot(datum.roots[i], c)]
+        problems += [f"coroot {c} is not W-conjugate to a simple coroot" for c in datum.coroots if c not in reached][:1]
+    return problems
+
+
+def pairs_w_stable(datum):
+    """Whether every simple reflection maps each listed (root, coroot) pair,
+    (a, b) to (a - <a, alpha^vee> alpha, b - <alpha, b> alpha^vee), to a
+    listed pair: checked pair by pair, with no walk."""
+    pairs = set(zip(datum.roots, datum.coroots))
+    for i in datum.simple_indices:
+        alpha, alpha_vee = datum.roots[i], datum.coroots[i]
+        for a, b in pairs:
+            image = (vec_sub(a, vec_scale(dot(a, alpha_vee), alpha)), vec_sub(b, vec_scale(dot(alpha, b), alpha_vee)))
+            if image not in pairs:
+                return False
+    return True
 
 
 def dominant_representative(datum, coweight):

@@ -310,20 +310,27 @@ CATALOG = ", ".join(catalog_names())
                      "invalid root datum 'x': simple_indices out of range", id="simple-out-of-range"),
         pytest.param(["pi1"], SL2_FILE.replace("coroots:\n1\n-1\n", "coroots:\n1\n1\n"),
                      "invalid root datum 'x': coroot list contains duplicates; reflection at simple root 0 does not"
-                     " permute the coroot set (image of (1,) missing)", id="duplicate-coroots"),
-        pytest.param(["pi1"], HALF_GL2_FILE, "invalid root datum 'h': root (1, 1) lies outside the span of the simple"
-                     " roots; root (-1, -1) lies outside the span of the simple roots", id="root-outside-span"),
+                     " permute the root-coroot pairs (root (-2,) with coroot (-1,) missing)", id="duplicate-coroots"),
+        pytest.param(["pi1"], HALF_GL2_FILE, "invalid root datum 'h': root (1, 1) with coroot (1, 1) is not W-conjugate"
+                     " to a simple root with its coroot", id="root-outside-span"),
+        # BC1 again, with the simple root 2: its half root 1 is met as non-reduced, before the walk
         pytest.param(["pi1"], SL2_FILE.replace("2\n-2\ncoroots:\n1\n-1\n", "2\n-2\n1\n-1\ncoroots:\n1\n-1\n2\n-2\n"),
-                     "invalid root datum 'x': root (1,) is not a signed non-negative integer combination of simples;"
-                     " root (-1,) is not a signed non-negative integer combination of simples", id="half-root"),
-        # BC1: roots 1 and 2 with coroots 2 and 1 pass every other check
+                     "invalid root datum 'x': root (1,) and its double are both roots: the root system is not reduced",
+                     id="half-root"),
+        # BC1 with the simple root 1: its double 2 is met as non-reduced, before the walk would leave it unreached
         pytest.param(["pi1"], SL2_FILE.replace("2\n-2\ncoroots:\n1\n-1\n", "1\n-1\n2\n-2\ncoroots:\n2\n-2\n1\n-1\n"),
                      "invalid root datum 'x': root (1,) and its double are both roots: the root system is not reduced",
                      id="non-reduced"),
         # coroots +-(1, 0) and +-(0, 1), closed under the simple reflections but off the lattice of the simple ones
         pytest.param(["pi1"], "name: x\nrank: 2\nsimple: 0 1\nroots:\n1 1\n1 -1\n-1 -1\n-1 1\n2 0\n-2 0\n1 1\n-1 -1\n"
                      "coroots:\n1 1\n1 -1\n-1 -1\n-1 1\n1 0\n-1 0\n0 1\n0 -1\ntheta:\n1 0\n0 1\n",
-                     "invalid root datum 'x': coroot (1, 0) is not W-conjugate to a simple coroot", id="stray-coroot"),
+                     "invalid root datum 'x': root (2, 0) with coroot (1, 0) is not W-conjugate to a simple root with"
+                     " its coroot", id="stray-coroot"),
+        # sl3 with the coroots of (1, 1) and (-1, -1) swapped: the coroot set is still closed, the pairs are not
+        pytest.param(["pi1"], "name: x\nrank: 2\nsimple: 0 1\nroots:\n2 -1\n-1 2\n1 1\n-2 1\n1 -2\n-1 -1\n"
+                     "coroots:\n1 0\n0 1\n-1 -1\n-1 0\n0 -1\n1 1\ntheta:\n1 0\n0 1\n",
+                     "invalid root datum 'x': reflection at simple root 1 does not permute the root-coroot pairs"
+                     " (root (1, 1) with coroot (1, 1) missing)", id="swapped-coroots"),
         # an involution that validate_involution refuses, on a datum reference
         pytest.param(["pi1"], "name: bad\ndatum: sl3_split\ntheta:\n1 0 0\n0 1 0\n0 0 1\n",
                      "invalid involution 'bad': theta must be a 2x2 integer matrix", id="theta-shape-on-reference"),

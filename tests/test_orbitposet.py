@@ -37,7 +37,6 @@ from matsuki.realform import (
 from matsuki.rootdata import (
     RootDatum,
     dot,
-    free_monoid_leq,
     gl_datum,
     height,
     identity_matrix,
@@ -51,7 +50,7 @@ from matsuki.rootdata import (
 )
 from matsuki.textio import format_involution, parse_involution
 
-from oracles import real_coweight_coordinates, real_form_specs, sweep_hasse
+from oracles import free_monoid_leq, real_coweight_coordinates, real_form_specs, sweep_hasse
 
 ALL_NAMES = list(catalog_names())
 

@@ -43,6 +43,7 @@ from oracles import (
     levi_involutions,
     levi_longest_element,
     real_criterion,
+    reflection_matrix,
     valid_specs,
 )
 
@@ -174,7 +175,7 @@ def signed_weyl_involutions(datum):
     while todo:
         w = todo.pop()
         for i in datum.simple_indices:
-            if (x := mat_mul(datum.reflection_matrix(i), w)) not in group:
+            if (x := mat_mul(reflection_matrix(datum, i), w)) not in group:
                 group.add(x)
                 todo.append(x)
     for w in group:

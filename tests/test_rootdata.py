@@ -13,7 +13,6 @@ from matsuki.rootdata import (
     RootDatum,
     dominance_leq,
     dot,
-    free_monoid_leq,
     gl_datum,
     height,
     identity_matrix,
@@ -37,11 +36,22 @@ from matsuki.rootdata import (
     validate_root_datum,
     vec_add,
     vec_scale,
-    vec_sub,
     weyl_longest_element,
 )
 
-from oracles import dominant_representative, group_class, valid_specs
+from oracles import (
+    ALL_CARTAN,
+    cartan_datum,
+    dominant_representative,
+    free_monoid_leq,
+    group_class,
+    pairs_w_stable,
+    reference_positive_root_indices,
+    reference_validate_root_datum,
+    reflection_matrix,
+    valid_specs,
+    vec_sub,
+)
 
 ALL_DATA = [sl2_datum(), pgl2_datum(), sl3_datum(), sl2xsl2_datum(), gl_datum(2), gl_datum(3)]
 SKEWED_TORUS = RootDatum(rank=2, roots=(), coroots=(), simple_indices=(), name="torus2")
@@ -63,7 +73,7 @@ def weyl_orbit(datum, coweight):
 
 def weyl_group_matrices(datum):
     """All Weyl group elements as matrices, by closure under generators."""
-    gens = [datum.reflection_matrix(i) for i in datum.simple_indices]
+    gens = [reflection_matrix(datum, i) for i in datum.simple_indices]
     seen = {identity_matrix(datum.rank)}
     frontier = list(seen)
     while frontier:
@@ -102,8 +112,9 @@ def test_a2_datum_valid_and_reflections_permute_six_coroots():
 def test_reflection_closure_violation_reported():
     # drop the negative roots: reflections leave the set
     bad = RootDatum(rank=1, roots=((2,),), coroots=((1,),), simple_indices=(0,))
-    problems = validate_root_datum(bad)
-    assert any("permute" in p for p in problems)
+    assert validate_root_datum(bad) == [
+        "reflection at simple root 0 does not permute the root-coroot pairs (root (-2,) with coroot (-1,) missing)"
+    ]
 
 
 @pytest.mark.parametrize("datum", ALL_DATA, ids=lambda d: d.name)
@@ -116,18 +127,42 @@ def test_a_root_outside_the_span_of_the_simple_roots_is_refused():
     roots = ((1, -1), (-1, 1), (1, 1), (-1, -1))
     datum = RootDatum(rank=2, roots=roots, coroots=roots, simple_indices=(0,), name="half")
     assert validate_root_datum(datum) == [
-        "root (1, 1) lies outside the span of the simple roots",
-        "root (-1, -1) lies outside the span of the simple roots",
+        "root (1, 1) with coroot (1, 1) is not W-conjugate to a simple root with its coroot",
     ]
 
 
 def test_a_root_off_the_integer_cone_of_the_simple_roots_is_refused():
-    # BC1: the half root alpha/2 is in the span of alpha but no integer multiple of it
+    # BC1: the half root alpha/2 is in the span of alpha but no integer multiple of it, so the
+    # walk never reaches it; validation names the non-reduced system before it walks
     datum = RootDatum(rank=1, roots=((2,), (-2,), (1,), (-1,)), coroots=((1,), (-1,), (2,), (-2,)),
                       simple_indices=(0,), name="bc1")
+    assert validate_root_datum(datum) == ["root (1,) and its double are both roots: the root system is not reduced"]
+    with pytest.raises(ValidationError, match=r"^root \(1,\) with coroot \(2,\) is not W-conjugate to a simple root"
+                       r" with its coroot$"):
+        datum.root_coefficients
+
+
+def test_a_root_with_mixed_signs_is_refused():
+    # gl3 with the simple roots e1 - e2 and e1 - e3: e2 - e3 is their difference
+    datum = gl_datum(3)
+    datum = RootDatum(rank=3, roots=datum.roots, coroots=datum.coroots, simple_indices=(0, 1), name="skew")
+    assert [datum.roots[i] for i in datum.simple_indices] == [(1, -1, 0), (1, 0, -1)]
     assert validate_root_datum(datum) == [
-        "root (1,) is not a signed non-negative integer combination of simples",
-        "root (-1,) is not a signed non-negative integer combination of simples",
+        "root (0, 1, -1) is not a signed non-negative integer combination of simples",
+        "root (0, -1, 1) is not a signed non-negative integer combination of simples",
+    ]
+
+
+def test_roots_paired_with_the_wrong_coroots_are_refused():
+    # sl3 with the coroots of (1, 1) and (-1, -1) swapped: every simple pairing is 2 and the
+    # coroot set is closed under the simple reflections, which the reference checks, but s_1
+    # maps the simple pair ((2, -1), (1, 0)) to ((1, 1), (1, 1)), which is not listed
+    sl3 = sl3_datum()
+    coroots = (*sl3.coroots[:2], sl3.coroots[5], *sl3.coroots[3:5], sl3.coroots[2])
+    datum = RootDatum(rank=2, roots=sl3.roots, coroots=coroots, simple_indices=(0, 1), name="swapped")
+    assert reference_validate_root_datum(datum) == []
+    assert validate_root_datum(datum) == [
+        "reflection at simple root 1 does not permute the root-coroot pairs (root (1, 1) with coroot (1, 1) missing)"
     ]
 
 
@@ -141,13 +176,86 @@ def test_a_coroot_off_the_w_orbits_of_the_simple_coroots_is_refused():
         datum = RootDatum(rank=2, roots=(*roots, *last), coroots=coroots, simple_indices=(0, 1), name="x")
         assert validate_root_datum(datum), last
     datum = RootDatum(rank=2, roots=(*roots, (1, 1), (-1, -1)), coroots=coroots, simple_indices=(0, 1), name="x")
-    assert validate_root_datum(datum) == ["coroot (1, 0) is not W-conjugate to a simple coroot"]
+    assert validate_root_datum(datum) == [
+        "root (2, 0) with coroot (1, 0) is not W-conjugate to a simple root with its coroot"
+    ]
 
 
 def test_dependent_simple_coroots_are_refused():
     datum = RootDatum(rank=2, roots=((2, 0), (0, 2)), coroots=((1, 0), (2, 0)), simple_indices=(0, 1), name="x")
     with pytest.raises(ValidationError, match="^simple coroots are linearly dependent$"):
         datum.coroot_solver
+
+
+def valid_data():
+    """The distinct root data of the catalog, gl_1 to gl_7, every ``cartan_datum`` and every ``valid_specs`` datum."""
+    data = [*catalog_data(), *(gl_datum(n) for n in range(1, 8)), *map(cartan_datum, ALL_CARTAN)]
+    return list(dict.fromkeys(data + [spec.datum for spec in valid_specs()]))
+
+
+def pair_mutants(datum, rng, count):
+    """Seeded one-step mutants of a datum that keep its shape: the coroots or the
+    roots of two pairs swapped, a root or coroot negated or moved by one in one
+    coordinate, a pair appended (the sum of two pairs, or a root doubled with its
+    coroot kept), or a simple index moved to another pair."""
+    n, rank = len(datum.roots), datum.rank
+    for _ in range(count):
+        roots, coroots, simple = list(datum.roots), list(datum.coroots), list(datum.simple_indices)
+        kind, i, j = rng.randrange(7), rng.randrange(n), rng.randrange(n)
+        side = rng.choice((roots, coroots))
+        if kind == 0:
+            coroots[i], coroots[j] = coroots[j], coroots[i]
+        elif kind == 1:
+            roots[i], roots[j] = roots[j], roots[i]
+        elif kind == 2:
+            side[i] = tuple(-x for x in side[i])
+        elif kind == 3:
+            k = rng.randrange(rank)
+            side[i] = (*side[i][:k], side[i][k] + rng.choice((-1, 1)), *side[i][k + 1:])
+        elif kind == 4:
+            roots.append(vec_add(roots[i], roots[j]))
+            coroots.append(vec_add(coroots[i], coroots[j]))
+        elif kind == 5:
+            roots.append(vec_scale(2, roots[i]))
+            coroots.append(vec_add(coroots[i], coroots[j]))
+        else:
+            simple[rng.randrange(len(simple))] = i
+        yield RootDatum(rank=rank, roots=tuple(roots), coroots=tuple(coroots), simple_indices=tuple(simple),
+                        name=f"{datum.name}~{kind}")
+
+
+def test_the_pair_walk_refuses_what_the_reference_refuses_and_pairs_off_the_w_orbits():
+    """The walk against the validator it replaced (``oracles.reference_validate_root_datum``)
+    on every valid datum and 100 seeded mutants of each: every datum the reference
+    refuses is refused, every further refusal has a pair set that some simple
+    reflection does not keep, each such datum is refused, and the positive roots
+    of every admitted datum are the reference's."""
+    rng, extra = random.Random("pair-walk"), []
+    data = valid_data()
+    assert len(data) == 20
+    for datum in data:
+        assert validate_root_datum(datum) == [] == reference_validate_root_datum(datum), datum.name
+        assert datum.positive_root_indices == reference_positive_root_indices(datum), datum.name
+        for mutant in pair_mutants(datum, rng, 100) if datum.roots else ():
+            problems, stable = validate_root_datum(mutant), pairs_w_stable(mutant)
+            reference = reference_validate_root_datum(mutant)
+            assert problems or (stable and not reference), (mutant, reference)
+            if problems and not reference:
+                extra.append(mutant)
+            elif not problems:
+                assert mutant.positive_root_indices == reference_positive_root_indices(mutant), mutant
+    assert len(extra) > 100 and not any(map(pairs_w_stable, extra))
+
+
+def test_dependent_simple_roots_are_refused_by_their_count_or_their_cartan_matrix(monkeypatch):
+    from matsuki import rootdata
+
+    gl2 = gl_datum(2)
+    singular = RootDatum(rank=2, roots=gl2.roots, coroots=gl2.coroots, simple_indices=(0, 1), name="x")
+    assert validate_root_datum(singular) == ["simple roots are linearly dependent"]  # Cartan rows (2, -2), (-2, 2)
+    monkeypatch.setattr(rootdata, "smith_normal_form", None)  # more simple roots than the rank: no Smith form
+    many = RootDatum(rank=1, roots=((2,), (-2,)), coroots=((1,), (-1,)), simple_indices=(0, 1), name="x")
+    assert validate_root_datum(many) == ["simple roots are linearly dependent"]
 
 
 def test_positive_roots_of_sl3():
@@ -283,10 +391,11 @@ def test_cold_catalog_lookup_solves_the_simple_roots_once(monkeypatch, cleared_c
     snf = rootdata.smith_normal_form
     monkeypatch.setattr(rootdata, "smith_normal_form", lambda m: solved.append(m) or snf(m))
     datum = catalog("gl3_split").datum
-    # the simple roots, shared by validation and the positive roots; theta = 1, so the
-    # fixed basis of the involution check is the unit basis, with no kernel of theta - 1
+    # the simple roots' Cartan matrix, in validation; the positive roots read the walk, and
+    # theta = 1, so the fixed basis of the involution check is the unit basis, with no kernel
+    # of theta - 1
     assert len(solved) == len(set(solved)) == 1
-    assert datum.root_solver is datum.root_solver
+    assert datum.root_coefficients is datum.root_coefficients
     dependent = RootDatum(rank=1, roots=((2,), (-2,)), coroots=((1,), (-1,)), simple_indices=(0, 1))
     assert "simple roots are linearly dependent" in validate_root_datum(dependent)
 
@@ -635,7 +744,7 @@ def test_longest_element_reflects_columns_and_multiplies_no_matrices(monkeypatch
     # reference: the product of reflection matrices along the word that drives 2 rho^vee anti-dominant
     x, w, word = start, identity_matrix(12), []
     while (pos := next((i for i in subset if dot(datum.roots[i], x) > 0), None)) is not None:
-        x, w = datum.reflect(pos, x), mat_mul(datum.reflection_matrix(pos), w)
+        x, w = datum.reflect(pos, x), mat_mul(reflection_matrix(datum, pos), w)
         word.append(pos)
     assert len(word) == 66  # the length of w_0 in S_12
     assert w0 == w == tuple(tuple(int(i + j == 11) for j in range(12)) for i in range(12))

@@ -65,7 +65,7 @@ def test_root_datum_parse_errors_carry_line_numbers():
 
 
 def test_a_root_datum_over_the_rank_bound_is_refused_before_any_smith_form(monkeypatch):
-    # validation builds rank x rank matrices, so a few bytes could state a rank that costs seconds
+    # refused on its face, before validation: no involution fits a rank over the bound
     text = "name: x\nrank: {}\nsimple:\n".format
     refusal = rf"^invalid root datum 'x': rank {MAX_RANK + 1} is over the bound of {MAX_RANK}$"
     monkeypatch.setattr(rootdata, "smith_normal_form", None)
