@@ -35,7 +35,7 @@ _EXPORTS = {
     "errors": ("ParseError", "TheoremViolationError", "ValidationError"),
     "rootdata": (
         "Coweight", "FiniteAbelianGroup", "RootDatum", "dominance_leq", "height", "pi1_of_group",
-        "smith_normal_form", "validate_root_datum", "weyl_longest_element",
+        "smith_normal_form", "validate_root_datum",
     ),
     "realform": (
         "InvolutionSpec", "RealFormCatalogEntry", "catalog", "catalog_names", "levi_simple_roots",

@@ -41,7 +41,6 @@ from .rootdata import (
     sub_two_rho_vee,
     vec_add,
     vec_neg,
-    weyl_longest_element,
 )
 
 
@@ -176,56 +175,57 @@ MAX_RANK = 100  # theta squared takes rank**3 products, checked only up to this 
 def validate_involution(spec: InvolutionSpec) -> list[str]:
     """Return violated invariants of the involution; empty means valid.
 
-    theta must be an involution that permutes the coroots, and then pass
-    Araki's admissibility conditions (J. Math. Osaka City Univ. 13, 1962;
-    Helgason, ch. X), which make it the involution of a real form.  With M the
-    Levi simple roots (``levi_simple_roots``) and w_M their longest element:
-    varpi = w_M theta must permute the simple coroots, and <alpha, 2 rho_M^vee>
-    must be even for every simple root alpha outside M whose coroot varpi
-    fixes.
+    theta must be an involution and an automorphism of the root datum, and
+    pass Araki's admissibility conditions (J. Math. Osaka City Univ. 13, 1962;
+    Helgason, ch. X) for a real form: with M the Levi simple roots
+    (``levi_simple_roots``) and w_M their longest element, varpi = w_M theta
+    permutes the simple coroots, and <alpha, 2 rho_M^vee> is even at each
+    simple root alpha outside M whose coroot varpi fixes.  Past theta^2 = 1,
+    all three are read off the images (theta^T alpha_i, theta alpha_i^vee):
 
-    The first condition is the older positivity test, that theta^T keep
-    positive the positive roots not vanishing on the fixed lattice.  theta^T
-    negates exactly the roots that vanish there, so under that test they are
-    spanned by the simple ones among them, the roots of M, and varpi^T =
-    theta^T w_M^T keeps every positive root positive, since w_M^T swaps the
-    positive and negative roots of M and keeps the others positive.
-    Conversely, theta^T = varpi^T w_M^T keeps every positive root outside M
-    positive.
+    - each is a listed pair: theta s_i theta, the reflection of that pair, is
+      in W, so theta normalizes W and permutes its orbits, the pairs
+      (``root_coefficients``);
+    - theta^T alpha_i is a positive root for i outside M: the older test, that
+      theta^T keep positive the positive roots not vanishing on the fixed
+      lattice, on the simple roots.  theta^T negates the roots that vanish, so
+      a positive theta^T alpha_i is no root of M: it has a positive
+      coefficient outside M, and so has the image of each positive root
+      outside M, which is positive.  Then varpi^T = theta^T w_M^T keeps the
+      positive roots positive, as w_M^T swaps those of M with their negatives
+      and keeps the others positive, and conversely;
+    - for i outside M, varpi^-T alpha_i = w_M^T theta^T alpha_i is theta^T
+      alpha_i modulo the roots of M, so varpi fixes alpha_i^vee exactly when
+      theta^T alpha_i has the coefficients e_i outside M.
     """
     problems: list[str] = []
-    datum = spec.datum
+    datum, theta = spec.datum, spec.theta
     n = datum.rank
-    if len(spec.theta) != n or any(len(row) != n for row in spec.theta):
+    if len(theta) != n or any(len(row) != n for row in theta):
         return [f"theta must be a {n}x{n} integer matrix"]
     if n > MAX_RANK:
         return [f"rank {n} is over the bound of {MAX_RANK}"]
 
-    if mat_mul(spec.theta, spec.theta) != identity_matrix(n):
+    if mat_mul(theta, theta) != identity_matrix(n):
         problems.append("theta squared is not the identity")
-
-    coroot_set = set(datum.coroots)
-    for beta in datum.coroots:
-        if spec.apply(beta) not in coroot_set:
-            problems.append(f"theta does not permute the coroot set (image of {beta} missing)")
-            break
-
+    listed, transpose = {pair: m for m, pair in enumerate(zip(datum.roots, datum.coroots))}, tuple(zip(*theta))
+    images = {i: (mat_vec(transpose, datum.roots[i]), mat_vec(theta, datum.coroots[i])) for i in datum.simple_indices}
+    if pair := next((image for image in images.values() if image not in listed), None):
+        problems.append(f"theta does not permute the root-coroot pairs (root {pair[0]} with coroot {pair[1]} missing)")
     if problems:
         return problems
 
-    levi = levi_simple_roots(spec)
-    varpi = mat_mul(weyl_longest_element(datum, levi), spec.theta)
-    simple = {datum.coroots[i] for i in datum.simple_indices}
-    images = {i: mat_vec(varpi, datum.coroots[i]) for i in datum.simple_indices}
-    for i, image in images.items():
-        if image not in simple:
-            return [f"Araki's first condition fails: w_M theta sends the simple coroot {datum.coroots[i]} to {image},"
-                    " which is not simple"]
+    levi, coefficients = levi_simple_roots(spec), datum.root_coefficients
+    outside = [(j, i, coefficients[listed[images[i]]]) for j, i in enumerate(datum.simple_indices) if i not in levi]
+    for _, i, c in outside:
+        if min(c) < 0:
+            return [f"Araki's first condition fails: theta sends the simple root {datum.roots[i]} outside M"
+                    f" to the negative root {images[i][0]}"]
     two_rho_levi = sub_two_rho_vee(datum, levi)
-    for i, image in images.items():
-        if image == datum.coroots[i] and i not in levi and dot(datum.roots[i], two_rho_levi) % 2:
-            return [f"Araki's second condition fails: w_M theta fixes the simple coroot {image} outside M,"
-                    f" and <alpha_{i}, 2 rho_M^vee> = {dot(datum.roots[i], two_rho_levi)} is odd"]
+    for j, i, c in outside:
+        if all(c[k] == (k == j) for k, _, _ in outside) and (p := dot(datum.roots[i], two_rho_levi)) % 2:
+            return [f"Araki's second condition fails: w_M theta fixes the simple coroot {datum.coroots[i]} outside M,"
+                    f" and <alpha_{i}, 2 rho_M^vee> = {p} is odd"]
     return []
 
 

@@ -10,13 +10,14 @@ comparison does no solve, no loop, no subscript and no difference vector.
 
 A root datum is checked by one walk over the W-orbits of its simple (root,
 coroot) pairs, which gives each root's coefficients in the simple roots with
-no solve.  Weyl group elements are integer matrices on the cocharacter lattice.
+no solve.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from functools import cached_property
+from itertools import compress
 from math import prod
 from operator import add, mul
 
@@ -52,7 +53,7 @@ def fmt_coweight(vec) -> str:
 
 
 def identity_matrix(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
 def mat_vec(m: IntMatrix, v) -> Coweight:
@@ -82,41 +83,45 @@ class RootDatum(Record):
     simple_indices: tuple[int, ...]
     name: str = ""
 
-    def reflect(self, simple_index: int, coweight: Coweight) -> Coweight:
-        """Simple reflection on cocharacters: x -> x - <alpha, x> alpha_vee, x itself when the pairing is 0."""
-        pairing = dot(self.roots[simple_index], coweight)
-        if not pairing:
-            return coweight
-        return tuple(x - pairing * a for x, a in zip(coweight, self.coroots[simple_index]))
-
     @cached_property
     def root_coefficients(self) -> tuple[Coweight, ...]:
-        """Each root's coefficients in the simple roots, built on first use by walking the W-orbits
-        of the simple pairs (alpha_j, alpha_j^vee): s_j maps a pair (a, b) to (a - <a, alpha_j^vee> alpha_j,
-        b - <alpha_j, b> alpha_j^vee) and lowers coefficient j by <a, alpha_j^vee>, unless both pairings
-        are 0.  Refuses the first image that is not a listed pair, then the first pair never reached.
-        ``validate_root_datum`` first finds the simple roots independent, so the coefficients are unique."""
+        """Each root's coefficients in the simple roots, built on first use by walking the W-orbits of the simple pairs
+        (alpha_j, alpha_j^vee): s_j maps a pair (a, b) to (a - <a, alpha_j^vee> alpha_j, b - <alpha_j, b> alpha_j^vee)
+        and lowers coefficient j by <a, alpha_j^vee>, unless both pairings are 0.  Each simple root and coroot is read
+        once, as its places and entries where it is nonzero, so a step costs those, not the rank.  Refuses the first
+        image that is not a listed pair, then the first pair never reached.  ``validate_root_datum`` first finds the
+        simple roots independent, so the coefficients are unique."""
         listed = {pair: i for i, pair in enumerate(zip(self.roots, self.coroots))}
-        simple = tuple((s, self.roots[s], self.coroots[s]) for s in self.simple_indices)
+        axes = range(self.rank)
+        simple = [(s, tuple(compress(axes, alpha := self.roots[s])), tuple(compress(alpha, alpha)),
+                   tuple(compress(axes, alpha_vee := self.coroots[s])), tuple(compress(alpha_vee, alpha_vee)))
+                  for s in self.simple_indices]
         coefficients = dict(zip(self.simple_indices, identity_matrix(len(simple))))
         queue = list(coefficients)
         for i in queue:
             a, b, c = self.roots[i], self.coroots[i], coefficients[i]
-            for j, (s, alpha, alpha_vee) in enumerate(simple):
-                p, q = dot(a, alpha_vee), dot(alpha, b)
+            at, bt = a.__getitem__, b.__getitem__
+            for j, (s, places, entries, places_vee, entries_vee) in enumerate(simple):
+                p, q = sum(map(mul, map(at, places_vee), entries_vee)), sum(map(mul, map(bt, places), entries))
                 if not (p or q):
                     continue
-                image = (tuple(x - p * y for x, y in zip(a, alpha)), tuple(x - q * y for x, y in zip(b, alpha_vee)))
-                if (m := listed.get(image)) is None:
+                x, y = list(a), list(b)
+                for t, e in zip(places, entries):
+                    x[t] -= p * e
+                for t, e in zip(places_vee, entries_vee):
+                    y[t] -= q * e
+                if (m := listed.get(image := (tuple(x), tuple(y)))) is None:
                     raise ValidationError(f"reflection at simple root {s} does not permute the root-coroot pairs"
                                           f" (root {image[0]} with coroot {image[1]} missing)")
                 if m not in coefficients:
                     coefficients[m] = (*c[:j], c[j] - p, *c[j + 1:])
                     queue.append(m)
-        if unreached := [i for i in range(len(self.roots)) if i not in coefficients]:
-            raise ValidationError(f"root {self.roots[unreached[0]]} with coroot {self.coroots[unreached[0]]}"
+        found = tuple(map(coefficients.get, range(len(self.roots))))
+        if None in found:
+            i = found.index(None)
+            raise ValidationError(f"root {self.roots[i]} with coroot {self.coroots[i]}"
                                   " is not W-conjugate to a simple root with its coroot")
-        return tuple(coefficients[i] for i in range(len(self.roots)))
+        return found
 
     @cached_property
     def coroot_smith_form(self) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -314,25 +319,6 @@ def sub_two_rho_vee(datum: RootDatum, subset: tuple[int, ...]) -> Coweight:
         if not any(coefficients[idx][j] for j in outside):
             x = vec_add(x, datum.coroots[idx])
     return x
-
-
-def weyl_longest_element(datum: RootDatum, subset: frozenset[int] | tuple[int, ...]) -> IntMatrix:
-    """Matrix of the longest element of the parabolic Weyl subgroup.
-
-    Drives a regular dominant vector of the sub-system (``sub_two_rho_vee``)
-    to the anti-dominant chamber; the product of the reflections, kept as
-    its columns and reflecting each in turn, is the longest element.
-    """
-    subset = tuple(sorted(subset))
-    if any(i not in datum.simple_indices for i in subset):
-        raise ValidationError(f"subset {subset} is not a set of simple indices")
-    x, columns = sub_two_rho_vee(datum, subset), identity_matrix(datum.rank)
-    while True:
-        pos = next((i for i in subset if dot(datum.roots[i], x) > 0), None)
-        if pos is None:
-            return column_matrix(columns, datum.rank)
-        x = datum.reflect(pos, x)
-        columns = tuple(datum.reflect(pos, c) for c in columns)
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ def parse_involution(text: str) -> InvolutionSpec:
     """An involution file: a name, a theta block and either inline datum
     fields or a ``datum: <catalog name>`` reference, never both.  The datum is
     validated once: by the catalog lookup for a reference, here for inline
-    fields, after theta's shape is held to the rank."""
+    fields, after theta's shape is held to the rank and the rank to ``MAX_RANK``."""
     sections = _parse_sections(text, "involution", _DATUM_KEYS | {"datum", "theta"})
     _, name, _ = _require_key(sections, "name", "involution")
     if "datum" in sections:
@@ -155,11 +155,14 @@ def parse_involution(text: str) -> InvolutionSpec:
         raise ParseError(0, "involution file needs either inline datum fields or a datum reference")
     theta = _matrix_block(sections, "theta", "involution")
     if "datum" not in sections:
-        # theta's shape is held to the rank before the datum's validation, whose walk
+        # theta's shape, then the rank bound, are held before the datum's validation, whose walk
         # costs pairs x simple roots x rank; only a rank or vector wrong on its face goes first
         n = base.rank
-        if n > 0 and all(len(v) == n for v in base.roots + base.coroots) and any(len(r) != n for r in (theta, *theta)):
-            raise ValidationError(f"invalid involution {name!r}: theta must be a {n}x{n} integer matrix")
+        if n > 0 and all(len(v) == n for v in base.roots + base.coroots):
+            if any(len(r) != n for r in (theta, *theta)):
+                raise ValidationError(f"invalid involution {name!r}: theta must be a {n}x{n} integer matrix")
+            if n > MAX_RANK:
+                raise ValidationError(f"invalid involution {name!r}: rank {n} is over the bound of {MAX_RANK}")
         require_valid(base)
     spec = InvolutionSpec(datum=base, theta=theta, name=name)
     require_valid_involution(spec)

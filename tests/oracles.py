@@ -8,6 +8,7 @@ from operator import le
 from matsuki.errors import ValidationError
 from matsuki.loopmatrix import Gaussian, LaurentPoly, _turn, lm_from_rows, mat_inverse, transpose
 from matsuki.realform import (
+    MAX_RANK,
     InvolutionSpec,
     catalog,
     catalog_names,
@@ -29,9 +30,9 @@ from matsuki.rootdata import (
     positive_coroots,
     simple_coroots,
     simple_roots,
+    sub_two_rho_vee,
     vec_add,
     vec_scale,
-    weyl_longest_element,
 )
 
 
@@ -39,9 +40,77 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
+def reflect(datum, simple_index, coweight):
+    """Simple reflection on cocharacters: x -> x - <alpha, x> alpha_vee, x itself when the pairing is 0."""
+    pairing = dot(datum.roots[simple_index], coweight)
+    if not pairing:
+        return coweight
+    return tuple(x - pairing * a for x, a in zip(coweight, datum.coroots[simple_index]))
+
+
 def reflection_matrix(datum, simple_index):
     """The matrix of a simple reflection on the cocharacter lattice, its columns the reflected unit vectors."""
-    return column_matrix(tuple(datum.reflect(simple_index, e) for e in identity_matrix(datum.rank)), datum.rank)
+    return column_matrix(tuple(reflect(datum, simple_index, e) for e in identity_matrix(datum.rank)), datum.rank)
+
+
+def weyl_longest_element(datum, subset):
+    """Matrix of the longest element of the parabolic Weyl subgroup.
+
+    Drives a regular dominant vector of the sub-system (``sub_two_rho_vee``)
+    to the anti-dominant chamber; the product of the reflections, kept as
+    its columns and reflecting each in turn, is the longest element.
+    """
+    subset = tuple(sorted(subset))
+    if any(i not in datum.simple_indices for i in subset):
+        raise ValidationError(f"subset {subset} is not a set of simple indices")
+    x, columns = sub_two_rho_vee(datum, subset), identity_matrix(datum.rank)
+    while True:
+        pos = next((i for i in subset if dot(datum.roots[i], x) > 0), None)
+        if pos is None:
+            return column_matrix(columns, datum.rank)
+        x = reflect(datum, pos, x)
+        columns = tuple(reflect(datum, pos, c) for c in columns)
+
+
+def reference_validate_involution(spec):
+    """The validator that the read-off of theta's images of the simple pairs
+    replaced: theta squared, every coroot's image looked up, and Araki's
+    conditions on varpi = w_M theta, built as a matrix.  It admits a theta
+    that permutes the coroots but not the roots."""
+    problems = []
+    datum = spec.datum
+    n = datum.rank
+    if len(spec.theta) != n or any(len(row) != n for row in spec.theta):
+        return [f"theta must be a {n}x{n} integer matrix"]
+    if n > MAX_RANK:
+        return [f"rank {n} is over the bound of {MAX_RANK}"]
+
+    if mat_mul(spec.theta, spec.theta) != identity_matrix(n):
+        problems.append("theta squared is not the identity")
+
+    coroot_set = set(datum.coroots)
+    for beta in datum.coroots:
+        if spec.apply(beta) not in coroot_set:
+            problems.append(f"theta does not permute the coroot set (image of {beta} missing)")
+            break
+
+    if problems:
+        return problems
+
+    levi = levi_simple_roots(spec)
+    varpi = mat_mul(weyl_longest_element(datum, levi), spec.theta)
+    simple = {datum.coroots[i] for i in datum.simple_indices}
+    images = {i: mat_vec(varpi, datum.coroots[i]) for i in datum.simple_indices}
+    for i, image in images.items():
+        if image not in simple:
+            return [f"Araki's first condition fails: w_M theta sends the simple coroot {datum.coroots[i]} to {image},"
+                    " which is not simple"]
+    two_rho_levi = sub_two_rho_vee(datum, levi)
+    for i, image in images.items():
+        if image == datum.coroots[i] and i not in levi and dot(datum.roots[i], two_rho_levi) % 2:
+            return [f"Araki's second condition fails: w_M theta fixes the simple coroot {image} outside M,"
+                    f" and <alpha_{i}, 2 rho_M^vee> = {dot(datum.roots[i], two_rho_levi)} is odd"]
+    return []
 
 
 def free_monoid_leq(solver, lower, upper):
@@ -96,7 +165,7 @@ def reference_validate_root_datum(datum):
             problems.append(f"pairing <alpha_{i}, alpha_{i}^vee> = {p}, expected 2")
             continue
         beta = next((b for b in datum.coroots
-                     if dot(datum.roots[i], b) and datum.reflect(i, b) not in coroot_set), None)
+                     if dot(datum.roots[i], b) and reflect(datum, i, b) not in coroot_set), None)
         if beta is not None:
             reflection_problems.append(
                 f"reflection at simple root {i} does not permute the coroot set (image of {beta} missing)"
@@ -122,7 +191,7 @@ def reference_validate_root_datum(datum):
         while frontier:
             if (c := frontier.pop()) not in reached:
                 reached.add(c)
-                frontier += [datum.reflect(i, c) for i in datum.simple_indices if dot(datum.roots[i], c)]
+                frontier += [reflect(datum, i, c) for i in datum.simple_indices if dot(datum.roots[i], c)]
         problems += [f"coroot {c} is not W-conjugate to a simple coroot" for c in datum.coroots if c not in reached][:1]
     return problems
 
@@ -155,7 +224,7 @@ def dominant_representative(datum, coweight):
         neg = next((i for i in datum.simple_indices if dot(datum.roots[i], x) < 0), None)
         if neg is None:
             return x, tuple(word)
-        x = datum.reflect(neg, x)
+        x = reflect(datum, neg, x)
         word.append(neg)
 
 

@@ -334,9 +334,14 @@ CATALOG = ", ".join(catalog_names())
         # an involution that validate_involution refuses, on a datum reference
         pytest.param(["pi1"], "name: bad\ndatum: sl3_split\ntheta:\n1 0 0\n0 1 0\n0 0 1\n",
                      "invalid involution 'bad': theta must be a 2x2 integer matrix", id="theta-shape-on-reference"),
+        # theta squares to 1 and permutes the coroots, but its transpose sends the root (2, 0) to (0, -2)
+        *(pytest.param([command], "name: twisted\nrank: 2\nsimple: 0\nroots:\n2 0\n-2 0\ncoroots:\n1 -1\n-1 1\n"
+                       "theta:\n0 -1\n-1 0\n", "invalid involution 'twisted': theta does not permute the root-coroot"
+                       " pairs (root (0, -2) with coroot (1, -1) missing)", id=f"no-automorphism-{command}")
+          for command in ("pi1", "orbits")),
         pytest.param(["pi1"], "name: swap13\ndatum: gl3_split\ntheta:\n0 0 1\n0 1 0\n1 0 0\n",
-                     "invalid involution 'swap13': Araki's first condition fails: w_M theta sends the simple coroot"
-                     " (1, -1, 0) to (0, -1, 1), which is not simple", id="positivity"),
+                     "invalid involution 'swap13': Araki's first condition fails: theta sends the simple root"
+                     " (1, -1, 0) outside M to the negative root (0, -1, 1)", id="positivity"),
         # command arguments
         pytest.param(["dual", "sl3_split", "1", "x"], None, "coweight coordinates must be integers, got ['1', 'x']",
                      id="dual-non-integer"),

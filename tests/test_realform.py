@@ -2,6 +2,7 @@
 
 import gc
 import inspect
+import random
 import re
 import textwrap
 import weakref
@@ -13,6 +14,7 @@ from matsuki import realform
 from matsuki.cli import main
 from matsuki.errors import ValidationError
 from matsuki.realform import (
+    MAX_RANK,
     InvolutionSpec,
     catalog,
     catalog_names,
@@ -20,6 +22,7 @@ from matsuki.realform import (
     validate_involution,
 )
 from matsuki.rootdata import (
+    RootDatum,
     dot,
     gl_datum,
     height,
@@ -43,7 +46,9 @@ from oracles import (
     levi_involutions,
     levi_longest_element,
     real_criterion,
+    reference_validate_involution,
     reflection_matrix,
+    satake_involutions,
     valid_specs,
 )
 
@@ -80,19 +85,38 @@ def test_non_involutive_matrix_rejected():
     assert any("permute" in p for p in problems)
 
 
-def test_theta_of_the_wrong_shape_is_refused_before_any_product():
+def test_theta_of_the_wrong_shape_is_refused_before_any_product(monkeypatch):
+    monkeypatch.setattr(realform, "mat_mul", None)
     for theta in (identity_matrix(3), ((1, 0), (0,))):
         assert validate_involution(InvolutionSpec(sl3_datum(), theta)) == ["theta must be a 2x2 integer matrix"]
+    # so is a rank over the bound, which the file reader refuses before the datum is walked
+    n = MAX_RANK + 1
+    spec = InvolutionSpec(RootDatum(rank=n, roots=(), coroots=(), simple_indices=()), identity_matrix(n))
+    assert validate_involution(spec) == [f"rank {n} is over the bound of {MAX_RANK}"]
 
 
 def test_a_theta_that_breaks_positivity_is_refused():
     # gl3 with e1 and e3 swapped: theta squares to 1 and permutes the roots, but
-    # its transpose sends the moving positive root e1 - e2 to e3 - e2; M is
-    # empty, so w_M theta = theta, which sends the simple coroot e1 - e2 to e3 - e2
+    # its transpose sends the simple root e1 - e2, outside the empty M, to the
+    # negative root e3 - e2
     spec = InvolutionSpec(gl_datum(3), ((0, 0, 1), (0, 1, 0), (1, 0, 0)))
     assert validate_involution(spec) == [
-        "Araki's first condition fails: w_M theta sends the simple coroot (1, -1, 0) to (0, -1, 1), which is not simple"
+        "Araki's first condition fails: theta sends the simple root (1, -1, 0) outside M to the negative root (0, -1, 1)"
     ]
+
+
+def test_a_theta_that_permutes_the_coroots_but_not_the_roots_is_refused():
+    # on gl3, theta^T sends the simple root e1 - e2 to 2 e1 + e2, no root, though theta sends
+    # every coroot to a coroot: the coroot scan let it through, and Araki's second condition refused it
+    spec = InvolutionSpec(gl_datum(3), ((1, 0, 0), (-1, -1, 0), (-1, 0, -1)))
+    assert validate_involution(spec) == [
+        "theta does not permute the root-coroot pairs (root (2, 1, 0) with coroot (1, 0, -1) missing)"
+    ]
+    assert reference_validate_involution(spec)[0].startswith("Araki's second condition fails")
+    assert validate_involution(TWISTED) == [
+        "theta does not permute the root-coroot pairs (root (0, -2) with coroot (1, -1) missing)"
+    ]
+    assert reference_validate_involution(TWISTED) == []
 
 
 # the real forms of gl2-gl5 among the involutions sign * P of gl_permutation_involutions,
@@ -146,7 +170,8 @@ def test_each_type_admits_as_many_levi_involutions_as_it_has_real_forms(name):
 
 @pytest.mark.parametrize(
     "condition, old, new",
-    [("first", "if image not in simple:", "if False:"), ("second", "and dot(datum.roots[i], two_rho_levi) % 2:", "and False:")],
+    [("first", "if min(c) < 0:", "if False:"),
+     ("second", "and (p := dot(datum.roots[i], two_rho_levi)) % 2:", "and False:")],
 )
 def test_a_dropped_araki_condition_is_caught(condition, old, new, monkeypatch):
     # validate_involution rebuilt from its source with one condition never failing
@@ -195,6 +220,56 @@ def test_the_first_condition_is_the_old_positivity_test():
         assert refused == positivity_problem(spec), spec.theta
         first += refused
     assert (len(specs), first) == (200, 123)
+
+
+# theta squares to 1 and permutes the coroots, but its transpose sends the root (2, 0) to (0, -2)
+TWISTED = InvolutionSpec(RootDatum(rank=2, roots=((2, 0), (-2, 0)), coroots=((1, -1), (-1, 1)), simple_indices=(0,),
+                                   name="twisted"), ((0, -1), (-1, 0)), name="twisted")
+
+
+def permutes_pairs(spec):
+    """Whether theta is an involution that maps every listed (root, coroot) pair (a, b) to a listed
+    pair (theta^T a, theta b): checked pair by pair, not on the simple pairs only."""
+    datum, theta = spec.datum, spec.theta
+    pairs, transpose = set(zip(datum.roots, datum.coroots)), tuple(zip(*theta))
+    return (mat_mul(theta, theta) == identity_matrix(datum.rank)
+            and all((mat_vec(transpose, a), mat_vec(theta, b)) in pairs for a, b in pairs))
+
+
+def seeded_mutants(spec, rng, count):
+    """Involutions g t g^-1 of the lattice, rarely automorphisms of the datum: t is theta on odd k and a
+    random diagonal of signs on even k, g a product of up to three elementary matrices 1 + c E_ij."""
+    n = spec.datum.rank
+    for k in range(count):
+        theta = spec.theta if k % 2 else tuple(tuple(rng.choice((-1, 1)) * (r == s) for s in range(n)) for r in range(n))
+        for _ in range(rng.randrange(1, 4) if n > 1 else 0):
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            g = tuple(tuple(int(r == s) + c * (r == i and s == j) for s in range(n)) for r in range(n))
+            g_inv = tuple(tuple(int(r == s) - c * (r == i and s == j) for s in range(n)) for r in range(n))
+            theta = mat_mul(mat_mul(g, theta), g_inv)
+        yield InvolutionSpec(spec.datum, theta, name=f"{spec.name}_mutant{k}")
+
+
+def test_the_simple_pairs_decide_what_the_coroot_scan_and_w_m_decided():
+    specs = valid_specs() + list(satake_involutions())
+    specs += [spec for n in range(2, 6) for spec in gl_permutation_involutions(n)]
+    specs += [spec for name in CARTAN for spec in levi_involutions(name)]
+    specs += [spec for name in ("B2", "G2", "B3", "C3") for spec in signed_weyl_involutions(cartan_datum(name))]
+    specs += list(signed_weyl_involutions(sl3_datum())) + [TWISTED]
+    rng = random.Random(48)
+    specs += [mutant for spec in valid_specs() + [TWISTED] for mutant in seeded_mutants(spec, rng, 6)]
+    extra = automorphisms = 0
+    for spec in specs:
+        problems, reference = validate_involution(spec), reference_validate_involution(spec)
+        if permutes_pairs(spec):
+            automorphisms += 1
+            assert [p.split(":")[0] for p in problems] == [p.split(":")[0] for p in reference], spec.theta
+            assert problems == reference or problems[0].startswith("Araki's first"), spec.theta
+        else:  # refused before Araki's conditions are read
+            assert problems and not any(p.startswith("Araki") for p in problems), spec.theta
+            extra += not reference
+    assert (len(specs), automorphisms, extra) == (892, 614, 2)  # the extra two: TWISTED and a gl2 mutant
 
 
 def test_catalog_entries_all_validate():

