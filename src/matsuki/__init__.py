@@ -20,14 +20,15 @@ every command runs ``errors``, ``record``, ``rootdata`` and ``realform``;
 ``orbitposet``; a spec file and ``catalog --export`` add ``textio``;
 ``invariant`` adds ``textio`` and ``loopmatrix``; ``check`` adds ``laws`` and
 with it the rest.  ``cli`` is never registered: ``python -m matsuki.cli``
-must find it unimported.
+must find it unimported.  The loader uses the import system's core, which
+every interpreter holds, not ``importlib.util``: the import loads nothing else.
 """
 
-import importlib.util
+import _frozen_importlib as _bootstrap  # importlib's core, which every interpreter has loaded
 import sys
-import types
 from _thread import RLock
 
+_ModuleType = type(sys)  # types.ModuleType, without loading types
 __version__ = "0.1.0"
 
 # the public names, by the module that defines them
@@ -73,31 +74,31 @@ def _after_run(method):
                     spec.loader.exec_module(module)
                 finally:
                     spec.loader_state["running"] = False
-                object.__setattr__(module, "__class__", types.ModuleType)  # not the hook
+                object.__setattr__(module, "__class__", _ModuleType)  # not the hook
         return method(module, *args)
 
     return hook
 
 
-class _LazyModule(types.ModuleType):
+class _LazyModule(_ModuleType):
     """A registered module that runs its code on the first attribute read,
     assignment or deletion, then acts.  ``importlib.util.LazyLoader`` before
     Python 3.13 marks the module as run before its code has run, so a second
     thread reads a half-run module."""
 
-    __getattribute__ = _after_run(types.ModuleType.__getattribute__)
-    __setattr__ = _after_run(types.ModuleType.__setattr__)
-    __delattr__ = _after_run(types.ModuleType.__delattr__)
+    __getattribute__ = _after_run(_ModuleType.__getattribute__)
+    __setattr__ = _after_run(_ModuleType.__setattr__)
+    __delattr__ = _after_run(_ModuleType.__delattr__)
 
 
-def _register(stem: str) -> types.ModuleType:
+def _register(stem: str) -> _ModuleType:
     """The module ``matsuki.<stem>``, in ``sys.modules`` and run on first use."""
     name = f"{__name__}.{stem}"
     if name in sys.modules:  # the package itself is being imported again
         return sys.modules[name]
-    spec = importlib.util.find_spec(name)
+    spec = _bootstrap._find_spec(name, __path__)  # what importlib.util.find_spec calls
     spec.loader_state = {"lock": RLock(), "running": False}
-    module = importlib.util.module_from_spec(spec)
+    module = _bootstrap.module_from_spec(spec)
     module.__class__ = _LazyModule
     sys.modules[name] = module
     return module

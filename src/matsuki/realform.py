@@ -53,7 +53,15 @@ class InvolutionSpec(Record):
 
     def apply(self, coweight: Coweight) -> Coweight:
         _require_rank(self.datum, (coweight,))
-        return mat_vec(self.theta, coweight)
+        image = [0] * len(coweight)
+        for i, j, t in self.theta_entries:
+            image[i] += t * coweight[j]
+        return tuple(image)
+
+    @cached_property
+    def theta_entries(self) -> list[tuple[int, int, int]]:
+        """Theta's nonzero entries (i, j, theta_ij), which ``apply`` sums over: one a row for -1 or a permutation."""
+        return [(i, j, t) for i, row in enumerate(self.theta) for j, t in enumerate(row) if t]
 
     def is_real(self, coweight: Coweight) -> bool:
         """Whether theta fixes the coweight: of length rank, every row of ``moving_rows`` pairs to 0 with it."""
@@ -172,6 +180,13 @@ def _split_image_group(datum: RootDatum) -> FiniteAbelianGroup:
 MAX_RANK = 100  # theta squared takes rank**3 products, checked only up to this rank
 
 
+def shape_problem(n: int, theta: IntMatrix) -> str | None:
+    """The first refusal that needs no walk of the datum: theta not n x n, then the rank n over ``MAX_RANK``."""
+    if len(theta) != n or any(len(row) != n for row in theta):
+        return f"theta must be a {n}x{n} integer matrix"
+    return f"rank {n} is over the bound of {MAX_RANK}" if n > MAX_RANK else None
+
+
 def validate_involution(spec: InvolutionSpec) -> list[str]:
     """Return violated invariants of the involution; empty means valid.
 
@@ -201,15 +216,13 @@ def validate_involution(spec: InvolutionSpec) -> list[str]:
     problems: list[str] = []
     datum, theta = spec.datum, spec.theta
     n = datum.rank
-    if len(theta) != n or any(len(row) != n for row in theta):
-        return [f"theta must be a {n}x{n} integer matrix"]
-    if n > MAX_RANK:
-        return [f"rank {n} is over the bound of {MAX_RANK}"]
+    if problem := shape_problem(n, theta):
+        return [problem]
 
     if mat_mul(theta, theta) != identity_matrix(n):
         problems.append("theta squared is not the identity")
     listed, transpose = {pair: m for m, pair in enumerate(zip(datum.roots, datum.coroots))}, tuple(zip(*theta))
-    images = {i: (mat_vec(transpose, datum.roots[i]), mat_vec(theta, datum.coroots[i])) for i in datum.simple_indices}
+    images = {i: (mat_vec(transpose, datum.roots[i]), spec.apply(datum.coroots[i])) for i in datum.simple_indices}
     if pair := next((image for image in images.values() if image not in listed), None):
         problems.append(f"theta does not permute the root-coroot pairs (root {pair[0]} with coroot {pair[1]} missing)")
     if problems:

@@ -13,7 +13,7 @@ from math import gcd
 
 from . import loopmatrix as lm  # read at call time: only matrix files run it
 from .errors import ParseError, ValidationError
-from .realform import MAX_RANK, InvolutionSpec, RealFormCatalogEntry, catalog, require_valid_involution
+from .realform import MAX_RANK, InvolutionSpec, RealFormCatalogEntry, catalog, require_valid_involution, shape_problem
 from .rootdata import RootDatum, require_valid
 
 _BLOCK_KEYS = frozenset({"roots", "coroots", "theta"})
@@ -158,11 +158,8 @@ def parse_involution(text: str) -> InvolutionSpec:
         # theta's shape, then the rank bound, are held before the datum's validation, whose walk
         # costs pairs x simple roots x rank; only a rank or vector wrong on its face goes first
         n = base.rank
-        if n > 0 and all(len(v) == n for v in base.roots + base.coroots):
-            if any(len(r) != n for r in (theta, *theta)):
-                raise ValidationError(f"invalid involution {name!r}: theta must be a {n}x{n} integer matrix")
-            if n > MAX_RANK:
-                raise ValidationError(f"invalid involution {name!r}: rank {n} is over the bound of {MAX_RANK}")
+        if n > 0 and all(len(v) == n for v in base.roots + base.coroots) and (problem := shape_problem(n, theta)):
+            raise ValidationError(f"invalid involution {name!r}: {problem}")
         require_valid(base)
     spec = InvolutionSpec(datum=base, theta=theta, name=name)
     require_valid_involution(spec)

@@ -105,6 +105,28 @@ def test_benchmark_setup_loads_no_fractions_random_or_re():
     assert _loaded(BENCHMARK_SETUP, {"fractions", "decimal", "numbers", "random", "re"}) == ("", [])
 
 
+# importlib.util and what it loads, none of which a bare interpreter holds
+IMPORTLIB_UTIL = {"importlib.util", "importlib", "contextlib", "warnings", "os"}
+
+
+@pytest.mark.parametrize("setup", ["import matsuki", BENCHMARK_SETUP], ids=["import", "benchmark-setup"])
+def test_import_and_benchmark_setup_load_no_importlib_util(setup):
+    # the loader finds and builds its modules with the import system's own
+    # machinery, which every interpreter has loaded before it runs any code
+    assert _loaded(setup, IMPORTLIB_UTIL) == ("", [])
+
+
+def test_import_loads_no_module_beyond_the_package():
+    result = _python("-c", "import sys\nbare = set(sys.modules)\nimport matsuki\nprint(*sorted(set(sys.modules) - bare))")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["matsuki", *(f"matsuki.{stem}" for stem in sorted(LIBRARY))]
+
+
+def test_console_script_loads_no_importlib_util():
+    # the installed matsuki script imports matsuki.cli without runpy, which loads it
+    assert _loaded("from matsuki.cli import main\nassert main(['catalog']) == 0", {"importlib.util"})[1] == []
+
+
 def test_invariant_loads_no_fractions_or_random(tmp_path):
     path = tmp_path / "id.matrix"
     path.write_text(IDENTITY_FILE)
