@@ -71,23 +71,24 @@ def _parse_coweight(tokens, rank) -> tuple[int, ...]:
 
 
 def cmd_catalog(args) -> int:
-    names = catalog_names()
-    if args.name is not None:
-        entry = catalog(args.name)
-        _write([f"name: {entry.name}", f"rank: {entry.datum.rank}",
-                f"expected_k_connected: {str(entry.expected_k_connected).lower()}", "theta:",
-                *("  " + " ".join(str(x) for x in row) for row in entry.theta), f"notes: {entry.notes}"])
-        return 0
-    if args.export is not None:
+    if args.export is not None and args.name is None:
         os.makedirs(args.export, exist_ok=True)
-        for name in names:
+        for name in catalog_names():
             path = os.path.join(args.export, f"{name}.involution")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(textio.format_involution(catalog(name)))
             print(f"wrote: {path}")
         return 0
-    _write(f"{entry.name}: rank {entry.datum.rank}, theta {'non-trivial' if entry.spec.moving_rows else 'identity'}, "
-           f"expected_k_connected {str(entry.expected_k_connected).lower()}" for entry in map(catalog, names))
+    lines = []
+    for entry in map(catalog, catalog_names() if args.name is None else [args.name]):
+        connected = str(entry.expected_k_connected).lower()
+        if args.name is None:
+            theta = "non-trivial" if entry.spec.moving_rows else "identity"
+            lines.append(f"{entry.name}: rank {entry.datum.rank}, theta {theta}, expected_k_connected {connected}")
+        else:
+            lines += [f"name: {entry.name}", f"rank: {entry.datum.rank}", f"expected_k_connected: {connected}",
+                      "theta:", *("  " + " ".join(map(str, row)) for row in entry.theta), f"notes: {entry.notes}"]
+    _write(lines)
     return 0
 
 

@@ -14,7 +14,9 @@ coefficients.  Four discrete invariants are computed here:
   invariants of the symmetrized loops attached to a form.
 
 Each form reads theta and the orbit-index test from its ``realform`` catalog
-entry, mapping diagonal-torus coordinates to the entry's (``to_entry``).
+entry, mapping diagonal-torus coordinates to the entry's (``to_entry``).  Its
+two loop maps are the involutions sigma and theta_R, whose fixed loops are those
+of K and of LG_R; a(g) = theta(g)^-1 is built only by ``FormAction._anti_product``.
 
 All arithmetic is exact and runs on Python integers: a Gaussian rational is
 a normalized integer triple (a, b, d) meaning (a + b*i)/d, and a Laurent
@@ -73,8 +75,8 @@ class Gaussian:
     parts ``re`` and ``im`` that are ints or Fractions; anything else, a float
     included, raises ``ValidationError``.
 
-    Normalization makes the fields unique, so equality compares them
-    directly; the hash is that of the ``(re, im)`` pair of Fractions.
+    Normalization makes the fields unique, so equality and the hash read them
+    directly.
     ``re`` and ``im`` are returned as Fractions for callers outside the
     arithmetic; code in the package reads the integer fields.
     """
@@ -119,7 +121,7 @@ class Gaussian:
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __add__(self, other):
         d, e = self.d, other.d
@@ -189,9 +191,9 @@ class LaurentPoly:
     """A Laurent polynomial over Q(i): ``_c`` maps each exponent to a nonzero
     Gaussian-integer numerator pair ``(a, b)`` meaning (a + b*i)/d, over the
     least common denominator ``_d`` (d > 0, coprime to the numerators, 1 for
-    zero).  The form is unique, so equality compares the fields.  Arithmetic
-    runs on the ints and normalizes once per result; ``items`` builds
-    ``Gaussian`` values on demand."""
+    zero).  The form is unique, so equality and the hash read the fields.
+    Arithmetic runs on the ints and normalizes once per result; ``items``
+    builds ``Gaussian`` values on demand."""
 
     __slots__ = ("_c", "_d")
 
@@ -280,7 +282,7 @@ class LaurentPoly:
         return self._d == other._d and self._c == other._c
 
     def __hash__(self):
-        return hash(frozenset(self.items()))
+        return hash((self._d, frozenset(self._c.items())))
 
     def __repr__(self):
         if not self._c:
@@ -514,13 +516,14 @@ def _turn(g: LaurentMatrix) -> LaurentMatrix:
 
 
 class FormAction(Record):
-    """The involution package of one supported matrix form.
-
-    Split forms: the real conjugation is coefficient conjugation, the
-    symmetric involution is transpose-inverse (symmetric subgroup is the
-    orthogonal group).  Unitary forms u(p,q): the real conjugation is the
-    J-twisted conjugate-transpose-inverse for the anti-diagonal form matrix J,
-    whose diagonal torus is a stable maximally split one.
+    """The involution package of one supported matrix form: its two loop maps
+    are the symmetric involution sigma and the real conjugation theta_R, and a
+    loop lies in K or in LG_R when sigma or theta_R fixes it.  Split forms:
+    theta_R conjugates coefficients and sends t to 1/t, sigma is
+    transpose-inverse (K is the orthogonal group).  Unitary forms u(p,q): sigma
+    is conjugation by the anti-diagonal form matrix J, whose diagonal torus is
+    a stable maximally split one, and theta_R is the split map after J (g^T)^-1 J.
+    Their anti-involutions a(g) = theta(g)^-1 are built only in ``_anti_product``.
     """
 
     name: str
@@ -535,11 +538,10 @@ class FormAction(Record):
             return mat_inverse(transpose(g))
         return _turn(g)
 
-    # anti-involutions
-    def real_antiinvolution(self, g: LaurentMatrix) -> LaurentMatrix:
-        """Invert (split) or take J g^T J (unitary), then reverse time and
-        conjugate the coefficients in one pass."""
-        h = mat_inverse(g) if self.family == "split" else _turn(transpose(g))
+    def real_involution(self, g: LaurentMatrix) -> LaurentMatrix:
+        """Take J (g^T)^-1 J on a unitary form, then reverse time and conjugate
+        the coefficients in one pass; a split form inverts nothing."""
+        h = g if self.family == "split" else _turn(mat_inverse(transpose(g)))
         return lm_from_rows(g.form, [[_raw({-e: (a, -b) for e, (a, b) in p._c.items()}, p._d) for p in row]
                                      for row in h.entries])
 
@@ -572,10 +574,10 @@ class FormAction(Record):
 
     def symmetrized_exponent(self, e: int) -> int:
         """The t-exponent of det a(g) * g for either anti-involution a, the
-        symmetric one (g^T for split forms, J g^-1 J for unitary ones) or
-        ``real_antiinvolution``, when det g = c t^e: 2e for split forms,
-        whose anti-involutions keep the exponent e, and 0 for unitary ones,
-        whose anti-involutions turn it into -e."""
+        symmetric one (g^T for split forms, J g^-1 J for unitary ones) or the
+        real one (``real_involution`` inverted), when det g = c t^e: 2e for split
+        forms, whose anti-involutions keep the exponent e, and 0 for unitary
+        ones, whose anti-involutions turn it into -e."""
         return 2 * e if self.family == "split" else 0
 
     # the lattice side is the catalog entry's
@@ -595,13 +597,6 @@ class FormAction(Record):
     def lattice_fixed(self, lam: Coweight) -> bool:
         mu = self._coordinates(lam, entry := catalog(self.entry))
         return mu is not None and entry.spec.is_real(mu)
-
-    # membership checks for the subgroup generators
-    def is_real_loop(self, g: LaurentMatrix) -> bool:
-        return loops_equal(mat_mul(self.real_antiinvolution(g), g), identity_loop(self.name, self.n))
-
-    def is_symmetric_subgroup_loop(self, g: LaurentMatrix) -> bool:
-        return loops_equal(self.symmetric_involution(g), g)
 
     def validate(self, g: LaurentMatrix) -> Monomial:
         """Check the size and the unit determinant of g; returns det(g) as (e, c)."""
@@ -855,8 +850,8 @@ def geodesic_representative(form: FormAction | str, lam: Coweight) -> LaurentMat
         entries[j, i] = LaurentPoly({(a + 1) // 2: -HALF_OVER_I, (a - 1) // 2: HALF_OVER_I})
         entries[j, j] = LaurentPoly({(b + 1) // 2: HALF, (b - 1) // 2: HALF})
     loop = lm_from_rows(form.name, _rows(form.n, LP_ZERO, entries))
-    target = diagonal_loop(form.name, lam)
-    if not loops_equal(mat_mul(form.real_antiinvolution(loop), loop), target):
+    # a_R(c) * c = t^lam, with a_R(c) = theta_R(c)^-1, is c = theta_R(c) * t^lam: no inverse
+    if not loops_equal(mat_mul(form.real_involution(loop), diagonal_loop(form.name, lam)), loop):
         raise TheoremViolationError(
             f"geodesic construction for {tuple(lam)} failed its exact multiplication check"
         )
@@ -958,7 +953,7 @@ def _polynomial_factor(form: FormAction, rng) -> list[list[LaurentPoly]]:
 def random_real_loop(form: FormAction | str, seed: int) -> LaurentMatrix:
     """Deterministic product of generators of the real polynomial loop group."""
     g = _product(form, "real", seed, _real_factor)
-    if not form_action(g.form).is_real_loop(g):
+    if not loops_equal(form_action(g.form).real_involution(g), g):
         raise TheoremViolationError("generated loop failed its real symmetry postcondition")
     return g
 
@@ -966,7 +961,7 @@ def random_real_loop(form: FormAction | str, seed: int) -> LaurentMatrix:
 def random_k_loop(form: FormAction | str, seed: int) -> LaurentMatrix:
     """Deterministic product of generators of the symmetric-subgroup loop group."""
     g = _product(form, "k", seed, _k_factor)
-    if not form_action(g.form).is_symmetric_subgroup_loop(g):
+    if not loops_equal(form_action(g.form).symmetric_involution(g), g):
         raise TheoremViolationError("generated loop failed its symmetric-subgroup postcondition")
     return g
 

@@ -170,17 +170,17 @@ def _block(key: str, rows) -> str:
     return f"{key}:\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
 
 
-def format_root_datum(datum: RootDatum) -> str:
+def format_root_datum(datum: RootDatum, name: str | None = None) -> str:
+    """The datum's file, under ``name`` if one is given, else under its own."""
     simple = " ".join(map(str, datum.simple_indices))
-    body = f"name: {datum.name}\nrank: {datum.rank}\nsimple: {simple}\n"
+    body = f"name: {datum.name if name is None else name}\nrank: {datum.rank}\nsimple: {simple}\n"
     return body + _block("roots", datum.roots) + _block("coroots", datum.coroots) if datum.roots else body
 
 
 def format_involution(entry_or_spec) -> str:
     spec = entry_or_spec.spec if isinstance(entry_or_spec, RealFormCatalogEntry) else entry_or_spec
-    # the involution file re-states the datum inline so it round-trips alone
-    body = format_root_datum(spec.datum).replace(f"name: {spec.datum.name}", f"name: {spec.name}", 1)
-    return body + _block("theta", spec.theta)
+    # the involution file re-states the datum inline, under the involution's name, so it round-trips alone
+    return format_root_datum(spec.datum, spec.name) + _block("theta", spec.theta)
 
 
 # ---------------------------------------------------------------------------

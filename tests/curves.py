@@ -1,5 +1,6 @@
-"""Cold-start curves: what a fresh process pays for the benchmark's set-up
-and for one command of each subcommand.
+"""Cold-start and matrix-layer curves: what a fresh process pays for the
+benchmark's set-up and for one command of each subcommand, and what the
+invariants cost as their loops grow.
 
     python tests/curves.py [--record FILE] [NAME=ROOT ...]
 
@@ -15,7 +16,17 @@ the machine's speed falls on all of them alike.  The points are:
   ``matsuki`` script runs it (``matsuki.cli.main`` imported without
   ``runpy``), in a fresh ``-B -S`` interpreter that compiles the package;
 - ``compiled/<command>``: the same commands reading the package's bytecode,
-  which ``compileall`` wrote beforehand.
+  which ``compileall`` wrote beforehand;
+- ``dense/<T>/<invariant>``: each of the four invariants of
+  ``oracles.dense_unipotent(T)``, the gl3 loop with T terms in each entry
+  above the diagonal, at T = 25 to 800, doubling;
+- ``sparse/<N>/<invariant>``: ``splitting_type`` and ``r_orbit_invariant`` of
+  the sparse gl2 loop [[1, x], [0, 1]] [[1, 0], [t, 1]] [[1, z], [0, 1]] with
+  x = t^N - 1 and z = t^-N + t^3, at N = 250 to 4,000, doubling.
+
+Each curve point runs in a fresh ``-B -S`` interpreter that builds the loop
+and runs each invariant once on the identity loop of its form, which reads
+the form's catalog entry, before the timed calls.
 
 Every run has ``-X pycache_prefix`` at a directory of this script's own,
 which holds the bytecode of the standard-library modules the runs load,
@@ -27,8 +38,9 @@ of the command to the end of the speed probes it runs afterwards.  Every
 time is scaled to the reference speed by the probes the same process runs
 after its timed part (``bench/speed.py``).  Each point is the median of
 ``RUNS`` runs with its quartiles; ``--record`` writes them as JSON.  Exits 1
-if a command fails or prints differently in two checkouts.  Standard
-library and ``bench`` only; pytest does not collect it.
+if a command fails or prints differently in two checkouts, or if two
+checkouts' invariants differ.  Standard library, ``bench`` and
+``tests/oracles.py`` only; pytest does not collect it.
 """
 
 import argparse
@@ -77,6 +89,40 @@ from bench import speed
 probes = [speed.probe() for _ in range({probes})]
 print(time.perf_counter() - done, *probes, file=sys.stderr)
 sys.exit(code)
+"""
+
+DENSE_TERMS = (25, 50, 100, 200, 400, 800)
+SPARSE_N = (250, 500, 1000, 2000, 4000)
+SPARSE_LOOP = """
+one, zero, t = lm.LaurentPoly.one(), lm.LaurentPoly.zero(), lm.LaurentPoly.t_power
+x, z = t({n}) - one, t(-{n}) + t(3)
+factors = [[[one, x], [zero, one]], [[one, zero], [t(1), one]], [[one, z], [zero, one]]]
+g = functools.reduce(lm.mat_mul, [lm.lm_from_rows("gl2_split", rows) for rows in factors])
+"""
+CURVES = {  # curve: its sizes, the code that builds its loop g at size n, the invariants timed on g
+    "dense": (DENSE_TERMS, "from oracles import dense_unipotent\ng = dense_unipotent({n})",
+              ("stratum_invariant", "splitting_type", "k_orbit_invariant", "r_orbit_invariant")),
+    "sparse": (SPARSE_N, SPARSE_LOOP, ("splitting_type", "r_orbit_invariant")),
+}
+
+# one curve point: the loop, each invariant once on the identity loop, then the timed calls and
+# the probes; the values go to stdout, the times and the probes to stderr
+CURVE_CODE = """
+import functools, sys, time
+sys.path[:0] = [{tests!r}, {root!r}]
+from matsuki import loopmatrix as lm
+{build}
+invariants = [getattr(lm, name) for name in {names!r}]
+for invariant in invariants:
+    invariant(lm.identity_loop(g.form, g.n))
+times = []
+for invariant in invariants:
+    start = time.perf_counter()
+    value = invariant(g)
+    times.append(time.perf_counter() - start)
+    print(invariant.__name__, value)
+from bench import speed
+print(*times, *(speed.probe() for _ in range({probes})), file=sys.stderr)
 """
 
 # after the set-up, every command, then the source file of each module loaded, to stderr
@@ -135,6 +181,17 @@ def time_command(tree: Path, argv, prefix: Path) -> tuple[float, float, str]:
     return took * speed.factor(probes), took, result.stdout
 
 
+def time_curve(tree: Path, build: str, names, prefix: Path) -> tuple[list[tuple[float, float]], str]:
+    """Each invariant's scaled and raw time on the loop that ``build`` makes, and their values."""
+    code = CURVE_CODE.format(tests=str(ROOT / "tests"), root=str(ROOT), build=build, names=names, probes=SETUP_PROBES)
+    result = python(tree, ["-c", code], prefix=prefix)
+    if result.returncode != 0:
+        raise SystemExit(f"{tree}: curve point failed: {result.stderr.strip()[-300:]}")
+    numbers = list(map(float, result.stderr.split()))
+    times, probes = numbers[:len(names)], numbers[len(names):]
+    return [(took * speed.factor(probes), took) for took in times], result.stdout
+
+
 def summary(scaled, raw) -> dict:
     q1, _, q3 = statistics.quantiles(scaled, n=4)
     return {"median_s": statistics.median(scaled), "q1_s": q1, "q3_s": q3, "raw_median_s": statistics.median(raw),
@@ -148,6 +205,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     trees = {name: Path(root).resolve() for name, _, root in (t.partition("=") for t in args.trees)}
     trees = trees or {"this": ROOT}
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="matsuki-curves-") as tmp:
         work = Path(tmp)
         (work / "loop.matrix").write_text(MATRIX_FILE, encoding="utf-8")
@@ -164,25 +222,39 @@ def main(argv=None) -> int:
                         scaled, raw, out = time_command(tree, argv, prefix)
                         samples[name].setdefault(f"{kind}/{command}", []).append((scaled, raw))
                         outputs.setdefault(command, set()).add(out)
+                for curve, (sizes, build, names) in CURVES.items():
+                    for n in sizes:
+                        timed, out = time_curve(tree, build.format(n=n), names, prefixes["source"])
+                        for invariant, sample in zip(names, timed):
+                            samples[name].setdefault(f"{curve}/{n}/{invariant}", []).append(sample)
+                        outputs.setdefault(f"{curve}/{n}", set()).add(out)
+    wall = time.perf_counter() - start
     differing = sorted(command for command, seen in outputs.items() if len(seen) > 1)
     points = {name: {point: summary(*map(list, zip(*runs))) for point, runs in per_tree.items()}
               for name, per_tree in samples.items()}
-    print(f"{'point':<22}" + "".join(f"{name + ' ms, median [q1-q3]':>34}" for name in trees))
+    print(f"{'point':<30}" + "".join(f"{name + ' ms, median [q1-q3]':>34}" for name in trees))
     for point in points[next(iter(trees))]:
         cells = (points[name][point] for name in trees)
-        print(f"{point:<22}" + "".join(
+        print(f"{point:<30}" + "".join(
             f"{c['median_s'] * 1e3:>16.1f} [{c['q1_s'] * 1e3:.1f}-{c['q3_s'] * 1e3:.1f}]".rjust(34) for c in cells))
+    print(f"wall time: {wall:.0f} s")
     if args.record:
         record = {
             "what": "cold start: benchmark set-up and one console-script command per subcommand, from source and "
-                    "from bytecode; seconds at the reference speed of bench/speed.py",
+                    "from bytecode; the invariants on the dense and the sparse loops, each point in a fresh "
+                    "interpreter; seconds at the reference speed of bench/speed.py",
             "python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count(),
             "runs": RUNS, "commands": {name: " ".join(argv).format(matrix="loop.matrix") for name, argv in COMMANDS.items()},
-            "matrix_file": MATRIX_FILE, "points": points,
+            "matrix_file": MATRIX_FILE,
+            "curves": {"dense": {"terms": DENSE_TERMS, "loop": "tests/oracles.py dense_unipotent(T)",
+                                 "invariants": CURVES["dense"][2]},
+                       "sparse": {"n": SPARSE_N, "loop": "gl2 [[1, t^N - 1], [0, 1]] [[1, 0], [t, 1]] "
+                                  "[[1, t^-N + t^3], [0, 1]]", "invariants": CURVES["sparse"][2]}},
+            "wall_s": wall, "points": points,
         }
         args.record.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     if differing:
-        print(f"stdout differs between checkouts: {', '.join(differing)}", file=sys.stderr)
+        print(f"stdout or invariants differ between checkouts: {', '.join(differing)}", file=sys.stderr)
         return 1
     return 0
 

@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 from operator import le
 
 from matsuki.errors import ValidationError
-from matsuki.loopmatrix import Gaussian, LaurentPoly, _turn, lm_from_rows, mat_inverse, transpose
+from matsuki.loopmatrix import Gaussian, LaurentPoly, _turn, apply_tau, lm_from_rows, mat_inverse, transpose
 from matsuki.realform import (
     MAX_RANK,
     InvolutionSpec,
@@ -263,6 +263,13 @@ def restricted_coroot_generators(spec):
 def symmetric_antiinvolution(form, g):
     """The symmetric anti-involution of a matrix form: g^T on a split form, J g^-1 J on a unitary one."""
     return transpose(g) if form.family == "split" else _turn(mat_inverse(g))
+
+
+def real_antiinvolution(form, g):
+    """The real anti-involution of a matrix form, t -> 1/t and coefficient conjugation after g^-1 on a
+    split form and after J g^T J on a unitary one: the inverse of ``FormAction.real_involution``."""
+    h = mat_inverse(g) if form.family == "split" else _turn(transpose(g))
+    return apply_conjugation(apply_tau(h))
 
 
 def decomposes(datum, generators, target):

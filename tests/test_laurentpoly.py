@@ -135,7 +135,7 @@ def _term_maps(denominators=DENOMINATORS):
 def _assert_agree(got, want):
     _assert_packed(got)
     assert dict(got.items()) == want._c
-    assert hash(got) == hash(want)
+    assert hash(got) == hash(LaurentPoly(want._c))  # the equal value built from the oracle's terms
     assert got.is_zero() == want.is_zero()
     if want.is_zero():
         for query in (got.valuation, got.degree):

@@ -39,7 +39,7 @@ from matsuki.loopmatrix import (
 )
 from matsuki.textio import format_matrix
 
-from oracles import apply_conjugation, conjugate_poly, dense_unipotent, symmetric_antiinvolution
+from oracles import apply_conjugation, conjugate_poly, dense_unipotent, real_antiinvolution, symmetric_antiinvolution
 
 ONE = LaurentPoly.one()
 ZERO = LaurentPoly.zero()
@@ -110,7 +110,7 @@ def test_gaussian_matches_fraction_pair_reference():
         for got, want in results:
             _assert_normalized(got)
             assert (got.re, got.im) == want
-            assert hash(got) == hash(want)
+            assert hash(got) == hash(Gaussian(*want))  # the equal value built from the Fraction pair
             assert bool(got) == any(want)
         assert (x == y) == (p == q)
 
@@ -256,7 +256,7 @@ def test_unit_loops_invert_and_symmetrize_to_the_predicted_exponent(name):
         assert loops_equal(mat_mul(inv, g), identity)
         [(e, _)] = determinant(mat_mul(symmetric_antiinvolution(form, g), g)).items()
         assert e == form.symmetrized_exponent(det[0])
-        real_sym = mat_mul(form.real_antiinvolution(g), g)
+        real_sym = mat_mul(real_antiinvolution(form, g), g)
         [(e, _)] = determinant(real_sym).items()
         assert e == form.symmetrized_exponent(det[0])
 
@@ -308,9 +308,7 @@ def test_involutions_square_to_identity_on_generated_loops(name):
         samples.append(lm_from_rows(name, rows))
     for g in samples:
         assert loops_equal(form.symmetric_involution(form.symmetric_involution(g)), g)
-        assert loops_equal(
-            form.real_antiinvolution(form.real_antiinvolution(g)), g
-        )
+        assert loops_equal(form.real_involution(form.real_involution(g)), g)
 
 
 def _j(form):
@@ -319,37 +317,43 @@ def _j(form):
 
 
 def involution_formulas(form, g):
-    """The involutions of a form written as products: split forms by their
-    definitions, unitary forms with two products by the anti-diagonal J.  The
-    symmetric anti-involution is the tests' own (``oracles``)."""
+    """The involutions of a form and their anti-involutions written as
+    products: split forms by their definitions, unitary forms with two
+    products by the anti-diagonal J.  The anti-involutions are the tests' own
+    (``oracles``)."""
     if form.family == "split":
         return {
             "symmetric_involution": mat_inverse(transpose(g)),
+            "real_involution": apply_conjugation(apply_tau(g)),
             "real_antiinvolution": apply_conjugation(apply_tau(mat_inverse(g))),
             "symmetric_antiinvolution": transpose(g),
         }
     j = _j(form)
-    symmetric_anti = mat_mul(mat_mul(j, mat_inverse(g)), j)
     return {
         "symmetric_involution": mat_mul(mat_mul(j, g), j),
+        "real_involution": mat_mul(mat_mul(j, mat_inverse(transpose(apply_conjugation(apply_tau(g))))), j),
         "real_antiinvolution": mat_mul(mat_mul(j, transpose(apply_conjugation(apply_tau(g)))), j),
-        "symmetric_antiinvolution": symmetric_anti,
+        "symmetric_antiinvolution": mat_mul(mat_mul(j, mat_inverse(g)), j),
     }
+
+
+ANTI_INVOLUTIONS = {"real_antiinvolution": real_antiinvolution, "symmetric_antiinvolution": symmetric_antiinvolution}
 
 
 @pytest.mark.parametrize("name", form_names())
 def test_involutions_match_j_product_formulas(name):
     form = form_action(name)
+    identity = identity_loop(name, form.n)
     for seed in range(20):
         g = mat_mul(
             mat_mul(random_real_loop(form, seed), random_k_loop(form, seed + 1)), random_polynomial_loop(form, seed + 2)
         )
         for method, want in involution_formulas(form, g).items():
-            if method == "symmetric_antiinvolution":
-                got = symmetric_antiinvolution(form, g)
-            else:
-                got = getattr(form, method)(g)
+            got = ANTI_INVOLUTIONS[method](form, g) if method in ANTI_INVOLUTIONS else getattr(form, method)(g)
             assert got.form == want.form and loops_equal(got, want), (name, seed, method)
+        # each anti-involution is its involution inverted
+        assert loops_equal(mat_mul(form.real_involution(g), real_antiinvolution(form, g)), identity), (name, seed)
+        assert loops_equal(mat_mul(form.symmetric_involution(g), symmetric_antiinvolution(form, g)), identity)
 
 
 def test_real_and_symmetric_antiinvolutions_agree_on_based_loops():
@@ -358,7 +362,47 @@ def test_real_and_symmetric_antiinvolutions_agree_on_based_loops():
         form = form_action(name)
         for lam in [(0,) * form.n, (2, 0) + (0,) * (form.n - 2), (1, 1) + (0,) * (form.n - 2)]:
             c = geodesic_representative(form, lam)
-            assert loops_equal(form.real_antiinvolution(c), symmetric_antiinvolution(form, c))
+            assert loops_equal(real_antiinvolution(form, c), symmetric_antiinvolution(form, c))
+
+
+def test_split_real_loops_and_geodesics_invert_nothing(monkeypatch):
+    # on a split form theta_R only conjugates and reverses time, so the real generator's
+    # fixed-point test and the geodesic check c = theta_R(c) t^lam build no inverse
+    inverse, calls = loopmatrix.mat_inverse, []
+    monkeypatch.setattr(loopmatrix, "mat_inverse", lambda g: calls.append(g.form) or inverse(g))
+    for seed in range(20):
+        random_real_loop("gl2_split", seed), random_real_loop("sl3_split", seed)
+    for lam in [(0, 0, 0), (1, 1, 0), (3, 1, -2), (2, 1, 1)]:
+        geodesic_representative("gl3_split", lam)
+    assert calls == []
+    random_real_loop("u11", 0)  # a unitary form's theta_R inverts once: the counter sees it
+    assert calls == ["u11"]
+
+
+def _theta_r_without_conjugation(form, g):
+    """theta_R with the coefficient conjugation dropped: t -> 1/t only, after J (g^T)^-1 J on a unitary form."""
+    return apply_tau(g if form.family == "split" else loopmatrix._turn(mat_inverse(transpose(g))))
+
+
+def _failing_real_seeds(name):
+    """The seeds in 0-39 whose real loop of ``name`` fails its fixed-point postcondition."""
+    failed = []
+    for seed in range(40):
+        try:
+            random_real_loop(name, seed)
+        except TheoremViolationError as error:
+            assert str(error) == "generated loop failed its real symmetry postcondition"
+            failed.append(seed)
+    return failed
+
+
+def test_theta_r_without_conjugation_fails_the_unitary_generators_and_the_geodesic_check(monkeypatch):
+    assert _failing_real_seeds("u11") == _failing_real_seeds("u21") == []
+    monkeypatch.setattr(loopmatrix.FormAction, "real_involution", _theta_r_without_conjugation)
+    assert _failing_real_seeds("u11") and _failing_real_seeds("u21")
+    for name, lam in (("gl2_split", (1, 1)), ("gl3_split", (1, 1, 0))):
+        with pytest.raises(TheoremViolationError, match="failed its exact multiplication check"):
+            geodesic_representative(name, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +743,7 @@ def _raw_and_symmetrized(form, seed):
         mat_mul(random_polynomial_loop(form, seed, negative=True), random_real_loop(form, seed + 1)),
         mat_mul(random_k_loop(form, seed + 2), random_polynomial_loop(form, seed + 3)),
     )
-    return g, mat_mul(symmetric_antiinvolution(form, g), g), mat_mul(form.real_antiinvolution(g), g)
+    return g, mat_mul(symmetric_antiinvolution(form, g), g), mat_mul(real_antiinvolution(form, g), g)
 
 
 @pytest.mark.parametrize("name", form_names())
@@ -820,7 +864,7 @@ def real_loop_misses():
         rows = [[ONE if i == j else ZERO for j in range(form.n)] for i in range(form.n)]
         rows[0][-1] = t_pow(1) + t_pow(-1)
         u = lm_from_rows(name, rows)
-        if (not form.is_real_loop(u) or loopmatrix.r_orbit_invariant(u) != (0,) * form.n
+        if (not loops_equal(form.real_involution(u), u) or loopmatrix.r_orbit_invariant(u) != (0,) * form.n
                 or loopmatrix.k_orbit_invariant(u) != k_index):
             missed.append(name)
     return missed
@@ -889,7 +933,7 @@ def test_geodesic_even_entries_are_half_powers():
 def test_geodesic_odd_pair_multiplies_back():
     form = form_action("gl2_split")
     c = geodesic_representative(form, (1, 1))
-    lhs = mat_mul(form.real_antiinvolution(c), c)
+    lhs = mat_mul(real_antiinvolution(form, c), c)
     assert loops_equal(lhs, diagonal_loop("gl2_split", (1, 1)))
     assert k_orbit_invariant(c) == (1, 1)
 
@@ -939,13 +983,18 @@ def test_random_loop_postconditions(name):
     form = form_action(name)
     for seed in range(6):
         g = random_real_loop(form, seed)
-        assert form.is_real_loop(g)
+        assert loops_equal(form.real_involution(g), g)
         k = random_k_loop(form, seed)
-        assert form.is_symmetric_subgroup_loop(k)
+        assert loops_equal(form.symmetric_involution(k), k)
         p = random_polynomial_loop(form, seed)
         assert min_valuation(p) >= 0 or loops_equal(p, identity_loop(name, form.n))
         m = random_polynomial_loop(form, seed, negative=True)
         assert max_degree(m) <= 0
+    if form.n > 1:  # membership is a fixed point: a polynomial unipotent is fixed by neither involution
+        rows = [[ONE if i == j else ZERO for j in range(form.n)] for i in range(form.n)]
+        rows[0][-1] = t_pow(1, 1, 1)
+        u = lm_from_rows(name, rows)
+        assert not loops_equal(form.real_involution(u), u) and not loops_equal(form.symmetric_involution(u), u)
 
 
 def _negative_powers(factor):
@@ -1063,7 +1112,7 @@ def loops_forms_report() -> str:
                 f"# {name} seed {seed}: g, symmetrize(g), real_antiinvolution(g)*g\n",
                 format_matrix(g),
                 format_matrix(mat_mul(symmetric_antiinvolution(form, g), g)),
-                format_matrix(mat_mul(form.real_antiinvolution(g), g)),
+                format_matrix(mat_mul(real_antiinvolution(form, g), g)),
                 f"invariants: {stratum_invariant(g)} {splitting_type(g)} "
                 f"{k_orbit_invariant(g)} {r_orbit_invariant(g)}\n",
             ]

@@ -105,6 +105,12 @@ def test_benchmark_setup_loads_no_fractions_random_or_re():
     assert _loaded(BENCHMARK_SETUP, {"fractions", "decimal", "numbers", "random", "re"}) == ("", [])
 
 
+def test_hashing_a_loop_loads_no_fractions_or_re():
+    # a Gaussian and a Laurent polynomial hash their normalized integer fields, building no Fraction
+    setup = "from matsuki import loopmatrix as lm\nhash(lm.identity_loop('gl2_split', 2)), hash(lm.HALF_OVER_I)"
+    assert _loaded(setup, {"fractions", "decimal", "re"}) == ("", [])
+
+
 # importlib.util and what it loads, none of which a bare interpreter holds
 IMPORTLIB_UTIL = {"importlib.util", "importlib", "contextlib", "warnings", "os"}
 
