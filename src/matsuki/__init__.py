@@ -16,12 +16,14 @@ Start-up: importing the package registers every library module in
 access (other threads wait until it has run), and the names below are read
 from their modules on demand.  So a command runs only the modules it uses:
 every command runs ``errors``, ``record``, ``rootdata`` and ``realform``;
-``orbits``, ``poset``, ``dual``, ``core`` and ``pi1`` add ``fundgroup`` and
-``orbitposet``; a spec file and ``catalog --export`` add ``textio``;
-``invariant`` adds ``textio`` and ``loopmatrix``; ``check`` adds ``laws`` and
-with it the rest.  ``cli`` is never registered: ``python -m matsuki.cli``
-must find it unimported.  The loader uses the import system's core, which
-every interpreter holds, not ``importlib.util``: the import loads nothing else.
+``pi1`` adds ``fundgroup``, and ``orbits``, ``poset``, ``dual`` and ``core``
+add ``fundgroup`` and ``orbitposet``; a spec file and ``catalog --export``
+add ``textio``; ``invariant`` adds ``textio`` and ``loopmatrix``; ``check``
+adds ``laws`` and the lattice modules, and ``loopmatrix`` only on an entry
+that names a matrix form.  ``cli`` is never registered: ``python -m
+matsuki.cli`` must find it unimported.  The loader uses the import system's
+core, which every interpreter holds, not ``importlib.util``: the import
+loads nothing else.
 """
 
 import _frozen_importlib as _bootstrap  # importlib's core, which every interpreter has loaded

@@ -10,20 +10,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import TheoremViolationError, ValidationError
-from .loopmatrix import (
-    FormAction,
-    form_action,
-    form_names,
-    geodesic_representative,
-    k_orbit_invariant,
-    mat_mul,
-    r_orbit_invariant,
-    random_k_loop,
-    random_polynomial_loop,
-    random_real_loop,
-    splitting_type,
-    stratum_invariant,
-)
+from . import loopmatrix as lm  # registered, not run: only the matrix laws read it
 from .orbitposet import build_poset_slice, enumerate_orbits, k_leq, primitive_relations, r_leq, real_step_leq
 from .realform import catalog
 from .rootdata import column_matrix, dominance_leq, fmt_coweight, gl_datum, height, is_dominant, mat_vec, simple_coroots
@@ -108,43 +95,43 @@ def chain_structure(spec, slice_) -> str | None:
     return problem
 
 
-def seeded_loop(form: FormAction, seed: int, i: int):
+def seeded_loop(form: lm.FormAction, seed: int, i: int):
     """The i-th real*K*polynomial loop of the form at the seed."""
-    real, k = random_real_loop(form, seed * 1000 + i), random_k_loop(form, seed * 2000 + i)
-    return mat_mul(mat_mul(real, k), random_polynomial_loop(form, seed * 3000 + i))
+    real, k = lm.random_real_loop(form, seed * 1000 + i), lm.random_k_loop(form, seed * 2000 + i)
+    return lm.mat_mul(lm.mat_mul(real, k), lm.random_polynomial_loop(form, seed * 3000 + i))
 
 
-def matrix_invariance(form: FormAction, seed: int, loops: int) -> str | None:
+def matrix_invariance(form: lm.FormAction, seed: int, loops: int) -> str | None:
     """Birkhoff below Cartan and the four invariants under their groups on the
     first ``loops`` seeded loops, and the geodesic pairing on the split forms."""
     datum = gl_datum(form.n)
     for i in range(loops):
         g = seeded_loop(form, seed, i)
-        cartan, birkhoff = stratum_invariant(g), splitting_type(g)
+        cartan, birkhoff = lm.stratum_invariant(g), lm.splitting_type(g)
         if not dominance_leq(datum, birkhoff, cartan):
             return f"Birkhoff {fmt_coweight(birkhoff)} not below Cartan {fmt_coweight(cartan)} at loop {i}"
-        a = random_polynomial_loop(form, seed * 4000 + i)
-        b = random_polynomial_loop(form, seed * 5000 + i)
-        if stratum_invariant(mat_mul(mat_mul(a, g), b)) != cartan:
+        a = lm.random_polynomial_loop(form, seed * 4000 + i)
+        b = lm.random_polynomial_loop(form, seed * 5000 + i)
+        if lm.stratum_invariant(lm.mat_mul(lm.mat_mul(a, g), b)) != cartan:
             return f"Cartan invariance fails at loop {i}"
-        minus = random_polynomial_loop(form, seed * 6000 + i, negative=True)
-        if splitting_type(mat_mul(mat_mul(minus, g), b)) != birkhoff:
+        minus = lm.random_polynomial_loop(form, seed * 6000 + i, negative=True)
+        if lm.splitting_type(lm.mat_mul(lm.mat_mul(minus, g), b)) != birkhoff:
             return f"Birkhoff invariance fails at loop {i}"
-        k_inv = k_orbit_invariant(g)
-        if k_orbit_invariant(mat_mul(mat_mul(random_k_loop(form, seed * 7000 + i), g), b)) != k_inv:
+        k_inv = lm.k_orbit_invariant(g)
+        if lm.k_orbit_invariant(lm.mat_mul(lm.mat_mul(lm.random_k_loop(form, seed * 7000 + i), g), b)) != k_inv:
             return f"k-orbit invariance fails at loop {i}"
-        r_inv = r_orbit_invariant(g)
-        if r_orbit_invariant(mat_mul(random_real_loop(form, seed * 8000 + i), g)) != r_inv:
+        r_inv = lm.r_orbit_invariant(g)
+        if lm.r_orbit_invariant(lm.mat_mul(lm.random_real_loop(form, seed * 8000 + i), g)) != r_inv:
             return f"r-orbit invariance fails at loop {i}"
     if form.family == "split" and form.n > 1:
         lam = (1,) + (0,) * (form.n - 2) + (-1,) if form.special else (1, 1) + (0,) * (form.n - 2)
-        c = geodesic_representative(form, lam)
-        if k_orbit_invariant(c) != lam or r_orbit_invariant(c) != lam:
+        c = lm.geodesic_representative(form, lam)
+        if lm.k_orbit_invariant(c) != lam or lm.r_orbit_invariant(c) != lam:
             return "geodesic duality pairing fails"
     return None
 
 
-def intersection(form: FormAction, seed: int, loops: int) -> str | None:
+def intersection(form: lm.FormAction, seed: int, loops: int) -> str | None:
     """On the first ``loops`` seeded loops, the R-orbit index lies below the
     K-orbit index in the entry's K-order.  The two orbits through a loop
     meet, and on flag varieties a K-orbit meets a real-group orbit exactly
@@ -154,7 +141,7 @@ def intersection(form: FormAction, seed: int, loops: int) -> str | None:
     spec = catalog(form.entry).spec
     for i in range(loops):
         g = seeded_loop(form, seed, i)
-        lam, mu = r_orbit_invariant(g), k_orbit_invariant(g)
+        lam, mu = lm.r_orbit_invariant(g), lm.k_orbit_invariant(g)
         r, k = form.to_entry(lam), form.to_entry(mu)
         if r is None or k is None or not k_leq(spec, r, k):
             return f"R-orbit invariant {fmt_coweight(lam)} not below K-orbit invariant {fmt_coweight(mu)} at loop {i}"
@@ -162,10 +149,10 @@ def intersection(form: FormAction, seed: int, loops: int) -> str | None:
 
 
 def run_suites(names, seed: int) -> int:
-    matrix_forms = {form.entry: form for form in map(form_action, form_names())}
     failures = 0
     for entry_name in names:
-        spec = catalog(entry_name).spec
+        entry = catalog(entry_name)
+        spec, form = entry.spec, entry.matrix_form
         # each runner builds its own set: duality and Hasse share a cached slice
         suites = [
             ("generation", lambda: generation(spec, positive_cone_reals(spec, 10))),
@@ -175,8 +162,8 @@ def run_suites(names, seed: int) -> int:
         ]
         if entry_name == "pgl2_so21":
             suites.append(("chain-structure", lambda: chain_structure(spec, build_poset_slice(spec, 12, "K"))))
-        if entry_name in matrix_forms:
-            suites.append(("matrix-invariance", lambda: matrix_invariance(matrix_forms[entry_name], seed, 12)))
+        if form:
+            suites.append(("matrix-invariance", lambda: matrix_invariance(lm.form_action(form), seed, 12)))
         for suite_name, runner in suites:
             try:
                 problem = runner()

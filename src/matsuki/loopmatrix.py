@@ -38,12 +38,9 @@ a unit monomial (off the adjugate's first column where one is built) and the
 minors or the reduction off those lines, for g and for its symmetrized loops,
 whose products a(g)*g are built by halves where a(M) = M is an index symmetry.
 
-Two standard modules are imported only by the code that uses them, since
-every command and set-up pays for a module-level import in a fresh process:
-``fractions`` (which loads ``decimal``, ``numbers`` and ``re``) by ``_fraction``
-for the Fraction-facing API of ``Gaussian``, and ``random`` by ``_product``
-for the seeded generators.  The arithmetic, the four invariants and the
-module's own constants build no Fraction.
+``random`` is imported only by ``_product``, for the seeded generators,
+since every command and set-up pays for a module-level import in a fresh
+process.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ from operator import index
 
 from . import fundgroup  # read at call time: only geodesic construction runs it
 from .errors import TheoremViolationError, ValidationError
-from .realform import catalog
+from .realform import _catalog, catalog
 from .record import Record
 from .rootdata import Coweight
 
@@ -62,55 +59,28 @@ from .rootdata import Coweight
 # Gaussian rationals
 
 
-def _fraction():
-    """The ``Fraction`` class, for parts given or read as Fractions."""
-    from fractions import Fraction
-
-    return Fraction
-
-
 class Gaussian:
     """An element of Q(i), stored as normalized integers ``(a, b, d)`` that
-    mean (a + b*i)/d, with d > 0 and gcd(a, b, d) = 1.  It is built from
-    parts ``re`` and ``im`` that are ints or Fractions; anything else, a float
-    included, raises ``ValidationError``.
-
+    mean (a + b*i)/d, with d > 0 and gcd(a, b, d) = 1: a coefficient value,
+    which the arithmetic on numerator dicts reads and never builds.
+    ``Gaussian(a=0, b=0, d=1)`` normalizes int parts; any other part, a float
+    or a Fraction included, or d <= 0 raises ``ValidationError``.
     Normalization makes the fields unique, so equality and the hash read them
     directly.
-    ``re`` and ``im`` are returned as Fractions for callers outside the
-    arithmetic; code in the package reads the integer fields.
     """
 
     __slots__ = ("a", "b", "d")
 
-    def __init__(self, re=0, im=0):
-        if type(re) is int and type(im) is int:
-            a, b, d = re, im, 1
-        else:
-            Fraction = _fraction()
-            if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
-                raise ValidationError(f"Gaussian parts must be int or Fraction, got {re!r} and {im!r}")
-            re, im = Fraction(re), Fraction(im)
-            q, s = re.denominator, im.denominator
-            d = lcm(q, s)  # both parts are in lowest terms, so gcd(a, b, d) = 1
-            a, b = re.numerator * (d // q), im.numerator * (d // s)
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_d(self, d)
+    def __new__(cls, a=0, b=0, d=1):
+        if type(a) is not int or type(b) is not int or type(d) is not int or d <= 0:
+            raise ValidationError(f"Gaussian parts must be ints with d > 0, got {a!r}, {b!r} and {d!r}")
+        return _norm(a, b, d)
 
     def __setattr__(self, *_):
         raise AttributeError("Gaussian values are immutable")
 
     def __reduce__(self):
         return _make, (self.a, self.b, self.d)
-
-    @property
-    def re(self) -> Fraction:
-        return _fraction()(self.a, self.d)
-
-    @property
-    def im(self) -> Fraction:
-        return _fraction()(self.b, self.d)
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
@@ -123,35 +93,14 @@ class Gaussian:
     def __hash__(self):
         return hash((self.a, self.b, self.d))
 
-    def __add__(self, other):
-        d, e = self.d, other.d
-        return _norm(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
-
-    def __sub__(self, other):
-        d, e = self.d, other.d
-        return _norm(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
-
     def __neg__(self):
         return _make(-self.a, -self.b, self.d)
-
-    def __mul__(self, other):
-        a, b, c, e = self.a, self.b, other.a, other.b
-        return _norm(a * c - b * e, a * e + b * c, self.d * other.d)
-
-    def __truediv__(self, other):
-        c, e = other.a, other.b
-        norm = c * c + e * e
-        if norm == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        # (a + bi)/d divided by (c + ei)/f is f(a + bi)(c - ei) / (d(c^2 + e^2))
-        a, b, f = self.a, self.b, other.d
-        return _norm(f * (a * c + b * e), f * (b * c - a * e), self.d * norm)
 
     def conjugate(self) -> "Gaussian":
         return _make(self.a, -self.b, self.d)
 
     def __repr__(self):
-        return f"Gaussian({self.re}, {self.im})"
+        return f"Gaussian({self.a}, {self.b}, {self.d})"
 
 
 _set_a = Gaussian.a.__set__
@@ -288,14 +237,16 @@ class LaurentPoly:
         if not self._c:
             return "0"
 
-        def term(e, c):
-            coeff = f"({c.re}{'+' if c.im >= 0 else '-'}{abs(c.im)}i)"
-            if e == 0:
-                return coeff
-            power = "t" if e == 1 else f"t^{e}"
-            return f"{coeff}*{power}"
+        def part(x):  # x/d in lowest terms, printed as a Fraction prints
+            g = gcd(x, self._d)
+            return f"{x // g}" if g == self._d else f"{x // g}/{self._d // g}"
 
-        return " + ".join(term(e, c) for e, c in sorted(self.items()))
+        def term(e, a, b):
+            coeff = f"({part(a)}{'+' if b >= 0 else '-'}{part(abs(b))}i)"
+            power = "t" if e == 1 else f"t^{e}"
+            return coeff if e == 0 else f"{coeff}*{power}"
+
+        return " + ".join(term(e, a, b) for e, (a, b) in sorted(self._c.items()))
 
 
 _set_c = LaurentPoly._c.__set__
@@ -616,15 +567,13 @@ class FormAction(Record):
         return e
 
 
-_FORMS = {f.name: f for f in (
-    FormAction(name="gl1_split", n=1, family="split", special=False, entry="gl1_split"),
-    FormAction(name="gl2_split", n=2, family="split", special=False, entry="gl2_split"),
-    FormAction(name="gl3_split", n=3, family="split", special=False, entry="gl3_split"),
-    FormAction(name="sl2_split", n=2, family="split", special=True, entry="sl2_split"),
-    FormAction(name="sl3_split", n=3, family="split", special=True, entry="sl3_split"),
-    FormAction(name="u11", n=2, family="unitary", special=False, entry="su11"),
-    FormAction(name="u21", n=3, family="unitary", special=False, entry="su21"),
-)}
+# each form's size, family and pinned determinant; the catalog entry that it models names it (``matrix_form``)
+_MODELLED = {entry.matrix_form: entry.name for entry in _catalog().values() if entry.matrix_form}
+_FORMS = {name: FormAction(name=name, n=n, family=family, special=special, entry=_MODELLED[name])
+          for name, n, family, special in (
+              ("gl1_split", 1, "split", False), ("gl2_split", 2, "split", False), ("gl3_split", 3, "split", False),
+              ("sl2_split", 2, "split", True), ("sl3_split", 3, "split", True),
+              ("u11", 2, "unitary", False), ("u21", 3, "unitary", False))}
 
 
 def form_names() -> tuple[str, ...]:

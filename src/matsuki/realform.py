@@ -279,6 +279,7 @@ class RealFormCatalogEntry(Record):
     spec: InvolutionSpec
     expected_k_connected: bool
     notes: str
+    matrix_form: str = ""  # the ``loopmatrix`` form that models this entry, if any
 
     @property
     def datum(self) -> RootDatum:
@@ -289,9 +290,9 @@ class RealFormCatalogEntry(Record):
         return self.spec.theta
 
 
-def _entry(name, datum, theta, connected, notes) -> RealFormCatalogEntry:
+def _entry(name, datum, theta, connected, notes, form="") -> RealFormCatalogEntry:
     spec = InvolutionSpec(datum=datum, theta=theta, name=name)
-    return RealFormCatalogEntry(name=name, spec=spec, expected_k_connected=connected, notes=notes)
+    return RealFormCatalogEntry(name=name, spec=spec, expected_k_connected=connected, notes=notes, matrix_form=form)
 
 
 @lru_cache(maxsize=None)
@@ -300,7 +301,7 @@ def _catalog() -> dict[str, RealFormCatalogEntry]:
         _entry(
             "sl2_split", sl2_datum(), identity_matrix(1), True,
             "SL2(R) inside SL2(C); lattice Z*alpha_vee with alpha_vee = (1); theta = id; "
-            "symmetric subgroup SO2(C), connected.",
+            "symmetric subgroup SO2(C), connected.", "sl2_split",
         ),
         _entry(
             "sl2_compact", sl2_datum(), ((-1,),), True,
@@ -321,34 +322,34 @@ def _catalog() -> dict[str, RealFormCatalogEntry]:
         _entry(
             "sl3_split", sl3_datum(), identity_matrix(2), True,
             "SL3(R) inside SL3(C); simple-coroot coordinates on the coroot lattice; theta = id; "
-            "symmetric subgroup SO3(C), connected.",
+            "symmetric subgroup SO3(C), connected.", "sl3_split",
         ),
         _entry(
             "su11", sl2_datum(), identity_matrix(1), True,
             "SU(1,1) inside SL2(C) with the anti-diagonal Hermitian form; on the split diagonal "
             "torus theta acts trivially (SU(1,1) is isomorphic to SL2(R)); symmetric subgroup "
-            "GL1(C), connected.",
+            "GL1(C), connected.", "u11",
         ),
         _entry(
             "su21", sl3_datum(), ((0, 1), (1, 0)), True,
             "SU(2,1) inside SL3(C) with the anti-diagonal Hermitian form; on the stable maximally "
             "split torus theta swaps the two simple coroots (simple-coroot coordinates); split "
-            "sublattice spanned by (1,1); symmetric subgroup S(GL2 x GL1), connected.",
+            "sublattice spanned by (1,1); symmetric subgroup S(GL2 x GL1), connected.", "u21",
         ),
         _entry(
             "gl1_split", gl_datum(1), identity_matrix(1), False,
             "GL1(R) inside GL1(C); no roots; symmetric subgroup O1 = {±1} is disconnected, so "
-            "only even cocharacters index orbits.",
+            "only even cocharacters index orbits.", "gl1_split",
         ),
         _entry(
             "gl2_split", gl_datum(2), identity_matrix(2), False,
             "GL2(R) inside GL2(C); standard coordinates e_1, e_2; theta = id; symmetric subgroup "
-            "O2(C) is disconnected: orbit indices have even coordinate sum.",
+            "O2(C) is disconnected: orbit indices have even coordinate sum.", "gl2_split",
         ),
         _entry(
             "gl3_split", gl_datum(3), identity_matrix(3), False,
             "GL3(R) inside GL3(C); standard coordinates; theta = id; symmetric subgroup O3(C) is "
-            "disconnected: orbit indices have even coordinate sum.",
+            "disconnected: orbit indices have even coordinate sum.", "gl3_split",
         ),
     ]
     return {e.name: e for e in entries}

@@ -205,7 +205,7 @@ def _entry(rest: str, lineno: int, i: int, j: int) -> lm.LaurentPoly:
             raise ParseError(lineno, f"bad rational {parts[2 if q else 1]!r}")
         if e in coeffs:
             raise ParseError(lineno, f"duplicate exponent {e} in entry ({i}, {j})")
-        coeffs[e] = lm.Gaussian(p * s, r * q) / lm.Gaussian(q * s)  # p/q + (r/s)i
+        coeffs[e] = lm.Gaussian(p * s, r * q, q * s)  # p/q + (r/s)i, q and s positive
     if tail:
         raise ParseError(lineno, unparsed)
     return lm.LaurentPoly(coeffs)

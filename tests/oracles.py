@@ -3,10 +3,21 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 from operator import le
 
 from matsuki.errors import ValidationError
-from matsuki.loopmatrix import Gaussian, LaurentPoly, _turn, apply_tau, lm_from_rows, mat_inverse, transpose
+from matsuki.loopmatrix import (
+    Gaussian,
+    LaurentPoly,
+    _turn,
+    apply_tau,
+    identity_loop,
+    lm_from_rows,
+    mat_inverse,
+    transpose,
+)
+from matsuki.loopmatrix import mat_mul as loop_product
 from matsuki.realform import (
     MAX_RANK,
     InvolutionSpec,
@@ -440,6 +451,31 @@ def group_class(group, vector):
     return tuple(c % f if f else c for c, f in zip(coords, group.invariant_factors))
 
 
+def gaussian(re, im=0):
+    """The ``Gaussian`` re + im*i of int or Fraction parts, its fields read off the parts."""
+    re, im = Fraction(re), Fraction(im)
+    d = lcm(re.denominator, im.denominator)  # so gcd(a, b, d) = 1
+    return Gaussian(re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d)
+
+
+def parts(c):
+    """The (re, im) Fraction pair of a ``Gaussian``: the reference that the pair functions below compute on."""
+    return Fraction(c.a, c.d), Fraction(c.b, c.d)
+
+
+def pair_sum(p, q):
+    return p[0] + q[0], p[1] + q[1]
+
+
+def pair_product(p, q):
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+def pair_quotient(p, q):
+    norm = q[0] * q[0] + q[1] * q[1]
+    return (p[0] * q[0] + p[1] * q[1]) / norm, (p[1] * q[0] - p[0] * q[1]) / norm
+
+
 def conjugate_poly(p):
     """Coefficient conjugation of a Laurent polynomial, Gaussian by Gaussian; t stays t."""
     return LaurentPoly({e: c.conjugate() for e, c in p.items()})
@@ -457,9 +493,28 @@ def dense_unipotent(terms):
 
     def entry():
         return LaurentPoly({
-            e: Gaussian(Fraction(rng.randint(1, 9), rng.choice((1, 2, 3))), rng.randint(-9, 9))
+            e: gaussian(Fraction(rng.randint(1, 9), rng.choice((1, 2, 3))), rng.randint(-9, 9))
             for e in range(-(terms // 2), terms - terms // 2)
         })
 
     one, zero = LaurentPoly.one(), LaurentPoly.zero()
     return lm_from_rows("gl3_split", [[one, entry(), entry()], [zero, one, entry()], [zero, zero, one]])
+
+
+def wide_real_loop(form, rng):
+    """A product of 1 to 3 factors 1 + x E_ij (i != j) of a split form, with
+    x = r + sum over k = 1..3 of c_k t^k + conj(c_k) t^-k for c_k in Z[i] and
+    r in Z.  Each x is real on |t| = 1, so the product lies in LG_R; unlike the
+    entries of ``random_real_loop``, x need not be fixed by t -> 1/t alone or
+    by conjugation alone."""
+    n, g = form.n, identity_loop(form.name, form.n)
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.sample(range(n), 2)
+        x = {0: gaussian(rng.randint(-2, 2))}
+        for k in range(1, 4):
+            re, im = rng.randint(-2, 2), rng.randint(-2, 2)
+            x[k], x[-k] = gaussian(re, im), gaussian(re, -im)
+        rows = [[LaurentPoly.one() if r == c else LaurentPoly.zero() for c in range(n)] for r in range(n)]
+        rows[i][j] = LaurentPoly(x)
+        g = loop_product(g, lm_from_rows(form.name, rows))
+    return g

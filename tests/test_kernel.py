@@ -1,7 +1,8 @@
 """The integer kernel of the matrix layer against the LaurentPoly-level
 reference it replaced: cofactor determinants and sums of products, here on
-``Gaussian`` coefficients so that no kernel code runs on the reference side
-(``test_the_reference_runs_without_the_kernel`` checks it).
+(re, im) Fraction pairs (``oracles.pair_product`` and its kin) so that no
+kernel code runs on the reference side (``test_the_reference_runs_without_the_kernel``
+checks it).
 
 The loops carry coefficients with denominators 1 to 25, so rows and columns
 are cleared with different lcms; the comparison is exact, down to the
@@ -38,7 +39,16 @@ from matsuki.loopmatrix import (
     transpose,
 )
 
-from oracles import conjugate_poly, dense_unipotent, symmetric_antiinvolution
+from oracles import (
+    conjugate_poly,
+    dense_unipotent,
+    gaussian,
+    pair_product,
+    pair_quotient,
+    pair_sum,
+    parts,
+    symmetric_antiinvolution,
+)
 
 ZERO = LaurentPoly.zero()
 
@@ -48,15 +58,16 @@ ZERO = LaurentPoly.zero()
 
 
 def ref_dot(plus, minus=()):
-    """The sum of p*q over the pairs of ``plus`` minus that over ``minus``, summed on ``Gaussian``
-    coefficients: no ``LaurentPoly`` arithmetic, which runs on the kernel's ``_raw_dot``."""
+    """The sum of p*q over the pairs of ``plus`` minus that over ``minus``, summed on Fraction
+    pairs: no ``LaurentPoly`` arithmetic, which runs on the kernel's ``_raw_dot``."""
     out = {}
-    for sign, pairs in ((Gaussian(1), plus), (Gaussian(-1), minus)):
+    for sign, pairs in ((1, plus), (-1, minus)):
         for p, q in pairs:
             for e1, c1 in p.items():
                 for e2, c2 in q.items():
-                    out[e1 + e2] = out.get(e1 + e2, Gaussian(0)) + sign * c1 * c2
-    return LaurentPoly(out)
+                    x, y = pair_product(parts(c1), parts(c2))
+                    out[e1 + e2] = pair_sum(out.get(e1 + e2, (0, 0)), (sign * x, sign * y))
+    return LaurentPoly({e: gaussian(*c) for e, c in out.items()})
 
 
 def ref_det(rows):
@@ -80,11 +91,12 @@ def ref_matmul(a, b):
 def ref_inverse(g):
     [(e, c)] = ref_det(g.entries).items()
     n = g.n
+    x, y = pair_quotient((1, 0), parts(c))
     if n == 1:
-        return lm_from_rows(g.form, [[LaurentPoly.t_power(-e, Gaussian(1) / c)]])
+        return lm_from_rows(g.form, [[LaurentPoly.t_power(-e, gaussian(x, y))]])
     adjugate = [
         [ref_dot([(ref_det([r[:i] + r[i + 1:] for k, r in enumerate(g.entries) if k != j]),
-                   LaurentPoly.t_power(-e, Gaussian((-1) ** (i + j)) / c))]) for j in range(n)]
+                   LaurentPoly.t_power(-e, gaussian((-1) ** (i + j) * x, (-1) ** (i + j) * y)))]) for j in range(n)]
         for i in range(n)
     ]
     return lm_from_rows(g.form, adjugate)
@@ -154,13 +166,13 @@ def rational_loops(form, count=5):
         g = mat_mul(g, random_polynomial_loop(form, seed + 2))
         if not form.special:
             g = mat_mul(g, _diagonal(form, [LaurentPoly.t_power(1, Gaussian(2, 1))] + [LaurentPoly.one()] * (n - 1)))
-        scales = [Gaussian(_rational(rng), _rational(rng) if rng.random() < 0.3 else 0) for _ in range(n)]
-        g = mat_mul(mat_mul(_diagonal(form, [LaurentPoly.constant(s) for s in scales]), g),
-                    _diagonal(form, [LaurentPoly.constant(Gaussian(1) / s) for s in scales]))
+        scales = [(_rational(rng), _rational(rng) if rng.random() < 0.3 else 0) for _ in range(n)]
+        g = mat_mul(mat_mul(_diagonal(form, [LaurentPoly.constant(gaussian(*s)) for s in scales]), g),
+                    _diagonal(form, [LaurentPoly.constant(gaussian(*pair_quotient((1, 0), s))) for s in scales]))
         if n > 1:
             rows = [[LaurentPoly.one() if i == j else ZERO for j in range(n)] for i in range(n)]
             i, j = rng.sample(range(n), 2)
-            rows[i][j] = LaurentPoly({rng.randint(-1, 1): Gaussian(_rational(rng))})
+            rows[i][j] = LaurentPoly({rng.randint(-1, 1): gaussian(_rational(rng))})
             g = mat_mul(g, lm_from_rows(form.name, rows))
         yield g
 
@@ -382,15 +394,15 @@ def test_each_invariant_clears_its_loop_once(invariant, name, monkeypatch):
     assert len(calls) == 1
 
 
-_P = LaurentPoly({-1: Gaussian(Fraction(1, 2)), 2: Gaussian(1, 3)})
-_Q = LaurentPoly({0: Gaussian(Fraction(-2, 3), 1), 2: Gaussian(-1, -3)})  # cancels _P's t^2 in a sum
+_P = LaurentPoly({-1: Gaussian(1, 0, 2), 2: Gaussian(1, 3)})
+_Q = LaurentPoly({0: Gaussian(-2, 3, 3), 2: Gaussian(-1, -3)})  # cancels _P's t^2 in a sum
 _SHEAR_COLUMNS = [[{1: (1, 0)}, {}], [{0: (1, 0)}, {-1: (1, 0)}]]  # [[t, 1], [0, 1/t]], one reduction step
 
 
 @pytest.mark.parametrize("run", [
     lambda: _P + _Q,
     lambda: _P - _Q,
-    lambda: _P.scale(Gaussian(Fraction(3, 4), -1)),
+    lambda: _P.scale(Gaussian(3, -4, 4)),
     lambda: mat_inverse(lm_from_rows("gl1_split", [[LaurentPoly.t_power(2, Gaussian(2, 1))]])).entries,
     lambda: loopmatrix._splitting([list(col) for col in _SHEAR_COLUMNS], 0),
 ], ids=["add", "sub", "scale", "inverse-1x1", "splitting"])

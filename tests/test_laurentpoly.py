@@ -1,8 +1,9 @@
-"""Packed Laurent polynomials against the dict-of-Gaussian oracle.
+"""Packed Laurent polynomials against the dict-of-pairs oracle.
 
-``DictLaurentPoly`` is the earlier representation of ``LaurentPoly``: one
-normalized ``Gaussian`` per exponent, with ``Gaussian`` arithmetic per
-coefficient.  The packed class must agree with it on every operation.
+``DictLaurentPoly`` keeps one (re, im) pair of Fractions per exponent, as
+``oracles.parts`` reads a ``Gaussian``, with the pair functions of
+``oracles`` per coefficient.  The packed class must agree with it on every
+operation.
 """
 
 import copy
@@ -17,15 +18,15 @@ import matsuki.loopmatrix as loopmatrix
 from matsuki.errors import ValidationError
 from matsuki.loopmatrix import Gaussian, LaurentPoly, determinant, lm_from_rows, mat_mul
 
-from oracles import conjugate_poly
+from oracles import conjugate_poly, gaussian, pair_product, pair_sum, parts
 
 BIG = 10**9
 DENOMINATORS = (1, 2, 3, 5, 10, 25)
 
 
 class DictLaurentPoly:
-    """A Laurent polynomial over Q(i): a finite exponent -> coefficient map
-    with no stored zeros."""
+    """A Laurent polynomial over Q(i): a finite exponent -> (re, im) Fraction
+    pair map with no stored zeros, built from ``Gaussian`` coefficients."""
 
     __slots__ = ("_c",)
 
@@ -33,8 +34,8 @@ class DictLaurentPoly:
         clean = {}
         if coeffs:
             for e, c in coeffs.items():
-                if c:
-                    clean[int(e)] = c
+                if any(pair := parts(c)):
+                    clean[int(e)] = pair
         object.__setattr__(self, "_c", clean)
 
     @staticmethod
@@ -62,15 +63,15 @@ class DictLaurentPoly:
     def __add__(self, other):
         out = dict(self._c)
         for e, c in other._c.items():
-            s = out.get(e, Gaussian(0)) + c
-            if s:
+            s = pair_sum(out.get(e, (0, 0)), c)
+            if any(s):
                 out[e] = s
             else:
                 out.pop(e, None)
         return DictLaurentPoly._raw(out)
 
     def __neg__(self):
-        return DictLaurentPoly._raw({e: -c for e, c in self._c.items()})
+        return DictLaurentPoly._raw({e: (-x, -y) for e, (x, y) in self._c.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -81,19 +82,19 @@ class DictLaurentPoly:
             for e2, c2 in other._c.items():
                 e = e1 + e2
                 s = out.get(e)
-                out[e] = c1 * c2 if s is None else s + c1 * c2
-        return DictLaurentPoly._raw({e: c for e, c in out.items() if c})
+                out[e] = pair_product(c1, c2) if s is None else pair_sum(s, pair_product(c1, c2))
+        return DictLaurentPoly._raw({e: c for e, c in out.items() if any(c)})
 
     def scale(self, factor):
-        if not factor:
+        if not any(f := parts(factor)):
             return DictLaurentPoly()
-        return DictLaurentPoly._raw({e: c * factor for e, c in self._c.items()})
+        return DictLaurentPoly._raw({e: pair_product(c, f) for e, c in self._c.items()})
 
     def tau(self):
         return DictLaurentPoly._raw({-e: c for e, c in self._c.items()})
 
     def conjugate(self):
-        return DictLaurentPoly._raw({e: c.conjugate() for e, c in self._c.items()})
+        return DictLaurentPoly._raw({e: (x, -y) for e, (x, y) in self._c.items()})
 
     def __eq__(self, other):
         return self._c == other._c
@@ -122,7 +123,7 @@ def _gaussians(denominators=DENOMINATORS):
 
     part = st.integers(-12, 12)
     return st.builds(
-        lambda a, b, d: Gaussian(Fraction(a, d), Fraction(b, d)), part, part, st.sampled_from(denominators)
+        lambda a, b, d: gaussian(Fraction(a, d), Fraction(b, d)), part, part, st.sampled_from(denominators)
     )
 
 
@@ -134,8 +135,9 @@ def _term_maps(denominators=DENOMINATORS):
 
 def _assert_agree(got, want):
     _assert_packed(got)
-    assert dict(got.items()) == want._c
-    assert hash(got) == hash(LaurentPoly(want._c))  # the equal value built from the oracle's terms
+    assert {e: parts(c) for e, c in got.items()} == want._c
+    # the equal value built from the oracle's terms
+    assert hash(got) == hash(LaurentPoly({e: gaussian(*c) for e, c in want._c.items()}))
     assert got.is_zero() == want.is_zero()
     if want.is_zero():
         for query in (got.valuation, got.degree):
@@ -181,13 +183,13 @@ def test_packed_matches_dict_oracle():
 
 
 def test_common_denominator_reduces():
-    half_t = LaurentPoly.t_power(1, Gaussian(Fraction(1, 2)))
+    half_t = LaurentPoly.t_power(1, Gaussian(1, 0, 2))
     assert half_t._d == 2 and half_t._c == {1: (1, 0)}
     total = half_t + half_t
     assert total == LaurentPoly.t_power(1) and total._d == 1 and total._c == {1: (1, 0)}
-    sixth = LaurentPoly({0: Gaussian(Fraction(1, 6)), 2: Gaussian(0, Fraction(1, 2))})
+    sixth = LaurentPoly({0: Gaussian(1, 0, 6), 2: Gaussian(0, 1, 2)})
     assert (sixth._c, sixth._d) == ({0: (1, 0), 2: (0, 3)}, 6)
-    third = LaurentPoly.constant(Fraction(1, 3))
+    third = LaurentPoly.constant(Gaussian(1, 0, 3))
     assert ((sixth + third)._c, (sixth + third)._d) == ({0: (1, 0), 2: (0, 1)}, 2)  # 1/2 + i/2 t^2
     zero = half_t - half_t
     assert zero.is_zero() and zero._d == 1 and zero == LaurentPoly.zero()
@@ -210,21 +212,21 @@ def _seeded_polys(seed):
         terms = {}
         for _ in range(rng.randint(1, 4)):
             d = rng.choice(DENOMINATORS)
-            terms[rng.randint(-3, 3)] = Gaussian(Fraction(rng.randint(-9, 9), d), Fraction(rng.randint(-9, 9), d))
+            terms[rng.randint(-3, 3)] = gaussian(Fraction(rng.randint(-9, 9), d), Fraction(rng.randint(-9, 9), d))
         polys.append(LaurentPoly(terms))
     return polys
 
 
 def test_arithmetic_builds_no_gaussian(monkeypatch):
     polys = _seeded_polys(0) + [LaurentPoly.zero()]
-    factor = Gaussian(Fraction(2, 3), -1)
+    factor = Gaussian(2, -3, 3)
     loop = lm_from_rows("gl2_split", [polys[:2], polys[2:4]])
 
     def refuse(*_):
         raise AssertionError("a Gaussian was built inside the arithmetic")
 
     monkeypatch.setattr(loopmatrix, "_make", refuse)
-    monkeypatch.setattr(Gaussian, "__init__", refuse)
+    monkeypatch.setattr(Gaussian, "__new__", refuse)
     for p in polys:
         for q in polys:
             p * q, p + q, p - q

@@ -52,7 +52,7 @@ def test_an_image_index_of_one_is_caught_on_the_adjoint_chain(monkeypatch):
 
 def test_a_birkhoff_type_read_as_the_cartan_type_is_caught(monkeypatch):
     # on gl1_split both types are the exponent of the determinant
-    monkeypatch.setattr(laws, "splitting_type", loopmatrix.stratum_invariant)
+    monkeypatch.setattr(laws.lm, "splitting_type", loopmatrix.stratum_invariant)
     caught = {name for name in form_names() if laws.matrix_invariance(form_action(name), 0, 12) is not None}
     assert caught == set(form_names()) - {"gl1_split"}
 
@@ -80,21 +80,21 @@ def test_dominance_read_backwards_puts_birkhoff_above_cartan(monkeypatch):
 
 
 def test_a_cartan_type_read_as_the_birkhoff_type_is_caught(monkeypatch):
-    monkeypatch.setattr(laws, "stratum_invariant", loopmatrix.splitting_type)
+    monkeypatch.setattr(laws.lm, "stratum_invariant", loopmatrix.splitting_type)
     problems = _matrix_problems()
     assert set(problems) == {"gl2_split", "sl2_split", "u11", "u21"}
     assert problems["gl2_split"] == "Cartan invariance fails at loop 6"
 
 
 def test_an_unsymmetrized_k_orbit_invariant_is_caught(monkeypatch):
-    monkeypatch.setattr(laws, "k_orbit_invariant", loopmatrix.stratum_invariant)
+    monkeypatch.setattr(laws.lm, "k_orbit_invariant", loopmatrix.stratum_invariant)
     problems = _matrix_problems()
     assert set(problems) == set(form_names()) - {"gl1_split"}
     assert problems["gl3_split"] == "k-orbit invariance fails at loop 0"
 
 
 def test_an_r_orbit_invariant_read_as_the_k_orbit_invariant_is_caught(monkeypatch):
-    monkeypatch.setattr(laws, "r_orbit_invariant", loopmatrix.k_orbit_invariant)
+    monkeypatch.setattr(laws.lm, "r_orbit_invariant", loopmatrix.k_orbit_invariant)
     assert _matrix_problems() == {
         "sl3_split": "r-orbit invariance fails at loop 7",
         "u11": "r-orbit invariance fails at loop 6",
@@ -103,7 +103,7 @@ def test_an_r_orbit_invariant_read_as_the_k_orbit_invariant_is_caught(monkeypatc
 
 def test_a_geodesic_taken_as_the_diagonal_loop_is_caught(monkeypatch):
     # t^lam itself symmetrizes to t^(2 lam), not t^lam
-    monkeypatch.setattr(laws, "geodesic_representative", lambda form, lam: loopmatrix.diagonal_loop(form.name, lam))
+    monkeypatch.setattr(laws.lm, "geodesic_representative", lambda form, lam: loopmatrix.diagonal_loop(form.name, lam))
     assert _matrix_problems() == dict.fromkeys(
         ("gl2_split", "gl3_split", "sl2_split", "sl3_split"), "geodesic duality pairing fails"
     )
@@ -126,8 +126,9 @@ def test_the_intersection_law_holds_on_every_form():
 def test_a_k_r_swap_that_check_misses_is_caught_by_the_intersection_law(monkeypatch):
     # each orbit invariant read as the other: at seed 0 ``matrix_invariance``
     # sees it on two forms only; on gl1_split the two invariants agree
-    monkeypatch.setattr(laws, "k_orbit_invariant", loopmatrix.r_orbit_invariant)
-    monkeypatch.setattr(laws, "r_orbit_invariant", loopmatrix.k_orbit_invariant)
+    k_orbit_invariant, r_orbit_invariant = loopmatrix.k_orbit_invariant, loopmatrix.r_orbit_invariant
+    monkeypatch.setattr(laws.lm, "k_orbit_invariant", r_orbit_invariant)
+    monkeypatch.setattr(laws.lm, "r_orbit_invariant", k_orbit_invariant)
     assert set(_matrix_problems()) == {"sl3_split", "u11"}
     problems = _intersection_problems(0)
     assert set(problems) == set(form_names()) - {"gl1_split"}
@@ -137,7 +138,7 @@ def test_a_k_r_swap_that_check_misses_is_caught_by_the_intersection_law(monkeypa
 def test_an_r_orbit_invariant_read_as_the_splitting_type_is_caught_by_the_intersection_law(monkeypatch):
     # at seed 0 ``matrix_invariance`` misses it on u21, which runs no geodesic
     # pairing, and sees it on the split forms through that pairing
-    monkeypatch.setattr(laws, "r_orbit_invariant", loopmatrix.splitting_type)
+    monkeypatch.setattr(laws.lm, "r_orbit_invariant", loopmatrix.splitting_type)
     assert set(_matrix_problems()) == set(form_names()) - {"gl1_split", "u21"}
     problems = _intersection_problems(0)
     assert set(problems) == set(form_names()) - {"gl1_split"}

@@ -1,16 +1,19 @@
 """Exact Laurent-matrix arithmetic and the four double-coset invariants."""
 
 import copy
+import functools
 import hashlib
 import pickle
+import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from operator import ne
 from pathlib import Path
 
 import pytest
 
-from matsuki import loopmatrix
+from matsuki import laws, loopmatrix
 from matsuki.errors import TheoremViolationError, ValidationError
 from matsuki.loopmatrix import (
     Gaussian,
@@ -37,16 +40,30 @@ from matsuki.loopmatrix import (
     stratum_invariant,
     transpose,
 )
+from matsuki.orbitposet import k_leq
+from matsuki.realform import catalog
 from matsuki.textio import format_matrix
 
-from oracles import apply_conjugation, conjugate_poly, dense_unipotent, real_antiinvolution, symmetric_antiinvolution
+from oracles import (
+    apply_conjugation,
+    conjugate_poly,
+    dense_unipotent,
+    gaussian,
+    pair_product,
+    pair_quotient,
+    pair_sum,
+    parts,
+    real_antiinvolution,
+    symmetric_antiinvolution,
+    wide_real_loop,
+)
 
 ONE = LaurentPoly.one()
 ZERO = LaurentPoly.zero()
 
 
 def t_pow(e, re=1, im=0):
-    return LaurentPoly.t_power(e, Gaussian(re, im))
+    return LaurentPoly.t_power(e, gaussian(re, im))
 
 
 def upper_unipotent(form, p):
@@ -57,60 +74,33 @@ def upper_unipotent(form, p):
 # arithmetic
 
 
-def test_gaussian_field_ops():
-    a = Gaussian(1, 2)
-    b = Gaussian(Fraction(1, 2), -1)
-    assert a * b / b == a
-    assert a.conjugate().conjugate() == a
-    assert not Gaussian(0, 0)
-    with pytest.raises(ZeroDivisionError):
-        a / Gaussian(0)
-
-
-def _gaussian_reference_pairs():
+def _gaussian_reference_triples():
+    """Int triples (a, b, d), d > 0, and the (re, im) Fraction pair of (a + b*i)/d."""
     from hypothesis import strategies as st
 
-    part = st.fractions(min_value=-40, max_value=40, max_denominator=36)
-    return st.tuples(part, part)
+    part = st.integers(-40, 40)
+    return st.builds(lambda a, b, d: ((a, b, d), (Fraction(a, d), Fraction(b, d))), part, part, st.integers(1, 36))
 
 
 def _assert_normalized(g):
     assert g.d > 0 and gcd(g.a, g.b, g.d) == 1
-    assert type(g.re) is Fraction and type(g.im) is Fraction
+    assert type(g.a) is type(g.b) is type(g.d) is int
 
 
 def test_gaussian_matches_fraction_pair_reference():
-    """Integer-triple arithmetic against (re, im) pairs of Fractions."""
+    """The integer triple against (re, im) pairs of Fractions: normalization,
+    -x, conjugate, equality, hash and bool, all that a coefficient value keeps."""
     from hypothesis import given, settings
 
-    def ref_mul(p, q):
-        return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
-
-    def ref_div(p, q):
-        norm = q[0] * q[0] + q[1] * q[1]
-        return (p[0] * q[0] + p[1] * q[1]) / norm, (p[1] * q[0] - p[0] * q[1]) / norm
-
     @settings(max_examples=300, deadline=None)
-    @given(_gaussian_reference_pairs(), _gaussian_reference_pairs())
-    def agree(p, q):
-        x, y = Gaussian(*p), Gaussian(*q)
-        results = [
-            (x, p),
-            (x + y, (p[0] + q[0], p[1] + q[1])),
-            (x - y, (p[0] - q[0], p[1] - q[1])),
-            (-x, (-p[0], -p[1])),
-            (x * y, ref_mul(p, q)),
-            (x.conjugate(), (p[0], -p[1])),
-        ]
-        if any(q):
-            results.append((x / y, ref_div(p, q)))
-        else:
-            with pytest.raises(ZeroDivisionError):
-                x / y
-        for got, want in results:
+    @given(_gaussian_reference_triples(), _gaussian_reference_triples())
+    def agree(first, second):
+        (fields, p), (other, q) = first, second
+        x, y = Gaussian(*fields), Gaussian(*other)
+        for got, want in ((x, p), (-x, (-p[0], -p[1])), (x.conjugate(), (p[0], -p[1]))):
             _assert_normalized(got)
-            assert (got.re, got.im) == want
-            assert hash(got) == hash(Gaussian(*want))  # the equal value built from the Fraction pair
+            assert parts(got) == want
+            assert got == gaussian(*want) and hash(got) == hash(gaussian(*want))  # the value built from the pair
             assert bool(got) == any(want)
         assert (x == y) == (p == q)
 
@@ -118,20 +108,19 @@ def test_gaussian_matches_fraction_pair_reference():
 
 
 def test_gaussian_normalization():
-    half = Gaussian(Fraction(2, 4))
-    assert half == Gaussian(Fraction(1, 2)) and hash(half) == hash(Gaussian(Fraction(1, 2)))
-    assert (half.a, half.b, half.d) == (1, 0, 2)
-    assert (Gaussian(0).a, Gaussian(0).b, Gaussian(0).d) == (0, 0, 1)
-    mixed = Gaussian(Fraction(1, 6), Fraction(-3, 4))  # (2 - 9i)/12
-    assert (mixed.a, mixed.b, mixed.d) == (2, -9, 12)
-    assert mixed.re == Fraction(1, 6) and mixed.im == Fraction(-3, 4)
-    assert half + half == Gaussian(1) and (half + half).d == 1
+    fields = [(g.a, g.b, g.d) for g in (Gaussian(2, 4, 6), Gaussian(0, 0, 5), Gaussian(-3, 0, 6), Gaussian())]
+    assert fields == [(1, 2, 3), (0, 0, 1), (-1, 0, 2), (0, 0, 1)]
+    half = Gaussian(2, 0, 4)
+    assert half == Gaussian(1, 0, 2) and hash(half) == hash(Gaussian(1, 0, 2))
+    mixed = gaussian(Fraction(1, 6), Fraction(-3, 4))  # (2 - 9i)/12
+    assert (mixed.a, mixed.b, mixed.d) == (2, -9, 12) and mixed == Gaussian(4, -18, 24)
+    assert repr(mixed) == "Gaussian(2, -9, 12)" and eval(repr(mixed)) == mixed
     with pytest.raises(AttributeError):
         half.a = 2
 
 
 def test_values_are_immutable_copyable_and_equal_only_to_their_kind():
-    g, p = Gaussian(Fraction(1, 2), -3), LaurentPoly({1: Gaussian(1), -3: Gaussian(1, -2)})
+    g, p = Gaussian(1, -6, 2), LaurentPoly({1: Gaussian(1), -3: Gaussian(1, -2)})
     for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
         assert twin == g and (twin.a, twin.b, twin.d) == (1, -6, 2)
     with pytest.raises(AttributeError, match="^LaurentPoly values are immutable$"):
@@ -140,17 +129,27 @@ def test_values_are_immutable_copyable_and_equal_only_to_their_kind():
     assert repr(p) == "(1-2i)*t^-3 + (1+0i)*t"
 
 
-@pytest.mark.parametrize("re, im", [(0.1, 0), (1, 0.5), ("1/2", 0), (Gaussian(1), 0)])
-def test_gaussian_parts_are_ints_or_fractions(re, im):
+@pytest.mark.parametrize("fields, shown", [
+    ((0.1,), "0.1, 0 and 1"),
+    ((1, 0.5), "1, 0.5 and 1"),
+    ((1, Fraction(1, 2)), "1, Fraction(1, 2) and 1"),
+    (("1/2",), "'1/2', 0 and 1"),
+    ((Gaussian(1),), "Gaussian(1, 0, 1), 0 and 1"),
+    ((1, 0, 0), "1, 0 and 0"),
+    ((1, 0, -2), "1, 0 and -2"),
+], ids=["float", "float-im", "Fraction", "str", "Gaussian", "d=0", "d=-2"])
+def test_gaussian_parts_are_ints_over_a_positive_d(fields, shown):
     # a float would be read as its binary fraction: 0.1 is 3602879701896397/2**55
-    with pytest.raises(ValidationError, match="must be int or Fraction"):
-        Gaussian(re, im)
+    with pytest.raises(ValidationError) as refused:
+        Gaussian(*fields)
+    assert str(refused.value) == f"Gaussian parts must be ints with d > 0, got {shown}"
 
 
 def test_constant_polynomials_take_no_floats():
-    with pytest.raises(ValidationError, match="must be int or Fraction"):
-        LaurentPoly.constant(0.1)
-    assert LaurentPoly.constant(Fraction(1, 10)) == LaurentPoly.constant(Gaussian(Fraction(1, 10)))
+    for value in (0.1, Fraction(1, 10)):
+        with pytest.raises(ValidationError, match="^Gaussian parts must be ints with d > 0"):
+            LaurentPoly.constant(value)
+    assert LaurentPoly.constant(Gaussian(1, 0, 10)) == LaurentPoly.constant(gaussian(Fraction(1, 10)))
 
 
 def test_poly_ring_ops():
@@ -166,7 +165,7 @@ def _poly_strategy():
     from hypothesis import strategies as st
 
     coeff = st.builds(
-        Gaussian,
+        gaussian,
         st.fractions(min_value=-3, max_value=3, max_denominator=4),
         st.fractions(min_value=-3, max_value=3, max_denominator=4),
     )
@@ -405,6 +404,73 @@ def test_theta_r_without_conjugation_fails_the_unitary_generators_and_the_geodes
             geodesic_representative(name, lam)
 
 
+# the seeded real loops of a split form have real entries symmetric under t <-> 1/t, so conjugation alone
+# and t -> 1/t alone fix them; ``wide_real_loop`` samples the rest of LG_R
+WIDE_FORMS = ("gl2_split", "gl3_split", "sl2_split", "sl3_split")
+_ANTI_PRODUCT = loopmatrix.FormAction._anti_product
+
+
+@functools.lru_cache(maxsize=None)
+def _wide_cases(name):
+    """60 wide real loops r of a split form, each with the seeded loop g of ``check`` at seed 7 that it
+    moves, the 12 of them in turn."""
+    form, rng = form_action(name), random.Random(f"wide:{name}")
+    seeded = [laws.seeded_loop(form, 7, i) for i in range(12)]
+    return [(wide_real_loop(form, rng), seeded[i % 12]) for i in range(60)]
+
+
+def _r_orbit_outcomes(loops):
+    """The R-orbit invariant of each loop, or the text of the theorem violation it raises."""
+    out = []
+    for g in loops:
+        try:
+            out.append(r_orbit_invariant(g))
+        except TheoremViolationError as error:
+            out.append(str(error))
+    return out
+
+
+def _unbarred_anti_product(form, g, real):
+    """``FormAction._anti_product`` on a split form with the bar's conjugation dropped from its real branch:
+    a(g) is adj(g) t^-e with t -> 1/t only."""
+    if not real:
+        return _ANTI_PRODUCT(form, g, real)
+    cols, scales = loopmatrix._int_rows(zip(*g.entries))
+    adj, det = loopmatrix._adjugate([*zip(*cols)])
+    e = form._checked_det(det, scales)
+    left = [[{e - x: pair for x, pair in p.items()} for p in row] for row in adj]
+    return [[loopmatrix._raw_dot(zip(row, col)) for row in left] for col in cols], form.symmetrized_exponent(e)
+
+
+@pytest.mark.parametrize("name", WIDE_FORMS)
+def test_wide_real_loops_are_real_and_keep_the_r_orbit_of_the_seeded_loops(name):
+    form, cases = form_action(name), _wide_cases(name)
+    seeded = [g for _, g in cases[:12]]
+    products = [mat_mul(r, g) for r, g in cases]
+    assert all(loops_equal(form.real_involution(r), r) for r, _ in cases)
+    r_invariants, k_invariants = [r_orbit_invariant(rg) for rg in products], [k_orbit_invariant(rg) for rg in products]
+    assert r_invariants == [r_orbit_invariant(g) for g in seeded] * 5
+    # not vacuous: left multiplication by r moves the K-orbit of g on most samples
+    assert sum(map(ne, k_invariants, [k_orbit_invariant(g) for g in seeded] * 5)) > 40
+    # the inequality of ``laws.intersection`` on r g: its R-orbit index below its K-orbit index
+    spec = catalog(form.entry).spec
+    assert all(k_leq(spec, form.to_entry(lam), form.to_entry(mu)) for lam, mu in zip(r_invariants, k_invariants))
+
+
+@pytest.mark.parametrize("name", WIDE_FORMS)
+def test_wide_real_loops_catch_theta_r_without_conjugation_and_an_unbarred_anti_product(name, monkeypatch):
+    # each fault passes the seeded real loops of ``check``; the wide ones catch it by theta_R's fixed points
+    # and by R-orbit invariance alone
+    form, cases = form_action(name), _wide_cases(name)
+    unconjugated = sum(not loops_equal(_theta_r_without_conjugation(form, r), r) for r, _ in cases)
+    monkeypatch.setattr(loopmatrix.FormAction, "_anti_product", _unbarred_anti_product)
+    # on the seeded loops of ``check`` only its geodesic pairing sees the unbarred product
+    assert laws.matrix_invariance(form, 7, 12) == "geodesic duality pairing fails"
+    moved = _r_orbit_outcomes(mat_mul(r, g) for r, g in cases)
+    unbarred = sum(map(ne, moved, _r_orbit_outcomes(g for _, g in cases[:12]) * 5))
+    assert unconjugated >= 5 and unbarred >= 5, (unconjugated, unbarred)
+
+
 # ---------------------------------------------------------------------------
 # stratum invariant
 
@@ -515,23 +581,23 @@ def test_determinantal_divisors_out_of_chain_are_a_theorem_violation(monkeypatch
 
 
 def gaussian_kernel_vector(m):
-    """A nonzero v with m v = 0 for a square matrix m over Q(i), or None when
-    m is nonsingular (Gauss-Jordan elimination up to the first free column)."""
-    zero, one = Gaussian(0), Gaussian(1)
+    """A nonzero v with m v = 0 for a square matrix m over Q(i), its entries
+    (re, im) pairs, as (re, im) Fraction pairs, or None when m is nonsingular
+    (Gauss-Jordan elimination up to the first free column)."""
     n = len(m)
-    rows = [list(r) for r in m]
+    rows = [[(Fraction(a), Fraction(b)) for a, b in r] for r in m]
     for col in range(n):
-        p = next((i for i in range(col, n) if rows[i][col]), None)
+        p = next((i for i in range(col, n) if any(rows[i][col])), None)
         if p is None:
             # columns before col are pivots with unit entries on the diagonal
-            return [-rows[i][col] for i in range(col)] + [one] + [zero] * (n - col - 1)
+            return [(-rows[i][col][0], -rows[i][col][1]) for i in range(col)] + [(1, 0)] + [(0, 0)] * (n - col - 1)
         rows[col], rows[p] = rows[p], rows[col]
-        inv = one / rows[col][col]
-        pivot = rows[col] = [x * inv for x in rows[col]]
+        inv = pair_quotient((1, 0), rows[col][col])
+        pivot = rows[col] = [pair_product(x, inv) for x in rows[col]]
         for i in range(n):
             f = rows[i][col]
-            if i != col and f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], pivot)]
+            if i != col and any(f):
+                rows[i] = [pair_sum(x, pair_product((-f[0], -f[1]), y)) for x, y in zip(rows[i], pivot)]
     return None
 
 
@@ -572,18 +638,20 @@ def test_kernel_vector_matches_gaussian_oracle():
     @given(_gaussian_integer_matrices())
     def agree(m):
         v = loopmatrix._kernel_vector(m)
-        want = gaussian_kernel_vector([[Gaussian(a, b) for a, b in row] for row in m])
+        want = gaussian_kernel_vector(m)
         if want is None:
             assert v is None
             return
         assert v is not None and any(a or b for a, b in v)
         assert gcd(*(x for pair in v for x in pair)) == 1
-        got = [Gaussian(a, b) for a, b in v]
         for row in m:
-            assert sum((Gaussian(a, b) * x for (a, b), x in zip(row, got)), Gaussian(0)) == Gaussian(0)
+            total = (0, 0)
+            for x, y in zip(row, v):
+                total = pair_sum(total, pair_product(x, y))
+            assert total == (0, 0)
         # proportional: every 2x2 cross product vanishes
         for i, j in combinations(range(len(m)), 2):
-            assert got[i] * want[j] == got[j] * want[i]
+            assert pair_product(v[i], want[j]) == pair_product(v[j], want[i])
 
     agree()
 
@@ -832,8 +900,8 @@ def test_k_orbit_examples():
     rot = lm_from_rows(
         "gl2_split",
         [
-            [LaurentPoly.constant(Fraction(3, 5)), LaurentPoly.constant(Fraction(4, 5))],
-            [LaurentPoly.constant(Fraction(-4, 5)), LaurentPoly.constant(Fraction(3, 5))],
+            [LaurentPoly.constant(Gaussian(3, 0, 5)), LaurentPoly.constant(Gaussian(4, 0, 5))],
+            [LaurentPoly.constant(Gaussian(-4, 0, 5)), LaurentPoly.constant(Gaussian(3, 0, 5))],
         ],
     )
     assert k_orbit_invariant(rot) == (0, 0)
@@ -883,8 +951,6 @@ def test_su21_catalog_involution_matches_u21_matrix_model():
     # the catalog's swap on simple-coroot coordinates, read through the form's
     # map to its entry, is the matrix model's J-twisted reversal: on the
     # diagonal torus, J conj(t^lam)^-T J is t^(-reversed(lam))
-    from matsuki.realform import catalog
-
     form = form_action("u21")
     spec = catalog("su21").spec
     assert form.entry == "su21"
@@ -904,8 +970,6 @@ def test_to_entry_refuses_a_coweight_of_the_wrong_length():
 
 
 def test_unitary_orbit_invariants_are_lattice_fixed():
-    from matsuki.realform import catalog
-
     form = form_action("u21")
     theta = catalog("su21").spec.apply
     g = mat_mul(random_real_loop(form, 3), random_polynomial_loop(form, 4))
@@ -1056,7 +1120,7 @@ class _ScriptedRng:
 def test_unitary_real_factor_is_the_exponential_of_its_nilpotent(name, position):
     # X = c t^k E_ij - conj(c) t^-k E_(n-1-j)(n-1-i) for every c and k the factor draws; X^3 = 0, so exp(X) is exact
     form, (i, j) = form_action(name), position
-    n, half = form.n, Gaussian(Fraction(1, 2))
+    n, half = form.n, Gaussian(1, 0, 2)
     for re, im, k in product((-1, 0, 1), (-1, 0, 1), (0, 1)):
         rng = _ScriptedRng(position, re, im, k)
         factor = lm_from_rows(name, loopmatrix._real_factor(form, rng))

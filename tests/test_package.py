@@ -63,6 +63,25 @@ def test_orbits_runs_only_the_lattice_modules():
     assert not {"fractions", "random", "decimal"} & set(seen["modules"])
 
 
+LATTICE_RUN = ["cli", "errors", "fundgroup", "orbitposet", "realform", "record", "rootdata"]
+
+
+@pytest.mark.parametrize("argv, run", [
+    (["dual", "pgl2_so21", "2"], LATTICE_RUN),
+    (["core", "gl2_split", "1", "-1"], LATTICE_RUN),
+    (["pi1", "su21"], ["cli", "errors", "fundgroup", "realform", "record", "rootdata"]),
+    (["poset", "gl2_split", "--height", "4"], LATTICE_RUN),
+    (["check", "sl2_compact"], sorted([*LATTICE_RUN, "laws"])),
+    (["check", "pgl2_so21"], sorted([*LATTICE_RUN, "laws"])),
+    (["check", "sl2C_as_real"], sorted([*LATTICE_RUN, "laws"])),
+], ids=["dual", "core", "pi1", "poset", "check-sl2_compact", "check-pgl2_so21", "check-sl2C_as_real"])
+def test_lattice_commands_run_no_matrix_code(argv, run):
+    # a catalog entry names its matrix form, so check on an entry without one leaves loopmatrix unrun
+    seen = _after_command(argv)
+    assert seen["run"] == run
+    assert not {"fractions", "random", "decimal"} & set(seen["modules"])
+
+
 def test_catalog_runs_neither_the_orbit_nor_the_matrix_layer():
     seen = _after_command(["catalog"])
     assert seen["run"] == ["cli", "errors", "realform", "record", "rootdata"]
@@ -140,6 +159,15 @@ def test_invariant_loads_no_fractions_or_random(tmp_path):
     assert _loaded(setup, {"fractions", "decimal", "random"})[1] == []
 
 
+def test_invariant_on_rational_entries_loads_no_fractions(tmp_path, capsys):
+    # a rational entry is read into a Gaussian's integer fields, and the invariants run on integers
+    path = tmp_path / "rational.matrix"
+    path.write_text(IDENTITY_FILE + "entry 1 2: (1, -3/6, 2/4) (-2, 5/3, 0)\n")
+    assert main(["invariant", str(path)]) == 0
+    setup = f"from matsuki.cli import main\nassert main(['invariant', {str(path)!r}]) == 0"
+    assert _loaded(setup, {"fractions", "decimal", "numbers"}) == (capsys.readouterr().out, [])
+
+
 ARGPARSE_MODULES = {"argparse", "shutil", "gettext", "locale"}
 
 
@@ -178,8 +206,8 @@ def test_help_and_usage_errors_load_argparse(argv):
 
 
 def test_deferred_modules_load_where_they_are_used(capsys):
-    # check and a generator load random, a Gaussian's repr loads fractions, and
-    # each prints what it prints in this process, where both are loaded
+    # a generator loads random and a Gaussian's repr loads no fractions; each
+    # prints what it prints in this process, where both are loaded
     from matsuki.loopmatrix import HALF, random_k_loop
     from matsuki.textio import format_matrix
 
@@ -193,7 +221,7 @@ def test_deferred_modules_load_where_they_are_used(capsys):
         "print(format_matrix(random_k_loop('gl2_split', 7)))\n"
         "print(repr(HALF))"
     )
-    assert _loaded(setup, {"fractions", "random"}) == (expected, ["fractions", "random"])
+    assert _loaded(setup, {"fractions", "random"}) == (expected, ["random"])
 
 
 def test_exported_involution_files_need_no_fractions(tmp_path):
@@ -207,7 +235,7 @@ def test_exported_involution_files_need_no_fractions(tmp_path):
 
 
 def test_check_runs_the_property_suites():
-    seen = _after_command(["check", "pgl2_so21"])
+    seen = _after_command(["check", "gl2_split"])
     assert {"laws", "loopmatrix", "orbitposet"} <= set(seen["run"])
 
 

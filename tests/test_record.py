@@ -16,7 +16,7 @@ RECORDS = {
     RootDatum: (("rank", "roots", "coroots", "simple_indices", "name"), sl3_datum),
     FiniteAbelianGroup: (("invariant_factors", "projection"), lambda: pi1_of_group(sl3_datum())),
     InvolutionSpec: (("datum", "theta", "name"), lambda: catalog("su21").spec),
-    RealFormCatalogEntry: (("name", "spec", "expected_k_connected", "notes"), lambda: catalog("su21")),
+    RealFormCatalogEntry: (("name", "spec", "expected_k_connected", "notes", "matrix_form"), lambda: catalog("su21")),
     PiOneModel: (
         ("group_pi1", "space_pi1", "image_generators", "image_index"),
         lambda: pi1_model(catalog("pgl2_so21").spec),

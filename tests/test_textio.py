@@ -31,6 +31,8 @@ from matsuki.textio import (
     parse_root_datum,
 )
 
+from oracles import gaussian
+
 SL2_TEXT = """\
 name: sl2
 rank: 1
@@ -181,7 +183,7 @@ def test_matrix_identity_file():
 def test_matrix_rationals_are_read_in_lowest_terms():
     text = "form: gl2_split\nsize: 2\nentry 1 1: (0, 1, 0)\nentry 1 2: (0, -6/4, 10/15) (2, 0/7, 3)\nentry 2 2: (0, 1, 0)\n"
     entry = parse_matrix(text).entries[0][1]
-    assert entry == LaurentPoly({0: Gaussian(Fraction(-3, 2), Fraction(2, 3)), 2: Gaussian(0, 3)})
+    assert entry == LaurentPoly({0: gaussian(Fraction(-3, 2), Fraction(2, 3)), 2: Gaussian(0, 3)})
 
 
 def test_matrix_parse_errors():
@@ -363,7 +365,7 @@ def _two_pass_entry(rest, lineno, i, j):
         r, s = _two_pass_rational(im_part, lineno)
         if e in coeffs:
             raise ParseError(lineno, f"duplicate exponent {e} in entry ({i}, {j})")
-        coeffs[e] = Gaussian(p * s, r * q) / Gaussian(q * s)
+        coeffs[e] = gaussian(Fraction(p, q), Fraction(r, s))
     if _stray(rest):
         raise ParseError(lineno, f"unparsed text in entry ({i}, {j}): {rest!r}")
     return LaurentPoly(coeffs)

@@ -1,10 +1,9 @@
 """Source guards: the runtime imports only the standard library, stays exact
-(the lattice layer on integers alone), reads every integer of a file through
+(every module on integers alone), reads every integer of a file through
 one reader, keeps its checks under ``python -O``, starts up without
-``dataclasses`` and imports ``argparse``, ``fractions``, ``decimal`` and
-``random`` only inside the functions that use them, and holds no unused
-top-level definitions; the README example runs and every constant it names
-exists."""
+``dataclasses`` and imports ``argparse`` and ``random`` only inside the
+functions that use them, and holds no unused top-level definitions; the
+README example runs and every constant it names exists."""
 
 import ast
 import doctest
@@ -59,14 +58,12 @@ def test_no_dataclasses_import(path):
         assert name.split(".")[0] != "dataclasses", f"{path.name}:{lineno} imports {name}"
 
 
-LATTICE_LAYER = [ROOT / "src" / "matsuki" / f"{stem}.py" for stem in ("fundgroup", "orbitposet", "realform", "rootdata")]
-
-
-@pytest.mark.parametrize("path", LATTICE_LAYER, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_lattice_layer_is_integer_only(path):
-    # every lattice solve is an integer one, read off the Smith normal form
+    # the whole package, not the lattice layer alone: every lattice solve is an integer one, read off the
+    # Smith normal form, and the matrix layer's Gaussian rationals are integer triples and numerator dicts
     for lineno, name in _absolute_imports(path):
-        assert name.split(".")[0] != "fractions", f"{path.name}:{lineno} imports {name}"
+        assert name.split(".")[0] not in ("fractions", "decimal"), f"{path.name}:{lineno} imports {name}"
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
@@ -224,13 +221,11 @@ def test_code_generation_only_in_known_places():
 
 # Imports inside a function.  Package modules import one another at module
 # level only, so the relative imports form the acyclic graph checked below.
-# The only imports inside a function are three standard modules that start-up
+# The only imports inside a function are two standard modules that start-up
 # would pay for and never use: ``argparse`` (which loads re, gettext, shutil and
-# locale) for help and usage errors, ``fractions`` (which loads decimal,
-# numbers and re) for the Fraction-facing API of ``Gaussian``, and ``random``
-# for the seeded loop generators.
-FUNCTION_IMPORTS = {"cli.build_parser": "argparse", "loopmatrix._fraction": "fractions", "loopmatrix._product": "random"}
-DEFERRED_MODULES = {"argparse", "fractions", "decimal", "random"}
+# locale) for help and usage errors, and ``random`` for the seeded loop generators.
+FUNCTION_IMPORTS = {"cli.build_parser": "argparse", "loopmatrix._product": "random"}
+DEFERRED_MODULES = {"argparse", "random"}
 
 
 def _function_imports(node, prefix, in_function=False):
